@@ -11,7 +11,9 @@ matrix; assembling those over the coarse dofs yields the next level's
 problem, which is either factorized directly (top level) or split again
 into subdomains over a pseudo-mesh. Applications at levels past the first
 wrap the interface cycle in interior pre/post corrections so the recursion
-only ever sees interface residuals.
+only ever sees interface residuals. Those corrections, like the Schur
+operator S, go through one block-diagonal interior solve per level (see
+substructuring); the constrained local solves stay per subdomain.
 
 All reductions accumulate in subdomain order, so results are independent
 of the worker count.
@@ -35,7 +37,8 @@ from .interface import (
 )
 from .partition import Partition, build_pseudomesh, partition_elements
 from .sparse import Factorization, SparseMatrix, factorize
-from .substructuring import InterfaceMap, SubdomainSplit, build_splits, map_ordered
+from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit,
+                             build_splits, map_ordered)
 
 
 @dataclass
@@ -135,7 +138,7 @@ class BddcLevel:
     index: int                    # 1-based level number
     grid: LevelGrid
     partition: Partition
-    splits: list
+    splits: LevelSplits
     imap: InterfaceMap
     weights: list
     coarse: CoarseSpace
@@ -186,9 +189,8 @@ class MultilevelBddc:
             return z_i, sub.psi.T @ r_loc
 
         parts = map_ordered(down, len(level.subs), self.workers)
-        r_c = np.zeros(level.n_coarse_dofs)
-        for i, (_, rc_i) in enumerate(parts):
-            r_c[level.subs[i].coarse_dofs] += rc_i
+        r_c = np.bincount(np.concatenate([sub.coarse_dofs for sub in level.subs]),
+                          np.concatenate([rc_i for _, rc_i in parts]), level.n_coarse_dofs)
 
         z_c = self._full_apply(li + 1, r_c)
 
@@ -199,10 +201,7 @@ class MultilevelBddc:
             return level.weights[i] * v[split.interface_pos]
 
         combined = map_ordered(up, len(level.subs), self.workers)
-        z_hat = np.zeros(level.imap.n)
-        for i, zb in enumerate(combined):
-            z_hat[level.imap.sub_global[i]] += zb
-        return z_hat
+        return level.splits.gather(np.concatenate(combined), level.imap.n)
 
     def _full_apply(self, li: int, r: np.ndarray) -> np.ndarray:
         """Apply at a level that owns every dof (levels past the first):
@@ -210,88 +209,57 @@ class MultilevelBddc:
         if li == len(self.levels):
             return self.top.solve(r)
         level = self.levels[li]
-        r_hat, w = interior_precorrection(level.splits, level.imap, r, self.workers)
+        r_hat, w = interior_precorrection(level.splits, level.imap, r)
         z_hat = self._interface_apply(li, r_hat)
         return interior_postcorrection(level.splits, level.imap, z_hat, w,
-                                       level.grid.n_dofs, self.workers)
+                                       level.grid.n_dofs)
 
 
-def interior_precorrection(splits, imap: InterfaceMap, r: np.ndarray,
-                           workers: int = 1):
-    """Condense a full residual onto the interface, keeping the interior
-    solves for the matching post-correction. Returns (r_hat, w)."""
-    r_hat = r[imap.dofs].copy()
-
-    def local(j):
-        s = splits[j]
-        return s.k_ii_fact.solve(r[s.local_dofs[s.interior_pos]])
-
-    w = map_ordered(local, len(splits), workers)
-    for j, wj in enumerate(w):
-        r_hat[imap.sub_global[j]] -= splits[j].k_ib.rmatvec(wj)
-    return r_hat, w
+def interior_precorrection(splits: LevelSplits, imap: InterfaceMap, r: np.ndarray):
+    """Condense a full residual onto the interface, keeping the stacked
+    interior solves for the matching post-correction. Returns (r_hat, w)."""
+    w = splits.k_ii_fact.solve(r[splits.interior_dofs])
+    return r[imap.dofs] - splits.gather(splits.k_ib.rmatvec(w), imap.n), w
 
 
-def interior_postcorrection(splits, imap: InterfaceMap, z_hat: np.ndarray,
-                            w: list, n_dofs: int, workers: int = 1) -> np.ndarray:
+def interior_postcorrection(splits: LevelSplits, imap: InterfaceMap,
+                            z_hat: np.ndarray, w: np.ndarray,
+                            n_dofs: int) -> np.ndarray:
     """Complete an interface correction to the level's full dof vector,
     reusing the pre-correction interior solves."""
     z = np.zeros(n_dofs)
     z[imap.dofs] = z_hat
-
-    def local(j):
-        s = splits[j]
-        ub = z_hat[imap.sub_global[j]]
-        if ub.size == 0 or s.k_ib.n_cols == 0:
-            return w[j]
-        return w[j] - s.k_ii_fact.solve(s.k_ib.matvec(ub))
-
-    parts = map_ordered(local, len(splits), workers)
-    for j, zj in enumerate(parts):
-        s = splits[j]
-        z[s.local_dofs[s.interior_pos]] = zj
+    z[splits.interior_dofs] = w - splits.k_ii_fact.solve(
+        splits.k_ib.matvec(z_hat[splits.iface_index]))
     return z
+
+
+def _sum_elements(k_elems, dof_lists, n: int) -> SparseMatrix:
+    """Sum dense element matrices over their dof lists into a symmetric
+    sparse matrix of order n. assemble_coarse and subassemble_coarse share
+    it, so neither runs inside the other and their timings stay apart."""
+    dofs = [np.asarray(d, dtype=np.int64) for d in dof_lists]
+    none = [np.zeros(0, dtype=np.int64)]
+    s = SparseMatrix.from_coo(
+        n, n, np.concatenate(none + [np.repeat(d, d.size) for d in dofs]),
+        np.concatenate(none + [np.tile(d, d.size) for d in dofs]),
+        np.concatenate([np.zeros(0)] + [np.asarray(kc, dtype=np.float64).reshape(-1)
+                                        for kc in k_elems])).scipy_csr()
+    return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True)
 
 
 def assemble_coarse(k_elems, dof_lists, n_dofs: int) -> SparseMatrix:
     """Assemble dense coarse element matrices into one sparse operator."""
-    rows, cols, vals = [], [], []
-    for kc, dofs in zip(k_elems, dof_lists):
-        dofs = np.asarray(dofs, dtype=np.int64)
-        m = dofs.shape[0]
-        rows.append(np.repeat(dofs, m))
-        cols.append(np.tile(dofs, m))
-        vals.append(np.asarray(kc, dtype=np.float64).reshape(-1))
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-    else:
-        r = c = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0)
-    k = SparseMatrix.from_coo(n_dofs, n_dofs, r, c, v)
-    s = k.scipy_csr()
-    return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True)
+    return _sum_elements(k_elems, dof_lists, n_dofs)
 
 
 def subassemble_coarse(k_elems, dof_lists, elements):
     """Assemble a subdomain of the pseudo-mesh from coarse element
     matrices. Returns (K_j, local_to_global)."""
-    ltg = np.unique(np.concatenate([np.asarray(dof_lists[e], dtype=np.int64)
-                                    for e in elements]))
-    lookup = {int(d): p for p, d in enumerate(ltg)}
-    rows, cols, vals = [], [], []
-    for e in elements:
-        dofs = np.array([lookup[int(d)] for d in dof_lists[e]], dtype=np.int64)
-        m = dofs.shape[0]
-        rows.append(np.repeat(dofs, m))
-        cols.append(np.tile(dofs, m))
-        vals.append(np.asarray(k_elems[e], dtype=np.float64).reshape(-1))
-    k = SparseMatrix.from_coo(ltg.shape[0], ltg.shape[0],
-                              np.concatenate(rows), np.concatenate(cols),
-                              np.concatenate(vals))
-    s = k.scipy_csr()
-    return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True), ltg
+    dofs = [np.asarray(dof_lists[e], dtype=np.int64) for e in elements]
+    ltg = np.unique(np.concatenate(dofs))
+    return _sum_elements([k_elems[e] for e in elements],
+                         [np.searchsorted(ltg, d) for d in dofs], ltg.shape[0]), ltg
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
@@ -300,7 +268,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
     splits, imap = build_splits(k_list, ltg_list, iface, grid.dofs_per_node,
-                                workers=workers, dense_threshold=dense_threshold)
+                                dense_threshold=dense_threshold)
     weights = build_weights(globset, imap, scheme,
                             local_diags=[k.diagonal() for k in k_list])
     corners = select_corners(globset, grid, strategy)

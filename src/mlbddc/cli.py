@@ -39,7 +39,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hierarchy", default=None,
                    help="subdomain counts, e.g. 64/8/1")
     p.add_argument("--workers", type=int, default=None,
-                   help="solver worker threads")
+                   help="threads for setup and the constrained local solves")
     p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
                    default=None, help="require a reproducible run (default on)")
 

@@ -273,16 +273,13 @@ class RunResult:
         }
 
 
-def run_experiment(config: RunConfig) -> RunResult:
-    """Assemble, build the preconditioner, solve, recover. The clock splits
-    at the end of setup: condensation, iteration, and interior recovery all
-    count as Krylov time."""
+def _partitioned_mesh(config: RunConfig):
+    """Validate the config, build its mesh, dof map and level grid, and
+    partition the first level. Returns (counts, spec, mesh, dofmap, grid,
+    partition)."""
     config.validate()
     counts = parse_hierarchy(config.hierarchy)
-    workers = config.resolved_workers()
     spec = config.problem_spec()
-
-    t0 = time.perf_counter()
     mesh = generate_box_mesh(config.dim, config.elements_per_axis(),
                              config.lengths_per_axis())
     try:
@@ -291,6 +288,16 @@ def run_experiment(config: RunConfig) -> RunResult:
         raise ConfigError(str(exc)) from exc
     grid = level_grid_from_mesh(mesh, spec, dofmap)
     part = partition_elements(grid, counts[0], method=config.partition)
+    return counts, spec, mesh, dofmap, grid, part
+
+
+def run_experiment(config: RunConfig) -> RunResult:
+    """Assemble, build the preconditioner, solve, recover. The clock splits
+    at the end of setup: condensation, iteration, and interior recovery all
+    count as Krylov time."""
+    workers = config.resolved_workers()
+    t0 = time.perf_counter()
+    counts, spec, mesh, dofmap, grid, part = _partitioned_mesh(config)
     k_global, f = assemble_global(spec, mesh)
     k_list, ltg_list = [], []
     for s in range(counts[0]):
@@ -306,7 +313,7 @@ def run_experiment(config: RunConfig) -> RunResult:
 
     level1 = prec.levels[0]
     splits, imap = level1.splits, level1.imap
-    g = condensed_rhs(splits, imap, f, workers)
+    g = condensed_rhs(splits, imap, f)
     if imap.n == 0:
         # one subdomain: the interior solve already is the direct solution;
         # reported as a single unit-condition iteration
@@ -315,7 +322,7 @@ def run_experiment(config: RunConfig) -> RunResult:
                              relative_residuals=[0.0], condition_estimate=1.0)
     else:
         def apply_s(x):
-            return schur_apply(splits, imap, x, workers)
+            return schur_apply(splits, imap, x)
 
         if config.krylov == "pcg":
             u_hat, report = pcg(apply_s, g, apply_m=prec.apply,
@@ -325,7 +332,7 @@ def run_experiment(config: RunConfig) -> RunResult:
             u_hat, report = bicgstab(apply_s, g, apply_m=prec.apply,
                                      tol=config.tolerance,
                                      max_iterations=config.max_iterations)
-    x = recover_interior(splits, imap, u_hat, f, dofmap.n_free, workers)
+    x = recover_interior(splits, imap, u_hat, f, dofmap.n_free)
     t2 = time.perf_counter()
 
     return RunResult(config=config, levels=prec.n_levels,
@@ -386,17 +393,7 @@ def write_report(results, path=None) -> str:
 
 def analyze_globs(config: RunConfig) -> str:
     """Classification report for the level-1 interface of a configuration."""
-    config.validate()
-    counts = parse_hierarchy(config.hierarchy)
-    spec = config.problem_spec()
-    mesh = generate_box_mesh(config.dim, config.elements_per_axis(),
-                             config.lengths_per_axis())
-    try:
-        dofmap = build_dof_map(spec, mesh)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = level_grid_from_mesh(mesh, spec, dofmap)
-    part = partition_elements(grid, counts[0], method=config.partition)
+    _, _, _, _, grid, part = _partitioned_mesh(config)
     globset = classify_interface(grid, part)
     corners = select_corners(globset, grid, config.corner_strategy)
     lines = [format_glob_table(globset),

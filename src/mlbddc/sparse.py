@@ -3,7 +3,9 @@
 Everything downstream (assembly, substructuring, the BDDC levels) talks to
 sparse matrices through this module. Factorizations go dense below a size
 threshold (Cholesky for SPD, Bunch-Kaufman sytrf for symmetric indefinite)
-and through SuperLU above it.
+and through SuperLU above it; both paths reject non-SPD input to an SPD
+factorization. A block-diagonal matrix, such as the stacked interior
+blocks of all subdomains of a level, is factorized once as a whole.
 """
 
 from __future__ import annotations
@@ -150,10 +152,6 @@ class SparseMatrix:
         return self.scipy_csr().T @ x
 
 
-def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    return a.matvec(x)
-
-
 # -- factorization ----------------------------------------------------------
 
 KIND_SPD = "spd"
@@ -164,22 +162,24 @@ KIND_SYMMETRIC_INDEFINITE = "symmetric-indefinite"
 class Factorization:
     """Opaque handle around a dense LAPACK or SuperLU factorization.
 
-    `ordering` carries the fill-reducing permutation when the payload does
-    not manage its own (dense paths use none; SuperLU orders internally).
+    `offsets` bounds the diagonal blocks of a block-diagonal matrix (block
+    j is rows offsets[j]:offsets[j+1]); an unblocked matrix is one block.
     """
 
     kind: str
     n: int
     method: str
     matrix: SparseMatrix
-    ordering: np.ndarray | None
+    offsets: np.ndarray
     _payload: object = field(repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for one rhs vector or a block of rhs columns.
 
-        One iterative-refinement step is applied to any column whose
-        relative residual comes back above REFINE_TOL.
+        The residual is checked per diagonal block and per column, so a
+        block with a small right-hand side is held to its own relative
+        tolerance; every block and column whose relative residual comes
+        back above REFINE_TOL gets one iterative-refinement step.
         """
         b = np.asarray(b, dtype=np.float64)
         single = b.ndim == 1
@@ -189,13 +189,17 @@ class Factorization:
             return b.copy()
         bb = b.reshape(self.n, -1)
         x = self._raw_solve(bb)
-        # residual check + at most one refinement pass
         r = bb - self.matrix.scipy_csr() @ x
-        bnorm = np.linalg.norm(bb, axis=0)
-        rnorm = np.linalg.norm(r, axis=0)
+        sizes = np.diff(self.offsets)
+        starts = self.offsets[:-1][sizes > 0]
+        bnorm = np.sqrt(np.add.reduceat(bb * bb, starts, axis=0))
+        rnorm = np.sqrt(np.add.reduceat(r * r, starts, axis=0))
         bad = rnorm > REFINE_TOL * np.where(bnorm > 0, bnorm, 1.0)
         if np.any(bad):
-            x[:, bad] += self._raw_solve(r[:, bad])
+            # the blocks do not couple: a zeroed residual block changes nothing
+            r[~np.repeat(bad, sizes[sizes > 0], axis=0)] = 0.0
+            cols = bad.any(axis=0)
+            x[:, cols] += self._raw_solve(r[:, cols])
         return x[:, 0] if single else x.reshape(b.shape)
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
@@ -213,13 +217,17 @@ class Factorization:
 
 
 def factorize(a: SparseMatrix, kind: str = KIND_SPD,
-              dense_threshold: int | None = None) -> Factorization:
+              dense_threshold: int | None = None,
+              offsets=None) -> Factorization:
     """Factorize a symmetric matrix for repeated solves.
 
     kind="spd" expects positive definiteness and raises
-    NotPositiveDefiniteError when a non-positive pivot shows up (dense
-    path); kind="symmetric-indefinite" takes any nonsingular symmetric
-    matrix. Exactly singular input raises SingularMatrixError.
+    NotPositiveDefiniteError when a non-positive pivot shows up, on the
+    dense and the sparse path alike; kind="symmetric-indefinite" takes any
+    nonsingular symmetric matrix. Exactly singular input raises
+    SingularMatrixError. `offsets` bounds the blocks of a block-diagonal
+    `a` (default: one block); several blocks go to SuperLU as one matrix,
+    and they scope the residual check in `solve` and the error messages.
     """
     if kind not in (KIND_SPD, KIND_SYMMETRIC_INDEFINITE):
         raise ValueError(f"unknown factorization kind {kind!r}")
@@ -230,39 +238,53 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD,
         if (s != s.T).nnz != 0:
             raise ValueError("factorize requires a symmetric matrix")
     n = a.n_rows
+    offsets = np.array([0, n] if offsets is None else offsets, dtype=np.int64)
+    if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
+        raise ValueError(f"block offsets must rise from 0 to the order {n}")
+
+    def made(method, payload):
+        return Factorization(kind=kind, n=n, method=method, matrix=a,
+                             offsets=offsets, _payload=payload)
+
     if n == 0:
-        return Factorization(kind=kind, n=0, method="empty", matrix=a,
-                             ordering=None, _payload=None)
+        return made("empty", None)
     threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-    if n <= threshold:
+    if n <= threshold and offsets.size == 2:
         dense = a.to_dense()
         if kind == KIND_SPD:
             try:
                 payload = scipy.linalg.cho_factor(dense, lower=True)
             except scipy.linalg.LinAlgError as exc:
                 raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-            return Factorization(kind=kind, n=n, method="cholesky", matrix=a,
-                                 ordering=None, _payload=payload)
+            return made("cholesky", payload)
         sytrf, sytrs = get_lapack_funcs(("sytrf", "sytrs"), (dense,))
         ldu, ipiv, info = sytrf(dense, lower=1)
         if info > 0:
             raise SingularMatrixError(f"singular pivot block at index {info} in sytrf")
         if info < 0:
             raise NumericalError(f"sytrf illegal argument {-info}")
-        return Factorization(kind=kind, n=n, method="bunch-kaufman", matrix=a,
-                             ordering=None, _payload=(ldu, ipiv, sytrs))
+        return made("bunch-kaufman", (ldu, ipiv, sytrs))
+    # kind="spd" factors in symmetric mode with diagonal pivots only: an
+    # SPD matrix needs no other, so an off-diagonal or non-positive pivot
+    # proves the matrix is not positive definite
+    spd = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options=dict(SymmetricMode=True)) if kind == KIND_SPD else {}
     try:
-        lu = scipy.sparse.linalg.splu(a.scipy_csr().tocsc())
+        lu = scipy.sparse.linalg.splu(a.scipy_csr().tocsc(), **spd)
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularMatrixError(str(exc)) from exc
         raise NumericalError(str(exc)) from exc
-    return Factorization(kind=kind, n=n, method="splu", matrix=a,
-                         ordering=None, _payload=lu)
-
-
-def solve(fact: Factorization, b: np.ndarray) -> np.ndarray:
-    return fact.solve(b)
+    if kind == KIND_SPD:
+        row_of = np.argsort(lu.perm_c)      # original row of each pivot
+        bad = np.nonzero((lu.perm_r[row_of] != lu.perm_c[row_of])
+                         | (lu.U.diagonal() <= 0))[0]
+        if bad.size:
+            row = int(row_of[bad[0]])
+            j = int(np.searchsorted(offsets, row, side="right")) - 1
+            raise NotPositiveDefiniteError(f"matrix is not positive definite: bad "
+                                           f"pivot at row {row}, in diagonal block {j}")
+    return made("splu", lu)
 
 
 # -- tridiagonal eigenvalues --------------------------------------------------

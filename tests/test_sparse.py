@@ -1,15 +1,18 @@
 """Sparse kernel tests: CSR storage, factorizations, tridiagonal eigenvalues."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from mlbddc.errors import NotPositiveDefiniteError, SingularMatrixError
 from mlbddc.sparse import (
+    REFINE_TOL,
     Factorization,
     SparseMatrix,
     factorize,
-    matvec,
     tridiag_eigenvalues,
     write_matrix_market,
 )
@@ -56,7 +59,7 @@ def test_validate_rejects_false_symmetric_flag():
 
 def test_matvec_tridiagonal_example():
     a = tridiag_matrix(3)
-    y = matvec(a, np.array([1.0, 2.0, 3.0]))
+    y = a.matvec(np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(y, np.array([0.0, 0.0, 4.0]))
 
 
@@ -140,6 +143,46 @@ def test_spd_rejects_indefinite():
     a = SparseMatrix.from_dense([[1.0, 0.0], [0.0, -1.0]], symmetric=True)
     with pytest.raises(NotPositiveDefiniteError):
         factorize(a, "spd")
+
+
+def test_sparse_spd_path_rejects_indefinite():
+    # symmetric-mode SuperLU must catch what dense Cholesky catches
+    pair = SparseMatrix.from_scipy(
+        scipy.sparse.block_diag([[[1.0, 2.0], [2.0, 1.0]]] * 3), symmetric=True)
+    with pytest.raises(NotPositiveDefiniteError, match="diagonal block"):
+        factorize(pair, "spd", dense_threshold=0, offsets=[0, 2, 4, 6])
+    rng = np.random.default_rng(37)
+    blocks = [random_spd(rng, 3 + j) for j in range(6)]
+    blocks[3] = -blocks[3]
+    a = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
+    offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in blocks])])
+    with pytest.raises(NotPositiveDefiniteError, match="diagonal block 3$"):
+        factorize(a, "spd", dense_threshold=0, offsets=offsets)
+
+
+def test_block_residual_check_holds_every_block():
+    # the factor of a matrix perturbed by 1e-6 in block 1 only stands in for
+    # a factor that is inaccurate in one block; that block's rhs is 1e-12
+    # times the others, so the stacked norm would hide its residual
+    rng = np.random.default_rng(41)
+    blocks = [random_spd(rng, 6) for _ in range(4)]
+    off = list(blocks)
+    off[1] = blocks[1] * (1.0 + 1e-6)
+    a, a_off = (SparseMatrix.from_scipy(scipy.sparse.block_diag(bl), symmetric=True)
+                for bl in (blocks, off))
+    offsets = np.arange(0, 25, 6)
+    b = rng.standard_normal((24, 2))
+    b[6:12] *= 1e-12
+    x = replace(factorize(a_off, "spd", offsets=offsets), matrix=a).solve(b)
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        r = b[lo:hi] - blocks[j] @ x[lo:hi]
+        assert np.all(np.linalg.norm(r, axis=0)
+                      <= REFINE_TOL * np.linalg.norm(b[lo:hi], axis=0))
+
+
+def test_block_offsets_must_span_the_matrix():
+    with pytest.raises(ValueError, match="offsets"):
+        factorize(tridiag_matrix(4), "spd", offsets=[0, 3])
 
 
 def test_singular_matrix_raises():

@@ -100,22 +100,24 @@ def test_empty_interface_is_direct_solve():
 
 
 def test_worker_count_does_not_change_results():
+    # the stacked operators run no per-subdomain threads; the worker count
+    # only shards setup and the constrained local solves
+    from mlbddc.bddc import setup_bddc
+    from mlbddc.harness import RunConfig, run_experiment
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4,
                       axis_counts=(2, 2), method="regular-blocks")
     x = np.linspace(-1.0, 1.0, lv.imap.n)
-    y1 = schur_apply(lv.splits, lv.imap, x, workers=1)
-    y4 = schur_apply(lv.splits, lv.imap, x, workers=4)
-    assert np.array_equal(y1, y4)
-    g1 = condensed_rhs(lv.splits, lv.imap, lv.f_global, workers=1)
-    g4 = condensed_rhs(lv.splits, lv.imap, lv.f_global, workers=4)
-    assert np.array_equal(g1, g4)
-    # rebuilding the splits in parallel gives the same operator
-    from mlbddc.fem import subassemble_subdomain
-    from mlbddc.interface import interface_dofs
-    splits4, imap4 = build_splits(lv.k_list, lv.ltg_list,
-                                  interface_dofs(lv.globset, 1), 1, workers=4)
-    y = schur_apply(splits4, imap4, x)
-    assert np.array_equal(y, y1)
+    builds = [setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list, (2,),
+                         workers=w) for w in (1, 4)]
+    for m in builds:
+        level = m.levels[0]
+        assert np.array_equal(schur_apply(level.splits, level.imap, x),
+                              schur_apply(lv.splits, lv.imap, x))
+    assert np.array_equal(builds[0].apply(x), builds[1].apply(x))
+    runs = [run_experiment(RunConfig(elements=(16,), hierarchy="16/4", workers=w))
+            for w in (1, 4)]
+    assert np.array_equal(runs[0].solution, runs[1].solution)
+    assert runs[0].report.relative_residuals == runs[1].report.relative_residuals
 
 
 def test_map_ordered_preserves_order():
