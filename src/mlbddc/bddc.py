@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NumericalError, SingularMatrixError
 from .grid import LevelGrid
@@ -36,8 +37,8 @@ from .interface import (
     select_corners,
 )
 from .partition import Partition, build_pseudomesh, partition_elements
-from .sparse import Factorization, SparseMatrix, factorize
-from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit,
+from .sparse import Factorization, SparseMatrix, factorize, sum_elements
+from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, _condense,
                              build_splits, map_ordered)
 
 
@@ -114,14 +115,9 @@ def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix,
     """
     n = split.n_local
     nc = cmat.n_constraints
-    coo_r, coo_c, coo_v = split.k_local.to_coo()
-    crow, ccol = np.nonzero(cmat.rows)
-    cval = cmat.rows[crow, ccol]
-    rows = np.concatenate([coo_r, crow + n, ccol])
-    cols = np.concatenate([coo_c, ccol, crow + n])
-    vals = np.concatenate([coo_v, cval, cval])
-    bordered = SparseMatrix.from_coo(n + nc, n + nc, rows, cols, vals,
-                                     symmetric=True)
+    c = scipy.sparse.csr_matrix(cmat.rows)
+    bordered = SparseMatrix.from_scipy(
+        scipy.sparse.bmat([[split.k_local.scipy_csr(), c.T], [c, None]]), symmetric=True)
     fact = factorize(bordered, "symmetric-indefinite",
                      dense_threshold=dense_threshold)
     rhs = np.zeros((n + nc, nc))
@@ -218,8 +214,7 @@ class MultilevelBddc:
 def interior_precorrection(splits: LevelSplits, imap: InterfaceMap, r: np.ndarray):
     """Condense a full residual onto the interface, keeping the stacked
     interior solves for the matching post-correction. Returns (r_hat, w)."""
-    w = splits.k_ii_fact.solve(r[splits.interior_dofs])
-    return r[imap.dofs] - splits.gather(splits.k_ib.rmatvec(w), imap.n), w
+    return _condense(splits, imap, r)
 
 
 def interior_postcorrection(splits: LevelSplits, imap: InterfaceMap,
@@ -234,32 +229,16 @@ def interior_postcorrection(splits: LevelSplits, imap: InterfaceMap,
     return z
 
 
-def _sum_elements(k_elems, dof_lists, n: int) -> SparseMatrix:
-    """Sum dense element matrices over their dof lists into a symmetric
-    sparse matrix of order n. assemble_coarse and subassemble_coarse share
-    it, so neither runs inside the other and their timings stay apart."""
-    dofs = [np.asarray(d, dtype=np.int64) for d in dof_lists]
-    none = [np.zeros(0, dtype=np.int64)]
-    s = SparseMatrix.from_coo(
-        n, n, np.concatenate(none + [np.repeat(d, d.size) for d in dofs]),
-        np.concatenate(none + [np.tile(d, d.size) for d in dofs]),
-        np.concatenate([np.zeros(0)] + [np.asarray(kc, dtype=np.float64).reshape(-1)
-                                        for kc in k_elems])).scipy_csr()
-    return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True)
-
-
-def assemble_coarse(k_elems, dof_lists, n_dofs: int) -> SparseMatrix:
-    """Assemble dense coarse element matrices into one sparse operator."""
-    return _sum_elements(k_elems, dof_lists, n_dofs)
+def assemble_coarse(k_elems, dof_lists) -> SparseMatrix:
+    """Assemble dense coarse element matrices into one sparse operator over
+    all coarse dofs (every coarse dof belongs to some subdomain)."""
+    return sum_elements([(kc, np.asarray(d)[None]) for kc, d in zip(k_elems, dof_lists)])[0]
 
 
 def subassemble_coarse(k_elems, dof_lists, elements):
     """Assemble a subdomain of the pseudo-mesh from coarse element
     matrices. Returns (K_j, local_to_global)."""
-    dofs = [np.asarray(dof_lists[e], dtype=np.int64) for e in elements]
-    ltg = np.unique(np.concatenate(dofs))
-    return _sum_elements([k_elems[e] for e in elements],
-                         [np.searchsorted(ltg, d) for d in dofs], ltg.shape[0]), ltg
+    return sum_elements([(k_elems[e], np.asarray(dof_lists[e])[None]) for e in elements])
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
@@ -328,8 +307,7 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
 
     last = levels[-1]
     k_top = assemble_coarse([sub.coarse_matrix for sub in last.subs],
-                            [sub.coarse_dofs for sub in last.subs],
-                            last.n_coarse_dofs)
+                            [sub.coarse_dofs for sub in last.subs])
     try:
         top = factorize(k_top, "spd", dense_threshold=dense_threshold)
     except (SingularMatrixError, NumericalError) as exc:

@@ -40,8 +40,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="subdomain counts, e.g. 64/8/1")
     p.add_argument("--workers", type=int, default=None,
                    help="threads for setup and the constrained local solves")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                   default=None, help="require a reproducible run (default on)")
 
 
 def _flag_overrides(args) -> list:
@@ -50,8 +48,6 @@ def _flag_overrides(args) -> list:
         overrides.append(f"hierarchy={args.hierarchy}")
     if args.workers is not None:
         overrides.append(f"workers={args.workers}")
-    if args.deterministic is not None:
-        overrides.append(f"deterministic={args.deterministic}")
     return overrides
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .sparse import SparseMatrix
+from .sparse import sum_elements
 
 BOX_FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
@@ -279,7 +279,7 @@ def _strain_matrix(dim: int, g: np.ndarray) -> np.ndarray:
     return b
 
 
-def element_matrix(spec: ProblemSpec, mesh: Mesh, elem_index: int = 0) -> np.ndarray:
+def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Element stiffness by 2-point Gauss per axis. All elements of a box
     mesh are congruent, so the result is cached per (mesh, problem)."""
     key = (spec.kind, spec.dim, spec.young, spec.poisson_ratio)
@@ -289,7 +289,7 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh, elem_index: int = 0) -> np.nda
     dim = mesh.dim
     if spec.dim != dim:
         raise ValueError(f"problem dim {spec.dim} != mesh dim {dim}")
-    x = mesh.coords[mesh.elem_nodes[elem_index]]
+    x = mesh.coords[mesh.elem_nodes[0]]
     pts = [-_GAUSS, _GAUSS]
     quad = [np.array(p) for p in np.stack(
         np.meshgrid(*([pts] * dim), indexing="ij"), axis=-1).reshape(-1, dim)]
@@ -301,7 +301,7 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh, elem_index: int = 0) -> np.nda
         jac = x.T @ dn
         det = np.linalg.det(jac)
         if det <= 0:
-            raise ValueError(f"non-positive Jacobian in element {elem_index}")
+            raise ValueError("non-positive Jacobian")
         g = dn @ np.linalg.inv(jac)
         if spec.kind == "poisson":
             ke += det * (g @ g.T)
@@ -327,35 +327,24 @@ def assemble_global(spec: ProblemSpec, mesh: Mesh):
     free dofs. Returns (K, f)."""
     dofmap = build_dof_map(spec, mesh)
     ke = element_matrix(spec, mesh)
-    elements = np.arange(mesh.n_elems)
-    ed = _element_dofs(spec, mesh, elements)
-    m = ed.shape[1]
-    rows = np.repeat(ed, m, axis=1).reshape(-1)
-    cols = np.tile(ed, (1, m)).reshape(-1)
-    vals = np.tile(ke.reshape(-1), len(elements))
-
-    rr = dofmap.full_to_free[rows]
-    cc = dofmap.full_to_free[cols]
-    keep = (rr >= 0) & (cc >= 0)
-    k = SparseMatrix.from_coo(dofmap.n_free, dofmap.n_free,
-                              rr[keep], cc[keep], vals[keep])
-    # exact symmetrization (identity when already bitwise symmetric)
-    s = k.scipy_csr()
-    k = SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True)
+    ed = _element_dofs(spec, mesh, np.arange(mesh.n_elems))
+    free = dofmap.full_to_free[ed]
+    k, _ = sum_elements([(ke, free)])
 
     if spec.rhs_kind == "constant":
         f = np.ones(dofmap.n_free)
     else:
         f = np.zeros(dofmap.n_free)
     if np.any(dofmap.fixed_values != 0.0):
+        # lift: each element's rows of ke times its prescribed values
         vals_full = np.zeros(dofmap.n_full)
         vals_full[dofmap.fixed_dofs] = dofmap.fixed_values
-        bc = (rr >= 0) & (cc < 0)
-        np.add.at(f, rr[bc], -vals[bc] * vals_full[cols[bc]])
+        lift = vals_full[ed] @ ke
+        f -= np.bincount(free[free >= 0], lift[free >= 0], dofmap.n_free)
     return k, f
 
 
-def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, elements):
+def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, elements):
     """Assemble one subdomain's stiffness over its free dofs.
 
     Returns (K_i, local_to_global) where local_to_global maps local dof
@@ -364,25 +353,8 @@ def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, elements):
     elements = np.asarray(elements, dtype=np.int64)
     if elements.size == 0:
         raise ValueError("empty element set for subassembly")
-    dofmap = build_dof_map(spec, mesh)
-    ke = element_matrix(spec, mesh)
     ed = _element_dofs(spec, mesh, elements)
-    m = ed.shape[1]
-    rows = np.repeat(ed, m, axis=1).reshape(-1)
-    cols = np.tile(ed, (1, m)).reshape(-1)
-    vals = np.tile(ke.reshape(-1), len(elements))
-    rr = dofmap.full_to_free[rows]
-    cc = dofmap.full_to_free[cols]
-    keep = (rr >= 0) & (cc >= 0)
-    rr, cc, vals = rr[keep], cc[keep], vals[keep]
-    ltg = np.unique(rr)
-    lookup = np.full(dofmap.n_free, -1, dtype=np.int64)
-    lookup[ltg] = np.arange(ltg.shape[0])
-    k = SparseMatrix.from_coo(ltg.shape[0], ltg.shape[0],
-                              lookup[rr], lookup[cc], vals)
-    s = k.scipy_csr()
-    k = SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True)
-    return k, ltg
+    return sum_elements([(element_matrix(spec, mesh), dofmap.full_to_free[ed])])
 
 
 # -- VTK export ---------------------------------------------------------------

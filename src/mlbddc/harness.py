@@ -74,15 +74,6 @@ def parse_hierarchy(text: str) -> list:
     return counts if counts else [1]
 
 
-def _parse_bool(v: str) -> bool:
-    s = str(v).strip().lower()
-    if s in ("1", "true", "yes", "on"):
-        return True
-    if s in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
-
-
 def _parse_int_list(v) -> tuple:
     if isinstance(v, (list, tuple)):
         return tuple(int(x) for x in v)
@@ -123,7 +114,6 @@ class RunConfig:
     tolerance: float = 1e-6
     max_iterations: int = 1000
     workers: int | None = None
-    deterministic: bool = True
 
     def validate(self) -> "RunConfig":
         if self.problem not in ("poisson", "elasticity"):
@@ -188,7 +178,6 @@ _PARSERS = {
     "hierarchy": str, "partition": str, "constraint_policy": str,
     "corner_strategy": str, "weight_scheme": str, "krylov": str,
     "tolerance": float, "max_iterations": int, "workers": int,
-    "deterministic": _parse_bool,
 }
 
 
@@ -298,10 +287,10 @@ def run_experiment(config: RunConfig) -> RunResult:
     workers = config.resolved_workers()
     t0 = time.perf_counter()
     counts, spec, mesh, dofmap, grid, part = _partitioned_mesh(config)
-    k_global, f = assemble_global(spec, mesh)
+    f = assemble_global(spec, mesh)[1]
     k_list, ltg_list = [], []
     for s in range(counts[0]):
-        k_i, ltg = subassemble_subdomain(spec, mesh, part.elements_of(s))
+        k_i, ltg = subassemble_subdomain(spec, mesh, dofmap, part.elements_of(s))
         k_list.append(k_i)
         ltg_list.append(ltg)
     prec = setup_bddc(grid, part, k_list, ltg_list, counts[1:],

@@ -1,11 +1,13 @@
 """CSR matrix kernels and direct factorizations.
 
 Everything downstream (assembly, substructuring, the BDDC levels) talks to
-sparse matrices through this module. Factorizations go dense below a size
-threshold (Cholesky for SPD, Bunch-Kaufman sytrf for symmetric indefinite)
-and through SuperLU above it; both paths reject non-SPD input to an SPD
-factorization. A block-diagonal matrix, such as the stacked interior
-blocks of all subdomains of a level, is factorized once as a whole.
+sparse matrices through this module, and every level sums its element
+matrices here (Q1 elements, or subdomains as coarse elements).
+Factorizations go dense below a size threshold (Cholesky for SPD,
+Bunch-Kaufman sytrf for symmetric indefinite) and through SuperLU above
+it; both paths reject non-SPD input to an SPD factorization. A
+block-diagonal matrix, such as the stacked interior blocks of all
+subdomains of a level, is factorized once as a whole.
 """
 
 from __future__ import annotations
@@ -56,13 +58,6 @@ class SparseMatrix:
             values=np.asarray(csr.data, dtype=np.float64),
             symmetric=symmetric,
         )
-
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals, symmetric: bool = False) -> "SparseMatrix":
-        coo = scipy.sparse.coo_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n_rows, n_cols)
-        )
-        return cls.from_scipy(coo, symmetric=symmetric)
 
     @classmethod
     def from_dense(cls, arr, symmetric: bool = False) -> "SparseMatrix":
@@ -150,6 +145,41 @@ class SparseMatrix:
         if x.ndim != 1 or x.shape[0] != self.n_rows:
             raise ValueError(f"rmatvec shape mismatch: matrix {self.n_rows}x{self.n_cols}, vector {x.shape}")
         return self.scipy_csr().T @ x
+
+
+# -- element assembly ---------------------------------------------------------
+
+def sum_elements(blocks):
+    """Sum dense element matrices into one symmetric sparse matrix; Q1
+    elements and coarse elements (subdomains) of every level go through here.
+
+    blocks lists (k, dofs) pairs: dofs is an (n_e, m) array of element dof
+    ids, and k is one (m, m) matrix shared by the n_e elements or an
+    (n_e, m, m) stack. Entries in a row or column with a negative id are
+    dropped. Returns (K, local_to_global): K is numbered over the ids the
+    kept entries touch, ascending, and local_to_global lists those ids.
+    """
+    blocks = [(np.asarray(k, dtype=np.float64), np.asarray(d, dtype=np.int64))
+              for k, d in blocks]
+    ltg = np.unique(np.concatenate([d[d >= 0] for _, d in blocks]))
+    # entry (e, a, b) of each block, written in place: no per-block copies
+    ends = np.cumsum([d.shape[0] * d.shape[1] ** 2 for _, d in blocks])
+    rows = np.empty(ends[-1], dtype=np.int64)
+    cols = np.empty_like(rows)
+    vals = np.empty(ends[-1])
+    for (k, dofs), hi in zip(blocks, ends):
+        n_e, m = dofs.shape
+        lo = hi - n_e * m * m
+        local = np.where(dofs >= 0, np.searchsorted(ltg, dofs), -1)
+        rows[lo:hi].reshape(n_e, m, m)[...] = local[:, :, None]
+        cols[lo:hi].reshape(n_e, m, m)[...] = local[:, None, :]
+        vals[lo:hi].reshape(n_e, m, m)[...] = k
+    keep = (rows >= 0) & (cols >= 0)
+    n = ltg.shape[0]
+    s = scipy.sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                                shape=(n, n)).tocsr()
+    # exact symmetrization (identity when already bitwise symmetric)
+    return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True), ltg
 
 
 # -- factorization ----------------------------------------------------------

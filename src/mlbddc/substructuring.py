@@ -149,11 +149,17 @@ def schur_apply(splits: LevelSplits, imap: InterfaceMap, x: np.ndarray) -> np.nd
     return splits.gather(splits.k_bb.matvec(xb) - splits.k_ib.rmatvec(t), imap.n)
 
 
-def condensed_rhs(splits: LevelSplits, imap: InterfaceMap, f: np.ndarray) -> np.ndarray:
-    """Interface right-hand side g = f_G - sum_i R_i^T K_ib,i^T K_ii,i^-1 f_int,i."""
+def _condense(splits: LevelSplits, imap: InterfaceMap, f: np.ndarray):
+    """(f_G - R^T K_IB^T w, w) with w = K_II^-1 f_I. Untraced, so its two
+    callers share it without nesting their timings."""
     f = np.asarray(f, dtype=np.float64)
     w = splits.k_ii_fact.solve(f[splits.interior_dofs])
-    return f[imap.dofs] - splits.gather(splits.k_ib.rmatvec(w), imap.n)
+    return f[imap.dofs] - splits.gather(splits.k_ib.rmatvec(w), imap.n), w
+
+
+def condensed_rhs(splits: LevelSplits, imap: InterfaceMap, f: np.ndarray) -> np.ndarray:
+    """Interface right-hand side g = f_G - sum_i R_i^T K_ib,i^T K_ii,i^-1 f_int,i."""
+    return _condense(splits, imap, f)[0]
 
 
 def recover_interior(splits: LevelSplits, imap: InterfaceMap, u_hat: np.ndarray,

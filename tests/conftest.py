@@ -59,7 +59,7 @@ def build_level1(spec: ProblemSpec, n_elems, n_subs, axis_counts=None,
     k_global, f_global = assemble_global(spec, mesh)
     k_list, ltg_list = [], []
     for s in range(n_subs):
-        k_i, ltg = subassemble_subdomain(spec, mesh, part.elements_of(s))
+        k_i, ltg = subassemble_subdomain(spec, mesh, dofmap, part.elements_of(s))
         k_list.append(k_i)
         ltg_list.append(ltg)
     globset = classify_interface(grid, part)

@@ -284,7 +284,7 @@ def test_11_sweep_is_deterministic():
     hierarchies = ["4", "4/2", "16/4"]
     reports = []
     for workers in (1, 2, 1):
-        cfg = RunConfig(elements=(16,), deterministic=True, workers=workers)
+        cfg = RunConfig(elements=(16,), workers=workers)
         reports.append(format_report(run_sweep(cfg, hierarchies)))
     keep = [i for i, c in enumerate(CSV_COLUMNS) if c not in TIMING_COLUMNS]
 

@@ -219,7 +219,7 @@ def test_interior_corrections_are_consistent(cross2d):
 def test_assembly_helpers_agree():
     k1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     k2 = np.array([[1.0, 0.5], [0.5, 1.0]])
-    full = assemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])], 3)
+    full = assemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])])
     sub, ltg = subassemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])],
                                   [0, 1])
     assert np.array_equal(ltg, [0, 1, 2])
@@ -231,6 +231,6 @@ def test_assembly_helpers_agree():
 def test_setup_rejects_weak_coarse_space():
     # a singular final coarse matrix is reported as a numerical failure
     with pytest.raises(NumericalError):
-        k = assemble_coarse([np.zeros((1, 1))], [np.array([0])], 1)
+        k = assemble_coarse([np.zeros((1, 1))], [np.array([0])])
         from mlbddc.sparse import factorize
         factorize(k, "spd")

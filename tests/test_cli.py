@@ -127,14 +127,6 @@ def test_export_vtk(capsys, tmp_path):
     assert "converged" in out
 
 
-def test_deterministic_flag_roundtrip(capsys):
-    code, out1, _ = run_cli(capsys, "solve", "--set", "elements=8",
-                            "--hierarchy", "4", "--deterministic")
-    code2, out2, _ = run_cli(capsys, "solve", "--set", "elements=8",
-                             "--hierarchy", "4", "--no-deterministic")
-    assert code == code2 == EXIT_OK
-
-
 def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -14,7 +14,7 @@ from mlbddc.fem import (
     mark_dirichlet,
     subassemble_subdomain,
 )
-from mlbddc.sparse import factorize
+from mlbddc.sparse import factorize, sum_elements
 
 
 def poisson(dim=2, **kw):
@@ -260,20 +260,36 @@ def test_subassembly_identity():
     for spec, n in ((poisson(2), 4), (elasticity(3, poisson_ratio=0.2), 2)):
         mesh = generate_box_mesh(spec.dim, n)
         k, _ = assemble_global(spec, mesh)
+        dm = build_dof_map(spec, mesh)
         assignment = rng.integers(0, 3, size=mesh.n_elems)
         total = np.zeros((k.n_rows, k.n_rows))
         for s in range(3):
             elems = np.nonzero(assignment == s)[0]
             if elems.size == 0:
                 continue
-            ki, ltg = subassemble_subdomain(spec, mesh, elems)
+            ki, ltg = subassemble_subdomain(spec, mesh, dm, elems)
             total[np.ix_(ltg, ltg)] += ki.to_dense()
         assert np.allclose(total, k.to_dense(), rtol=0, atol=1e-12)
 
 
+def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
+    # one (ke, dofs[None]) block per element, the way assemble_coarse sums
+    # subdomains, gives the operator of assemble_global bitwise
+    for spec, n in ((poisson(2), 4), (elasticity(3), 2)):
+        mesh = generate_box_mesh(spec.dim, n)
+        dm = build_dof_map(spec, mesh)
+        ke = element_matrix(spec, mesh)
+        dpn = spec.dofs_per_node
+        ed = (mesh.elem_nodes[:, :, None] * dpn + np.arange(dpn)).reshape(mesh.n_elems, -1)
+        k, ltg = sum_elements([(ke, d[None]) for d in dm.full_to_free[ed]])
+        assert np.array_equal(ltg, np.arange(dm.n_free))
+        assert np.array_equal(k.to_dense(), assemble_global(spec, mesh)[0].to_dense())
+
+
 def test_subassembly_local_map_sorted():
     mesh = generate_box_mesh(2, 4)
-    ki, ltg = subassemble_subdomain(poisson(), mesh, [0, 1, 4, 5])
+    ki, ltg = subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh),
+                                    [0, 1, 4, 5])
     assert np.all(np.diff(ltg) > 0)
     assert ki.n_rows == ltg.shape[0]
     ki.validate()
@@ -282,7 +298,7 @@ def test_subassembly_local_map_sorted():
 def test_subassembly_rejects_empty():
     mesh = generate_box_mesh(2, 2)
     with pytest.raises(ValueError):
-        subassemble_subdomain(poisson(), mesh, [])
+        subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), [])
 
 
 def test_dofmap_expand():

@@ -1,5 +1,7 @@
 """Configuration parsing, the experiment runner, and report formatting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,11 +50,11 @@ def test_parse_config_text():
     dim=3
     elements = 4,4,8   # trailing comment
     tolerance = 1e-8
-    deterministic = false
+    weight_scheme = stiffness-diagonal
     """
     values = parse_config_text(text)
     assert values == {"problem": "elasticity", "dim": 3, "elements": (4, 4, 8),
-                      "tolerance": 1e-8, "deterministic": False}
+                      "tolerance": 1e-8, "weight_scheme": "stiffness-diagonal"}
 
 
 def test_parse_config_rejects_unknown_key():
@@ -137,6 +139,18 @@ def test_run_experiment_matches_dense_solve():
     k, f = assemble_global(res.spec, res.mesh)
     x_ref = np.linalg.solve(k.to_dense(), f)
     assert np.max(np.abs(res.solution - x_ref)) < 1e-8
+
+
+@pytest.mark.parametrize("hierarchy", ["16", "16/4"])
+def test_run_experiment_nonzero_dirichlet(hierarchy):
+    cfg = RunConfig(elements=(16,), hierarchy=hierarchy, dirichlet_value=2.0,
+                    tolerance=1e-12)
+    res = run_experiment(replace(cfg, rhs="zero"))
+    assert np.max(np.abs(res.solution - 2.0)) < 1e-10
+    res = run_experiment(cfg)
+    from mlbddc.fem import assemble_global
+    k, f = assemble_global(res.spec, res.mesh)
+    assert np.max(np.abs(res.solution - np.linalg.solve(k.to_dense(), f))) < 1e-10
 
 
 def test_run_experiment_single_subdomain():

@@ -13,6 +13,7 @@ from mlbddc.sparse import (
     Factorization,
     SparseMatrix,
     factorize,
+    sum_elements,
     tridiag_eigenvalues,
     write_matrix_market,
 )
@@ -286,3 +287,21 @@ def test_matrix_market_general(tmp_path):
     write_matrix_market(a, path)
     back = scipy.io.mmread(str(path))
     assert np.allclose(np.asarray(back.todense()), a.to_dense(), rtol=0, atol=0)
+
+
+def test_sum_elements_drops_negative_ids_and_numbers_ascending():
+    ke = random_spd(np.random.default_rng(5), 3)
+    dofs = np.array([[9, -1, 4], [4, 7, -1], [-1, 9, 12]])
+    k, ltg = sum_elements([(ke, dofs)])
+    assert np.array_equal(ltg, [4, 7, 9, 12])
+    dense = np.zeros((13, 13))
+    for d in dofs:
+        keep = d >= 0
+        dense[np.ix_(d[keep], d[keep])] += ke[np.ix_(keep, keep)]
+    assert k.symmetric
+    assert np.allclose(k.to_dense(), dense[np.ix_(ltg, ltg)], rtol=0, atol=1e-13)
+    # one shared (m, m) matrix sums bitwise like its (n_e, m, m) stack
+    stacked, ltg_s = sum_elements([(np.repeat(ke[None], 3, axis=0), dofs)])
+    assert np.array_equal(ltg_s, ltg)
+    for attr in ("row_offsets", "col_indices", "values"):
+        assert np.array_equal(getattr(stacked, attr), getattr(k, attr))
