@@ -13,10 +13,9 @@ into subdomains over a pseudo-mesh. Applications at levels past the first
 wrap the interface cycle in interior pre/post corrections so the recursion
 only ever sees interface residuals. Those corrections, like the Schur
 operator S, go through one block-diagonal interior solve per level (see
-substructuring); the constrained local solves stay per subdomain.
-
-All reductions accumulate in subdomain order, so results are independent
-of the worker count.
+substructuring); the constrained local solves stay per subdomain, and
+their multipliers are the restricted coarse residuals. All reductions
+accumulate in subdomain order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .interface import (
 from .partition import Partition, build_pseudomesh, partition_elements
 from .sparse import Factorization, SparseMatrix, factorize, sum_elements
 from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, _condense,
-                             build_splits, map_ordered)
+                             build_splits)
 
 
 @dataclass
@@ -98,11 +97,14 @@ class SubdomainCoarse:
     coarse_matrix: np.ndarray     # (n_constraints, n_constraints)
     coarse_dofs: np.ndarray       # global coarse dof ids
 
-    def constrained_solve(self, r_local: np.ndarray) -> np.ndarray:
-        """Solve the bordered system with residual r and zero multipliers."""
-        nc = self.constraints.n_constraints
-        rhs = np.concatenate([r_local, np.zeros(nc)])
-        return self.bordered.solve(rhs)[: r_local.shape[0]]
+    def constrained_solve(self, r_local: np.ndarray):
+        """Solve the bordered system with residual r and zero constraint
+        values. Returns (z, mu); the bordered matrix is symmetric, so the
+        multipliers mu equal psi^T r, the subdomain's coarse residual."""
+        n = r_local.shape[0]
+        sol = self.bordered.solve(
+            np.concatenate([r_local, np.zeros(self.constraints.n_constraints)]))
+        return sol[:n], sol[n:]
 
 
 def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix,
@@ -136,7 +138,7 @@ class BddcLevel:
     partition: Partition
     splits: LevelSplits
     imap: InterfaceMap
-    weights: list
+    weights: np.ndarray           # over the stacked interface (splits.iface_index)
     coarse: CoarseSpace
     subs: list                    # SubdomainCoarse per subdomain
 
@@ -152,7 +154,6 @@ class MultilevelBddc:
 
     levels: list
     top: Factorization
-    workers: int = 1
 
     @property
     def n_levels(self) -> int:
@@ -174,30 +175,26 @@ class MultilevelBddc:
     # -- recursion ----------------------------------------------------------
 
     def _interface_apply(self, li: int, r_hat: np.ndarray) -> np.ndarray:
+        """One BDDC cycle on interface residual r_hat: weighted restriction,
+        constrained local solves, coarse correction, weighted prolongation."""
         level = self.levels[li]
-
-        def down(i):
-            sub = level.subs[i]
-            split = level.splits[i]
+        splits = level.splits
+        r_b = level.weights * r_hat[splits.iface_index]
+        z_loc, mu, start = [], [], 0
+        for sub, split in zip(level.subs, splits):
+            pos = split.interface_pos
             r_loc = np.zeros(split.n_local)
-            r_loc[split.interface_pos] = level.weights[i] * r_hat[level.imap.sub_global[i]]
-            z_i = sub.constrained_solve(r_loc)
-            return z_i, sub.psi.T @ r_loc
-
-        parts = map_ordered(down, len(level.subs), self.workers)
+            r_loc[pos] = r_b[start:start + pos.size]
+            start += pos.size
+            z_i, mu_i = sub.constrained_solve(r_loc)
+            z_loc.append(z_i)
+            mu.append(mu_i)
         r_c = np.bincount(np.concatenate([sub.coarse_dofs for sub in level.subs]),
-                          np.concatenate([rc_i for _, rc_i in parts]), level.n_coarse_dofs)
-
+                          np.concatenate(mu), level.n_coarse_dofs)
         z_c = self._full_apply(li + 1, r_c)
-
-        def up(i):
-            sub = level.subs[i]
-            split = level.splits[i]
-            v = sub.psi @ z_c[sub.coarse_dofs] + parts[i][0]
-            return level.weights[i] * v[split.interface_pos]
-
-        combined = map_ordered(up, len(level.subs), self.workers)
-        return level.splits.gather(np.concatenate(combined), level.imap.n)
+        v_b = np.concatenate([(sub.psi @ z_c[sub.coarse_dofs] + z_i)[split.interface_pos]
+                              for sub, split, z_i in zip(level.subs, splits, z_loc)])
+        return splits.gather(level.weights * v_b, level.imap.n)
 
     def _full_apply(self, li: int, r: np.ndarray) -> np.ndarray:
         """Apply at a level that owns every dof (levels past the first):
@@ -242,31 +239,26 @@ def subassemble_coarse(k_elems, dof_lists, elements):
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
-                 policy: str, strategy: str, scheme: str, workers: int,
-                 dense_threshold) -> BddcLevel:
+                 policy: str, strategy: str, scheme: str, dense_threshold) -> BddcLevel:
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(k_list, ltg_list, iface, grid.dofs_per_node,
-                                dense_threshold=dense_threshold)
-    weights = build_weights(globset, imap, scheme,
-                            local_diags=[k.diagonal() for k in k_list])
+    splits, imap = build_splits(k_list, ltg_list, iface, dense_threshold=dense_threshold)
+    weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
-
-    def build_sub(i):
-        cmat = build_constraints(i, coarse, globset, splits[i], grid)
+    subs = []
+    for i, split in enumerate(splits):
+        cmat = build_constraints(i, coarse, globset, split, grid)
         try:
-            fact, psi, kc = coarse_basis(splits[i], cmat, dense_threshold)
+            fact, psi, kc = coarse_basis(split, cmat, dense_threshold)
         except SingularMatrixError as exc:
             raise NumericalError(
                 f"level {index}, subdomain {i}: constrained local problem is "
                 f"singular ({cmat.n_constraints} constraints on "
-                f"{splits[i].n_local} dofs); the constraint set is too weak"
+                f"{split.n_local} dofs); the constraint set is too weak"
             ) from exc
-        return SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
-                               coarse_matrix=kc, coarse_dofs=coarse.sub_dofs(i))
-
-    subs = map_ordered(build_sub, part.n_subdomains, workers)
+        subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
+                                    coarse_matrix=kc, coarse_dofs=coarse.sub_dofs(i)))
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, subs=subs)
 
@@ -274,7 +266,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
 def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
                coarse_counts=(), *, constraint_policy: str = "corners+edges+faces",
                corner_strategy: str = "default", weight_scheme: str = "cardinality",
-               partition_method: str = "auto", workers: int = 1,
+               partition_method: str = "auto",
                dense_threshold: int | None = None) -> MultilevelBddc:
     """Build the full level hierarchy.
 
@@ -287,23 +279,17 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
     for depth, count in enumerate([None, *coarse_counts]):
         if depth > 0:
             prev = levels[-1]
-            pseudo = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
+            grid_l = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
+            part_l = partition_elements(grid_l, count, method=partition_method)
             k_elems = [sub.coarse_matrix for sub in prev.subs]
             dof_lists = [sub.coarse_dofs for sub in prev.subs]
-            part = partition_elements(pseudo, count, method=partition_method)
-
-            def build_one(j):
-                return subassemble_coarse(k_elems, dof_lists, part.elements_of(j))
-
-            built = map_ordered(build_one, count, workers)
-            grid_l, part_l = pseudo, part
-            k_l = [b[0] for b in built]
-            ltg_l = [b[1] for b in built]
+            k_l, ltg_l = zip(*(subassemble_coarse(k_elems, dof_lists, part_l.elements_of(j))
+                               for j in range(count)))
         else:
             grid_l, part_l, k_l, ltg_l = grid, partition, k_list, ltg_list
         levels.append(_build_level(depth + 1, grid_l, part_l, k_l, ltg_l,
                                    constraint_policy, corner_strategy,
-                                   weight_scheme, workers, dense_threshold))
+                                   weight_scheme, dense_threshold))
 
     last = levels[-1]
     k_top = assemble_coarse([sub.coarse_matrix for sub in last.subs],
@@ -314,4 +300,4 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
         raise NumericalError(
             f"final coarse matrix ({k_top.n_rows} dofs) is not positive "
             f"definite; the constraint set is too weak") from exc
-    return MultilevelBddc(levels=levels, top=top, workers=workers)
+    return MultilevelBddc(levels=levels, top=top)

@@ -38,16 +38,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override one option (repeatable)")
     p.add_argument("--hierarchy", default=None,
                    help="subdomain counts, e.g. 64/8/1")
-    p.add_argument("--workers", type=int, default=None,
-                   help="threads for setup and the constrained local solves")
 
 
 def _flag_overrides(args) -> list:
     overrides = list(args.overrides)
     if args.hierarchy is not None:
         overrides.append(f"hierarchy={args.hierarchy}")
-    if args.workers is not None:
-        overrides.append(f"workers={args.workers}")
     return overrides
 
 

@@ -140,6 +140,14 @@ def generate_box_mesh(dim: int, n_elems_per_axis, length=1.0) -> Mesh:
                 coords=coords, elem_nodes=elem_nodes)
 
 
+def node_dofs(nodes, dofs_per_node: int) -> np.ndarray:
+    """Dof ids of the nodes along the trailing axis, node-major:
+    (..., n) node ids -> (..., n * dofs_per_node) dof ids."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    dofs = nodes[..., None] * dofs_per_node + np.arange(dofs_per_node)
+    return dofs.reshape(nodes.shape[:-1] + (nodes.shape[-1] * dofs_per_node,))
+
+
 def dirichlet_dofs(spec: ProblemSpec, mesh: Mesh):
     """Full-dof indices and values prescribed on the problem's box faces."""
     faces = spec.resolved_faces()
@@ -157,9 +165,7 @@ def dirichlet_dofs(spec: ProblemSpec, mesh: Mesh):
         if d >= mesh.dim:
             raise ValueError(f"face {f!r} invalid for {mesh.dim}D mesh")
         mask |= axis_index[d] == (0 if f[1] == "-" else nps[d] - 1)
-    nodes = idx[mask]
-    dofs = (nodes[:, None] * dpn + np.arange(dpn)[None, :]).reshape(-1)
-    dofs = np.sort(dofs)
+    dofs = np.sort(node_dofs(idx[mask], dpn))
     values = np.full(dofs.shape, float(spec.dirichlet_value))
     return dofs, values
 
@@ -317,9 +323,7 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 def _element_dofs(spec: ProblemSpec, mesh: Mesh, elements: np.ndarray) -> np.ndarray:
     """(n_elems, ndof_per_elem) full-dof indices, node-major per element."""
-    dpn = spec.dofs_per_node
-    nodes = mesh.elem_nodes[elements]
-    return (nodes[:, :, None] * dpn + np.arange(dpn)[None, None, :]).reshape(len(elements), -1)
+    return node_dofs(mesh.elem_nodes[elements], spec.dofs_per_node)
 
 
 def assemble_global(spec: ProblemSpec, mesh: Mesh):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DofMap, Mesh, ProblemSpec
+from .fem import DofMap, Mesh, ProblemSpec, node_dofs
 
 
 @dataclass
@@ -43,12 +43,6 @@ class LevelGrid:
     def adjacency_nodes(self) -> list:
         return self.conn_nodes if self.conn_nodes is not None else self.elem_nodes
 
-    def node_dofs(self, nodes) -> np.ndarray:
-        """Dof ids of the given nodes, node-major."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        dpn = self.dofs_per_node
-        return (nodes[:, None] * dpn + np.arange(dpn)[None, :]).reshape(-1)
-
 
 def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> LevelGrid:
     """Level-1 grid: mesh restricted to nodes that carry free dofs."""
@@ -63,8 +57,7 @@ def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> Level
     # grid dofs must coincide with the free-dof numbering: free dofs are
     # node-major and nodes are never partially fixed
     dpn = spec.dofs_per_node
-    expected = (free_nodes[:, None] * dpn + np.arange(dpn)[None, :]).reshape(-1)
-    if not np.array_equal(expected, dofmap.free_dofs):
+    if not np.array_equal(node_dofs(free_nodes, dpn), dofmap.free_dofs):
         raise ValueError("free-dof numbering is not node-major")
     return LevelGrid(
         n_nodes=free_nodes.shape[0],

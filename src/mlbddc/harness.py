@@ -2,7 +2,7 @@
 delimited report writer.
 
 A run configuration comes from an optional key=value file plus override
-pairs (CLI flags win over the file, which wins over environment defaults).
+pairs (CLI flags win over the file, which wins over the defaults).
 The hierarchy string "N1/N2/.../1" lists subdomain counts per level; the
 final direct solve is the trailing 1 and may be omitted. Counts must
 decrease strictly until they reach 1.
@@ -10,7 +10,6 @@ decrease strictly until they reach 1.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -38,8 +37,6 @@ from .interface import (
 from .krylov import SolveReport, bicgstab, pcg
 from .partition import partition_elements
 from .substructuring import condensed_rhs, recover_interior, schur_apply
-
-WORKERS_ENV = "MLBDDC_WORKERS"
 
 CSV_COLUMNS = ("levels", "subdomains", "n_dofs", "coarse_sizes",
                "condition_estimate", "iterations", "setup_seconds",
@@ -113,7 +110,7 @@ class RunConfig:
     krylov: str = "pcg"
     tolerance: float = 1e-6
     max_iterations: int = 1000
-    workers: int | None = None
+    workers: int = 1              # accepted for compatibility; no effect
 
     def validate(self) -> "RunConfig":
         if self.problem not in ("poisson", "elasticity"):
@@ -134,24 +131,15 @@ class RunConfig:
             raise ConfigError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        nels, lens = self.elements_per_axis(), self.lengths_per_axis()
+        if len(nels) != self.dim or any(n < 1 for n in nels):
+            raise ConfigError(f"elements must be {self.dim} positive counts, got {nels}")
+        if len(lens) != self.dim or not all(l > 0 for l in lens):
+            raise ConfigError(f"length must be {self.dim} positive lengths, got {lens}")
         parse_hierarchy(self.hierarchy)
         return self
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer")
-            if n < 1:
-                raise ConfigError(f"{WORKERS_ENV} must be at least 1")
-            return n
-        return 1
 
     def elements_per_axis(self) -> tuple:
         e = self.elements
@@ -284,7 +272,6 @@ def run_experiment(config: RunConfig) -> RunResult:
     """Assemble, build the preconditioner, solve, recover. The clock splits
     at the end of setup: condensation, iteration, and interior recovery all
     count as Krylov time."""
-    workers = config.resolved_workers()
     t0 = time.perf_counter()
     counts, spec, mesh, dofmap, grid, part = _partitioned_mesh(config)
     f = assemble_global(spec, mesh)[1]
@@ -296,8 +283,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     prec = setup_bddc(grid, part, k_list, ltg_list, counts[1:],
                       constraint_policy=config.constraint_policy,
                       corner_strategy=config.corner_strategy,
-                      weight_scheme=config.weight_scheme,
-                      workers=workers)
+                      weight_scheme=config.weight_scheme)
     t1 = time.perf_counter()
 
     level1 = prec.levels[0]

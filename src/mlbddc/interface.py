@@ -1,4 +1,5 @@
-"""Interface classification, corner selection, and weight matrices.
+"""Interface classification, corner selection, interface weights, and the
+coarse space.
 
 Interface nodes are grouped into globs by their exact set of sharing
 subdomains: a glob shared by two subdomains with at least dim members is a
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import node_dofs
 from .grid import LevelGrid
 
 CONSTRAINT_POLICIES = ("corners-only", "corners+edges", "corners+edges+faces")
@@ -31,17 +33,10 @@ class Glob:
 @dataclass
 class GlobSet:
     globs: list
-    n_nodes: int              # grid nodes (for sharer-count lookup)
     node_glob: np.ndarray     # node -> glob index, -1 off the interface
 
     def interface_nodes(self) -> np.ndarray:
         return np.nonzero(self.node_glob >= 0)[0]
-
-    def sharer_counts(self) -> np.ndarray:
-        out = np.zeros(self.n_nodes, dtype=np.int64)
-        for g in self.globs:
-            out[g.nodes] = len(g.sharers)
-        return out
 
     def counts_by_kind(self) -> dict:
         out = {"face": 0, "edge": 0, "vertex": 0}
@@ -75,7 +70,7 @@ def classify_interface(grid: LevelGrid, partition) -> GlobSet:
         idx = len(globs)
         globs.append(Glob(index=idx, kind=kind, nodes=members, sharers=key))
         node_glob[members] = idx
-    return GlobSet(globs=globs, n_nodes=grid.n_nodes, node_glob=node_glob)
+    return GlobSet(globs=globs, node_glob=node_glob)
 
 
 def _face_corner_nodes(glob: Glob, coords: np.ndarray, dim: int) -> list:
@@ -124,38 +119,21 @@ def select_corners(globset: GlobSet, grid: LevelGrid,
 
 def interface_dofs(globset: GlobSet, dofs_per_node: int) -> np.ndarray:
     """Global interface dof ids, ordered by (node, component)."""
-    nodes = globset.interface_nodes()
-    return (nodes[:, None] * dofs_per_node
-            + np.arange(dofs_per_node)[None, :]).reshape(-1)
+    return node_dofs(globset.interface_nodes(), dofs_per_node)
 
 
-def build_weights(globset: GlobSet, imap, scheme: str = "cardinality",
-                  local_diags=None) -> list:
-    """Per-subdomain weight vectors over local interface dofs.
+def build_weights(splits, scheme: str = "cardinality") -> np.ndarray:
+    """Weights over the level's stacked interface (splits.iface_index order).
 
-    cardinality: 1/#sharers per dof. stiffness-diagonal: the subdomain's
-    stiffness diagonal divided by the sum over sharing subdomains. Both
-    sum to one across sharers.
+    Each entry is d / (sum of d over the subdomains sharing its dof), with
+    d = 1 (cardinality: 1/#sharers) or the subdomain's stiffness diagonal
+    (stiffness-diagonal), so the weights of one dof sum to one.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {scheme!r}")
-    dpn = imap.dofs_per_node
-    if scheme == "cardinality":
-        counts = globset.sharer_counts()
-        out = []
-        for gpos in imap.sub_global:
-            nodes = imap.dofs[gpos] // dpn
-            out.append(1.0 / counts[nodes])
-        return out
-    if local_diags is None:
-        raise ValueError("stiffness-diagonal weights need local diagonals")
-    numer = []
-    denom = np.zeros(imap.n)
-    for i, (lpos, gpos) in enumerate(zip(imap.sub_local, imap.sub_global)):
-        d = np.asarray(local_diags[i])[lpos]
-        numer.append(d)
-        denom[gpos] += d
-    return [d / denom[gpos] for d, gpos in zip(numer, imap.sub_global)]
+    index = splits.iface_index
+    d = np.ones(index.shape[0]) if scheme == "cardinality" else splits.k_bb.diagonal()
+    return d / np.bincount(index, d)[index]
 
 
 # -- coarse space -------------------------------------------------------------
@@ -197,9 +175,7 @@ class CoarseSpace:
 
     def sub_dofs(self, i: int) -> np.ndarray:
         """Global coarse dof ids for subdomain i's local coarse dofs."""
-        nodes = self.sub_nodes[i]
-        dpn = self.dofs_per_node
-        return (nodes[:, None] * dpn + np.arange(dpn)[None, :]).reshape(-1)
+        return node_dofs(self.sub_nodes[i], self.dofs_per_node)
 
 
 def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,

@@ -113,7 +113,7 @@ def partition_regular_blocks(grid: LevelGrid, n_subdomains: int,
                      method="regular-blocks")
 
 
-def _components(elems, adjacency, assignment=None, sub=None):
+def _components(elems, adjacency):
     """Connected components of an element set, each sorted, ordered by
     smallest element."""
     elems = sorted(int(e) for e in elems)
@@ -194,7 +194,6 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
 def _shared_node_counts(e, grid, assignment, exclude=None):
     """How many grid nodes element e shares with each other subdomain."""
     conn = grid.adjacency_nodes()
-    node_owner: dict = {}
     counts: dict = {}
     target_nodes = set(int(x) for x in conn[e])
     for other, nodes in enumerate(conn):

@@ -11,7 +11,6 @@ bitwise reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,25 +19,12 @@ import scipy.sparse
 from .sparse import Factorization, SparseMatrix, factorize
 
 
-def map_ordered(fn, n: int, workers: int = 1) -> list:
-    """Apply fn to range(n), returning results in index order."""
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 @dataclass
 class InterfaceMap:
     """Global interface numbering: dofs holds level-dof ids ordered by
-    (node, component); sub_local/sub_global give each subdomain's interface
-    positions within its local vector and within the global interface
-    vector."""
+    (node, component)."""
 
     dofs: np.ndarray
-    dofs_per_node: int
-    sub_local: list
-    sub_global: list
 
     @property
     def n(self) -> int:
@@ -89,8 +75,7 @@ class LevelSplits(list):
         return np.bincount(self.iface_index, weights=v, minlength=n_iface)
 
 
-def build_splits(k_list, ltg_list, iface_dofs, dofs_per_node: int,
-                 dense_threshold: int | None = None):
+def build_splits(k_list, ltg_list, iface_dofs, dense_threshold: int | None = None):
     """Split each subdomain matrix by the interface dof set, stack the
     blocks and factorize the stacked interior matrix. Returns
     (LevelSplits, InterfaceMap)."""
@@ -132,10 +117,7 @@ def build_splits(k_list, ltg_list, iface_dofs, dofs_per_node: int,
     subs = [SubdomainSplit(i, ltg_list[i], interior_pos[i], interface_pos[i],
                            k_list[i], fact) for i in range(n_subs)]
     splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index)
-    imap = InterfaceMap(dofs=iface_dofs, dofs_per_node=dofs_per_node,
-                        sub_local=interface_pos,
-                        sub_global=np.split(iface_index, cut_b[:-1]))
-    return splits, imap
+    return splits, InterfaceMap(dofs=iface_dofs)
 
 
 def schur_apply(splits: LevelSplits, imap: InterfaceMap, x: np.ndarray) -> np.ndarray:

@@ -39,8 +39,7 @@ class Level1:
     imap: object
 
     def weights(self, scheme="cardinality"):
-        diags = [k.diagonal() for k in self.k_list]
-        return build_weights(self.globset, self.imap, scheme, local_diags=diags)
+        return build_weights(self.splits, scheme)
 
     def corners(self, strategy="default"):
         return select_corners(self.globset, self.grid, strategy)
@@ -64,7 +63,7 @@ def build_level1(spec: ProblemSpec, n_elems, n_subs, axis_counts=None,
         ltg_list.append(ltg)
     globset = classify_interface(grid, part)
     ifdofs = interface_dofs(globset, spec.dofs_per_node)
-    splits, imap = build_splits(k_list, ltg_list, ifdofs, spec.dofs_per_node)
+    splits, imap = build_splits(k_list, ltg_list, ifdofs)
     return Level1(spec=spec, mesh=mesh, dofmap=dofmap, grid=grid, part=part,
                   k_global=k_global, f_global=f_global, k_list=k_list,
                   ltg_list=ltg_list, globset=globset, splits=splits, imap=imap)

@@ -253,10 +253,8 @@ def test_09_weights_partition_unity(solve_runs):
         prec = solve_runs[_key(fx)].preconditioner
         for level in prec.levels:
             x = rng.standard_normal(level.imap.n)
-            acc = np.zeros(level.imap.n)
-            for i in range(len(level.weights)):
-                acc[level.imap.sub_global[i]] += level.weights[i] * \
-                    x[level.imap.sub_global[i]]
+            acc = level.splits.gather(level.weights * x[level.splits.iface_index],
+                                      level.imap.n)
             assert np.max(np.abs(acc - x)) <= 1e-14 * np.max(np.abs(x))
             checked += 1
     assert checked >= len(SOLVE_FIXTURES)

@@ -31,7 +31,7 @@ def single_split(k_dense):
     """One all-interface subdomain wrapping a small dense matrix."""
     n = len(k_dense)
     k = SparseMatrix.from_dense(k_dense, symmetric=True)
-    splits, _ = build_splits([k], [np.arange(n)], np.arange(n), 1)
+    splits, _ = build_splits([k], [np.arange(n)], np.arange(n))
     return splits[0]
 
 
@@ -44,6 +44,19 @@ def make_bddc(lv, coarse_counts=(), **kw):
 def cross2d():
     return build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4,
                         axis_counts=(2, 2), method="regular-blocks")
+
+
+@pytest.fixture(scope="module")
+def elasticity3d():
+    return build_level1(ProblemSpec(kind="elasticity", dim=3), 4, 2,
+                        axis_counts=(1, 1, 2), method="regular-blocks")
+
+
+@pytest.fixture(scope="module")
+def elasticity3d_edges():
+    # 2x2x2 subdomains: corner, edge and face constraints
+    return build_level1(ProblemSpec(kind="elasticity", dim=3), 6, 8,
+                        axis_counts=(2, 2, 2), method="regular-blocks")
 
 
 # -- coarse basis -------------------------------------------------------------
@@ -183,17 +196,25 @@ def test_degenerate_middle_level_collapses(cross2d):
         assert np.max(np.abs(m3.apply(r) - m2.apply(r))) < 1e-10
 
 
-def test_worker_count_invariance(cross2d):
-    m1 = make_bddc(cross2d, coarse_counts=(2,), workers=1)
-    m4 = make_bddc(cross2d, coarse_counts=(2,), workers=4)
+@pytest.mark.parametrize("dense_threshold", [None, 0])
+@pytest.mark.parametrize("name", ["cross2d", "elasticity3d", "elasticity3d_edges"])
+def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshold,
+                                                            request):
+    # symmetric bordered matrix: the multipliers of [K C^T; C 0][z; mu] = [r; 0]
+    # are psi^T r, and z satisfies the constraints (dense and sparse factors)
+    lv = request.getfixturevalue(name)
+    level = make_bddc(lv, dense_threshold=dense_threshold).levels[0]
     rng = np.random.default_rng(17)
-    r = rng.standard_normal(cross2d.imap.n)
-    assert np.array_equal(m1.apply(r), m4.apply(r))
+    for sub, split in zip(level.subs, level.splits):
+        r = rng.standard_normal(split.n_local)
+        z, mu = sub.constrained_solve(r)
+        ref = sub.psi.T @ r
+        assert np.linalg.norm(mu - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(sub.constraints.rows @ z) <= 1e-12 * np.linalg.norm(z)
 
 
-def test_elasticity_3d_smoke():
-    lv = build_level1(ProblemSpec(kind="elasticity", dim=3), 4, 2,
-                      axis_counts=(1, 1, 2), method="regular-blocks")
+def test_elasticity_3d_smoke(elasticity3d):
+    lv = elasticity3d
     m = make_bddc(lv)
     rng = np.random.default_rng(19)
     r = rng.standard_normal(lv.imap.n)

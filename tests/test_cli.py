@@ -133,7 +133,9 @@ def test_missing_subcommand():
     assert exc.value.code == 2
 
 
-def test_workers_flag(capsys):
-    code, out, _ = run_cli(capsys, "solve", "--set", "elements=8",
-                           "--hierarchy", "4", "--workers", "3")
-    assert code == EXIT_OK
+@pytest.mark.parametrize("setting", ["elements=0", "elements=4,4,4", "length=-1",
+                                     "length=1,2,3"])
+def test_solve_bad_mesh_size_is_config_error(capsys, setting):
+    code, _, err = run_cli(capsys, "solve", "--set", setting, "--hierarchy", "4")
+    assert code == EXIT_CONFIG
+    assert "error:" in err

@@ -96,21 +96,12 @@ def test_load_config_bad_override():
     ("constraint_policy", "everything"), ("corner_strategy", "none"),
     ("weight_scheme", "mass"), ("partition", "metis"),
     ("tolerance", -1.0), ("max_iterations", 0), ("workers", 0),
+    ("elements", (0,)), ("elements", (4, 4, 4)), ("length", (-1.0,)),
+    ("length", (1.0, 2.0, 3.0)),
 ])
 def test_validate_rejects(field, value):
     with pytest.raises(ConfigError):
         RunConfig(**{field: value}).validate()
-
-
-def test_workers_resolution(monkeypatch):
-    monkeypatch.delenv("MLBDDC_WORKERS", raising=False)
-    assert RunConfig().resolved_workers() == 1
-    monkeypatch.setenv("MLBDDC_WORKERS", "5")
-    assert RunConfig().resolved_workers() == 5
-    assert RunConfig(workers=2).resolved_workers() == 2
-    monkeypatch.setenv("MLBDDC_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        RunConfig().resolved_workers()
 
 
 def test_axis_expansion():

@@ -4,6 +4,8 @@ The two-spring chain is worked out by hand: K = tridiag(-1, [2,?,2], -1)
 split at the middle dof gives S = 1 and g = 2 for a unit load.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from mlbddc.sparse import SparseMatrix
 from mlbddc.substructuring import (
     build_splits,
     condensed_rhs,
-    map_ordered,
     recover_interior,
     schur_apply,
 )
@@ -22,8 +23,7 @@ from mlbddc.substructuring import (
 def chain_splits():
     k1 = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 1.0]], symmetric=True)
     k2 = SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 2.0]], symmetric=True)
-    return build_splits([k1, k2], [np.array([0, 1]), np.array([1, 2])],
-                        np.array([1]), dofs_per_node=1)
+    return build_splits([k1, k2], [np.array([0, 1]), np.array([1, 2])], np.array([1]))
 
 
 def test_chain_schur():
@@ -99,38 +99,30 @@ def test_empty_interface_is_direct_solve():
     assert schur_apply(lv.splits, lv.imap, np.zeros(0)).shape == (0,)
 
 
-def test_worker_count_does_not_change_results():
-    # the stacked operators run no per-subdomain threads; the worker count
-    # only shards setup and the constrained local solves
-    from mlbddc.bddc import setup_bddc
+def test_workers_key_starts_no_threads(monkeypatch):
+    # the solver is single-threaded: the workers key is accepted and ignored
     from mlbddc.harness import RunConfig, run_experiment
-    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4,
-                      axis_counts=(2, 2), method="regular-blocks")
-    x = np.linspace(-1.0, 1.0, lv.imap.n)
-    builds = [setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list, (2,),
-                         workers=w) for w in (1, 4)]
-    for m in builds:
-        level = m.levels[0]
-        assert np.array_equal(schur_apply(level.splits, level.imap, x),
-                              schur_apply(lv.splits, lv.imap, x))
-    assert np.array_equal(builds[0].apply(x), builds[1].apply(x))
-    runs = [run_experiment(RunConfig(elements=(16,), hierarchy="16/4", workers=w))
-            for w in (1, 4)]
+    started = []
+    start = threading.Thread.start
+
+    def record(self):
+        started.append(self.name)
+        start(self)
+
+    runs = [run_experiment(RunConfig(elements=(16,), hierarchy="16/4", workers=1))]
+    monkeypatch.setattr(threading.Thread, "start", record)
+    runs.append(run_experiment(RunConfig(elements=(16,), hierarchy="16/4", workers=4)))
+    assert started == []
     assert np.array_equal(runs[0].solution, runs[1].solution)
     assert runs[0].report.relative_residuals == runs[1].report.relative_residuals
-
-
-def test_map_ordered_preserves_order():
-    out = map_ordered(lambda i: i * i, 7, workers=3)
-    assert out == [i * i for i in range(7)]
 
 
 def test_split_errors():
     k = SparseMatrix.from_dense([[1.0]], symmetric=True)
     with pytest.raises(ValueError, match="sorted"):
-        build_splits([k], [np.array([0])], np.array([2, 1]), 1)
+        build_splits([k], [np.array([0])], np.array([2, 1]))
     with pytest.raises(ValueError, match="more than one"):
-        build_splits([k, k], [np.array([0]), np.array([0])], np.zeros(0, dtype=int), 1)
+        build_splits([k, k], [np.array([0]), np.array([0])], np.zeros(0, dtype=int))
     splits, imap = chain_splits()
     with pytest.raises(ValueError, match="length"):
         schur_apply(splits, imap, np.zeros(3))
