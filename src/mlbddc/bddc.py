@@ -10,12 +10,13 @@ negated Lagrange block of the basis solve is the subdomain's coarse element
 matrix; assembling those over the coarse dofs yields the next level's
 problem, which is either factorized directly (top level) or split again
 into subdomains over a pseudo-mesh. Applications at levels past the first
-wrap the interface cycle in interior pre/post corrections so the recursion
-only ever sees interface residuals. Those corrections, like the Schur
-operator S, go through one block-diagonal interior solve per level (see
-substructuring); the constrained local solves stay per subdomain, and
-their multipliers are the restricted coarse residuals. All reductions
-accumulate in subdomain order, so results are bitwise reproducible.
+condense the full residual onto the interface before the cycle and
+recover the interiors after it, with the condensation and recovery of the
+level-1 solve (substructuring), so the recursion only ever sees interface
+residuals; each is one block-diagonal interior solve per level. The
+constrained local solves stay per subdomain, and their multipliers are the
+restricted coarse residuals. All reductions accumulate in subdomain order,
+so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .interface import (
 )
 from .partition import Partition, build_pseudomesh, partition_elements
 from .sparse import Factorization, SparseMatrix, factorize, sum_elements
-from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, _condense,
-                             build_splits)
+from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, build_splits,
+                             condensed_rhs, recover_interior)
 
 
 @dataclass
@@ -107,8 +108,7 @@ class SubdomainCoarse:
         return sol[:n], sol[n:]
 
 
-def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix,
-                 dense_threshold: int | None = None):
+def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix):
     """Factorize the bordered matrix and compute the coarse basis.
 
     Returns (bordered_factorization, psi, coarse_matrix): psi solves the
@@ -120,8 +120,7 @@ def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix,
     c = scipy.sparse.csr_matrix(cmat.rows)
     bordered = SparseMatrix.from_scipy(
         scipy.sparse.bmat([[split.k_local.scipy_csr(), c.T], [c, None]]), symmetric=True)
-    fact = factorize(bordered, "symmetric-indefinite",
-                     dense_threshold=dense_threshold)
+    fact = factorize(bordered, "symmetric-indefinite")
     rhs = np.zeros((n + nc, nc))
     rhs[n:] = np.eye(nc)
     sol = fact.solve(rhs) if nc else np.zeros((n, 0))
@@ -202,28 +201,15 @@ class MultilevelBddc:
         if li == len(self.levels):
             return self.top.solve(r)
         level = self.levels[li]
-        r_hat, w = interior_precorrection(level.splits, level.imap, r)
+        r_hat = interior_precorrection(level.splits, level.imap, r)
         z_hat = self._interface_apply(li, r_hat)
-        return interior_postcorrection(level.splits, level.imap, z_hat, w,
-                                       level.grid.n_dofs)
+        return interior_postcorrection(level.splits, level.imap, z_hat, r, level.grid.n_dofs)
 
 
-def interior_precorrection(splits: LevelSplits, imap: InterfaceMap, r: np.ndarray):
-    """Condense a full residual onto the interface, keeping the stacked
-    interior solves for the matching post-correction. Returns (r_hat, w)."""
-    return _condense(splits, imap, r)
-
-
-def interior_postcorrection(splits: LevelSplits, imap: InterfaceMap,
-                            z_hat: np.ndarray, w: np.ndarray,
-                            n_dofs: int) -> np.ndarray:
-    """Complete an interface correction to the level's full dof vector,
-    reusing the pre-correction interior solves."""
-    z = np.zeros(n_dofs)
-    z[imap.dofs] = z_hat
-    z[splits.interior_dofs] = w - splits.k_ii_fact.solve(
-        splits.k_ib.matvec(z_hat[splits.iface_index]))
-    return z
+# the interior corrections of levels past the first are the level-1
+# condensation and recovery, under names of their own for tracing
+interior_precorrection = condensed_rhs
+interior_postcorrection = recover_interior
 
 
 def assemble_coarse(k_elems, dof_lists) -> SparseMatrix:
@@ -239,10 +225,10 @@ def subassemble_coarse(k_elems, dof_lists, elements):
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
-                 policy: str, strategy: str, scheme: str, dense_threshold) -> BddcLevel:
+                 policy: str, strategy: str, scheme: str) -> BddcLevel:
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(k_list, ltg_list, iface, dense_threshold=dense_threshold)
+    splits, imap = build_splits(k_list, ltg_list, iface)
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
@@ -250,7 +236,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
     for i, split in enumerate(splits):
         cmat = build_constraints(i, coarse, globset, split, grid)
         try:
-            fact, psi, kc = coarse_basis(split, cmat, dense_threshold)
+            fact, psi, kc = coarse_basis(split, cmat)
         except SingularMatrixError as exc:
             raise NumericalError(
                 f"level {index}, subdomain {i}: constrained local problem is "
@@ -266,8 +252,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
 def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
                coarse_counts=(), *, constraint_policy: str = "corners+edges+faces",
                corner_strategy: str = "default", weight_scheme: str = "cardinality",
-               partition_method: str = "auto",
-               dense_threshold: int | None = None) -> MultilevelBddc:
+               partition_method: str = "auto") -> MultilevelBddc:
     """Build the full level hierarchy.
 
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
@@ -289,13 +274,13 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
             grid_l, part_l, k_l, ltg_l = grid, partition, k_list, ltg_list
         levels.append(_build_level(depth + 1, grid_l, part_l, k_l, ltg_l,
                                    constraint_policy, corner_strategy,
-                                   weight_scheme, dense_threshold))
+                                   weight_scheme))
 
     last = levels[-1]
     k_top = assemble_coarse([sub.coarse_matrix for sub in last.subs],
                             [sub.coarse_dofs for sub in last.subs])
     try:
-        top = factorize(k_top, "spd", dense_threshold=dense_threshold)
+        top = factorize(k_top, "spd")
     except (SingularMatrixError, NumericalError) as exc:
         raise NumericalError(
             f"final coarse matrix ({k_top.n_rows} dofs) is not positive "

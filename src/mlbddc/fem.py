@@ -363,14 +363,14 @@ def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, element
 
 # -- VTK export ---------------------------------------------------------------
 
-def export_vtk(mesh: Mesh, point_data: dict, path, title: str = "mlbddc output") -> None:
+def export_vtk(mesh: Mesh, point_data: dict, path) -> None:
     """Legacy ASCII VTK unstructured grid. Arrays of length n_nodes are
     written as scalars, of length n_nodes*dim as vectors."""
     n = mesh.n_nodes
     dim = mesh.dim
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
+        fh.write("mlbddc output\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")

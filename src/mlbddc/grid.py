@@ -23,10 +23,10 @@ class LevelGrid:
     elem_nodes: list                   # per element: sorted dof-carrying node ids
     dofs_per_node: int
     structured_shape: tuple | None = None
-    # node lists used for element adjacency only (falls back to elem_nodes);
-    # on level 1 these keep Dirichlet-fixed nodes so that adjacency follows
-    # the mesh, not the eliminated system
-    conn_nodes: list | None = field(default=None, repr=False)
+    # element node ids for adjacency only (falls back to elem_nodes); level 1
+    # passes the mesh's element array, whose Dirichlet-fixed nodes make
+    # adjacency follow the mesh, not the eliminated system
+    conn_nodes: list | np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_elems(self) -> int:
@@ -49,11 +49,9 @@ def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> Level
     free_nodes = dofmap.free_nodes
     node_map = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_map[free_nodes] = np.arange(free_nodes.shape[0])
-    elem_nodes = []
-    for e in range(mesh.n_elems):
-        mapped = node_map[mesh.elem_nodes[e]]
-        mapped = np.sort(mapped[mapped >= 0])
-        elem_nodes.append(mapped)
+    mapped = np.sort(node_map[mesh.elem_nodes], axis=1)
+    free = mapped >= 0
+    elem_nodes = np.split(mapped[free], np.cumsum(free.sum(axis=1))[:-1])
     # grid dofs must coincide with the free-dof numbering: free dofs are
     # node-major and nodes are never partially fixed
     dpn = spec.dofs_per_node
@@ -65,5 +63,5 @@ def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> Level
         elem_nodes=elem_nodes,
         dofs_per_node=dpn,
         structured_shape=mesh.n_elems_per_axis,
-        conn_nodes=[mesh.elem_nodes[e] for e in range(mesh.n_elems)],
+        conn_nodes=mesh.elem_nodes,
     )

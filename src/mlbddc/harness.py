@@ -11,7 +11,7 @@ decrease strictly until they reach 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,25 +169,24 @@ _PARSERS = {
 }
 
 
+def _parse_option(item: str, where: str = "") -> tuple:
+    """(key, value) of one key=value item; `where` prefixes the errors."""
+    if "=" not in item:
+        raise ConfigError(f"{where}expected key = value, got {item!r}")
+    key, value = (s.strip() for s in item.split("=", 1))
+    if key not in _PARSERS:
+        raise ConfigError(f"{where}unknown option {key!r}")
+    try:
+        return key, _PARSERS[key](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
     """key = value lines; # comments; unknown keys are errors."""
-    out = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{ln}: expected key = value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _PARSERS:
-            raise ConfigError(f"{origin}:{ln}: unknown option {key!r}")
-        try:
-            out[key] = _PARSERS[key](value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{origin}:{ln}: bad value for {key}: {exc}") from exc
-    return out
+    lines = ((ln, raw.split("#", 1)[0].strip())
+             for ln, raw in enumerate(text.splitlines(), start=1))
+    return dict(_parse_option(line, f"{origin}:{ln}: ") for ln, line in lines if line)
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -201,18 +200,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         values.update(parse_config_text(text, origin=str(path)))
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = (s.strip() for s in item.split("=", 1))
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown option {key!r}")
-        try:
-            values[key] = _PARSERS[key](value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
+    values.update(_parse_option(item) for item in overrides)
     return RunConfig(**values).validate()
 
 
@@ -349,12 +337,12 @@ def run_sweep(config: RunConfig, hierarchies) -> list:
     return run_configs(replace(config, hierarchy=str(h)) for h in hierarchies)
 
 
-def format_report(results, delimiter: str = ",") -> str:
-    """Delimited text: header plus one row per experiment."""
-    lines = [delimiter.join(CSV_COLUMNS)]
+def format_report(results) -> str:
+    """CSV text: header plus one row per experiment."""
+    lines = [",".join(CSV_COLUMNS)]
     for res in results:
         row = res.csv_row()
-        lines.append(delimiter.join(row[c] for c in CSV_COLUMNS))
+        lines.append(",".join(row[c] for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -47,15 +47,16 @@ class GlobSet:
 
 def classify_interface(grid: LevelGrid, partition) -> GlobSet:
     """Group interface nodes by exact sharing set and classify the groups."""
-    sharers = [set() for _ in range(grid.n_nodes)]
-    for e, nodes in enumerate(grid.elem_nodes):
-        s = int(partition.assignment[e])
-        for nd in nodes:
-            sharers[int(nd)].add(s)
+    # distinct (node, subdomain) pairs, sorted: each node's sharers in a run
+    n_subs = partition.n_subdomains
+    sub_of = np.repeat(partition.assignment, [len(n) for n in grid.elem_nodes])
+    pairs = np.unique(np.concatenate(grid.elem_nodes).astype(np.int64) * n_subs + sub_of)
+    node, sub = np.divmod(pairs, n_subs)
+    count = np.bincount(node, minlength=grid.n_nodes)
+    start = np.cumsum(count) - count
     groups: dict = {}
-    for nd in range(grid.n_nodes):
-        if len(sharers[nd]) >= 2:
-            groups.setdefault(tuple(sorted(sharers[nd])), []).append(nd)
+    for nd in np.nonzero(count >= 2)[0].tolist():
+        groups.setdefault(tuple(sub[start[nd]:start[nd] + count[nd]].tolist()), []).append(nd)
     dim = grid.dim
     globs = []
     node_glob = np.full(grid.n_nodes, -1, dtype=np.int64)

@@ -5,8 +5,10 @@ CG accumulates the Lanczos tridiagonal from its own alpha/beta recurrence
 (diagonal 1/a_k + b_{k-1}/a_{k-1}, off-diagonal sqrt(b_k)/a_k), so the
 condition estimate of the preconditioned operator costs one small
 eigenvalue solve after the iteration. Convergence is declared on the
-unpreconditioned relative residual; every true_residual_every steps the
-recursive residual is replaced by the exact one to stop drift.
+unpreconditioned relative residual: once the recursive residual meets the
+tolerance, the true residual b - A x is computed and must meet it too.
+Every TRUE_RESIDUAL_EVERY steps the recursive residual is replaced by the
+exact one to stop drift.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import NumericalError
 from .sparse import tridiag_eigenvalues
 
 BREAKDOWN_EPS = 1e-30
+TRUE_RESIDUAL_EVERY = 50
 
 
 @dataclass
@@ -29,22 +32,20 @@ class SolveReport:
     condition_estimate: float | None = None
     breakdown_reason: str | None = None
 
-    @property
-    def final_residual(self) -> float:
-        return self.relative_residuals[-1] if self.relative_residuals else 0.0
-
 
 def _identity(r: np.ndarray) -> np.ndarray:
     return r
 
 
 def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
-        max_iterations: int = 1000, true_residual_every: int = 50):
+        max_iterations: int = 1000):
     """Conjugate gradients on an SPD operator, starting from zero.
 
-    Returns (x, SolveReport). Raises NumericalError when a search
-    direction has non-positive energy, which means the operator (or the
-    preconditioner) is not positive definite.
+    Returns (x, SolveReport). It stops when the recursive residual meets
+    tol and reports converged only if the true residual meets it too.
+    Raises NumericalError when a search direction has non-positive energy,
+    which means the operator (or the preconditioner) is not positive
+    definite.
     """
     apply_m = apply_m or _identity
     b = np.asarray(b, dtype=np.float64)
@@ -73,14 +74,14 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
         alphas.append(alpha)
         x += alpha * p
         k += 1
-        if k % true_residual_every == 0:
+        if k % TRUE_RESIDUAL_EVERY == 0:
             r = b - apply_a(x)
         else:
             r -= alpha * q
         rel = float(np.linalg.norm(r)) / bnorm
         history.append(rel)
         if rel < tol:
-            converged = True
+            converged = float(np.linalg.norm(b - apply_a(x))) / bnorm < tol
             break
         z = apply_m(r)
         rz_new = float(r @ z)

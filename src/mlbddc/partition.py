@@ -284,13 +284,6 @@ def partition_elements(grid: LevelGrid, n_subdomains: int,
     return part
 
 
-def write_partition(part: Partition, path) -> None:
-    """ASCII dump: one 'element_index subdomain_index' pair per line."""
-    with open(path, "w") as fh:
-        for e, s in enumerate(part.assignment):
-            fh.write(f"{e} {s}\n")
-
-
 def build_pseudomesh(coarse_space, partition: Partition, dim: int) -> LevelGrid:
     """Next-level grid: subdomains become elements, coarse nodes become
     nodes. Ordering and coordinates come from the coarse space."""

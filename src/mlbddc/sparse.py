@@ -59,11 +59,6 @@ class SparseMatrix:
             symmetric=symmetric,
         )
 
-    @classmethod
-    def from_dense(cls, arr, symmetric: bool = False) -> "SparseMatrix":
-        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(arr, dtype=np.float64)),
-                              symmetric=symmetric)
-
     # -- views -------------------------------------------------------------
 
     def scipy_csr(self) -> scipy.sparse.csr_matrix:
@@ -76,10 +71,6 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         return np.asarray(self.scipy_csr().todense())
-
-    def to_coo(self):
-        coo = self.scipy_csr().tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
 
     @property
     def nnz(self) -> int:
@@ -246,9 +237,7 @@ class Factorization:
         raise NumericalError(f"unknown factorization method {self.method!r}")
 
 
-def factorize(a: SparseMatrix, kind: str = KIND_SPD,
-              dense_threshold: int | None = None,
-              offsets=None) -> Factorization:
+def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None) -> Factorization:
     """Factorize a symmetric matrix for repeated solves.
 
     kind="spd" expects positive definiteness and raises
@@ -278,8 +267,7 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD,
 
     if n == 0:
         return made("empty", None)
-    threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-    if n <= threshold and offsets.size == 2:
+    if n <= DENSE_THRESHOLD and offsets.size == 2:
         dense = a.to_dense()
         if kind == KIND_SPD:
             try:
@@ -333,22 +321,3 @@ def tridiag_eigenvalues(diag, offdiag) -> np.ndarray:
         return d.copy()
     return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
 
-
-# -- MatrixMarket dump --------------------------------------------------------
-
-def write_matrix_market(a: SparseMatrix, path, comment: str = "") -> None:
-    """ASCII MatrixMarket coordinate dump, 1-based indices. Symmetric
-    matrices write the lower triangle only."""
-    rows, cols, vals = a.to_coo()
-    sym = "symmetric" if a.symmetric else "general"
-    if a.symmetric:
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((rows, cols))
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {sym}\n")
-        if comment:
-            fh.write(f"% {comment}\n")
-        fh.write(f"{a.n_rows} {a.n_cols} {len(vals)}\n")
-        for k in order:
-            fh.write(f"{rows[k] + 1} {cols[k] + 1} {vals[k]:.17g}\n")

@@ -5,8 +5,10 @@ The reduced interface problem S u = g is never assembled. The subdomain
 blocks of a level are stacked into block-diagonal K_II, K_IB and K_BB, and
 K_II is factorized once, so applying S = R^T (K_BB - K_IB^T K_II^-1 K_IB) R
 is a few sparse products and one block-diagonal interior solve per level.
-Interface sums are ordered scatters in subdomain order, so results are
-bitwise reproducible.
+Condensation and recovery serve every level: the level-1 solve, and the
+preconditioner's interior corrections on the coarser levels. Interface
+sums are ordered scatters in subdomain order, so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class LevelSplits(list):
         return np.bincount(self.iface_index, weights=v, minlength=n_iface)
 
 
-def build_splits(k_list, ltg_list, iface_dofs, dense_threshold: int | None = None):
+def build_splits(k_list, ltg_list, iface_dofs):
     """Split each subdomain matrix by the interface dof set, stack the
     blocks and factorize the stacked interior matrix. Returns
     (LevelSplits, InterfaceMap)."""
@@ -107,8 +109,7 @@ def build_splits(k_list, ltg_list, iface_dofs, dense_threshold: int | None = Non
     k_ib = SparseMatrix.from_scipy(k_rows_i[:, interface])
     k_bb = SparseMatrix.from_scipy(k_all[interface][:, interface], symmetric=symmetric)
     del k_all, k_rows_i
-    fact = factorize(k_ii, "spd", dense_threshold=dense_threshold,
-                     offsets=np.concatenate([[0], cut_i]))
+    fact = factorize(k_ii, "spd", offsets=np.concatenate([[0], cut_i]))
 
     starts = np.concatenate([[0], ends[:-1]])
     interior_pos = [p - s for p, s in zip(np.split(interior, cut_i[:-1]), starts)]
@@ -131,17 +132,11 @@ def schur_apply(splits: LevelSplits, imap: InterfaceMap, x: np.ndarray) -> np.nd
     return splits.gather(splits.k_bb.matvec(xb) - splits.k_ib.rmatvec(t), imap.n)
 
 
-def _condense(splits: LevelSplits, imap: InterfaceMap, f: np.ndarray):
-    """(f_G - R^T K_IB^T w, w) with w = K_II^-1 f_I. Untraced, so its two
-    callers share it without nesting their timings."""
-    f = np.asarray(f, dtype=np.float64)
-    w = splits.k_ii_fact.solve(f[splits.interior_dofs])
-    return f[imap.dofs] - splits.gather(splits.k_ib.rmatvec(w), imap.n), w
-
-
 def condensed_rhs(splits: LevelSplits, imap: InterfaceMap, f: np.ndarray) -> np.ndarray:
     """Interface right-hand side g = f_G - sum_i R_i^T K_ib,i^T K_ii,i^-1 f_int,i."""
-    return _condense(splits, imap, f)[0]
+    f = np.asarray(f, dtype=np.float64)
+    w = splits.k_ii_fact.solve(f[splits.interior_dofs])
+    return f[imap.dofs] - splits.gather(splits.k_ib.rmatvec(w), imap.n)
 
 
 def recover_interior(splits: LevelSplits, imap: InterfaceMap, u_hat: np.ndarray,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import build_level1
+from mlbddc import sparse
 from mlbddc.bddc import (
     ConstraintMatrix,
     MultilevelBddc,
@@ -16,7 +17,6 @@ from mlbddc.bddc import (
     build_constraints,
     coarse_basis,
     interior_postcorrection,
-    interior_precorrection,
     setup_bddc,
     subassemble_coarse,
 )
@@ -30,7 +30,7 @@ from test_substructuring import dense_schur_parts
 def single_split(k_dense):
     """One all-interface subdomain wrapping a small dense matrix."""
     n = len(k_dense)
-    k = SparseMatrix.from_dense(k_dense, symmetric=True)
+    k = SparseMatrix.from_scipy(k_dense, symmetric=True)
     splits, _ = build_splits([k], [np.arange(n)], np.arange(n))
     return splits[0]
 
@@ -199,11 +199,13 @@ def test_degenerate_middle_level_collapses(cross2d):
 @pytest.mark.parametrize("dense_threshold", [None, 0])
 @pytest.mark.parametrize("name", ["cross2d", "elasticity3d", "elasticity3d_edges"])
 def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshold,
-                                                            request):
+                                                            request, monkeypatch):
     # symmetric bordered matrix: the multipliers of [K C^T; C 0][z; mu] = [r; 0]
     # are psi^T r, and z satisfies the constraints (dense and sparse factors)
+    if dense_threshold is not None:
+        monkeypatch.setattr(sparse, "DENSE_THRESHOLD", dense_threshold)
     lv = request.getfixturevalue(name)
-    level = make_bddc(lv, dense_threshold=dense_threshold).levels[0]
+    level = make_bddc(lv).levels[0]
     rng = np.random.default_rng(17)
     for sub, split in zip(level.subs, level.splits):
         r = rng.standard_normal(split.n_local)
@@ -224,11 +226,11 @@ def test_elasticity_3d_smoke(elasticity3d):
 
 
 def test_interior_corrections_are_consistent(cross2d):
-    # pre + post with a zero interface correction solves the interiors only
+    # the post-correction of a zero interface correction solves the
+    # interiors only
     lv = cross2d
     r = np.linspace(0.5, 1.5, lv.k_global.n_rows)
-    r_hat, w = interior_precorrection(lv.splits, lv.imap, r)
-    z = interior_postcorrection(lv.splits, lv.imap, np.zeros(lv.imap.n), w,
+    z = interior_postcorrection(lv.splits, lv.imap, np.zeros(lv.imap.n), r,
                                 lv.k_global.n_rows)
     for s in lv.splits:
         idofs = s.local_dofs[s.interior_pos]

@@ -1,0 +1,67 @@
+"""The hooks the benchmark reaches into the package by.
+
+bench/tracing.py patches module functions and class methods by name, and
+bench/census.py reads the preconditioner's attributes. Both are loaded
+read-only from the bench directory, so a renamed or deleted hook fails
+here and not only in the benchmark's own self-tests.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from mlbddc import load_config, run_experiment
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+THREE_LEVEL = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_traced_target_resolves():
+    tracing = load_bench("tracing")
+    missing = []
+    for mod_name, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(owner, cls_name, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+
+
+def test_interior_corrections_are_traced_under_apply():
+    # the coarse levels' corrections must be called by their hook names
+    tracing = load_bench("tracing")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        spans = tracer.begin_trace()
+        run_experiment(load_config(overrides=THREE_LEVEL))
+    names = {s.name for s in spans}
+    assert {"bddc.interior_precorrection", "bddc.interior_postcorrection"} <= names
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["bddc.apply.interior_correction_s"] > 0.0
+
+
+def test_census_runs_on_three_levels():
+    census = load_bench("census")
+    prec = run_experiment(load_config(overrides=THREE_LEVEL)).preconditioner
+    assert prec.n_levels == 3
+    counts = census.census(prec)
+    assert counts["bddc.L1.coarse_dofs"] > counts["bddc.L2.coarse_dofs"] > 0
+    assert counts["bddc.L3.coarse_dofs"] == 0
+    assert counts["interface.L1.constraints.corner"] > 0
+    assert counts["interface.L1.constraints.edge"] > 0
+    facts = census.factorizations(prec)
+    assert {(level, role) for level, role, *_ in facts} == {
+        (1, "k_ii"), (1, "bordered"), (2, "k_ii"), (2, "bordered"), (3, "top")}
+    assert all(method in census.ROLE_METHODS[role] for _, role, _, method, *_ in facts)

@@ -4,6 +4,7 @@ import pytest
 
 from mlbddc.cli import main
 from mlbddc.errors import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK
+from mlbddc.harness import load_config, run_experiment
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,20 @@ def test_solve_non_convergence(capsys):
                            "--set", "tolerance=1e-30")
     assert code == EXIT_NO_CONVERGENCE
     assert ",false" in out
+
+
+def test_solve_underflowed_residual_is_not_converged(capsys):
+    # the recursive residual underflows below 1e-300 while the true residual
+    # does not: PCG stops there, but the run has not converged
+    overrides = ["elements=16", "hierarchy=16", "tolerance=1e-300",
+                 "max_iterations=200"]
+    report = run_experiment(load_config(overrides=overrides)).report
+    assert report.relative_residuals[-1] < 1e-300
+    assert report.iterations < 200
+    assert not report.converged
+    code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
+    assert code == EXIT_NO_CONVERGENCE
+    assert out.strip().endswith(",false")
 
 
 def test_solve_config_file(capsys, tmp_path):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import build_level1
-from mlbddc.fem import ProblemSpec
-from mlbddc.grid import LevelGrid
+from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh
+from mlbddc.grid import LevelGrid, level_grid_from_mesh
 from mlbddc.interface import (
     build_coarse_space,
     build_weights,
@@ -20,7 +20,7 @@ from mlbddc.interface import (
     interface_dofs,
     select_corners,
 )
-from mlbddc.partition import Partition, build_pseudomesh
+from mlbddc.partition import Partition, build_pseudomesh, partition_elements
 
 ARM_A = [3, 10, 17]      # x=4, y in {1,2,3}
 ARM_B = [21, 22, 23]     # y=4, x in {1,2,3}
@@ -110,6 +110,32 @@ def test_many_sharers_multi_node_is_edge():
     assert len(shared_all) == 1
     assert shared_all[0].kind == "edge"
     assert shared_all[0].nodes.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("dim,n,n_subs", [(2, 9, 7), (3, 5, 6)])
+def test_classification_matches_loop_reference(dim, n, n_subs):
+    # plain-loop references for the level-1 element node lists and the
+    # sharer-set grouping, on greedy partitions with ragged interfaces
+    spec = ProblemSpec(kind="poisson", dim=dim)
+    mesh = generate_box_mesh(dim, n)
+    dofmap = build_dof_map(spec, mesh)
+    grid = level_grid_from_mesh(mesh, spec, dofmap)
+    free_id = {int(nd): i for i, nd in enumerate(dofmap.free_nodes)}
+    elems = [sorted(free_id[int(nd)] for nd in nodes if int(nd) in free_id)
+             for nodes in mesh.elem_nodes]
+    assert [e.tolist() for e in grid.elem_nodes] == elems
+    part = partition_elements(grid, n_subs, method="greedy-graph-growing")
+    sharers = [set() for _ in range(grid.n_nodes)]
+    for e, nodes in enumerate(elems):
+        for nd in nodes:
+            sharers[nd].add(int(part.assignment[e]))
+    groups: dict = {}
+    for nd, subs in enumerate(sharers):
+        if len(subs) >= 2:
+            groups.setdefault(tuple(sorted(subs)), []).append(nd)
+    globs = classify_interface(grid, part).globs
+    assert [(g.sharers, g.nodes.tolist()) for g in globs] == sorted(
+        groups.items(), key=lambda kv: kv[1][0])
 
 
 def test_glob_table(cross2d):

@@ -1,22 +1,21 @@
 """Partitioning: regular blocks, greedy graph growing, pseudo-meshes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mlbddc.errors import ConfigError
-from mlbddc.fem import generate_box_mesh
-from mlbddc.grid import LevelGrid
+from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh
+from mlbddc.grid import LevelGrid, level_grid_from_mesh
 from mlbddc.partition import (
     BALANCE_FACTOR,
-    Partition,
     _block_axis_counts,
     element_adjacency,
     partition_elements,
     partition_greedy,
     partition_regular_blocks,
-    write_partition,
 )
 
 
@@ -162,9 +161,13 @@ def test_single_subdomain():
     assert np.all(part.assignment == 0)
 
 
-def test_write_partition(tmp_path):
-    part = Partition(n_subdomains=2, assignment=np.array([0, 1, 1, 0]),
-                     method="regular-blocks")
-    path = tmp_path / "part.txt"
-    write_partition(part, path)
-    assert path.read_text() == "0 0\n1 1\n2 1\n3 0\n"
+def test_level1_adjacency_runs_through_dirichlet_nodes():
+    # all faces Dirichlet: the level-1 grid drops the boundary nodes, but
+    # greedy growth still sees elements as adjacent through them
+    spec = ProblemSpec(kind="poisson", dim=2)
+    mesh = generate_box_mesh(2, 8)
+    grid = level_grid_from_mesh(mesh, spec, build_dof_map(spec, mesh))
+    part = partition_elements(grid, 6, method="greedy-graph-growing")
+    assert np.array_equal(part.assignment, partition_greedy(raw_grid(2, 8), 6).assignment)
+    free_only = partition_greedy(replace(grid, conn_nodes=None), 6)
+    assert not np.array_equal(part.assignment, free_only.assignment)

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse
 
+from mlbddc import sparse
 from mlbddc.errors import NotPositiveDefiniteError, SingularMatrixError
 from mlbddc.sparse import (
     REFINE_TOL,
@@ -15,7 +15,6 @@ from mlbddc.sparse import (
     factorize,
     sum_elements,
     tridiag_eigenvalues,
-    write_matrix_market,
 )
 
 
@@ -26,7 +25,7 @@ def tridiag_matrix(n):
         if i + 1 < n:
             a[i, i + 1] = -1.0
             a[i + 1, i] = -1.0
-    return SparseMatrix.from_dense(a, symmetric=True)
+    return SparseMatrix.from_scipy(a, symmetric=True)
 
 
 def random_spd(rng, n):
@@ -53,7 +52,7 @@ def test_validate_rejects_bad_offsets_and_indices():
 
 
 def test_validate_rejects_false_symmetric_flag():
-    a = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
+    a = SparseMatrix.from_scipy([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
     with pytest.raises(ValueError):
         a.validate()
 
@@ -69,7 +68,7 @@ def test_matvec_matches_dense_oracle():
     for n in (1, 5, 20):
         dense = rng.standard_normal((n, n))
         dense[np.abs(dense) < 0.8] = 0.0
-        a = SparseMatrix.from_dense(dense)
+        a = SparseMatrix.from_scipy(dense)
         x = rng.standard_normal(n)
         assert np.allclose(a.matvec(x), dense @ x, rtol=0, atol=1e-13)
 
@@ -83,7 +82,7 @@ def test_matvec_dimension_mismatch():
 def test_matvec_is_deterministic():
     rng = np.random.default_rng(11)
     dense = rng.standard_normal((40, 40))
-    a = SparseMatrix.from_dense(dense)
+    a = SparseMatrix.from_scipy(dense)
     x = rng.standard_normal(40)
     y1 = a.matvec(x)
     y2 = a.matvec(x)
@@ -101,14 +100,14 @@ def test_spd_solve_random_oracle():
     rng = np.random.default_rng(3)
     for n in (2, 10, 50):
         dense = random_spd(rng, n)
-        a = SparseMatrix.from_dense(dense, symmetric=True)
+        a = SparseMatrix.from_scipy(dense, symmetric=True)
         b = rng.standard_normal(n)
         x = factorize(a, "spd").solve(b)
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-10)
 
 
 def test_symmetric_indefinite_saddle_example():
-    a = SparseMatrix.from_dense([[2.0, 1.0], [1.0, 0.0]], symmetric=True)
+    a = SparseMatrix.from_scipy([[2.0, 1.0], [1.0, 0.0]], symmetric=True)
     f = factorize(a, "symmetric-indefinite")
     x = f.solve(np.array([0.0, 1.0]))
     assert np.allclose(x, [1.0, -2.0], rtol=0, atol=1e-14)
@@ -124,7 +123,7 @@ def test_symmetric_indefinite_random_saddle_oracle():
         dense[:n, :n] = k
         dense[:n, n:] = c.T
         dense[n:, :n] = c
-        a = SparseMatrix.from_dense(dense, symmetric=True)
+        a = SparseMatrix.from_scipy(dense, symmetric=True)
         b = rng.standard_normal(n + m)
         x = factorize(a, "symmetric-indefinite").solve(b)
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
@@ -133,7 +132,7 @@ def test_symmetric_indefinite_random_saddle_oracle():
 def test_multi_rhs_solve():
     rng = np.random.default_rng(5)
     dense = random_spd(rng, 8)
-    a = SparseMatrix.from_dense(dense, symmetric=True)
+    a = SparseMatrix.from_scipy(dense, symmetric=True)
     b = rng.standard_normal((8, 3))
     x = factorize(a, "spd").solve(b)
     assert x.shape == (8, 3)
@@ -141,7 +140,7 @@ def test_multi_rhs_solve():
 
 
 def test_spd_rejects_indefinite():
-    a = SparseMatrix.from_dense([[1.0, 0.0], [0.0, -1.0]], symmetric=True)
+    a = SparseMatrix.from_scipy([[1.0, 0.0], [0.0, -1.0]], symmetric=True)
     with pytest.raises(NotPositiveDefiniteError):
         factorize(a, "spd")
 
@@ -151,14 +150,14 @@ def test_sparse_spd_path_rejects_indefinite():
     pair = SparseMatrix.from_scipy(
         scipy.sparse.block_diag([[[1.0, 2.0], [2.0, 1.0]]] * 3), symmetric=True)
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block"):
-        factorize(pair, "spd", dense_threshold=0, offsets=[0, 2, 4, 6])
+        factorize(pair, "spd", offsets=[0, 2, 4, 6])
     rng = np.random.default_rng(37)
     blocks = [random_spd(rng, 3 + j) for j in range(6)]
     blocks[3] = -blocks[3]
     a = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
     offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in blocks])])
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block 3$"):
-        factorize(a, "spd", dense_threshold=0, offsets=offsets)
+        factorize(a, "spd", offsets=offsets)
 
 
 def test_block_residual_check_holds_every_block():
@@ -187,16 +186,16 @@ def test_block_offsets_must_span_the_matrix():
 
 
 def test_singular_matrix_raises():
-    a = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
+    a = SparseMatrix.from_scipy([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
     with pytest.raises(SingularMatrixError):
         factorize(a, "symmetric-indefinite")
 
 
 def test_factorize_rejects_nonsquare_and_nonsymmetric():
     with pytest.raises(ValueError):
-        factorize(SparseMatrix.from_dense(np.ones((2, 3))))
+        factorize(SparseMatrix.from_scipy(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        factorize(SparseMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]]))
+        factorize(SparseMatrix.from_scipy([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_solve_dimension_mismatch():
@@ -206,18 +205,19 @@ def test_solve_dimension_mismatch():
 
 
 def test_empty_matrix_factorization():
-    a = SparseMatrix.from_dense(np.zeros((0, 0)), symmetric=True)
+    a = SparseMatrix.from_scipy(np.zeros((0, 0)), symmetric=True)
     f = factorize(a, "spd")
     x = f.solve(np.zeros(0))
     assert x.shape == (0,)
 
 
-def test_splu_path_above_threshold():
+def test_splu_path_above_threshold(monkeypatch):
     # force the sparse path with a tiny threshold
+    monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 4)
     rng = np.random.default_rng(17)
     dense = random_spd(rng, 30)
-    a = SparseMatrix.from_dense(dense, symmetric=True)
-    f = factorize(a, "spd", dense_threshold=4)
+    a = SparseMatrix.from_scipy(dense, symmetric=True)
+    f = factorize(a, "spd")
     assert f.method == "splu"
     b = rng.standard_normal(30)
     assert np.allclose(f.solve(b), np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
@@ -227,7 +227,7 @@ def test_solve_residual_contract():
     # the refinement contract: relative residual at or below 1e-10
     rng = np.random.default_rng(23)
     dense = random_spd(rng, 40)
-    a = SparseMatrix.from_dense(dense, symmetric=True)
+    a = SparseMatrix.from_scipy(dense, symmetric=True)
     f = factorize(a, "spd")
     b = rng.standard_normal(40)
     x = f.solve(b)
@@ -237,7 +237,7 @@ def test_solve_residual_contract():
 def test_extract_submatrix():
     rng = np.random.default_rng(29)
     dense = rng.standard_normal((7, 7))
-    a = SparseMatrix.from_dense(dense)
+    a = SparseMatrix.from_scipy(dense)
     rows = np.array([1, 3, 4])
     cols = np.array([0, 2, 5, 6])
     sub = a.extract(rows, cols)
@@ -269,24 +269,6 @@ def test_tridiag_eigenvalues_bad_input():
         tridiag_eigenvalues([], [])
     with pytest.raises(ValueError):
         tridiag_eigenvalues([1.0, 2.0], [1.0, 1.0])
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    a = tridiag_matrix(4)
-    path = tmp_path / "k.mtx"
-    write_matrix_market(a, path, comment="test dump")
-    back = scipy.io.mmread(str(path))
-    assert np.allclose(np.asarray(back.todense()), a.to_dense(), rtol=0, atol=0)
-    header = path.read_text().splitlines()[0]
-    assert "symmetric" in header
-
-
-def test_matrix_market_general(tmp_path):
-    a = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
-    path = tmp_path / "g.mtx"
-    write_matrix_market(a, path)
-    back = scipy.io.mmread(str(path))
-    assert np.allclose(np.asarray(back.todense()), a.to_dense(), rtol=0, atol=0)
 
 
 def test_sum_elements_drops_negative_ids_and_numbers_ascending():

@@ -21,8 +21,8 @@ from mlbddc.substructuring import (
 
 
 def chain_splits():
-    k1 = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 1.0]], symmetric=True)
-    k2 = SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 2.0]], symmetric=True)
+    k1 = SparseMatrix.from_scipy([[2.0, -1.0], [-1.0, 1.0]], symmetric=True)
+    k2 = SparseMatrix.from_scipy([[1.0, -1.0], [-1.0, 2.0]], symmetric=True)
     return build_splits([k1, k2], [np.array([0, 1]), np.array([1, 2])], np.array([1]))
 
 
@@ -118,7 +118,7 @@ def test_workers_key_starts_no_threads(monkeypatch):
 
 
 def test_split_errors():
-    k = SparseMatrix.from_dense([[1.0]], symmetric=True)
+    k = SparseMatrix.from_scipy([[1.0]], symmetric=True)
     with pytest.raises(ValueError, match="sorted"):
         build_splits([k], [np.array([0])], np.array([2, 1]))
     with pytest.raises(ValueError, match="more than one"):
