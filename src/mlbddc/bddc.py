@@ -37,7 +37,7 @@ from .interface import (
     select_corners,
 )
 from .partition import Partition, build_pseudomesh, partition_elements
-from .sparse import Factorization, SparseMatrix, factorize, sum_elements
+from .sparse import Factorization, SparseMatrix, factorize, probe_rhs, sum_elements
 from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, build_splits,
                              condensed_rhs, recover_interior)
 
@@ -114,18 +114,23 @@ def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix):
     Returns (bordered_factorization, psi, coarse_matrix): psi solves the
     constrained minimization with unit constraint values, and the coarse
     matrix is the negated multiplier block (= psi^T K psi), symmetrized.
+    The basis solve carries the factor's setup check as one extra column,
+    the check probe, and only that column's residual is checked; an
+    inaccurate factor raises NumericalError.
     """
     n = split.n_local
     nc = cmat.n_constraints
     c = scipy.sparse.csr_matrix(cmat.rows)
     bordered = SparseMatrix.from_scipy(
         scipy.sparse.bmat([[split.k_local.scipy_csr(), c.T], [c, None]]), symmetric=True)
-    fact = factorize(bordered, "symmetric-indefinite")
-    rhs = np.zeros((n + nc, nc))
-    rhs[n:] = np.eye(nc)
-    sol = fact.solve(rhs) if nc else np.zeros((n, 0))
-    psi = sol[:n]
-    kc = -sol[n:]
+    fact = factorize(bordered, "symmetric-indefinite", probe=False)
+    rhs = np.zeros((n + nc, nc + 1))
+    rhs[n:, :nc] = np.eye(nc)
+    rhs[:, nc] = probe_rhs(n + nc)
+    sol = fact.solve(rhs)
+    fact.check(sol[:, nc])
+    psi = sol[:n, :nc].copy(order="F")    # frees the probe column and multiplier rows
+    kc = -sol[n:, :nc]
     kc = (kc + kc.T) / 2.0
     return fact, psi, kc
 
@@ -237,10 +242,12 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
         cmat = build_constraints(i, coarse, globset, split, grid)
         try:
             fact, psi, kc = coarse_basis(split, cmat)
-        except SingularMatrixError as exc:
+        except NumericalError as exc:
+            what = ("singular" if isinstance(exc, SingularMatrixError)
+                    else "too ill-conditioned to solve accurately")
             raise NumericalError(
                 f"level {index}, subdomain {i}: constrained local problem is "
-                f"singular ({cmat.n_constraints} constraints on "
+                f"{what} ({cmat.n_constraints} constraints on "
                 f"{split.n_local} dofs); the constraint set is too weak"
             ) from exc
         subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
@@ -281,8 +288,9 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
                             [sub.coarse_dofs for sub in last.subs])
     try:
         top = factorize(k_top, "spd")
-    except (SingularMatrixError, NumericalError) as exc:
+    except NumericalError as exc:
         raise NumericalError(
             f"final coarse matrix ({k_top.n_rows} dofs) is not positive "
-            f"definite; the constraint set is too weak") from exc
+            f"definite or too ill-conditioned to solve accurately; the "
+            f"constraint set is too weak") from exc
     return MultilevelBddc(levels=levels, top=top)

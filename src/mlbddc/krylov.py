@@ -45,7 +45,8 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     tol and reports converged only if the true residual meets it too.
     Raises NumericalError when a search direction has non-positive energy,
     which means the operator (or the preconditioner) is not positive
-    definite.
+    definite, and when a residual has non-positive preconditioned energy
+    r^T M r, which means the preconditioner is not.
     """
     apply_m = apply_m or _identity
     b = np.asarray(b, dtype=np.float64)
@@ -57,7 +58,7 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     r = b.copy()
     z = apply_m(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _preconditioned_energy(r, z, 0)
     history = [1.0]
     alphas: list = []
     betas: list = []
@@ -84,7 +85,7 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
             converged = float(np.linalg.norm(b - apply_a(x))) / bnorm < tol
             break
         z = apply_m(r)
-        rz_new = float(r @ z)
+        rz_new = _preconditioned_energy(r, z, k)
         beta = rz_new / rz
         betas.append(beta)
         rz = rz_new
@@ -93,6 +94,17 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     return x, SolveReport(converged=converged, iterations=k,
                           relative_residuals=history,
                           condition_estimate=kappa)
+
+
+def _preconditioned_energy(r: np.ndarray, z: np.ndarray, k: int) -> float:
+    """r^T z for z = M r; raises NumericalError unless it is positive."""
+    rz = float(r @ z)
+    if not rz > 0.0:
+        where = f"after iteration {k}" if k else "on the initial residual"
+        raise NumericalError(
+            f"non-positive r^T M r = {rz:.3e} {where}; the preconditioner "
+            f"is not positive definite")
+    return rz
 
 
 def _lanczos_condition(alphas, betas) -> float | None:

@@ -7,7 +7,10 @@ Factorizations go dense below a size threshold (Cholesky for SPD,
 Bunch-Kaufman sytrf for symmetric indefinite) and through SuperLU above
 it; both paths reject non-SPD input to an SPD factorization. A
 block-diagonal matrix, such as the stacked interior blocks of all
-subdomains of a level, is factorized once as a whole.
+subdomains of a level, is factorized once as a whole. Each factor's
+accuracy is checked once, right after it is made, by solving a fixed probe
+right-hand side and checking the residual of every diagonal block; its
+later solves are plain factor solves with no residual check.
 """
 
 from __future__ import annotations
@@ -25,9 +28,15 @@ from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixErro
 # Above this order, factorizations switch from dense LAPACK to SuperLU.
 DENSE_THRESHOLD = 2000
 
-# A factor-solve whose relative residual exceeds this gets one step of
-# iterative refinement.
+# A factor passes its setup check when its solve of probe_rhs(n) leaves a
+# relative residual at or below this in every diagonal block.
 REFINE_TOL = 1e-10
+
+
+def probe_rhs(n: int) -> np.ndarray:
+    """The fixed right-hand side of the setup check: every entry is nonzero,
+    so every diagonal block has a nonzero right-hand side of its own."""
+    return np.cos(np.arange(n)) + 1.5
 
 
 @dataclass
@@ -197,31 +206,31 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for one rhs vector or a block of rhs columns.
 
-        The residual is checked per diagonal block and per column, so a
-        block with a small right-hand side is held to its own relative
-        tolerance; every block and column whose relative residual comes
-        back above REFINE_TOL gets one iterative-refinement step.
+        A plain factor solve: the factor's accuracy was checked once when it
+        was made (see `check`), so no residual is computed here.
         """
         b = np.asarray(b, dtype=np.float64)
-        single = b.ndim == 1
         if b.shape[0] != self.n:
             raise ValueError(f"rhs length {b.shape[0]} != matrix order {self.n}")
         if self.n == 0:
             return b.copy()
-        bb = b.reshape(self.n, -1)
-        x = self._raw_solve(bb)
-        r = bb - self.matrix.scipy_csr() @ x
-        sizes = np.diff(self.offsets)
-        starts = self.offsets[:-1][sizes > 0]
-        bnorm = np.sqrt(np.add.reduceat(bb * bb, starts, axis=0))
-        rnorm = np.sqrt(np.add.reduceat(r * r, starts, axis=0))
-        bad = rnorm > REFINE_TOL * np.where(bnorm > 0, bnorm, 1.0)
-        if np.any(bad):
-            # the blocks do not couple: a zeroed residual block changes nothing
-            r[~np.repeat(bad, sizes[sizes > 0], axis=0)] = 0.0
-            cols = bad.any(axis=0)
-            x[:, cols] += self._raw_solve(r[:, cols])
-        return x[:, 0] if single else x.reshape(b.shape)
+        return self._raw_solve(b)
+
+    def check(self, x: np.ndarray) -> None:
+        """The setup check: x is this factor's solve of probe_rhs(n). Raises
+        NumericalError unless the relative residual of every diagonal block
+        is at or below REFINE_TOL, so each block is held to its own
+        tolerance however large the others are."""
+        b = probe_rhs(self.n)
+        r = b - self.matrix.scipy_csr() @ x
+        starts = self.offsets[:-1][np.diff(self.offsets) > 0]
+        rel = np.sqrt(np.add.reduceat(r * r, starts) / np.add.reduceat(b * b, starts))
+        bad = np.nonzero(~(rel <= REFINE_TOL))[0]    # a NaN fails too
+        if bad.size:
+            j = int(np.searchsorted(self.offsets, starts[bad[0]], side="right")) - 1
+            raise NumericalError(
+                f"factor solve is inaccurate in diagonal block {j}: relative "
+                f"residual {rel[bad[0]]:.1e} on the check probe, above {REFINE_TOL:.0e}")
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":
@@ -237,7 +246,8 @@ class Factorization:
         raise NumericalError(f"unknown factorization method {self.method!r}")
 
 
-def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None) -> Factorization:
+def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
+              probe: bool = True) -> Factorization:
     """Factorize a symmetric matrix for repeated solves.
 
     kind="spd" expects positive definiteness and raises
@@ -246,7 +256,12 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None) -> Factorizat
     nonsingular symmetric matrix. Exactly singular input raises
     SingularMatrixError. `offsets` bounds the blocks of a block-diagonal
     `a` (default: one block); several blocks go to SuperLU as one matrix,
-    and they scope the residual check in `solve` and the error messages.
+    and they scope the setup check and the error messages.
+
+    The new factor solves probe_rhs(n) and passes the solution to
+    `Factorization.check`, which raises NumericalError naming an inaccurate
+    block. probe=False leaves that check to a caller that folds the probe
+    into a solve of its own (`bddc.coarse_basis`).
     """
     if kind not in (KIND_SPD, KIND_SYMMETRIC_INDEFINITE):
         raise ValueError(f"unknown factorization kind {kind!r}")
@@ -262,8 +277,11 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None) -> Factorizat
         raise ValueError(f"block offsets must rise from 0 to the order {n}")
 
     def made(method, payload):
-        return Factorization(kind=kind, n=n, method=method, matrix=a,
+        fact = Factorization(kind=kind, n=n, method=method, matrix=a,
                              offsets=offsets, _payload=payload)
+        if probe and n:
+            fact.check(fact.solve(probe_rhs(n)))
+        return fact
 
     if n == 0:
         return made("empty", None)

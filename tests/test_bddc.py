@@ -22,7 +22,7 @@ from mlbddc.bddc import (
 )
 from mlbddc.errors import NumericalError, SingularMatrixError
 from mlbddc.fem import ProblemSpec
-from mlbddc.sparse import SparseMatrix
+from mlbddc.sparse import Factorization, SparseMatrix
 from mlbddc.substructuring import build_splits
 from test_substructuring import dense_schur_parts
 
@@ -184,6 +184,40 @@ def test_three_level_apply(cross2d):
     b = r2 @ m.apply(r1)
     assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
     assert r1 @ m.apply(r1) > 0
+
+
+def test_apply_runs_plain_factor_solves(cross2d, monkeypatch):
+    # every factor was checked once at setup: inside the apply, each solve is
+    # one factor solve that reads no matrix (no per-solve residual check)
+    m = make_bddc(cross2d, coarse_counts=(2,))
+    assert m.n_levels == 3
+    calls = {"solve": 0, "raw": 0, "csr_in_solve": 0}
+    inside = [0]
+    solve, raw, csr = Factorization.solve, Factorization._raw_solve, SparseMatrix.scipy_csr
+
+    def counted_solve(self, b):
+        calls["solve"] += 1
+        inside[0] += 1
+        try:
+            return solve(self, b)
+        finally:
+            inside[0] -= 1
+
+    def counted_raw(self, b):
+        calls["raw"] += 1
+        return raw(self, b)
+
+    def counted_csr(self):
+        calls["csr_in_solve"] += inside[0] > 0
+        return csr(self)
+
+    monkeypatch.setattr(Factorization, "solve", counted_solve)
+    monkeypatch.setattr(Factorization, "_raw_solve", counted_raw)
+    monkeypatch.setattr(SparseMatrix, "scipy_csr", counted_csr)
+    m.apply(np.random.default_rng(5).standard_normal(cross2d.imap.n))
+    assert calls["solve"] > sum(len(lv.subs) for lv in m.levels)
+    assert calls["raw"] == calls["solve"]
+    assert calls["csr_in_solve"] == 0
 
 
 def test_degenerate_middle_level_collapses(cross2d):

@@ -1,5 +1,10 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mlbddc.cli import main
@@ -154,3 +159,29 @@ def test_solve_bad_mesh_size_is_config_error(capsys, setting):
     code, _, err = run_cli(capsys, "solve", "--set", setting, "--hierarchy", "4")
     assert code == EXIT_CONFIG
     assert "error:" in err
+
+
+@pytest.mark.parametrize("elements", [8, 16])
+def test_solve_weak_coarse_space_names_the_subdomain(capsys, elements):
+    # corner values alone do not control the rigid-body modes of the 2D
+    # elasticity subdomains here: the constrained local problems fail their
+    # setup check (elements=8 used to crash on NaNs, elements=16 used to
+    # "converge" with condition estimate ~4.5e14)
+    code, _, err = run_cli(capsys, "solve", "--set", "problem=elasticity",
+                           "--set", "dim=2", "--set", "dirichlet_faces=x-",
+                           "--set", "constraint_policy=corners-only",
+                           "--set", "corner_strategy=vertices-only",
+                           "--set", "hierarchy=16", "--set", f"elements={elements}")
+    assert code == EXIT_NUMERICAL
+    assert "level 1, subdomain" in err
+    assert "constraint set is too weak" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "mlbddc", "solve", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout

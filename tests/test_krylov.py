@@ -87,6 +87,20 @@ def test_indefinite_operator_raises():
         pcg(dense_op(-np.eye(2)), np.array([1.0, 0.0]))
 
 
+def test_negative_preconditioner_raises():
+    diag = np.array([1.0, 2.0, 5.0, 10.0])
+    with pytest.raises(NumericalError, match="on the initial residual"):
+        pcg(lambda v: diag * v, np.ones(4), apply_m=lambda r: -r)
+
+
+def test_indefinite_preconditioner_raises_mid_iteration():
+    # r0^T M r0 > 0, but a later residual has negative preconditioned energy
+    diag = np.array([1.0, 2.0, 5.0, 10.0])
+    m = np.array([1.0, -0.5, 1.0, 1.0])
+    with pytest.raises(NumericalError, match="after iteration 2"):
+        pcg(lambda v: diag * v, np.ones(4), apply_m=lambda r: m * r)
+
+
 def test_non_convergence_reported():
     diag = np.logspace(0, 6, 40)
     _, rep = pcg(lambda v: diag * v, np.ones(40), tol=1e-14, max_iterations=5)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 
 from mlbddc import sparse
-from mlbddc.errors import NotPositiveDefiniteError, SingularMatrixError
+from mlbddc.errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 from mlbddc.sparse import (
     REFINE_TOL,
     Factorization,
@@ -160,24 +160,50 @@ def test_sparse_spd_path_rejects_indefinite():
         factorize(a, "spd", offsets=offsets)
 
 
+def stacked_blocks(rng, sizes, perturbed=None, by=0.0):
+    """Block-diagonal SPD matrix; block `perturbed` scaled by 1 + by."""
+    blocks = [random_spd(rng, m) for m in sizes]
+    if perturbed is not None:
+        blocks[perturbed] = blocks[perturbed] * (1.0 + by)
+    a = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
+    return a, np.concatenate([[0], np.cumsum(sizes)])
+
+
 def test_block_residual_check_holds_every_block():
-    # the factor of a matrix perturbed by 1e-6 in block 1 only stands in for
-    # a factor that is inaccurate in one block; that block's rhs is 1e-12
-    # times the others, so the stacked norm would hide its residual
-    rng = np.random.default_rng(41)
-    blocks = [random_spd(rng, 6) for _ in range(4)]
-    off = list(blocks)
-    off[1] = blocks[1] * (1.0 + 1e-6)
-    a, a_off = (SparseMatrix.from_scipy(scipy.sparse.block_diag(bl), symmetric=True)
-                for bl in (blocks, off))
-    offsets = np.arange(0, 25, 6)
-    b = rng.standard_normal((24, 2))
-    b[6:12] *= 1e-12
-    x = replace(factorize(a_off, "spd", offsets=offsets), matrix=a).solve(b)
-    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        r = b[lo:hi] - blocks[j] @ x[lo:hi]
-        assert np.all(np.linalg.norm(r, axis=0)
-                      <= REFINE_TOL * np.linalg.norm(b[lo:hi], axis=0))
+    # the factor of a matrix perturbed by 1e-9 in block 1 only stands in for
+    # a factor that is inaccurate in one block: on the check probe that
+    # block's own relative residual is 1e-9, but block 1 is small among
+    # large ones, so the stacked relative residual stays below REFINE_TOL
+    sizes = [200, 2, 200, 200]
+    a, offsets = stacked_blocks(np.random.default_rng(41), sizes)
+    a_off, _ = stacked_blocks(np.random.default_rng(41), sizes, perturbed=1, by=1e-9)
+    f = replace(factorize(a_off, "spd", offsets=offsets, probe=False), matrix=a)
+    b = sparse.probe_rhs(a.n_rows)
+    x = f.solve(b)
+    r = b - a.to_dense() @ x
+    assert np.linalg.norm(r) < REFINE_TOL * np.linalg.norm(b)
+    assert np.linalg.norm(r[200:202]) > REFINE_TOL * np.linalg.norm(b[200:202])
+    with pytest.raises(NumericalError, match="diagonal block 1:"):
+        f.check(x)
+    # the exact factor passes the same check
+    exact = factorize(a, "spd", offsets=offsets)
+    exact.check(exact.solve(b))
+
+
+def test_factorize_runs_the_setup_check(monkeypatch):
+    # a factor whose solves are off by 1e-9 relative in block 2 only
+    a, offsets = stacked_blocks(np.random.default_rng(43), [50, 50, 3, 50])
+    raw = Factorization._raw_solve
+
+    def skewed(self, b):
+        x = raw(self, b)
+        x[100:103] *= 1.0 + 1e-9
+        return x
+
+    monkeypatch.setattr(Factorization, "_raw_solve", skewed)
+    with pytest.raises(NumericalError, match="diagonal block 2:"):
+        factorize(a, "spd", offsets=offsets)
+    factorize(a, "spd", offsets=offsets, probe=False)
 
 
 def test_block_offsets_must_span_the_matrix():
@@ -224,7 +250,8 @@ def test_splu_path_above_threshold(monkeypatch):
 
 
 def test_solve_residual_contract():
-    # the refinement contract: relative residual at or below 1e-10
+    # a factor that passed its setup check solves other right-hand sides to
+    # the same relative residual, with no per-solve check or refinement
     rng = np.random.default_rng(23)
     dense = random_spd(rng, 40)
     a = SparseMatrix.from_scipy(dense, symmetric=True)
