@@ -39,7 +39,7 @@ from .interface import (
 from .partition import Partition, build_pseudomesh, partition_elements
 from .sparse import Factorization, SparseMatrix, factorize, probe_rhs, sum_elements
 from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, build_splits,
-                             condensed_rhs, recover_interior)
+                             condensed_rhs, recover_interior, subdomain_keys)
 
 
 @dataclass
@@ -55,35 +55,28 @@ class ConstraintMatrix:
         return self.rows.shape[0]
 
 
-def build_constraints(sub: int, coarse: CoarseSpace, globset, split: SubdomainSplit,
-                      grid: LevelGrid) -> ConstraintMatrix:
+def build_constraints(sub: int, coarse: CoarseSpace, globset,
+                      split: SubdomainSplit) -> ConstraintMatrix:
     """Constraint rows for one subdomain, ordered like its coarse dofs
     (coarse nodes ascending, components fastest)."""
     dpn = coarse.dofs_per_node
-    local_of = np.full(grid.n_dofs, -1, dtype=np.int64)
-    local_of[split.local_dofs] = np.arange(split.n_local)
-    rows = []
-    tags = []
+    members, tags = [], []
     for cn in coarse.sub_nodes[sub]:
-        cn = int(cn)
         if cn < coarse.n_corners:
-            node = int(coarse.corner_nodes[cn])
-            members = np.array([node], dtype=np.int64)
-            tag = "corner"
+            members.append(coarse.corner_nodes[cn:cn + 1])
+            tags += ["corner"] * dpn
         else:
             j = cn - coarse.n_corners
-            members = coarse.glob_members[j]
-            tag = globset.globs[coarse.glob_ids[j]].kind
-        for comp in range(dpn):
-            row = np.zeros(split.n_local)
-            pos = local_of[members * dpn + comp]
-            if np.any(pos < 0):
-                raise ValueError(
-                    f"subdomain {sub}: constraint node outside the subdomain")
-            row[pos] = 1.0 / members.size
-            rows.append(row)
-            tags.append(tag)
-    rows = np.array(rows) if rows else np.zeros((0, split.n_local))
+            members.append(coarse.glob_members[j])
+            tags += [globset.globs[coarse.glob_ids[j]].kind] * dpn
+    sizes = np.array([m.size for m in members], dtype=np.int64)
+    node = np.repeat(np.arange(sizes.size), sizes)      # coarse node of each member
+    dofs = np.concatenate([np.zeros(0, np.int64), *members])[:, None] * dpn + np.arange(dpn)
+    pos = np.searchsorted(split.local_dofs, dofs)
+    if np.any(pos >= split.n_local) or np.any(split.local_dofs[pos] != dofs):
+        raise ValueError(f"subdomain {sub}: constraint node outside the subdomain")
+    rows = np.zeros((sizes.size * dpn, split.n_local))
+    rows[node[:, None] * dpn + np.arange(dpn), pos] = (1.0 / sizes[node])[:, None]
     return ConstraintMatrix(rows=rows, tags=tags)
 
 
@@ -108,8 +101,9 @@ class SubdomainCoarse:
         return sol[:n], sol[n:]
 
 
-def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix):
-    """Factorize the bordered matrix and compute the coarse basis.
+def coarse_basis(k_local, cmat: ConstraintMatrix):
+    """Factorize the bordered matrix of a subdomain's matrix k_local (scipy
+    sparse) and compute the coarse basis.
 
     Returns (bordered_factorization, psi, coarse_matrix): psi solves the
     constrained minimization with unit constraint values, and the coarse
@@ -118,11 +112,11 @@ def coarse_basis(split: SubdomainSplit, cmat: ConstraintMatrix):
     the check probe, and only that column's residual is checked; an
     inaccurate factor raises NumericalError.
     """
-    n = split.n_local
+    n = k_local.shape[0]
     nc = cmat.n_constraints
     c = scipy.sparse.csr_matrix(cmat.rows)
     bordered = SparseMatrix.from_scipy(
-        scipy.sparse.bmat([[split.k_local.scipy_csr(), c.T], [c, None]]), symmetric=True)
+        scipy.sparse.bmat([[k_local, c.T], [c, None]]), symmetric=True)
     fact = factorize(bordered, "symmetric-indefinite", probe=False)
     rhs = np.zeros((n + nc, nc + 1))
     rhs[n:, :nc] = np.eye(nc)
@@ -223,25 +217,28 @@ def assemble_coarse(k_elems, dof_lists) -> SparseMatrix:
     return sum_elements([(kc, np.asarray(d)[None]) for kc, d in zip(k_elems, dof_lists)])[0]
 
 
-def subassemble_coarse(k_elems, dof_lists, elements):
-    """Assemble a subdomain of the pseudo-mesh from coarse element
-    matrices. Returns (K_j, local_to_global)."""
-    return sum_elements([(k_elems[e], np.asarray(dof_lists[e])[None]) for e in elements])
+def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
+    """Assemble every subdomain of the pseudo-mesh from its coarse element
+    matrices in one call, over `subdomain_keys` of the coarse dofs. Returns
+    (K, keys), laid out like `fem.subassemble_subdomain`'s."""
+    return sum_elements([(kc, subdomain_keys(s, d, n_dofs)[None])
+                         for kc, d, s in zip(k_elems, dof_lists, partition.assignment)])
 
 
-def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
+def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, keys,
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(k_list, ltg_list, iface)
+    splits, imap = build_splits(k, keys, iface, grid.n_dofs)
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
-    subs = []
+    subs, lo = [], 0
     for i, split in enumerate(splits):
-        cmat = build_constraints(i, coarse, globset, split, grid)
+        cmat = build_constraints(i, coarse, globset, split)
+        hi = lo + split.n_local
         try:
-            fact, psi, kc = coarse_basis(split, cmat)
+            fact, psi, kc = coarse_basis(k.scipy_csr()[lo:hi, lo:hi], cmat)
         except NumericalError as exc:
             what = ("singular" if isinstance(exc, SingularMatrixError)
                     else "too ill-conditioned to solve accurately")
@@ -252,15 +249,18 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k_list, ltg_list,
             ) from exc
         subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
                                     coarse_matrix=kc, coarse_dofs=coarse.sub_dofs(i)))
+        lo = hi
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, subs=subs)
 
 
-def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
+def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
                coarse_counts=(), *, constraint_policy: str = "corners+edges+faces",
                corner_strategy: str = "default", weight_scheme: str = "cardinality",
                partition_method: str = "auto") -> MultilevelBddc:
-    """Build the full level hierarchy.
+    """Build the full level hierarchy from the level-1 subdomain matrices:
+    k is block-diagonal over the subdomains of `partition` and keys numbers
+    its rows, as `fem.subassemble_subdomain` returns them.
 
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
     two-level method); the final coarse problem is always factorized
@@ -271,15 +271,12 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
     for depth, count in enumerate([None, *coarse_counts]):
         if depth > 0:
             prev = levels[-1]
-            grid_l = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
-            part_l = partition_elements(grid_l, count, method=partition_method)
-            k_elems = [sub.coarse_matrix for sub in prev.subs]
-            dof_lists = [sub.coarse_dofs for sub in prev.subs]
-            k_l, ltg_l = zip(*(subassemble_coarse(k_elems, dof_lists, part_l.elements_of(j))
-                               for j in range(count)))
-        else:
-            grid_l, part_l, k_l, ltg_l = grid, partition, k_list, ltg_list
-        levels.append(_build_level(depth + 1, grid_l, part_l, k_l, ltg_l,
+            grid = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
+            partition = partition_elements(grid, count, method=partition_method)
+            k, keys = subassemble_coarse([sub.coarse_matrix for sub in prev.subs],
+                                         [sub.coarse_dofs for sub in prev.subs],
+                                         partition, grid.n_dofs)
+        levels.append(_build_level(depth + 1, grid, partition, k, keys,
                                    constraint_policy, corner_strategy,
                                    weight_scheme))
 
@@ -290,7 +287,7 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k_list, ltg_list,
         top = factorize(k_top, "spd")
     except NumericalError as exc:
         raise NumericalError(
-            f"final coarse matrix ({k_top.n_rows} dofs) is not positive "
+            f"final coarse matrix ({k_top.shape[0]} dofs) is not positive "
             f"definite or too ill-conditioned to solve accurately; the "
             f"constraint set is too weak") from exc
     return MultilevelBddc(levels=levels, top=top)

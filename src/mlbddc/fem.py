@@ -4,7 +4,9 @@ Meshes are tensor grids of bilinear quads (2D) or trilinear hexes (3D) with
 lexicographic node numbering, x fastest. Element integrals use 2-point Gauss
 per axis, exact for the affine boxes these grids produce. Dirichlet
 conditions are eliminated symmetrically: fixed dofs disappear from the
-assembled operator and their values move to the right-hand side.
+assembled operator and their values move to the right-hand side. The
+subdomain matrices of a partition are assembled in one call, as one
+block-diagonal matrix whose rows are keyed by (subdomain, free dof).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .sparse import sum_elements
+from .substructuring import subdomain_keys
 
 BOX_FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
@@ -348,17 +351,18 @@ def assemble_global(spec: ProblemSpec, mesh: Mesh):
     return k, f
 
 
-def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, elements):
-    """Assemble one subdomain's stiffness over its free dofs.
+def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partition):
+    """Assemble every subdomain's stiffness over its free dofs in one call.
 
-    Returns (K_i, local_to_global) where local_to_global maps local dof
-    indices to global free-dof indices, ascending.
+    Element dofs are keyed by `substructuring.subdomain_keys`, so K is
+    block-diagonal with one block per subdomain of the element partition,
+    in subdomain order. Returns (K, keys): row j of K is free dof
+    keys[j] % n_free of subdomain keys[j] // n_free, and keys ascend.
     """
-    elements = np.asarray(elements, dtype=np.int64)
-    if elements.size == 0:
-        raise ValueError("empty element set for subassembly")
-    ed = _element_dofs(spec, mesh, elements)
-    return sum_elements([(element_matrix(spec, mesh), dofmap.full_to_free[ed])])
+    partition.validate()
+    free = dofmap.full_to_free[_element_dofs(spec, mesh, np.arange(mesh.n_elems))]
+    keys = subdomain_keys(partition.assignment[:, None], free, dofmap.n_free)
+    return sum_elements([(element_matrix(spec, mesh), keys)])
 
 
 # -- VTK export ---------------------------------------------------------------

@@ -263,13 +263,8 @@ def run_experiment(config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     counts, spec, mesh, dofmap, grid, part = _partitioned_mesh(config)
     f = assemble_global(spec, mesh)[1]
-    k_list, ltg_list = [], []
-    for s in range(counts[0]):
-        k_i, ltg = subassemble_subdomain(spec, mesh, dofmap, part.elements_of(s))
-        k_list.append(k_i)
-        ltg_list.append(ltg)
-    prec = setup_bddc(grid, part, k_list, ltg_list, counts[1:],
-                      constraint_policy=config.constraint_policy,
+    prec = setup_bddc(grid, part, *subassemble_subdomain(spec, mesh, dofmap, part),
+                      counts[1:], constraint_policy=config.constraint_policy,
                       corner_strategy=config.corner_strategy,
                       weight_scheme=config.weight_scheme)
     t1 = time.perf_counter()

@@ -4,11 +4,11 @@ and BiCGstab for the unsymmetric / sanity-check path.
 CG accumulates the Lanczos tridiagonal from its own alpha/beta recurrence
 (diagonal 1/a_k + b_{k-1}/a_{k-1}, off-diagonal sqrt(b_k)/a_k), so the
 condition estimate of the preconditioned operator costs one small
-eigenvalue solve after the iteration. Convergence is declared on the
-unpreconditioned relative residual: once the recursive residual meets the
-tolerance, the true residual b - A x is computed and must meet it too.
-Every TRUE_RESIDUAL_EVERY steps the recursive residual is replaced by the
-exact one to stop drift.
+eigenvalue solve after the iteration. Both drivers declare convergence on
+the unpreconditioned relative residual: once the recursive residual (for
+BiCGstab, the preconditioned one) meets the tolerance, the true residual
+b - A x is computed and must meet it too. In CG, every TRUE_RESIDUAL_EVERY
+steps the recursive residual is replaced by the exact one to stop drift.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError
-from .sparse import tridiag_eigenvalues
 
 BREAKDOWN_EPS = 1e-30
 TRUE_RESIDUAL_EVERY = 50
@@ -118,7 +118,7 @@ def _lanczos_condition(alphas, betas) -> float | None:
     for k in range(1, m):
         diag[k] = 1.0 / alphas[k] + betas[k - 1] / alphas[k - 1]
     off = np.array([np.sqrt(betas[k]) / alphas[k] for k in range(m - 1)])
-    eigs = tridiag_eigenvalues(diag, off)
+    eigs = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
         return float("inf")
@@ -129,9 +129,11 @@ def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
              max_iterations: int = 1000):
     """Left-preconditioned BiCGstab on M A x = M b, starting from zero.
 
-    Convergence is declared on the preconditioned relative residual. Exact
-    breakdowns surface as breakdown_reason with converged False rather
-    than an exception: the caller decides whether that is fatal.
+    The iteration tracks the preconditioned relative residual. Once that
+    meets tol, the true residual b - A x is computed, and the run reports
+    converged only if it meets tol too; otherwise it keeps iterating.
+    Exact breakdowns surface as breakdown_reason with converged False
+    rather than an exception: the caller decides whether that is fatal.
     """
     apply_m = apply_m or _identity
     b = np.asarray(b, dtype=np.float64)
@@ -141,6 +143,11 @@ def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     if bnorm == 0.0:
         return x, SolveReport(converged=True, iterations=0,
                               relative_residuals=[0.0])
+    b_true = float(np.linalg.norm(b))
+
+    def meets_tol(y):
+        return float(np.linalg.norm(b - apply_a(y))) / b_true < tol
+
     r_shadow = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
@@ -164,10 +171,11 @@ def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
             break
         alpha = rho / denom
         s = r - alpha * v
-        if float(np.linalg.norm(s)) / bnorm < tol:
+        rel = float(np.linalg.norm(s)) / bnorm
+        if rel < tol and meets_tol(x + alpha * p):
             x += alpha * p
             k += 1
-            history.append(float(np.linalg.norm(s)) / bnorm)
+            history.append(rel)
             converged = True
             break
         t = apply_m(apply_a(s))
@@ -181,7 +189,7 @@ def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
         k += 1
         rel = float(np.linalg.norm(r)) / bnorm
         history.append(rel)
-        if rel < tol:
+        if rel < tol and meets_tol(x):
             converged = True
             break
         if abs(omega) < BREAKDOWN_EPS:

@@ -78,26 +78,15 @@ def _block_axis_counts(shape, n_subdomains):
     return None if best is None else best[1]
 
 
-def partition_regular_blocks(grid: LevelGrid, n_subdomains: int,
-                             axis_counts=None) -> Partition:
+def partition_regular_blocks(grid: LevelGrid, n_subdomains: int) -> Partition:
     shape = grid.structured_shape
     if shape is None:
         raise ConfigError("regular-blocks needs a structured box mesh")
+    axis_counts = _block_axis_counts(shape, n_subdomains)
     if axis_counts is None:
-        axis_counts = _block_axis_counts(shape, n_subdomains)
-        if axis_counts is None:
-            raise ConfigError(
-                f"{n_subdomains} subdomains do not factor into per-axis counts "
-                f"dividing the {shape} element grid")
-    else:
-        axis_counts = tuple(int(c) for c in axis_counts)
-        if len(axis_counts) != len(shape):
-            raise ConfigError("axis_counts length must match mesh dimension")
-        if math.prod(axis_counts) != n_subdomains:
-            raise ConfigError("axis_counts product must equal n_subdomains")
-        for na, ca in zip(shape, axis_counts):
-            if ca < 1 or na % ca != 0:
-                raise ConfigError(f"axis count {ca} does not divide {na} elements")
+        raise ConfigError(
+            f"{n_subdomains} subdomains do not factor into per-axis counts "
+            f"dividing the {shape} element grid")
     dim = len(shape)
     idx = np.arange(grid.n_elems)
     assignment = np.zeros(grid.n_elems, dtype=np.int64)
@@ -263,13 +252,13 @@ def _repair_balance(part: Partition, grid: LevelGrid, adjacency) -> None:
 
 
 def partition_elements(grid: LevelGrid, n_subdomains: int,
-                       method: str = "regular-blocks", axis_counts=None) -> Partition:
+                       method: str = "regular-blocks") -> Partition:
     """Split the grid's elements into connected, balanced subdomains."""
     if n_subdomains < 1 or n_subdomains > grid.n_elems:
         raise ConfigError(
             f"n_subdomains must lie in [1, {grid.n_elems}], got {n_subdomains}")
     if method == "regular-blocks":
-        part = partition_regular_blocks(grid, n_subdomains, axis_counts)
+        part = partition_regular_blocks(grid, n_subdomains)
     elif method == "greedy-graph-growing":
         part = partition_greedy(grid, n_subdomains)
     elif method == "auto":

@@ -1,8 +1,10 @@
-"""CSR matrix kernels and direct factorizations.
+"""CSR storage, element sums and direct factorizations.
 
-Everything downstream (assembly, substructuring, the BDDC levels) talks to
-sparse matrices through this module, and every level sums its element
-matrices here (Q1 elements, or subdomains as coarse elements).
+`SparseMatrix` holds one canonical scipy CSR matrix and a symmetry flag
+that `factorize` reads; products use the scipy matrix directly. Every
+level sums its element matrices here (Q1 elements, or subdomains as
+coarse elements), all subdomains of a level in one call: keying each
+element's dofs by subdomain makes the sum one block-diagonal matrix.
 Factorizations go dense below a size threshold (Cholesky for SPD,
 Bunch-Kaufman sytrf for symmetric indefinite) and through SuperLU above
 it; both paths reject non-SPD input to an SPD factorization. A
@@ -41,110 +43,29 @@ def probe_rhs(n: int) -> np.ndarray:
 
 @dataclass
 class SparseMatrix:
-    """CSR storage. Symmetric matrices store both triangles; the flag only
-    asserts that the stored entries are symmetric."""
+    """One canonical scipy CSR matrix (sorted indices, no duplicates).
+    Symmetric matrices store both triangles; the flag only asserts that the
+    stored entries are symmetric."""
 
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: scipy.sparse.csr_matrix
     symmetric: bool = False
-    _csr: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
-
-    # -- construction -----------------------------------------------------
 
     @classmethod
     def from_scipy(cls, mat, symmetric: bool = False) -> "SparseMatrix":
-        csr = scipy.sparse.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(
-            n_rows=csr.shape[0],
-            n_cols=csr.shape[1],
-            row_offsets=np.asarray(csr.indptr, dtype=np.int64),
-            col_indices=np.asarray(csr.indices, dtype=np.int64),
-            values=np.asarray(csr.data, dtype=np.float64),
-            symmetric=symmetric,
-        )
-
-    # -- views -------------------------------------------------------------
+        csr = scipy.sparse.csr_matrix(mat, dtype=np.float64)
+        csr.sum_duplicates()        # sorts the indices too
+        return cls(csr, symmetric)
 
     def scipy_csr(self) -> scipy.sparse.csr_matrix:
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=(self.n_rows, self.n_cols),
-            )
-        return self._csr
+        return self.csr
 
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.scipy_csr().todense())
+    @property
+    def shape(self) -> tuple:
+        return self.csr.shape
 
     @property
     def nnz(self) -> int:
-        return int(self.row_offsets[-1]) if self.n_rows else 0
-
-    def diagonal(self) -> np.ndarray:
-        return self.scipy_csr().diagonal()
-
-    def extract(self, rows, cols) -> "SparseMatrix":
-        """Submatrix on the given row/column index lists."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        sub = self.scipy_csr()[rows, :][:, cols]
-        same = (
-            self.symmetric
-            and rows.shape == cols.shape
-            and bool(np.array_equal(rows, cols))
-        )
-        return SparseMatrix.from_scipy(sub, symmetric=same)
-
-    # -- checks ------------------------------------------------------------
-
-    def validate(self) -> None:
-        n, m = self.n_rows, self.n_cols
-        if n < 0 or m < 0:
-            raise ValueError(f"negative dimensions ({n}, {m})")
-        if len(self.row_offsets) != n + 1:
-            raise ValueError(f"row_offsets length {len(self.row_offsets)} != n_rows+1 = {n + 1}")
-        if self.row_offsets[0] != 0:
-            raise ValueError("row_offsets must start at 0")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        nnz = int(self.row_offsets[-1]) if n else 0
-        if len(self.col_indices) != nnz or len(self.values) != nnz:
-            raise ValueError("col_indices/values length disagrees with row_offsets")
-        if nnz:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= m:
-                raise ValueError("column index out of range")
-            for r in range(n):
-                lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-                if np.any(np.diff(self.col_indices[lo:hi]) <= 0):
-                    raise ValueError(f"column indices not strictly increasing in row {r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("matrix values must be finite")
-        if self.symmetric:
-            if n != m:
-                raise ValueError("symmetric flag on a non-square matrix")
-            a = self.scipy_csr()
-            if (a != a.T).nnz != 0:
-                raise ValueError("symmetric flag set but stored entries are not symmetric")
-
-    # -- products ----------------------------------------------------------
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.n_cols:
-            raise ValueError(f"matvec shape mismatch: matrix {self.n_rows}x{self.n_cols}, vector {x.shape}")
-        return self.scipy_csr() @ x
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Transpose product A^T x."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.n_rows:
-            raise ValueError(f"rmatvec shape mismatch: matrix {self.n_rows}x{self.n_cols}, vector {x.shape}")
-        return self.scipy_csr().T @ x
+        return int(self.csr.nnz)
 
 
 # -- element assembly ---------------------------------------------------------
@@ -265,13 +186,13 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
     """
     if kind not in (KIND_SPD, KIND_SYMMETRIC_INDEFINITE):
         raise ValueError(f"unknown factorization kind {kind!r}")
-    if a.n_rows != a.n_cols:
-        raise ValueError(f"cannot factorize non-square matrix {a.n_rows}x{a.n_cols}")
+    n, n_cols = a.shape
+    if n != n_cols:
+        raise ValueError(f"cannot factorize non-square matrix {n}x{n_cols}")
     if not a.symmetric:
         s = a.scipy_csr()
         if (s != s.T).nnz != 0:
             raise ValueError("factorize requires a symmetric matrix")
-    n = a.n_rows
     offsets = np.array([0, n] if offsets is None else offsets, dtype=np.int64)
     if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
         raise ValueError(f"block offsets must rise from 0 to the order {n}")
@@ -286,7 +207,7 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
     if n == 0:
         return made("empty", None)
     if n <= DENSE_THRESHOLD and offsets.size == 2:
-        dense = a.to_dense()
+        dense = a.scipy_csr().toarray()
         if kind == KIND_SPD:
             try:
                 payload = scipy.linalg.cho_factor(dense, lower=True)
@@ -321,21 +242,4 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
             raise NotPositiveDefiniteError(f"matrix is not positive definite: bad "
                                            f"pivot at row {row}, in diagonal block {j}")
     return made("splu", lu)
-
-
-# -- tridiagonal eigenvalues --------------------------------------------------
-
-def tridiag_eigenvalues(diag, offdiag) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix, ascending."""
-    d = np.asarray(diag, dtype=np.float64)
-    e = np.asarray(offdiag, dtype=np.float64)
-    if d.ndim != 1 or e.ndim != 1:
-        raise ValueError("diag and offdiag must be 1-D")
-    if d.size == 0:
-        raise ValueError("empty diagonal")
-    if e.size != d.size - 1:
-        raise ValueError(f"offdiag length {e.size} != diag length - 1 = {d.size - 1}")
-    if d.size == 1:
-        return d.copy()
-    return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
 

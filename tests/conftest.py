@@ -32,11 +32,16 @@ class Level1:
     part: object
     k_global: object
     f_global: np.ndarray
-    k_list: list
-    ltg_list: list
+    k: object                   # block-diagonal subdomain matrices
+    keys: np.ndarray            # subdomain * n_free + free dof, per row of k
     globset: object
     splits: list
     imap: object
+
+    def k_local(self, i):
+        """Subdomain i's diagonal block of k, dense."""
+        lo, hi = np.searchsorted(self.keys // self.dofmap.n_free, [i, i + 1])
+        return self.k.scipy_csr()[lo:hi, lo:hi].toarray()
 
     def weights(self, scheme="cardinality"):
         return build_weights(self.splits, scheme)
@@ -49,24 +54,20 @@ class Level1:
                                   self.grid, self.part, policy)
 
 
-def build_level1(spec: ProblemSpec, n_elems, n_subs, axis_counts=None,
-                 method="auto", length=1.0) -> Level1:
+def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
+                 length=1.0) -> Level1:
     mesh = generate_box_mesh(spec.dim, n_elems, length=length)
     dofmap = build_dof_map(spec, mesh)
     grid = level_grid_from_mesh(mesh, spec, dofmap)
-    part = partition_elements(grid, n_subs, method=method, axis_counts=axis_counts)
+    part = partition_elements(grid, n_subs, method=method)
     k_global, f_global = assemble_global(spec, mesh)
-    k_list, ltg_list = [], []
-    for s in range(n_subs):
-        k_i, ltg = subassemble_subdomain(spec, mesh, dofmap, part.elements_of(s))
-        k_list.append(k_i)
-        ltg_list.append(ltg)
+    k, keys = subassemble_subdomain(spec, mesh, dofmap, part)
     globset = classify_interface(grid, part)
     ifdofs = interface_dofs(globset, spec.dofs_per_node)
-    splits, imap = build_splits(k_list, ltg_list, ifdofs)
+    splits, imap = build_splits(k, keys, ifdofs, dofmap.n_free)
     return Level1(spec=spec, mesh=mesh, dofmap=dofmap, grid=grid, part=part,
-                  k_global=k_global, f_global=f_global, k_list=k_list,
-                  ltg_list=ltg_list, globset=globset, splits=splits, imap=imap)
+                  k_global=k_global, f_global=f_global, k=k, keys=keys,
+                  globset=globset, splits=splits, imap=imap)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -73,7 +73,7 @@ def dense_solutions():
         lv = build_level1(ProblemSpec(kind=fx["problem"], dim=fx["dim"]),
                           n_elems=fx["elements"][0],
                           n_subs=int(fx["hierarchy"].split("/")[0]))
-        sols[key] = np.linalg.solve(lv.k_global.to_dense(), lv.f_global)
+        sols[key] = np.linalg.solve(lv.k_global.scipy_csr().toarray(), lv.f_global)
     return sols
 
 
@@ -96,7 +96,7 @@ def test_02_all_corner_constraints_make_pcg_exact():
     # condensed operator, so PCG needs exactly one iteration.
     start = time.monotonic()
     lv = build_level1(ProblemSpec(), n_elems=8, n_subs=2)
-    prec = setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list,
+    prec = setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                       corner_strategy="all-interface")
     g = condensed_rhs(lv.splits, lv.imap, lv.f_global)
     _, report = pcg(lambda v: schur_apply(lv.splits, lv.imap, v), g,
@@ -111,8 +111,8 @@ def test_03_single_coarse_subdomain_collapses_a_level():
     # N1/1 and N1 build different level stacks but identical operators.
     start = time.monotonic()
     lv = build_level1(ProblemSpec(kind="elasticity"), n_elems=8, n_subs=4)
-    two = setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list)
-    three = setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list,
+    two = setup_bddc(lv.grid, lv.part, lv.k, lv.keys)
+    three = setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                        coarse_counts=(1,))
     assert two.n_levels == 2 and three.n_levels == 3
     rng = np.random.default_rng(SEED)
@@ -150,7 +150,7 @@ def test_05_condition_number_flat_in_subdomain_count():
     for subs_per_axis in (2, 4, 8):
         n = 8 * subs_per_axis
         lv = build_level1(ProblemSpec(), n_elems=n, n_subs=subs_per_axis**2)
-        prec = setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list,
+        prec = setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                           constraint_policy="corners+edges")
         g = rng.standard_normal(lv.imap.n)
         _, report = pcg(lambda v: schur_apply(lv.splits, lv.imap, v), g,
@@ -175,7 +175,7 @@ def test_06_condition_and_iterations_grow_with_levels():
     apply_s = lambda v: schur_apply(lv.splits, lv.imap, v)
     kappas, its = [], []
     for counts in [(), (8,), (8, 2)]:
-        prec = setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list,
+        prec = setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                           coarse_counts=counts)
         assert prec.n_levels == len(counts) + 2
         _, report = pcg(apply_s, g, apply_m=prec.apply, tol=1e-8,
@@ -191,7 +191,7 @@ def test_06_condition_and_iterations_grow_with_levels():
 def test_07_lanczos_estimate_matches_dense_eigenvalues():
     start = time.monotonic()
     lv = build_level1(ProblemSpec(), n_elems=16, n_subs=4)
-    prec = setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list,
+    prec = setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                       constraint_policy="corners+edges")
     n = lv.imap.n
     s_mat = np.empty((n, n))
@@ -222,10 +222,10 @@ def test_08_preconditioner_is_symmetric_positive():
         build_level1(ProblemSpec(kind="elasticity"), n_elems=12, n_subs=9),
     ]
     precs = [
-        setup_bddc(cases[0].grid, cases[0].part, cases[0].k_list,
-                   cases[0].ltg_list),
-        setup_bddc(cases[1].grid, cases[1].part, cases[1].k_list,
-                   cases[1].ltg_list, coarse_counts=(3,)),
+        setup_bddc(cases[0].grid, cases[0].part, cases[0].k,
+                   cases[0].keys),
+        setup_bddc(cases[1].grid, cases[1].part, cases[1].k,
+                   cases[1].keys, coarse_counts=(3,)),
     ]
     assert [p.n_levels for p in precs] == [2, 3]
     rng = np.random.default_rng(SEED)

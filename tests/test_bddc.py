@@ -7,6 +7,7 @@ and the coarse matrix is psi^T K psi.
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import build_level1
 from mlbddc import sparse
@@ -22,84 +23,73 @@ from mlbddc.bddc import (
 )
 from mlbddc.errors import NumericalError, SingularMatrixError
 from mlbddc.fem import ProblemSpec
-from mlbddc.sparse import Factorization, SparseMatrix
-from mlbddc.substructuring import build_splits
+from mlbddc.partition import Partition, build_pseudomesh, partition_elements
+from mlbddc.sparse import Factorization, SparseMatrix, sum_elements
 from test_substructuring import dense_schur_parts
 
 
-def single_split(k_dense):
-    """One all-interface subdomain wrapping a small dense matrix."""
-    n = len(k_dense)
-    k = SparseMatrix.from_scipy(k_dense, symmetric=True)
-    splits, _ = build_splits([k], [np.arange(n)], np.arange(n))
-    return splits[0]
-
-
 def make_bddc(lv, coarse_counts=(), **kw):
-    return setup_bddc(lv.grid, lv.part, lv.k_list, lv.ltg_list,
+    return setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                       coarse_counts, **kw)
 
 
 @pytest.fixture(scope="module")
 def cross2d():
-    return build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4,
-                        axis_counts=(2, 2), method="regular-blocks")
+    return build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4, method="regular-blocks")
 
 
 @pytest.fixture(scope="module")
 def elasticity3d():
-    return build_level1(ProblemSpec(kind="elasticity", dim=3), 4, 2,
-                        axis_counts=(1, 1, 2), method="regular-blocks")
+    return build_level1(ProblemSpec(kind="elasticity", dim=3), 4, 2, method="regular-blocks")
 
 
 @pytest.fixture(scope="module")
 def elasticity3d_edges():
     # 2x2x2 subdomains: corner, edge and face constraints
-    return build_level1(ProblemSpec(kind="elasticity", dim=3), 6, 8,
-                        axis_counts=(2, 2, 2), method="regular-blocks")
+    return build_level1(ProblemSpec(kind="elasticity", dim=3), 6, 8, method="regular-blocks")
 
 
 # -- coarse basis -------------------------------------------------------------
 
 def test_basis_identity_matrix():
-    split = single_split(np.eye(2))
+    k = scipy.sparse.csr_matrix(np.eye(2))
     cmat = ConstraintMatrix(rows=np.array([[1.0, 0.0]]), tags=["corner"])
-    _, psi, kc = coarse_basis(split, cmat)
+    _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi, [[1.0], [0.0]], atol=1e-14)
     assert np.allclose(kc, [[1.0]], atol=1e-14)
 
 
 def test_basis_square_constraints_invert():
-    split = single_split(np.diag([2.0, 3.0]))
+    k = scipy.sparse.csr_matrix(np.diag([2.0, 3.0]))
     c = np.array([[1.0, 1.0], [0.0, 1.0]])
     cmat = ConstraintMatrix(rows=c, tags=["corner", "corner"])
-    _, psi, kc = coarse_basis(split, cmat)
+    _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi, np.linalg.inv(c), atol=1e-14)
     assert np.allclose(kc, [[2.0, -2.0], [-2.0, 5.0]], atol=1e-14)
 
 
 def test_basis_no_constraints():
-    split = single_split(np.diag([2.0, 3.0]))
+    k = scipy.sparse.csr_matrix(np.diag([2.0, 3.0]))
     cmat = ConstraintMatrix(rows=np.zeros((0, 2)), tags=[])
-    fact, psi, kc = coarse_basis(split, cmat)
+    fact, psi, kc = coarse_basis(k, cmat)
     assert psi.shape == (2, 0)
     assert kc.shape == (0, 0)
     assert np.allclose(fact.solve(np.array([2.0, 3.0])), [1.0, 1.0])
 
 
 def test_basis_detects_singular_unconstrained():
-    split = single_split(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    k = scipy.sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     cmat = ConstraintMatrix(rows=np.zeros((0, 2)), tags=[])
     with pytest.raises(SingularMatrixError):
-        coarse_basis(split, cmat)
+        coarse_basis(k, cmat)
 
 
 def test_basis_caps_floating_kernel():
     # the same singular matrix becomes solvable with one point constraint;
     # the constant mode then carries zero energy
-    split = single_split(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    k = scipy.sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     cmat = ConstraintMatrix(rows=np.array([[1.0, 0.0]]), tags=["corner"])
-    _, psi, kc = coarse_basis(split, cmat)
+    _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi[:, 0], [1.0, 1.0], atol=1e-14)
     assert abs(kc[0, 0]) < 1e-14
 
@@ -107,7 +97,7 @@ def test_basis_caps_floating_kernel():
 def test_constraint_rows(cross2d):
     lv = cross2d
     cs = lv.coarse_space()
-    cmat = build_constraints(0, cs, lv.globset, lv.splits[0], lv.grid)
+    cmat = build_constraints(0, cs, lv.globset, lv.splits[0])
     assert cmat.n_constraints == 7
     assert cmat.tags == ["corner"] * 5 + ["face"] * 2
     assert np.allclose(cmat.rows.sum(axis=1), 1.0, atol=1e-15)
@@ -115,6 +105,32 @@ def test_constraint_rows(cross2d):
     for row in cmat.rows[:5]:
         assert set(np.unique(row)) == {0.0, 1.0}
         assert row.sum() == 1.0
+
+
+def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
+    # rows found by searching the sorted local dofs equal rows placed through
+    # a full level-dof lookup table
+    lv = elasticity3d_edges
+    cs = lv.coarse_space()
+    for i, split in enumerate(lv.splits):
+        local_of = np.full(lv.grid.n_dofs, -1)
+        local_of[split.local_dofs] = np.arange(split.n_local)
+        ref = []
+        for cn in cs.sub_nodes[i]:
+            members = (cs.glob_members[cn - cs.n_corners] if cn >= cs.n_corners
+                       else cs.corner_nodes[cn:cn + 1])
+            for comp in range(cs.dofs_per_node):
+                row = np.zeros(split.n_local)
+                row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
+                ref.append(row)
+        rows = build_constraints(i, cs, lv.globset, split).rows
+        assert np.array_equal(rows, np.array(ref))
+
+
+def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
+    cs = cross2d.coarse_space()
+    with pytest.raises(ValueError, match="outside the subdomain"):
+        build_constraints(0, cs, cross2d.globset, cross2d.splits[3])
 
 
 def test_basis_properties_on_fixture(cross2d):
@@ -125,7 +141,7 @@ def test_basis_properties_on_fixture(cross2d):
         cmat = sub.constraints
         psi = sub.psi
         assert np.allclose(cmat.rows @ psi, np.eye(cmat.n_constraints), atol=1e-11)
-        kd = level.splits[i].k_local.to_dense()
+        kd = lv.k_local(i)
         assert np.allclose(sub.coarse_matrix, psi.T @ kd @ psi, atol=1e-10)
         assert np.allclose(sub.coarse_matrix, sub.coarse_matrix.T, atol=1e-14)
         assert np.linalg.eigvalsh(sub.coarse_matrix).min() > 0
@@ -136,7 +152,7 @@ def test_basis_energy_minimality(cross2d):
     m = make_bddc(lv)
     level = m.levels[0]
     sub = level.subs[0]
-    kd = level.splits[0].k_local.to_dense()
+    kd = lv.k_local(0)
     c = sub.constraints.rows
     proj = np.eye(c.shape[1]) - np.linalg.pinv(c) @ c
     rng = np.random.default_rng(11)
@@ -263,12 +279,12 @@ def test_interior_corrections_are_consistent(cross2d):
     # the post-correction of a zero interface correction solves the
     # interiors only
     lv = cross2d
-    r = np.linspace(0.5, 1.5, lv.k_global.n_rows)
+    r = np.linspace(0.5, 1.5, lv.k_global.shape[0])
     z = interior_postcorrection(lv.splits, lv.imap, np.zeros(lv.imap.n), r,
-                                lv.k_global.n_rows)
+                                lv.k_global.shape[0])
     for s in lv.splits:
         idofs = s.local_dofs[s.interior_pos]
-        kii = s.k_local.to_dense()[np.ix_(s.interior_pos, s.interior_pos)]
+        kii = lv.k_local(s.index)[np.ix_(s.interior_pos, s.interior_pos)]
         assert np.allclose(kii @ z[idofs], r[idofs], atol=1e-12)
     assert np.max(np.abs(z[lv.imap.dofs])) == 0.0
 
@@ -277,12 +293,32 @@ def test_assembly_helpers_agree():
     k1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     k2 = np.array([[1.0, 0.5], [0.5, 1.0]])
     full = assemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])])
-    sub, ltg = subassemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])],
-                                  [0, 1])
-    assert np.array_equal(ltg, [0, 1, 2])
-    assert np.allclose(full.to_dense(), sub.to_dense(), atol=1e-16)
+    one = Partition(1, np.array([0, 0]), "test")
+    sub, keys = subassemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])], one, 3)
+    assert np.array_equal(keys, [0, 1, 2])
+    assert np.allclose(full.scipy_csr().toarray(), sub.scipy_csr().toarray(), atol=1e-16)
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    assert np.allclose(full.to_dense(), expected, atol=1e-15)
+    assert np.allclose(full.scipy_csr().toarray(), expected, atol=1e-15)
+
+
+def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges):
+    # level 2 of a 2x2x2 split: one call equals scipy's block_diag of
+    # per-subdomain sums entry for entry; keys are (subdomain, coarse dof)
+    level = make_bddc(elasticity3d_edges).levels[0]
+    grid = build_pseudomesh(level.coarse, level.partition, 3)
+    part = partition_elements(grid, 2, method="auto")
+    k_elems = [sub.coarse_matrix for sub in level.subs]
+    dof_lists = [sub.coarse_dofs for sub in level.subs]
+    k, keys = subassemble_coarse(k_elems, dof_lists, part, grid.n_dofs)
+    per_sub = [sum_elements([(k_elems[e], dof_lists[e][None]) for e in part.elements_of(j)])
+               for j in range(2)]
+    ref = scipy.sparse.block_diag([k_j.scipy_csr() for k_j, _ in per_sub], format="csr")
+    csr = k.scipy_csr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(csr, attr), getattr(ref, attr))
+    sub, dofs = np.divmod(keys, grid.n_dofs)
+    assert np.array_equal(sub, np.repeat([0, 1], [ltg.size for _, ltg in per_sub]))
+    assert np.array_equal(dofs, np.concatenate([ltg for _, ltg in per_sub]))
 
 
 def test_setup_rejects_weak_coarse_space():

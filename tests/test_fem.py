@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mlbddc.fem import (
     Mesh,
@@ -12,8 +13,11 @@ from mlbddc.fem import (
     export_vtk,
     generate_box_mesh,
     mark_dirichlet,
+    node_dofs,
     subassemble_subdomain,
 )
+from mlbddc.grid import level_grid_from_mesh
+from mlbddc.partition import Partition, partition_elements
 from mlbddc.sparse import factorize, sum_elements
 
 
@@ -168,8 +172,8 @@ def test_elasticity_element_annihilates_rigid_modes():
 def test_assemble_n2_full_dirichlet_single_dof():
     mesh = generate_box_mesh(2, 2)
     k, f = assemble_global(poisson(), mesh)
-    assert k.n_rows == 1
-    assert np.allclose(k.to_dense(), [[8.0 / 3.0]], rtol=0, atol=1e-14)
+    assert k.shape[0] == 1
+    assert np.allclose(k.scipy_csr().toarray(), [[8.0 / 3.0]], rtol=0, atol=1e-14)
     assert np.array_equal(f, [1.0])
 
 
@@ -187,7 +191,7 @@ def test_assemble_matches_dense_oracle():
                 if dofs[a] >= 0 and dofs[b] >= 0:
                     dense[dofs[a], dofs[b]] += ke[a, b]
     k, f = assemble_global(spec, mesh)
-    assert np.allclose(k.to_dense(), dense, rtol=0, atol=1e-14)
+    assert np.allclose(k.scipy_csr().toarray(), dense, rtol=0, atol=1e-14)
     assert np.array_equal(f, np.ones(dm.n_free))
 
 
@@ -196,7 +200,7 @@ def test_assembled_operator_is_spd():
                     (elasticity(2), 4), (elasticity(3), 2)):
         mesh = generate_box_mesh(spec.dim, n)
         k, _ = assemble_global(spec, mesh)
-        k.validate()
+        assert k.scipy_csr().has_canonical_format
         assert k.symmetric
         factorize(k, "spd")  # raises if not SPD
 
@@ -214,7 +218,7 @@ def test_partial_dirichlet_faces():
     mesh = generate_box_mesh(2, 2)
     k, f = assemble_global(spec, mesh)
     # one face fixed: 3 of 9 nodes eliminated
-    assert k.n_rows == 6
+    assert k.shape[0] == 6
     factorize(k, "spd")
 
 
@@ -261,15 +265,41 @@ def test_subassembly_identity():
         mesh = generate_box_mesh(spec.dim, n)
         k, _ = assemble_global(spec, mesh)
         dm = build_dof_map(spec, mesh)
-        assignment = rng.integers(0, 3, size=mesh.n_elems)
-        total = np.zeros((k.n_rows, k.n_rows))
+        part = Partition(3, rng.integers(0, 3, size=mesh.n_elems), "random")
+        k_sub, keys = subassemble_subdomain(spec, mesh, dm, part)
+        sub, dofs = np.divmod(keys, dm.n_free)
+        blocks = k_sub.scipy_csr().toarray()
+        total = np.zeros(k.shape)
         for s in range(3):
-            elems = np.nonzero(assignment == s)[0]
-            if elems.size == 0:
-                continue
-            ki, ltg = subassemble_subdomain(spec, mesh, dm, elems)
-            total[np.ix_(ltg, ltg)] += ki.to_dense()
-        assert np.allclose(total, k.to_dense(), rtol=0, atol=1e-12)
+            rows = np.nonzero(sub == s)[0]
+            total[np.ix_(dofs[rows], dofs[rows])] += blocks[np.ix_(rows, rows)]
+        assert np.allclose(total, k.scipy_csr().toarray(), rtol=0, atol=1e-12)
+
+
+STACKED_CASES = [(poisson(2), 8, 4), (elasticity(3), 4, 8)]
+
+
+@pytest.mark.parametrize("spec,n,n_subs", STACKED_CASES, ids=["poisson2d", "elasticity3d"])
+def test_stacked_subassembly_is_block_diag_of_subdomains(spec, n, n_subs):
+    # one call equals scipy's block_diag of per-subdomain sums entry for
+    # entry, and its keys are (subdomain, free dof) in subdomain order
+    mesh = generate_box_mesh(spec.dim, n)
+    dm = build_dof_map(spec, mesh)
+    part = partition_elements(level_grid_from_mesh(mesh, spec, dm), n_subs)
+    k, keys = subassemble_subdomain(spec, mesh, dm, part)
+    ke = element_matrix(spec, mesh)
+    ed = node_dofs(mesh.elem_nodes, spec.dofs_per_node)
+    per_sub = [sum_elements([(ke, dm.full_to_free[ed[part.elements_of(s)]])])
+               for s in range(n_subs)]
+    ref = scipy.sparse.block_diag([k_s.scipy_csr() for k_s, _ in per_sub], format="csr")
+    csr = k.scipy_csr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(csr, attr), getattr(ref, attr))
+    assert k.symmetric
+    sub, dofs = np.divmod(keys, dm.n_free)
+    assert np.array_equal(sub, np.repeat(np.arange(n_subs), [ltg.size for _, ltg in per_sub]))
+    assert np.array_equal(dofs, np.concatenate([ltg for _, ltg in per_sub]))
+    assert np.array_equal(keys, sub * dm.n_free + dofs)
 
 
 def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
@@ -283,22 +313,24 @@ def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
         ed = (mesh.elem_nodes[:, :, None] * dpn + np.arange(dpn)).reshape(mesh.n_elems, -1)
         k, ltg = sum_elements([(ke, d[None]) for d in dm.full_to_free[ed]])
         assert np.array_equal(ltg, np.arange(dm.n_free))
-        assert np.array_equal(k.to_dense(), assemble_global(spec, mesh)[0].to_dense())
+        k_global = assemble_global(spec, mesh)[0]
+        assert np.array_equal(k.scipy_csr().toarray(), k_global.scipy_csr().toarray())
 
 
 def test_subassembly_local_map_sorted():
     mesh = generate_box_mesh(2, 4)
-    ki, ltg = subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh),
-                                    [0, 1, 4, 5])
-    assert np.all(np.diff(ltg) > 0)
-    assert ki.n_rows == ltg.shape[0]
-    ki.validate()
+    part = Partition(2, np.isin(np.arange(16), [0, 1, 4, 5]).astype(np.int64), "test")
+    k, keys = subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), part)
+    assert np.all(np.diff(keys) > 0)
+    assert k.shape == (keys.size, keys.size)
+    assert k.scipy_csr().has_canonical_format
 
 
 def test_subassembly_rejects_empty():
     mesh = generate_box_mesh(2, 2)
+    part = Partition(3, np.array([0, 0, 2, 2]), "test")
     with pytest.raises(ValueError):
-        subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), [])
+        subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), part)
 
 
 def test_dofmap_expand():

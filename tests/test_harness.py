@@ -128,7 +128,7 @@ def test_run_experiment_matches_dense_solve():
                                    tolerance=1e-10))
     from mlbddc.fem import assemble_global
     k, f = assemble_global(res.spec, res.mesh)
-    x_ref = np.linalg.solve(k.to_dense(), f)
+    x_ref = np.linalg.solve(k.scipy_csr().toarray(), f)
     assert np.max(np.abs(res.solution - x_ref)) < 1e-8
 
 
@@ -141,7 +141,7 @@ def test_run_experiment_nonzero_dirichlet(hierarchy):
     res = run_experiment(cfg)
     from mlbddc.fem import assemble_global
     k, f = assemble_global(res.spec, res.mesh)
-    assert np.max(np.abs(res.solution - np.linalg.solve(k.to_dense(), f))) < 1e-10
+    assert np.max(np.abs(res.solution - np.linalg.solve(k.scipy_csr().toarray(), f))) < 1e-10
 
 
 def test_run_experiment_single_subdomain():
@@ -150,7 +150,7 @@ def test_run_experiment_single_subdomain():
     assert res.report.condition_estimate == 1.0
     from mlbddc.fem import assemble_global
     k, f = assemble_global(res.spec, res.mesh)
-    assert np.max(np.abs(res.solution - np.linalg.solve(k.to_dense(), f))) < 1e-12
+    assert np.max(np.abs(res.solution - np.linalg.solve(k.scipy_csr().toarray(), f))) < 1e-12
 
 
 def test_run_experiment_bicgstab():
@@ -159,6 +159,22 @@ def test_run_experiment_bicgstab():
     assert res.report.converged
     assert res.report.condition_estimate is None
     assert res.csv_row()["condition_estimate"] == ""
+
+
+def test_bicgstab_converged_run_meets_tolerance_on_the_interface():
+    # three-level elasticity: BiCGstab's preconditioned residual met 1e-6
+    # while the interface residual |g - S u| / |g| was still 1.9e-6
+    res = run_experiment(load_config(overrides=[
+        "problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8",
+        "krylov=bicgstab", "tolerance=1e-6"]))
+    assert res.report.converged
+    from mlbddc.fem import assemble_global
+    from mlbddc.substructuring import condensed_rhs, schur_apply
+    level = res.preconditioner.levels[0]
+    g = condensed_rhs(level.splits, level.imap, assemble_global(res.spec, res.mesh)[1])
+    u = res.solution[level.imap.dofs]
+    residual = g - schur_apply(level.splits, level.imap, u)
+    assert np.linalg.norm(residual) / np.linalg.norm(g) < 1e-6
 
 
 def test_run_experiment_deterministic():

@@ -32,21 +32,18 @@ CROSS = sorted(ARM_A + ARM_B + ARM_C + ARM_D + [CENTER])
 
 @pytest.fixture(scope="module")
 def cross2d():
-    return build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4,
-                        axis_counts=(2, 2), method="regular-blocks")
+    return build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4, method="regular-blocks")
 
 
 @pytest.fixture(scope="module")
 def box3d():
-    return build_level1(ProblemSpec(kind="poisson", dim=3), 6, 8,
-                        axis_counts=(2, 2, 2), method="regular-blocks")
+    return build_level1(ProblemSpec(kind="poisson", dim=3), 6, 8, method="regular-blocks")
 
 
 # -- classification -----------------------------------------------------------
 
 def test_single_interface_line():
-    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 2,
-                      axis_counts=(1, 2), method="regular-blocks")
+    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 2, method="regular-blocks")
     gs = lv.globset
     assert len(gs.globs) == 1
     g = gs.globs[0]
@@ -209,8 +206,7 @@ def test_stiffness_weights_match_cardinality_when_homogeneous(cross2d):
 
 
 def test_weights_elasticity_components():
-    lv = build_level1(ProblemSpec(kind="elasticity", dim=2), 8, 4,
-                      axis_counts=(2, 2), method="regular-blocks")
+    lv = build_level1(ProblemSpec(kind="elasticity", dim=2), 8, 4, method="regular-blocks")
     weights = lv.weights("cardinality")
     imap = lv.imap
     assert imap.dofs.size == 2 * len(CROSS)
@@ -274,7 +270,7 @@ def test_coarse_space_two_subdomain_strip_policies():
     # 2D 1x2 split: one codim-1 glob (a line of nodes, i.e. an edge in 2D
     # speech).  corners-only -> its 2 endpoint corners; corners+edges adds
     # the average over the remaining line -> 3 coarse nodes.
-    lv = build_level1(ProblemSpec(), n_elems=4, n_subs=2, axis_counts=(2, 1))
+    lv = build_level1(ProblemSpec(), n_elems=4, n_subs=2)
     assert [g.kind for g in lv.globset.globs] == ["face"]
     only = lv.coarse_space(policy="corners-only")
     assert only.n_nodes == only.n_corners == 2
@@ -301,8 +297,7 @@ def test_coarse_space_coords(cross2d):
 
 
 def test_coarse_space_dofs_per_node():
-    lv = build_level1(ProblemSpec(kind="elasticity", dim=2), 8, 4,
-                      axis_counts=(2, 2), method="regular-blocks")
+    lv = build_level1(ProblemSpec(kind="elasticity", dim=2), 8, 4, method="regular-blocks")
     cs = lv.coarse_space(strategy="vertices-only")
     assert cs.dofs_per_node == 2
     assert cs.n_dofs == 10

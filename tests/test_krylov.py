@@ -137,6 +137,27 @@ def test_bicgstab_preconditioned_spd():
     assert np.max(np.abs(x - np.linalg.solve(a, b))) < 1e-6
 
 
+def test_bicgstab_converged_means_true_residual():
+    # a diagonal preconditioner that shrinks half of the residual by 1e3
+    # makes |M r| / |M b| meet tol long before |b - A x| / |b| does
+    n = 40
+    a = 4.0 * np.eye(n) - np.eye(n, k=1) - 0.5 * np.eye(n, k=-1)
+    scale = np.where(np.arange(n) < n // 2, 1e-3, 1.0)
+    b = np.ones(n)
+
+    def true_residual(x):
+        return np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+
+    x, rep = bicgstab(dense_op(a), b, apply_m=lambda r: scale * r, tol=1e-6)
+    assert rep.converged
+    assert true_residual(x) < 1e-6
+    # cut off before the true residual gets there: not converged
+    x, rep = bicgstab(dense_op(a), b, apply_m=lambda r: scale * r, tol=1e-6,
+                      max_iterations=30)
+    assert not rep.converged
+    assert true_residual(x) >= 1e-6
+
+
 def test_bicgstab_breakdown():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     x, rep = bicgstab(dense_op(a), np.array([1.0, 0.0]))

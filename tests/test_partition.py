@@ -60,11 +60,6 @@ def test_blocks_2x2_on_4x4():
     assert part.method == "regular-blocks"
 
 
-def test_blocks_explicit_axis_counts():
-    part = partition_regular_blocks(raw_grid(2, 4), 4, axis_counts=(4, 1))
-    assert part.assignment.tolist() == [e % 4 for e in range(16)]
-
-
 def test_blocks_prefer_cubelike():
     assert _block_axis_counts((8, 8), 4) == (2, 2)
     assert _block_axis_counts((16, 16), 16) == (4, 4)
@@ -83,8 +78,6 @@ def test_blocks_3d():
 
 
 def test_blocks_rejects_non_dividing():
-    with pytest.raises(ConfigError):
-        partition_regular_blocks(raw_grid(2, 4), 4, axis_counts=(2, 3))
     with pytest.raises(ConfigError):
         partition_regular_blocks(raw_grid(2, 3), 2)
 

@@ -1,4 +1,4 @@
-"""Sparse kernel tests: CSR storage, factorizations, tridiagonal eigenvalues."""
+"""Sparse kernel tests: CSR storage, element sums and factorizations."""
 
 from dataclasses import replace
 
@@ -14,7 +14,6 @@ from mlbddc.sparse import (
     SparseMatrix,
     factorize,
     sum_elements,
-    tridiag_eigenvalues,
 )
 
 
@@ -33,33 +32,25 @@ def random_spd(rng, n):
     return b @ b.T + n * np.eye(n)
 
 
-def test_validate_accepts_canonical_csr():
-    a = tridiag_matrix(4)
-    a.validate()
-    assert a.nnz == 10
-    assert a.symmetric
-
-
-def test_validate_rejects_bad_offsets_and_indices():
-    a = tridiag_matrix(3)
-    bad = SparseMatrix(3, 3, a.row_offsets[:-1], a.col_indices, a.values)
-    with pytest.raises(ValueError):
-        bad.validate()
-    cols = a.col_indices.copy()
-    cols[0] = 5
-    with pytest.raises(ValueError):
-        SparseMatrix(3, 3, a.row_offsets, cols, a.values).validate()
-
-
-def test_validate_rejects_false_symmetric_flag():
-    a = SparseMatrix.from_scipy([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
-    with pytest.raises(ValueError):
-        a.validate()
+def test_from_scipy_stores_one_canonical_csr():
+    # duplicates summed, indices sorted, and no copy of the index arrays
+    # beside the CSR it wraps
+    coo = scipy.sparse.coo_matrix(([1.0, 2.0, 3.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+    a = SparseMatrix.from_scipy(coo)
+    assert a.scipy_csr().has_canonical_format
+    assert a.scipy_csr().toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
+    assert a.shape == (2, 2)
+    assert a.nnz == 2 and type(a.nnz) is int
+    assert not a.symmetric
+    t = tridiag_matrix(4)
+    assert t.nnz == 10
+    assert t.symmetric
+    assert all(isinstance(v, (bool, scipy.sparse.csr_matrix)) for v in vars(t).values())
 
 
 def test_matvec_tridiagonal_example():
     a = tridiag_matrix(3)
-    y = a.matvec(np.array([1.0, 2.0, 3.0]))
+    y = a.scipy_csr() @ np.array([1.0, 2.0, 3.0])
     assert np.array_equal(y, np.array([0.0, 0.0, 4.0]))
 
 
@@ -70,13 +61,13 @@ def test_matvec_matches_dense_oracle():
         dense[np.abs(dense) < 0.8] = 0.0
         a = SparseMatrix.from_scipy(dense)
         x = rng.standard_normal(n)
-        assert np.allclose(a.matvec(x), dense @ x, rtol=0, atol=1e-13)
+        assert np.allclose(a.scipy_csr() @ x, dense @ x, rtol=0, atol=1e-13)
 
 
 def test_matvec_dimension_mismatch():
     a = tridiag_matrix(3)
     with pytest.raises(ValueError):
-        a.matvec(np.ones(4))
+        a.scipy_csr() @ np.ones(4)
 
 
 def test_matvec_is_deterministic():
@@ -84,8 +75,8 @@ def test_matvec_is_deterministic():
     dense = rng.standard_normal((40, 40))
     a = SparseMatrix.from_scipy(dense)
     x = rng.standard_normal(40)
-    y1 = a.matvec(x)
-    y2 = a.matvec(x)
+    y1 = a.scipy_csr() @ x
+    y2 = a.scipy_csr() @ x
     assert np.array_equal(y1, y2)
 
 
@@ -178,9 +169,9 @@ def test_block_residual_check_holds_every_block():
     a, offsets = stacked_blocks(np.random.default_rng(41), sizes)
     a_off, _ = stacked_blocks(np.random.default_rng(41), sizes, perturbed=1, by=1e-9)
     f = replace(factorize(a_off, "spd", offsets=offsets, probe=False), matrix=a)
-    b = sparse.probe_rhs(a.n_rows)
+    b = sparse.probe_rhs(a.shape[0])
     x = f.solve(b)
-    r = b - a.to_dense() @ x
+    r = b - a.scipy_csr().toarray() @ x
     assert np.linalg.norm(r) < REFINE_TOL * np.linalg.norm(b)
     assert np.linalg.norm(r[200:202]) > REFINE_TOL * np.linalg.norm(b[200:202])
     with pytest.raises(NumericalError, match="diagonal block 1:"):
@@ -261,43 +252,6 @@ def test_solve_residual_contract():
     assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_extract_submatrix():
-    rng = np.random.default_rng(29)
-    dense = rng.standard_normal((7, 7))
-    a = SparseMatrix.from_scipy(dense)
-    rows = np.array([1, 3, 4])
-    cols = np.array([0, 2, 5, 6])
-    sub = a.extract(rows, cols)
-    assert np.allclose(sub.to_dense(), dense[np.ix_(rows, cols)], rtol=0, atol=0)
-
-
-def test_tridiag_eigenvalues_examples():
-    assert np.array_equal(tridiag_eigenvalues([5.0], []), [5.0])
-    ev = tridiag_eigenvalues([2.0, 2.0], [-1.0])
-    assert np.allclose(ev, [1.0, 3.0], rtol=0, atol=1e-14)
-    ev = tridiag_eigenvalues([2.0, 2.0, 2.0], [-1.0, -1.0])
-    expected = np.array([2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
-    assert np.allclose(ev, expected, rtol=0, atol=1e-13)
-
-
-def test_tridiag_eigenvalues_random_oracle():
-    rng = np.random.default_rng(31)
-    n = 12
-    d = rng.standard_normal(n)
-    e = rng.standard_normal(n - 1)
-    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    ev = tridiag_eigenvalues(d, e)
-    assert np.all(np.diff(ev) >= -1e-12)
-    assert np.allclose(ev, np.linalg.eigvalsh(dense), rtol=1e-12, atol=1e-12)
-
-
-def test_tridiag_eigenvalues_bad_input():
-    with pytest.raises(ValueError):
-        tridiag_eigenvalues([], [])
-    with pytest.raises(ValueError):
-        tridiag_eigenvalues([1.0, 2.0], [1.0, 1.0])
-
-
 def test_sum_elements_drops_negative_ids_and_numbers_ascending():
     ke = random_spd(np.random.default_rng(5), 3)
     dofs = np.array([[9, -1, 4], [4, 7, -1], [-1, 9, 12]])
@@ -308,9 +262,9 @@ def test_sum_elements_drops_negative_ids_and_numbers_ascending():
         keep = d >= 0
         dense[np.ix_(d[keep], d[keep])] += ke[np.ix_(keep, keep)]
     assert k.symmetric
-    assert np.allclose(k.to_dense(), dense[np.ix_(ltg, ltg)], rtol=0, atol=1e-13)
+    assert np.allclose(k.scipy_csr().toarray(), dense[np.ix_(ltg, ltg)], rtol=0, atol=1e-13)
     # one shared (m, m) matrix sums bitwise like its (n_e, m, m) stack
     stacked, ltg_s = sum_elements([(np.repeat(ke[None], 3, axis=0), dofs)])
     assert np.array_equal(ltg_s, ltg)
-    for attr in ("row_offsets", "col_indices", "values"):
-        assert np.array_equal(getattr(stacked, attr), getattr(k, attr))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(stacked.scipy_csr(), attr), getattr(k.scipy_csr(), attr))

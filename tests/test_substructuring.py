@@ -8,9 +8,11 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import build_level1
 from mlbddc.fem import ProblemSpec
+from mlbddc.partition import _block_axis_counts
 from mlbddc.sparse import SparseMatrix
 from mlbddc.substructuring import (
     build_splits,
@@ -20,10 +22,17 @@ from mlbddc.substructuring import (
 )
 
 
+def stacked(blocks, dof_lists, n_dofs):
+    """Block-diagonal matrix and keys of the given subdomain matrices."""
+    k = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
+    keys = np.concatenate([i * n_dofs + np.asarray(d) for i, d in enumerate(dof_lists)])
+    return k, keys
+
+
 def chain_splits():
-    k1 = SparseMatrix.from_scipy([[2.0, -1.0], [-1.0, 1.0]], symmetric=True)
-    k2 = SparseMatrix.from_scipy([[1.0, -1.0], [-1.0, 2.0]], symmetric=True)
-    return build_splits([k1, k2], [np.array([0, 1]), np.array([1, 2])], np.array([1]))
+    k, keys = stacked([[[2.0, -1.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 2.0]]],
+                      [[0, 1], [1, 2]], 3)
+    return build_splits(k, keys, np.array([1]), 3)
 
 
 def test_chain_schur():
@@ -47,7 +56,7 @@ def test_chain_condensed_rhs_and_recovery():
 
 def dense_schur_parts(lv):
     """Block elimination of the assembled operator: the reference S and g."""
-    kd = lv.k_global.to_dense()
+    kd = lv.k_global.scipy_csr().toarray()
     iface = lv.imap.dofs
     interior = np.setdiff1d(np.arange(kd.shape[0]), iface)
     kbb = kd[np.ix_(iface, iface)]
@@ -67,7 +76,8 @@ FIXTURES = [
 
 @pytest.mark.parametrize("spec,n,subs,axes", FIXTURES)
 def test_schur_matches_block_elimination(spec, n, subs, axes):
-    lv = build_level1(spec, n, subs, axis_counts=axes, method="regular-blocks")
+    lv = build_level1(spec, n, subs, method="regular-blocks")
+    assert _block_axis_counts(lv.grid.structured_shape, subs) == axes
     s_dense, g_dense, _ = dense_schur_parts(lv)
     rng = np.random.default_rng(7)
     for _ in range(3):
@@ -79,13 +89,12 @@ def test_schur_matches_block_elimination(spec, n, subs, axes):
 
 
 def test_recovery_matches_full_solve():
-    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4,
-                      axis_counts=(2, 2), method="regular-blocks")
+    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4, method="regular-blocks")
     s_dense, g_dense, _ = dense_schur_parts(lv)
     u_hat = np.linalg.solve(s_dense, g_dense)
     x = recover_interior(lv.splits, lv.imap, u_hat, lv.f_global,
-                         n_dofs=lv.k_global.n_rows)
-    x_ref = np.linalg.solve(lv.k_global.to_dense(), lv.f_global)
+                         n_dofs=lv.k_global.shape[0])
+    x_ref = np.linalg.solve(lv.k_global.scipy_csr().toarray(), lv.f_global)
     assert np.max(np.abs(x - x_ref)) < 1e-10
 
 
@@ -93,8 +102,8 @@ def test_empty_interface_is_direct_solve():
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 4, 1)
     assert lv.imap.n == 0
     x = recover_interior(lv.splits, lv.imap, np.zeros(0), lv.f_global,
-                         n_dofs=lv.k_global.n_rows)
-    x_ref = np.linalg.solve(lv.k_global.to_dense(), lv.f_global)
+                         n_dofs=lv.k_global.shape[0])
+    x_ref = np.linalg.solve(lv.k_global.scipy_csr().toarray(), lv.f_global)
     assert np.max(np.abs(x - x_ref)) < 1e-12
     assert schur_apply(lv.splits, lv.imap, np.zeros(0)).shape == (0,)
 
@@ -118,11 +127,14 @@ def test_workers_key_starts_no_threads(monkeypatch):
 
 
 def test_split_errors():
-    k = SparseMatrix.from_scipy([[1.0]], symmetric=True)
+    k, keys = stacked([[[1.0]]], [[0]], 3)
     with pytest.raises(ValueError, match="sorted"):
-        build_splits([k], [np.array([0])], np.array([2, 1]))
+        build_splits(k, keys, np.array([2, 1]), 3)
+    with pytest.raises(ValueError, match="key count"):
+        build_splits(k, np.array([0, 1]), np.zeros(0, dtype=int), 3)
+    k, keys = stacked([[[1.0]], [[1.0]]], [[0], [0]], 3)
     with pytest.raises(ValueError, match="more than one"):
-        build_splits([k, k], [np.array([0]), np.array([0])], np.zeros(0, dtype=int))
+        build_splits(k, keys, np.zeros(0, dtype=int), 3)
     splits, imap = chain_splits()
     with pytest.raises(ValueError, match="length"):
         schur_apply(splits, imap, np.zeros(3))
