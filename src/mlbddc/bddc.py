@@ -1,22 +1,27 @@
 """Multilevel BDDC: coarse bases, level setup, and the preconditioner apply.
 
-Each subdomain carries a constrained local problem
+Each subdomain carries a constrained local problem on its interface,
 
-    [ K_i  C_i^T ] [ z ]   [ r ]
-    [ C_i   0    ] [ m ] = [ 0 ]
+    [ S_i  C_i^T ] [ z ]   [ r ]
+    [ C_i   0    ] [ m ] = [ 0 ],
 
-whose basis columns (unit constraint values) span the coarse space. The
-negated Lagrange block of the basis solve is the subdomain's coarse element
-matrix; assembling those over the coarse dofs yields the next level's
-problem, which is either factorized directly (top level) or split again
-into subdomains over a pseudo-mesh. Applications at levels past the first
-condense the full residual onto the interface before the cycle and
-recover the interiors after it, with the condensation and recovery of the
-level-1 solve (substructuring), so the recursion only ever sees interface
-residuals; each is one block-diagonal interior solve per level. The
-constrained local solves stay per subdomain, and their multipliers are the
-restricted coarse residuals. All reductions accumulate in subdomain order,
-so results are bitwise reproducible.
+with S_i = K_BB,i - K_IB,i^T K_II,i^-1 K_IB,i the subdomain's dense Schur
+complement and C_i its constraint rows over the interface dofs. It is the
+full problem [K_i C_i^T; C_i 0] with the interior eliminated: every apply
+hands a subdomain a residual that is zero on its interior and reads back
+only interface values and multipliers. Its basis columns (unit constraint
+values) span the coarse space. The negated Lagrange block of the basis
+solve is the subdomain's coarse element matrix; assembling those over the
+coarse dofs yields the next level's problem, which is either factorized
+directly (top level) or split again into subdomains over a pseudo-mesh.
+Applications at levels past the first condense the full residual onto the
+interface before the cycle and recover the interiors after it, with the
+condensation and recovery of the level-1 solve (substructuring), so the
+recursion only ever sees interface residuals; each is one block-diagonal
+interior solve per level. The constrained local solves stay per
+subdomain, and their multipliers are the restricted coarse residuals. All
+reductions accumulate in subdomain order, so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 from .grid import LevelGrid
 from .interface import (
     CoarseSpace,
@@ -44,10 +49,10 @@ from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, build_sp
 
 @dataclass
 class ConstraintMatrix:
-    """Dense constraint rows over a subdomain's local dofs, one row per
+    """Dense constraint rows over a subdomain's interface dofs, one row per
     local coarse dof (corner value or glob average), tagged by origin."""
 
-    rows: np.ndarray              # (n_constraints, n_local)
+    rows: np.ndarray              # (n_constraints, n_interface)
     tags: list                    # "corner" | "edge" | "face" per row
 
     @property
@@ -57,7 +62,8 @@ class ConstraintMatrix:
 
 def build_constraints(sub: int, coarse: CoarseSpace, globset,
                       split: SubdomainSplit) -> ConstraintMatrix:
-    """Constraint rows for one subdomain, ordered like its coarse dofs
+    """Constraint rows for one subdomain over its interface dofs (columns
+    ordered like `split.interface_pos`), rows ordered like its coarse dofs
     (coarse nodes ascending, components fastest)."""
     dpn = coarse.dofs_per_node
     members, tags = [], []
@@ -72,52 +78,61 @@ def build_constraints(sub: int, coarse: CoarseSpace, globset,
     sizes = np.array([m.size for m in members], dtype=np.int64)
     node = np.repeat(np.arange(sizes.size), sizes)      # coarse node of each member
     dofs = np.concatenate([np.zeros(0, np.int64), *members])[:, None] * dpn + np.arange(dpn)
-    pos = np.searchsorted(split.local_dofs, dofs)
-    if np.any(pos >= split.n_local) or np.any(split.local_dofs[pos] != dofs):
-        raise ValueError(f"subdomain {sub}: constraint node outside the subdomain")
-    rows = np.zeros((sizes.size * dpn, split.n_local))
+    iface = split.local_dofs[split.interface_pos]
+    pos = np.searchsorted(iface, dofs)
+    if np.any(pos >= iface.size) or np.any(iface[pos] != dofs):
+        raise ValueError(f"subdomain {sub}: constraint node outside the subdomain's interface")
+    rows = np.zeros((sizes.size * dpn, iface.size))
     rows[node[:, None] * dpn + np.arange(dpn), pos] = (1.0 / sizes[node])[:, None]
     return ConstraintMatrix(rows=rows, tags=tags)
 
 
 @dataclass
 class SubdomainCoarse:
-    """One subdomain's coarse machinery: the factorized bordered matrix,
-    the basis, its coarse element matrix, and where it assembles."""
+    """One subdomain's coarse machinery on its interface: the factorized
+    bordered matrix [S C^T; C 0], the basis, its coarse element matrix, and
+    where it assembles."""
 
     constraints: ConstraintMatrix
     bordered: Factorization
-    psi: np.ndarray               # (n_local, n_constraints)
+    psi: np.ndarray               # (n_interface, n_constraints)
     coarse_matrix: np.ndarray     # (n_constraints, n_constraints)
     coarse_dofs: np.ndarray       # global coarse dof ids
 
-    def constrained_solve(self, r_local: np.ndarray):
-        """Solve the bordered system with residual r and zero constraint
-        values. Returns (z, mu); the bordered matrix is symmetric, so the
-        multipliers mu equal psi^T r, the subdomain's coarse residual."""
-        n = r_local.shape[0]
+    def constrained_solve(self, r_b: np.ndarray):
+        """Solve the bordered system with interface residual r_b and zero
+        constraint values: the full local problem for a residual that is zero
+        on the interior, read back on the interface. Returns (z_b, mu); the
+        bordered matrix is symmetric, so the multipliers mu equal psi^T r_b,
+        the subdomain's coarse residual."""
+        n = r_b.shape[0]
         sol = self.bordered.solve(
-            np.concatenate([r_local, np.zeros(self.constraints.n_constraints)]))
+            np.concatenate([r_b, np.zeros(self.constraints.n_constraints)]))
         return sol[:n], sol[n:]
 
 
-def coarse_basis(k_local, cmat: ConstraintMatrix):
-    """Factorize the bordered matrix of a subdomain's matrix k_local (scipy
-    sparse) and compute the coarse basis.
+def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
+    """Factorize the bordered matrix [S C^T; C 0] of a subdomain's dense
+    interface Schur complement s_local and its constraint rows C, and
+    compute the coarse basis.
 
-    Returns (bordered_factorization, psi, coarse_matrix): psi solves the
-    constrained minimization with unit constraint values, and the coarse
-    matrix is the negated multiplier block (= psi^T K psi), symmetrized.
-    The basis solve carries the factor's setup check as one extra column,
-    the check probe, and only that column's residual is checked; an
-    inaccurate factor raises NumericalError.
+    Returns (bordered_factorization, psi, coarse_matrix): psi holds the
+    interface values of the constrained energy minimizers with unit
+    constraint values, and the coarse matrix is the negated multiplier block
+    (= psi^T S psi), symmetrized. Both equal those of the full local problem
+    [K C^T; C 0], whose minimizers are discrete harmonic inside. The basis
+    solve carries the factor's setup check as one extra column, the check
+    probe, and only that column's residual is checked; an inaccurate factor
+    raises NumericalError.
     """
-    n = k_local.shape[0]
+    n = s_local.shape[0]
     nc = cmat.n_constraints
-    c = scipy.sparse.csr_matrix(cmat.rows)
-    bordered = SparseMatrix.from_scipy(
-        scipy.sparse.bmat([[k_local, c.T], [c, None]]), symmetric=True)
-    fact = factorize(bordered, "symmetric-indefinite", probe=False)
+    a = np.zeros((n + nc, n + nc))
+    a[:n, :n] = s_local
+    a[n:, :n] = cmat.rows
+    a[:n, n:] = cmat.rows.T
+    fact = factorize(SparseMatrix.from_dense(a, symmetric=True), "symmetric-indefinite",
+                     probe=False)
     rhs = np.zeros((n + nc, nc + 1))
     rhs[n:, :nc] = np.eye(nc)
     rhs[:, nc] = probe_rhs(n + nc)
@@ -178,20 +193,14 @@ class MultilevelBddc:
         level = self.levels[li]
         splits = level.splits
         r_b = level.weights * r_hat[splits.iface_index]
-        z_loc, mu, start = [], [], 0
-        for sub, split in zip(level.subs, splits):
-            pos = split.interface_pos
-            r_loc = np.zeros(split.n_local)
-            r_loc[pos] = r_b[start:start + pos.size]
-            start += pos.size
-            z_i, mu_i = sub.constrained_solve(r_loc)
-            z_loc.append(z_i)
-            mu.append(mu_i)
+        cuts = np.cumsum([split.interface_pos.size for split in splits[:-1]])
+        z_b, mu = zip(*(sub.constrained_solve(r_i)
+                        for sub, r_i in zip(level.subs, np.split(r_b, cuts))))
         r_c = np.bincount(np.concatenate([sub.coarse_dofs for sub in level.subs]),
                           np.concatenate(mu), level.n_coarse_dofs)
         z_c = self._full_apply(li + 1, r_c)
-        v_b = np.concatenate([(sub.psi @ z_c[sub.coarse_dofs] + z_i)[split.interface_pos]
-                              for sub, split, z_i in zip(level.subs, splits, z_loc)])
+        v_b = np.concatenate([sub.psi @ z_c[sub.coarse_dofs] + z_i
+                              for sub, z_i in zip(level.subs, z_b)])
         return splits.gather(level.weights * v_b, level.imap.n)
 
     def _full_apply(self, li: int, r: np.ndarray) -> np.ndarray:
@@ -225,6 +234,30 @@ def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
                          for kc, d, s in zip(k_elems, dof_lists, partition.assignment)])
 
 
+def _local_schur(k_csr, lo: int, split: SubdomainSplit) -> np.ndarray:
+    """Dense interface Schur complement S = K_BB - W^T W, W = L^-1 K_IB,
+    K_II = L L^T, of the subdomain whose diagonal block of the level's
+    block-diagonal CSR k_csr starts at row lo. The block has no entries
+    outside its own columns, so it is read straight from the CSR arrays,
+    interior dofs first. K_II is SPD: the level's stacked K_II factor
+    passed its setup check."""
+    n, n_i = split.n_local, split.interior_pos.size
+    order = np.empty(n, dtype=np.int64)
+    order[np.concatenate([split.interior_pos, split.interface_pos])] = np.arange(n)
+    ptr = k_csr.indptr[lo:lo + n + 1]
+    entries = slice(ptr[0], ptr[-1])
+    kd = np.zeros((n, n), order="F")
+    kd[np.repeat(order, np.diff(ptr)), order[k_csr.indices[entries] - lo]] = k_csr.data[entries]
+    if n_i in (0, n):
+        return kd[n_i:, n_i:]
+    low, info = dpotrf(kd[:n_i, :n_i], lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"interior block is not positive definite (potrf info={info})")
+    w, _ = dtrtrs(low, kd[:n_i, n_i:], lower=1)
+    s = kd[n_i:, n_i:] - w.T @ w
+    return (s + s.T) * 0.5
+
+
 def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, keys,
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
     globset = classify_interface(grid, part)
@@ -233,23 +266,24 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
+    k_csr = k.scipy_csr()
     subs, lo = [], 0
     for i, split in enumerate(splits):
         cmat = build_constraints(i, coarse, globset, split)
-        hi = lo + split.n_local
+        s_local = _local_schur(k_csr, lo, split)
         try:
-            fact, psi, kc = coarse_basis(k.scipy_csr()[lo:hi, lo:hi], cmat)
+            fact, psi, kc = coarse_basis(s_local, cmat)
         except NumericalError as exc:
             what = ("singular" if isinstance(exc, SingularMatrixError)
                     else "too ill-conditioned to solve accurately")
             raise NumericalError(
                 f"level {index}, subdomain {i}: constrained local problem is "
                 f"{what} ({cmat.n_constraints} constraints on "
-                f"{split.n_local} dofs); the constraint set is too weak"
+                f"{split.interface_pos.size} interface dofs); the constraint set is too weak"
             ) from exc
         subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
                                     coarse_matrix=kc, coarse_dofs=coarse.sub_dofs(i)))
-        lo = hi
+        lo += split.n_local
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, subs=subs)
 

@@ -1,8 +1,11 @@
 """Coarse bases and the multilevel preconditioner.
 
-Hand-worked saddle fixtures: with K = I and C = [1 0], the basis column is
+Hand-worked saddle fixtures: with S = I and C = [1 0], the basis column is
 (1, 0) with coarse matrix [1]; with square invertible C the basis is C^-1
-and the coarse matrix is psi^T K psi.
+and the coarse matrix is psi^T S psi. On assembled fixtures the local
+problems live on the interface, [S_i C_i^T; C_i 0]; the oracle is the full
+dense bordered system [K_i C_i^T; C_i 0] with the constraint rows
+zero-padded over the interior.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from mlbddc import sparse
 from mlbddc.bddc import (
     ConstraintMatrix,
     MultilevelBddc,
+    _local_schur,
     assemble_coarse,
     build_constraints,
     coarse_basis,
@@ -25,12 +29,31 @@ from mlbddc.errors import NumericalError, SingularMatrixError
 from mlbddc.fem import ProblemSpec
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
 from mlbddc.sparse import Factorization, SparseMatrix, sum_elements
+from mlbddc.substructuring import SubdomainSplit
 from test_substructuring import dense_schur_parts
 
 
 def make_bddc(lv, coarse_counts=(), **kw):
     return setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
                       coarse_counts, **kw)
+
+
+def full_local_problem(lv, split, rows_b):
+    """Subdomain split's dense oracle: the full bordered matrix
+    [K C^T; C 0] (constraint rows over the interface zero-padded to all
+    local dofs) and the interface Schur complement S by dense elimination."""
+    kd = lv.k_local(split.index)
+    i, b = split.interior_pos, split.interface_pos
+    c = np.zeros((rows_b.shape[0], split.n_local))
+    c[:, b] = rows_b
+    bordered = np.block([[kd, c.T], [c, np.zeros((c.shape[0], c.shape[0]))]])
+    kib = kd[np.ix_(i, b)]
+    s = kd[np.ix_(b, b)] - kib.T @ np.linalg.solve(kd[np.ix_(i, i)], kib)
+    return bordered, s
+
+
+def rel_err(a, ref):
+    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +75,7 @@ def elasticity3d_edges():
 # -- coarse basis -------------------------------------------------------------
 
 def test_basis_identity_matrix():
-    k = scipy.sparse.csr_matrix(np.eye(2))
+    k = np.eye(2)
     cmat = ConstraintMatrix(rows=np.array([[1.0, 0.0]]), tags=["corner"])
     _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi, [[1.0], [0.0]], atol=1e-14)
@@ -60,7 +83,7 @@ def test_basis_identity_matrix():
 
 
 def test_basis_square_constraints_invert():
-    k = scipy.sparse.csr_matrix(np.diag([2.0, 3.0]))
+    k = np.diag([2.0, 3.0])
     c = np.array([[1.0, 1.0], [0.0, 1.0]])
     cmat = ConstraintMatrix(rows=c, tags=["corner", "corner"])
     _, psi, kc = coarse_basis(k, cmat)
@@ -69,7 +92,7 @@ def test_basis_square_constraints_invert():
 
 
 def test_basis_no_constraints():
-    k = scipy.sparse.csr_matrix(np.diag([2.0, 3.0]))
+    k = np.diag([2.0, 3.0])
     cmat = ConstraintMatrix(rows=np.zeros((0, 2)), tags=[])
     fact, psi, kc = coarse_basis(k, cmat)
     assert psi.shape == (2, 0)
@@ -78,7 +101,7 @@ def test_basis_no_constraints():
 
 
 def test_basis_detects_singular_unconstrained():
-    k = scipy.sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    k = np.array([[1.0, -1.0], [-1.0, 1.0]])
     cmat = ConstraintMatrix(rows=np.zeros((0, 2)), tags=[])
     with pytest.raises(SingularMatrixError):
         coarse_basis(k, cmat)
@@ -87,11 +110,28 @@ def test_basis_detects_singular_unconstrained():
 def test_basis_caps_floating_kernel():
     # the same singular matrix becomes solvable with one point constraint;
     # the constant mode then carries zero energy
-    k = scipy.sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    k = np.array([[1.0, -1.0], [-1.0, 1.0]])
     cmat = ConstraintMatrix(rows=np.array([[1.0, 0.0]]), tags=["corner"])
     _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi[:, 0], [1.0, 1.0], atol=1e-14)
     assert abs(kc[0, 0]) < 1e-14
+
+
+def test_basis_without_interior_matches_full_solve():
+    # a hand-built subdomain with interface dofs only, stored as the second
+    # block of a block-diagonal CSR: S = K_BB = K, and psi and the coarse
+    # matrix are those of the full bordered solve
+    k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    k_csr = scipy.sparse.block_diag([np.diag([4.0, 5.0]), k], format="csr")
+    split = SubdomainSplit(1, np.array([3, 4, 7]), np.zeros(0, np.int64), np.arange(3), None)
+    s = _local_schur(k_csr, 2, split)
+    assert np.array_equal(s, k)
+    c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    _, psi, kc = coarse_basis(s, ConstraintMatrix(rows=c, tags=["corner", "edge"]))
+    bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
+    ref = np.linalg.solve(bordered, np.vstack([np.zeros((3, 2)), np.eye(2)]))
+    assert rel_err(psi, ref[:3]) <= 1e-12
+    assert rel_err(kc, -ref[3:]) <= 1e-12
 
 
 def test_constraint_rows(cross2d):
@@ -108,8 +148,8 @@ def test_constraint_rows(cross2d):
 
 
 def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
-    # rows found by searching the sorted local dofs equal rows placed through
-    # a full level-dof lookup table
+    # rows found by searching the sorted interface dofs equal rows placed
+    # through a full level-dof lookup table, which puts nothing on the interior
     lv = elasticity3d_edges
     cs = lv.coarse_space()
     for i, split in enumerate(lv.splits):
@@ -123,8 +163,10 @@ def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
                 row = np.zeros(split.n_local)
                 row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
                 ref.append(row)
+        ref = np.array(ref)
+        assert not ref[:, split.interior_pos].any()
         rows = build_constraints(i, cs, lv.globset, split).rows
-        assert np.array_equal(rows, np.array(ref))
+        assert np.array_equal(rows, ref[:, split.interface_pos])
 
 
 def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
@@ -134,34 +176,41 @@ def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
 
 
 def test_basis_properties_on_fixture(cross2d):
+    # psi is the interface part of the full local problem's basis, and the
+    # coarse matrix is its energy psi^T S psi
     lv = cross2d
     m = make_bddc(lv)
     level = m.levels[0]
-    for i, sub in enumerate(level.subs):
+    for sub, split in zip(level.subs, level.splits):
         cmat = sub.constraints
         psi = sub.psi
-        assert np.allclose(cmat.rows @ psi, np.eye(cmat.n_constraints), atol=1e-11)
-        kd = lv.k_local(i)
-        assert np.allclose(sub.coarse_matrix, psi.T @ kd @ psi, atol=1e-10)
+        bordered, s = full_local_problem(lv, split, cmat.rows)
+        nc = cmat.n_constraints
+        ref = np.linalg.solve(bordered, np.vstack([np.zeros((split.n_local, nc)), np.eye(nc)]))
+        assert rel_err(psi, ref[split.interface_pos]) <= 1e-12
+        assert np.allclose(cmat.rows @ psi, np.eye(nc), atol=1e-11)
+        assert np.allclose(sub.coarse_matrix, psi.T @ s @ psi, atol=1e-10)
         assert np.allclose(sub.coarse_matrix, sub.coarse_matrix.T, atol=1e-14)
         assert np.linalg.eigvalsh(sub.coarse_matrix).min() > 0
 
 
 def test_basis_energy_minimality(cross2d):
+    # among interface functions with the same constraint values, psi has the
+    # least S energy
     lv = cross2d
     m = make_bddc(lv)
     level = m.levels[0]
-    sub = level.subs[0]
-    kd = lv.k_local(0)
+    sub, split = level.subs[0], level.splits[0]
     c = sub.constraints.rows
+    _, s = full_local_problem(lv, split, c)
     proj = np.eye(c.shape[1]) - np.linalg.pinv(c) @ c
     rng = np.random.default_rng(11)
     for k in range(sub.constraints.n_constraints):
         psi_k = sub.psi[:, k]
-        base = psi_k @ kd @ psi_k
+        base = psi_k @ s @ psi_k
         for _ in range(3):
             y = psi_k + proj @ rng.standard_normal(c.shape[1])
-            assert y @ kd @ y >= base - 1e-10
+            assert y @ s @ y >= base - 1e-10
 
 
 # -- the preconditioner -------------------------------------------------------
@@ -250,19 +299,41 @@ def test_degenerate_middle_level_collapses(cross2d):
 @pytest.mark.parametrize("name", ["cross2d", "elasticity3d", "elasticity3d_edges"])
 def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshold,
                                                             request, monkeypatch):
-    # symmetric bordered matrix: the multipliers of [K C^T; C 0][z; mu] = [r; 0]
-    # are psi^T r, and z satisfies the constraints (dense and sparse factors)
+    # the interface solve equals the full solve of [K C^T; C 0][z; mu] = [r; 0]
+    # for r zero on the interior, read on the interface; the bordered matrix
+    # is symmetric, so the multipliers are psi^T r, and z satisfies the
+    # constraints (dense and sparse factors)
     if dense_threshold is not None:
         monkeypatch.setattr(sparse, "DENSE_THRESHOLD", dense_threshold)
     lv = request.getfixturevalue(name)
     level = make_bddc(lv).levels[0]
     rng = np.random.default_rng(17)
     for sub, split in zip(level.subs, level.splits):
-        r = rng.standard_normal(split.n_local)
-        z, mu = sub.constrained_solve(r)
-        ref = sub.psi.T @ r
-        assert np.linalg.norm(mu - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.linalg.norm(sub.constraints.rows @ z) <= 1e-12 * np.linalg.norm(z)
+        r_b = rng.standard_normal(split.interface_pos.size)
+        z_b, mu = sub.constrained_solve(r_b)
+        bordered, _ = full_local_problem(lv, split, sub.constraints.rows)
+        rhs = np.zeros(bordered.shape[0])
+        rhs[split.interface_pos] = r_b
+        ref = np.linalg.solve(bordered, rhs)
+        # the pair (z_b, mu) is measured as one vector: with as many
+        # constraints as interface dofs (cross2d), z_b alone is zero
+        pair = np.concatenate([ref[split.interface_pos], ref[split.n_local:]])
+        assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
+        assert rel_err(mu, sub.psi.T @ r_b) <= 1e-12
+        assert np.linalg.norm(sub.constraints.rows @ z_b) <= 1e-12 * np.linalg.norm(pair)
+
+
+@pytest.mark.parametrize("name,coarse_counts", [("cross2d", (2,)), ("elasticity3d_edges", ())])
+def test_bordered_factors_are_interface_sized(name, coarse_counts, request):
+    # every level factors [S C^T; C 0] of order n_B + n_c, never the full
+    # bordered matrix of order n_local + n_c
+    m = make_bddc(request.getfixturevalue(name), coarse_counts=coarse_counts)
+    assert m.n_levels == len(coarse_counts) + 2
+    for level in m.levels:
+        for sub, split in zip(level.subs, level.splits):
+            n_b, n_c = split.interface_pos.size, sub.constraints.n_constraints
+            assert sub.bordered.n == n_b + n_c
+            assert sub.psi.shape == sub.constraints.rows.shape[::-1] == (n_b, n_c)
 
 
 def test_elasticity_3d_smoke(elasticity3d):

@@ -177,6 +177,19 @@ def test_solve_weak_coarse_space_names_the_subdomain(capsys, elements):
     assert "constraint set is too weak" in err
 
 
+def test_solve_weak_coarse_space_names_the_subdomain_3d(capsys):
+    # the 3D case: subdomain 1 does not touch the clamped face, and the
+    # values at its one coarse vertex (3 constraints) leave its rotations free
+    code, _, err = run_cli(capsys, "solve", "--set", "problem=elasticity",
+                           "--set", "dim=3", "--set", "elements=4",
+                           "--set", "hierarchy=8", "--set", "dirichlet_faces=x-",
+                           "--set", "constraint_policy=corners-only",
+                           "--set", "corner_strategy=vertices-only")
+    assert code == EXIT_NUMERICAL
+    assert "level 1, subdomain 1" in err
+    assert "constraint set is too weak" in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
