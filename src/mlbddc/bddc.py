@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from . import sparse
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 from .grid import LevelGrid
 from .interface import (
@@ -235,13 +236,26 @@ def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
 
 
 def _local_schur(k_csr, lo: int, split: SubdomainSplit) -> np.ndarray:
-    """Dense interface Schur complement S = K_BB - W^T W, W = L^-1 K_IB,
-    K_II = L L^T, of the subdomain whose diagonal block of the level's
-    block-diagonal CSR k_csr starts at row lo. The block has no entries
-    outside its own columns, so it is read straight from the CSR arrays,
-    interior dofs first. K_II is SPD: the level's stacked K_II factor
-    passed its setup check."""
+    """Dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB of the
+    subdomain whose diagonal block of the level's block-diagonal CSR k_csr
+    starts at row lo. K_II is SPD: the level's stacked K_II factor passed
+    its setup check.
+
+    Up to sparse.DENSE_THRESHOLD local dofs, the block is read straight
+    from the CSR arrays (it has no entries outside its own columns),
+    interior dofs first, into one dense array: S = K_BB - W^T W with
+    W = L^-1 K_IB, K_II = L L^T. Larger subdomains never become dense:
+    their K_II is factorized by `factorize` (SuperLU above the threshold)
+    and solved for the n_B columns of K_IB only.
+    """
     n, n_i = split.n_local, split.interior_pos.size
+    if n > sparse.DENSE_THRESHOLD:
+        blk = k_csr[lo:lo + n, lo:lo + n]
+        rows_i = blk[split.interior_pos]
+        k_ib = rows_i[:, split.interface_pos].toarray(order="F")
+        k_ii = factorize(SparseMatrix.from_scipy(rows_i[:, split.interior_pos], symmetric=True))
+        s = blk[split.interface_pos][:, split.interface_pos].toarray() - k_ib.T @ k_ii.solve(k_ib)
+        return (s + s.T) * 0.5
     order = np.empty(n, dtype=np.int64)
     order[np.concatenate([split.interior_pos, split.interface_pos])] = np.arange(n)
     ptr = k_csr.indptr[lo:lo + n + 1]

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse
 
 from conftest import build_level1
-from mlbddc import sparse
+from mlbddc import bddc, sparse
 from mlbddc.bddc import (
     ConstraintMatrix,
     MultilevelBddc,
@@ -320,7 +320,33 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
         pair = np.concatenate([ref[split.interface_pos], ref[split.n_local:]])
         assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
         assert rel_err(mu, sub.psi.T @ r_b) <= 1e-12
-        assert np.linalg.norm(sub.constraints.rows @ z_b) <= 1e-12 * np.linalg.norm(pair)
+        n_b, n_c = z_b.size, mu.size
+        scale = np.linalg.norm(pair) if n_b == n_c else np.linalg.norm(z_b)
+        assert np.linalg.norm(sub.constraints.rows @ z_b) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["cross2d", "elasticity3d"])
+def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeypatch):
+    # above DENSE_THRESHOLD local dofs the interior is eliminated with a
+    # sparse K_II factor, never a dense copy of the subdomain block; S_i,
+    # psi and the coarse matrices equal the dense path's
+    lv = request.getfixturevalue(name)
+    k_csr = lv.k.scipy_csr()
+    los = np.cumsum([0] + [split.n_local for split in lv.splits[:-1]])
+    s_dense = [_local_schur(k_csr, lo, split) for lo, split in zip(los, lv.splits)]
+    dense = make_bddc(lv).levels[0]
+    # below every subdomain's order, at or above every bordered order: only
+    # the elimination changes path, and the dense one is never reached
+    threshold = max(sub.bordered.n for sub in dense.subs)
+    assert threshold < min(split.n_local for split in lv.splits)
+    monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
+    monkeypatch.setattr(bddc, "dpotrf", None)
+    for lo, split, s in zip(los, lv.splits, s_dense):
+        assert rel_err(_local_schur(k_csr, lo, split), s) <= 1e-12
+    for sub, ref in zip(make_bddc(lv).levels[0].subs, dense.subs):
+        assert sub.bordered.method == ref.bordered.method == "bunch-kaufman"
+        assert rel_err(sub.psi, ref.psi) <= 1e-12
+        assert rel_err(sub.coarse_matrix, ref.coarse_matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("name,coarse_counts", [("cross2d", (2,)), ("elasticity3d_edges", ())])
