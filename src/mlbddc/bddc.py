@@ -9,9 +9,14 @@ with S_i = K_BB,i - K_IB,i^T K_II,i^-1 K_IB,i the subdomain's dense Schur
 complement and C_i its constraint rows over the interface dofs. It is the
 full problem [K_i C_i^T; C_i 0] with the interior eliminated: every apply
 hands a subdomain a residual that is zero on its interior and reads back
-only interface values and multipliers. Its basis columns (unit constraint
-values) span the coarse space. The negated Lagrange block of the basis
-solve is the subdomain's coarse element matrix; assembling those over the
+only interface values and multipliers. A corner constraint fixes one
+interface dof outright, so that dof and its multiplier row are eliminated
+as well (Dohrmann, SIAM J. Sci. Comput. 25, 2003): what is factorized is
+[S_ff C_af^T; C_af 0] over the free dofs f and the average rows a, which
+is nonsingular exactly when the full matrix is. Its basis columns (unit
+constraint values) span the coarse space. The negated Lagrange block of
+the basis solve is the subdomain's coarse element matrix (its corner rows
+recovered from the fixed dofs' equations); assembling those over the
 coarse dofs yields the next level's problem, which is either factorized
 directly (top level) or split again into subdomains over a pseudo-mesh.
 Applications at levels past the first condense the full residual onto the
@@ -19,14 +24,14 @@ interface before the cycle and recover the interiors after it, with the
 condensation and recovery of the level-1 solve (substructuring), so the
 recursion only ever sees interface residuals; each is one block-diagonal
 interior solve per level. The constrained local solves stay per
-subdomain, and their multipliers are the restricted coarse residuals. All
-reductions accumulate in subdomain order, so results are bitwise
-reproducible.
+subdomain, and their multipliers, psi^T r, are the restricted coarse
+residuals. All reductions accumulate in subdomain order, so results are
+bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -51,10 +56,30 @@ from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, build_sp
 @dataclass
 class ConstraintMatrix:
     """Dense constraint rows over a subdomain's interface dofs, one row per
-    local coarse dof (corner value or glob average), tagged by origin."""
+    local coarse dof (corner value or glob average), tagged by origin.
+
+    A point constraint, a row tagged "corner" with exactly one nonzero,
+    fixes one interface dof; every other row (an average, even one over a
+    single node) is a multiplier row of the constrained local problem.
+    interface_order lists the free dofs (those no point constraint fixes),
+    then the fixed ones, each ascending: `coarse_basis` takes S in this
+    order."""
 
     rows: np.ndarray              # (n_constraints, n_interface)
     tags: list                    # "corner" | "edge" | "face" per row
+    point_rows: np.ndarray = field(init=False, repr=False)
+    point_dofs: np.ndarray = field(init=False, repr=False)    # the dof each fixes
+    interface_order: np.ndarray = field(init=False, repr=False)
+    free_dofs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        corner = np.array([tag == "corner" for tag in self.tags], dtype=bool)
+        self.point_rows = np.flatnonzero(corner & (np.count_nonzero(self.rows, axis=1) == 1))
+        self.point_dofs = np.nonzero(self.rows[self.point_rows])[1]
+        fixed = np.zeros(self.rows.shape[1], dtype=bool)
+        fixed[self.point_dofs] = True
+        self.interface_order = np.argsort(fixed, kind="stable")
+        self.free_dofs = self.interface_order[:fixed.size - np.count_nonzero(fixed)]
 
     @property
     def n_constraints(self) -> int:
@@ -91,8 +116,8 @@ def build_constraints(sub: int, coarse: CoarseSpace, globset,
 @dataclass
 class SubdomainCoarse:
     """One subdomain's coarse machinery on its interface: the factorized
-    bordered matrix [S C^T; C 0], the basis, its coarse element matrix, and
-    where it assembles."""
+    reduced bordered matrix [S_ff C_af^T; C_af 0] (see `coarse_basis`), the
+    basis, its coarse element matrix, and where it assembles."""
 
     constraints: ConstraintMatrix
     bordered: Factorization
@@ -101,48 +126,84 @@ class SubdomainCoarse:
     coarse_dofs: np.ndarray       # global coarse dof ids
 
     def constrained_solve(self, r_b: np.ndarray):
-        """Solve the bordered system with interface residual r_b and zero
-        constraint values: the full local problem for a residual that is zero
-        on the interior, read back on the interface. Returns (z_b, mu); the
-        bordered matrix is symmetric, so the multipliers mu equal psi^T r_b,
-        the subdomain's coarse residual."""
-        n = r_b.shape[0]
+        """Solve [S C^T; C 0][z_b; mu] = [r_b; 0]: the full local problem for
+        a residual that is zero on the interior, read back on the interface.
+        z_b is zero on the dofs the point constraints fix, so only the
+        reduced system over the free dofs and the average rows is solved.
+        Returns (z_b, mu); the bordered matrix is symmetric, so the
+        multipliers mu equal psi^T r_b, the subdomain's coarse residual, and
+        are computed as that product."""
+        free = self.constraints.free_dofs
         sol = self.bordered.solve(
-            np.concatenate([r_b, np.zeros(self.constraints.n_constraints)]))
-        return sol[:n], sol[n:]
+            np.concatenate([r_b[free], np.zeros(self.bordered.n - free.size)]))
+        z_b = np.zeros(r_b.shape[0])
+        z_b[free] = sol[:free.size]
+        return z_b, self.psi.T @ r_b
 
 
 def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
-    """Factorize the bordered matrix [S C^T; C 0] of a subdomain's dense
-    interface Schur complement s_local and its constraint rows C, and
-    compute the coarse basis.
+    """Factorize a subdomain's constrained local problem and compute its
+    coarse basis, from its dense interface Schur complement s_local (rows
+    and columns ordered like cmat.interface_order) and its constraint rows.
 
-    Returns (bordered_factorization, psi, coarse_matrix): psi holds the
-    interface values of the constrained energy minimizers with unit
-    constraint values, and the coarse matrix is the negated multiplier block
-    (= psi^T S psi), symmetrized. Both equal those of the full local problem
-    [K C^T; C 0], whose minimizers are discrete harmonic inside. The basis
-    solve carries the factor's setup check as one extra column, the check
-    probe, and only that column's residual is checked; an inaccurate factor
-    raises NumericalError.
+    The basis columns solve [S C^T; C 0][psi; lam] = [0; I]. A point
+    constraint fixes its dof p outright (psi_p is 1/c_p in its own column
+    and 0 in the others), so only the reduced matrix [S_ff C_af^T; C_af 0]
+    over the free dofs f and the other (average) rows a is factorized; it is
+    nonsingular exactly when [S C^T; C 0] is. The fixed dofs' values g enter
+    its right-hand sides as [-S_fp g; e_a - C_ap g].
+
+    Returns (bordered_factorization, psi, coarse_matrix): psi (n_interface x
+    n_constraints, in interface order) holds the interface values of the
+    constrained energy minimizers with unit constraint values, and the
+    coarse matrix is the negated multiplier block (= psi^T S psi),
+    symmetrized: -lam_a on the average rows and (S_pB psi + C_ap^T lam_a)/c_p
+    on the point rows, from the fixed dofs' own equations. Both equal those
+    of the full local problem [K C^T; C 0], whose minimizers are discrete
+    harmonic inside. The basis solve carries the factor's setup check as one
+    extra column, the check probe, and only that column's residual is
+    checked; an inaccurate factor raises NumericalError. Two point
+    constraints on one dof make the bordered matrix singular and raise
+    SingularMatrixError.
     """
-    n = s_local.shape[0]
-    nc = cmat.n_constraints
-    a = np.zeros((n + nc, n + nc))
-    a[:n, :n] = s_local
-    a[n:, :n] = cmat.rows
-    a[:n, n:] = cmat.rows.T
+    prow, pdof = cmat.point_rows, cmat.point_dofs
+    nc, nb = cmat.rows.shape
+    nf = cmat.free_dofs.size
+    if nb - nf < prow.size:
+        raise SingularMatrixError("two point constraints fix the same interface dof")
+    order = cmat.interface_order
+    fix = nf + np.searchsorted(order[nf:], pdof)    # each point row's dof, in S's order
+    val = cmat.rows[prow, pdof]
+    is_avg = np.ones(nc, dtype=bool)
+    is_avg[prow] = False
+    avg = np.flatnonzero(is_avg)
+    c_a = cmat.rows[avg][:, order]
+    s_p, c_ap = s_local[fix], c_a[:, fix]           # the fixed dofs' rows of S, columns of C_a
+    n = nf + avg.size
+    a = np.zeros((n, n))
+    a[:nf, :nf] = s_local[:nf, :nf]
+    a[nf:, :nf] = c_a[:, :nf]
+    a[:nf, nf:] = c_a[:, :nf].T
     fact = factorize(SparseMatrix.from_dense(a, symmetric=True), "symmetric-indefinite",
                      probe=False)
-    rhs = np.zeros((n + nc, nc + 1))
-    rhs[n:, :nc] = np.eye(nc)
-    rhs[:, nc] = probe_rhs(n + nc)
+    rhs = np.zeros((n, nc + 1))
+    rhs[:nf, prow] = -s_p[:, :nf].T / val
+    rhs[nf:, prow] = -c_ap / val
+    rhs[nf + np.arange(avg.size), avg] = 1.0
+    rhs[:, nc] = probe_rhs(n)
     sol = fact.solve(rhs)
     fact.check(sol[:, nc])
-    psi = sol[:n, :nc].copy(order="F")    # frees the probe column and multiplier rows
-    kc = -sol[n:, :nc]
+    psi = np.zeros((nb, nc))                        # in S's order
+    psi[:nf] = sol[:nf, :nc]
+    psi[fix, prow] = 1.0 / val
+    lam_a = sol[nf:, :nc]
+    kc = np.empty((nc, nc))
+    kc[avg] = -lam_a
+    kc[prow] = (s_p @ psi + c_ap.T @ lam_a) / val[:, None]
     kc = (kc + kc.T) / 2.0
-    return fact, psi, kc
+    psi_b = np.empty((nb, nc), order="F")
+    psi_b[order] = psi
+    return fact, psi_b, kc
 
 
 @dataclass
@@ -235,11 +296,12 @@ def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
                          for kc, d, s in zip(k_elems, dof_lists, partition.assignment)])
 
 
-def _local_schur(k_csr, lo: int, split: SubdomainSplit) -> np.ndarray:
+def _local_schur(k_csr, lo: int, split: SubdomainSplit, iface: np.ndarray) -> np.ndarray:
     """Dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB of the
     subdomain whose diagonal block of the level's block-diagonal CSR k_csr
-    starts at row lo. K_II is SPD: the level's stacked K_II factor passed
-    its setup check.
+    starts at row lo, over the interface positions iface (a reordering of
+    split.interface_pos; S's rows and columns follow it). K_II is SPD: the
+    level's stacked K_II factor passed its setup check.
 
     Up to sparse.DENSE_THRESHOLD local dofs, the block is read straight
     from the CSR arrays (it has no entries outside its own columns),
@@ -252,12 +314,12 @@ def _local_schur(k_csr, lo: int, split: SubdomainSplit) -> np.ndarray:
     if n > sparse.DENSE_THRESHOLD:
         blk = k_csr[lo:lo + n, lo:lo + n]
         rows_i = blk[split.interior_pos]
-        k_ib = rows_i[:, split.interface_pos].toarray(order="F")
+        k_ib = rows_i[:, iface].toarray(order="F")
         k_ii = factorize(SparseMatrix.from_scipy(rows_i[:, split.interior_pos], symmetric=True))
-        s = blk[split.interface_pos][:, split.interface_pos].toarray() - k_ib.T @ k_ii.solve(k_ib)
+        s = blk[iface][:, iface].toarray() - k_ib.T @ k_ii.solve(k_ib)
         return (s + s.T) * 0.5
     order = np.empty(n, dtype=np.int64)
-    order[np.concatenate([split.interior_pos, split.interface_pos])] = np.arange(n)
+    order[np.concatenate([split.interior_pos, iface])] = np.arange(n)
     ptr = k_csr.indptr[lo:lo + n + 1]
     entries = slice(ptr[0], ptr[-1])
     kd = np.zeros((n, n), order="F")
@@ -284,7 +346,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
     subs, lo = [], 0
     for i, split in enumerate(splits):
         cmat = build_constraints(i, coarse, globset, split)
-        s_local = _local_schur(k_csr, lo, split)
+        s_local = _local_schur(k_csr, lo, split, split.interface_pos[cmat.interface_order])
         try:
             fact, psi, kc = coarse_basis(s_local, cmat)
         except NumericalError as exc:

@@ -105,10 +105,12 @@ def sum_elements(blocks):
         rows[lo:hi].reshape(n_e, m, m)[...] = local[:, :, None]
         cols[lo:hi].reshape(n_e, m, m)[...] = local[:, None, :]
         vals[lo:hi].reshape(n_e, m, m)[...] = k
-    keep = (rows >= 0) & (cols >= 0)
+    if any((d < 0).any() for _, d in blocks):
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     n = ltg.shape[0]
-    s = scipy.sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                                shape=(n, n)).tocsr()
+    s = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, vals        # the triplets need not outlive the CSR matrix
     # exact symmetrization (identity when already bitwise symmetric)
     return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True), ltg
 

@@ -124,14 +124,95 @@ def test_basis_without_interior_matches_full_solve():
     k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     k_csr = scipy.sparse.block_diag([np.diag([4.0, 5.0]), k], format="csr")
     split = SubdomainSplit(1, np.array([3, 4, 7]), np.zeros(0, np.int64), np.arange(3), None)
-    s = _local_schur(k_csr, 2, split)
+    s = _local_schur(k_csr, 2, split, split.interface_pos)
     assert np.array_equal(s, k)
     c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-    _, psi, kc = coarse_basis(s, ConstraintMatrix(rows=c, tags=["corner", "edge"]))
+    cmat = ConstraintMatrix(rows=c, tags=["corner", "edge"])
+    order = cmat.interface_order
+    s = _local_schur(k_csr, 2, split, split.interface_pos[order])
+    assert np.array_equal(s, k[np.ix_(order, order)])
+    _, psi, kc = coarse_basis(s, cmat)
     bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((3, 2)), np.eye(2)]))
     assert rel_err(psi, ref[:3]) <= 1e-12
     assert rel_err(kc, -ref[3:]) <= 1e-12
+
+
+def test_point_constraints_inside_averages_match_full_solve():
+    # corners fix dofs 5 (row value 2) and 2, both also in an average's
+    # support (C_ap != 0); the reduced factor drops both dofs and both point
+    # rows, and psi, the coarse matrix and the constrained solve equal the
+    # full bordered solve of [S C^T; C 0]
+    rng = np.random.default_rng(23)
+    q = rng.standard_normal((7, 7))
+    s = q @ q.T + 7.0 * np.eye(7)
+    c = np.zeros((4, 7))
+    c[0, [1, 2, 3]] = 1.0 / 3.0       # edge average over the corner dof 2
+    c[1, 5] = 2.0                     # corner
+    c[2, 2] = 1.0                     # corner
+    c[3, [4, 5, 6]] = 1.0 / 3.0       # face average over the corner dof 5
+    cmat = ConstraintMatrix(rows=c, tags=["edge", "corner", "corner", "face"])
+    assert np.array_equal(cmat.free_dofs, [0, 1, 3, 4, 6])
+    order = cmat.interface_order
+    fact, psi, kc = coarse_basis(s[np.ix_(order, order)], cmat)
+    assert fact.n == (7 - 2) + (4 - 2)
+    bordered = np.block([[s, c.T], [c, np.zeros((4, 4))]])
+    ref = np.linalg.solve(bordered, np.vstack([np.zeros((7, 4)), np.eye(4)]))
+    assert rel_err(psi, ref[:7]) <= 1e-12
+    assert rel_err(kc, -ref[7:]) <= 1e-12
+    sub = bddc.SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
+                               coarse_matrix=kc, coarse_dofs=np.arange(4))
+    r_b = rng.standard_normal(7)
+    z_b, mu = sub.constrained_solve(r_b)
+    ref = np.linalg.solve(bordered, np.concatenate([r_b, np.zeros(4)]))
+    assert rel_err(z_b, ref[:7]) <= 1e-12
+    assert rel_err(mu, ref[7:]) <= 1e-12
+    assert z_b[2] == z_b[5] == 0.0
+
+
+def test_fully_corner_determined_subdomains_match_full_solve():
+    # 2D Poisson with one element per subdomain: every interface dof is a
+    # corner, so each reduced factor has order 0, z_b = 0, and psi and the
+    # coarse matrix still equal the full bordered solve
+    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 4, 16, method="regular-blocks")
+    level = make_bddc(lv).levels[0]
+    rng = np.random.default_rng(29)
+    for sub, split in zip(level.subs, level.splits):
+        assert sub.bordered.n == 0 and sub.constraints.free_dofs.size == 0
+        cmat = sub.constraints
+        nc = cmat.n_constraints
+        bordered, _ = full_local_problem(lv, split, cmat.rows)
+        ref = np.linalg.solve(bordered, np.vstack([np.zeros((split.n_local, nc)), np.eye(nc)]))
+        assert rel_err(sub.psi, ref[split.interface_pos]) <= 1e-12
+        assert rel_err(sub.coarse_matrix, -ref[split.n_local:]) <= 1e-12
+        r_b = rng.standard_normal(split.interface_pos.size)
+        rhs = np.zeros(bordered.shape[0])
+        rhs[split.interface_pos] = r_b
+        ref = np.linalg.solve(bordered, rhs)
+        z_b, mu = sub.constrained_solve(r_b)
+        assert not z_b.any()
+        assert rel_err(mu, ref[split.n_local:]) <= 1e-12
+
+
+def test_two_point_constraints_on_one_dof_are_singular(cross2d, monkeypatch):
+    # both rows fix dof 0, so [S C^T; C 0] is singular; the reduction must
+    # not let one overwrite the other
+    c = np.array([[1.0, 0.0], [2.0, 0.0]])
+    assert np.linalg.matrix_rank(np.block([[np.eye(2), c.T], [c, np.zeros((2, 2))]])) < 4
+    with pytest.raises(SingularMatrixError):
+        coarse_basis(np.eye(2), ConstraintMatrix(rows=c, tags=["corner", "corner"]))
+
+    # in the pipeline, the setup names the level and the subdomain (exit 3)
+    def doubled(*args):
+        cmat = build_constraints(*args)
+        first = cmat.tags.index("corner")
+        return ConstraintMatrix(rows=np.vstack([cmat.rows, cmat.rows[first]]),
+                                tags=cmat.tags + ["corner"])
+
+    monkeypatch.setattr(bddc, "build_constraints", doubled)
+    with pytest.raises(NumericalError, match="level 1, subdomain 0: constrained local "
+                                             "problem is singular"):
+        make_bddc(cross2d)
 
 
 def test_constraint_rows(cross2d):
@@ -333,16 +414,19 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
     lv = request.getfixturevalue(name)
     k_csr = lv.k.scipy_csr()
     los = np.cumsum([0] + [split.n_local for split in lv.splits[:-1]])
-    s_dense = [_local_schur(k_csr, lo, split) for lo, split in zip(los, lv.splits)]
     dense = make_bddc(lv).levels[0]
+    ifaces = [split.interface_pos[sub.constraints.interface_order]
+              for split, sub in zip(lv.splits, dense.subs)]
+    s_dense = [_local_schur(k_csr, lo, split, iface)
+               for lo, split, iface in zip(los, lv.splits, ifaces)]
     # below every subdomain's order, at or above every bordered order: only
     # the elimination changes path, and the dense one is never reached
     threshold = max(sub.bordered.n for sub in dense.subs)
     assert threshold < min(split.n_local for split in lv.splits)
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
     monkeypatch.setattr(bddc, "dpotrf", None)
-    for lo, split, s in zip(los, lv.splits, s_dense):
-        assert rel_err(_local_schur(k_csr, lo, split), s) <= 1e-12
+    for lo, split, iface, s in zip(los, lv.splits, ifaces, s_dense):
+        assert rel_err(_local_schur(k_csr, lo, split, iface), s) <= 1e-12
     for sub, ref in zip(make_bddc(lv).levels[0].subs, dense.subs):
         assert sub.bordered.method == ref.bordered.method == "bunch-kaufman"
         assert rel_err(sub.psi, ref.psi) <= 1e-12
@@ -351,14 +435,17 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
 
 @pytest.mark.parametrize("name,coarse_counts", [("cross2d", (2,)), ("elasticity3d_edges", ())])
 def test_bordered_factors_are_interface_sized(name, coarse_counts, request):
-    # every level factors [S C^T; C 0] of order n_B + n_c, never the full
-    # bordered matrix of order n_local + n_c
+    # every level factors [S_ff C_af^T; C_af 0]: each corner removes its
+    # interface dof and its multiplier row from [S C^T; C 0] (order
+    # n_B + n_c), never the full bordered matrix of order n_local + n_c
     m = make_bddc(request.getfixturevalue(name), coarse_counts=coarse_counts)
     assert m.n_levels == len(coarse_counts) + 2
     for level in m.levels:
         for sub, split in zip(level.subs, level.splits):
             n_b, n_c = split.interface_pos.size, sub.constraints.n_constraints
-            assert sub.bordered.n == n_b + n_c
+            n_corner = sub.constraints.tags.count("corner")
+            assert n_corner > 0
+            assert sub.bordered.n == (n_b - n_corner) + (n_c - n_corner)
             assert sub.psi.shape == sub.constraints.rows.shape[::-1] == (n_b, n_c)
 
 
