@@ -255,9 +255,9 @@ class MultilevelBddc:
         level = self.levels[li]
         splits = level.splits
         r_b = level.weights * r_hat[splits.iface_index]
-        cuts = np.cumsum([split.interface_pos.size for split in splits[:-1]])
-        z_b, mu = zip(*(sub.constrained_solve(r_i)
-                        for sub, r_i in zip(level.subs, np.split(r_b, cuts))))
+        ends = np.cumsum([split.interface_pos.size for split in splits]).tolist()
+        z_b, mu = zip(*(sub.constrained_solve(r_b[a:b])
+                        for sub, a, b in zip(level.subs, [0] + ends[:-1], ends)))
         r_c = np.bincount(np.concatenate([sub.coarse_dofs for sub in level.subs]),
                           np.concatenate(mu), level.n_coarse_dofs)
         z_c = self._full_apply(li + 1, r_c)

@@ -3,7 +3,7 @@
 Subcommands: solve (one experiment), sweep (one row per hierarchy),
 analyze-globs (interface classification report), export-vtk (solve and
 write the solution field). Exit codes: 0 success, 1 non-convergence,
-2 configuration error, 3 numerical failure.
+2 configuration error or unwritable output file, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -133,6 +133,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:      # inputs are read as ConfigError: this is --output
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -51,7 +51,8 @@ def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> Level
     node_map[free_nodes] = np.arange(free_nodes.shape[0])
     mapped = np.sort(node_map[mesh.elem_nodes], axis=1)
     free = mapped >= 0
-    elem_nodes = np.split(mapped[free], np.cumsum(free.sum(axis=1))[:-1])
+    flat, ends = mapped[free], np.cumsum(free.sum(axis=1)).tolist()
+    elem_nodes = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
     # grid dofs must coincide with the free-dof numbering: free dofs are
     # node-major and nodes are never partially fixed
     dpn = spec.dofs_per_node

@@ -4,7 +4,10 @@
 that `factorize` reads; products use the scipy matrix directly. Every
 level sums its element matrices here (Q1 elements, or subdomains as
 coarse elements), all subdomains of a level in one call: keying each
-element's dofs by subdomain makes the sum one block-diagonal matrix.
+element's dofs by subdomain makes the sum one block-diagonal matrix. The
+sum is linear in the element entries (two stable CSR/CSC transposes, then
+one pass over sorted duplicates) and adds each entry's contributions in
+element order, so it is bitwise symmetric with no symmetrization pass.
 Factorizations go dense below a size threshold (Cholesky for SPD,
 Bunch-Kaufman sytrf for symmetric indefinite) and through SuperLU above
 it; both paths reject non-SPD input to an SPD factorization. A
@@ -86,33 +89,62 @@ def sum_elements(blocks):
 
     blocks lists (k, dofs) pairs: dofs is an (n_e, m) array of element dof
     ids, and k is one (m, m) matrix shared by the n_e elements or an
-    (n_e, m, m) stack. Entries in a row or column with a negative id are
-    dropped. Returns (K, local_to_global): K is numbered over the ids the
-    kept entries touch, ascending, and local_to_global lists those ids.
+    (n_e, m, m) stack. Each element matrix enters as its symmetric part
+    (k + k^T)/2, which is k itself for a symmetric k. Entries in a row or
+    column with a negative id are dropped. Returns (K, local_to_global): K
+    is numbered over the ids the kept entries touch, ascending, and
+    local_to_global lists those ids.
+
+    K_ij is the left-to-right sum of its contributions in block order, then
+    element order, so K is bitwise symmetric whenever no element repeats an
+    id. Entries that sum to exactly zero are not stored, and K owns compact,
+    canonical CSR arrays.
+
+    Every pass over the entries is a linear, stable counting sort: one CSR
+    row per (element, local row) holds that row of the element matrix at
+    the element's local column ids; converting it to CSC groups the entries
+    by column, in element order; relabelling its rows by dof id and
+    converting back to CSR leaves each row's columns ascending with
+    duplicates adjacent, in element order, for an O(nnz) sum. Dropped ids
+    are relabelled n, which sorts last and is cut off the index pointers.
     """
     blocks = [(np.asarray(k, dtype=np.float64), np.asarray(d, dtype=np.int64))
               for k, d in blocks]
     ltg = np.unique(np.concatenate([d[d >= 0] for _, d in blocks]))
-    # entry (e, a, b) of each block, written in place: no per-block copies
-    ends = np.cumsum([d.shape[0] * d.shape[1] ** 2 for _, d in blocks])
-    rows = np.empty(ends[-1], dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(ends[-1])
-    for (k, dofs), hi in zip(blocks, ends):
-        n_e, m = dofs.shape
-        lo = hi - n_e * m * m
-        local = np.where(dofs >= 0, np.searchsorted(ltg, dofs), -1)
-        rows[lo:hi].reshape(n_e, m, m)[...] = local[:, :, None]
-        cols[lo:hi].reshape(n_e, m, m)[...] = local[:, None, :]
-        vals[lo:hi].reshape(n_e, m, m)[...] = k
-    if any((d < 0).any() for _, d in blocks):
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     n = ltg.shape[0]
-    s = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    del rows, cols, vals        # the triplets need not outlive the CSR matrix
-    # exact symmetrization (identity when already bitwise symmetric)
-    return SparseMatrix.from_scipy((s + s.T) * 0.5, symmetric=True), ltg
+    # element rows, block by block: row_dof[r] is the local id of row r
+    row_len = np.concatenate([np.full(d.size, d.shape[1]) for _, d in blocks])
+    n_rows, nnz = row_len.size, int(row_len.sum())
+    idx = np.int32 if max(nnz, n_rows, n + 1) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=idx)
+    np.cumsum(row_len, out=indptr[1:])
+    row_dof = np.empty(n_rows, dtype=idx)
+    cols = np.empty(nnz, dtype=idx)
+    vals = np.empty(nnz)
+    r = 0
+    for k, dofs in blocks:
+        n_e, m = dofs.shape
+        lo, hi = indptr[r], indptr[r + n_e * m]
+        local = np.where(dofs >= 0, np.searchsorted(ltg, dofs), n)
+        row_dof[r:r + n_e * m] = local.ravel()
+        cols[lo:hi].reshape(n_e, m, m)[...] = local[:, None, :]
+        vals[lo:hi].reshape(n_e, m, m)[...] = (k + np.swapaxes(k, -1, -2)) * 0.5
+        r += n_e * m
+    by_col = scipy.sparse.csr_matrix((vals, cols, indptr), shape=(n_rows, n + 1)).tocsc()
+    del vals, cols
+    end = by_col.indptr[n]
+    by_col = scipy.sparse.csc_matrix(
+        (by_col.data[:end], row_dof[by_col.indices[:end]], by_col.indptr[:n + 1]),
+        shape=(n + 1, n))
+    by_row = by_col.tocsr()
+    del by_col
+    end = by_row.indptr[n]
+    s = scipy.sparse.csr_matrix(
+        (by_row.data[:end], by_row.indices[:end], by_row.indptr[:n + 1]), shape=(n, n))
+    del by_row
+    s.sum_duplicates()
+    s.eliminate_zeros()
+    return SparseMatrix(s.copy(), symmetric=True), ltg
 
 
 # -- factorization ----------------------------------------------------------

@@ -121,12 +121,11 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
     del k_rows_i
     fact = factorize(k_ii, "spd", offsets=np.concatenate([[0], cut_i]))
 
-    starts = np.concatenate([[0], ends[:-1]])
-    local_dofs = np.split(ltg_all, ends[:-1])
-    interior_pos = [p - s for p, s in zip(np.split(interior, cut_i[:-1]), starts)]
-    interface_pos = [p - s for p, s in zip(np.split(interface, cut_b[:-1]), starts)]
+    ends, cut_i, cut_b = ([0] + c.tolist() for c in (ends, cut_i, cut_b))
     iface_index = np.searchsorted(iface_dofs, ltg_all[interface])
-    subs = [SubdomainSplit(i, local_dofs[i], interior_pos[i], interface_pos[i], fact)
+    subs = [SubdomainSplit(i, ltg_all[ends[i]:ends[i + 1]],
+                           interior[cut_i[i]:cut_i[i + 1]] - ends[i],
+                           interface[cut_b[i]:cut_b[i + 1]] - ends[i], fact)
             for i in range(n_subs)]
     splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index)
     return splits, InterfaceMap(dofs=iface_dofs)

@@ -147,6 +147,20 @@ def test_export_vtk(capsys, tmp_path):
     assert "converged" in out
 
 
+@pytest.mark.parametrize("argv", [["solve", "--hierarchy", "4"],
+                                  ["sweep", "--hierarchies", "4"],
+                                  ["analyze-globs", "--hierarchy", "4"],
+                                  ["export-vtk", "--hierarchy", "4"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli(capsys, *argv, "--set", "elements=6", "--output", str(path))
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

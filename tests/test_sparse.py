@@ -282,3 +282,88 @@ def test_sum_elements_drops_negative_ids_and_numbers_ascending():
     assert np.array_equal(ltg_s, ltg)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(stacked.scipy_csr(), attr), getattr(k.scipy_csr(), attr))
+
+
+def random_element_blocks(rng):
+    """A shared non-symmetric (4, 4) matrix and a stack of (7, 7) ones, over
+    overlapping, non-contiguous ids; about one id in six is negative."""
+    pool = np.arange(60) * 3 + 5
+
+    def ids(n_e, m):
+        d = np.array([rng.choice(pool, m, replace=False) for _ in range(n_e)])
+        return np.where(rng.random(d.shape) < 0.15, -1, d)
+
+    return [(rng.standard_normal((4, 4)), ids(40, 4)),
+            (rng.standard_normal((25, 7, 7)), ids(25, 7))]
+
+
+def fold_sum(blocks):
+    """Reference sum {(i, j): K_ij}: a plain left fold over the kept entries
+    of each element matrix's symmetric part, block by block, element by
+    element."""
+    acc = {}
+    for k, dofs in blocks:
+        for ke, d in zip(np.broadcast_to(k, (len(dofs),) + k.shape[-2:]), dofs):
+            ks = (ke + ke.T) * 0.5
+            for a, i in enumerate(d.tolist()):
+                for b, j in enumerate(d.tolist()):
+                    if i >= 0 and j >= 0:
+                        acc[i, j] = acc[i, j] + ks[a, b] if (i, j) in acc else ks[a, b]
+    return acc
+
+
+def stored_entries(k, ltg):
+    coo = k.scipy_csr().tocoo()
+    return {(int(ltg[i]), int(ltg[j])): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+
+
+def buffer_size(a):
+    while a.base is not None:
+        a = a.base
+    return a.size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sum_elements_is_the_ordered_fold_of_symmetric_parts(seed):
+    # bitwise: every K_ij sums its contributions left to right, in block
+    # then element order, and nothing else is stored
+    blocks = random_element_blocks(np.random.default_rng(seed))
+    k, ltg = sum_elements(blocks)
+    ref = fold_sum(blocks)
+    assert np.array_equal(ltg, sorted({i for i, _ in ref}))
+    assert stored_entries(k, ltg) == {ij: v for ij, v in ref.items() if v != 0.0}
+
+
+def test_sum_elements_returns_a_compact_canonical_symmetric_csr():
+    rng = np.random.default_rng(4)
+    blocks = random_element_blocks(rng)
+    # an element and its negative cancel exactly: their entries are not stored
+    k_cancel = rng.standard_normal((4, 4))
+    cancel = np.array([[500, 501, -1, 502]])
+    k, ltg = sum_elements(blocks + [(k_cancel, cancel), (-k_cancel, cancel)])
+    assert np.array_equal(ltg, sum_elements(blocks)[1].tolist() + [500, 501, 502])
+    csr = k.scipy_csr()
+    assert k.symmetric and (csr != csr.T).nnz == 0
+    assert csr.has_canonical_format
+    assert np.all(csr.data != 0.0)
+    assert csr[-3:].nnz == 0
+    assert csr.data.size == csr.indices.size == csr.nnz
+    assert buffer_size(csr.data) == buffer_size(csr.indices) == csr.nnz
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+
+
+def test_sum_elements_sums_symmetric_parts_of_nonsymmetric_blocks():
+    rng = np.random.default_rng(6)
+    (k4, d4), (k7, d7) = random_element_blocks(rng)
+    k, ltg = sum_elements([(k4, d4), (k7, d7)])
+    sym, ltg_s = sum_elements([((k4 + k4.T) / 2, d4),
+                               ((k7 + k7.transpose(0, 2, 1)) / 2, d7)])
+    assert np.array_equal(ltg, ltg_s)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(k.scipy_csr(), attr), getattr(sym.scipy_csr(), attr))
+    dense = np.zeros((ltg.max() + 1,) * 2)
+    for ke, d in [(k4, dd) for dd in d4] + list(zip(k7, d7)):
+        keep = d >= 0
+        dense[np.ix_(d[keep], d[keep])] += ke[np.ix_(keep, keep)]
+    dense = (dense + dense.T) / 2
+    assert np.allclose(k.scipy_csr().toarray(), dense[np.ix_(ltg, ltg)], rtol=0, atol=1e-13)
