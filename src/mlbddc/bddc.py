@@ -23,10 +23,17 @@ Applications at levels past the first condense the full residual onto the
 interface before the cycle and recover the interiors after it, with the
 condensation and recovery of the level-1 solve (substructuring), so the
 recursion only ever sees interface residuals; each is one block-diagonal
-interior solve per level. The constrained local solves stay per
-subdomain, and their multipliers, psi^T r, are the restricted coarse
-residuals. All reductions accumulate in subdomain order, so results are
-bitwise reproducible.
+interior solve per level. The constrained local problems are solved once,
+at setup: each bordered factor is turned into its explicit inverse, whose
+free-dof block z_i is the subdomain's constrained-solve operator, and the
+basis psi_i comes from products with it. A level stacks z_i and psi_i
+over the subdomains that share a shape (free dofs, interface dofs,
+constraints; a few shapes per level), so one preconditioner cycle is a
+few batched products per level: z_i r_i and psi_i^T r_i (the multipliers,
+i.e. the restricted coarse residuals), then psi_i z_c + z_i r_i after the
+coarse correction. No factor of a subdomain is kept past setup. All
+reductions accumulate in a fixed order (shape groups, then subdomains), so
+results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -115,12 +122,15 @@ def build_constraints(sub: int, coarse: CoarseSpace, globset,
 
 @dataclass
 class SubdomainCoarse:
-    """One subdomain's coarse machinery on its interface: the factorized
-    reduced bordered matrix [S_ff C_af^T; C_af 0] (see `coarse_basis`), the
-    basis, its coarse element matrix, and where it assembles."""
+    """One subdomain's coarse machinery on its interface: the record of its
+    factorized reduced bordered matrix [S_ff C_af^T; C_af 0] (see
+    `coarse_basis`; the factor itself is not kept), the constrained-solve
+    operator z and the basis psi (views into its level's ShapeGroup), its
+    coarse element matrix, and where it assembles."""
 
     constraints: ConstraintMatrix
     bordered: Factorization
+    z: np.ndarray                 # (n_free, n_free)
     psi: np.ndarray               # (n_interface, n_constraints)
     coarse_matrix: np.ndarray     # (n_constraints, n_constraints)
     coarse_dofs: np.ndarray       # global coarse dof ids
@@ -128,43 +138,47 @@ class SubdomainCoarse:
     def constrained_solve(self, r_b: np.ndarray):
         """Solve [S C^T; C 0][z_b; mu] = [r_b; 0]: the full local problem for
         a residual that is zero on the interior, read back on the interface.
-        z_b is zero on the dofs the point constraints fix, so only the
-        reduced system over the free dofs and the average rows is solved.
-        Returns (z_b, mu); the bordered matrix is symmetric, so the
-        multipliers mu equal psi^T r_b, the subdomain's coarse residual, and
-        are computed as that product."""
+        z_b is zero on the dofs the point constraints fix, and z r_b on the
+        free dofs. Returns (z_b, mu); the bordered matrix is symmetric, so the
+        multipliers mu equal psi^T r_b, the subdomain's coarse residual. The
+        preconditioner applies the same operators to all subdomains of a
+        shape at once (`MultilevelBddc._interface_apply`)."""
         free = self.constraints.free_dofs
-        sol = self.bordered.solve(
-            np.concatenate([r_b[free], np.zeros(self.bordered.n - free.size)]))
         z_b = np.zeros(r_b.shape[0])
-        z_b[free] = sol[:free.size]
+        z_b[free] = self.z @ r_b[free]
         return z_b, self.psi.T @ r_b
 
 
 def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
-    """Factorize a subdomain's constrained local problem and compute its
-    coarse basis, from its dense interface Schur complement s_local (rows
-    and columns ordered like cmat.interface_order) and its constraint rows.
+    """Factorize a subdomain's constrained local problem, invert it, and
+    compute its coarse basis, from its dense interface Schur complement
+    s_local (rows and columns ordered like cmat.interface_order) and its
+    constraint rows.
 
     The basis columns solve [S C^T; C 0][psi; lam] = [0; I]. A point
     constraint fixes its dof p outright (psi_p is 1/c_p in its own column
-    and 0 in the others), so only the reduced matrix [S_ff C_af^T; C_af 0]
+    and 0 in the others), so only the reduced matrix B = [S_ff C_af^T; C_af 0]
     over the free dofs f and the other (average) rows a is factorized; it is
     nonsingular exactly when [S C^T; C 0] is. The fixed dofs' values g enter
-    its right-hand sides as [-S_fp g; e_a - C_ap g].
+    its right-hand sides as [-S_fp g; e_a - C_ap g]. The factor is turned
+    into the explicit inverse B^-1, and every solve is a product with it.
 
-    Returns (bordered_factorization, psi, coarse_matrix): psi (n_interface x
-    n_constraints, in interface order) holds the interface values of the
-    constrained energy minimizers with unit constraint values, and the
-    coarse matrix is the negated multiplier block (= psi^T S psi),
-    symmetrized: -lam_a on the average rows and (S_pB psi + C_ap^T lam_a)/c_p
-    on the point rows, from the fixed dofs' own equations. Both equal those
-    of the full local problem [K C^T; C 0], whose minimizers are discrete
-    harmonic inside. The basis solve carries the factor's setup check as one
-    extra column, the check probe, and only that column's residual is
-    checked; an inaccurate factor raises NumericalError. Two point
-    constraints on one dof make the bordered matrix singular and raise
-    SingularMatrixError.
+    Returns (bordered, z, psi, coarse_matrix). bordered is the record of the
+    factorization (method, order, matrix) without the factor. z = (B^-1)_ff
+    (n_free x n_free, free dofs ascending) is the constrained-solve
+    operator: the free-dof values of the solution of [S C^T; C 0][z; mu] =
+    [r; 0] are z r_f. psi (n_interface x n_constraints, in interface order)
+    holds the interface values of the constrained energy minimizers with
+    unit constraint values, and the coarse matrix is the negated multiplier
+    block (= psi^T S psi), symmetrized: -lam_a on the average rows and
+    (S_pB psi + C_ap^T lam_a)/c_p on the point rows, from the fixed dofs'
+    own equations. Both equal those of the full local problem
+    [K C^T; C 0], whose minimizers are discrete harmonic inside. The basis
+    product carries the factor's setup check as one extra column, the
+    check probe, and only that column's residual is checked, so the check
+    covers the inverse that the preconditioner applies; an inaccurate
+    inverse raises NumericalError. Two point constraints on one dof make
+    the bordered matrix singular and raise SingularMatrixError.
     """
     prow, pdof = cmat.point_rows, cmat.point_dofs
     nc, nb = cmat.rows.shape
@@ -186,12 +200,13 @@ def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
     a[:nf, nf:] = c_a[:, :nf].T
     fact = factorize(SparseMatrix.from_dense(a, symmetric=True), "symmetric-indefinite",
                      probe=False)
+    inv = fact.inverse()
     rhs = np.zeros((n, nc + 1))
     rhs[:nf, prow] = -s_p[:, :nf].T / val
     rhs[nf:, prow] = -c_ap / val
     rhs[nf + np.arange(avg.size), avg] = 1.0
     rhs[:, nc] = probe_rhs(n)
-    sol = fact.solve(rhs)
+    sol = inv @ rhs
     fact.check(sol[:, nc])
     psi = np.zeros((nb, nc))                        # in S's order
     psi[:nf] = sol[:nf, :nc]
@@ -201,9 +216,22 @@ def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
     kc[avg] = -lam_a
     kc[prow] = (s_p @ psi + c_ap.T @ lam_a) / val[:, None]
     kc = (kc + kc.T) / 2.0
-    psi_b = np.empty((nb, nc), order="F")
+    psi_b = np.empty((nb, nc))
     psi_b[order] = psi
-    return fact, psi_b, kc
+    return fact, inv[:nf, :nf], psi_b, kc
+
+
+@dataclass
+class ShapeGroup:
+    """The subdomains of one level that share a shape (n_free, n_interface,
+    n_constraints), with their constrained-solve operators and bases stacked
+    in subdomain order, so that one batched product applies them all."""
+
+    iface: np.ndarray             # (m, n_interface) positions in the stacked interface
+    free: np.ndarray              # (m, n_free) positions of the free dofs in it
+    dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
+    z: np.ndarray                 # (m, n_free, n_free)
+    psi: np.ndarray               # (m, n_interface, n_constraints)
 
 
 @dataclass
@@ -216,6 +244,7 @@ class BddcLevel:
     weights: np.ndarray           # over the stacked interface (splits.iface_index)
     coarse: CoarseSpace
     subs: list                    # SubdomainCoarse per subdomain
+    groups: list                  # ShapeGroup per distinct subdomain shape
 
     @property
     def n_coarse_dofs(self) -> int:
@@ -251,19 +280,22 @@ class MultilevelBddc:
 
     def _interface_apply(self, li: int, r_hat: np.ndarray) -> np.ndarray:
         """One BDDC cycle on interface residual r_hat: weighted restriction,
-        constrained local solves, coarse correction, weighted prolongation."""
+        constrained local solves and coarse residuals, coarse correction,
+        weighted prolongation. Each step is one batched product per shape
+        group, over all of its subdomains at once."""
         level = self.levels[li]
-        splits = level.splits
-        r_b = level.weights * r_hat[splits.iface_index]
-        ends = np.cumsum([split.interface_pos.size for split in splits]).tolist()
-        z_b, mu = zip(*(sub.constrained_solve(r_b[a:b])
-                        for sub, a, b in zip(level.subs, [0] + ends[:-1], ends)))
-        r_c = np.bincount(np.concatenate([sub.coarse_dofs for sub in level.subs]),
-                          np.concatenate(mu), level.n_coarse_dofs)
+        groups = level.groups
+        r_b = level.weights * r_hat[level.splits.iface_index]
+        z_f = [np.matmul(g.z, r_b[g.free][..., None])[..., 0] for g in groups]
+        mu = [np.matmul(r_b[g.iface][:, None], g.psi) for g in groups]
+        r_c = np.bincount(np.concatenate([g.dofs.ravel() for g in groups]),
+                          np.concatenate([m.ravel() for m in mu]), level.n_coarse_dofs)
         z_c = self._full_apply(li + 1, r_c)
-        v_b = np.concatenate([sub.psi @ z_c[sub.coarse_dofs] + z_i
-                              for sub, z_i in zip(level.subs, z_b)])
-        return splits.gather(level.weights * v_b, level.imap.n)
+        v_b = np.empty(r_b.size)
+        for g, z in zip(groups, z_f):
+            v_b[g.iface] = np.matmul(g.psi, z_c[g.dofs][..., None])[..., 0]
+            v_b[g.free] += z
+        return level.splits.gather(level.weights * v_b, level.imap.n)
 
     def _full_apply(self, li: int, r: np.ndarray) -> np.ndarray:
         """Apply at a level that owns every dof (levels past the first):
@@ -334,6 +366,29 @@ def _local_schur(k_csr, lo: int, split: SubdomainSplit, iface: np.ndarray) -> np
     return (s + s.T) * 0.5
 
 
+def _shape_groups(splits: LevelSplits, cmats, coarse: CoarseSpace):
+    """Group a level's subdomains by shape (n_free, n_interface,
+    n_constraints), in order of first appearance, with room for their
+    operators. Returns (groups, slots): slots[i] is (group, row) of
+    subdomain i."""
+    ends = np.cumsum([split.interface_pos.size for split in splits])
+    members = {}
+    for i, cmat in enumerate(cmats):
+        members.setdefault((cmat.free_dofs.size, *cmat.rows.shape[::-1]), []).append(i)
+    groups, slots = [], [None] * len(cmats)
+    for (nf, nb, nc), subs in members.items():
+        start = ends[subs] - nb
+        g = ShapeGroup(iface=start[:, None] + np.arange(nb),
+                       free=start[:, None] + np.array([cmats[i].free_dofs for i in subs]
+                                                      ).reshape(len(subs), nf),
+                       dofs=np.array([coarse.sub_dofs(i) for i in subs]).reshape(len(subs), nc),
+                       z=np.empty((len(subs), nf, nf)), psi=np.empty((len(subs), nb, nc)))
+        groups.append(g)
+        for j, i in enumerate(subs):
+            slots[i] = (g, j)
+    return groups, slots
+
+
 def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, keys,
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
     globset = classify_interface(grid, part)
@@ -342,13 +397,14 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
+    cmats = [build_constraints(i, coarse, globset, split) for i, split in enumerate(splits)]
+    groups, slots = _shape_groups(splits, cmats, coarse)
     k_csr = k.scipy_csr()
     subs, lo = [], 0
-    for i, split in enumerate(splits):
-        cmat = build_constraints(i, coarse, globset, split)
+    for i, (split, cmat, (g, j)) in enumerate(zip(splits, cmats, slots)):
         s_local = _local_schur(k_csr, lo, split, split.interface_pos[cmat.interface_order])
         try:
-            fact, psi, kc = coarse_basis(s_local, cmat)
+            fact, z, psi, kc = coarse_basis(s_local, cmat)
         except NumericalError as exc:
             what = ("singular" if isinstance(exc, SingularMatrixError)
                     else "too ill-conditioned to solve accurately")
@@ -357,11 +413,12 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
                 f"{what} ({cmat.n_constraints} constraints on "
                 f"{split.interface_pos.size} interface dofs); the constraint set is too weak"
             ) from exc
-        subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
-                                    coarse_matrix=kc, coarse_dofs=coarse.sub_dofs(i)))
+        g.z[j], g.psi[j] = z, psi
+        subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, z=g.z[j], psi=g.psi[j],
+                                    coarse_matrix=kc, coarse_dofs=g.dofs[j]))
         lo += split.n_local
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
-                     imap=imap, weights=weights, coarse=coarse, subs=subs)
+                     imap=imap, weights=weights, coarse=coarse, subs=subs, groups=groups)
 
 
 def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,

@@ -9,6 +9,8 @@ write the solution field). Exit codes: 0 success, 1 non-convergence,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .errors import (
@@ -65,6 +67,19 @@ def _config_list_from(args) -> list:
     return [load_config(p, overrides) for p in paths]
 
 
+def _check_output(path: str) -> None:
+    """Raise OSError unless path can be written, without creating or
+    truncating it: the run writes its output only once it is done, so a
+    failed run leaves an existing file as it was."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, f"no directory {parent}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlbddc",
@@ -98,6 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)     # before any run, which may take long
         if args.command == "solve":
             result = run_experiment(_config_from(args))
             sys.stdout.write(write_report([result], args.output))

@@ -15,7 +15,9 @@ block-diagonal matrix, such as the stacked interior blocks of all
 subdomains of a level, is factorized once as a whole. Each factor's
 accuracy is checked once, right after it is made, by solving a fixed probe
 right-hand side and checking the residual of every diagonal block; its
-later solves are plain factor solves with no residual check.
+later solves are plain factor solves with no residual check. A factor can
+also be turned into the explicit inverse, for operators applied as
+products (`Factorization.inverse`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dsytri
 
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 
@@ -197,6 +200,25 @@ class Factorization:
                 f"factor solve is inaccurate in diagonal block {j}: relative "
                 f"residual {rel[bad[0]]:.1e} on the check probe, above {REFINE_TOL:.0e}")
 
+    def inverse(self) -> np.ndarray:
+        """Turn the factor into the explicit inverse A^-1, exactly symmetric,
+        and return it. A Bunch-Kaufman factor is inverted in its own storage
+        by sytri, any other factor solves the columns of the identity; the
+        lower triangle is then mirrored into the upper. The record keeps no
+        factor afterwards (method, order and matrix stay). A singular
+        diagonal block of D raises SingularMatrixError."""
+        if self.method == "bunch-kaufman":
+            ldu, ipiv, _ = self._payload
+            inv, info = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
+            if info > 0:
+                raise SingularMatrixError(f"singular pivot block at index {info} in sytri")
+            if info < 0:
+                raise NumericalError(f"sytri illegal argument {-info}")
+        else:
+            inv = self.solve(np.eye(self.n))
+        self._payload = None
+        return np.where(np.tri(self.n, dtype=bool), inv, inv.T)
+
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":
             return scipy.linalg.cho_solve(self._payload, bb)
@@ -226,7 +248,7 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
     The new factor solves probe_rhs(n) and passes the solution to
     `Factorization.check`, which raises NumericalError naming an inaccurate
     block. probe=False leaves that check to a caller that folds the probe
-    into a solve of its own (`bddc.coarse_basis`).
+    into products of its own with the inverse (`bddc.coarse_basis`).
     """
     if kind not in (KIND_SPD, KIND_SYMMETRIC_INDEFINITE):
         raise ValueError(f"unknown factorization kind {kind!r}")

@@ -72,12 +72,19 @@ def elasticity3d_edges():
     return build_level1(ProblemSpec(kind="elasticity", dim=3), 6, 8, method="regular-blocks")
 
 
+@pytest.fixture(scope="module")
+def corners2d():
+    # one element per subdomain: every interface dof is a corner, so every
+    # subdomain has no free dofs
+    return build_level1(ProblemSpec(kind="poisson", dim=2), 4, 16, method="regular-blocks")
+
+
 # -- coarse basis -------------------------------------------------------------
 
 def test_basis_identity_matrix():
     k = np.eye(2)
     cmat = ConstraintMatrix(rows=np.array([[1.0, 0.0]]), tags=["corner"])
-    _, psi, kc = coarse_basis(k, cmat)
+    _, _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi, [[1.0], [0.0]], atol=1e-14)
     assert np.allclose(kc, [[1.0]], atol=1e-14)
 
@@ -86,7 +93,7 @@ def test_basis_square_constraints_invert():
     k = np.diag([2.0, 3.0])
     c = np.array([[1.0, 1.0], [0.0, 1.0]])
     cmat = ConstraintMatrix(rows=c, tags=["corner", "corner"])
-    _, psi, kc = coarse_basis(k, cmat)
+    _, _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi, np.linalg.inv(c), atol=1e-14)
     assert np.allclose(kc, [[2.0, -2.0], [-2.0, 5.0]], atol=1e-14)
 
@@ -94,10 +101,10 @@ def test_basis_square_constraints_invert():
 def test_basis_no_constraints():
     k = np.diag([2.0, 3.0])
     cmat = ConstraintMatrix(rows=np.zeros((0, 2)), tags=[])
-    fact, psi, kc = coarse_basis(k, cmat)
+    _, z, psi, kc = coarse_basis(k, cmat)
     assert psi.shape == (2, 0)
     assert kc.shape == (0, 0)
-    assert np.allclose(fact.solve(np.array([2.0, 3.0])), [1.0, 1.0])
+    assert np.allclose(z @ np.array([2.0, 3.0]), [1.0, 1.0])
 
 
 def test_basis_detects_singular_unconstrained():
@@ -112,7 +119,7 @@ def test_basis_caps_floating_kernel():
     # the constant mode then carries zero energy
     k = np.array([[1.0, -1.0], [-1.0, 1.0]])
     cmat = ConstraintMatrix(rows=np.array([[1.0, 0.0]]), tags=["corner"])
-    _, psi, kc = coarse_basis(k, cmat)
+    _, _, psi, kc = coarse_basis(k, cmat)
     assert np.allclose(psi[:, 0], [1.0, 1.0], atol=1e-14)
     assert abs(kc[0, 0]) < 1e-14
 
@@ -131,7 +138,7 @@ def test_basis_without_interior_matches_full_solve():
     order = cmat.interface_order
     s = _local_schur(k_csr, 2, split, split.interface_pos[order])
     assert np.array_equal(s, k[np.ix_(order, order)])
-    _, psi, kc = coarse_basis(s, cmat)
+    _, _, psi, kc = coarse_basis(s, cmat)
     bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((3, 2)), np.eye(2)]))
     assert rel_err(psi, ref[:3]) <= 1e-12
@@ -154,13 +161,13 @@ def test_point_constraints_inside_averages_match_full_solve():
     cmat = ConstraintMatrix(rows=c, tags=["edge", "corner", "corner", "face"])
     assert np.array_equal(cmat.free_dofs, [0, 1, 3, 4, 6])
     order = cmat.interface_order
-    fact, psi, kc = coarse_basis(s[np.ix_(order, order)], cmat)
+    fact, z, psi, kc = coarse_basis(s[np.ix_(order, order)], cmat)
     assert fact.n == (7 - 2) + (4 - 2)
     bordered = np.block([[s, c.T], [c, np.zeros((4, 4))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((7, 4)), np.eye(4)]))
     assert rel_err(psi, ref[:7]) <= 1e-12
     assert rel_err(kc, -ref[7:]) <= 1e-12
-    sub = bddc.SubdomainCoarse(constraints=cmat, bordered=fact, psi=psi,
+    sub = bddc.SubdomainCoarse(constraints=cmat, bordered=fact, z=z, psi=psi,
                                coarse_matrix=kc, coarse_dofs=np.arange(4))
     r_b = rng.standard_normal(7)
     z_b, mu = sub.constrained_solve(r_b)
@@ -170,11 +177,11 @@ def test_point_constraints_inside_averages_match_full_solve():
     assert z_b[2] == z_b[5] == 0.0
 
 
-def test_fully_corner_determined_subdomains_match_full_solve():
+def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
     # 2D Poisson with one element per subdomain: every interface dof is a
     # corner, so each reduced factor has order 0, z_b = 0, and psi and the
     # coarse matrix still equal the full bordered solve
-    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 4, 16, method="regular-blocks")
+    lv = corners2d
     level = make_bddc(lv).levels[0]
     rng = np.random.default_rng(29)
     for sub, split in zip(level.subs, level.splits):
@@ -202,12 +209,15 @@ def test_two_point_constraints_on_one_dof_are_singular(cross2d, monkeypatch):
     with pytest.raises(SingularMatrixError):
         coarse_basis(np.eye(2), ConstraintMatrix(rows=c, tags=["corner", "corner"]))
 
-    # in the pipeline, the setup names the level and the subdomain (exit 3)
+    # in the pipeline, the setup names the level and the subdomain (exit 3);
+    # the second corner row is made a copy of the first, so the row count
+    # still matches the subdomain's coarse dofs
     def doubled(*args):
         cmat = build_constraints(*args)
-        first = cmat.tags.index("corner")
-        return ConstraintMatrix(rows=np.vstack([cmat.rows, cmat.rows[first]]),
-                                tags=cmat.tags + ["corner"])
+        first, second = np.flatnonzero(np.array(cmat.tags) == "corner")[:2]
+        rows = cmat.rows.copy()
+        rows[second] = rows[first]
+        return ConstraintMatrix(rows=rows, tags=cmat.tags)
 
     monkeypatch.setattr(bddc, "build_constraints", doubled)
     with pytest.raises(NumericalError, match="level 1, subdomain 0: constrained local "
@@ -333,13 +343,17 @@ def test_three_level_apply(cross2d):
 
 
 def test_apply_runs_plain_factor_solves(cross2d, monkeypatch):
-    # every factor was checked once at setup: inside the apply, each solve is
-    # one factor solve that reads no matrix (no per-solve residual check)
+    # every factor was checked once at setup, and the constrained local
+    # solves are products with stacked operators: an apply makes exactly the
+    # interior pre- and post-correction of each level past the first and the
+    # top solve, each one factor solve that reads no matrix (no per-solve
+    # residual check), and never calls a subdomain's constrained_solve
     m = make_bddc(cross2d, coarse_counts=(2,))
     assert m.n_levels == 3
-    calls = {"solve": 0, "raw": 0, "csr_in_solve": 0}
+    calls = {"solve": 0, "raw": 0, "csr_in_solve": 0, "constrained_solve": 0}
     inside = [0]
     solve, raw, csr = Factorization.solve, Factorization._raw_solve, SparseMatrix.scipy_csr
+    constrained_solve = bddc.SubdomainCoarse.constrained_solve
 
     def counted_solve(self, b):
         calls["solve"] += 1
@@ -357,13 +371,83 @@ def test_apply_runs_plain_factor_solves(cross2d, monkeypatch):
         calls["csr_in_solve"] += inside[0] > 0
         return csr(self)
 
+    def counted_constrained_solve(self, r_b):
+        calls["constrained_solve"] += 1
+        return constrained_solve(self, r_b)
+
     monkeypatch.setattr(Factorization, "solve", counted_solve)
     monkeypatch.setattr(Factorization, "_raw_solve", counted_raw)
     monkeypatch.setattr(SparseMatrix, "scipy_csr", counted_csr)
-    m.apply(np.random.default_rng(5).standard_normal(cross2d.imap.n))
-    assert calls["solve"] > sum(len(lv.subs) for lv in m.levels)
+    monkeypatch.setattr(bddc.SubdomainCoarse, "constrained_solve", counted_constrained_solve)
+    rng = np.random.default_rng(5)
+    applies = 2
+    for _ in range(applies):
+        m.apply(rng.standard_normal(cross2d.imap.n))
+    assert calls["solve"] == applies * (2 * (m.n_levels - 2) + 1)
     assert calls["raw"] == calls["solve"]
     assert calls["csr_in_solve"] == 0
+    assert calls["constrained_solve"] == 0
+
+
+def level_schur_blocks(level):
+    """Each subdomain's interface Schur complement (interface_pos order), by
+    dense elimination of the level's stacked K_II, K_IB and K_BB."""
+    sp = level.splits
+    k_ib = sp.k_ib.toarray()
+    s = sp.k_bb.toarray() - k_ib.T @ np.linalg.solve(
+        sp.k_ii_fact.matrix.scipy_csr().toarray(), k_ib)
+    ends = np.cumsum([0] + [split.interface_pos.size for split in sp])
+    return [s[a:b, a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
+@pytest.mark.parametrize("name,coarse_counts", [
+    ("cross2d", ()), ("cross2d", (2,)), ("elasticity3d_edges", ()),
+    ("elasticity3d_edges", (2,)), ("corners2d", ())])
+def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, request,
+                                                          monkeypatch):
+    # the oracle is a plain dense solve of [S_i C_i^T; C_i 0] per subdomain
+    # and level: each subdomain's slice of its shape group's stacked
+    # operators (through constrained_solve), and one batched cycle of
+    # _interface_apply, whose coarse correction is replaced by a fixed z_c
+    # so that the cycle is checked on its own
+    m = make_bddc(request.getfixturevalue(name), coarse_counts=coarse_counts)
+    assert m.n_levels == len(coarse_counts) + 2
+    rng = np.random.default_rng(37)
+    for li, level in enumerate(m.levels):
+        assert sum(g.z.shape[0] for g in level.groups) == len(level.subs)
+        z_c = rng.standard_normal(level.n_coarse_dofs)
+        r_hat = rng.standard_normal(level.imap.n)
+        r_b = level.weights * r_hat[level.splits.iface_index]
+        ends = np.cumsum([0] + [split.interface_pos.size for split in level.splits])
+        r_c, v_b = np.zeros(level.n_coarse_dofs), []
+        for sub, s, a, b in zip(level.subs, level_schur_blocks(level), ends[:-1], ends[1:]):
+            assert sub.bordered._payload is None
+            # views into the stacks, not copies
+            assert any(sub.psi.base is g.psi and sub.z.base is g.z for g in level.groups)
+            c = sub.constraints.rows
+            nb, nc = b - a, c.shape[0]
+            bordered = np.block([[s, c.T], [c, np.zeros((nc, nc))]])
+            ref = np.linalg.solve(bordered, np.column_stack([
+                np.vstack([np.zeros((nb, nc)), np.eye(nc)]),
+                np.concatenate([r_b[a:b], np.zeros(nc)])]))
+            psi, pair = ref[:nb, :nc], ref[:, nc]
+            assert rel_err(sub.psi, psi) <= 1e-12
+            z_b, mu = sub.constrained_solve(r_b[a:b])
+            assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
+            np.add.at(r_c, sub.coarse_dofs, pair[nb:])
+            v_b.append(pair[:nb] + psi @ z_c[sub.coarse_dofs])
+        ref_out = level.splits.gather(level.weights * np.concatenate(v_b), level.imap.n)
+        seen = []
+
+        def fixed_coarse_correction(lj, r, seen=seen, z_c=z_c):
+            seen.append(r)
+            return z_c
+
+        monkeypatch.setattr(m, "_full_apply", fixed_coarse_correction)
+        out = m._interface_apply(li, r_hat)
+        monkeypatch.undo()
+        assert rel_err(seen[0], r_c) <= 1e-12
+        assert rel_err(out, ref_out) <= 1e-12
 
 
 def test_degenerate_middle_level_collapses(cross2d):

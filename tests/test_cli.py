@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mlbddc import cli, harness
 from mlbddc.cli import main
 from mlbddc.errors import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK
 from mlbddc.harness import load_config, run_experiment
@@ -152,13 +153,38 @@ def test_export_vtk(capsys, tmp_path):
                                   ["analyze-globs", "--hierarchy", "4"],
                                   ["export-vtk", "--hierarchy", "4"]],
                          ids=lambda argv: argv[0])
-def test_unwritable_output_is_config_error(capsys, tmp_path, argv):
-    path = tmp_path / "missing" / "out.csv"
-    code, _, err = run_cli(capsys, *argv, "--set", "elements=6", "--output", str(path))
-    assert code == EXIT_CONFIG
-    assert err.startswith(f"error: cannot write {path}: ")
-    assert "Traceback" not in err
-    assert not path.parent.exists()
+def test_unwritable_output_is_config_error(capsys, tmp_path, monkeypatch, argv):
+    # the output is checked before anything is solved or partitioned
+    calls = []
+
+    def not_run(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran before checking --output")
+
+    for owner in (cli, harness):
+        monkeypatch.setattr(owner, "run_experiment", not_run)
+    monkeypatch.setattr(harness, "_partitioned_mesh", not_run)
+    for path in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, _, err = run_cli(capsys, *argv, "--set", "elements=6", "--output", str(path))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+    assert calls == []
+
+
+def test_failed_solve_leaves_the_output_file_as_it_was(capsys, tmp_path):
+    # a run that fails (here exit 3, a weak coarse space) writes nothing
+    path = tmp_path / "out.csv"
+    path.write_text("earlier report\n")
+    code, _, err = run_cli(capsys, "solve", "--set", "problem=elasticity",
+                           "--set", "dim=2", "--set", "dirichlet_faces=x-",
+                           "--set", "constraint_policy=corners-only",
+                           "--set", "corner_strategy=vertices-only",
+                           "--set", "hierarchy=16", "--set", "elements=8",
+                           "--output", str(path))
+    assert code == EXIT_NUMERICAL
+    assert path.read_text() == "earlier report\n"
 
 
 def test_missing_subcommand():

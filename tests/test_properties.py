@@ -2,6 +2,12 @@
 problem (the solution matches a dense solve of the global system) or fails
 with a NumericalError, the CLI's exit 3; no other exception escapes.
 
+A solved run's preconditioner also meets the BDDC lower eigenvalue bound
+lambda_min(M S) >= 1 (Mandel & Dohrmann, Numer. Linear Algebra Appl. 10,
+2003; Mandel, Sousedik & Dohrmann, Computing 83, 2008): wrong local
+operators, bases, weights or coarse matrices pull it below 1 even where the
+solution still comes out right.
+
 Examples are drawn deterministically (derandomize=True) and bounded, so the
 suite picks the same configurations on every run.
 """
@@ -13,6 +19,7 @@ from hypothesis import strategies as st
 from mlbddc import load_config, run_experiment
 from mlbddc.errors import NumericalError
 from mlbddc.fem import assemble_global
+from mlbddc.substructuring import schur_apply
 
 # level-1 size per dimension, and its two- and three-level hierarchies
 MESHES = {2: (8, ("16", "16/4")), 3: (4, ("8", "8/2"))}
@@ -46,3 +53,16 @@ def test_runs_solve_or_exit_3(overrides):
     k, f = assemble_global(result.spec, result.mesh)
     u = np.linalg.solve(k.scipy_csr().toarray(), f)
     assert np.linalg.norm(result.solution - u) <= 1e-7 * np.linalg.norm(u), overrides
+    assert min_eigenvalue_ms(result.preconditioner) >= 1.0 - 1e-10, overrides
+
+
+def min_eigenvalue_ms(prec) -> float:
+    """lambda_min(M S) of the level-1 interface operator S and preconditioner
+    M, both built densely from identity columns: the eigenvalues of M S are
+    those of L^T S L for M = L L^T."""
+    level = prec.levels[0]
+    eye = np.eye(level.imap.n)
+    s = np.column_stack([schur_apply(level.splits, level.imap, e) for e in eye])
+    m = np.column_stack([prec.apply(e) for e in eye])
+    low = np.linalg.cholesky((m + m.T) / 2)
+    return np.linalg.eigvalsh(low.T @ ((s + s.T) / 2) @ low)[0]

@@ -254,6 +254,48 @@ def test_splu_path_above_threshold(monkeypatch):
     assert np.allclose(f.solve(b), np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("threshold,kind,method", [
+    (None, "symmetric-indefinite", "bunch-kaufman"), (4, "symmetric-indefinite", "splu"),
+    (None, "spd", "cholesky"), (4, "spd", "splu")])
+def test_inverse_matches_dense_inverse(threshold, kind, method, monkeypatch):
+    # one inverse routine for every factor: exactly symmetric, equal to the
+    # dense inverse, and the record keeps no factor afterwards
+    if threshold is not None:
+        monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
+    rng = np.random.default_rng(31)
+    dense = random_spd(rng, 12)
+    if kind == "symmetric-indefinite":
+        c = rng.standard_normal((3, 12))
+        dense = np.block([[dense, c.T], [c, np.zeros((3, 3))]])
+    f = factorize(SparseMatrix.from_scipy(dense, symmetric=True), kind)
+    assert f.method == method
+    inv = f.inverse()
+    assert np.array_equal(inv, inv.T)
+    ref = np.linalg.inv(dense)
+    assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert f._payload is None
+    assert (f.method, f.n, f.matrix.nnz) == (method, dense.shape[0], np.count_nonzero(dense))
+
+
+def test_inverse_of_empty_factor():
+    f = factorize(SparseMatrix.from_scipy(np.zeros((0, 0)), symmetric=True),
+                  "symmetric-indefinite")
+    assert f.inverse().shape == (0, 0)
+
+
+def test_inverse_rejects_a_singular_pivot_block():
+    # sytri reports a zero diagonal block of D (here planted in a factor of
+    # diag(1, 2)) as singular
+    f = factorize(SparseMatrix.from_scipy(np.diag([1.0, 2.0]), symmetric=True),
+                  "symmetric-indefinite")
+    ldu, ipiv, sytrs = f._payload
+    ldu = ldu.copy(order="F")
+    ldu[1, 1] = 0.0
+    f = replace(f, _payload=(ldu, ipiv, sytrs))
+    with pytest.raises(SingularMatrixError, match="sytri"):
+        f.inverse()
+
+
 def test_solve_residual_contract():
     # a factor that passed its setup check solves other right-hand sides to
     # the same relative residual, with no per-solve check or refinement
