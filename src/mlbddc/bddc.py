@@ -31,16 +31,28 @@ over the subdomains that share a shape (free dofs, interface dofs,
 constraints; a few shapes per level), so one preconditioner cycle is a
 few batched products per level: z_i r_i and psi_i^T r_i (the multipliers,
 i.e. the restricted coarse residuals), then psi_i z_c + z_i r_i after the
-coarse correction. No factor of a subdomain is kept past setup. All
-reductions accumulate in a fixed order (shape groups, then subdomains), so
-results are bitwise reproducible.
+coarse correction. No factor of a subdomain is kept past setup.
+
+Setup works by shape group too. The constraint rows of all subdomains of a
+level come from one construction over the coarse nodes and their members
+(`build_constraints`), which also decides each group's shape. For each
+group, whatever does not depend on the Schur complements (dense positions
+of its matrix rows, interface orders, point rows with their dofs and
+values, average rows, the right-hand sides' constant blocks) is indexed
+once for all of its members; only the dense factorizations (Cholesky of
+K_II and triangular solves for S_i, then Bunch-Kaufman and its inverse for
+the bordered matrix) and the products with their results run once per
+subdomain, writing z_i, psi_i and the coarse matrices into the group's
+stacks. All reductions accumulate in a fixed order (shape groups, then
+subdomains), so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import sparse
@@ -55,69 +67,148 @@ from .interface import (
     select_corners,
 )
 from .partition import Partition, build_pseudomesh, partition_elements
-from .sparse import Factorization, SparseMatrix, factorize, probe_rhs, sum_elements
-from .substructuring import (InterfaceMap, LevelSplits, SubdomainSplit, build_splits,
-                             condensed_rhs, recover_interior, subdomain_keys)
+from .sparse import (KIND_SYMMETRIC_INDEFINITE, REFINE_TOL, Factorization, SparseMatrix,
+                     factorize, probe_rhs, sum_elements)
+from .substructuring import (InterfaceMap, LevelSplits, build_splits, condensed_rhs,
+                             recover_interior, subdomain_keys)
 
 
 @dataclass
-class ConstraintMatrix:
-    """Dense constraint rows over a subdomain's interface dofs, one row per
-    local coarse dof (corner value or glob average), tagged by origin.
+class LevelConstraints:
+    """The constraint rows of every subdomain of a level, stacked in
+    subdomain order: subdomain i owns rows starts[i]:starts[i+1], one per
+    local coarse dof (corner value or glob average), ordered like its coarse
+    dofs (coarse nodes ascending, components fastest). The rows are sparse:
+    entry e puts val[e] in row row[e] at col[e], a position in the level's
+    stacked interface (`LevelSplits.iface_index` order).
 
-    A point constraint, a row tagged "corner" with exactly one nonzero,
-    fixes one interface dof; every other row (an average, even one over a
-    single node) is a multiplier row of the constrained local problem.
-    interface_order lists the free dofs (those no point constraint fixes),
-    then the fixed ones, each ascending: `coarse_basis` takes S in this
-    order."""
+    A point constraint, a row tagged "corner" with exactly one entry, fixes
+    one interface dof; every other row (an average, even one over a single
+    node) is a multiplier row of the constrained local problem."""
 
-    rows: np.ndarray              # (n_constraints, n_interface)
+    starts: np.ndarray            # (n_subdomains + 1,)
+    tags: np.ndarray              # (n_rows,) "corner" | "edge" | "face"
+    dofs: np.ndarray              # (n_rows,) global coarse dof of each row
+    row: np.ndarray               # (n_entries,)
+    col: np.ndarray
+    val: np.ndarray
+
+
+def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
+                      imap: InterfaceMap) -> LevelConstraints:
+    """Constraint rows of all subdomains of a level at once: each subdomain's
+    coarse nodes expand into their members (a corner into itself, a glob
+    node into the glob's remaining members, each weighted 1/size), and one
+    search against the sorted (subdomain, interface dof) keys of the stacked
+    interface places every member dof."""
+    dpn = coarse.dofs_per_node
+    kinds = np.array(["corner"] * coarse.n_corners
+                     + [globset.globs[g].kind for g in coarse.glob_ids.tolist()], dtype=str)
+    size = np.concatenate([np.ones(coarse.n_corners, dtype=np.int64),
+                           np.array([m.size for m in coarse.glob_members], dtype=np.int64)])
+    members = np.concatenate([coarse.corner_nodes, *coarse.glob_members])
+    per_sub = np.array([nodes.size for nodes in coarse.sub_nodes], dtype=np.int64)
+    node = np.concatenate([np.zeros(0, np.int64), *coarse.sub_nodes])  # per (subdomain, node)
+    sub = np.repeat(np.arange(per_sub.size), per_sub)
+    # one entry per (subdomain, node, member), then per component
+    pair = np.repeat(np.arange(node.size), size[node])
+    start = np.cumsum(size) - size
+    within = np.arange(pair.size) - np.repeat(np.cumsum(size[node]) - size[node], size[node])
+    comp = np.arange(dpn)
+    dof = members[start[node][pair] + within][:, None] * dpn + comp
+    iface_dof = imap.dofs[splits.iface_index]
+    span = int(max(dof.max(initial=-1), iface_dof.max(initial=-1))) + 1
+    keys = np.repeat(np.arange(per_sub.size), np.diff(splits.iface_offsets)) * span + iface_dof
+    want = sub[pair][:, None] * span + dof
+    col = np.searchsorted(keys, want)
+    found = col < keys.size
+    found[found] = keys[col[found]] == want[found]
+    if not found.all():
+        raise ValueError(f"subdomain {sub[pair][np.nonzero(~found)[0][0]]}: constraint "
+                         f"node outside the subdomain's interface")
+    return LevelConstraints(
+        starts=np.concatenate([[0], np.cumsum(per_sub * dpn)]),
+        tags=np.repeat(kinds[node], dpn), dofs=(node[:, None] * dpn + comp).ravel(),
+        row=(pair[:, None] * dpn + comp).ravel(), col=col.ravel(),
+        val=np.repeat(1.0 / size[node][pair], dpn))
+
+
+@dataclass
+class ShapeGroup:
+    """The subdomains of one level that share a shape (n_free, n_interface,
+    n_constraints), in subdomain order, with what their setup reads and what
+    it stacks for the preconditioner, so that one batched product applies
+    them all.
+
+    Member j's constraint rows are rows j * n_constraints onwards of `rows`,
+    with columns ordered like its `split.interface_pos`. Its interface order
+    lists its free dofs (those no point constraint fixes), then the fixed
+    ones, each ascending; its Schur complement is taken in that order."""
+
+    subs: np.ndarray              # (m,) the members' subdomain indices
+    iface: np.ndarray             # (m, n_interface) positions in the stacked interface
+    order: np.ndarray             # (m, n_interface) interface order, local positions
+    rank: np.ndarray              # (m, n_interface) each local position's place in it
+    free: np.ndarray              # (m, n_free) stacked interface positions of the free dofs
+    rows: scipy.sparse.csr_matrix  # (m * n_constraints, n_interface) constraint rows
+    point: np.ndarray             # (m, n_constraints) point constraint rows
+    tags: np.ndarray              # (m, n_constraints)
+    dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
+    z: np.ndarray                 # (m, n_free, n_free)
+    psi: np.ndarray               # (m, n_interface, n_constraints)
+    kc: np.ndarray                # (m, n_constraints, n_constraints)
+
+
+def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
+    """Group a level's subdomains by shape (n_free, n_interface,
+    n_constraints), in order of first appearance, with room for their
+    operators. Subdomain i's interface is stacked interface
+    iface_offsets[i]:iface_offsets[i+1]."""
+    n_b, n_c = np.diff(iface_offsets), np.diff(cons.starts)
+    point = (cons.tags == "corner") & (np.bincount(cons.row, minlength=cons.tags.size) == 1)
+    fixed = np.zeros(iface_offsets[-1], dtype=bool)
+    fixed[cons.col[point[cons.row]]] = True
+    n_fixed = np.diff(np.concatenate([[0], np.cumsum(fixed)])[iface_offsets])
+    shapes = np.column_stack([n_b - n_fixed, n_b, n_c])
+    _, first, which = np.unique(shapes, axis=0, return_index=True, return_inverse=True)
+    which = which.ravel()
+    sub_of = np.repeat(np.arange(n_c.size), n_c)[cons.row]     # subdomain of each entry
+    groups = []
+    for g in np.argsort(first):
+        subs = np.flatnonzero(which == g)
+        m, (nf, nb, nc) = subs.size, shapes[subs[0]]
+        iface = iface_offsets[subs][:, None] + np.arange(nb)
+        order = np.argsort(fixed[iface], axis=1, kind="stable")
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(nb), axis=1)
+        slot = np.full(n_c.size, -1)
+        slot[subs] = np.arange(m)
+        mine = np.flatnonzero(slot[sub_of] >= 0)
+        s = sub_of[mine]
+        rows = scipy.sparse.csr_matrix(
+            (cons.val[mine], (slot[s] * nc + cons.row[mine] - cons.starts[s],
+                              cons.col[mine] - iface_offsets[s])), shape=(m * nc, nb))
+        row_ids = cons.starts[subs][:, None] + np.arange(nc)
+        groups.append(ShapeGroup(
+            subs=subs, iface=iface, order=order, rank=rank,
+            free=np.take_along_axis(iface, order[:, :nf], axis=1), rows=rows,
+            point=point[row_ids], tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
+            z=np.empty((m, nf, nf)), psi=np.empty((m, nb, nc)), kc=np.empty((m, nc, nc))))
+    return groups
+
+
+@dataclass
+class SubdomainConstraints:
+    """One subdomain's constraint rows by origin (the rows themselves are
+    its ShapeGroup's `rows`) and its free dofs (those no point constraint
+    fixes), ascending positions in `split.interface_pos`."""
+
     tags: list                    # "corner" | "edge" | "face" per row
-    point_rows: np.ndarray = field(init=False, repr=False)
-    point_dofs: np.ndarray = field(init=False, repr=False)    # the dof each fixes
-    interface_order: np.ndarray = field(init=False, repr=False)
-    free_dofs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        corner = np.array([tag == "corner" for tag in self.tags], dtype=bool)
-        self.point_rows = np.flatnonzero(corner & (np.count_nonzero(self.rows, axis=1) == 1))
-        self.point_dofs = np.nonzero(self.rows[self.point_rows])[1]
-        fixed = np.zeros(self.rows.shape[1], dtype=bool)
-        fixed[self.point_dofs] = True
-        self.interface_order = np.argsort(fixed, kind="stable")
-        self.free_dofs = self.interface_order[:fixed.size - np.count_nonzero(fixed)]
+    free_dofs: np.ndarray
 
     @property
     def n_constraints(self) -> int:
-        return self.rows.shape[0]
-
-
-def build_constraints(sub: int, coarse: CoarseSpace, globset,
-                      split: SubdomainSplit) -> ConstraintMatrix:
-    """Constraint rows for one subdomain over its interface dofs (columns
-    ordered like `split.interface_pos`), rows ordered like its coarse dofs
-    (coarse nodes ascending, components fastest)."""
-    dpn = coarse.dofs_per_node
-    members, tags = [], []
-    for cn in coarse.sub_nodes[sub]:
-        if cn < coarse.n_corners:
-            members.append(coarse.corner_nodes[cn:cn + 1])
-            tags += ["corner"] * dpn
-        else:
-            j = cn - coarse.n_corners
-            members.append(coarse.glob_members[j])
-            tags += [globset.globs[coarse.glob_ids[j]].kind] * dpn
-    sizes = np.array([m.size for m in members], dtype=np.int64)
-    node = np.repeat(np.arange(sizes.size), sizes)      # coarse node of each member
-    dofs = np.concatenate([np.zeros(0, np.int64), *members])[:, None] * dpn + np.arange(dpn)
-    iface = split.local_dofs[split.interface_pos]
-    pos = np.searchsorted(iface, dofs)
-    if np.any(pos >= iface.size) or np.any(iface[pos] != dofs):
-        raise ValueError(f"subdomain {sub}: constraint node outside the subdomain's interface")
-    rows = np.zeros((sizes.size * dpn, iface.size))
-    rows[node[:, None] * dpn + np.arange(dpn), pos] = (1.0 / sizes[node])[:, None]
-    return ConstraintMatrix(rows=rows, tags=tags)
+        return len(self.tags)
 
 
 @dataclass
@@ -125,10 +216,10 @@ class SubdomainCoarse:
     """One subdomain's coarse machinery on its interface: the record of its
     factorized reduced bordered matrix [S_ff C_af^T; C_af 0] (see
     `coarse_basis`; the factor itself is not kept), the constrained-solve
-    operator z and the basis psi (views into its level's ShapeGroup), its
-    coarse element matrix, and where it assembles."""
+    operator z, the basis psi and its coarse element matrix (views into its
+    level's ShapeGroup), and where it assembles."""
 
-    constraints: ConstraintMatrix
+    constraints: SubdomainConstraints
     bordered: Factorization
     z: np.ndarray                 # (n_free, n_free)
     psi: np.ndarray               # (n_interface, n_constraints)
@@ -149,11 +240,11 @@ class SubdomainCoarse:
         return z_b, self.psi.T @ r_b
 
 
-def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
-    """Factorize a subdomain's constrained local problem, invert it, and
-    compute its coarse basis, from its dense interface Schur complement
-    s_local (rows and columns ordered like cmat.interface_order) and its
-    constraint rows.
+def coarse_basis(g: ShapeGroup, schur) -> list:
+    """Factorize the constrained local problems of a shape group, invert
+    them, and compute their coarse bases; schur yields each member's dense
+    interface Schur complement S in turn (rows and columns in the member's
+    interface order, g.order).
 
     The basis columns solve [S C^T; C 0][psi; lam] = [0; I]. A point
     constraint fixes its dof p outright (psi_p is 1/c_p in its own column
@@ -162,76 +253,118 @@ def coarse_basis(s_local: np.ndarray, cmat: ConstraintMatrix):
     nonsingular exactly when [S C^T; C 0] is. The fixed dofs' values g enter
     its right-hand sides as [-S_fp g; e_a - C_ap g]. The factor is turned
     into the explicit inverse B^-1, and every solve is a product with it.
+    What does not depend on S (which rows are point rows, their dofs and
+    values, the average rows in interface order, the right-hand sides' other
+    blocks) is indexed once for the whole group; only the factorization, the
+    inversion and the products with the inverse run once per member.
 
-    Returns (bordered, z, psi, coarse_matrix). bordered is the record of the
-    factorization (method, order, matrix) without the factor. z = (B^-1)_ff
-    (n_free x n_free, free dofs ascending) is the constrained-solve
-    operator: the free-dof values of the solution of [S C^T; C 0][z; mu] =
-    [r; 0] are z r_f. psi (n_interface x n_constraints, in interface order)
-    holds the interface values of the constrained energy minimizers with
-    unit constraint values, and the coarse matrix is the negated multiplier
-    block (= psi^T S psi), symmetrized: -lam_a on the average rows and
-    (S_pB psi + C_ap^T lam_a)/c_p on the point rows, from the fixed dofs'
-    own equations. Both equal those of the full local problem
-    [K C^T; C 0], whose minimizers are discrete harmonic inside. The basis
-    product carries the factor's setup check as one extra column, the
-    check probe, and only that column's residual is checked, so the check
-    covers the inverse that the preconditioner applies; an inaccurate
-    inverse raises NumericalError. Two point constraints on one dof make
-    the bordered matrix singular and raise SingularMatrixError.
+    Fills the group's stacks: z = (B^-1)_ff (n_free x n_free, free dofs
+    ascending) is the constrained-solve operator: the free-dof values of
+    the solution of [S C^T; C 0][z; mu] = [r; 0] are z r_f. psi (n_interface
+    x n_constraints, in interface_pos order) holds the interface values of
+    the constrained energy minimizers with unit constraint values, and the
+    coarse matrix kc is the negated multiplier block (= psi^T S psi),
+    symmetrized: -lam_a on the average rows and (S_pB psi + C_ap^T lam_a)/c_p
+    on the point rows, from the fixed dofs' own equations. Both equal those
+    of the full local problem [K C^T; C 0], whose minimizers are discrete
+    harmonic inside. Returns each member's factorization record (method,
+    order and bordered matrix, without the factor).
+
+    The basis product carries the factor's setup check as one extra column,
+    the check probe, and only that column's residual is checked, so the
+    check covers the inverse that the preconditioner applies. A member whose
+    inverse is inaccurate raises NumericalError, and one whose bordered
+    matrix is singular (two point constraints on one dof, say) raises
+    SingularMatrixError; either names the member's subdomain index (also
+    set as the exception's `subdomain`).
     """
-    prow, pdof = cmat.point_rows, cmat.point_dofs
-    nc, nb = cmat.rows.shape
-    nf = cmat.free_dofs.size
-    if nb - nf < prow.size:
-        raise SingularMatrixError("two point constraints fix the same interface dof")
-    order = cmat.interface_order
-    fix = nf + np.searchsorted(order[nf:], pdof)    # each point row's dof, in S's order
-    val = cmat.rows[prow, pdof]
-    is_avg = np.ones(nc, dtype=bool)
-    is_avg[prow] = False
-    avg = np.flatnonzero(is_avg)
-    c_a = cmat.rows[avg][:, order]
-    s_p, c_ap = s_local[fix], c_a[:, fix]           # the fixed dofs' rows of S, columns of C_a
-    n = nf + avg.size
+    m, nb, nc = g.psi.shape
+    nf = g.z.shape[1]
+    n_fix = nb - nf
+    na = nc - n_fix
+    n = nf + na
+    slot = np.arange(m)[:, None]
+    by_kind = np.argsort(~g.point, axis=1, kind="stable")   # point rows, then averages
+    prow, avg = by_kind[:, :n_fix], by_kind[:, n_fix:]
+    doubled = np.count_nonzero(g.point, axis=1) > n_fix    # two point rows on one dof
+    entries = g.rows.tocoo()
+    mem, row = np.divmod(entries.row, max(nc, 1))         # member and row of each entry
+    on_point = g.point[mem, row]
+    pdof, val = np.zeros((m, nc), dtype=np.int64), np.zeros((m, nc))
+    pdof[mem[on_point], row[on_point]] = entries.col[on_point]
+    val[mem[on_point], row[on_point]] = entries.data[on_point]
+    pdof, val = np.take_along_axis(pdof, prow, axis=1), np.take_along_axis(val, prow, axis=1)
+    fix = np.take_along_axis(g.rank, pdof, axis=1)         # each point row's dof in S
+    avg_row = np.empty((m, nc), dtype=np.int64)
+    avg_row[slot, avg] = np.arange(na)
+    mem, row, col = mem[~on_point], row[~on_point], entries.col[~on_point]
+    c_a = np.zeros((m, na, nb))                             # the average rows, in S's order
+    c_a[mem, avg_row[mem, row], g.rank[mem, col]] = entries.data[~on_point]
+    c_ap = np.take_along_axis(c_a, fix[:, None, :], axis=2)  # the fixed dofs' columns
+    # the average rows of the right-hand sides, and the check probe
+    b = probe_rhs(n)
+    rhs_a = np.zeros((m, na, nc + 1))
+    rhs_a[slot[..., None], np.arange(na)[:, None], prow[:, None, :]] = -c_ap / val[:, None, :]
+    rhs_a[slot, np.arange(na), avg] = 1.0
+    rhs_a[:, :, nc] = b[nf:]
+    ax = np.empty((m, n))                                   # B times the probe's solution
     a = np.zeros((n, n))
-    a[:nf, :nf] = s_local[:nf, :nf]
-    a[nf:, :nf] = c_a[:, :nf]
-    a[:nf, nf:] = c_a[:, :nf].T
-    fact = factorize(SparseMatrix.from_dense(a, symmetric=True), "symmetric-indefinite",
-                     probe=False)
-    inv = fact.inverse()
-    rhs = np.zeros((n, nc + 1))
-    rhs[:nf, prow] = -s_p[:, :nf].T / val
-    rhs[nf:, prow] = -c_ap / val
-    rhs[nf + np.arange(avg.size), avg] = 1.0
-    rhs[:, nc] = probe_rhs(n)
-    sol = inv @ rhs
-    fact.check(sol[:, nc])
-    psi = np.zeros((nb, nc))                        # in S's order
-    psi[:nf] = sol[:nf, :nc]
-    psi[fix, prow] = 1.0 / val
-    lam_a = sol[nf:, :nc]
-    kc = np.empty((nc, nc))
-    kc[avg] = -lam_a
-    kc[prow] = (s_p @ psi + c_ap.T @ lam_a) / val[:, None]
-    kc = (kc + kc.T) / 2.0
-    psi_b = np.empty((nb, nc))
-    psi_b[order] = psi
-    return fact, inv[:nf, :nf], psi_b, kc
-
-
-@dataclass
-class ShapeGroup:
-    """The subdomains of one level that share a shape (n_free, n_interface,
-    n_constraints), with their constrained-solve operators and bases stacked
-    in subdomain order, so that one batched product applies them all."""
-
-    iface: np.ndarray             # (m, n_interface) positions in the stacked interface
-    free: np.ndarray              # (m, n_free) positions of the free dofs in it
-    dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
-    z: np.ndarray                 # (m, n_free, n_free)
-    psi: np.ndarray               # (m, n_interface, n_constraints)
+    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))
+    records, stop = [], None
+    for j, s in enumerate(schur):
+        if doubled[j]:
+            stop = SingularMatrixError("two point constraints fix the same interface dof")
+            break
+        a[:nf, :nf] = s[:nf, :nf]
+        a[nf:, :nf] = c_a[j, :, :nf]
+        a[:nf, nf:] = c_a[j, :, :nf].T
+        nz = a != 0
+        ptr = np.zeros(n + 1, dtype=np.int32)
+        ptr[1:] = np.cumsum(np.count_nonzero(nz, axis=1))
+        bordered = SparseMatrix(scipy.sparse.csr_matrix((a[nz], cols[nz], ptr), shape=(n, n)),
+                                symmetric=True)
+        try:
+            fact = factorize(bordered, KIND_SYMMETRIC_INDEFINITE, probe=False, dense=a)
+            inv = fact.inverse()
+        except NumericalError as exc:
+            stop = exc
+            break
+        records.append(fact)
+        s_p = s[fix[j]]                                     # the fixed dofs' rows of S
+        rhs = np.zeros((n, nc + 1))
+        rhs[:nf, prow[j]] = -s_p[:, :nf].T / val[j]
+        rhs[:nf, nc] = b[:nf]
+        rhs[nf:] = rhs_a[j]
+        sol = inv @ rhs
+        ax[j] = a @ sol[:, nc]
+        psi = np.zeros((nb, nc))                            # in S's order
+        psi[:nf] = sol[:nf, :nc]
+        psi[fix[j], prow[j]] = 1.0 / val[j]
+        lam_a = sol[nf:, :nc]
+        kc = np.empty((nc, nc))
+        kc[avg[j]] = -lam_a
+        kc[prow[j]] = (s_p @ psi + c_ap[j].T @ lam_a) / val[j][:, None]
+        g.kc[j] = (kc + kc.T) / 2.0
+        g.psi[j][g.order[j]] = psi
+        g.z[j] = inv[:nf, :nf]
+    # the setup check of every inverse made, then the failure that stopped
+    # the loop: the first failing member either way
+    done = len(records)
+    r = b - ax[:done]
+    rel = np.sqrt(np.sum(r * r, axis=1) / (b @ b)) if n else np.zeros(done)
+    bad = np.flatnonzero(~(rel <= REFINE_TOL))             # a NaN fails too
+    if bad.size or stop is not None:
+        j = int(bad[0]) if bad.size else done
+        if bad.size:
+            stop = NumericalError(f"inverse is inaccurate: relative residual {rel[j]:.1e} "
+                                  f"on the check probe, above {REFINE_TOL:.0e}")
+        what = ("singular" if isinstance(stop, SingularMatrixError)
+                else "too ill-conditioned to solve accurately")
+        err = type(stop)(f"subdomain {g.subs[j]}: constrained local problem is {what} "
+                         f"({nc} constraints on {nb} interface dofs)")
+        err.subdomain = int(g.subs[j])
+        raise err from stop
+    return records
 
 
 @dataclass
@@ -328,65 +461,56 @@ def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
                          for kc, d, s in zip(k_elems, dof_lists, partition.assignment)])
 
 
-def _local_schur(k_csr, lo: int, split: SubdomainSplit, iface: np.ndarray) -> np.ndarray:
-    """Dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB of the
-    subdomain whose diagonal block of the level's block-diagonal CSR k_csr
-    starts at row lo, over the interface positions iface (a reordering of
-    split.interface_pos; S's rows and columns follow it). K_II is SPD: the
-    level's stacked K_II factor passed its setup check.
+def _local_schur(k_csr, splits: LevelSplits, g: ShapeGroup):
+    """Yield the dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB
+    of each member of shape group g in turn, from the level's block-diagonal
+    CSR k_csr, with rows and columns in the member's interface order
+    (g.order). K_II is SPD: the level's stacked K_II factor passed its setup
+    check.
 
-    Up to sparse.DENSE_THRESHOLD local dofs, the block is read straight
-    from the CSR arrays (it has no entries outside its own columns),
-    interior dofs first, into one dense array: S = K_BB - W^T W with
-    W = L^-1 K_IB, K_II = L L^T. Larger subdomains never become dense:
-    their K_II is factorized by `factorize` (SuperLU above the threshold)
-    and solved for the n_B columns of K_IB only.
+    Every row of the group's blocks gets its dense position once for the
+    whole group: interior dofs first, in order, then the interface in
+    interface order. Up to sparse.DENSE_THRESHOLD local dofs, a member's
+    block is read straight from the CSR arrays (it has no entries outside
+    its own columns) into one dense array at those positions: S = K_BB -
+    W^T W with W = L^-1 K_IB, K_II = L L^T. Larger subdomains never become
+    dense: their K_II is factorized by `factorize` (SuperLU above the
+    threshold) and solved for the n_B columns of K_IB only.
     """
-    n, n_i = split.n_local, split.interior_pos.size
-    if n > sparse.DENSE_THRESHOLD:
-        blk = k_csr[lo:lo + n, lo:lo + n]
-        rows_i = blk[split.interior_pos]
-        k_ib = rows_i[:, iface].toarray(order="F")
-        k_ii = factorize(SparseMatrix.from_scipy(rows_i[:, split.interior_pos], symmetric=True))
-        s = blk[iface][:, iface].toarray() - k_ib.T @ k_ii.solve(k_ib)
-        return (s + s.T) * 0.5
-    order = np.empty(n, dtype=np.int64)
-    order[np.concatenate([split.interior_pos, iface])] = np.arange(n)
-    ptr = k_csr.indptr[lo:lo + n + 1]
-    entries = slice(ptr[0], ptr[-1])
-    kd = np.zeros((n, n), order="F")
-    kd[np.repeat(order, np.diff(ptr)), order[k_csr.indices[entries] - lo]] = k_csr.data[entries]
-    if n_i in (0, n):
-        return kd[n_i:, n_i:]
-    low, info = dpotrf(kd[:n_i, :n_i], lower=1)
-    if info != 0:
-        raise NotPositiveDefiniteError(f"interior block is not positive definite (potrf info={info})")
-    w, _ = dtrtrs(low, kd[:n_i, n_i:], lower=1)
-    s = kd[n_i:, n_i:] - w.T @ w
-    return (s + s.T) * 0.5
-
-
-def _shape_groups(splits: LevelSplits, cmats, coarse: CoarseSpace):
-    """Group a level's subdomains by shape (n_free, n_interface,
-    n_constraints), in order of first appearance, with room for their
-    operators. Returns (groups, slots): slots[i] is (group, row) of
-    subdomain i."""
-    ends = np.cumsum([split.interface_pos.size for split in splits])
-    members = {}
-    for i, cmat in enumerate(cmats):
-        members.setdefault((cmat.free_dofs.size, *cmat.rows.shape[::-1]), []).append(i)
-    groups, slots = [], [None] * len(cmats)
-    for (nf, nb, nc), subs in members.items():
-        start = ends[subs] - nb
-        g = ShapeGroup(iface=start[:, None] + np.arange(nb),
-                       free=start[:, None] + np.array([cmats[i].free_dofs for i in subs]
-                                                      ).reshape(len(subs), nf),
-                       dofs=np.array([coarse.sub_dofs(i) for i in subs]).reshape(len(subs), nc),
-                       z=np.empty((len(subs), nf, nf)), psi=np.empty((len(subs), nb, nc)))
-        groups.append(g)
-        for j, i in enumerate(subs):
-            slots[i] = (g, j)
-    return groups, slots
+    nb = g.iface.shape[1]
+    lo = splits.offsets[g.subs]
+    n_local = splits.offsets[g.subs + 1] - lo
+    pos = np.empty(k_csr.shape[0], dtype=np.int64)
+    int_offsets = splits.interior_offsets
+    pos[splits.interior_rows] = (np.arange(int_offsets[-1])
+                                 - np.repeat(int_offsets[:-1], np.diff(int_offsets)))
+    pos[splits.interface_rows[g.iface]] = (n_local - nb)[:, None] + g.rank
+    for a, n in zip(lo.tolist(), n_local.tolist()):
+        n_i = n - nb
+        if n > sparse.DENSE_THRESHOLD:
+            local = np.argsort(pos[a:a + n])        # interior, then interface order
+            blk = k_csr[a:a + n, a:a + n]
+            rows_i = blk[local[:n_i]]
+            k_ib = rows_i[:, local[n_i:]].toarray(order="F")
+            k_ii = factorize(SparseMatrix.from_scipy(rows_i[:, local[:n_i]], symmetric=True))
+            s = blk[local[n_i:]][:, local[n_i:]].toarray() - k_ib.T @ k_ii.solve(k_ib)
+            yield (s + s.T) * 0.5
+            continue
+        ptr = k_csr.indptr[a:a + n + 1]
+        entries = slice(ptr[0], ptr[-1])
+        kd = np.zeros((n, n), order="F")
+        kd[np.repeat(pos[a:a + n], np.diff(ptr)), pos[k_csr.indices[entries]]] = \
+            k_csr.data[entries]
+        if n_i in (0, n):
+            yield kd[n_i:, n_i:]
+            continue
+        low, info = dpotrf(kd[:n_i, :n_i], lower=1)
+        if info != 0:
+            raise NotPositiveDefiniteError(
+                f"interior block is not positive definite (potrf info={info})")
+        w, _ = dtrtrs(low, kd[:n_i, n_i:], lower=1)
+        s = kd[n_i:, n_i:] - w.T @ w
+        yield (s + s.T) * 0.5
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, keys,
@@ -397,26 +521,27 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
-    cmats = [build_constraints(i, coarse, globset, split) for i, split in enumerate(splits)]
-    groups, slots = _shape_groups(splits, cmats, coarse)
+    groups = _shape_groups(build_constraints(coarse, globset, splits, imap),
+                           splits.iface_offsets)
     k_csr = k.scipy_csr()
-    subs, lo = [], 0
-    for i, (split, cmat, (g, j)) in enumerate(zip(splits, cmats, slots)):
-        s_local = _local_schur(k_csr, lo, split, split.interface_pos[cmat.interface_order])
+    subs, failed = [None] * len(splits), []
+    for g in groups:
         try:
-            fact, z, psi, kc = coarse_basis(s_local, cmat)
+            records = coarse_basis(g, _local_schur(k_csr, splits, g))
         except NumericalError as exc:
-            what = ("singular" if isinstance(exc, SingularMatrixError)
-                    else "too ill-conditioned to solve accurately")
-            raise NumericalError(
-                f"level {index}, subdomain {i}: constrained local problem is "
-                f"{what} ({cmat.n_constraints} constraints on "
-                f"{split.interface_pos.size} interface dofs); the constraint set is too weak"
-            ) from exc
-        g.z[j], g.psi[j] = z, psi
-        subs.append(SubdomainCoarse(constraints=cmat, bordered=fact, z=g.z[j], psi=g.psi[j],
-                                    coarse_matrix=kc, coarse_dofs=g.dofs[j]))
-        lo += split.n_local
+            if getattr(exc, "subdomain", None) is None:
+                raise
+            failed.append(exc)
+            continue
+        nf = g.z.shape[1]
+        for j, (i, fact) in enumerate(zip(g.subs.tolist(), records)):
+            cons = SubdomainConstraints(tags=g.tags[j].tolist(), free_dofs=g.order[j, :nf])
+            subs[i] = SubdomainCoarse(constraints=cons, bordered=fact, z=g.z[j], psi=g.psi[j],
+                                      coarse_matrix=g.kc[j], coarse_dofs=g.dofs[j])
+    if failed:
+        # the first failing subdomain in index order, whichever group it is in
+        exc = min(failed, key=lambda e: e.subdomain)
+        raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, subs=subs, groups=groups)
 

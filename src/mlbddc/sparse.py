@@ -62,16 +62,6 @@ class SparseMatrix:
         csr.sum_duplicates()        # sorts the indices too
         return cls(csr, symmetric)
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray, symmetric: bool = False) -> "SparseMatrix":
-        """The nonzeros of a dense 2-D array, laid out row by row directly
-        (scipy's own conversion of a dense array is ~4x slower at order 400)."""
-        nz = a != 0
-        cols = np.tile(np.arange(a.shape[1], dtype=np.int32), a.shape[0])[nz.ravel()]
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(nz, axis=1))])
-        csr = scipy.sparse.csr_matrix((a[nz], cols, indptr), shape=a.shape)
-        return cls(csr, symmetric)
-
     def scipy_csr(self) -> scipy.sparse.csr_matrix:
         return self.csr
 
@@ -234,7 +224,7 @@ class Factorization:
 
 
 def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
-              probe: bool = True) -> Factorization:
+              probe: bool = True, dense=None) -> Factorization:
     """Factorize a symmetric matrix for repeated solves.
 
     kind="spd" expects positive definiteness and raises
@@ -248,7 +238,9 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
     The new factor solves probe_rhs(n) and passes the solution to
     `Factorization.check`, which raises NumericalError naming an inaccurate
     block. probe=False leaves that check to a caller that folds the probe
-    into products of its own with the inverse (`bddc.coarse_basis`).
+    into products of its own with the inverse (`bddc.coarse_basis`). A
+    caller that holds `a` as a dense array already passes it as `dense`,
+    which the dense path factorizes in place of a conversion of `a`.
     """
     if kind not in (KIND_SPD, KIND_SYMMETRIC_INDEFINITE):
         raise ValueError(f"unknown factorization kind {kind!r}")
@@ -259,9 +251,12 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
         s = a.scipy_csr()
         if (s != s.T).nnz != 0:
             raise ValueError("factorize requires a symmetric matrix")
-    offsets = np.array([0, n] if offsets is None else offsets, dtype=np.int64)
-    if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
-        raise ValueError(f"block offsets must rise from 0 to the order {n}")
+    if offsets is None:
+        offsets = np.array([0, n], dtype=np.int64)
+    else:
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
+            raise ValueError(f"block offsets must rise from 0 to the order {n}")
 
     def made(method, payload):
         fact = Factorization(kind=kind, n=n, method=method, matrix=a,
@@ -273,7 +268,8 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
     if n == 0:
         return made("empty", None)
     if n <= DENSE_THRESHOLD and offsets.size == 2:
-        dense = a.scipy_csr().toarray()
+        if dense is None:
+            dense = a.scipy_csr().toarray()
         if kind == KIND_SPD:
             try:
                 payload = scipy.linalg.cho_factor(dense, lower=True)

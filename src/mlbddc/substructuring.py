@@ -64,13 +64,23 @@ class LevelSplits(list):
     k_ii_fact factorizes stacked interior x stacked interior, k_ib is
     stacked interior x stacked interface, k_bb stacked interface x stacked
     interface (both scipy CSR); interior_dofs maps stacked interior to level
-    dofs and iface_index stacked interface to global interface positions."""
+    dofs and iface_index stacked interface to global interface positions.
+
+    The same split, level-wide: interior_rows and interface_rows are the
+    rows of the level's block-diagonal matrix that are interior and
+    interface dofs, ascending; subdomain i owns rows offsets[i]:offsets[i+1],
+    stacked interior interior_offsets[i]:interior_offsets[i+1] and stacked
+    interface iface_offsets[i]:iface_offsets[i+1]."""
 
     def __init__(self, subs, k_ii_fact: Factorization, k_ib, k_bb,
-                 interior_dofs, iface_index):
+                 interior_dofs, iface_index, interior_rows, interface_rows,
+                 offsets, interior_offsets, iface_offsets):
         super().__init__(subs)
         self.k_ii_fact, self.k_ib, self.k_bb = k_ii_fact, k_ib, k_bb
         self.interior_dofs, self.iface_index = interior_dofs, iface_index
+        self.interior_rows, self.interface_rows = interior_rows, interface_rows
+        self.offsets, self.interior_offsets = offsets, interior_offsets
+        self.iface_offsets = iface_offsets
 
     def gather(self, v: np.ndarray, n_iface: int) -> np.ndarray:
         """R^T v: sum stacked interface values into the global interface
@@ -110,7 +120,7 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
     interior_dofs = ltg_all[interior]
     if np.unique(interior_dofs).shape[0] != interior_dofs.shape[0]:
         raise ValueError("an interior dof belongs to more than one subdomain")
-    ends = np.searchsorted(sub_of, np.arange(1, n_subs + 1))
+    ends = np.searchsorted(sub_of, np.arange(n_subs + 1))
     cut_i, cut_b = np.searchsorted(interior, ends), np.searchsorted(interface, ends)
 
     k_all = k.scipy_csr()
@@ -119,15 +129,15 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
     k_ib = k_rows_i[:, interface]
     k_bb = k_all[interface][:, interface]
     del k_rows_i
-    fact = factorize(k_ii, "spd", offsets=np.concatenate([[0], cut_i]))
+    fact = factorize(k_ii, "spd", offsets=cut_i)
 
-    ends, cut_i, cut_b = ([0] + c.tolist() for c in (ends, cut_i, cut_b))
     iface_index = np.searchsorted(iface_dofs, ltg_all[interface])
     subs = [SubdomainSplit(i, ltg_all[ends[i]:ends[i + 1]],
                            interior[cut_i[i]:cut_i[i + 1]] - ends[i],
                            interface[cut_b[i]:cut_b[i + 1]] - ends[i], fact)
             for i in range(n_subs)]
-    splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index)
+    splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index,
+                         interior, interface, ends, cut_i, cut_b)
     return splits, InterfaceMap(dofs=iface_dofs)
 
 

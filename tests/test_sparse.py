@@ -48,20 +48,6 @@ def test_from_scipy_stores_one_canonical_csr():
     assert all(isinstance(v, (bool, scipy.sparse.csr_matrix)) for v in vars(t).values())
 
 
-@pytest.mark.parametrize("shape", [(5, 7), (3, 0), (0, 0)])
-def test_from_dense_matches_scipy_conversion(shape):
-    # the same canonical CSR as scipy's own dense conversion: nonzeros only,
-    # row by row, columns ascending
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
-    got = SparseMatrix.from_dense(a, symmetric=True)
-    ref = scipy.sparse.csr_matrix(a)
-    assert got.symmetric and got.shape == shape
-    assert got.scipy_csr().has_canonical_format
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got.scipy_csr(), attr), getattr(ref, attr))
-
-
 def test_matvec_tridiagonal_example():
     a = tridiag_matrix(3)
     y = a.scipy_csr() @ np.array([1.0, 2.0, 3.0])
