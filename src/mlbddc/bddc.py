@@ -23,28 +23,30 @@ Applications at levels past the first condense the full residual onto the
 interface before the cycle and recover the interiors after it, with the
 condensation and recovery of the level-1 solve (substructuring), so the
 recursion only ever sees interface residuals; each is one block-diagonal
-interior solve per level. The constrained local problems are solved once,
-at setup: each bordered factor is turned into its explicit inverse, whose
-free-dof block z_i is the subdomain's constrained-solve operator, and the
-basis psi_i comes from products with it. A level stacks z_i and psi_i
-over the subdomains that share a shape (free dofs, interface dofs,
-constraints; a few shapes per level), so one preconditioner cycle is a
-few batched products per level: z_i r_i and psi_i^T r_i (the multipliers,
-i.e. the restricted coarse residuals), then psi_i z_c + z_i r_i after the
-coarse correction. No factor of a subdomain is kept past setup.
+interior solve per level. The constrained local problems are solved once, at
+setup: each reduced bordered matrix is factorized by LAPACK's Bunch-Kaufman
+sytrf and inverted in the factor's storage by sytri, always densely (its
+order is that of the interface, not of the subdomain). The free-dof block
+z_i of the inverse is the subdomain's constrained-solve operator, and the
+basis psi_i comes from products with it. A level stacks z_i and psi_i over
+the subdomains that share a shape (free dofs, interface dofs, constraints; a
+few shapes per level), so one preconditioner cycle is a few batched products
+per level: z_i r_i and psi_i^T r_i (the multipliers, i.e. the restricted
+coarse residuals), then psi_i z_c + z_i r_i after the coarse correction. No
+factor of a subdomain is kept past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
 (`build_constraints`), which also decides each group's shape. For each
-group, whatever does not depend on the Schur complements (dense positions
-of its matrix rows, interface orders, point rows with their dofs and
-values, average rows, the right-hand sides' constant blocks) is indexed
-once for all of its members; only the dense factorizations (Cholesky of
-K_II and triangular solves for S_i, then Bunch-Kaufman and its inverse for
-the bordered matrix) and the products with their results run once per
-subdomain, writing z_i, psi_i and the coarse matrices into the group's
-stacks. All reductions accumulate in a fixed order (shape groups, then
-subdomains), so results are bitwise reproducible.
+group, whatever does not depend on the Schur complements (dense positions of
+its matrix rows, interface orders, point rows with their dofs and values,
+average rows, the right-hand sides' constant blocks) is indexed once for all
+of its members; only the dense factorizations (Cholesky of K_II and
+triangular solves for S_i, then sytrf and sytri for the bordered matrix) and
+the products with their results run once per subdomain, writing z_i, psi_i
+and the coarse matrices into the group's stacks. All reductions accumulate
+in a fixed order (shape groups, then subdomains), so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dsytrf, dsytri, dtrtrs
 
 from . import sparse
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
@@ -67,8 +69,8 @@ from .interface import (
     select_corners,
 )
 from .partition import Partition, build_pseudomesh, partition_elements
-from .sparse import (KIND_SYMMETRIC_INDEFINITE, REFINE_TOL, Factorization, SparseMatrix,
-                     factorize, probe_rhs, sum_elements)
+from .sparse import (REFINE_TOL, Factorization, SparseMatrix, factorize, probe_rhs,
+                     sum_elements)
 from .substructuring import (InterfaceMap, LevelSplits, build_splits, condensed_rhs,
                              recover_interior, subdomain_keys)
 
@@ -206,10 +208,6 @@ class SubdomainConstraints:
     tags: list                    # "corner" | "edge" | "face" per row
     free_dofs: np.ndarray
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self.tags)
-
 
 @dataclass
 class SubdomainCoarse:
@@ -246,17 +244,20 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     interface Schur complement S in turn (rows and columns in the member's
     interface order, g.order).
 
-    The basis columns solve [S C^T; C 0][psi; lam] = [0; I]. A point
-    constraint fixes its dof p outright (psi_p is 1/c_p in its own column
-    and 0 in the others), so only the reduced matrix B = [S_ff C_af^T; C_af 0]
-    over the free dofs f and the other (average) rows a is factorized; it is
+    The basis columns solve [S C^T; C 0][psi; lam] = [0; I]. A point constraint
+    fixes its dof p outright (psi_p is 1/c_p in its own column and 0 in the
+    others), so only the reduced matrix B = [S_ff C_af^T; C_af 0] over the
+    free dofs f and the other (average) rows a is factorized; it is
     nonsingular exactly when [S C^T; C 0] is. The fixed dofs' values g enter
-    its right-hand sides as [-S_fp g; e_a - C_ap g]. The factor is turned
-    into the explicit inverse B^-1, and every solve is a product with it.
-    What does not depend on S (which rows are point rows, their dofs and
-    values, the average rows in interface order, the right-hand sides' other
-    blocks) is indexed once for the whole group; only the factorization, the
-    inversion and the products with the inverse run once per member.
+    its right-hand sides as [-S_fp g; e_a - C_ap g]. B is dense and
+    symmetric indefinite: LAPACK's Bunch-Kaufman sytrf factorizes a copy of
+    it, sytri turns that factor into B^-1 in its own storage, and the lower
+    triangle is mirrored, so B^-1 is exactly symmetric; every solve is a
+    product with it. What does not depend on S (which rows are point rows,
+    their dofs and values, the average rows in interface order, the
+    right-hand sides' other blocks) is indexed once for the whole group;
+    only the factorization, the inversion and the products with the inverse
+    run once per member.
 
     Fills the group's stacks: z = (B^-1)_ff (n_free x n_free, free dofs
     ascending) is the constrained-solve operator: the free-dof values of
@@ -267,16 +268,17 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     symmetrized: -lam_a on the average rows and (S_pB psi + C_ap^T lam_a)/c_p
     on the point rows, from the fixed dofs' own equations. Both equal those
     of the full local problem [K C^T; C 0], whose minimizers are discrete
-    harmonic inside. Returns each member's factorization record (method,
-    order and bordered matrix, without the factor).
+    harmonic inside. Returns each member's factorization record: method
+    "bunch-kaufman" ("empty" when B has order 0, every interface dof being
+    fixed), order and B as a CSR, without the factor.
 
     The basis product carries the factor's setup check as one extra column,
     the check probe, and only that column's residual is checked, so the
     check covers the inverse that the preconditioner applies. A member whose
     inverse is inaccurate raises NumericalError, and one whose bordered
-    matrix is singular (two point constraints on one dof, say) raises
-    SingularMatrixError; either names the member's subdomain index (also
-    set as the exception's `subdomain`).
+    matrix is singular (a zero pivot block in sytrf or sytri; two point
+    constraints on one dof, say) raises SingularMatrixError; either names
+    the member's subdomain index (also set as the exception's `subdomain`).
     """
     m, nb, nc = g.psi.shape
     nf = g.z.shape[1]
@@ -310,6 +312,7 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     ax = np.empty((m, n))                                   # B times the probe's solution
     a = np.zeros((n, n))
     cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))
+    lower = np.tri(n, dtype=bool)
     records, stop = [], None
     for j, s in enumerate(schur):
         if doubled[j]:
@@ -323,13 +326,18 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
         ptr[1:] = np.cumsum(np.count_nonzero(nz, axis=1))
         bordered = SparseMatrix(scipy.sparse.csr_matrix((a[nz], cols[nz], ptr), shape=(n, n)),
                                 symmetric=True)
-        try:
-            fact = factorize(bordered, KIND_SYMMETRIC_INDEFINITE, probe=False, dense=a)
-            inv = fact.inverse()
-        except NumericalError as exc:
-            stop = exc
-            break
-        records.append(fact)
+        inv = a                                             # order 0: nothing to invert
+        if n:
+            ldu, ipiv, info = dsytrf(a, lower=1)            # a copy: a is kept for the check
+            if info == 0:
+                inv, info = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
+            if info != 0:
+                stop = (SingularMatrixError(f"singular pivot block at index {info}") if info > 0
+                        else NumericalError(f"sytrf/sytri illegal argument {-info}"))
+                break
+            inv = np.where(lower, inv, inv.T)
+        records.append(Factorization(n=n, method="bunch-kaufman" if n else "empty",
+                                     matrix=bordered, offsets=np.array([0, n]), _payload=None))
         s_p = s[fix[j]]                                     # the fixed dofs' rows of S
         rhs = np.zeros((n, nc + 1))
         rhs[:nf, prow[j]] = -s_p[:, :nf].T / val[j]
@@ -576,7 +584,7 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
     k_top = assemble_coarse([sub.coarse_matrix for sub in last.subs],
                             [sub.coarse_dofs for sub in last.subs])
     try:
-        top = factorize(k_top, "spd")
+        top = factorize(k_top)
     except NumericalError as exc:
         raise NumericalError(
             f"final coarse matrix ({k_top.shape[0]} dofs) is not positive "

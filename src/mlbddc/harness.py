@@ -71,22 +71,14 @@ def parse_hierarchy(text: str) -> list:
     return counts if counts else [1]
 
 
-def _parse_int_list(v) -> tuple:
-    if isinstance(v, (list, tuple)):
-        return tuple(int(x) for x in v)
-    return tuple(int(p) for p in str(v).split(",") if p.strip())
-
-
-def _parse_float_list(v) -> tuple:
-    if isinstance(v, (list, tuple)):
-        return tuple(float(x) for x in v)
-    return tuple(float(p) for p in str(v).split(",") if p.strip())
-
-
-def _parse_faces(v) -> tuple:
-    if isinstance(v, (list, tuple)):
-        return tuple(v)
-    return tuple(p.strip() for p in str(v).split(",") if p.strip())
+def _parse_list(cast):
+    """Parser of a comma-separated string (blank items skipped), or a list or
+    tuple, into a tuple of cast values."""
+    def parse(v) -> tuple:
+        if isinstance(v, (list, tuple)):
+            return tuple(cast(x) for x in v)
+        return tuple(cast(p.strip()) for p in str(v).split(",") if p.strip())
+    return parse
 
 
 @dataclass
@@ -160,9 +152,9 @@ class RunConfig:
 
 
 _PARSERS = {
-    "problem": str, "dim": int, "elements": _parse_int_list,
-    "length": _parse_float_list, "young": float, "poisson_ratio": float,
-    "rhs": str, "dirichlet_faces": _parse_faces, "dirichlet_value": float,
+    "problem": str, "dim": int, "elements": _parse_list(int),
+    "length": _parse_list(float), "young": float, "poisson_ratio": float,
+    "rhs": str, "dirichlet_faces": _parse_list(str), "dirichlet_value": float,
     "hierarchy": str, "partition": str, "constraint_policy": str,
     "corner_strategy": str, "weight_scheme": str, "krylov": str,
     "tolerance": float, "max_iterations": int, "workers": int,

@@ -174,10 +174,6 @@ class CoarseSpace:
     def n_dofs(self) -> int:
         return self.n_nodes * self.dofs_per_node
 
-    def sub_dofs(self, i: int) -> np.ndarray:
-        """Global coarse dof ids for subdomain i's local coarse dofs."""
-        return node_dofs(self.sub_nodes[i], self.dofs_per_node)
-
 
 def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
                        partition, policy: str = "corners+edges+faces") -> CoarseSpace:

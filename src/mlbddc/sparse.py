@@ -8,16 +8,13 @@ element's dofs by subdomain makes the sum one block-diagonal matrix. The
 sum is linear in the element entries (two stable CSR/CSC transposes, then
 one pass over sorted duplicates) and adds each entry's contributions in
 element order, so it is bitwise symmetric with no symmetrization pass.
-Factorizations go dense below a size threshold (Cholesky for SPD,
-Bunch-Kaufman sytrf for symmetric indefinite) and through SuperLU above
-it; both paths reject non-SPD input to an SPD factorization. A
-block-diagonal matrix, such as the stacked interior blocks of all
-subdomains of a level, is factorized once as a whole. Each factor's
-accuracy is checked once, right after it is made, by solving a fixed probe
-right-hand side and checking the residual of every diagonal block; its
-later solves are plain factor solves with no residual check. A factor can
-also be turned into the explicit inverse, for operators applied as
-products (`Factorization.inverse`).
+Factorizations are of SPD matrices only: dense Cholesky below a size
+threshold and SuperLU in symmetric mode above it, and both paths reject a
+non-positive pivot. A block-diagonal matrix, such as the stacked interior
+blocks of all subdomains of a level, is factorized once as a whole. Each
+factor's accuracy is checked once, right after it is made, by solving a
+fixed probe right-hand side and checking the residual of every diagonal
+block; its later solves are plain factor solves with no residual check.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import dsytri
 
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 
@@ -142,19 +137,15 @@ def sum_elements(blocks):
 
 # -- factorization ----------------------------------------------------------
 
-KIND_SPD = "spd"
-KIND_SYMMETRIC_INDEFINITE = "symmetric-indefinite"
-
-
 @dataclass
 class Factorization:
-    """Opaque handle around a dense LAPACK or SuperLU factorization.
+    """Opaque handle around a dense Cholesky or SuperLU factorization of an
+    SPD matrix.
 
     `offsets` bounds the diagonal blocks of a block-diagonal matrix (block
     j is rows offsets[j]:offsets[j+1]); an unblocked matrix is one block.
     """
 
-    kind: str
     n: int
     method: str
     matrix: SparseMatrix
@@ -190,60 +181,23 @@ class Factorization:
                 f"factor solve is inaccurate in diagonal block {j}: relative "
                 f"residual {rel[bad[0]]:.1e} on the check probe, above {REFINE_TOL:.0e}")
 
-    def inverse(self) -> np.ndarray:
-        """Turn the factor into the explicit inverse A^-1, exactly symmetric,
-        and return it. A Bunch-Kaufman factor is inverted in its own storage
-        by sytri, any other factor solves the columns of the identity; the
-        lower triangle is then mirrored into the upper. The record keeps no
-        factor afterwards (method, order and matrix stay). A singular
-        diagonal block of D raises SingularMatrixError."""
-        if self.method == "bunch-kaufman":
-            ldu, ipiv, _ = self._payload
-            inv, info = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
-            if info > 0:
-                raise SingularMatrixError(f"singular pivot block at index {info} in sytri")
-            if info < 0:
-                raise NumericalError(f"sytri illegal argument {-info}")
-        else:
-            inv = self.solve(np.eye(self.n))
-        self._payload = None
-        return np.where(np.tri(self.n, dtype=bool), inv, inv.T)
-
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":
             return scipy.linalg.cho_solve(self._payload, bb)
-        if self.method == "bunch-kaufman":
-            ldu, ipiv, sytrs = self._payload
-            x, info = sytrs(ldu, ipiv, bb, lower=1)
-            if info != 0:
-                raise NumericalError(f"sytrs failed with info={info}")
-            return np.asarray(x, dtype=np.float64).reshape(bb.shape)
-        if self.method == "splu":
-            return self._payload.solve(bb)
-        raise NumericalError(f"unknown factorization method {self.method!r}")
+        return self._payload.solve(bb)
 
 
-def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
-              probe: bool = True, dense=None) -> Factorization:
-    """Factorize a symmetric matrix for repeated solves.
+def factorize(a: SparseMatrix, offsets=None) -> Factorization:
+    """Factorize a symmetric positive definite matrix for repeated solves.
 
-    kind="spd" expects positive definiteness and raises
-    NotPositiveDefiniteError when a non-positive pivot shows up, on the
-    dense and the sparse path alike; kind="symmetric-indefinite" takes any
-    nonsingular symmetric matrix. Exactly singular input raises
-    SingularMatrixError. `offsets` bounds the blocks of a block-diagonal
-    `a` (default: one block); several blocks go to SuperLU as one matrix,
-    and they scope the setup check and the error messages.
-
-    The new factor solves probe_rhs(n) and passes the solution to
-    `Factorization.check`, which raises NumericalError naming an inaccurate
-    block. probe=False leaves that check to a caller that folds the probe
-    into products of its own with the inverse (`bddc.coarse_basis`). A
-    caller that holds `a` as a dense array already passes it as `dense`,
-    which the dense path factorizes in place of a conversion of `a`.
+    A non-positive pivot raises NotPositiveDefiniteError, on the dense and
+    the sparse path alike, and an exactly singular SuperLU pivot raises
+    SingularMatrixError. `offsets` bounds the blocks of a block-diagonal `a`
+    (default: one block); several blocks go to SuperLU as one matrix, and
+    they scope the setup check and the error messages. The new factor
+    solves probe_rhs(n) and passes the solution to `Factorization.check`,
+    which raises NumericalError naming an inaccurate block.
     """
-    if kind not in (KIND_SPD, KIND_SYMMETRIC_INDEFINITE):
-        raise ValueError(f"unknown factorization kind {kind!r}")
     n, n_cols = a.shape
     if n != n_cols:
         raise ValueError(f"cannot factorize non-square matrix {n}x{n_cols}")
@@ -259,49 +213,35 @@ def factorize(a: SparseMatrix, kind: str = KIND_SPD, offsets=None,
             raise ValueError(f"block offsets must rise from 0 to the order {n}")
 
     def made(method, payload):
-        fact = Factorization(kind=kind, n=n, method=method, matrix=a,
-                             offsets=offsets, _payload=payload)
-        if probe and n:
+        fact = Factorization(n=n, method=method, matrix=a, offsets=offsets, _payload=payload)
+        if n:
             fact.check(fact.solve(probe_rhs(n)))
         return fact
 
     if n == 0:
         return made("empty", None)
     if n <= DENSE_THRESHOLD and offsets.size == 2:
-        if dense is None:
-            dense = a.scipy_csr().toarray()
-        if kind == KIND_SPD:
-            try:
-                payload = scipy.linalg.cho_factor(dense, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-            return made("cholesky", payload)
-        sytrf, sytrs = get_lapack_funcs(("sytrf", "sytrs"), (dense,))
-        ldu, ipiv, info = sytrf(dense, lower=1)
-        if info > 0:
-            raise SingularMatrixError(f"singular pivot block at index {info} in sytrf")
-        if info < 0:
-            raise NumericalError(f"sytrf illegal argument {-info}")
-        return made("bunch-kaufman", (ldu, ipiv, sytrs))
-    # kind="spd" factors in symmetric mode with diagonal pivots only: an
-    # SPD matrix needs no other, so an off-diagonal or non-positive pivot
-    # proves the matrix is not positive definite
-    spd = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options=dict(SymmetricMode=True)) if kind == KIND_SPD else {}
+        try:
+            payload = scipy.linalg.cho_factor(a.scipy_csr().toarray(), lower=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+        return made("cholesky", payload)
+    # symmetric mode with diagonal pivots only: an SPD matrix needs no
+    # other, so an off-diagonal or non-positive pivot proves the matrix is
+    # not positive definite
     try:
-        lu = scipy.sparse.linalg.splu(a.scipy_csr().tocsc(), **spd)
+        lu = scipy.sparse.linalg.splu(a.scipy_csr().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularMatrixError(str(exc)) from exc
         raise NumericalError(str(exc)) from exc
-    if kind == KIND_SPD:
-        row_of = np.argsort(lu.perm_c)      # original row of each pivot
-        bad = np.nonzero((lu.perm_r[row_of] != lu.perm_c[row_of])
-                         | (lu.U.diagonal() <= 0))[0]
-        if bad.size:
-            row = int(row_of[bad[0]])
-            j = int(np.searchsorted(offsets, row, side="right")) - 1
-            raise NotPositiveDefiniteError(f"matrix is not positive definite: bad "
-                                           f"pivot at row {row}, in diagonal block {j}")
+    row_of = np.argsort(lu.perm_c)      # original row of each pivot
+    bad = np.nonzero((lu.perm_r[row_of] != lu.perm_c[row_of]) | (lu.U.diagonal() <= 0))[0]
+    if bad.size:
+        row = int(row_of[bad[0]])
+        j = int(np.searchsorted(offsets, row, side="right")) - 1
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: bad "
+                                       f"pivot at row {row}, in diagonal block {j}")
     return made("splu", lu)
-

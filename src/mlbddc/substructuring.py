@@ -45,10 +45,6 @@ class SubdomainSplit:
     stacked_ii: Factorization = field(repr=False)   # the level's K_II factor
 
     @property
-    def n_local(self) -> int:
-        return self.local_dofs.shape[0]
-
-    @property
     def k_ii_fact(self) -> Factorization:
         """Record of this subdomain's diagonal block of the level's K_II
         factor: method, order and block matrix, without a factor of its own."""
@@ -129,7 +125,7 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
     k_ib = k_rows_i[:, interface]
     k_bb = k_all[interface][:, interface]
     del k_rows_i
-    fact = factorize(k_ii, "spd", offsets=cut_i)
+    fact = factorize(k_ii, offsets=cut_i)
 
     iface_index = np.searchsorted(iface_dofs, ltg_all[interface])
     subs = [SubdomainSplit(i, ltg_all[ends[i]:ends[i + 1]],

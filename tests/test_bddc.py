@@ -30,7 +30,7 @@ from mlbddc.bddc import (
     subassemble_coarse,
 )
 from mlbddc.errors import NumericalError, SingularMatrixError
-from mlbddc.fem import ProblemSpec
+from mlbddc.fem import ProblemSpec, node_dofs
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
 from mlbddc.sparse import Factorization, SparseMatrix, sum_elements
@@ -49,7 +49,7 @@ def full_local_problem(lv, split, rows_b):
     local dofs) and the interface Schur complement S by dense elimination."""
     kd = lv.k_local(split.index)
     i, b = split.interior_pos, split.interface_pos
-    c = np.zeros((rows_b.shape[0], split.n_local))
+    c = np.zeros((rows_b.shape[0], split.local_dofs.size))
     c[:, b] = rows_b
     bordered = np.block([[kd, c.T], [c, np.zeros((c.shape[0], c.shape[0]))]])
     kib = kd[np.ix_(i, b)]
@@ -248,6 +248,11 @@ def test_point_constraints_inside_averages_match_full_solve():
     assert record.has_canonical_format and fact.matrix.symmetric
     assert record.nnz == np.count_nonzero(reduced)
     assert np.array_equal(record.toarray(), reduced)
+    # z is the free-dof block of the reduced matrix's inverse, mirrored from
+    # one triangle, so exactly symmetric; the record keeps no factor
+    assert (fact.method, fact._payload) == ("bunch-kaufman", None)
+    assert np.array_equal(z, z.T)
+    assert rel_err(z, np.linalg.inv(reduced)[:5, :5]) <= 1e-12
     bordered = np.block([[s, c.T], [c, np.zeros((4, 4))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((7, 4)), np.eye(4)]))
     assert rel_err(psi, ref[:7]) <= 1e-12
@@ -271,19 +276,20 @@ def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
     level = make_bddc(lv).levels[0]
     rng = np.random.default_rng(29)
     for sub, split in zip(level.subs, level.splits):
-        assert sub.bordered.n == 0 and sub.constraints.free_dofs.size == 0
-        nc = sub.constraints.n_constraints
+        assert sub.bordered.method == "empty" and sub.bordered.n == 0
+        assert sub.constraints.free_dofs.size == 0
+        n, nc = split.local_dofs.size, len(sub.constraints.tags)
         bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
-        ref = np.linalg.solve(bordered, np.vstack([np.zeros((split.n_local, nc)), np.eye(nc)]))
+        ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
         assert rel_err(sub.psi, ref[split.interface_pos]) <= 1e-12
-        assert rel_err(sub.coarse_matrix, -ref[split.n_local:]) <= 1e-12
+        assert rel_err(sub.coarse_matrix, -ref[n:]) <= 1e-12
         r_b = rng.standard_normal(split.interface_pos.size)
         rhs = np.zeros(bordered.shape[0])
         rhs[split.interface_pos] = r_b
         ref = np.linalg.solve(bordered, rhs)
         z_b, mu = sub.constrained_solve(r_b)
         assert not z_b.any()
-        assert rel_err(mu, ref[split.n_local:]) <= 1e-12
+        assert rel_err(mu, ref[n:]) <= 1e-12
 
 
 def test_two_point_constraints_on_one_dof_are_singular(dirichlet_x2d, monkeypatch):
@@ -324,7 +330,7 @@ def test_constraint_rows(cross2d):
     rows = dense_rows(cons, lv.splits.iface_offsets, 0)
     assert rows.shape[0] == 7
     assert cons.tags[:7].tolist() == ["corner"] * 5 + ["face"] * 2
-    assert np.array_equal(cons.dofs[:7], cs.sub_dofs(0))
+    assert np.array_equal(cons.dofs[:7], node_dofs(cs.sub_nodes[0], cs.dofs_per_node))
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-15)
     # corner rows are unit vectors
     for row in rows[:5]:
@@ -340,13 +346,13 @@ def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
     cons = build_constraints(cs, lv.globset, lv.splits, lv.imap)
     for i, split in enumerate(lv.splits):
         local_of = np.full(lv.grid.n_dofs, -1)
-        local_of[split.local_dofs] = np.arange(split.n_local)
+        local_of[split.local_dofs] = np.arange(split.local_dofs.size)
         ref = []
         for cn in cs.sub_nodes[i]:
             members = (cs.glob_members[cn - cs.n_corners] if cn >= cs.n_corners
                        else cs.corner_nodes[cn:cn + 1])
             for comp in range(cs.dofs_per_node):
-                row = np.zeros(split.n_local)
+                row = np.zeros(split.local_dofs.size)
                 row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
                 ref.append(row)
         ref = np.array(ref)
@@ -373,8 +379,8 @@ def test_basis_properties_on_fixture(cross2d):
         rows = constraint_rows(level, split.index)
         psi = sub.psi
         bordered, s = full_local_problem(lv, split, rows)
-        nc = sub.constraints.n_constraints
-        ref = np.linalg.solve(bordered, np.vstack([np.zeros((split.n_local, nc)), np.eye(nc)]))
+        n, nc = split.local_dofs.size, len(sub.constraints.tags)
+        ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
         assert rel_err(psi, ref[split.interface_pos]) <= 1e-12
         assert np.allclose(rows @ psi, np.eye(nc), atol=1e-11)
         assert np.allclose(sub.coarse_matrix, psi.T @ s @ psi, atol=1e-10)
@@ -389,20 +395,22 @@ def test_group_setup_matches_full_local_problems(dirichlet_x2d):
     # sides zero on the interior and on the fixed dofs)
     lv = dirichlet_x2d
     level = make_bddc(lv).levels[0]
-    assert len({split.n_local for split in lv.splits}) > 1
+    assert len({split.local_dofs.size for split in lv.splits}) > 1
     assert len(level.groups) > 1 and max(g.subs.size for g in level.groups) > 1
     for sub, split in zip(level.subs, level.splits):
         rows = constraint_rows(level, split.index)
         bordered, _ = full_local_problem(lv, split, rows)
         inv = np.linalg.inv(bordered)
-        nc = rows.shape[0]
+        n, nc = split.local_dofs.size, rows.shape[0]
         free = split.interface_pos[sub.constraints.free_dofs]
         # measured against the whole inverse: a z fully fixed by averages is 0
         tol = 1e-12 * np.abs(inv).max()
         assert np.abs(sub.z - inv[np.ix_(free, free)]).max(initial=0.0) <= tol
-        assert np.abs(sub.psi - inv[split.interface_pos, split.n_local:]).max() <= tol
-        assert np.abs(sub.coarse_matrix + inv[split.n_local:, split.n_local:]).max() <= tol
-        assert np.array_equal(sub.coarse_dofs, level.coarse.sub_dofs(split.index))
+        assert np.abs(sub.psi - inv[split.interface_pos, n:]).max() <= tol
+        assert np.abs(sub.coarse_matrix + inv[n:, n:]).max() <= tol
+        cs = level.coarse
+        assert np.array_equal(sub.coarse_dofs,
+                              node_dofs(cs.sub_nodes[split.index], cs.dofs_per_node))
         assert sub.bordered.n == sub.z.shape[0] + nc - (rows.shape[1] - sub.z.shape[0])
 
 
@@ -451,7 +459,7 @@ def test_basis_energy_minimality(cross2d):
     _, s = full_local_problem(lv, split, c)
     proj = np.eye(c.shape[1]) - np.linalg.pinv(c) @ c
     rng = np.random.default_rng(11)
-    for k in range(sub.constraints.n_constraints):
+    for k in range(len(sub.constraints.tags)):
         psi_k = sub.psi[:, k]
         base = psi_k @ s @ psi_k
         for _ in range(3):
@@ -623,7 +631,8 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
     # the interface solve equals the full solve of [K C^T; C 0][z; mu] = [r; 0]
     # for r zero on the interior, read on the interface; the bordered matrix
     # is symmetric, so the multipliers are psi^T r, and z satisfies the
-    # constraints (dense and sparse factors)
+    # constraints (dense and sparse K_II factors; the bordered matrices are
+    # inverted densely either way)
     if dense_threshold is not None:
         monkeypatch.setattr(sparse, "DENSE_THRESHOLD", dense_threshold)
     lv = request.getfixturevalue(name)
@@ -639,9 +648,11 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
         ref = np.linalg.solve(bordered, rhs)
         # the pair (z_b, mu) is measured as one vector: with as many
         # constraints as interface dofs (cross2d), z_b alone is zero
-        pair = np.concatenate([ref[split.interface_pos], ref[split.n_local:]])
+        pair = np.concatenate([ref[split.interface_pos], ref[split.local_dofs.size:]])
         assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
         assert rel_err(mu, sub.psi.T @ r_b) <= 1e-12
+        # bordered matrices never reach SuperLU, whatever the threshold
+        assert sub.bordered.method in ("bunch-kaufman", "empty")
         n_b, n_c = z_b.size, mu.size
         scale = np.linalg.norm(pair) if n_b == n_c else np.linalg.norm(z_b)
         assert np.linalg.norm(rows @ z_b) <= 1e-12 * scale
@@ -656,10 +667,10 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
     k_csr = lv.k.scipy_csr()
     dense = make_bddc(lv).levels[0]
     s_dense = [list(_local_schur(k_csr, lv.splits, g)) for g in dense.groups]
-    # below every subdomain's order, at or above every bordered order: only
-    # the elimination changes path, and the dense one is never reached
+    # below every subdomain's order: the elimination changes path, and the
+    # dense one is never reached
     threshold = max(sub.bordered.n for sub in dense.subs)
-    assert threshold < min(split.n_local for split in lv.splits)
+    assert threshold < min(split.local_dofs.size for split in lv.splits)
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
     monkeypatch.setattr(bddc, "dpotrf", None)
     for g, ref in zip(dense.groups, s_dense):
@@ -680,7 +691,7 @@ def test_bordered_factors_are_interface_sized(name, coarse_counts, request):
     assert m.n_levels == len(coarse_counts) + 2
     for level in m.levels:
         for sub, split in zip(level.subs, level.splits):
-            n_b, n_c = split.interface_pos.size, sub.constraints.n_constraints
+            n_b, n_c = split.interface_pos.size, len(sub.constraints.tags)
             n_corner = sub.constraints.tags.count("corner")
             assert n_corner > 0
             assert sub.bordered.n == (n_b - n_corner) + (n_c - n_corner)
@@ -748,4 +759,4 @@ def test_setup_rejects_weak_coarse_space():
     with pytest.raises(NumericalError):
         k = assemble_coarse([np.zeros((1, 1))], [np.array([0])])
         from mlbddc.sparse import factorize
-        factorize(k, "spd")
+        factorize(k)

@@ -202,7 +202,7 @@ def test_assembled_operator_is_spd():
         k, _ = assemble_global(spec, mesh)
         assert k.scipy_csr().has_canonical_format
         assert k.symmetric
-        factorize(k, "spd")  # raises if not SPD
+        factorize(k)  # raises if not SPD
 
 
 def test_assemble_requires_dirichlet():
@@ -219,7 +219,7 @@ def test_partial_dirichlet_faces():
     k, f = assemble_global(spec, mesh)
     # one face fixed: 3 of 9 nodes eliminated
     assert k.shape[0] == 6
-    factorize(k, "spd")
+    factorize(k)
 
 
 def test_nonzero_dirichlet_constant_solution():
@@ -227,7 +227,7 @@ def test_nonzero_dirichlet_constant_solution():
     spec = poisson(rhs_kind="zero", dirichlet_value=2.5)
     mesh = generate_box_mesh(2, 4)
     k, f = assemble_global(spec, mesh)
-    x = factorize(k, "spd").solve(f)
+    x = factorize(k).solve(f)
     assert np.allclose(x, 2.5, rtol=0, atol=1e-12)
 
 
@@ -242,7 +242,7 @@ def test_elasticity_patch_test_linear_field():
     mesh.boundary_values = disp[mesh.boundary_dofs]
     k, f = assemble_global(spec, mesh)
     dm = build_dof_map(spec, mesh)
-    x = factorize(k, "spd").solve(f)
+    x = factorize(k).solve(f)
     assert np.allclose(x, disp[dm.free_dofs], rtol=0, atol=1e-10)
 
 
@@ -254,7 +254,7 @@ def test_poisson_patch_test_linear_field():
     mesh.boundary_values = vals[mesh.boundary_dofs]
     k, f = assemble_global(spec, mesh)
     dm = build_dof_map(spec, mesh)
-    x = factorize(k, "spd").solve(f)
+    x = factorize(k).solve(f)
     assert np.allclose(x, vals[dm.free_dofs], rtol=0, atol=1e-12)
 
 

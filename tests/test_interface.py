@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import build_level1
-from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh
+from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh, node_dofs
 from mlbddc.grid import LevelGrid, level_grid_from_mesh
 from mlbddc.interface import (
     build_coarse_space,
@@ -301,7 +301,7 @@ def test_coarse_space_dofs_per_node():
     cs = lv.coarse_space(strategy="vertices-only")
     assert cs.dofs_per_node == 2
     assert cs.n_dofs == 10
-    assert cs.sub_dofs(0).tolist() == [0, 1, 2, 3, 4, 5]
+    assert node_dofs(cs.sub_nodes[0], cs.dofs_per_node).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_coarse_space_rejects_off_interface_corner(cross2d):

@@ -6,7 +6,9 @@ A solved run's preconditioner also meets the BDDC lower eigenvalue bound
 lambda_min(M S) >= 1 (Mandel & Dohrmann, Numer. Linear Algebra Appl. 10,
 2003; Mandel, Sousedik & Dohrmann, Computing 83, 2008): wrong local
 operators, bases, weights or coarse matrices pull it below 1 even where the
-solution still comes out right.
+solution still comes out right. Its reported condition estimate, the ratio
+of extreme Lanczos eigenvalues, never exceeds the dense kappa(M S): Ritz
+values lie inside the spectrum, so a larger estimate is a faulty recurrence.
 
 Examples are drawn deterministically (derandomize=True) and bounded, so the
 suite picks the same configurations on every run.
@@ -53,16 +55,19 @@ def test_runs_solve_or_exit_3(overrides):
     k, f = assemble_global(result.spec, result.mesh)
     u = np.linalg.solve(k.scipy_csr().toarray(), f)
     assert np.linalg.norm(result.solution - u) <= 1e-7 * np.linalg.norm(u), overrides
-    assert min_eigenvalue_ms(result.preconditioner) >= 1.0 - 1e-10, overrides
+    lam_min, lam_max = extreme_eigenvalues_ms(result.preconditioner)
+    assert lam_min >= 1.0 - 1e-10, overrides
+    assert result.report.condition_estimate <= lam_max / lam_min * (1 + 1e-8), overrides
 
 
-def min_eigenvalue_ms(prec) -> float:
-    """lambda_min(M S) of the level-1 interface operator S and preconditioner
-    M, both built densely from identity columns: the eigenvalues of M S are
-    those of L^T S L for M = L L^T."""
+def extreme_eigenvalues_ms(prec) -> tuple:
+    """(lambda_min, lambda_max) of M S for the level-1 interface operator S
+    and preconditioner M, both built densely from identity columns: the
+    eigenvalues of M S are those of L^T S L for M = L L^T."""
     level = prec.levels[0]
     eye = np.eye(level.imap.n)
     s = np.column_stack([schur_apply(level.splits, level.imap, e) for e in eye])
     m = np.column_stack([prec.apply(e) for e in eye])
     low = np.linalg.cholesky((m + m.T) / 2)
-    return np.linalg.eigvalsh(low.T @ ((s + s.T) / 2) @ low)[0]
+    lam = np.linalg.eigvalsh(low.T @ ((s + s.T) / 2) @ low)
+    return lam[0], lam[-1]

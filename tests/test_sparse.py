@@ -82,7 +82,7 @@ def test_matvec_is_deterministic():
 
 def test_spd_solve_tridiagonal_example():
     a = tridiag_matrix(3)
-    f = factorize(a, "spd")
+    f = factorize(a)
     x = f.solve(np.array([1.0, 0.0, 0.0]))
     assert np.allclose(x, [0.75, 0.5, 0.25], rtol=0, atol=1e-14)
 
@@ -93,31 +93,8 @@ def test_spd_solve_random_oracle():
         dense = random_spd(rng, n)
         a = SparseMatrix.from_scipy(dense, symmetric=True)
         b = rng.standard_normal(n)
-        x = factorize(a, "spd").solve(b)
+        x = factorize(a).solve(b)
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-10)
-
-
-def test_symmetric_indefinite_saddle_example():
-    a = SparseMatrix.from_scipy([[2.0, 1.0], [1.0, 0.0]], symmetric=True)
-    f = factorize(a, "symmetric-indefinite")
-    x = f.solve(np.array([0.0, 1.0]))
-    assert np.allclose(x, [1.0, -2.0], rtol=0, atol=1e-14)
-
-
-def test_symmetric_indefinite_random_saddle_oracle():
-    # random SPD-on-kernel saddle blocks, checked against dense solve
-    rng = np.random.default_rng(13)
-    for n, m in ((6, 2), (12, 5)):
-        k = random_spd(rng, n)
-        c = rng.standard_normal((m, n))
-        dense = np.zeros((n + m, n + m))
-        dense[:n, :n] = k
-        dense[:n, n:] = c.T
-        dense[n:, :n] = c
-        a = SparseMatrix.from_scipy(dense, symmetric=True)
-        b = rng.standard_normal(n + m)
-        x = factorize(a, "symmetric-indefinite").solve(b)
-        assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
 
 
 def test_multi_rhs_solve():
@@ -125,7 +102,7 @@ def test_multi_rhs_solve():
     dense = random_spd(rng, 8)
     a = SparseMatrix.from_scipy(dense, symmetric=True)
     b = rng.standard_normal((8, 3))
-    x = factorize(a, "spd").solve(b)
+    x = factorize(a).solve(b)
     assert x.shape == (8, 3)
     assert np.allclose(dense @ x, b, rtol=1e-10, atol=1e-10)
 
@@ -133,7 +110,7 @@ def test_multi_rhs_solve():
 def test_spd_rejects_indefinite():
     a = SparseMatrix.from_scipy([[1.0, 0.0], [0.0, -1.0]], symmetric=True)
     with pytest.raises(NotPositiveDefiniteError):
-        factorize(a, "spd")
+        factorize(a)
 
 
 def test_sparse_spd_path_rejects_indefinite():
@@ -141,14 +118,14 @@ def test_sparse_spd_path_rejects_indefinite():
     pair = SparseMatrix.from_scipy(
         scipy.sparse.block_diag([[[1.0, 2.0], [2.0, 1.0]]] * 3), symmetric=True)
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block"):
-        factorize(pair, "spd", offsets=[0, 2, 4, 6])
+        factorize(pair, offsets=[0, 2, 4, 6])
     rng = np.random.default_rng(37)
     blocks = [random_spd(rng, 3 + j) for j in range(6)]
     blocks[3] = -blocks[3]
     a = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
     offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in blocks])])
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block 3$"):
-        factorize(a, "spd", offsets=offsets)
+        factorize(a, offsets=offsets)
 
 
 def stacked_blocks(rng, sizes, perturbed=None, by=0.0):
@@ -168,7 +145,7 @@ def test_block_residual_check_holds_every_block():
     sizes = [200, 2, 200, 200]
     a, offsets = stacked_blocks(np.random.default_rng(41), sizes)
     a_off, _ = stacked_blocks(np.random.default_rng(41), sizes, perturbed=1, by=1e-9)
-    f = replace(factorize(a_off, "spd", offsets=offsets, probe=False), matrix=a)
+    f = replace(factorize(a_off, offsets=offsets), matrix=a)
     b = sparse.probe_rhs(a.shape[0])
     x = f.solve(b)
     r = b - a.scipy_csr().toarray() @ x
@@ -177,7 +154,7 @@ def test_block_residual_check_holds_every_block():
     with pytest.raises(NumericalError, match="diagonal block 1:"):
         f.check(x)
     # the exact factor passes the same check
-    exact = factorize(a, "spd", offsets=offsets)
+    exact = factorize(a, offsets=offsets)
     exact.check(exact.solve(b))
 
 
@@ -193,19 +170,23 @@ def test_factorize_runs_the_setup_check(monkeypatch):
 
     monkeypatch.setattr(Factorization, "_raw_solve", skewed)
     with pytest.raises(NumericalError, match="diagonal block 2:"):
-        factorize(a, "spd", offsets=offsets)
-    factorize(a, "spd", offsets=offsets, probe=False)
+        factorize(a, offsets=offsets)
 
 
 def test_block_offsets_must_span_the_matrix():
     with pytest.raises(ValueError, match="offsets"):
-        factorize(tridiag_matrix(4), "spd", offsets=[0, 3])
+        factorize(tridiag_matrix(4), offsets=[0, 3])
 
 
-def test_singular_matrix_raises():
+def test_singular_matrix_raises(monkeypatch):
+    # a singular PSD matrix is not positive definite: dense Cholesky says
+    # so, and SuperLU hits an exactly singular pivot
     a = SparseMatrix.from_scipy([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
+    with pytest.raises(NotPositiveDefiniteError):
+        factorize(a)
+    monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 0)
     with pytest.raises(SingularMatrixError):
-        factorize(a, "symmetric-indefinite")
+        factorize(a)
 
 
 def test_factorize_rejects_nonsquare_and_nonsymmetric():
@@ -216,14 +197,14 @@ def test_factorize_rejects_nonsquare_and_nonsymmetric():
 
 
 def test_solve_dimension_mismatch():
-    f = factorize(tridiag_matrix(3), "spd")
+    f = factorize(tridiag_matrix(3))
     with pytest.raises(ValueError):
         f.solve(np.ones(4))
 
 
 def test_empty_matrix_factorization():
     a = SparseMatrix.from_scipy(np.zeros((0, 0)), symmetric=True)
-    f = factorize(a, "spd")
+    f = factorize(a)
     x = f.solve(np.zeros(0))
     assert x.shape == (0,)
 
@@ -234,52 +215,10 @@ def test_splu_path_above_threshold(monkeypatch):
     rng = np.random.default_rng(17)
     dense = random_spd(rng, 30)
     a = SparseMatrix.from_scipy(dense, symmetric=True)
-    f = factorize(a, "spd")
+    f = factorize(a)
     assert f.method == "splu"
     b = rng.standard_normal(30)
     assert np.allclose(f.solve(b), np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
-
-
-@pytest.mark.parametrize("threshold,kind,method", [
-    (None, "symmetric-indefinite", "bunch-kaufman"), (4, "symmetric-indefinite", "splu"),
-    (None, "spd", "cholesky"), (4, "spd", "splu")])
-def test_inverse_matches_dense_inverse(threshold, kind, method, monkeypatch):
-    # one inverse routine for every factor: exactly symmetric, equal to the
-    # dense inverse, and the record keeps no factor afterwards
-    if threshold is not None:
-        monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
-    rng = np.random.default_rng(31)
-    dense = random_spd(rng, 12)
-    if kind == "symmetric-indefinite":
-        c = rng.standard_normal((3, 12))
-        dense = np.block([[dense, c.T], [c, np.zeros((3, 3))]])
-    f = factorize(SparseMatrix.from_scipy(dense, symmetric=True), kind)
-    assert f.method == method
-    inv = f.inverse()
-    assert np.array_equal(inv, inv.T)
-    ref = np.linalg.inv(dense)
-    assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert f._payload is None
-    assert (f.method, f.n, f.matrix.nnz) == (method, dense.shape[0], np.count_nonzero(dense))
-
-
-def test_inverse_of_empty_factor():
-    f = factorize(SparseMatrix.from_scipy(np.zeros((0, 0)), symmetric=True),
-                  "symmetric-indefinite")
-    assert f.inverse().shape == (0, 0)
-
-
-def test_inverse_rejects_a_singular_pivot_block():
-    # sytri reports a zero diagonal block of D (here planted in a factor of
-    # diag(1, 2)) as singular
-    f = factorize(SparseMatrix.from_scipy(np.diag([1.0, 2.0]), symmetric=True),
-                  "symmetric-indefinite")
-    ldu, ipiv, sytrs = f._payload
-    ldu = ldu.copy(order="F")
-    ldu[1, 1] = 0.0
-    f = replace(f, _payload=(ldu, ipiv, sytrs))
-    with pytest.raises(SingularMatrixError, match="sytri"):
-        f.inverse()
 
 
 def test_solve_residual_contract():
@@ -288,7 +227,7 @@ def test_solve_residual_contract():
     rng = np.random.default_rng(23)
     dense = random_spd(rng, 40)
     a = SparseMatrix.from_scipy(dense, symmetric=True)
-    f = factorize(a, "spd")
+    f = factorize(a)
     b = rng.standard_normal(40)
     x = f.solve(b)
     assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
