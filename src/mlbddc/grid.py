@@ -2,9 +2,10 @@
 
 Level 1 wraps the finite element mesh restricted to free nodes; higher
 levels wrap pseudo-meshes whose "elements" are the previous level's
-subdomains and whose "nodes" are its coarse nodes. Grid dof g*dpn+c for
-grid node g and component c coincides with the level's dof numbering
-(the global free-dof numbering on level 1).
+subdomains and whose "nodes" are its coarse nodes. Element node lists are
+stored flat, CSR style: one node array plus per-element offsets. Grid dof
+g*dpn+c for grid node g and component c coincides with the level's dof
+numbering (the global free-dof numbering on level 1).
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ from .fem import DofMap, Mesh, ProblemSpec, node_dofs
 class LevelGrid:
     n_nodes: int
     node_coords: np.ndarray            # (n_nodes, dim)
-    elem_nodes: list                   # per element: sorted dof-carrying node ids
+    elem_ptr: np.ndarray               # (n_elems + 1,) offsets into elem_nodes
+    elem_nodes: np.ndarray             # element e: sorted dof-carrying node ids
+                                       # elem_nodes[elem_ptr[e]:elem_ptr[e + 1]]
     dofs_per_node: int
     structured_shape: tuple | None = None
-    # element node ids for adjacency only (falls back to elem_nodes); level 1
-    # passes the mesh's element array, whose Dirichlet-fixed nodes make
-    # adjacency follow the mesh, not the eliminated system
-    conn_nodes: list | np.ndarray | None = field(default=None, repr=False)
+    # (n_elems, m) node ids for adjacency only (falls back to elem_nodes);
+    # level 1 passes the mesh's element array, whose Dirichlet-fixed nodes
+    # make adjacency follow the mesh, not the eliminated system
+    conn_nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_elems(self) -> int:
-        return len(self.elem_nodes)
+        return self.elem_ptr.shape[0] - 1
 
     @property
     def n_dofs(self) -> int:
@@ -40,8 +43,12 @@ class LevelGrid:
     def dim(self) -> int:
         return self.node_coords.shape[1]
 
-    def adjacency_nodes(self) -> list:
-        return self.conn_nodes if self.conn_nodes is not None else self.elem_nodes
+    def adjacency_nodes(self) -> tuple:
+        """(offsets, flat node ids) of the nodes that make elements adjacent."""
+        if self.conn_nodes is None:
+            return self.elem_ptr, self.elem_nodes
+        n_e, m = self.conn_nodes.shape
+        return np.arange(n_e + 1) * m, self.conn_nodes.ravel()
 
 
 def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> LevelGrid:
@@ -51,8 +58,7 @@ def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> Level
     node_map[free_nodes] = np.arange(free_nodes.shape[0])
     mapped = np.sort(node_map[mesh.elem_nodes], axis=1)
     free = mapped >= 0
-    flat, ends = mapped[free], np.cumsum(free.sum(axis=1)).tolist()
-    elem_nodes = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    elem_ptr = np.concatenate(([0], np.cumsum(free.sum(axis=1))))
     # grid dofs must coincide with the free-dof numbering: free dofs are
     # node-major and nodes are never partially fixed
     dpn = spec.dofs_per_node
@@ -61,7 +67,8 @@ def level_grid_from_mesh(mesh: Mesh, spec: ProblemSpec, dofmap: DofMap) -> Level
     return LevelGrid(
         n_nodes=free_nodes.shape[0],
         node_coords=mesh.coords[free_nodes],
-        elem_nodes=elem_nodes,
+        elem_ptr=elem_ptr,
+        elem_nodes=mapped[free],
         dofs_per_node=dpn,
         structured_shape=mesh.n_elems_per_axis,
         conn_nodes=mesh.elem_nodes,

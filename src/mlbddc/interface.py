@@ -6,6 +6,10 @@ subdomains: a glob shared by two subdomains with at least dim members is a
 face, larger sharing sets give edges, and singleton globs with three or
 more sharers are vertices. Corners are selected nodes that become point
 constraints; the remaining glob members carry average constraints.
+
+Every step is a few whole-array sorts and segment reductions: one lexsort
+of the interface nodes' padded sharer rows makes the globs, and `GlobSet`
+keeps their kinds and sharers as arrays beside the `Glob` records.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from .fem import node_dofs
 from .grid import LevelGrid
+from .sparse import sorted_unique
 
 CONSTRAINT_POLICIES = ("corners-only", "corners+edges", "corners+edges+faces")
 WEIGHT_SCHEMES = ("cardinality", "stiffness-diagonal")
@@ -34,88 +39,94 @@ class Glob:
 class GlobSet:
     globs: list
     node_glob: np.ndarray     # node -> glob index, -1 off the interface
+    kinds: np.ndarray         # per glob: its kind
+    sharers: np.ndarray       # (n_globs, max sharers): sorted sharers, -1 padded
 
     def interface_nodes(self) -> np.ndarray:
         return np.nonzero(self.node_glob >= 0)[0]
 
+    def members(self) -> tuple:
+        """(interface nodes grouped by glob, ascending in each; their globs)."""
+        nodes = self.interface_nodes()
+        order = np.argsort(self.node_glob[nodes], kind="stable")
+        return nodes[order], self.node_glob[nodes[order]]
+
     def counts_by_kind(self) -> dict:
-        out = {"face": 0, "edge": 0, "vertex": 0}
-        for g in self.globs:
-            out[g.kind] += 1
-        return out
+        return {k: int(np.count_nonzero(self.kinds == k)) for k in ("face", "edge", "vertex")}
 
 
 def classify_interface(grid: LevelGrid, partition) -> GlobSet:
     """Group interface nodes by exact sharing set and classify the groups."""
     # distinct (node, subdomain) pairs, sorted: each node's sharers in a run
     n_subs = partition.n_subdomains
-    sub_of = np.repeat(partition.assignment, [len(n) for n in grid.elem_nodes])
-    pairs = np.unique(np.concatenate(grid.elem_nodes).astype(np.int64) * n_subs + sub_of)
-    node, sub = np.divmod(pairs, n_subs)
+    sub_of = np.repeat(partition.assignment, np.diff(grid.elem_ptr))
+    node, sub = np.divmod(sorted_unique(grid.elem_nodes * n_subs + sub_of), n_subs)
     count = np.bincount(node, minlength=grid.n_nodes)
-    start = np.cumsum(count) - count
-    groups: dict = {}
-    for nd in np.nonzero(count >= 2)[0].tolist():
-        groups.setdefault(tuple(sub[start[nd]:start[nd] + count[nd]].tolist()), []).append(nd)
-    dim = grid.dim
-    globs = []
+    iface = np.nonzero(count >= 2)[0]
     node_glob = np.full(grid.n_nodes, -1, dtype=np.int64)
+    # one row per node: its sharers, -1 padded (one column at least, for
+    # lexsort); equal rows form one glob
+    table = np.full((grid.n_nodes, count.max(initial=1)), -1, dtype=np.int64)
+    table[node, np.arange(node.size) - (np.cumsum(count) - count)[node]] = sub
+    table = table[iface]
+    order = np.lexsort(table.T[::-1])        # stable: members stay ascending
+    rows = table[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     # deterministic glob order: by smallest member node
-    for key in sorted(groups, key=lambda k: groups[k][0]):
-        members = np.array(groups[key], dtype=np.int64)
-        n_share = len(key)
-        if n_share == 2:
-            kind = "face" if members.size >= dim else "edge"
-        else:
-            kind = "vertex" if members.size == 1 else "edge"
-        idx = len(globs)
-        globs.append(Glob(index=idx, kind=kind, nodes=members, sharers=key))
-        node_glob[members] = idx
-    return GlobSet(globs=globs, node_glob=node_glob)
-
-
-def _face_corner_nodes(glob: Glob, coords: np.ndarray, dim: int) -> list:
-    """Two extremal members along the glob's longest axis; in 3D also the
-    member farthest from the line through them."""
-    pts = coords[glob.nodes]
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    axis = int(np.argmax(spans))
-    lo = int(glob.nodes[np.lexsort((glob.nodes, pts[:, axis]))[0]])
-    hi = int(glob.nodes[np.lexsort((glob.nodes, -pts[:, axis]))[0]])
-    picked = [lo] if hi == lo else [lo, hi]
-    if dim == 3 and len(picked) == 2:
-        p0 = coords[lo]
-        u = coords[hi] - p0
-        nu = np.linalg.norm(u)
-        if nu > 0:
-            u = u / nu
-            rel = pts - p0
-            dist = np.linalg.norm(rel - np.outer(rel @ u, u), axis=1)
-            far = int(glob.nodes[np.lexsort((glob.nodes, -dist))[0]])
-            if dist[np.nonzero(glob.nodes == far)[0][0]] > 1e-12 and far not in picked:
-                picked.append(far)
-    return picked
+    by_first = np.argsort(iface[order[new]])
+    node_glob[iface[order]] = np.argsort(by_first)[np.cumsum(new) - 1]
+    sharers = rows[new][by_first]
+    size = np.bincount(node_glob[iface])
+    n_share = np.count_nonzero(sharers >= 0, axis=1)
+    kinds = np.where(n_share == 2, np.where(size >= grid.dim, "face", "edge"),
+                     np.where(size == 1, "vertex", "edge"))
+    members = iface[np.argsort(node_glob[iface], kind="stable")]
+    ends = np.cumsum(size).tolist()
+    globs = [Glob(i, k, members[a:b], tuple(sh[:n])) for i, (k, a, b, sh, n) in
+             enumerate(zip(kinds.tolist(), [0] + ends[:-1], ends,
+                           sharers.tolist(), n_share.tolist()))]
+    return GlobSet(globs=globs, node_glob=node_glob, kinds=kinds, sharers=sharers)
 
 
 def select_corners(globset: GlobSet, grid: LevelGrid,
                    strategy: str = "default") -> np.ndarray:
     """Corner node selection.
 
-    "default": all vertex globs plus extremal nodes of every face glob;
-    "vertices-only": vertex globs alone; "all-interface": every interface
-    node becomes a corner.
+    "default": all vertex globs plus, per face glob, the two extremal members
+    along its longest axis and, in 3D, the member farthest from the line
+    through them (ties to the lowest node id); "vertices-only": vertex globs
+    alone; "all-interface": every interface node becomes a corner.
     """
     if strategy not in CORNER_STRATEGIES:
         raise ValueError(f"unknown corner strategy {strategy!r}")
     if strategy == "all-interface":
         return globset.interface_nodes()
-    corners = []
-    for g in globset.globs:
-        if g.kind == "vertex":
-            corners.extend(int(n) for n in g.nodes)
-        elif g.kind == "face" and strategy == "default":
-            corners.extend(_face_corner_nodes(g, grid.node_coords, grid.dim))
-    return np.unique(np.array(sorted(corners), dtype=np.int64))
+    members, glob = globset.members()
+    kind = globset.kinds[glob]
+    corners = [members[kind == "vertex"]]
+    if strategy == "default" and np.any(kind == "face"):
+        nodes, seg = members[kind == "face"], glob[kind == "face"]
+        first = np.r_[True, seg[1:] != seg[:-1]]
+        start, seg = np.nonzero(first)[0], np.cumsum(first) - 1
+        pts = grid.node_coords[nodes]
+        spans = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
+        along = pts[np.arange(nodes.size), np.argmax(spans, axis=1)[seg]]
+        lo = nodes[np.lexsort((nodes, along, seg))[start]]
+        hi = nodes[np.lexsort((nodes, -along, seg))[start]]
+        corners += [lo, hi]
+        if grid.dim == 3:
+            p0 = grid.node_coords[lo]
+            u = grid.node_coords[hi] - p0
+            nu = np.linalg.norm(u, axis=1)
+            u = u / np.where(nu > 0, nu, 1.0)[:, None]
+            rel = pts - p0[seg]
+            proj = np.einsum("ij,ij->i", rel, u[seg])
+            dist = np.linalg.norm(rel - proj[:, None] * u[seg], axis=1)
+            at = np.lexsort((nodes, -dist, seg))[start]
+            far = nodes[at]
+            corners.append(far[(nu > 0) & (dist[at] > 1e-12) & (far != lo) & (far != hi)])
+    return sorted_unique(np.concatenate(corners))
 
 
 def interface_dofs(globset: GlobSet, dofs_per_node: int) -> np.ndarray:
@@ -180,44 +191,36 @@ def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
     if policy not in CONSTRAINT_POLICIES:
         raise ValueError(f"unknown constraint policy {policy!r}")
     kinds = _policy_kinds(policy, grid.dim)
-    corners = np.asarray(sorted(int(c) for c in corners), dtype=np.int64)
-    corner_set = set(corners.tolist())
-    for c in corners:
-        if globset.node_glob[c] < 0:
-            raise ValueError(f"corner node {c} is not an interface node")
-    glob_ids = []
-    glob_members = []
-    for g in globset.globs:
-        if g.kind not in kinds:
-            continue
-        rest = np.array([n for n in g.nodes if int(n) not in corner_set],
-                        dtype=np.int64)
-        if rest.size == 0:
-            continue
-        glob_ids.append(g.index)
-        glob_members.append(rest)
-    glob_ids = np.array(glob_ids, dtype=np.int64)
+    corners = np.sort(np.asarray(corners, dtype=np.int64))
+    off = corners[globset.node_glob[corners] < 0]
+    if off.size:
+        raise ValueError(f"corner node {off[0]} is not an interface node")
+    # non-corner members of the included globs, grouped by glob
+    members, glob = globset.members()
+    rest = ~np.isin(members, corners) & np.isin(globset.kinds[glob], kinds)
+    members, glob = members[rest], glob[rest]
+    size = np.bincount(glob, minlength=len(globset.globs))
+    glob_ids = np.nonzero(size)[0]
+    ends = np.cumsum(size[glob_ids])
+    glob_members = np.split(members, ends)[:-1]
 
     coords = np.zeros((len(corners) + len(glob_ids), grid.dim))
     coords[: len(corners)] = grid.node_coords[corners]
-    for j, members in enumerate(glob_members):
-        coords[len(corners) + j] = grid.node_coords[members].mean(axis=0)
+    # glob centroids, summed member by member in order, as mean() does
+    rows = np.repeat(np.arange(len(corners), coords.shape[0]), size[glob_ids])
+    np.add.at(coords, rows, grid.node_coords[members])
+    coords[len(corners):] /= size[glob_ids][:, None]
 
-    # subdomain membership follows the sharing sets
-    n_subs = partition.n_subdomains
-    sub_sets = [[] for _ in range(n_subs)]
-    for j, c in enumerate(corners):
-        g = globset.globs[globset.node_glob[c]]
-        for s in g.sharers:
-            sub_sets[s].append(j)
-    for j, gid in enumerate(glob_ids):
-        g = globset.globs[gid]
-        for s in g.sharers:
-            sub_sets[s].append(len(corners) + j)
-    sub_nodes = [np.array(sorted(v), dtype=np.int64) for v in sub_sets]
+    # subdomain membership follows the sharing sets: each corner takes its
+    # glob's, each included glob its own
+    sharers = globset.sharers[np.concatenate([globset.node_glob[corners], glob_ids])]
+    n_coarse = sharers.shape[0]
+    pairs = sharers * n_coarse + np.arange(n_coarse)[:, None]
+    sub, node = np.divmod(np.sort(pairs[sharers >= 0]), n_coarse)
+    sub_nodes = np.split(node, np.cumsum(np.bincount(sub, minlength=partition.n_subdomains)))
     return CoarseSpace(dofs_per_node=grid.dofs_per_node, corner_nodes=corners,
                        glob_ids=glob_ids, glob_members=glob_members,
-                       node_coords=coords, sub_nodes=sub_nodes)
+                       node_coords=coords, sub_nodes=sub_nodes[:-1])
 
 
 def format_glob_table(globset: GlobSet) -> str:

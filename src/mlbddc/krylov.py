@@ -3,12 +3,13 @@ and BiCGstab for the unsymmetric / sanity-check path.
 
 CG accumulates the Lanczos tridiagonal from its own alpha/beta recurrence
 (diagonal 1/a_k + b_{k-1}/a_{k-1}, off-diagonal sqrt(b_k)/a_k), so the
-condition estimate of the preconditioned operator costs one small
-eigenvalue solve after the iteration. Both drivers declare convergence on
-the unpreconditioned relative residual: once the recursive residual (for
-BiCGstab, the preconditioned one) meets the tolerance, the true residual
-b - A x is computed and must meet it too. In CG, every TRUE_RESIDUAL_EVERY
-steps the recursive residual is replaced by the exact one to stop drift.
+extreme Ritz values of the preconditioned operator, and their ratio, the
+condition estimate, cost one small eigenvalue solve after the iteration.
+Both drivers declare convergence on the unpreconditioned relative
+residual: once the recursive residual (for BiCGstab, the preconditioned
+one) meets the tolerance, the true residual b - A x is computed and must
+meet it too. In CG, every TRUE_RESIDUAL_EVERY steps the recursive
+residual is replaced by the exact one to stop drift.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class SolveReport:
     relative_residuals: list = field(default_factory=list)
     condition_estimate: float | None = None
     breakdown_reason: str | None = None
+    eigenvalue_bounds: tuple | None = None    # CG's extreme Ritz values (min, max)
 
 
 def _identity(r: np.ndarray) -> np.ndarray:
@@ -90,10 +92,12 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
         betas.append(beta)
         rz = rz_new
         p = z + beta * p
-    kappa = _lanczos_condition(alphas, betas)
+    bounds = _lanczos_extremes(alphas, betas)
+    kappa = None if bounds is None else (
+        float("inf") if bounds[0] <= 0.0 else bounds[1] / bounds[0])
     return x, SolveReport(converged=converged, iterations=k,
                           relative_residuals=history,
-                          condition_estimate=kappa)
+                          condition_estimate=kappa, eigenvalue_bounds=bounds)
 
 
 def _preconditioned_energy(r: np.ndarray, z: np.ndarray, k: int) -> float:
@@ -107,9 +111,10 @@ def _preconditioned_energy(r: np.ndarray, z: np.ndarray, k: int) -> float:
     return rz
 
 
-def _lanczos_condition(alphas, betas) -> float | None:
-    """Condition estimate of the preconditioned operator from the CG
-    coefficients."""
+def _lanczos_extremes(alphas, betas) -> tuple | None:
+    """(lambda_min, lambda_max) of the Lanczos tridiagonal built from the CG
+    coefficients: Ritz values bounding the preconditioned operator's
+    spectrum from inside."""
     m = len(alphas)
     if m == 0:
         return None
@@ -119,10 +124,7 @@ def _lanczos_condition(alphas, betas) -> float | None:
         diag[k] = 1.0 / alphas[k] + betas[k - 1] / alphas[k - 1]
     off = np.array([np.sqrt(betas[k]) / alphas[k] for k in range(m - 1)])
     eigs = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0:
-        return float("inf")
-    return hi / lo
+    return float(eigs[0]), float(eigs[-1])
 
 
 def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,

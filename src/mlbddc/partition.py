@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import LevelGrid
+from .sparse import sorted_unique
 
 BALANCE_FACTOR = 1.25
 
@@ -39,20 +40,31 @@ class Partition:
             raise ValueError("empty subdomain")
 
 
+def _ranges(lo, hi) -> np.ndarray:
+    """np.arange(lo[i], hi[i]) for every i, concatenated."""
+    size = hi - lo
+    return np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+
+
+def _node_elements(grid: LevelGrid) -> tuple:
+    """Node -> element incidence of the adjacency nodes: (offsets, element
+    ids, ascending per node), from one stable sort of the element lists."""
+    ptr, nodes = grid.adjacency_nodes()
+    node_ptr = np.concatenate(([0], np.cumsum(np.bincount(nodes))))
+    elems = np.repeat(np.arange(grid.n_elems), np.diff(ptr))
+    return node_ptr, elems[np.argsort(nodes, kind="stable")]
+
+
 def element_adjacency(grid: LevelGrid) -> list:
     """Shared node => adjacent. Returns sorted neighbor arrays."""
-    node_elems: dict = {}
-    conn = grid.adjacency_nodes()
-    for e, nodes in enumerate(conn):
-        for nd in nodes:
-            node_elems.setdefault(int(nd), []).append(e)
-    neigh = [set() for _ in range(grid.n_elems)]
-    for elems in node_elems.values():
-        for a in elems:
-            for b in elems:
-                if a != b:
-                    neigh[a].add(b)
-    return [np.array(sorted(s), dtype=np.int64) for s in neigh]
+    node_ptr, elems = _node_elements(grid)
+    # pair every (node, element) entry with each entry of its node
+    size = np.diff(node_ptr)
+    lo, hi = np.repeat(node_ptr[:-1], size), np.repeat(node_ptr[1:], size)
+    a, b = np.repeat(elems, hi - lo), elems[_ranges(lo, hi)]
+    n = grid.n_elems
+    a, b = np.divmod(sorted_unique(a[a != b] * n + b[a != b]), n)
+    return np.split(b, np.cumsum(np.bincount(a, minlength=n))[:-1])
 
 
 def _block_axis_counts(shape, n_subdomains):
@@ -130,6 +142,7 @@ def _components(elems, adjacency):
 def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
     n = grid.n_elems
     adjacency = element_adjacency(grid)
+    shared = _shared_node_counter(grid)
     assignment = np.full(n, -1, dtype=np.int64)
     unassigned = n
 
@@ -161,7 +174,7 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
     while np.any(assignment < 0):
         moved = False
         for e in np.nonzero(assignment < 0)[0]:
-            counts = _shared_node_counts(int(e), grid, assignment)
+            counts = shared(int(e), assignment)
             if counts:
                 best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
                 assignment[int(e)] = best
@@ -174,31 +187,32 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
 
     part = Partition(n_subdomains=n_subdomains, assignment=assignment,
                      method="greedy-graph-growing")
-    _repair_connectivity(part, grid, adjacency)
-    _repair_balance(part, grid, adjacency)
+    _repair_connectivity(part, adjacency, shared)
+    _repair_balance(part, adjacency, shared)
     part.validate()
     return part
 
 
-def _shared_node_counts(e, grid, assignment, exclude=None):
-    """How many grid nodes element e shares with each other subdomain."""
-    conn = grid.adjacency_nodes()
-    counts: dict = {}
-    target_nodes = set(int(x) for x in conn[e])
-    for other, nodes in enumerate(conn):
-        s = int(assignment[other])
-        if other == e or s < 0 or s == exclude:
-            continue
-        overlap = target_nodes.intersection(int(x) for x in nodes)
-        if overlap:
-            counts[s] = counts.get(s, 0) + len(overlap)
+def _shared_node_counter(grid: LevelGrid):
+    """counts(e, assignment, exclude) -> {s: how many grid nodes element e
+    shares with the other elements of subdomain s}, for every s other than
+    exclude; node -> element incidence is built once."""
+    ptr, nodes = grid.adjacency_nodes()
+    node_ptr, elems = _node_elements(grid)
+
+    def counts(e, assignment, exclude=-1) -> dict:
+        on = nodes[ptr[e]:ptr[e + 1]]
+        others = elems[_ranges(node_ptr[on], node_ptr[on + 1])]
+        subs = assignment[others]
+        c = np.bincount(subs[(others != e) & (subs >= 0) & (subs != exclude)])
+        return dict(zip(np.nonzero(c)[0].tolist(), c[c > 0].tolist()))
     return counts
 
 
-def _repair_connectivity(part: Partition, grid: LevelGrid, adjacency) -> None:
+def _repair_connectivity(part: Partition, adjacency, shared) -> None:
     """Reassign non-principal fragments to the neighbor subdomain with the
     most shared nodes until every subdomain is connected."""
-    for _ in range(grid.n_elems):
+    for _ in range(part.assignment.size):
         changed = False
         for s in range(part.n_subdomains):
             elems = part.elements_of(s)
@@ -211,8 +225,7 @@ def _repair_connectivity(part: Partition, grid: LevelGrid, adjacency) -> None:
             for frag in comps[1:]:
                 counts: dict = {}
                 for e in frag:
-                    for other, cnt in _shared_node_counts(e, grid, part.assignment,
-                                                          exclude=s).items():
+                    for other, cnt in shared(e, part.assignment, exclude=s).items():
                         counts[other] = counts.get(other, 0) + cnt
                 if not counts:
                     continue
@@ -223,10 +236,10 @@ def _repair_connectivity(part: Partition, grid: LevelGrid, adjacency) -> None:
             return
 
 
-def _repair_balance(part: Partition, grid: LevelGrid, adjacency) -> None:
+def _repair_balance(part: Partition, adjacency, shared) -> None:
     """Move border elements off oversized subdomains while preserving donor
     connectivity. Best effort with a hard iteration cap."""
-    n = grid.n_elems
+    n = part.assignment.size
     cap = math.ceil(n / part.n_subdomains) * BALANCE_FACTOR
     for _ in range(n):
         sizes = part.sizes()
@@ -236,7 +249,7 @@ def _repair_balance(part: Partition, grid: LevelGrid, adjacency) -> None:
         moved = False
         for e in part.elements_of(worst):
             e = int(e)
-            counts = _shared_node_counts(e, grid, part.assignment, exclude=worst)
+            counts = shared(e, part.assignment, exclude=worst)
             candidates = [s for s in counts if sizes[s] + 1 < sizes[worst]]
             if not candidates:
                 continue
@@ -276,13 +289,14 @@ def partition_elements(grid: LevelGrid, n_subdomains: int,
 def build_pseudomesh(coarse_space, partition: Partition, dim: int) -> LevelGrid:
     """Next-level grid: subdomains become elements, coarse nodes become
     nodes. Ordering and coordinates come from the coarse space."""
-    elem_nodes = [np.asarray(nodes, dtype=np.int64) for nodes in coarse_space.sub_nodes]
-    if len(elem_nodes) != partition.n_subdomains:
+    sub_nodes = coarse_space.sub_nodes
+    if len(sub_nodes) != partition.n_subdomains:
         raise ValueError("coarse space subdomain count disagrees with partition")
     return LevelGrid(
         n_nodes=coarse_space.n_nodes,
         node_coords=coarse_space.node_coords.reshape(-1, dim),
-        elem_nodes=elem_nodes,
+        elem_ptr=np.cumsum([0] + [nodes.size for nodes in sub_nodes]),
+        elem_nodes=np.concatenate(sub_nodes).astype(np.int64),
         dofs_per_node=coarse_space.dofs_per_node,
         structured_shape=None,
     )

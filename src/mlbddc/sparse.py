@@ -69,6 +69,13 @@ class SparseMatrix:
         return int(self.csr.nnz)
 
 
+def sorted_unique(a) -> np.ndarray:
+    """np.unique of an integer array, from one sort and an adjacent-difference
+    mask (numpy's hash-based unique of integers is several times slower)."""
+    a = np.sort(a, axis=None)
+    return a[np.r_[True, a[1:] != a[:-1]][:a.size]]
+
+
 # -- element assembly ---------------------------------------------------------
 
 def sum_elements(blocks):
@@ -98,7 +105,7 @@ def sum_elements(blocks):
     """
     blocks = [(np.asarray(k, dtype=np.float64), np.asarray(d, dtype=np.int64))
               for k, d in blocks]
-    ltg = np.unique(np.concatenate([d[d >= 0] for _, d in blocks]))
+    ltg = sorted_unique(np.concatenate([d[d >= 0] for _, d in blocks]))
     n = ltg.shape[0]
     # element rows, block by block: row_dof[r] is the local id of row r
     row_len = np.concatenate([np.full(d.size, d.shape[1]) for _, d in blocks])

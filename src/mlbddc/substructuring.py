@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .sparse import Factorization, SparseMatrix, factorize
+from .sparse import Factorization, SparseMatrix, factorize, sorted_unique
 
 
 @dataclass
@@ -114,7 +114,7 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
     on_iface = np.isin(ltg_all, iface_dofs)
     interior, interface = np.nonzero(~on_iface)[0], np.nonzero(on_iface)[0]
     interior_dofs = ltg_all[interior]
-    if np.unique(interior_dofs).shape[0] != interior_dofs.shape[0]:
+    if sorted_unique(interior_dofs).shape[0] != interior_dofs.shape[0]:
         raise ValueError("an interior dof belongs to more than one subdomain")
     ends = np.searchsorted(sub_of, np.arange(n_subs + 1))
     cut_i, cut_b = np.searchsorted(interior, ends), np.searchsorted(interface, ends)

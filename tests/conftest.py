@@ -19,7 +19,7 @@ from mlbddc.interface import (
     interface_dofs,
     select_corners,
 )
-from mlbddc.partition import partition_elements
+from mlbddc.partition import build_pseudomesh, partition_elements
 from mlbddc.substructuring import build_splits
 
 
@@ -54,6 +54,20 @@ class Level1:
                                   self.grid, self.part, policy)
 
 
+def grid_from_lists(coords, elements, **fields) -> LevelGrid:
+    """A level grid from per-element node lists (stored CSR style)."""
+    elem_ptr = np.cumsum([0] + [len(e) for e in elements])
+    elem_nodes = np.concatenate([np.asarray(e, dtype=np.int64) for e in elements])
+    return LevelGrid(n_nodes=coords.shape[0], node_coords=coords, elem_ptr=elem_ptr,
+                     elem_nodes=elem_nodes, dofs_per_node=fields.pop("dofs_per_node", 1),
+                     **fields)
+
+
+def elements_of(grid: LevelGrid) -> list:
+    """The grid's element node lists, one Python list per element."""
+    return [grid.elem_nodes[a:b].tolist() for a, b in zip(grid.elem_ptr[:-1], grid.elem_ptr[1:])]
+
+
 def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
                  length=1.0) -> Level1:
     mesh = generate_box_mesh(spec.dim, n_elems, length=length)
@@ -68,6 +82,12 @@ def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
     return Level1(spec=spec, mesh=mesh, dofmap=dofmap, grid=grid, part=part,
                   k_global=k_global, f_global=f_global, k=k, keys=keys,
                   globset=globset, splits=splits, imap=imap)
+
+
+def level2_pseudomesh() -> LevelGrid:
+    """Level-2 grid of a 3D hierarchy: the pseudo-mesh of 27 subdomains."""
+    lv = build_level1(ProblemSpec(kind="poisson", dim=3), 6, 27, method="regular-blocks")
+    return build_pseudomesh(lv.coarse_space(), lv.part, dim=3)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,9 +9,9 @@ plus the center give 4 face globs and 1 vertex glob.
 import numpy as np
 import pytest
 
-from conftest import build_level1
+from conftest import build_level1, elements_of, grid_from_lists, level2_pseudomesh
 from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh, node_dofs
-from mlbddc.grid import LevelGrid, level_grid_from_mesh
+from mlbddc.grid import level_grid_from_mesh
 from mlbddc.interface import (
     build_coarse_space,
     build_weights,
@@ -84,9 +84,7 @@ def test_3d_globs(box3d):
 def test_two_sharers_single_node_is_edge():
     # two triangles touching in one point: too few members for a face
     coords = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]], dtype=float)
-    grid = LevelGrid(n_nodes=5, node_coords=coords,
-                     elem_nodes=[np.array([0, 1, 2]), np.array([2, 3, 4])],
-                     dofs_per_node=1)
+    grid = grid_from_lists(coords, [[0, 1, 2], [2, 3, 4]])
     part = Partition(n_subdomains=2, assignment=np.array([0, 1]), method="greedy-graph-growing")
     gs = classify_interface(grid, part)
     assert len(gs.globs) == 1
@@ -97,10 +95,7 @@ def test_two_sharers_single_node_is_edge():
 def test_many_sharers_multi_node_is_edge():
     coords = np.zeros((5, 2))
     coords[:, 0] = np.arange(5)
-    grid = LevelGrid(n_nodes=5, node_coords=coords,
-                     elem_nodes=[np.array([0, 1, 2]), np.array([1, 2, 3]),
-                                 np.array([1, 2, 4])],
-                     dofs_per_node=1)
+    grid = grid_from_lists(coords, [[0, 1, 2], [1, 2, 3], [1, 2, 4]])
     part = Partition(n_subdomains=3, assignment=np.array([0, 1, 2]), method="greedy-graph-growing")
     gs = classify_interface(grid, part)
     shared_all = [g for g in gs.globs if g.sharers == (0, 1, 2)]
@@ -109,10 +104,25 @@ def test_many_sharers_multi_node_is_edge():
     assert shared_all[0].nodes.tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("dim,n,n_subs", [(2, 9, 7), (3, 5, 6)])
+def loop_globs(elems, assignment, n_nodes):
+    """Plain-loop reference: (sharers, members) of every glob, ordered by
+    smallest member."""
+    sharers = [set() for _ in range(n_nodes)]
+    for e, nodes in enumerate(elems):
+        for nd in nodes:
+            sharers[nd].add(int(assignment[e]))
+    groups: dict = {}
+    for nd, subs in enumerate(sharers):
+        if len(subs) >= 2:
+            groups.setdefault(tuple(sorted(subs)), []).append(nd)
+    return sorted(groups.items(), key=lambda kv: kv[1][0])
+
+
+@pytest.mark.parametrize("dim,n,n_subs", [(2, 9, 7), (3, 5, 6), (2, 4, 1)])
 def test_classification_matches_loop_reference(dim, n, n_subs):
-    # plain-loop references for the level-1 element node lists and the
-    # sharer-set grouping, on greedy partitions with ragged interfaces
+    # plain-loop references for the level-1 element node lists (stored CSR
+    # style) and the sharer-set grouping, on greedy partitions with ragged
+    # interfaces; one subdomain has an empty interface
     spec = ProblemSpec(kind="poisson", dim=dim)
     mesh = generate_box_mesh(dim, n)
     dofmap = build_dof_map(spec, mesh)
@@ -120,19 +130,24 @@ def test_classification_matches_loop_reference(dim, n, n_subs):
     free_id = {int(nd): i for i, nd in enumerate(dofmap.free_nodes)}
     elems = [sorted(free_id[int(nd)] for nd in nodes if int(nd) in free_id)
              for nodes in mesh.elem_nodes]
-    assert [e.tolist() for e in grid.elem_nodes] == elems
+    assert grid.elem_ptr.tolist() == np.cumsum([0] + [len(e) for e in elems]).tolist()
+    assert grid.elem_nodes.tolist() == sum(elems, [])
+    assert elements_of(grid) == elems
     part = partition_elements(grid, n_subs, method="greedy-graph-growing")
-    sharers = [set() for _ in range(grid.n_nodes)]
-    for e, nodes in enumerate(elems):
-        for nd in nodes:
-            sharers[nd].add(int(part.assignment[e]))
-    groups: dict = {}
-    for nd, subs in enumerate(sharers):
-        if len(subs) >= 2:
-            groups.setdefault(tuple(sorted(subs)), []).append(nd)
-    globs = classify_interface(grid, part).globs
-    assert [(g.sharers, g.nodes.tolist()) for g in globs] == sorted(
-        groups.items(), key=lambda kv: kv[1][0])
+    gs = classify_interface(grid, part)
+    expected = loop_globs(elems, part.assignment, grid.n_nodes)
+    assert [(g.sharers, g.nodes.tolist()) for g in gs.globs] == expected
+    assert [g.index for g in gs.globs] == list(range(len(expected)))
+    node_glob = np.full(grid.n_nodes, -1)
+    for i, (_, members) in enumerate(expected):
+        node_glob[members] = i
+    assert np.array_equal(gs.node_glob, node_glob)
+    assert gs.kinds.tolist() == [g.kind for g in gs.globs]
+    if n_subs == 1:
+        assert gs.globs == [] and gs.interface_nodes().size == 0
+        assert select_corners(gs, grid).size == 0
+        cs = build_coarse_space(gs, select_corners(gs, grid), grid, part)
+        assert cs.n_nodes == 0 and [s.tolist() for s in cs.sub_nodes] == [[]]
 
 
 def test_glob_table(cross2d):
@@ -170,6 +185,68 @@ def test_default_corners_3d(box3d):
         p = coords[picked]
         area = np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))
         assert area > 1e-8
+
+
+def face_corner_nodes(glob, coords, dim):
+    """Plain-loop reference for one face glob's corners: two extremal
+    members along its longest axis and, in 3D, the member farthest from the
+    line through them; ties go to the lowest node id."""
+    pts = coords[glob.nodes]
+    spans = pts.max(axis=0) - pts.min(axis=0)
+    axis = int(np.argmax(spans))
+    lo = int(glob.nodes[np.lexsort((glob.nodes, pts[:, axis]))[0]])
+    hi = int(glob.nodes[np.lexsort((glob.nodes, -pts[:, axis]))[0]])
+    picked = [lo] if hi == lo else [lo, hi]
+    if dim == 3 and len(picked) == 2:
+        p0 = coords[lo]
+        u = coords[hi] - p0
+        nu = np.linalg.norm(u)
+        if nu > 0:
+            u = u / nu
+            rel = pts - p0
+            dist = np.linalg.norm(rel - np.outer(rel @ u, u), axis=1)
+            far = int(glob.nodes[np.lexsort((glob.nodes, -dist))[0]])
+            if dist[np.nonzero(glob.nodes == far)[0][0]] > 1e-12 and far not in picked:
+                picked.append(far)
+    return picked
+
+
+def greedy_level(dim, n, n_subs, length=1.0):
+    return build_level1(ProblemSpec(kind="poisson", dim=dim), n, n_subs,
+                        method="greedy-graph-growing", length=length)
+
+
+@pytest.mark.parametrize("case", ["greedy-2d", "greedy-3d", "pseudomesh", "stretched"])
+def test_default_corners_match_loop_reference(case):
+    if case == "pseudomesh":
+        grid = level2_pseudomesh()
+        gs = classify_interface(grid, partition_elements(grid, 4, "greedy-graph-growing"))
+    else:
+        lv = {"greedy-2d": lambda: greedy_level(2, 9, 7),
+              "greedy-3d": lambda: greedy_level(3, 5, 6),
+              "stretched": lambda: greedy_level(3, 6, 5, length=(3.0, 1.0, 1.0))}[case]()
+        grid, gs = lv.grid, lv.globset
+    expected = []
+    for g in gs.globs:
+        if g.kind == "vertex":
+            expected.extend(int(n) for n in g.nodes)
+        elif g.kind == "face":
+            expected.extend(face_corner_nodes(g, grid.node_coords, grid.dim))
+    assert gs.counts_by_kind()["face"] > 0
+    corners = select_corners(gs, grid, "default")
+    assert corners.dtype == np.int64
+    assert corners.tolist() == sorted(set(expected))
+
+
+def test_collinear_3d_face_gets_two_corners():
+    # two 3D elements sharing three collinear nodes: a face glob whose
+    # members all lie on the line through its extremes, so no third corner
+    coords = np.array([[0, 1, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0], [0, -1, 0]], dtype=float)
+    grid = grid_from_lists(coords, [[0, 1, 2, 3], [1, 2, 3, 4]])
+    part = Partition(n_subdomains=2, assignment=np.array([0, 1]), method="greedy-graph-growing")
+    gs = classify_interface(grid, part)
+    assert [(g.kind, g.nodes.tolist()) for g in gs.globs] == [("face", [1, 2, 3])]
+    assert select_corners(gs, grid).tolist() == [1, 3]
 
 
 def test_unknown_strategy(cross2d):
@@ -326,7 +403,7 @@ def test_pseudomesh(cross2d):
     assert pm.n_elems == 4
     assert pm.dofs_per_node == 1
     assert pm.structured_shape is None
-    assert pm.elem_nodes[0].tolist() == cs.sub_nodes[0].tolist()
+    assert elements_of(pm) == [nodes.tolist() for nodes in cs.sub_nodes]
     # the pseudo-mesh classifies again: all four pseudo-elements share the
     # vertex-derived coarse node
     part2 = Partition(n_subdomains=2, assignment=np.array([0, 0, 1, 1]),

@@ -1,4 +1,4 @@
-"""Krylov drivers and the Lanczos condition estimate.
+"""Krylov drivers, the Lanczos extreme eigenvalues and condition estimate.
 
 diag(1, 4) is worked out by hand: CG takes two steps and the Lanczos
 matrix recovers both eigenvalues, so the estimate is exactly 4.
@@ -30,6 +30,9 @@ def test_diag_condition_recovered():
     assert rep.converged
     assert rep.iterations == 2
     assert rep.condition_estimate == pytest.approx(4.0, rel=1e-10)
+    assert rep.eigenvalue_bounds == pytest.approx((1.0, 4.0), rel=1e-10)
+    lo, hi = rep.eigenvalue_bounds
+    assert rep.condition_estimate == hi / lo
     assert np.allclose(x, [1.0, 0.25], atol=1e-10)
 
 
@@ -123,6 +126,7 @@ def test_bicgstab_nonsymmetric():
     x, rep = bicgstab(dense_op(a), b, tol=1e-10)
     assert rep.converged
     assert rep.breakdown_reason is None
+    assert rep.condition_estimate is None and rep.eigenvalue_bounds is None
     assert np.max(np.abs(x - np.linalg.solve(a, b))) < 1e-7
 
 

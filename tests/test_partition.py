@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import elements_of, grid_from_lists, level2_pseudomesh
 from mlbddc.errors import ConfigError
 from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh
-from mlbddc.grid import LevelGrid, level_grid_from_mesh
+from mlbddc.grid import level_grid_from_mesh
 from mlbddc.partition import (
     BALANCE_FACTOR,
     _block_axis_counts,
+    _shared_node_counter,
     element_adjacency,
     partition_elements,
     partition_greedy,
@@ -22,13 +24,8 @@ from mlbddc.partition import (
 def raw_grid(dim, n):
     """Level grid straight from a box mesh, no Dirichlet filtering."""
     mesh = generate_box_mesh(dim, n)
-    return LevelGrid(
-        n_nodes=mesh.n_nodes,
-        node_coords=mesh.coords,
-        elem_nodes=[np.sort(mesh.elem_nodes[e]) for e in range(mesh.n_elems)],
-        dofs_per_node=1,
-        structured_shape=mesh.n_elems_per_axis,
-    )
+    return grid_from_lists(mesh.coords, np.sort(mesh.elem_nodes, axis=1),
+                           structured_shape=mesh.n_elems_per_axis)
 
 
 def assert_connected(part, grid):
@@ -164,3 +161,41 @@ def test_level1_adjacency_runs_through_dirichlet_nodes():
     assert np.array_equal(part.assignment, partition_greedy(raw_grid(2, 8), 6).assignment)
     free_only = partition_greedy(replace(grid, conn_nodes=None), 6)
     assert not np.array_equal(part.assignment, free_only.assignment)
+
+
+def adjacency_grids():
+    spec = ProblemSpec(kind="poisson", dim=2)
+    mesh = generate_box_mesh(2, 6)
+    level1 = level_grid_from_mesh(mesh, spec, build_dof_map(spec, mesh))
+    return [raw_grid(2, 5), level1, level2_pseudomesh()]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_adjacency_and_shared_counts_match_loop_reference(which):
+    # plain loops over the element lists: neighbours share a node, and an
+    # element shares sum |nodes(e) & nodes(o)| nodes with o's subdomain
+    grid = adjacency_grids()[which]
+    conn = (elements_of(grid) if grid.conn_nodes is None
+            else [sorted(nodes) for nodes in grid.conn_nodes.tolist()])
+    adjacency = element_adjacency(grid)
+    for e, nodes in enumerate(conn):
+        expected = sorted(o for o, other in enumerate(conn)
+                          if o != e and set(nodes) & set(other))
+        assert adjacency[e].tolist() == expected
+    assignment = np.arange(grid.n_elems) % 3 - 1          # -1: unassigned
+    shared = _shared_node_counter(grid)
+    for e, nodes in enumerate(conn):
+        for exclude in (-1, 0):
+            expected: dict = {}
+            for o, other in enumerate(conn):
+                s = int(assignment[o])
+                if o != e and s >= 0 and s != exclude and set(nodes) & set(other):
+                    expected[s] = expected.get(s, 0) + len(set(nodes) & set(other))
+            assert shared(e, assignment, exclude) == expected
+
+
+def test_greedy_on_pseudomesh_is_connected_and_balanced():
+    grid = level2_pseudomesh()
+    part = partition_greedy(grid, 4)
+    assert_connected(part, grid)
+    assert part.sizes().max() <= math.ceil(grid.n_elems / 4) * BALANCE_FACTOR

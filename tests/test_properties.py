@@ -6,9 +6,11 @@ A solved run's preconditioner also meets the BDDC lower eigenvalue bound
 lambda_min(M S) >= 1 (Mandel & Dohrmann, Numer. Linear Algebra Appl. 10,
 2003; Mandel, Sousedik & Dohrmann, Computing 83, 2008): wrong local
 operators, bases, weights or coarse matrices pull it below 1 even where the
-solution still comes out right. Its reported condition estimate, the ratio
-of extreme Lanczos eigenvalues, never exceeds the dense kappa(M S): Ritz
-values lie inside the spectrum, so a larger estimate is a faulty recurrence.
+solution still comes out right. Its extreme Lanczos eigenvalues are Ritz
+values, which lie inside the spectrum: the reported lambda_min is at least
+1 and the dense lambda_min, lambda_max at most the dense lambda_max, and
+the condition estimate, their ratio, never exceeds the dense kappa(M S); a
+value outside these bounds is a faulty recurrence.
 
 Examples are drawn deterministically (derandomize=True) and bounded, so the
 suite picks the same configurations on every run.
@@ -57,6 +59,9 @@ def test_runs_solve_or_exit_3(overrides):
     assert np.linalg.norm(result.solution - u) <= 1e-7 * np.linalg.norm(u), overrides
     lam_min, lam_max = extreme_eigenvalues_ms(result.preconditioner)
     assert lam_min >= 1.0 - 1e-10, overrides
+    ritz_min, ritz_max = result.report.eigenvalue_bounds
+    assert ritz_min >= 1.0 - 1e-10, overrides
+    assert lam_min * (1 - 1e-8) <= ritz_min and ritz_max <= lam_max * (1 + 1e-8), overrides
     assert result.report.condition_estimate <= lam_max / lam_min * (1 + 1e-8), overrides
 
 

@@ -13,6 +13,7 @@ from mlbddc.sparse import (
     Factorization,
     SparseMatrix,
     factorize,
+    sorted_unique,
     sum_elements,
 )
 
@@ -30,6 +31,18 @@ def tridiag_matrix(n):
 def random_spd(rng, n):
     b = rng.standard_normal((n, n))
     return b @ b.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("size,low,high", [(0, 0, 1), (1, -3, 3), (500, -50, 50),
+                                           (2000, -10**12, 10**12)])
+def test_sorted_unique_matches_np_unique(size, low, high):
+    rng = np.random.default_rng(size)
+    a = rng.integers(low, high, size=size)
+    out = sorted_unique(a)
+    assert out.dtype == a.dtype
+    assert np.array_equal(out, np.unique(a))
+    assert np.array_equal(sorted_unique(a.reshape(-1, 2) if size % 2 == 0 else a),
+                          np.unique(a))
 
 
 def test_from_scipy_stores_one_canonical_csr():
