@@ -482,8 +482,9 @@ def _local_schur(k_csr, splits: LevelSplits, g: ShapeGroup):
     block is read straight from the CSR arrays (it has no entries outside
     its own columns) into one dense array at those positions: S = K_BB -
     W^T W with W = L^-1 K_IB, K_II = L L^T. Larger subdomains never become
-    dense: their K_II is factorized by `factorize` (SuperLU above the
-    threshold) and solved for the n_B columns of K_IB only.
+    dense: their K_II is factorized by `factorize` (band Cholesky while its
+    band storage fits DENSE_THRESHOLD**2 entries, SuperLU above) and solved
+    for the n_B columns of K_IB only.
     """
     nb = g.iface.shape[1]
     lo = splits.offsets[g.subs]

@@ -56,7 +56,8 @@ def _node_elements(grid: LevelGrid) -> tuple:
 
 
 def element_adjacency(grid: LevelGrid) -> list:
-    """Shared node => adjacent. Returns sorted neighbor arrays."""
+    """Shared node => adjacent. Returns one ascending list of neighbour ids
+    (Python ints) per element, for the greedy loops to walk."""
     node_ptr, elems = _node_elements(grid)
     # pair every (node, element) entry with each entry of its node
     size = np.diff(node_ptr)
@@ -64,7 +65,8 @@ def element_adjacency(grid: LevelGrid) -> list:
     a, b = np.repeat(elems, hi - lo), elems[_ranges(lo, hi)]
     n = grid.n_elems
     a, b = np.divmod(sorted_unique(a[a != b] * n + b[a != b]), n)
-    return np.split(b, np.cumsum(np.bincount(a, minlength=n))[:-1])
+    ptr, b = np.cumsum(np.bincount(a, minlength=n)).tolist(), b.tolist()
+    return [b[lo:hi] for lo, hi in zip([0] + ptr[:-1], ptr)]
 
 
 def _block_axis_counts(shape, n_subdomains):
@@ -117,24 +119,19 @@ def partition_regular_blocks(grid: LevelGrid, n_subdomains: int) -> Partition:
 def _components(elems, adjacency):
     """Connected components of an element set, each sorted, ordered by
     smallest element."""
-    elems = sorted(int(e) for e in elems)
-    inset = set(elems)
-    seen = set()
+    elems = np.sort(np.asarray(elems, dtype=np.int64)).tolist()
+    unseen = set(elems)
     comps = []
     for start in elems:
-        if start in seen:
+        if start not in unseen:
             continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            e = queue.popleft()
-            comp.append(e)
+        unseen.remove(start)
+        comp = [start]
+        for e in comp:              # breadth first: comp is the queue
             for nb in adjacency[e]:
-                nb = int(nb)
-                if nb in inset and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
+                if nb in unseen:
+                    unseen.remove(nb)
+                    comp.append(nb)
         comps.append(sorted(comp))
     return comps
 
@@ -143,8 +140,9 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
     n = grid.n_elems
     adjacency = element_adjacency(grid)
     shared = _shared_node_counter(grid)
-    assignment = np.full(n, -1, dtype=np.int64)
+    assignment = [-1] * n
     unassigned = n
+    seed = 0
 
     for s in range(n_subdomains):
         parts_left = n_subdomains - s
@@ -152,7 +150,8 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
         # never starve the remaining subdomains
         target = min(target, unassigned - (parts_left - 1))
         target = max(target, 1)
-        seed = int(np.nonzero(assignment < 0)[0][0])
+        while assignment[seed] >= 0:       # the lowest unassigned element
+            seed += 1
         queue = deque([seed])
         queued = {seed}
         size = 0
@@ -164,10 +163,10 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
             size += 1
             unassigned -= 1
             for nb in adjacency[e]:
-                nb = int(nb)
                 if assignment[nb] < 0 and nb not in queued:
                     queued.add(nb)
                     queue.append(nb)
+    assignment = np.array(assignment, dtype=np.int64)
 
     # stragglers (exhausted frontiers): hand each to the adjacent subdomain
     # sharing the most nodes, lowest index on ties
@@ -247,13 +246,12 @@ def _repair_balance(part: Partition, adjacency, shared) -> None:
         if sizes[worst] <= cap:
             return
         moved = False
-        for e in part.elements_of(worst):
-            e = int(e)
+        for e in part.elements_of(worst).tolist():
             counts = shared(e, part.assignment, exclude=worst)
             candidates = [s for s in counts if sizes[s] + 1 < sizes[worst]]
             if not candidates:
                 continue
-            rest = [x for x in part.elements_of(worst) if x != e]
+            rest = [x for x in part.elements_of(worst).tolist() if x != e]
             if rest and len(_components(rest, adjacency)) > 1:
                 continue
             dest = min(candidates, key=lambda s: (sizes[s], s))

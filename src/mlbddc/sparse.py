@@ -8,13 +8,15 @@ element's dofs by subdomain makes the sum one block-diagonal matrix. The
 sum is linear in the element entries (two stable CSR/CSC transposes, then
 one pass over sorted duplicates) and adds each entry's contributions in
 element order, so it is bitwise symmetric with no symmetrization pass.
-Factorizations are of SPD matrices only: dense Cholesky below a size
-threshold and SuperLU in symmetric mode above it, and both paths reject a
-non-positive pivot. A block-diagonal matrix, such as the stacked interior
-blocks of all subdomains of a level, is factorized once as a whole. Each
-factor's accuracy is checked once, right after it is made, by solving a
-fixed probe right-hand side and checking the residual of every diagonal
-block; its later solves are plain factor solves with no residual check.
+Factorizations are of SPD matrices only: LAPACK's band Cholesky while
+the band storage fits a fixed budget, and SuperLU in symmetric mode above
+it; both paths reject a non-positive pivot. A block-diagonal matrix, such
+as the stacked interior blocks of all subdomains of a level, is factorized
+once as a whole; its blocks are small and in mesh order, so its band is
+narrow. Each factor's accuracy is checked once, right after it is made, by
+solving a fixed probe right-hand side and checking the residual of every
+diagonal block; its later solves are plain factor solves with no residual
+check.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 
-# Above this order, factorizations switch from dense LAPACK to SuperLU.
+# A factor is LAPACK band Cholesky while its band storage, (kd + 1) * n
+# entries for half-bandwidth kd, is at most DENSE_THRESHOLD**2 (so every
+# dense matrix up to this order qualifies), and SuperLU above.
 DENSE_THRESHOLD = 2000
 
 # A factor passes its setup check when its solve of probe_rhs(n) leaves a
@@ -146,8 +150,8 @@ def sum_elements(blocks):
 
 @dataclass
 class Factorization:
-    """Opaque handle around a dense Cholesky or SuperLU factorization of an
-    SPD matrix.
+    """Opaque handle around a band Cholesky factor (LAPACK lower band
+    storage) or a SuperLU factorization of an SPD matrix.
 
     `offsets` bounds the diagonal blocks of a block-diagonal matrix (block
     j is rows offsets[j]:offsets[j+1]); an unblocked matrix is one block.
@@ -190,28 +194,31 @@ class Factorization:
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":
-            return scipy.linalg.cho_solve(self._payload, bb)
+            return dpbtrs(self._payload, bb, lower=1)[0]
         return self._payload.solve(bb)
 
 
 def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     """Factorize a symmetric positive definite matrix for repeated solves.
 
-    A non-positive pivot raises NotPositiveDefiniteError, on the dense and
-    the sparse path alike, and an exactly singular SuperLU pivot raises
-    SingularMatrixError. `offsets` bounds the blocks of a block-diagonal `a`
-    (default: one block); several blocks go to SuperLU as one matrix, and
-    they scope the setup check and the error messages. The new factor
-    solves probe_rhs(n) and passes the solution to `Factorization.check`,
-    which raises NumericalError naming an inaccurate block.
+    With half-bandwidth kd (the largest i - j of a stored entry), `a` goes
+    to LAPACK's band Cholesky dpbtrf when (kd + 1) * n <= DENSE_THRESHOLD**2,
+    its band storage ab[i - j, j] = a_ij taken from the lower triangle of
+    the CSR; otherwise to SuperLU. A non-positive pivot raises
+    NotPositiveDefiniteError on both paths, and an exactly singular SuperLU
+    pivot raises SingularMatrixError. `offsets` bounds the blocks of a
+    block-diagonal `a` (default: one block); the blocks are factorized as
+    one matrix, and they scope the setup check and the error messages. The
+    new factor solves probe_rhs(n) and passes the solution to
+    `Factorization.check`, which raises NumericalError naming an inaccurate
+    block.
     """
     n, n_cols = a.shape
     if n != n_cols:
         raise ValueError(f"cannot factorize non-square matrix {n}x{n_cols}")
-    if not a.symmetric:
-        s = a.scipy_csr()
-        if (s != s.T).nnz != 0:
-            raise ValueError("factorize requires a symmetric matrix")
+    s = a.scipy_csr()
+    if not a.symmetric and (s != s.T).nnz != 0:
+        raise ValueError("factorize requires a symmetric matrix")
     if offsets is None:
         offsets = np.array([0, n], dtype=np.int64)
     else:
@@ -225,19 +232,28 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
             fact.check(fact.solve(probe_rhs(n)))
         return fact
 
+    def not_positive_definite(row):
+        j = int(np.searchsorted(offsets, row, side="right")) - 1
+        return NotPositiveDefiniteError(f"matrix is not positive definite: bad "
+                                        f"pivot at row {row}, in diagonal block {j}")
+
     if n == 0:
         return made("empty", None)
-    if n <= DENSE_THRESHOLD and offsets.size == 2:
-        try:
-            payload = scipy.linalg.cho_factor(a.scipy_csr().toarray(), lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-        return made("cholesky", payload)
+    below = np.repeat(np.arange(n), np.diff(s.indptr)) - s.indices
+    kd = int(below.max(initial=0))
+    if (kd + 1) * n <= DENSE_THRESHOLD ** 2:
+        low = below >= 0
+        ab = np.zeros((kd + 1, n), order="F")
+        ab[below[low], s.indices[low]] = s.data[low]
+        band, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:       # the leading minor of order info is not PD
+            raise not_positive_definite(info - 1)
+        return made("cholesky", band)
     # symmetric mode with diagonal pivots only: an SPD matrix needs no
     # other, so an off-diagonal or non-positive pivot proves the matrix is
     # not positive definite
     try:
-        lu = scipy.sparse.linalg.splu(a.scipy_csr().tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = scipy.sparse.linalg.splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0,
                                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
@@ -247,8 +263,5 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     row_of = np.argsort(lu.perm_c)      # original row of each pivot
     bad = np.nonzero((lu.perm_r[row_of] != lu.perm_c[row_of]) | (lu.U.diagonal() <= 0))[0]
     if bad.size:
-        row = int(row_of[bad[0]])
-        j = int(np.searchsorted(offsets, row, side="right")) - 1
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: bad "
-                                       f"pivot at row {row}, in diagonal block {j}")
+        raise not_positive_definite(int(row_of[bad[0]]))
     return made("splu", lu)

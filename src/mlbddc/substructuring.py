@@ -6,7 +6,9 @@ subdomain matrices arrive as one block-diagonal matrix (one block per
 subdomain, from one assembly call). It is split by rows and columns into
 block-diagonal K_II, K_IB and K_BB, and K_II is factorized once, so
 applying S = R^T (K_BB - K_IB^T K_II^-1 K_IB) R is a few sparse products
-and one block-diagonal interior solve per level.
+and one block-diagonal interior solve per level. The blocks of K_II are
+small subdomain interiors in mesh order, so the stacked matrix has a
+narrow band and `factorize` gives it one LAPACK band Cholesky factor.
 Condensation and recovery serve every level: the level-1 solve, and the
 preconditioner's interior corrections on the coarser levels. Interface
 sums are ordered scatters in subdomain order, so results are bitwise

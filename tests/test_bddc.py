@@ -631,12 +631,14 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
     # the interface solve equals the full solve of [K C^T; C 0][z; mu] = [r; 0]
     # for r zero on the interior, read on the interface; the bordered matrix
     # is symmetric, so the multipliers are psi^T r, and z satisfies the
-    # constraints (dense and sparse K_II factors; the bordered matrices are
-    # inverted densely either way)
+    # constraints (band Cholesky K_II factors, and SuperLU ones at a budget
+    # of 0 band entries; the bordered matrices are inverted densely either
+    # way)
     if dense_threshold is not None:
         monkeypatch.setattr(sparse, "DENSE_THRESHOLD", dense_threshold)
     lv = request.getfixturevalue(name)
     level = make_bddc(lv).levels[0]
+    assert level.splits.k_ii_fact.method == ("splu" if dense_threshold == 0 else "cholesky")
     rng = np.random.default_rng(17)
     for sub, split in zip(level.subs, level.splits):
         r_b = rng.standard_normal(split.interface_pos.size)
@@ -661,8 +663,9 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
 @pytest.mark.parametrize("name", ["cross2d", "elasticity3d"])
 def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeypatch):
     # above DENSE_THRESHOLD local dofs the interior is eliminated with a
-    # sparse K_II factor, never a dense copy of the subdomain block; S_i,
-    # psi and the coarse matrices equal the dense path's
+    # `factorize` K_II factor (band or SuperLU), never a dense copy of the
+    # subdomain block; S_i, psi and the coarse matrices equal the dense
+    # path's
     lv = request.getfixturevalue(name)
     k_csr = lv.k.scipy_csr()
     dense = make_bddc(lv).levels[0]

@@ -65,3 +65,7 @@ def test_census_runs_on_three_levels():
     assert {(level, role) for level, role, *_ in facts} == {
         (1, "k_ii"), (1, "bordered"), (2, "k_ii"), (2, "bordered"), (3, "top")}
     assert all(method in census.ROLE_METHODS[role] for _, role, _, method, *_ in facts)
+    # every level's stacked K_II and the top matrix fit the band budget, so
+    # a fall back to SuperLU fails here and not only in the benchmark
+    assert [lv.splits.k_ii_fact.method for lv in prec.levels] == ["cholesky"] * 2
+    assert prec.top.method == "cholesky"

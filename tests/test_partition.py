@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from conftest import elements_of, grid_from_lists, level2_pseudomesh
 from mlbddc.errors import ConfigError
@@ -13,6 +15,7 @@ from mlbddc.grid import level_grid_from_mesh
 from mlbddc.partition import (
     BALANCE_FACTOR,
     _block_axis_counts,
+    _components,
     _shared_node_counter,
     element_adjacency,
     partition_elements,
@@ -181,7 +184,7 @@ def test_adjacency_and_shared_counts_match_loop_reference(which):
     for e, nodes in enumerate(conn):
         expected = sorted(o for o, other in enumerate(conn)
                           if o != e and set(nodes) & set(other))
-        assert adjacency[e].tolist() == expected
+        assert adjacency[e] == expected
     assignment = np.arange(grid.n_elems) % 3 - 1          # -1: unassigned
     shared = _shared_node_counter(grid)
     for e, nodes in enumerate(conn):
@@ -192,6 +195,24 @@ def test_adjacency_and_shared_counts_match_loop_reference(which):
                 if o != e and s >= 0 and s != exclude and set(nodes) & set(other):
                     expected[s] = expected.get(s, 0) + len(set(nodes) & set(other))
             assert shared(e, assignment, exclude) == expected
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_components_match_csgraph_on_induced_subgraphs(which):
+    # scipy's connected components of the subgraph an element set induces,
+    # each sorted and ordered by smallest element
+    grid = adjacency_grids()[which]
+    adjacency = element_adjacency(grid)
+    n = grid.n_elems
+    rows = np.repeat(np.arange(n), [len(nb) for nb in adjacency])
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(rows.size), (rows, np.concatenate(adjacency))), shape=(n, n))
+    rng = np.random.default_rng(which)
+    for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
+        elems = np.nonzero(rng.random(n) < frac)[0]
+        _, labels = connected_components(graph[elems][:, elems], directed=False)
+        expected = sorted(elems[labels == c].tolist() for c in np.unique(labels))
+        assert _components(rng.permutation(elems), adjacency) == expected
 
 
 def test_greedy_on_pseudomesh_is_connected_and_balanced():

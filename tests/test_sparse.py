@@ -126,8 +126,12 @@ def test_spd_rejects_indefinite():
         factorize(a)
 
 
-def test_sparse_spd_path_rejects_indefinite():
-    # symmetric-mode SuperLU must catch what dense Cholesky catches
+@pytest.mark.parametrize("threshold", [None, 0], ids=["band", "splu"])
+def test_sparse_spd_path_rejects_indefinite(threshold, monkeypatch):
+    # band Cholesky (default budget) and symmetric-mode SuperLU (budget 0)
+    # both name the first diagonal block with a bad pivot
+    if threshold is not None:
+        monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
     pair = SparseMatrix.from_scipy(
         scipy.sparse.block_diag([[[1.0, 2.0], [2.0, 1.0]]] * 3), symmetric=True)
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block"):
@@ -192,8 +196,9 @@ def test_block_offsets_must_span_the_matrix():
 
 
 def test_singular_matrix_raises(monkeypatch):
-    # a singular PSD matrix is not positive definite: dense Cholesky says
-    # so, and SuperLU hits an exactly singular pivot
+    # a singular PSD matrix is not positive definite: band Cholesky says
+    # so, and SuperLU (a budget of 0 band entries) hits an exactly singular
+    # pivot
     a = SparseMatrix.from_scipy([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
     with pytest.raises(NotPositiveDefiniteError):
         factorize(a)
@@ -223,7 +228,8 @@ def test_empty_matrix_factorization():
 
 
 def test_splu_path_above_threshold(monkeypatch):
-    # force the sparse path with a tiny threshold
+    # force SuperLU with a tiny budget: the dense 30 x 30 matrix has band
+    # storage (29 + 1) * 30 = 900 > 4**2 entries
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 4)
     rng = np.random.default_rng(17)
     dense = random_spd(rng, 30)
@@ -232,6 +238,45 @@ def test_splu_path_above_threshold(monkeypatch):
     assert f.method == "splu"
     b = rng.standard_normal(30)
     assert np.allclose(f.solve(b), np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
+
+
+def dense_oracle_check(a, f, rhs):
+    dense = a.scipy_csr().toarray()
+    x = f.solve(rhs)
+    assert x.shape == rhs.shape
+    assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,kd,threshold,method", [
+    (8, 1, 4, "cholesky"),      # (kd + 1) * n = 16 = 4**2
+    (5, 1, 3, "splu"),          # (kd + 1) * n = 10 = 3**2 + 1
+    (16, 0, 4, "cholesky"),     # diagonal: 16 = 4**2
+    (17, 0, 4, "splu"),         # diagonal: 17 = 4**2 + 1
+    (1, 0, 1, "cholesky"),      # order 1: 1 = 1**2
+])
+def test_band_path_up_to_the_budget(n, kd, threshold, method, monkeypatch):
+    monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
+    a = tridiag_matrix(n) if kd else SparseMatrix.from_scipy(
+        scipy.sparse.diags(np.arange(1.0, n + 1)), symmetric=True)
+    f = factorize(a)
+    assert f.method == method
+    if method == "cholesky":
+        assert f._payload.shape == (kd + 1, n)
+    rng = np.random.default_rng(n)
+    dense_oracle_check(a, f, rng.standard_normal(n))
+
+
+def test_band_path_solves_stacked_blocks():
+    # one band over blocks of different widths: 1-D and 2-D right-hand sides
+    # against the dense oracle
+    rng = np.random.default_rng(29)
+    sizes = [1, 7, 3, 12, 2]
+    a, offsets = stacked_blocks(rng, sizes)
+    f = factorize(a, offsets=offsets)
+    assert f.method == "cholesky"
+    assert f._payload.shape == (max(sizes), sum(sizes))
+    dense_oracle_check(a, f, rng.standard_normal(sum(sizes)))
+    dense_oracle_check(a, f, rng.standard_normal((sum(sizes), 4)))
 
 
 def test_solve_residual_contract():
