@@ -14,7 +14,18 @@ value outside these bounds is a faulty recurrence.
 
 Examples are drawn deterministically (derandomize=True) and bounded, so the
 suite picks the same configurations on every run.
+
+The preconditioner of every configuration the strategy can draw is pinned in
+preconditioner_pins.json: the dense lambda_min and lambda_max of M S of each
+solving configuration, and the level and subdomain that each exit-3 failure
+names. A change that alters the preconditioner on purpose rewrites the file
+with `PYTHONPATH=src python tests/test_properties.py` and says why.
 """
+
+import itertools
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -27,20 +38,32 @@ from mlbddc.substructuring import schur_apply
 
 # level-1 size per dimension, and its two- and three-level hierarchies
 MESHES = {2: (8, ("16", "16/4")), 3: (4, ("8", "8/2"))}
+PROBLEMS = ["poisson", "elasticity"]
+POLICIES = ["corners-only", "corners+edges", "corners+edges+faces"]
+STRATEGIES = ["default", "vertices-only"]
+FACES = ["all", "x-"]
+PINS = Path(__file__).with_name("preconditioner_pins.json")
+
+
+def overrides(dim, hierarchy, problem, policy, strategy, faces):
+    return [f"dim={dim}", f"elements={MESHES[dim][0]}", f"hierarchy={hierarchy}",
+            f"problem={problem}", f"constraint_policy={policy}",
+            f"corner_strategy={strategy}", f"dirichlet_faces={faces}", "tolerance=1e-10"]
 
 
 @st.composite
 def configs(draw):
     dim = draw(st.sampled_from([2, 3]))
-    elements, hierarchies = MESHES[dim]
-    return [f"dim={dim}", f"elements={elements}",
-            f"hierarchy={draw(st.sampled_from(hierarchies))}",
-            f"problem={draw(st.sampled_from(['poisson', 'elasticity']))}",
-            "constraint_policy=" + draw(st.sampled_from(
-                ["corners-only", "corners+edges", "corners+edges+faces"])),
-            f"corner_strategy={draw(st.sampled_from(['default', 'vertices-only']))}",
-            f"dirichlet_faces={draw(st.sampled_from(['all', 'x-']))}",
-            "tolerance=1e-10"]
+    return overrides(dim, draw(st.sampled_from(MESHES[dim][1])), draw(st.sampled_from(PROBLEMS)),
+                     draw(st.sampled_from(POLICIES)), draw(st.sampled_from(STRATEGIES)),
+                     draw(st.sampled_from(FACES)))
+
+
+def grid() -> list:
+    """Every configuration `configs` can draw, in a fixed order."""
+    return [overrides(dim, hierarchy, *rest)
+            for dim in MESHES for hierarchy in MESHES[dim][1]
+            for rest in itertools.product(PROBLEMS, POLICIES, STRATEGIES, FACES)]
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -76,3 +99,34 @@ def extreme_eigenvalues_ms(prec) -> tuple:
     low = np.linalg.cholesky((m + m.T) / 2)
     lam = np.linalg.eigvalsh(low.T @ ((s + s.T) / 2) @ low)
     return lam[0], lam[-1]
+
+
+def pin(config) -> dict:
+    """What preconditioner_pins.json records of one configuration: the dense
+    extreme eigenvalues of M S, or the level and subdomain of its exit 3."""
+    try:
+        result = run_experiment(load_config(overrides=config))
+    except NumericalError as exc:
+        level = re.match(r"level (\d+), subdomain (\d+):", str(exc))
+        assert level is not None, (config, str(exc))
+        return {"overrides": config, "level": int(level[1]), "subdomain": int(level[2])}
+    lam_min, lam_max = extreme_eigenvalues_ms(result.preconditioner)
+    return {"overrides": config, "lambda_min": float(lam_min), "lambda_max": float(lam_max)}
+
+
+def test_preconditioner_matches_pins():
+    # every configuration of the grid, against the values pinned in the file
+    pins = json.loads(PINS.read_text())
+    assert [p["overrides"] for p in pins] == grid()
+    for want in pins:
+        got = pin(want["overrides"])
+        if "level" in want:
+            assert got == want
+            continue
+        assert got.keys() == want.keys(), (want, got)
+        for key in ("lambda_min", "lambda_max"):
+            assert abs(got[key] - want[key]) <= 1e-8 * want[key], (want, got)
+
+
+if __name__ == "__main__":
+    PINS.write_text("[\n" + ",\n".join(json.dumps(pin(c)) for c in grid()) + "\n]\n")
