@@ -24,16 +24,16 @@ interface before the cycle and recover the interiors after it, with the
 condensation and recovery of the level-1 solve (substructuring), so the
 recursion only ever sees interface residuals; each is one block-diagonal
 interior solve per level. The constrained local problems are solved once, at
-setup: each reduced bordered matrix is factorized by LAPACK's Bunch-Kaufman
-sytrf and inverted in the factor's storage by sytri, always densely (its
-order is that of the interface, not of the subdomain). The free-dof block
-z_i of the inverse is the subdomain's constrained-solve operator, and the
-basis psi_i comes from products with it. A level stacks z_i and psi_i over
-the subdomains that share a shape (free dofs, interface dofs, constraints; a
-few shapes per level), so one preconditioner cycle is a few batched products
-per level: z_i r_i and psi_i^T r_i (the multipliers, i.e. the restricted
-coarse residuals), then psi_i z_c + z_i r_i after the coarse correction. No
-factor of a subdomain is kept past setup.
+setup: each reduced bordered matrix is factorized by LAPACK's blocked
+Bunch-Kaufman sytrf and inverted in the factor's storage by sytri, always
+densely (its order is that of the interface, not of the subdomain). The
+free-dof block z_i of the inverse is the subdomain's constrained-solve
+operator, and the basis psi_i comes from products with it. A level stacks
+z_i and psi_i over the subdomains that share a shape (free dofs, interface
+dofs, constraints; a few shapes per level), so one preconditioner cycle is a
+few batched products per level: z_i r_i and psi_i^T r_i (the multipliers,
+i.e. the restricted coarse residuals), then psi_i z_c + z_i r_i after the
+coarse correction. No factor of a subdomain is kept past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
@@ -41,12 +41,12 @@ level come from one construction over the coarse nodes and their members
 group, whatever does not depend on the Schur complements (dense positions of
 its matrix rows, interface orders, point rows with their dofs and values,
 average rows, the right-hand sides' constant blocks) is indexed once for all
-of its members; only the dense factorizations (Cholesky of K_II and
-triangular solves for S_i, then sytrf and sytri for the bordered matrix) and
-the products with their results run once per subdomain, writing z_i, psi_i
-and the coarse matrices into the group's stacks. All reductions accumulate
-in a fixed order (shape groups, then subdomains), so results are bitwise
-reproducible.
+of its members; only the dense kernels (a band triangular solve with the
+subdomain's own columns of the level's K_II factor and a rank-k update for
+S_i, then sytrf and sytri for the bordered matrix) and the products with
+their results run once per subdomain, writing z_i, psi_i and the coarse
+matrices into the group's stacks. All reductions accumulate in a fixed order
+(shape groups, then subdomains), so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpotrf, dsytrf, dsytri, dtrtrs
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri
 
-from . import sparse
-from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
+from .errors import NumericalError, SingularMatrixError
 from .grid import LevelGrid
 from .interface import (
     CoarseSpace,
@@ -251,13 +251,16 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     nonsingular exactly when [S C^T; C 0] is. The fixed dofs' values g enter
     its right-hand sides as [-S_fp g; e_a - C_ap g]. B is dense and
     symmetric indefinite: LAPACK's Bunch-Kaufman sytrf factorizes a copy of
-    it, sytri turns that factor into B^-1 in its own storage, and the lower
-    triangle is mirrored, so B^-1 is exactly symmetric; every solve is a
-    product with it. What does not depend on S (which rows are point rows,
-    their dofs and values, the average rows in interface order, the
-    right-hand sides' other blocks) is indexed once for the whole group;
-    only the factorization, the inversion and the products with the inverse
-    run once per member.
+    it, with the workspace sytrf_lwork reports for the group's order (which
+    selects sytrf's blocked path), sytri turns that factor into B^-1 in its
+    own storage, and the lower triangle is mirrored, so B^-1 is exactly
+    symmetric. An average row's right-hand side is the unit vector e_a, so
+    its solution is read straight off B^-1's columns; only the point rows'
+    columns and the check probe are products with B^-1. What does not
+    depend on S (which rows are point rows, their dofs and values, the
+    average rows in interface order, the right-hand sides' other blocks) is
+    indexed once for the whole group; only the factorization, the inversion
+    and the products with the inverse run once per member.
 
     Fills the group's stacks: z = (B^-1)_ff (n_free x n_free, free dofs
     ascending) is the constrained-solve operator: the free-dof values of
@@ -272,9 +275,9 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     "bunch-kaufman" ("empty" when B has order 0, every interface dof being
     fixed), order and B as a CSR, without the factor.
 
-    The basis product carries the factor's setup check as one extra column,
-    the check probe, and only that column's residual is checked, so the
-    check covers the inverse that the preconditioner applies. A member whose
+    The point rows' product carries the factor's setup check as one extra
+    column, the check probe, and only that column's residual is checked, so
+    the check covers the inverse that the preconditioner applies. A member whose
     inverse is inaccurate raises NumericalError, and one whose bordered
     matrix is singular (a zero pivot block in sytrf or sytri; two point
     constraints on one dof, say) raises SingularMatrixError; either names
@@ -303,12 +306,12 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     c_a = np.zeros((m, na, nb))                             # the average rows, in S's order
     c_a[mem, avg_row[mem, row], g.rank[mem, col]] = entries.data[~on_point]
     c_ap = np.take_along_axis(c_a, fix[:, None, :], axis=2)  # the fixed dofs' columns
-    # the average rows of the right-hand sides, and the check probe
+    # the average rows of the point rows' right-hand sides, and the check probe
     b = probe_rhs(n)
-    rhs_a = np.zeros((m, na, nc + 1))
-    rhs_a[slot[..., None], np.arange(na)[:, None], prow[:, None, :]] = -c_ap / val[:, None, :]
-    rhs_a[slot, np.arange(na), avg] = 1.0
-    rhs_a[:, :, nc] = b[nf:]
+    rhs_a = np.empty((m, na, n_fix + 1))
+    rhs_a[:, :, :n_fix] = -c_ap / val[:, None, :]
+    rhs_a[:, :, n_fix] = b[nf:]
+    lwork = int(dsytrf_lwork(n, lower=1)[0])               # sytrf's blocked path
     ax = np.empty((m, n))                                   # B times the probe's solution
     a = np.zeros((n, n))
     cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))
@@ -328,7 +331,7 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
                                 symmetric=True)
         inv = a                                             # order 0: nothing to invert
         if n:
-            ldu, ipiv, info = dsytrf(a, lower=1)            # a copy: a is kept for the check
+            ldu, ipiv, info = dsytrf(a, lower=1, lwork=lwork)  # a copy, kept for the check
             if info == 0:
                 inv, info = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
             if info != 0:
@@ -339,16 +342,19 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
         records.append(Factorization(n=n, method="bunch-kaufman" if n else "empty",
                                      matrix=bordered, offsets=np.array([0, n]), _payload=None))
         s_p = s[fix[j]]                                     # the fixed dofs' rows of S
-        rhs = np.zeros((n, nc + 1))
-        rhs[:nf, prow[j]] = -s_p[:, :nf].T / val[j]
-        rhs[:nf, nc] = b[:nf]
+        rhs = np.empty((n, n_fix + 1))
+        rhs[:nf, :n_fix] = -s_p[:, :nf].T / val[j]
+        rhs[:nf, n_fix] = b[:nf]
         rhs[nf:] = rhs_a[j]
-        sol = inv @ rhs
-        ax[j] = a @ sol[:, nc]
+        x = inv @ rhs
+        ax[j] = a @ x[:, n_fix]
+        sol = np.empty((n, nc))
+        sol[:, prow[j]] = x[:, :n_fix]
+        sol[:, avg[j]] = inv[:, nf:]                       # unit right-hand sides
         psi = np.zeros((nb, nc))                            # in S's order
-        psi[:nf] = sol[:nf, :nc]
+        psi[:nf] = sol[:nf]
         psi[fix[j], prow[j]] = 1.0 / val[j]
-        lam_a = sol[nf:, :nc]
+        lam_a = sol[nf:]
         kc = np.empty((nc, nc))
         kc[avg[j]] = -lam_a
         kc[prow[j]] = (s_p @ psi + c_ap[j].T @ lam_a) / val[j][:, None]
@@ -469,57 +475,54 @@ def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
                          for kc, d, s in zip(k_elems, dof_lists, partition.assignment)])
 
 
-def _local_schur(k_csr, splits: LevelSplits, g: ShapeGroup):
+def _local_schur(splits: LevelSplits, g: ShapeGroup):
     """Yield the dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB
-    of each member of shape group g in turn, from the level's block-diagonal
-    CSR k_csr, with rows and columns in the member's interface order
-    (g.order). K_II is SPD: the level's stacked K_II factor passed its setup
-    check.
+    of each member of shape group g in turn, from the level's stacked K_IB,
+    K_BB and K_II factor, with rows and columns in the member's interface
+    order (g.order). K_II is SPD: the level's stacked K_II factor passed its
+    setup check.
 
-    Every row of the group's blocks gets its dense position once for the
-    whole group: interior dofs first, in order, then the interface in
-    interface order. Up to sparse.DENSE_THRESHOLD local dofs, a member's
-    block is read straight from the CSR arrays (it has no entries outside
-    its own columns) into one dense array at those positions: S = K_BB -
-    W^T W with W = L^-1 K_IB, K_II = L L^T. Larger subdomains never become
-    dense: their K_II is factorized by `factorize` (band Cholesky while its
-    band storage fits DENSE_THRESHOLD**2 entries, SuperLU above) and solved
-    for the n_B columns of K_IB only.
+    A member's K_IB and K_BB are read straight from the stacked CSR arrays
+    (a member has no entries outside its own columns) into dense arrays in
+    interface order. Its K_II block is never made dense: S = K_BB - W^T W
+    with W = L^-1 K_IB by a band triangular solve with its own columns of
+    the level's band Cholesky factor, W^T W by one rank-k update of S's
+    lower triangle, then mirrored, so S is exactly symmetric. Where the
+    level's factor is SuperLU, each member factorizes its own K_II block
+    with `factorize` (band Cholesky while it fits the budget), and a member
+    whose own factor is SuperLU too takes S = K_BB - K_IB^T K_II^-1 K_IB by
+    a solve for the n_B columns of K_IB.
     """
     nb = g.iface.shape[1]
-    lo = splits.offsets[g.subs]
-    n_local = splits.offsets[g.subs + 1] - lo
-    pos = np.empty(k_csr.shape[0], dtype=np.int64)
-    int_offsets = splits.interior_offsets
-    pos[splits.interior_rows] = (np.arange(int_offsets[-1])
-                                 - np.repeat(int_offsets[:-1], np.diff(int_offsets)))
-    pos[splits.interface_rows[g.iface]] = (n_local - nb)[:, None] + g.rank
-    for a, n in zip(lo.tolist(), n_local.tolist()):
-        n_i = n - nb
-        if n > sparse.DENSE_THRESHOLD:
-            local = np.argsort(pos[a:a + n])        # interior, then interface order
-            blk = k_csr[a:a + n, a:a + n]
-            rows_i = blk[local[:n_i]]
-            k_ib = rows_i[:, local[n_i:]].toarray(order="F")
-            k_ii = factorize(SparseMatrix.from_scipy(rows_i[:, local[:n_i]], symmetric=True))
-            s = blk[local[n_i:]][:, local[n_i:]].toarray() - k_ib.T @ k_ii.solve(k_ib)
+    fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
+    col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
+    col[g.iface] = g.rank
+    lower = np.tri(nb, dtype=bool)
+    for j, i in enumerate(g.subs.tolist()):
+        lo, hi = splits.interior_offsets[i:i + 2]
+        ptr = k_bb.indptr[splits.iface_offsets[i]:splits.iface_offsets[i + 1] + 1]
+        entries = slice(ptr[0], ptr[-1])
+        s = np.zeros((nb, nb), order="F")
+        s[np.repeat(g.rank[j], np.diff(ptr)), col[k_bb.indices[entries]]] = k_bb.data[entries]
+        if lo == hi or nb == 0:
+            yield s
+            continue
+        ptr = k_ib.indptr[lo:hi + 1]
+        entries = slice(ptr[0], ptr[-1])
+        w = np.zeros((hi - lo, nb), order="F")
+        w[np.repeat(np.arange(hi - lo), np.diff(ptr)), col[k_ib.indices[entries]]] = \
+            k_ib.data[entries]
+        own, block = fact, i
+        if fact.method == "splu":
+            own, block = factorize(SparseMatrix(fact.matrix.scipy_csr()[lo:hi, lo:hi],
+                                                symmetric=True)), 0
+        if own.method == "splu":
+            s -= w.T @ own.solve(w)
             yield (s + s.T) * 0.5
             continue
-        ptr = k_csr.indptr[a:a + n + 1]
-        entries = slice(ptr[0], ptr[-1])
-        kd = np.zeros((n, n), order="F")
-        kd[np.repeat(pos[a:a + n], np.diff(ptr)), pos[k_csr.indices[entries]]] = \
-            k_csr.data[entries]
-        if n_i in (0, n):
-            yield kd[n_i:, n_i:]
-            continue
-        low, info = dpotrf(kd[:n_i, :n_i], lower=1)
-        if info != 0:
-            raise NotPositiveDefiniteError(
-                f"interior block is not positive definite (potrf info={info})")
-        w, _ = dtrtrs(low, kd[:n_i, n_i:], lower=1)
-        s = kd[n_i:, n_i:] - w.T @ w
-        yield (s + s.T) * 0.5
+        s = dsyrk(-1.0, own.lower_solve(block, w), beta=1.0, c=s, trans=1, lower=1,
+                  overwrite_c=1)
+        yield np.where(lower, s, s.T)
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, keys,
@@ -532,11 +535,10 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
     coarse = build_coarse_space(globset, corners, grid, part, policy)
     groups = _shape_groups(build_constraints(coarse, globset, splits, imap),
                            splits.iface_offsets)
-    k_csr = k.scipy_csr()
     subs, failed = [None] * len(splits), []
     for g in groups:
         try:
-            records = coarse_basis(g, _local_schur(k_csr, splits, g))
+            records = coarse_basis(g, _local_schur(splits, g))
         except NumericalError as exc:
             if getattr(exc, "subdomain", None) is None:
                 raise

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 
@@ -191,6 +191,15 @@ class Factorization:
             raise NumericalError(
                 f"factor solve is inaccurate in diagonal block {j}: relative "
                 f"residual {rel[bad[0]]:.1e} on the check probe, above {REFINE_TOL:.0e}")
+
+    def lower_solve(self, j: int, b: np.ndarray) -> np.ndarray:
+        """L_j^-1 b for diagonal block j of a band Cholesky factor L L^T, b
+        a block of rhs columns over that block's rows (overwritten when it
+        is F-ordered). Block j's columns of the band storage are its own
+        band factor L_j, since a block-diagonal matrix fills in only inside
+        its blocks."""
+        lo, hi = self.offsets[j], self.offsets[j + 1]
+        return dtbtrs(self._payload[:, lo:hi], b, uplo="L", overwrite_b=1)[0]
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":

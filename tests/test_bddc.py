@@ -188,7 +188,7 @@ def test_basis_without_interior_matches_full_solve():
     assert np.array_equal(iface_offsets, splits.iface_offsets)
     g = [g for g in _shape_groups(cons, iface_offsets) if 1 in g.subs][0]
     order = g.order[0]
-    s, = _local_schur(blocks.scipy_csr(), splits, g)
+    s, = _local_schur(splits, g)
     assert np.array_equal(s, k[np.ix_(order, order)])
     coarse_basis(g, [s])
     bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
@@ -214,7 +214,7 @@ def test_local_schur_reads_members_of_different_sizes():
     cons, iface_offsets = hand_constraints([c, c], [["corner"], ["corner"]])
     g, = _shape_groups(cons, iface_offsets)
     assert np.array_equal(g.subs, [0, 1])
-    for kd, s, interior in zip(mats, _local_schur(blocks.scipy_csr(), splits, g),
+    for kd, s, interior in zip(mats, _local_schur(splits, g),
                                ([0], [2, 3])):
         b = [1, 2] if interior == [0] else [0, 1]
         ref = kd[np.ix_(b, b)] - kd[np.ix_(interior, b)].T @ np.linalg.solve(
@@ -266,6 +266,41 @@ def test_point_constraints_inside_averages_match_full_solve():
     assert rel_err(z_b, ref[:7]) <= 1e-12
     assert rel_err(mu, ref[7:]) <= 1e-12
     assert z_b[2] == z_b[5] == 0.0
+
+
+@pytest.mark.parametrize("nb", [40, 120])
+def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
+    # bordered orders below and above LAPACK's sytrf block size (64), so
+    # both its unblocked and its blocked path run with the workspace that
+    # sytrf_lwork reports; psi, the coarse matrix and z equal the dense
+    # solve of [S C^T; C 0]
+    rng = np.random.default_rng(nb)
+    q = rng.standard_normal((nb, nb))
+    s = q @ q.T + nb * np.eye(nb)
+    c = np.zeros((7, nb))
+    c[[0, 1, 2], [0, nb // 2, nb - 1]] = 1.0                      # corners
+    for r, part in enumerate(np.array_split(np.arange(1, nb - 1), 4)):
+        c[3 + r, part] = 1.0 / part.size                          # averages
+    orders = []
+
+    def recorded(a, **kwargs):
+        orders.append((a.shape[0], kwargs["lwork"]))
+        return scipy.linalg.lapack.dsytrf(a, **kwargs)
+
+    monkeypatch.setattr(bddc, "dsytrf", recorded)
+    g, (fact, z, psi, kc) = hand_basis(s, c, ["corner"] * 3 + ["edge"] * 4)
+    n = (nb - 3) + 4
+    assert fact.n == n and orders == [(n, int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0]))]
+    assert (n > 64) == (nb > 64)
+    bordered = np.block([[s, c.T], [c, np.zeros((7, 7))]])
+    free = g.order[0, :nb - 3]
+    rhs = np.zeros((nb + 7, 7 + free.size))
+    rhs[nb:, :7] = np.eye(7)
+    rhs[free, 7 + np.arange(free.size)] = 1.0
+    ref = np.linalg.solve(bordered, rhs)
+    assert rel_err(psi, ref[:nb, :7]) <= 1e-12
+    assert rel_err(kc, -ref[nb:, :7]) <= 1e-12
+    assert rel_err(z, ref[free, 7:]) <= 1e-12
 
 
 def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
@@ -660,29 +695,80 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
         assert np.linalg.norm(rows @ z_b) <= 1e-12 * scale
 
 
+def half_bandwidth(csr) -> int:
+    return int(np.max(np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)) - csr.indices))
+
+
+def check_against_full_local_problems(lv, level):
+    """Every subdomain's S (through _local_schur), psi and coarse matrix
+    equal the dense oracle's, the full bordered solve of [K C^T; C 0]."""
+    for g in level.groups:
+        for j, s in enumerate(_local_schur(level.splits, g)):
+            split = level.splits[g.subs[j]]
+            _, s_ref = full_local_problem(lv, split, constraint_rows(level, split.index))
+            assert np.array_equal(s, s.T)
+            assert rel_err(s, s_ref[np.ix_(g.order[j], g.order[j])]) <= 1e-12
+    for sub, split in zip(level.subs, level.splits):
+        bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
+        n, nc = split.local_dofs.size, len(sub.constraints.tags)
+        ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
+        assert rel_err(sub.psi, ref[split.interface_pos]) <= 1e-12
+        assert rel_err(sub.coarse_matrix, -ref[n:]) <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["cross2d", "elasticity3d"])
 def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeypatch):
-    # above DENSE_THRESHOLD local dofs the interior is eliminated with a
-    # `factorize` K_II factor (band or SuperLU), never a dense copy of the
-    # subdomain block; S_i, psi and the coarse matrices equal the dense
-    # path's
+    # every subdomain above DENSE_THRESHOLD local dofs, on a level whose
+    # stacked K_II still fits the band budget: each S_i comes from a band
+    # triangular solve with the member's own columns of the level's factor,
+    # with no factor of its own and no dense K_II, and S_i, psi and the
+    # coarse matrices equal the dense oracle's
     lv = request.getfixturevalue(name)
-    k_csr = lv.k.scipy_csr()
-    dense = make_bddc(lv).levels[0]
-    s_dense = [list(_local_schur(k_csr, lv.splits, g)) for g in dense.groups]
-    # below every subdomain's order: the elimination changes path, and the
-    # dense one is never reached
-    threshold = max(sub.bordered.n for sub in dense.subs)
+    k_ii = lv.splits.k_ii_fact.matrix.scipy_csr()
+    threshold = int(np.ceil(np.sqrt((half_bandwidth(k_ii) + 1) * k_ii.shape[0])))
     assert threshold < min(split.local_dofs.size for split in lv.splits)
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
-    monkeypatch.setattr(bddc, "dpotrf", None)
-    for g, ref in zip(dense.groups, s_dense):
-        for s, s_ref in zip(_local_schur(k_csr, lv.splits, g), ref, strict=True):
-            assert rel_err(s, s_ref) <= 1e-12
-    for sub, ref in zip(make_bddc(lv).levels[0].subs, dense.subs):
-        assert sub.bordered.method == ref.bordered.method == "bunch-kaufman"
-        assert rel_err(sub.psi, ref.psi) <= 1e-12
-        assert rel_err(sub.coarse_matrix, ref.coarse_matrix) <= 1e-12
+    level = make_bddc(lv).levels[0]
+    assert level.splits.k_ii_fact.method == "cholesky"
+    calls = {"factorize": 0, "lower_solve": 0}
+    lower_solve = Factorization.lower_solve
+
+    def counted_lower_solve(self, j, b):
+        calls["lower_solve"] += 1
+        return lower_solve(self, j, b)
+
+    def counted_factorize(*args, **kwargs):
+        calls["factorize"] += 1
+        return sparse.factorize(*args, **kwargs)
+
+    monkeypatch.setattr(Factorization, "lower_solve", counted_lower_solve)
+    monkeypatch.setattr(bddc, "factorize", counted_factorize)
+    check_against_full_local_problems(lv, level)
+    assert calls == {"factorize": 0, "lower_solve": len(level.splits)}
+
+
+def test_superlu_level_factor_falls_back_to_member_band_factors(dirichlet_x2d, monkeypatch):
+    # a budget that every subdomain fits but the level's stacked K_II does
+    # not: the level factor is SuperLU, each member factorizes its own K_II
+    # block as a band Cholesky, and S_i, psi and the coarse matrices equal
+    # the dense oracle's
+    lv = dirichlet_x2d
+    threshold = max(split.local_dofs.size for split in lv.splits)
+    k_ii = lv.splits.k_ii_fact.matrix.scipy_csr()
+    assert (half_bandwidth(k_ii) + 1) * k_ii.shape[0] > threshold ** 2
+    monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
+    level = make_bddc(lv).levels[0]
+    assert level.splits.k_ii_fact.method == "splu"
+    methods = []
+
+    def recorded(*args, **kwargs):
+        fact = sparse.factorize(*args, **kwargs)
+        methods.append(fact.method)
+        return fact
+
+    monkeypatch.setattr(bddc, "factorize", recorded)
+    check_against_full_local_problems(lv, level)
+    assert methods == ["cholesky"] * len(level.splits)
 
 
 @pytest.mark.parametrize("name,coarse_counts", [("cross2d", (2,)), ("elasticity3d_edges", ())])

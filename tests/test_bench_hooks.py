@@ -3,7 +3,9 @@
 bench/tracing.py patches module functions and class methods by name, and
 bench/census.py reads the preconditioner's attributes. Both are loaded
 read-only from the bench directory, so a renamed or deleted hook fails
-here and not only in the benchmark's own self-tests.
+here and not only in the benchmark's own self-tests. The setup kernels the
+benchmark times are guarded here too, so a silent return to a slower path
+fails tier-1 as well.
 """
 
 import importlib
@@ -11,7 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from mlbddc import load_config, run_experiment
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
+
+from mlbddc import bddc, load_config, run_experiment
+from mlbddc.sparse import factorize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 THREE_LEVEL = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
@@ -69,3 +74,27 @@ def test_census_runs_on_three_levels():
     # a fall back to SuperLU fails here and not only in the benchmark
     assert [lv.splits.k_ii_fact.method for lv in prec.levels] == ["cholesky"] * 2
     assert prec.top.method == "cholesky"
+
+
+def test_setup_takes_the_level_factor_and_blocked_sytrf(monkeypatch):
+    # at the default budget every level's stacked K_II is a band factor, so
+    # _local_schur factorizes no member (the one factorize call of setup is
+    # the top matrix), and every sytrf gets the workspace sytrf_lwork reports,
+    # which selects its blocked path: a return to per-member factors or to
+    # the unblocked sytrf fails here and not only in the benchmark
+    orders, bordered = [], []
+
+    def counted_factorize(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return factorize(a, *args, **kwargs)
+
+    def recorded_dsytrf(a, **kwargs):
+        bordered.append((a.shape[0], kwargs.get("lwork")))
+        return dsytrf(a, **kwargs)
+
+    monkeypatch.setattr(bddc, "factorize", counted_factorize)
+    monkeypatch.setattr(bddc, "dsytrf", recorded_dsytrf)
+    prec = run_experiment(load_config(overrides=THREE_LEVEL)).preconditioner
+    assert orders == [prec.top.n]
+    assert len(bordered) == sum(len(lv.subs) for lv in prec.levels)
+    assert all(lwork == int(dsytrf_lwork(n, lower=1)[0]) for n, lwork in bordered)

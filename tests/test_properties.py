@@ -45,7 +45,7 @@ FACES = ["all", "x-"]
 PINS = Path(__file__).with_name("preconditioner_pins.json")
 
 
-def overrides(dim, hierarchy, problem, policy, strategy, faces):
+def config_overrides(dim, hierarchy, problem, policy, strategy, faces):
     return [f"dim={dim}", f"elements={MESHES[dim][0]}", f"hierarchy={hierarchy}",
             f"problem={problem}", f"constraint_policy={policy}",
             f"corner_strategy={strategy}", f"dirichlet_faces={faces}", "tolerance=1e-10"]
@@ -54,14 +54,14 @@ def overrides(dim, hierarchy, problem, policy, strategy, faces):
 @st.composite
 def configs(draw):
     dim = draw(st.sampled_from([2, 3]))
-    return overrides(dim, draw(st.sampled_from(MESHES[dim][1])), draw(st.sampled_from(PROBLEMS)),
-                     draw(st.sampled_from(POLICIES)), draw(st.sampled_from(STRATEGIES)),
-                     draw(st.sampled_from(FACES)))
+    return config_overrides(dim, draw(st.sampled_from(MESHES[dim][1])),
+                            draw(st.sampled_from(PROBLEMS)), draw(st.sampled_from(POLICIES)),
+                            draw(st.sampled_from(STRATEGIES)), draw(st.sampled_from(FACES)))
 
 
 def grid() -> list:
     """Every configuration `configs` can draw, in a fixed order."""
-    return [overrides(dim, hierarchy, *rest)
+    return [config_overrides(dim, hierarchy, *rest)
             for dim in MESHES for hierarchy in MESHES[dim][1]
             for rest in itertools.product(PROBLEMS, POLICIES, STRATEGIES, FACES)]
 
