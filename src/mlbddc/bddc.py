@@ -9,43 +9,47 @@ with S_i = K_BB,i - K_IB,i^T K_II,i^-1 K_IB,i the subdomain's dense Schur
 complement and C_i its constraint rows over the interface dofs. It is the
 full problem [K_i C_i^T; C_i 0] with the interior eliminated: every apply
 hands a subdomain a residual that is zero on its interior and reads back
-only interface values and multipliers. A corner constraint fixes one
-interface dof outright, so that dof and its multiplier row are eliminated
-as well (Dohrmann, SIAM J. Sci. Comput. 25, 2003): what is factorized is
-[S_ff C_af^T; C_af 0] over the free dofs f and the average rows a, which
-is nonsingular exactly when the full matrix is. Its basis columns (unit
-constraint values) span the coarse space. The negated Lagrange block of
-the basis solve is the subdomain's coarse element matrix (its corner rows
-recovered from the fixed dofs' equations); assembling those over the
-coarse dofs yields the next level's problem, which is either factorized
-directly (top level) or split again into subdomains over a pseudo-mesh.
-Applications at levels past the first condense the full residual onto the
-interface before the cycle and recover the interiors after it, with the
-condensation and recovery of the level-1 solve (substructuring), so the
-recursion only ever sees interface residuals; each is one block-diagonal
-interior solve per level. The constrained local problems are solved once, at
-setup: each reduced bordered matrix is factorized by LAPACK's blocked
-Bunch-Kaufman sytrf and inverted in the factor's storage by sytri, always
-densely (its order is that of the interface, not of the subdomain). The
-free-dof block z_i of the inverse is the subdomain's constrained-solve
-operator, and the basis psi_i comes from products with it. A level stacks
-z_i and psi_i over the subdomains that share a shape (free dofs, interface
-dofs, constraints; a few shapes per level), so one preconditioner cycle is a
-few batched products per level: z_i r_i and psi_i^T r_i (the multipliers,
-i.e. the restricted coarse residuals), then psi_i z_c + z_i r_i after the
-coarse correction. No factor of a subdomain is kept past setup.
+only interface values and multipliers. Every constraint eliminates one
+interface dof, so no multiplier is ever formed: a corner fixes its dof
+outright (Dohrmann, SIAM J. Sci. Comput. 25, 2003), and an average, which
+shares no dof with another, gives one of its dofs, its master, in terms of
+the others. This is the null-space method (Benzi, Golub & Liesen, Acta
+Numerica 14, 2005, sec. 6), in BDDC terms a change of basis (Li & Widlund,
+IJNME 66, 2006). What is factorized is the SPD matrix A_i = N_i^T S_ff,i N_i
+of order n_interface - n_constraints, with N_i a basis of the average rows'
+null space over the free dofs f; it is nonsingular exactly when the full
+matrix is. The basis columns (unit constraint values) span the coarse
+space, and their energy psi_i^T S_i psi_i is the subdomain's coarse element
+matrix; assembling those over the coarse dofs yields the next level's
+problem, which is either factorized directly (top level) or split again
+into subdomains over a pseudo-mesh. Applications at levels past the first
+condense the full residual onto the interface before the cycle and recover
+the interiors after it, with the condensation and recovery of the level-1
+solve (substructuring), so the recursion only ever sees interface
+residuals; each is one block-diagonal interior solve per level. The
+constrained local problems are solved once, at setup: each A_i is
+factorized by LAPACK's Cholesky potrf and inverted in the factor's storage
+by potri, always densely (its order is below that of the interface).
+z_i = N_i A_i^-1 N_i^T over the free dofs is the subdomain's
+constrained-solve operator, and the basis psi_i comes from products with
+A_i^-1. A level stacks z_i and psi_i over the subdomains that share a shape
+(free dofs, interface dofs, constraints; a few shapes per level), so one
+preconditioner cycle is a few batched products per level: z_i r_i and
+psi_i^T r_i (the multipliers, i.e. the restricted coarse residuals), then
+psi_i z_c + z_i r_i after the coarse correction. No factor of a subdomain
+is kept past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
 (`build_constraints`), which also decides each group's shape. For each
 group, whatever does not depend on the Schur complements (dense positions of
-its matrix rows, interface orders, point rows with their dofs and values,
-average rows, the right-hand sides' constant blocks) is indexed once for all
-of its members; only the dense kernels (a band triangular solve with the
+its matrix rows, interface orders with each row's own dof, the null-space
+bases N_i and particular solutions of the constraints) is indexed once for
+all of its members; only the dense kernels (a band triangular solve with the
 subdomain's own columns of the level's K_II factor and a rank-k update for
-S_i, then sytrf and sytri for the bordered matrix) and the products with
-their results run once per subdomain, writing z_i, psi_i and the coarse
-matrices into the group's stacks. All reductions accumulate in a fixed order
+S_i, then potrf and potri for A_i) and the products with their results run
+once per subdomain, writing z_i, psi_i and the coarse matrices into the
+group's stacks. All reductions accumulate in a fixed order
 (shape groups, then subdomains), so results are bitwise reproducible.
 """
 
@@ -56,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri
+from scipy.linalg.lapack import dpotrf, dpotri
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 from .grid import LevelGrid
 from .interface import (
     CoarseSpace,
@@ -86,7 +90,7 @@ class LevelConstraints:
 
     A point constraint, a row tagged "corner" with exactly one entry, fixes
     one interface dof; every other row (an average, even one over a single
-    node) is a multiplier row of the constrained local problem."""
+    node) eliminates its master dof (see ShapeGroup)."""
 
     starts: np.ndarray            # (n_subdomains + 1,)
     tags: np.ndarray              # (n_rows,) "corner" | "edge" | "face"
@@ -143,9 +147,12 @@ class ShapeGroup:
     them all.
 
     Member j's constraint rows are rows j * n_constraints onwards of `rows`,
-    with columns ordered like its `split.interface_pos`. Its interface order
-    lists its free dofs (those no point constraint fixes), then the fixed
-    ones, each ascending; its Schur complement is taken in that order."""
+    with columns ordered like its `split.interface_pos`. Every row owns one
+    interface dof: a point row the dof it fixes, an average row its master,
+    the member with the largest |c| that no point row fixes (lowest position
+    on ties). The member's interface order lists the other free dofs
+    ascending, then the masters in row order, then the fixed dofs ascending;
+    its Schur complement is taken in that order."""
 
     subs: np.ndarray              # (m,) the members' subdomain indices
     iface: np.ndarray             # (m, n_interface) positions in the stacked interface
@@ -153,7 +160,7 @@ class ShapeGroup:
     rank: np.ndarray              # (m, n_interface) each local position's place in it
     free: np.ndarray              # (m, n_free) stacked interface positions of the free dofs
     rows: scipy.sparse.csr_matrix  # (m * n_constraints, n_interface) constraint rows
-    point: np.ndarray             # (m, n_constraints) point constraint rows
+    own: np.ndarray               # (m, n_constraints) each row's own dof, place in the order
     tags: np.ndarray              # (m, n_constraints)
     dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
     z: np.ndarray                 # (m, n_free, n_free)
@@ -165,24 +172,43 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
     """Group a level's subdomains by shape (n_free, n_interface,
     n_constraints), in order of first appearance, with room for their
     operators. Subdomain i's interface is stacked interface
-    iface_offsets[i]:iface_offsets[i+1]."""
+    iface_offsets[i]:iface_offsets[i+1]. Two average rows of a subdomain
+    that share an interface dof raise ValueError."""
     n_b, n_c = np.diff(iface_offsets), np.diff(cons.starts)
-    point = (cons.tags == "corner") & (np.bincount(cons.row, minlength=cons.tags.size) == 1)
-    fixed = np.zeros(iface_offsets[-1], dtype=bool)
+    n_rows, n_iface = cons.tags.size, int(iface_offsets[-1])
+    point = (cons.tags == "corner") & (np.bincount(cons.row, minlength=n_rows) == 1)
+    fixed = np.zeros(n_iface, dtype=bool)
     fixed[cons.col[point[cons.row]]] = True
+    cand = np.flatnonzero(~fixed[cons.col])      # the average rows' entries on free dofs
+    if np.bincount(cons.col[cand]).max(initial=0) > 1:
+        raise ValueError("two average rows of a subdomain share an interface dof")
+    # each average row's master: its first free entry by |c| descending, then position
+    cand = cand[np.lexsort((cons.col[cand], -np.abs(cons.val[cand]), cons.row[cand]))]
+    head = cand[np.diff(cons.row[cand], prepend=-1) != 0]
+    # each row's own dof: its master, else one of its entries (a point row's
+    # dof; an average row with no free dof takes a fixed one, owned twice)
+    own = np.zeros(n_rows, dtype=np.int64)
+    own[cons.row] = cons.col
+    own[cons.row[head]] = cons.col[head]
+    # the interface order's key: free dofs by position, masters by row, fixed by position
+    span = max(n_rows, n_iface)
+    key = np.arange(n_iface) + 2 * span * fixed
+    key[cons.col[head]] = span + cons.row[head]
     n_fixed = np.diff(np.concatenate([[0], np.cumsum(fixed)])[iface_offsets])
     shapes = np.column_stack([n_b - n_fixed, n_b, n_c])
     _, first, which = np.unique(shapes, axis=0, return_index=True, return_inverse=True)
     which = which.ravel()
     sub_of = np.repeat(np.arange(n_c.size), n_c)[cons.row]     # subdomain of each entry
+    place = np.empty(n_iface, dtype=np.int64)      # each position's place in its member's order
     groups = []
     for g in np.argsort(first):
         subs = np.flatnonzero(which == g)
         m, (nf, nb, nc) = subs.size, shapes[subs[0]]
         iface = iface_offsets[subs][:, None] + np.arange(nb)
-        order = np.argsort(fixed[iface], axis=1, kind="stable")
+        order = np.argsort(key[iface], axis=1)
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.arange(nb), axis=1)
+        place[iface] = rank
         slot = np.full(n_c.size, -1)
         slot[subs] = np.arange(m)
         mine = np.flatnonzero(slot[sub_of] >= 0)
@@ -194,7 +220,7 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
         groups.append(ShapeGroup(
             subs=subs, iface=iface, order=order, rank=rank,
             free=np.take_along_axis(iface, order[:, :nf], axis=1), rows=rows,
-            point=point[row_ids], tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
+            own=place[own[row_ids]], tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
             z=np.empty((m, nf, nf)), psi=np.empty((m, nb, nc)), kc=np.empty((m, nc, nc))))
     return groups
 
@@ -203,7 +229,8 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
 class SubdomainConstraints:
     """One subdomain's constraint rows by origin (the rows themselves are
     its ShapeGroup's `rows`) and its free dofs (those no point constraint
-    fixes), ascending positions in `split.interface_pos`."""
+    fixes) as positions in `split.interface_pos`, in the order of z: the
+    kept dofs ascending, then the average rows' masters in row order."""
 
     tags: list                    # "corner" | "edge" | "face" per row
     free_dofs: np.ndarray
@@ -211,8 +238,8 @@ class SubdomainConstraints:
 
 @dataclass
 class SubdomainCoarse:
-    """One subdomain's coarse machinery on its interface: the record of its
-    factorized reduced bordered matrix [S_ff C_af^T; C_af 0] (see
+    """One subdomain's coarse machinery on its interface: `bordered`, the
+    record of its factorized constrained problem A = N^T S_ff N (see
     `coarse_basis`; the factor itself is not kept), the constrained-solve
     operator z, the basis psi and its coarse element matrix (views into its
     level's ShapeGroup), and where it assembles."""
@@ -228,7 +255,7 @@ class SubdomainCoarse:
         """Solve [S C^T; C 0][z_b; mu] = [r_b; 0]: the full local problem for
         a residual that is zero on the interior, read back on the interface.
         z_b is zero on the dofs the point constraints fix, and z r_b on the
-        free dofs. Returns (z_b, mu); the bordered matrix is symmetric, so the
+        free dofs. Returns (z_b, mu); [S C^T; C 0] is symmetric, so the
         multipliers mu equal psi^T r_b, the subdomain's coarse residual. The
         preconditioner applies the same operators to all subdomains of a
         shape at once (`MultilevelBddc._interface_apply`)."""
@@ -239,141 +266,120 @@ class SubdomainCoarse:
 
 
 def coarse_basis(g: ShapeGroup, schur) -> list:
-    """Factorize the constrained local problems of a shape group, invert
-    them, and compute their coarse bases; schur yields each member's dense
-    interface Schur complement S in turn (rows and columns in the member's
-    interface order, g.order).
+    """Solve the constrained local problems of a shape group once for all;
+    schur yields each member's dense interface Schur complement S in turn,
+    in the member's interface order g.order (kept free dofs k, masters m,
+    fixed dofs).
 
-    The basis columns solve [S C^T; C 0][psi; lam] = [0; I]. A point constraint
-    fixes its dof p outright (psi_p is 1/c_p in its own column and 0 in the
-    others), so only the reduced matrix B = [S_ff C_af^T; C_af 0] over the
-    free dofs f and the other (average) rows a is factorized; it is
-    nonsingular exactly when [S C^T; C 0] is. The fixed dofs' values g enter
-    its right-hand sides as [-S_fp g; e_a - C_ap g]. B is dense and
-    symmetric indefinite: LAPACK's Bunch-Kaufman sytrf factorizes a copy of
-    it, with the workspace sytrf_lwork reports for the group's order (which
-    selects sytrf's blocked path), sytri turns that factor into B^-1 in its
-    own storage, and the lower triangle is mirrored, so B^-1 is exactly
-    symmetric. An average row's right-hand side is the unit vector e_a, so
-    its solution is read straight off B^-1's columns; only the point rows'
-    columns and the check probe are products with B^-1. What does not
-    depend on S (which rows are point rows, their dofs and values, the
-    average rows in interface order, the right-hand sides' other blocks) is
-    indexed once for the whole group; only the factorization, the inversion
-    and the products with the inverse run once per member.
+    Every constraint row eliminates the dof it owns (see ShapeGroup): a
+    point row fixes it, and an average row's master is x_m = -sum_k (c_k /
+    c_m) x_k over the row's kept dofs. So N = [I; G], with G (n_masters x
+    n_kept) built once for the group, spans the null space of the average
+    rows over the free dofs f, and A = N^T S_ff N is SPD of order
+    n_interface - n_constraints: formed as S_f N = S_fk + S_fm G, A = (S_f
+    N)_k + G^T (S_f N)_m, mirrored from its lower triangle, factorized by
+    LAPACK's potrf and inverted in the factor's storage by potri. X puts 1/c
+    on each row's own dof, and on the masters whatever cancels the fixed
+    dofs an average row covers, so that C X = I; it is built once for the
+    group too, and only the kernels and their products run per member.
 
-    Fills the group's stacks: z = (B^-1)_ff (n_free x n_free, free dofs
-    ascending) is the constrained-solve operator: the free-dof values of
-    the solution of [S C^T; C 0][z; mu] = [r; 0] are z r_f. psi (n_interface
-    x n_constraints, in interface_pos order) holds the interface values of
-    the constrained energy minimizers with unit constraint values, and the
-    coarse matrix kc is the negated multiplier block (= psi^T S psi),
-    symmetrized: -lam_a on the average rows and (S_pB psi + C_ap^T lam_a)/c_p
-    on the point rows, from the fixed dofs' own equations. Both equal those
-    of the full local problem [K C^T; C 0], whose minimizers are discrete
-    harmonic inside. Returns each member's factorization record: method
-    "bunch-kaufman" ("empty" when B has order 0, every interface dof being
-    fixed), order and B as a CSR, without the factor.
+    Fills the group's stacks: z = N A^-1 N^T (kept dofs, then masters), by
+    blocks and exactly symmetric, is the constrained-solve operator (the
+    free dofs of the solution of [S C^T; C 0][z; mu] = [r; 0] are z r_f).
+    With V = N^T (S X)_f and U = A^-1 V, psi = X - N U (in interface_pos
+    order) holds the constrained energy minimizers with unit constraint
+    values, and the coarse matrix is psi^T S psi = X^T S X - V^T U,
+    symmetrized. Returns each member's record of A: method "cholesky"
+    ("empty" at order 0), order and A as a CSR, without the factor.
 
-    The point rows' product carries the factor's setup check as one extra
-    column, the check probe, and only that column's residual is checked, so
-    the check covers the inverse that the preconditioner applies. A member whose
-    inverse is inaccurate raises NumericalError, and one whose bordered
-    matrix is singular (a zero pivot block in sytrf or sytri; two point
-    constraints on one dof, say) raises SingularMatrixError; either names
+    The setup check applies A to A^-1 b for the check probe b, so it covers
+    the inverse that the preconditioner applies. A member whose inverse is
+    inaccurate raises NumericalError, one whose A meets a non-positive pivot
+    NotPositiveDefiniteError, and one whose rows do not own distinct dofs
+    (two point constraints on one dof, say) SingularMatrixError; each names
     the member's subdomain index (also set as the exception's `subdomain`).
     """
     m, nb, nc = g.psi.shape
     nf = g.z.shape[1]
-    n_fix = nb - nf
-    na = nc - n_fix
-    n = nf + na
-    slot = np.arange(m)[:, None]
-    by_kind = np.argsort(~g.point, axis=1, kind="stable")   # point rows, then averages
-    prow, avg = by_kind[:, :n_fix], by_kind[:, n_fix:]
-    doubled = np.count_nonzero(g.point, axis=1) > n_fix    # two point rows on one dof
+    nk = max(nb - nc, 0)                                    # the order of A
+    na = nf - nk
+    singular = (np.diff(np.sort(g.own, axis=1), axis=1) == 0).any(axis=1)
     entries = g.rows.tocoo()
     mem, row = np.divmod(entries.row, max(nc, 1))         # member and row of each entry
-    on_point = g.point[mem, row]
-    pdof, val = np.zeros((m, nc), dtype=np.int64), np.zeros((m, nc))
-    pdof[mem[on_point], row[on_point]] = entries.col[on_point]
-    val[mem[on_point], row[on_point]] = entries.data[on_point]
-    pdof, val = np.take_along_axis(pdof, prow, axis=1), np.take_along_axis(val, prow, axis=1)
-    fix = np.take_along_axis(g.rank, pdof, axis=1)         # each point row's dof in S
-    avg_row = np.empty((m, nc), dtype=np.int64)
-    avg_row[slot, avg] = np.arange(na)
-    mem, row, col = mem[~on_point], row[~on_point], entries.col[~on_point]
-    c_a = np.zeros((m, na, nb))                             # the average rows, in S's order
-    c_a[mem, avg_row[mem, row], g.rank[mem, col]] = entries.data[~on_point]
-    c_ap = np.take_along_axis(c_a, fix[:, None, :], axis=2)  # the fixed dofs' columns
-    # the average rows of the point rows' right-hand sides, and the check probe
-    b = probe_rhs(n)
-    rhs_a = np.empty((m, na, n_fix + 1))
-    rhs_a[:, :, :n_fix] = -c_ap / val[:, None, :]
-    rhs_a[:, :, n_fix] = b[nf:]
-    lwork = int(dsytrf_lwork(n, lower=1)[0])               # sytrf's blocked path
-    ax = np.empty((m, n))                                   # B times the probe's solution
-    a = np.zeros((n, n))
-    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))
-    lower = np.tri(n, dtype=bool)
+    pos, own, val = g.rank[mem, entries.col], g.own[mem, row], entries.data
+    keep = ~singular[mem]
+    at_own = keep & (pos == own)
+    c = np.ones((m, nc))
+    c[mem[at_own], row[at_own]] = val[at_own]
+    owner = np.zeros((m, nb), dtype=np.int64)
+    owner[mem[at_own], pos[at_own]] = row[at_own]
+    x = np.zeros((m, nb - nk, nc))                          # X below the kept dofs
+    x[mem[at_own], pos[at_own] - nk, row[at_own]] = 1.0 / val[at_own]
+    e = keep & (pos >= nf) & (pos != own)                   # an average row on a fixed dof
+    q = owner[mem[e], pos[e]]
+    x[mem[e], own[e] - nk, q] = -val[e] / (c[mem[e], row[e]] * c[mem[e], q])
+    e = keep & (pos < nk)                                   # an average row on a kept dof
+    gk = np.zeros((m, na, nk))
+    gk[mem[e], own[e] - nk, pos[e]] = -val[e] / c[mem[e], row[e]]
+    b = probe_rhs(nk)
+    ax = np.empty((m, nk))                                  # A times the probe's solution
+    cols = np.broadcast_to(np.arange(nk, dtype=np.int32), (nk, nk))
+    lower = np.tri(nk, dtype=bool)
     records, stop = [], None
     for j, s in enumerate(schur):
-        if doubled[j]:
-            stop = SingularMatrixError("two point constraints fix the same interface dof")
+        if singular[j]:
+            stop = SingularMatrixError("its constraint rows do not own distinct interface dofs")
             break
-        a[:nf, :nf] = s[:nf, :nf]
-        a[nf:, :nf] = c_a[j, :, :nf]
-        a[:nf, nf:] = c_a[j, :, :nf].T
+        sx = s[:, nk:] @ x[j]                               # S X
+        a, v = s[:nk, :nk], sx[:nk]                         # A and V, when G is empty
+        if na:
+            sn = s[:nf, :nk] + s[:nf, nk:nf] @ gk[j]
+            a = sn[:nk] + gk[j].T @ sn[nk:]
+            a = np.where(lower, a, a.T)
+            v = v + gk[j].T @ sx[nk:nf]
         nz = a != 0
-        ptr = np.zeros(n + 1, dtype=np.int32)
+        ptr = np.zeros(nk + 1, dtype=np.int32)
         ptr[1:] = np.cumsum(np.count_nonzero(nz, axis=1))
-        bordered = SparseMatrix(scipy.sparse.csr_matrix((a[nz], cols[nz], ptr), shape=(n, n)),
-                                symmetric=True)
+        matrix = SparseMatrix(scipy.sparse.csr_matrix((a[nz], cols[nz], ptr), shape=(nk, nk)),
+                              symmetric=True)
         inv = a                                             # order 0: nothing to invert
-        if n:
-            ldu, ipiv, info = dsytrf(a, lower=1, lwork=lwork)  # a copy, kept for the check
-            if info == 0:
-                inv, info = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
-            if info != 0:
-                stop = (SingularMatrixError(f"singular pivot block at index {info}") if info > 0
-                        else NumericalError(f"sytrf/sytri illegal argument {-info}"))
+        if nk:
+            low, info = dpotrf(a, lower=1)
+            if info:
+                stop = NotPositiveDefiniteError(f"non-positive pivot at row {info - 1} of A")
                 break
+            inv = dpotri(low, lower=1, overwrite_c=1)[0]    # cannot fail after potrf
             inv = np.where(lower, inv, inv.T)
-        records.append(Factorization(n=n, method="bunch-kaufman" if n else "empty",
-                                     matrix=bordered, offsets=np.array([0, n]), _payload=None))
-        s_p = s[fix[j]]                                     # the fixed dofs' rows of S
-        rhs = np.empty((n, n_fix + 1))
-        rhs[:nf, :n_fix] = -s_p[:, :nf].T / val[j]
-        rhs[:nf, n_fix] = b[:nf]
-        rhs[nf:] = rhs_a[j]
-        x = inv @ rhs
-        ax[j] = a @ x[:, n_fix]
-        sol = np.empty((n, nc))
-        sol[:, prow[j]] = x[:, :n_fix]
-        sol[:, avg[j]] = inv[:, nf:]                       # unit right-hand sides
-        psi = np.zeros((nb, nc))                            # in S's order
-        psi[:nf] = sol[:nf]
-        psi[fix[j], prow[j]] = 1.0 / val[j]
-        lam_a = sol[nf:]
-        kc = np.empty((nc, nc))
-        kc[avg[j]] = -lam_a
-        kc[prow[j]] = (s_p @ psi + c_ap[j].T @ lam_a) / val[j][:, None]
+        records.append(Factorization(n=nk, method="cholesky" if nk else "empty",
+                                     matrix=matrix, offsets=np.array([0, nk]), _payload=None))
+        ax[j] = a @ (inv @ b)
+        u = inv @ v
+        psi = np.vstack([-u, x[j]])                         # in S's order
+        psi[nk:nf] -= gk[j] @ u
+        kc = x[j].T @ sx[nk:] - v.T @ u
         g.kc[j] = (kc + kc.T) / 2.0
         g.psi[j][g.order[j]] = psi
-        g.z[j] = inv[:nf, :nf]
+        z = g.z[j]
+        z[:nk, :nk] = inv
+        if na:
+            w = gk[j] @ inv
+            z[nk:, :nk], z[:nk, nk:] = w, w.T
+            w = w @ gk[j].T
+            z[nk:, nk:] = (w + w.T) / 2.0
     # the setup check of every inverse made, then the failure that stopped
     # the loop: the first failing member either way
     done = len(records)
     r = b - ax[:done]
-    rel = np.sqrt(np.sum(r * r, axis=1) / (b @ b)) if n else np.zeros(done)
+    rel = np.sqrt(np.sum(r * r, axis=1) / (b @ b)) if nk else np.zeros(done)
     bad = np.flatnonzero(~(rel <= REFINE_TOL))             # a NaN fails too
     if bad.size or stop is not None:
         j = int(bad[0]) if bad.size else done
         if bad.size:
             stop = NumericalError(f"inverse is inaccurate: relative residual {rel[j]:.1e} "
                                   f"on the check probe, above {REFINE_TOL:.0e}")
-        what = ("singular" if isinstance(stop, SingularMatrixError)
-                else "too ill-conditioned to solve accurately")
+        what = {SingularMatrixError: "singular",
+                NotPositiveDefiniteError: "not positive definite"}.get(
+                    type(stop), "too ill-conditioned to solve accurately")
         err = type(stop)(f"subdomain {g.subs[j]}: constrained local problem is {what} "
                          f"({nc} constraints on {nb} interface dofs)")
         err.subdomain = int(g.subs[j])

@@ -63,22 +63,15 @@ class LevelSplits(list):
     stacked interior x stacked interface, k_bb stacked interface x stacked
     interface (both scipy CSR); interior_dofs maps stacked interior to level
     dofs and iface_index stacked interface to global interface positions.
-
-    The same split, level-wide: interior_rows and interface_rows are the
-    rows of the level's block-diagonal matrix that are interior and
-    interface dofs, ascending; subdomain i owns rows offsets[i]:offsets[i+1],
-    stacked interior interior_offsets[i]:interior_offsets[i+1] and stacked
-    interface iface_offsets[i]:iface_offsets[i+1]."""
+    Subdomain i owns stacked interior interior_offsets[i]:interior_offsets[i+1]
+    and stacked interface iface_offsets[i]:iface_offsets[i+1]."""
 
     def __init__(self, subs, k_ii_fact: Factorization, k_ib, k_bb,
-                 interior_dofs, iface_index, interior_rows, interface_rows,
-                 offsets, interior_offsets, iface_offsets):
+                 interior_dofs, iface_index, interior_offsets, iface_offsets):
         super().__init__(subs)
         self.k_ii_fact, self.k_ib, self.k_bb = k_ii_fact, k_ib, k_bb
         self.interior_dofs, self.iface_index = interior_dofs, iface_index
-        self.interior_rows, self.interface_rows = interior_rows, interface_rows
-        self.offsets, self.interior_offsets = offsets, interior_offsets
-        self.iface_offsets = iface_offsets
+        self.interior_offsets, self.iface_offsets = interior_offsets, iface_offsets
 
     def gather(self, v: np.ndarray, n_iface: int) -> np.ndarray:
         """R^T v: sum stacked interface values into the global interface
@@ -134,8 +127,7 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
                            interior[cut_i[i]:cut_i[i + 1]] - ends[i],
                            interface[cut_b[i]:cut_b[i + 1]] - ends[i], fact)
             for i in range(n_subs)]
-    splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index,
-                         interior, interface, ends, cut_i, cut_b)
+    splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index, cut_i, cut_b)
     return splits, InterfaceMap(dofs=iface_dofs)
 
 

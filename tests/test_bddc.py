@@ -29,7 +29,7 @@ from mlbddc.bddc import (
     setup_bddc,
     subassemble_coarse,
 )
-from mlbddc.errors import NumericalError, SingularMatrixError
+from mlbddc.errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
 from mlbddc.fem import ProblemSpec, node_dofs
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
@@ -161,9 +161,42 @@ def test_basis_no_constraints():
 
 
 def test_basis_detects_singular_unconstrained():
+    # with no constraints A is S itself, whose Cholesky factor meets a zero
+    # pivot
     k = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    with pytest.raises(SingularMatrixError, match="subdomain 0: constrained local problem"):
+    with pytest.raises(NotPositiveDefiniteError, match="subdomain 0: constrained local "
+                                                       "problem is not positive definite"):
         hand_basis(k, np.zeros((0, 2)), [])
+
+
+def test_average_row_without_a_free_dof_is_singular():
+    # the edge row covers only the dof the corner fixes, so it owns no dof
+    # and [S C^T; C 0] is singular
+    c = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(SingularMatrixError, match="subdomain 0: constrained local "
+                                                  "problem is singular"):
+        hand_basis(np.eye(3), c, ["corner", "edge"])
+
+
+def test_average_row_eliminates_its_largest_weight():
+    # an average with unequal weights: its master is the member with the
+    # largest |c|, and psi and the coarse matrix equal the full bordered solve
+    rng = np.random.default_rng(31)
+    q = rng.standard_normal((4, 4))
+    s = q @ q.T + 4.0 * np.eye(4)
+    c = np.array([[0.2, 0.0, 0.5, 0.3]])
+    g, (fact, _, psi, kc) = hand_basis(s, c, ["face"])
+    assert np.array_equal(g.order[0], [0, 1, 3, 2]) and fact.n == 3
+    ref = np.linalg.solve(np.block([[s, c.T], [c, np.zeros((1, 1))]]), np.eye(5)[:, 4])
+    assert rel_err(psi[:, 0], ref[:4]) <= 1e-12
+    assert rel_err(kc[0], -ref[4:]) <= 1e-12
+
+
+def test_average_rows_sharing_a_dof_are_rejected():
+    # eliminating one master per average row needs rows with disjoint supports
+    c = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="two average rows of a subdomain share"):
+        hand_basis(np.eye(3), c, ["edge", "edge"])
 
 
 def test_basis_caps_floating_kernel():
@@ -224,9 +257,9 @@ def test_local_schur_reads_members_of_different_sizes():
 
 def test_point_constraints_inside_averages_match_full_solve():
     # corners fix dofs 5 (row value 2) and 2, both also in an average's
-    # support (C_ap != 0); the reduced factor drops both dofs and both point
-    # rows, and psi, the coarse matrix and the constrained solve equal the
-    # full bordered solve of [S C^T; C 0]
+    # support (C_ap != 0); each average eliminates its first free dof, so A
+    # has order 7 - 4, and psi, the coarse matrix and the constrained solve
+    # equal the full bordered solve of [S C^T; C 0]
     rng = np.random.default_rng(23)
     q = rng.standard_normal((7, 7))
     s = q @ q.T + 7.0 * np.eye(7)
@@ -237,21 +270,25 @@ def test_point_constraints_inside_averages_match_full_solve():
     c[3, [4, 5, 6]] = 1.0 / 3.0       # face average over the corner dof 5
     tags = ["edge", "corner", "corner", "face"]
     g, (fact, z, psi, kc) = hand_basis(s, c, tags)
+    # kept dofs, then the masters of rows 0 and 3, then the fixed dofs
+    assert np.array_equal(g.order[0], [0, 3, 6, 1, 4, 2, 5])
     free = g.order[0, :5]
-    assert np.array_equal(free, [0, 1, 3, 4, 6])
-    assert fact.n == (7 - 2) + (4 - 2)
-    # the record keeps the reduced bordered matrix as a canonical CSR of
-    # its nonzeros
+    assert fact.n == 7 - 4
+    # the record keeps A = N^T S_ff N, N = [I; G] spanning the null space of
+    # the averages over the free dofs, as a canonical symmetric CSR
+    n = np.vstack([np.eye(3), [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]])
     c_af = c[np.ix_([0, 3], free)]
-    reduced = np.block([[s[np.ix_(free, free)], c_af.T], [c_af, np.zeros((2, 2))]])
+    assert not (c_af @ n).any()
+    a = n.T @ s[np.ix_(free, free)] @ n
     record = fact.matrix.scipy_csr()
     assert record.has_canonical_format and fact.matrix.symmetric
-    assert record.nnz == np.count_nonzero(reduced)
-    assert np.array_equal(record.toarray(), reduced)
-    # z is the free-dof block of the reduced matrix's inverse, mirrored from
-    # one triangle, so exactly symmetric; the record keeps no factor
-    assert (fact.method, fact._payload) == ("bunch-kaufman", None)
+    assert np.array_equal(record.toarray(), record.toarray().T)
+    assert rel_err(record.toarray(), a) <= 1e-14
+    # z = N A^-1 N^T, exactly symmetric, is the free-dof block of the
+    # reduced bordered matrix's inverse; the record keeps no factor
+    assert (fact.method, fact._payload) == ("cholesky", None)
     assert np.array_equal(z, z.T)
+    reduced = np.block([[s[np.ix_(free, free)], c_af.T], [c_af, np.zeros((2, 2))]])
     assert rel_err(z, np.linalg.inv(reduced)[:5, :5]) <= 1e-12
     bordered = np.block([[s, c.T], [c, np.zeros((4, 4))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((7, 4)), np.eye(4)]))
@@ -270,10 +307,9 @@ def test_point_constraints_inside_averages_match_full_solve():
 
 @pytest.mark.parametrize("nb", [40, 120])
 def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
-    # bordered orders below and above LAPACK's sytrf block size (64), so
-    # both its unblocked and its blocked path run with the workspace that
-    # sytrf_lwork reports; psi, the coarse matrix and z equal the dense
-    # solve of [S C^T; C 0]
+    # A of order nb - 7, below and above LAPACK's potrf block size (64), so
+    # both its unblocked and its blocked path run; psi, the coarse matrix
+    # and z equal the dense solve of [S C^T; C 0]
     rng = np.random.default_rng(nb)
     q = rng.standard_normal((nb, nb))
     s = q @ q.T + nb * np.eye(nb)
@@ -284,13 +320,13 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     orders = []
 
     def recorded(a, **kwargs):
-        orders.append((a.shape[0], kwargs["lwork"]))
-        return scipy.linalg.lapack.dsytrf(a, **kwargs)
+        orders.append(a.shape[0])
+        return scipy.linalg.lapack.dpotrf(a, **kwargs)
 
-    monkeypatch.setattr(bddc, "dsytrf", recorded)
+    monkeypatch.setattr(bddc, "dpotrf", recorded)
     g, (fact, z, psi, kc) = hand_basis(s, c, ["corner"] * 3 + ["edge"] * 4)
-    n = (nb - 3) + 4
-    assert fact.n == n and orders == [(n, int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0]))]
+    n = nb - 7
+    assert fact.n == n and orders == [n] and fact.method == "cholesky"
     assert (n > 64) == (nb > 64)
     bordered = np.block([[s, c.T], [c, np.zeros((7, 7))]])
     free = g.order[0, :nb - 3]
@@ -394,6 +430,10 @@ def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
         assert not ref[:, split.interior_pos].any()
         rows = dense_rows(cons, lv.splits.iface_offsets, i)
         assert np.array_equal(rows, ref[:, split.interface_pos])
+        # no two average rows share a column: each can eliminate a dof of its own
+        averages = rows[cons.tags[cons.starts[i]:cons.starts[i + 1]] != "corner"]
+        assert averages.shape[0] > 0
+        assert np.count_nonzero(averages, axis=0).max() <= 1
 
 
 def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
@@ -446,7 +486,7 @@ def test_group_setup_matches_full_local_problems(dirichlet_x2d):
         cs = level.coarse
         assert np.array_equal(sub.coarse_dofs,
                               node_dofs(cs.sub_nodes[split.index], cs.dofs_per_node))
-        assert sub.bordered.n == sub.z.shape[0] + nc - (rows.shape[1] - sub.z.shape[0])
+        assert sub.bordered.n == rows.shape[1] - nc
 
 
 def test_setup_runs_one_coarse_basis_per_shape_group(dirichlet_x2d, monkeypatch):
@@ -621,6 +661,9 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
         for i, (sub, s, a, b) in enumerate(zip(level.subs, level_schur_blocks(level),
                                                ends[:-1], ends[1:])):
             assert sub.bordered._payload is None
+            # z and the record of A are exactly symmetric
+            record = sub.bordered.matrix.scipy_csr()
+            assert np.array_equal(sub.z, sub.z.T) and (record != record.T).nnz == 0
             # views into the stacks, not copies
             assert any(sub.psi.base is g.psi and sub.z.base is g.z for g in level.groups)
             c = constraint_rows(level, i)
@@ -667,8 +710,7 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
     # for r zero on the interior, read on the interface; the bordered matrix
     # is symmetric, so the multipliers are psi^T r, and z satisfies the
     # constraints (band Cholesky K_II factors, and SuperLU ones at a budget
-    # of 0 band entries; the bordered matrices are inverted densely either
-    # way)
+    # of 0 band entries; A is inverted densely either way)
     if dense_threshold is not None:
         monkeypatch.setattr(sparse, "DENSE_THRESHOLD", dense_threshold)
     lv = request.getfixturevalue(name)
@@ -688,8 +730,8 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
         pair = np.concatenate([ref[split.interface_pos], ref[split.local_dofs.size:]])
         assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
         assert rel_err(mu, sub.psi.T @ r_b) <= 1e-12
-        # bordered matrices never reach SuperLU, whatever the threshold
-        assert sub.bordered.method in ("bunch-kaufman", "empty")
+        # A never reaches SuperLU, whatever the threshold
+        assert sub.bordered.method in ("cholesky", "empty")
         n_b, n_c = z_b.size, mu.size
         scale = np.linalg.norm(pair) if n_b == n_c else np.linalg.norm(z_b)
         assert np.linalg.norm(rows @ z_b) <= 1e-12 * scale
@@ -773,17 +815,16 @@ def test_superlu_level_factor_falls_back_to_member_band_factors(dirichlet_x2d, m
 
 @pytest.mark.parametrize("name,coarse_counts", [("cross2d", (2,)), ("elasticity3d_edges", ())])
 def test_bordered_factors_are_interface_sized(name, coarse_counts, request):
-    # every level factors [S_ff C_af^T; C_af 0]: each corner removes its
-    # interface dof and its multiplier row from [S C^T; C 0] (order
-    # n_B + n_c), never the full bordered matrix of order n_local + n_c
+    # every level factors A = N^T S_ff N: each constraint row, corner or
+    # average, removes the interface dof it owns, so A has order n_B - n_c,
+    # never that of [S C^T; C 0] (n_B + n_c) or of [K C^T; C 0]
     m = make_bddc(request.getfixturevalue(name), coarse_counts=coarse_counts)
     assert m.n_levels == len(coarse_counts) + 2
     for level in m.levels:
+        assert any(set(sub.constraints.tags) - {"corner"} for sub in level.subs)
         for sub, split in zip(level.subs, level.splits):
             n_b, n_c = split.interface_pos.size, len(sub.constraints.tags)
-            n_corner = sub.constraints.tags.count("corner")
-            assert n_corner > 0
-            assert sub.bordered.n == (n_b - n_corner) + (n_c - n_corner)
+            assert sub.bordered.n == n_b - n_c
             assert sub.psi.shape == constraint_rows(level, split.index).shape[::-1] == (n_b, n_c)
 
 

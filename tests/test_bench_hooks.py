@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork
+from scipy.linalg.lapack import dpotrf
 
 from mlbddc import bddc, load_config, run_experiment
 from mlbddc.sparse import factorize
@@ -69,32 +69,37 @@ def test_census_runs_on_three_levels():
     facts = census.factorizations(prec)
     assert {(level, role) for level, role, *_ in facts} == {
         (1, "k_ii"), (1, "bordered"), (2, "k_ii"), (2, "bordered"), (3, "top")}
-    assert all(method in census.ROLE_METHODS[role] for _, role, _, method, *_ in facts)
+    # the bordered records now hold each member's SPD constrained problem A
+    assert all(method in (("cholesky", "empty") if role == "bordered" else
+                          census.ROLE_METHODS[role]) for _, role, _, method, *_ in facts)
+    assert "cholesky" in {method for _, role, _, method, *_ in facts if role == "bordered"}
     # every level's stacked K_II and the top matrix fit the band budget, so
     # a fall back to SuperLU fails here and not only in the benchmark
     assert [lv.splits.k_ii_fact.method for lv in prec.levels] == ["cholesky"] * 2
     assert prec.top.method == "cholesky"
 
 
-def test_setup_takes_the_level_factor_and_blocked_sytrf(monkeypatch):
+def test_setup_takes_the_level_factor_and_reduced_cholesky(monkeypatch):
     # at the default budget every level's stacked K_II is a band factor, so
     # _local_schur factorizes no member (the one factorize call of setup is
-    # the top matrix), and every sytrf gets the workspace sytrf_lwork reports,
-    # which selects its blocked path: a return to per-member factors or to
-    # the unblocked sytrf fails here and not only in the benchmark
-    orders, bordered = [], []
+    # the top matrix), and each member's constrained problem goes to potrf
+    # at order n_B - n_c, every constraint having eliminated a dof: a return
+    # to per-member factors or to a bordered matrix fails here and not only
+    # in the benchmark
+    orders, potrf = [], []
 
     def counted_factorize(a, *args, **kwargs):
         orders.append(a.shape[0])
         return factorize(a, *args, **kwargs)
 
-    def recorded_dsytrf(a, **kwargs):
-        bordered.append((a.shape[0], kwargs.get("lwork")))
-        return dsytrf(a, **kwargs)
+    def recorded_dpotrf(a, **kwargs):
+        potrf.append(a.shape[0])
+        return dpotrf(a, **kwargs)
 
     monkeypatch.setattr(bddc, "factorize", counted_factorize)
-    monkeypatch.setattr(bddc, "dsytrf", recorded_dsytrf)
+    monkeypatch.setattr(bddc, "dpotrf", recorded_dpotrf)
     prec = run_experiment(load_config(overrides=THREE_LEVEL)).preconditioner
     assert orders == [prec.top.n]
-    assert len(bordered) == sum(len(lv.subs) for lv in prec.levels)
-    assert all(lwork == int(dsytrf_lwork(n, lower=1)[0]) for n, lwork in bordered)
+    shapes = [g.psi.shape[1:] for lv in prec.levels for g in lv.groups for _ in g.subs]
+    assert potrf == [nb - nc for nb, nc in shapes if nb > nc] and potrf
+    assert not [name for name in vars(bddc) if name.startswith("dsytr")]

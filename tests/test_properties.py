@@ -19,7 +19,10 @@ The preconditioner of every configuration the strategy can draw is pinned in
 preconditioner_pins.json: the dense lambda_min and lambda_max of M S of each
 solving configuration, and the level and subdomain that each exit-3 failure
 names. A change that alters the preconditioner on purpose rewrites the file
-with `PYTHONPATH=src python tests/test_properties.py` and says why.
+with `PYTHONPATH=src python tests/test_properties.py` and says why. The same
+test runs PCG on a seeded random right-hand side of each solving
+configuration, which excites the whole spectrum (unlike the constant load),
+and holds its condition estimate to within 1% of the dense kappa.
 """
 
 import itertools
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 from mlbddc import load_config, run_experiment
 from mlbddc.errors import NumericalError
 from mlbddc.fem import assemble_global
+from mlbddc.krylov import pcg
 from mlbddc.substructuring import schur_apply
 
 # level-1 size per dimension, and its two- and three-level hierarchies
@@ -101,17 +105,19 @@ def extreme_eigenvalues_ms(prec) -> tuple:
     return lam[0], lam[-1]
 
 
-def pin(config) -> dict:
-    """What preconditioner_pins.json records of one configuration: the dense
-    extreme eigenvalues of M S, or the level and subdomain of its exit 3."""
+def pin(config) -> tuple:
+    """What preconditioner_pins.json records of one configuration (the dense
+    extreme eigenvalues of M S, or the level and subdomain of its exit 3),
+    and its preconditioner (None on exit 3)."""
     try:
         result = run_experiment(load_config(overrides=config))
     except NumericalError as exc:
         level = re.match(r"level (\d+), subdomain (\d+):", str(exc))
         assert level is not None, (config, str(exc))
-        return {"overrides": config, "level": int(level[1]), "subdomain": int(level[2])}
+        return {"overrides": config, "level": int(level[1]), "subdomain": int(level[2])}, None
     lam_min, lam_max = extreme_eigenvalues_ms(result.preconditioner)
-    return {"overrides": config, "lambda_min": float(lam_min), "lambda_max": float(lam_max)}
+    return ({"overrides": config, "lambda_min": float(lam_min), "lambda_max": float(lam_max)},
+            result.preconditioner)
 
 
 def test_preconditioner_matches_pins():
@@ -119,14 +125,23 @@ def test_preconditioner_matches_pins():
     pins = json.loads(PINS.read_text())
     assert [p["overrides"] for p in pins] == grid()
     for want in pins:
-        got = pin(want["overrides"])
+        got, prec = pin(want["overrides"])
         if "level" in want:
             assert got == want
             continue
         assert got.keys() == want.keys(), (want, got)
         for key in ("lambda_min", "lambda_max"):
             assert abs(got[key] - want[key]) <= 1e-8 * want[key], (want, got)
+        # PCG on a seeded random right-hand side sees the whole spectrum, so
+        # its condition estimate is the dense kappa to within 1%
+        level = prec.levels[0]
+        g = np.random.default_rng(0).standard_normal(level.imap.n)
+        _, report = pcg(lambda v: schur_apply(level.splits, level.imap, v), g,
+                        apply_m=prec.apply, tol=1e-10)
+        kappa = got["lambda_max"] / got["lambda_min"]
+        assert report.converged, want
+        assert abs(report.condition_estimate - kappa) <= 0.01 * kappa, (want, report)
 
 
 if __name__ == "__main__":
-    PINS.write_text("[\n" + ",\n".join(json.dumps(pin(c)) for c in grid()) + "\n]\n")
+    PINS.write_text("[\n" + ",\n".join(json.dumps(pin(c)[0]) for c in grid()) + "\n]\n")
