@@ -9,35 +9,36 @@ with S_i = K_BB,i - K_IB,i^T K_II,i^-1 K_IB,i the subdomain's dense Schur
 complement and C_i its constraint rows over the interface dofs. It is the
 full problem [K_i C_i^T; C_i 0] with the interior eliminated: every apply
 hands a subdomain a residual that is zero on its interior and reads back
-only interface values and multipliers. Every constraint eliminates one
-interface dof, so no multiplier is ever formed: a corner fixes its dof
-outright (Dohrmann, SIAM J. Sci. Comput. 25, 2003), and an average, which
-shares no dof with another, gives one of its dofs, its master, in terms of
-the others. This is the null-space method (Benzi, Golub & Liesen, Acta
-Numerica 14, 2005, sec. 6), in BDDC terms a change of basis (Li & Widlund,
-IJNME 66, 2006). What is factorized is the SPD matrix A_i = N_i^T S_ff,i N_i
-of order n_interface - n_constraints, with N_i a basis of the average rows'
-null space over the free dofs f; it is nonsingular exactly when the full
-matrix is. The basis columns (unit constraint values) span the coarse
-space, and their energy psi_i^T S_i psi_i is the subdomain's coarse element
-matrix; assembling those over the coarse dofs yields the next level's
-problem, which is either factorized directly (top level) or split again
-into subdomains over a pseudo-mesh. Applications at levels past the first
-condense the full residual onto the interface before the cycle and recover
-the interiors after it, with the condensation and recovery of the level-1
-solve (substructuring), so the recursion only ever sees interface
-residuals; each is one block-diagonal interior solve per level. The
-constrained local problems are solved once, at setup: each A_i is
-factorized by LAPACK's Cholesky potrf and inverted in the factor's storage
-by potri, always densely (its order is below that of the interface).
-z_i = N_i A_i^-1 N_i^T over the free dofs is the subdomain's
-constrained-solve operator, and the basis psi_i comes from products with
-A_i^-1. A level stacks z_i and psi_i over the subdomains that share a shape
-(free dofs, interface dofs, constraints; a few shapes per level), so one
-preconditioner cycle is a few batched products per level: z_i r_i and
-psi_i^T r_i (the multipliers, i.e. the restricted coarse residuals), then
-psi_i z_c + z_i r_i after the coarse correction. No factor of a subdomain
-is kept past setup.
+only interface values and multipliers. The constraint rows have disjoint
+supports (a corner is one node, a glob averages only its non-corner
+members, and globs are disjoint), so every constraint eliminates an
+interface dof of its own and no multiplier is ever formed: a corner fixes
+its dof outright (Dohrmann, SIAM J. Sci. Comput. 25, 2003), and an average
+gives one of its dofs, its master, in terms of the others. This is the
+null-space method (Benzi, Golub & Liesen, Acta Numerica 14, 2005, sec. 6),
+in BDDC terms a change of basis (Li & Widlund, IJNME 66, 2006). What is
+factorized is the SPD matrix A_i = N_i^T S_ff,i N_i of order n_interface -
+n_constraints, with N_i a basis of the average rows' null space over the
+free dofs f; it is invertible exactly when the full matrix is. The basis
+columns (unit constraint values) span the coarse space, and their energy
+psi_i^T S_i psi_i is the subdomain's coarse element matrix; assembling
+those over the coarse dofs yields the next level's problem, which is either
+factorized directly (top level) or split again into subdomains over a
+pseudo-mesh. Applications at levels past the first condense the full
+residual onto the interface before the cycle and recover the interiors
+after it, with the condensation and recovery of the level-1 solve
+(substructuring), so the recursion only ever sees interface residuals; each
+is one block-diagonal interior solve per level. The constrained local
+problems are solved once, at setup: each A_i is factorized by LAPACK's
+Cholesky potrf and inverted in the factor's storage by potri, always
+densely (its order is below that of the interface). z_i = N_i A_i^-1 N_i^T
+over the free dofs is the subdomain's constrained-solve operator, and the
+basis psi_i comes from products with A_i^-1. A level stacks z_i and psi_i
+over the subdomains that share a shape (free dofs, interface dofs,
+constraints; a few shapes per level), so one preconditioner cycle is a few
+batched products per level: z_i r_i and psi_i^T r_i (the multipliers, i.e.
+the restricted coarse residuals), then psi_i z_c + z_i r_i after the coarse
+correction. No factor of a subdomain is kept past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
@@ -62,7 +63,7 @@ import scipy.sparse
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalError
 from .grid import LevelGrid
 from .interface import (
     CoarseSpace,
@@ -88,6 +89,9 @@ class LevelConstraints:
     entry e puts val[e] in row row[e] at col[e], a position in the level's
     stacked interface (`LevelSplits.iface_index` order).
 
+    No stacked interface position is in two rows, and every row has an
+    entry: a corner is one node, a glob node averages only the glob's
+    non-corner members, and globs are disjoint (`_shape_groups` checks it).
     A point constraint, a row tagged "corner" with exactly one entry, fixes
     one interface dof; every other row (an average, even one over a single
     node) eliminates its master dof (see ShapeGroup)."""
@@ -108,8 +112,8 @@ def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
     search against the sorted (subdomain, interface dof) keys of the stacked
     interface places every member dof."""
     dpn = coarse.dofs_per_node
-    kinds = np.array(["corner"] * coarse.n_corners
-                     + [globset.globs[g].kind for g in coarse.glob_ids.tolist()], dtype=str)
+    kinds = np.concatenate([np.full(coarse.n_corners, "corner"),
+                            globset.kinds[coarse.glob_ids]])
     size = np.concatenate([np.ones(coarse.n_corners, dtype=np.int64),
                            np.array([m.size for m in coarse.glob_members], dtype=np.int64)])
     members = np.concatenate([coarse.corner_nodes, *coarse.glob_members])
@@ -147,12 +151,12 @@ class ShapeGroup:
     them all.
 
     Member j's constraint rows are rows j * n_constraints onwards of `rows`,
-    with columns ordered like its `split.interface_pos`. Every row owns one
-    interface dof: a point row the dof it fixes, an average row its master,
-    the member with the largest |c| that no point row fixes (lowest position
-    on ties). The member's interface order lists the other free dofs
-    ascending, then the masters in row order, then the fixed dofs ascending;
-    its Schur complement is taken in that order."""
+    with columns ordered like its `split.interface_pos`. The rows have
+    disjoint supports, so every row owns one interface dof of its own: a
+    point row the dof it fixes, an average row its master, its entry with
+    the largest |c| (lowest position on ties). The member's interface order
+    lists the other free dofs ascending, then the masters in row order, then
+    the fixed dofs ascending; its Schur complement is taken in that order."""
 
     subs: np.ndarray              # (m,) the members' subdomain indices
     iface: np.ndarray             # (m, n_interface) positions in the stacked interface
@@ -172,28 +176,26 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
     """Group a level's subdomains by shape (n_free, n_interface,
     n_constraints), in order of first appearance, with room for their
     operators. Subdomain i's interface is stacked interface
-    iface_offsets[i]:iface_offsets[i+1]. Two average rows of a subdomain
-    that share an interface dof raise ValueError."""
+    iface_offsets[i]:iface_offsets[i+1]. The rows must have disjoint,
+    nonempty supports (the coarse space builds them so); rows that share an
+    interface dof, or a row without entries, raise ValueError."""
     n_b, n_c = np.diff(iface_offsets), np.diff(cons.starts)
     n_rows, n_iface = cons.tags.size, int(iface_offsets[-1])
-    point = (cons.tags == "corner") & (np.bincount(cons.row, minlength=n_rows) == 1)
+    count = np.bincount(cons.row, minlength=n_rows)
+    if count.min(initial=1) == 0 or np.bincount(cons.col).max(initial=0) > 1:
+        raise ValueError("constraint rows of a subdomain must have disjoint, "
+                         "nonempty supports")
+    # each row's own dof: its first entry by |c| descending, then position (a
+    # point row's only entry, an average row's master)
+    e = np.lexsort((cons.col, -np.abs(cons.val), cons.row))
+    own = cons.col[e[np.diff(cons.row[e], prepend=-1) != 0]]
+    point = (cons.tags == "corner") & (count == 1)
     fixed = np.zeros(n_iface, dtype=bool)
-    fixed[cons.col[point[cons.row]]] = True
-    cand = np.flatnonzero(~fixed[cons.col])      # the average rows' entries on free dofs
-    if np.bincount(cons.col[cand]).max(initial=0) > 1:
-        raise ValueError("two average rows of a subdomain share an interface dof")
-    # each average row's master: its first free entry by |c| descending, then position
-    cand = cand[np.lexsort((cons.col[cand], -np.abs(cons.val[cand]), cons.row[cand]))]
-    head = cand[np.diff(cons.row[cand], prepend=-1) != 0]
-    # each row's own dof: its master, else one of its entries (a point row's
-    # dof; an average row with no free dof takes a fixed one, owned twice)
-    own = np.zeros(n_rows, dtype=np.int64)
-    own[cons.row] = cons.col
-    own[cons.row[head]] = cons.col[head]
+    fixed[own[point]] = True
     # the interface order's key: free dofs by position, masters by row, fixed by position
     span = max(n_rows, n_iface)
     key = np.arange(n_iface) + 2 * span * fixed
-    key[cons.col[head]] = span + cons.row[head]
+    key[own[~point]] = span + np.flatnonzero(~point)
     n_fixed = np.diff(np.concatenate([[0], np.cumsum(fixed)])[iface_offsets])
     shapes = np.column_stack([n_b - n_fixed, n_b, n_c])
     _, first, which = np.unique(shapes, axis=0, return_index=True, return_inverse=True)
@@ -279,9 +281,9 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     n_interface - n_constraints: formed as S_f N = S_fk + S_fm G, A = (S_f
     N)_k + G^T (S_f N)_m, mirrored from its lower triangle, factorized by
     LAPACK's potrf and inverted in the factor's storage by potri. X puts 1/c
-    on each row's own dof, and on the masters whatever cancels the fixed
-    dofs an average row covers, so that C X = I; it is built once for the
-    group too, and only the kernels and their products run per member.
+    on each row's own dof, which no other row covers, so C X = I; it is
+    built once for the group too, and only the kernels and their products
+    run per member.
 
     Fills the group's stacks: z = N A^-1 N^T (kept dofs, then masters), by
     blocks and exactly symmetric, is the constrained-solve operator (the
@@ -294,31 +296,23 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
 
     The setup check applies A to A^-1 b for the check probe b, so it covers
     the inverse that the preconditioner applies. A member whose inverse is
-    inaccurate raises NumericalError, one whose A meets a non-positive pivot
-    NotPositiveDefiniteError, and one whose rows do not own distinct dofs
-    (two point constraints on one dof, say) SingularMatrixError; each names
-    the member's subdomain index (also set as the exception's `subdomain`).
+    inaccurate raises NumericalError and one whose A meets a non-positive
+    pivot NotPositiveDefiniteError; each names the member's subdomain index
+    (also set as the exception's `subdomain`).
     """
     m, nb, nc = g.psi.shape
     nf = g.z.shape[1]
-    nk = max(nb - nc, 0)                                    # the order of A
+    nk = nb - nc                                            # the order of A
     na = nf - nk
-    singular = (np.diff(np.sort(g.own, axis=1), axis=1) == 0).any(axis=1)
     entries = g.rows.tocoo()
     mem, row = np.divmod(entries.row, max(nc, 1))         # member and row of each entry
     pos, own, val = g.rank[mem, entries.col], g.own[mem, row], entries.data
-    keep = ~singular[mem]
-    at_own = keep & (pos == own)
-    c = np.ones((m, nc))
+    at_own = pos == own
+    c = np.empty((m, nc))
     c[mem[at_own], row[at_own]] = val[at_own]
-    owner = np.zeros((m, nb), dtype=np.int64)
-    owner[mem[at_own], pos[at_own]] = row[at_own]
-    x = np.zeros((m, nb - nk, nc))                          # X below the kept dofs
+    x = np.zeros((m, nc, nc))                               # X below the kept dofs
     x[mem[at_own], pos[at_own] - nk, row[at_own]] = 1.0 / val[at_own]
-    e = keep & (pos >= nf) & (pos != own)                   # an average row on a fixed dof
-    q = owner[mem[e], pos[e]]
-    x[mem[e], own[e] - nk, q] = -val[e] / (c[mem[e], row[e]] * c[mem[e], q])
-    e = keep & (pos < nk)                                   # an average row on a kept dof
+    e = pos < nk                                            # an average row on a kept dof
     gk = np.zeros((m, na, nk))
     gk[mem[e], own[e] - nk, pos[e]] = -val[e] / c[mem[e], row[e]]
     b = probe_rhs(nk)
@@ -327,9 +321,6 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     lower = np.tri(nk, dtype=bool)
     records, stop = [], None
     for j, s in enumerate(schur):
-        if singular[j]:
-            stop = SingularMatrixError("its constraint rows do not own distinct interface dofs")
-            break
         sx = s[:, nk:] @ x[j]                               # S X
         a, v = s[:nk, :nk], sx[:nk]                         # A and V, when G is empty
         if na:
@@ -377,9 +368,8 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
         if bad.size:
             stop = NumericalError(f"inverse is inaccurate: relative residual {rel[j]:.1e} "
                                   f"on the check probe, above {REFINE_TOL:.0e}")
-        what = {SingularMatrixError: "singular",
-                NotPositiveDefiniteError: "not positive definite"}.get(
-                    type(stop), "too ill-conditioned to solve accurately")
+        what = ("not positive definite" if isinstance(stop, NotPositiveDefiniteError)
+                else "too ill-conditioned to solve accurately")
         err = type(stop)(f"subdomain {g.subs[j]}: constrained local problem is {what} "
                          f"({nc} constraints on {nb} interface dofs)")
         err.subdomain = int(g.subs[j])

@@ -215,6 +215,8 @@ def build_dof_map(spec: ProblemSpec, mesh: Mesh) -> DofMap:
     full_to_free = np.full(n_full, -1, dtype=np.int64)
     mask = np.ones(n_full, dtype=bool)
     mask[fixed] = False
+    if not mask.any():
+        raise ValueError("no free dofs: every dof is a Dirichlet dof")
     free = np.nonzero(mask)[0]
     full_to_free[free] = np.arange(free.shape[0])
     # nodes must be fully fixed or fully free (the partition/interface

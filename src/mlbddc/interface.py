@@ -9,7 +9,10 @@ constraints; the remaining glob members carry average constraints.
 
 Every step is a few whole-array sorts and segment reductions: one lexsort
 of the interface nodes' padded sharer rows makes the globs, and `GlobSet`
-keeps their kinds and sharers as arrays beside the `Glob` records.
+holds them as arrays (each node's glob, each glob's kind and sharers).
+The coarse space takes one point constraint per corner and one average per
+included glob over its non-corner members; globs are disjoint, so no
+interface dof is in two constraint rows.
 """
 
 from __future__ import annotations
@@ -28,16 +31,7 @@ CORNER_STRATEGIES = ("default", "vertices-only", "all-interface")
 
 
 @dataclass
-class Glob:
-    index: int
-    kind: str                 # "face" | "edge" | "vertex"
-    nodes: np.ndarray         # sorted member node ids
-    sharers: tuple            # sorted subdomain ids
-
-
-@dataclass
 class GlobSet:
-    globs: list
     node_glob: np.ndarray     # node -> glob index, -1 off the interface
     kinds: np.ndarray         # per glob: its kind
     sharers: np.ndarray       # (n_globs, max sharers): sorted sharers, -1 padded
@@ -81,12 +75,7 @@ def classify_interface(grid: LevelGrid, partition) -> GlobSet:
     n_share = np.count_nonzero(sharers >= 0, axis=1)
     kinds = np.where(n_share == 2, np.where(size >= grid.dim, "face", "edge"),
                      np.where(size == 1, "vertex", "edge"))
-    members = iface[np.argsort(node_glob[iface], kind="stable")]
-    ends = np.cumsum(size).tolist()
-    globs = [Glob(i, k, members[a:b], tuple(sh[:n])) for i, (k, a, b, sh, n) in
-             enumerate(zip(kinds.tolist(), [0] + ends[:-1], ends,
-                           sharers.tolist(), n_share.tolist()))]
-    return GlobSet(globs=globs, node_glob=node_glob, kinds=kinds, sharers=sharers)
+    return GlobSet(node_glob=node_glob, kinds=kinds, sharers=sharers)
 
 
 def select_corners(globset: GlobSet, grid: LevelGrid,
@@ -199,7 +188,7 @@ def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
     members, glob = globset.members()
     rest = ~np.isin(members, corners) & np.isin(globset.kinds[glob], kinds)
     members, glob = members[rest], glob[rest]
-    size = np.bincount(glob, minlength=len(globset.globs))
+    size = np.bincount(glob, minlength=globset.kinds.size)
     glob_ids = np.nonzero(size)[0]
     ends = np.cumsum(size[glob_ids])
     glob_members = np.split(members, ends)[:-1]
@@ -226,9 +215,11 @@ def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
 def format_glob_table(globset: GlobSet) -> str:
     """ASCII report: one row per glob."""
     lines = ["glob  kind    size  sharers"]
-    for g in globset.globs:
-        sharers = ",".join(str(s) for s in g.sharers)
-        lines.append(f"{g.index:<5d} {g.kind:<7s} {g.nodes.size:<5d} {sharers}")
+    size = np.bincount(globset.members()[1], minlength=globset.kinds.size)
+    for i, (kind, n, row) in enumerate(zip(globset.kinds.tolist(), size.tolist(),
+                                           globset.sharers.tolist())):
+        sharers = ",".join(str(s) for s in row if s >= 0)
+        lines.append(f"{i:<5d} {kind:<7s} {n:<5d} {sharers}")
     counts = globset.counts_by_kind()
     lines.append(f"total: {counts['face']} faces, {counts['edge']} edges, "
                  f"{counts['vertex']} vertices")

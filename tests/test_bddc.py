@@ -29,7 +29,7 @@ from mlbddc.bddc import (
     setup_bddc,
     subassemble_coarse,
 )
-from mlbddc.errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
+from mlbddc.errors import NotPositiveDefiniteError, NumericalError
 from mlbddc.fem import ProblemSpec, node_dofs
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
@@ -145,11 +145,13 @@ def test_basis_identity_matrix():
 
 
 def test_basis_square_constraints_invert():
+    # an average over one node (weight 2) and a corner: no dof is left free
     k = np.diag([2.0, 3.0])
-    c = np.array([[1.0, 1.0], [0.0, 1.0]])
-    _, (_, _, psi, kc) = hand_basis(k, c, ["corner", "corner"])
+    c = np.array([[0.0, 2.0], [1.0, 0.0]])
+    _, (fact, _, psi, kc) = hand_basis(k, c, ["edge", "corner"])
+    assert fact.n == 0
     assert np.allclose(psi, np.linalg.inv(c), atol=1e-14)
-    assert np.allclose(kc, [[2.0, -2.0], [-2.0, 5.0]], atol=1e-14)
+    assert np.allclose(kc, [[0.75, 0.0], [0.0, 2.0]], atol=1e-14)
 
 
 def test_basis_no_constraints():
@@ -169,15 +171,6 @@ def test_basis_detects_singular_unconstrained():
         hand_basis(k, np.zeros((0, 2)), [])
 
 
-def test_average_row_without_a_free_dof_is_singular():
-    # the edge row covers only the dof the corner fixes, so it owns no dof
-    # and [S C^T; C 0] is singular
-    c = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(SingularMatrixError, match="subdomain 0: constrained local "
-                                                  "problem is singular"):
-        hand_basis(np.eye(3), c, ["corner", "edge"])
-
-
 def test_average_row_eliminates_its_largest_weight():
     # an average with unequal weights: its master is the member with the
     # largest |c|, and psi and the coarse matrix equal the full bordered solve
@@ -192,11 +185,27 @@ def test_average_row_eliminates_its_largest_weight():
     assert rel_err(kc[0], -ref[4:]) <= 1e-12
 
 
-def test_average_rows_sharing_a_dof_are_rejected():
-    # eliminating one master per average row needs rows with disjoint supports
-    c = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-    with pytest.raises(ValueError, match="two average rows of a subdomain share"):
-        hand_basis(np.eye(3), c, ["edge", "edge"])
+def test_average_row_without_a_free_dof_is_singular():
+    # the edge row covers only the dof the corner fixes, so it owns no dof
+    # and [S C^T; C 0] is singular; the rows overlap, so the setup refuses
+    # them before any factorization
+    c = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    bordered = np.block([[np.eye(3), c.T], [c, np.zeros((2, 2))]])
+    assert np.linalg.matrix_rank(bordered) < 5
+    with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
+        hand_basis(np.eye(3), c, ["corner", "edge"])
+
+
+@pytest.mark.parametrize("c,tags", [
+    ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], ["edge", "edge"]),        # averages sharing a dof
+    ([[1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]], ["face", "corner"]),  # a corner inside an average
+    ([[1.0, 0.0], [2.0, 0.0]], ["corner", "corner"]),              # two corners on one dof
+    ([[0.0, 1.0], [0.0, 0.0]], ["corner", "edge"]),                # a row without entries
+], ids=["shared-average-dof", "corner-in-average", "corners-on-one-dof", "empty-row"])
+def test_overlapping_constraint_rows_are_rejected(c, tags):
+    # every row eliminates a dof of its own, so supports must be disjoint
+    with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
+        _shape_groups(*hand_constraints([np.array(c)], [tags]))
 
 
 def test_basis_caps_floating_kernel():
@@ -257,9 +266,12 @@ def test_local_schur_reads_members_of_different_sizes():
 
 def test_point_constraints_inside_averages_match_full_solve():
     # corners fix dofs 5 (row value 2) and 2, both also in an average's
-    # support (C_ap != 0); each average eliminates its first free dof, so A
-    # has order 7 - 4, and psi, the coarse matrix and the constrained solve
-    # equal the full bordered solve of [S C^T; C 0]
+    # support. Overlapping rows are refused, but folding each corner out of
+    # its average, C = T C_d with C_d's supports disjoint, spans the same
+    # constraints: z and the constrained solve equal the full bordered solve
+    # of [S C^T; C 0], and psi T^-1, T^-T kc T^-1 and T^-T mu equal its basis,
+    # coarse matrix and multipliers. Each average eliminates its first free
+    # dof, so A has order 7 - 4
     rng = np.random.default_rng(23)
     q = rng.standard_normal((7, 7))
     s = q @ q.T + 7.0 * np.eye(7)
@@ -269,7 +281,15 @@ def test_point_constraints_inside_averages_match_full_solve():
     c[2, 2] = 1.0                     # corner
     c[3, [4, 5, 6]] = 1.0 / 3.0       # face average over the corner dof 5
     tags = ["edge", "corner", "corner", "face"]
-    g, (fact, z, psi, kc) = hand_basis(s, c, tags)
+    with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
+        hand_basis(s, c, tags)
+    c_d = c.copy()
+    c_d[0, 2] = c_d[3, 5] = 0.0
+    t = np.eye(4)
+    t[0, 2], t[3, 1] = 1.0 / 3.0, 1.0 / 6.0
+    assert np.array_equal(t @ c_d, c)
+    t_inv = np.linalg.inv(t)
+    g, (fact, z, psi, kc) = hand_basis(s, c_d, tags)
     # kept dofs, then the masters of rows 0 and 3, then the fixed dofs
     assert np.array_equal(g.order[0], [0, 3, 6, 1, 4, 2, 5])
     free = g.order[0, :5]
@@ -292,8 +312,8 @@ def test_point_constraints_inside_averages_match_full_solve():
     assert rel_err(z, np.linalg.inv(reduced)[:5, :5]) <= 1e-12
     bordered = np.block([[s, c.T], [c, np.zeros((4, 4))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((7, 4)), np.eye(4)]))
-    assert rel_err(psi, ref[:7]) <= 1e-12
-    assert rel_err(kc, -ref[7:]) <= 1e-12
+    assert rel_err(psi @ t_inv, ref[:7]) <= 1e-12
+    assert rel_err(t_inv.T @ kc @ t_inv, -ref[7:]) <= 1e-12
     cons = bddc.SubdomainConstraints(tags=tags, free_dofs=free)
     sub = bddc.SubdomainCoarse(constraints=cons, bordered=fact, z=z, psi=psi,
                                coarse_matrix=kc, coarse_dofs=np.arange(4))
@@ -301,7 +321,7 @@ def test_point_constraints_inside_averages_match_full_solve():
     z_b, mu = sub.constrained_solve(r_b)
     ref = np.linalg.solve(bordered, np.concatenate([r_b, np.zeros(4)]))
     assert rel_err(z_b, ref[:7]) <= 1e-12
-    assert rel_err(mu, ref[7:]) <= 1e-12
+    assert rel_err(t_inv.T @ mu, ref[7:]) <= 1e-12
     assert z_b[2] == z_b[5] == 0.0
 
 
@@ -309,13 +329,15 @@ def test_point_constraints_inside_averages_match_full_solve():
 def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     # A of order nb - 7, below and above LAPACK's potrf block size (64), so
     # both its unblocked and its blocked path run; psi, the coarse matrix
-    # and z equal the dense solve of [S C^T; C 0]
+    # and z equal the dense solve of [S C^T; C 0], and the record keeps A =
+    # N^T S_ff N with N = [I; G] spanning the averages' null space
     rng = np.random.default_rng(nb)
     q = rng.standard_normal((nb, nb))
     s = q @ q.T + nb * np.eye(nb)
     c = np.zeros((7, nb))
     c[[0, 1, 2], [0, nb // 2, nb - 1]] = 1.0                      # corners
-    for r, part in enumerate(np.array_split(np.arange(1, nb - 1), 4)):
+    rest = np.setdiff1d(np.arange(1, nb - 1), nb // 2)
+    for r, part in enumerate(np.array_split(rest, 4)):
         c[3 + r, part] = 1.0 / part.size                          # averages
     orders = []
 
@@ -337,6 +359,15 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     assert rel_err(psi, ref[:nb, :7]) <= 1e-12
     assert rel_err(kc, -ref[nb:, :7]) <= 1e-12
     assert rel_err(z, ref[free, 7:]) <= 1e-12
+    assert np.array_equal(z, z.T) and fact._payload is None
+    c_af = c[3:, free]
+    gk = -c_af[:, :n] / c_af[np.arange(4), n + np.arange(4)][:, None]
+    null = np.vstack([np.eye(n), gk])
+    assert np.abs(c_af @ null).max() <= 1e-15
+    record = fact.matrix.scipy_csr()
+    assert record.has_canonical_format and fact.matrix.symmetric
+    assert np.array_equal(record.toarray(), record.toarray().T)
+    assert rel_err(record.toarray(), null.T @ s[np.ix_(free, free)] @ null) <= 1e-13
 
 
 def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
@@ -363,35 +394,26 @@ def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
         assert rel_err(mu, ref[n:]) <= 1e-12
 
 
-def test_two_point_constraints_on_one_dof_are_singular(dirichlet_x2d, monkeypatch):
-    # both rows fix dof 0, so [S C^T; C 0] is singular; the reduction must
-    # not let one overwrite the other
-    c = np.array([[1.0, 0.0], [2.0, 0.0]])
-    assert np.linalg.matrix_rank(np.block([[np.eye(2), c.T], [c, np.zeros((2, 2))]])) < 4
-    with pytest.raises(SingularMatrixError):
-        hand_basis(np.eye(2), c, ["corner", "corner"])
-
-    # in the pipeline, the setup names the level and the subdomain (exit 3),
-    # not its slot in its shape group: the second corner row of the last
-    # member of a group of several (so neither subdomain 0 nor slot 0) is
-    # made a copy of the first, so the row count still matches the
-    # subdomain's coarse dofs
+def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypatch):
+    # the setup names the level and the subdomain (exit 3), not its slot in
+    # its shape group: the last member of a group of several (so neither
+    # subdomain 0 nor slot 0) is handed -S, so potrf meets a negative pivot
+    # (vertex corners only, so that A has an order)
     lv = dirichlet_x2d
-    group = max(make_bddc(lv).levels[0].groups, key=lambda g: g.subs.size)
-    assert group.subs.size >= 2
+    level = make_bddc(lv, corner_strategy="vertices-only").levels[0]
+    group = max(level.groups, key=lambda g: g.subs.size)
+    assert group.subs.size >= 2 and group.psi.shape[1] > group.psi.shape[2]
     victim = int(group.subs[-1])
+    schur = bddc._local_schur
 
-    def doubled(*args):
-        cons = build_constraints(*args)
-        rows = np.arange(cons.starts[victim], cons.starts[victim + 1])
-        first, second = rows[cons.tags[rows] == "corner"][:2]
-        cons.col[cons.row == second] = cons.col[cons.row == first]
-        return cons
+    def negated(splits, g):
+        for i, s in zip(g.subs.tolist(), schur(splits, g)):
+            yield -s if i == victim else s
 
-    monkeypatch.setattr(bddc, "build_constraints", doubled)
+    monkeypatch.setattr(bddc, "_local_schur", negated)
     with pytest.raises(NumericalError, match=f"level 1, subdomain {victim}: constrained "
-                                             f"local problem is singular"):
-        make_bddc(lv)
+                                             f"local problem is not positive definite"):
+        make_bddc(lv, corner_strategy="vertices-only")
 
 
 def test_constraint_rows(cross2d):
@@ -411,29 +433,33 @@ def test_constraint_rows(cross2d):
 
 def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
     # rows found by searching the sorted interface dofs equal rows placed
-    # through a full level-dof lookup table, which puts nothing on the interior
+    # through a full level-dof lookup table, which puts nothing on the
+    # interior; under every corner strategy and the corners-only policy
     lv = elasticity3d_edges
-    cs = lv.coarse_space()
-    cons = build_constraints(cs, lv.globset, lv.splits, lv.imap)
-    for i, split in enumerate(lv.splits):
-        local_of = np.full(lv.grid.n_dofs, -1)
-        local_of[split.local_dofs] = np.arange(split.local_dofs.size)
-        ref = []
-        for cn in cs.sub_nodes[i]:
-            members = (cs.glob_members[cn - cs.n_corners] if cn >= cs.n_corners
-                       else cs.corner_nodes[cn:cn + 1])
-            for comp in range(cs.dofs_per_node):
-                row = np.zeros(split.local_dofs.size)
-                row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
-                ref.append(row)
-        ref = np.array(ref)
-        assert not ref[:, split.interior_pos].any()
-        rows = dense_rows(cons, lv.splits.iface_offsets, i)
-        assert np.array_equal(rows, ref[:, split.interface_pos])
-        # no two average rows share a column: each can eliminate a dof of its own
-        averages = rows[cons.tags[cons.starts[i]:cons.starts[i + 1]] != "corner"]
-        assert averages.shape[0] > 0
-        assert np.count_nonzero(averages, axis=0).max() <= 1
+    for policy, strategy in [("corners+edges+faces", "default"), ("corners-only", "default"),
+                             ("corners+edges+faces", "vertices-only"),
+                             ("corners+edges+faces", "all-interface")]:
+        cs = lv.coarse_space(policy, strategy)
+        cons = build_constraints(cs, lv.globset, lv.splits, lv.imap)
+        for i, split in enumerate(lv.splits):
+            local_of = np.full(lv.grid.n_dofs, -1)
+            local_of[split.local_dofs] = np.arange(split.local_dofs.size)
+            ref = []
+            for cn in cs.sub_nodes[i]:
+                members = (cs.glob_members[cn - cs.n_corners] if cn >= cs.n_corners
+                           else cs.corner_nodes[cn:cn + 1])
+                for comp in range(cs.dofs_per_node):
+                    row = np.zeros(split.local_dofs.size)
+                    row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
+                    ref.append(row)
+            ref = np.array(ref)
+            assert not ref[:, split.interior_pos].any()
+            rows = dense_rows(cons, lv.splits.iface_offsets, i)
+            assert np.array_equal(rows, ref[:, split.interface_pos])
+            # no two rows of any kind share a column, and every row has an
+            # entry: each can eliminate a dof of its own
+            assert np.count_nonzero(rows, axis=0).max() <= 1
+            assert np.count_nonzero(rows, axis=1).min() >= 1
 
 
 def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):

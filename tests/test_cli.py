@@ -201,6 +201,22 @@ def test_solve_bad_mesh_size_is_config_error(capsys, setting):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mesh_without_free_dofs_is_config_error(capsys, dim):
+    # one element per axis puts every node on a Dirichlet face: solve exits
+    # 2 (it used to crash while building the constraints), and a sweep marks
+    # each such row failed and goes on
+    code, out, err = run_cli(capsys, "solve", "--set", f"dim={dim}", "--set", "elements=1",
+                             "--hierarchy", "1")
+    assert code == EXIT_CONFIG and out == ""
+    assert "error: no free dofs" in err
+    code, out, _ = run_cli(capsys, "sweep", "--set", f"dim={dim}", "--set", "elements=1",
+                           "--hierarchies", "4,1")
+    assert code == EXIT_NO_CONVERGENCE
+    assert out.strip().split("\n")[1:] == ["2,4,0,,,0,0.000,0.000,false",
+                                           "2,1,0,,,0,0.000,0.000,false"]
+
+
 @pytest.mark.parametrize("elements", [8, 16])
 def test_solve_weak_coarse_space_names_the_subdomain(capsys, elements):
     # corner values alone do not control the rigid-body modes of the 2D

@@ -30,6 +30,15 @@ CENTER = 24
 CROSS = sorted(ARM_A + ARM_B + ARM_C + ARM_D + [CENTER])
 
 
+def glob_list(gs):
+    """(kind, member nodes, sharers) of each glob, in glob order, from the
+    glob set's arrays."""
+    nodes, glob = gs.members()
+    members = np.split(nodes, np.cumsum(np.bincount(glob, minlength=gs.kinds.size))[:-1])
+    return [(kind, m, tuple(s for s in row if s >= 0))
+            for kind, m, row in zip(gs.kinds.tolist(), members, gs.sharers.tolist())]
+
+
 @pytest.fixture(scope="module")
 def cross2d():
     return build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4, method="regular-blocks")
@@ -44,25 +53,20 @@ def box3d():
 
 def test_single_interface_line():
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 2, method="regular-blocks")
-    gs = lv.globset
-    assert len(gs.globs) == 1
-    g = gs.globs[0]
-    assert g.kind == "face"
-    assert g.nodes.size == 7
-    assert g.sharers == (0, 1)
+    (kind, nodes, sharers), = glob_list(lv.globset)
+    assert kind == "face"
+    assert nodes.size == 7
+    assert sharers == (0, 1)
 
 
 def test_cross_globs(cross2d):
     gs = cross2d.globset
     assert gs.counts_by_kind() == {"face": 4, "edge": 0, "vertex": 1}
     assert gs.interface_nodes().tolist() == CROSS
-    kinds = [g.kind for g in gs.globs]
-    members = [g.nodes.tolist() for g in gs.globs]
-    sharers = [g.sharers for g in gs.globs]
     # ordered by smallest member node
-    assert kinds == ["face", "face", "vertex", "face", "face"]
-    assert members == [ARM_A, ARM_B, [CENTER], ARM_D, ARM_C]
-    assert sharers == [(0, 1), (0, 2), (0, 1, 2, 3), (1, 3), (2, 3)]
+    assert [(kind, nodes.tolist(), sharers) for kind, nodes, sharers in glob_list(gs)] == [
+        ("face", ARM_A, (0, 1)), ("face", ARM_B, (0, 2)), ("vertex", [CENTER], (0, 1, 2, 3)),
+        ("face", ARM_D, (1, 3)), ("face", ARM_C, (2, 3))]
 
 
 def test_3d_globs(box3d):
@@ -70,15 +74,15 @@ def test_3d_globs(box3d):
     # the split lines carry two 2-node edges each
     gs = box3d.globset
     assert gs.counts_by_kind() == {"face": 12, "edge": 6, "vertex": 1}
-    sizes = {g.kind: set() for g in gs.globs}
-    for g in gs.globs:
-        sizes[g.kind].add(g.nodes.size)
+    sizes = {kind: set() for kind in gs.kinds.tolist()}
+    for kind, nodes, _ in glob_list(gs):
+        sizes[kind].add(nodes.size)
     assert sizes["face"] == {4}
     assert sizes["edge"] == {2}
     assert sizes["vertex"] == {1}
     assert gs.interface_nodes().size == 12 * 4 + 6 * 2 + 1
-    for g in gs.globs:
-        assert len(g.sharers) == {"face": 2, "edge": 4, "vertex": 8}[g.kind]
+    for kind, _, sharers in glob_list(gs):
+        assert len(sharers) == {"face": 2, "edge": 4, "vertex": 8}[kind]
 
 
 def test_two_sharers_single_node_is_edge():
@@ -86,10 +90,9 @@ def test_two_sharers_single_node_is_edge():
     coords = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]], dtype=float)
     grid = grid_from_lists(coords, [[0, 1, 2], [2, 3, 4]])
     part = Partition(n_subdomains=2, assignment=np.array([0, 1]), method="greedy-graph-growing")
-    gs = classify_interface(grid, part)
-    assert len(gs.globs) == 1
-    assert gs.globs[0].kind == "edge"
-    assert gs.globs[0].nodes.tolist() == [2]
+    (kind, nodes, _), = glob_list(classify_interface(grid, part))
+    assert kind == "edge"
+    assert nodes.tolist() == [2]
 
 
 def test_many_sharers_multi_node_is_edge():
@@ -98,10 +101,11 @@ def test_many_sharers_multi_node_is_edge():
     grid = grid_from_lists(coords, [[0, 1, 2], [1, 2, 3], [1, 2, 4]])
     part = Partition(n_subdomains=3, assignment=np.array([0, 1, 2]), method="greedy-graph-growing")
     gs = classify_interface(grid, part)
-    shared_all = [g for g in gs.globs if g.sharers == (0, 1, 2)]
+    shared_all = [(kind, nodes) for kind, nodes, sharers in glob_list(gs)
+                  if sharers == (0, 1, 2)]
     assert len(shared_all) == 1
-    assert shared_all[0].kind == "edge"
-    assert shared_all[0].nodes.tolist() == [1, 2]
+    assert shared_all[0][0] == "edge"
+    assert shared_all[0][1].tolist() == [1, 2]
 
 
 def loop_globs(elems, assignment, n_nodes):
@@ -136,15 +140,14 @@ def test_classification_matches_loop_reference(dim, n, n_subs):
     part = partition_elements(grid, n_subs, method="greedy-graph-growing")
     gs = classify_interface(grid, part)
     expected = loop_globs(elems, part.assignment, grid.n_nodes)
-    assert [(g.sharers, g.nodes.tolist()) for g in gs.globs] == expected
-    assert [g.index for g in gs.globs] == list(range(len(expected)))
+    assert [(sharers, nodes.tolist()) for _, nodes, sharers in glob_list(gs)] == expected
+    assert gs.kinds.size == gs.sharers.shape[0] == len(expected)
     node_glob = np.full(grid.n_nodes, -1)
     for i, (_, members) in enumerate(expected):
         node_glob[members] = i
     assert np.array_equal(gs.node_glob, node_glob)
-    assert gs.kinds.tolist() == [g.kind for g in gs.globs]
     if n_subs == 1:
-        assert gs.globs == [] and gs.interface_nodes().size == 0
+        assert gs.kinds.size == 0 and gs.interface_nodes().size == 0
         assert select_corners(gs, grid).size == 0
         cs = build_coarse_space(gs, select_corners(gs, grid), grid, part)
         assert cs.n_nodes == 0 and [s.tolist() for s in cs.sub_nodes] == [[]]
@@ -177,25 +180,26 @@ def test_default_corners_3d(box3d):
     # vertex + three per face glob, and the face triples are not collinear
     assert corners.size == 1 + 3 * 12
     coords = box3d.grid.node_coords
-    for g in gs.globs:
-        if g.kind != "face":
+    for kind, nodes, _ in glob_list(gs):
+        if kind != "face":
             continue
-        picked = np.intersect1d(g.nodes, corners)
+        picked = np.intersect1d(nodes, corners)
         assert picked.size == 3
         p = coords[picked]
         area = np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))
         assert area > 1e-8
 
 
-def face_corner_nodes(glob, coords, dim):
-    """Plain-loop reference for one face glob's corners: two extremal
-    members along its longest axis and, in 3D, the member farthest from the
-    line through them; ties go to the lowest node id."""
-    pts = coords[glob.nodes]
+def face_corner_nodes(nodes, coords, dim):
+    """Plain-loop reference for the corners of one face glob with members
+    nodes: two extremal members along its longest axis and, in 3D, the
+    member farthest from the line through them; ties go to the lowest node
+    id."""
+    pts = coords[nodes]
     spans = pts.max(axis=0) - pts.min(axis=0)
     axis = int(np.argmax(spans))
-    lo = int(glob.nodes[np.lexsort((glob.nodes, pts[:, axis]))[0]])
-    hi = int(glob.nodes[np.lexsort((glob.nodes, -pts[:, axis]))[0]])
+    lo = int(nodes[np.lexsort((nodes, pts[:, axis]))[0]])
+    hi = int(nodes[np.lexsort((nodes, -pts[:, axis]))[0]])
     picked = [lo] if hi == lo else [lo, hi]
     if dim == 3 and len(picked) == 2:
         p0 = coords[lo]
@@ -205,8 +209,8 @@ def face_corner_nodes(glob, coords, dim):
             u = u / nu
             rel = pts - p0
             dist = np.linalg.norm(rel - np.outer(rel @ u, u), axis=1)
-            far = int(glob.nodes[np.lexsort((glob.nodes, -dist))[0]])
-            if dist[np.nonzero(glob.nodes == far)[0][0]] > 1e-12 and far not in picked:
+            far = int(nodes[np.lexsort((nodes, -dist))[0]])
+            if dist[np.nonzero(nodes == far)[0][0]] > 1e-12 and far not in picked:
                 picked.append(far)
     return picked
 
@@ -227,11 +231,11 @@ def test_default_corners_match_loop_reference(case):
               "stretched": lambda: greedy_level(3, 6, 5, length=(3.0, 1.0, 1.0))}[case]()
         grid, gs = lv.grid, lv.globset
     expected = []
-    for g in gs.globs:
-        if g.kind == "vertex":
-            expected.extend(int(n) for n in g.nodes)
-        elif g.kind == "face":
-            expected.extend(face_corner_nodes(g, grid.node_coords, grid.dim))
+    for kind, nodes, _ in glob_list(gs):
+        if kind == "vertex":
+            expected.extend(int(n) for n in nodes)
+        elif kind == "face":
+            expected.extend(face_corner_nodes(nodes, grid.node_coords, grid.dim))
     assert gs.counts_by_kind()["face"] > 0
     corners = select_corners(gs, grid, "default")
     assert corners.dtype == np.int64
@@ -245,7 +249,7 @@ def test_collinear_3d_face_gets_two_corners():
     grid = grid_from_lists(coords, [[0, 1, 2, 3], [1, 2, 3, 4]])
     part = Partition(n_subdomains=2, assignment=np.array([0, 1]), method="greedy-graph-growing")
     gs = classify_interface(grid, part)
-    assert [(g.kind, g.nodes.tolist()) for g in gs.globs] == [("face", [1, 2, 3])]
+    assert [(kind, m.tolist()) for kind, m, _ in glob_list(gs)] == [("face", [1, 2, 3])]
     assert select_corners(gs, grid).tolist() == [1, 3]
 
 
@@ -338,8 +342,7 @@ def test_coarse_space_policy_dim_aware(box3d):
     # 3D: corners+edges keeps edge globs but not face globs.
     ce = box3d.coarse_space(policy="corners+edges")
     full = box3d.coarse_space(policy="corners+edges+faces")
-    kinds = [box3d.globset.globs[g].kind for g in ce.glob_ids]
-    assert set(kinds) == {"edge"}
+    assert set(box3d.globset.kinds[ce.glob_ids].tolist()) == {"edge"}
     assert ce.n_nodes < full.n_nodes
 
 
@@ -348,7 +351,7 @@ def test_coarse_space_two_subdomain_strip_policies():
     # speech).  corners-only -> its 2 endpoint corners; corners+edges adds
     # the average over the remaining line -> 3 coarse nodes.
     lv = build_level1(ProblemSpec(), n_elems=4, n_subs=2)
-    assert [g.kind for g in lv.globset.globs] == ["face"]
+    assert lv.globset.kinds.tolist() == ["face"]
     only = lv.coarse_space(policy="corners-only")
     assert only.n_nodes == only.n_corners == 2
     ce = lv.coarse_space(policy="corners+edges")
