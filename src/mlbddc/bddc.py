@@ -525,7 +525,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(k, keys, iface, grid.n_dofs)
+    splits, imap = build_splits(k, keys, iface, grid.n_dofs, part.n_subdomains)
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
@@ -555,8 +555,8 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
 
 def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
                coarse_counts=(), *, constraint_policy: str = "corners+edges+faces",
-               corner_strategy: str = "default", weight_scheme: str = "cardinality",
-               partition_method: str = "auto") -> MultilevelBddc:
+               corner_strategy: str = "default",
+               weight_scheme: str = "cardinality") -> MultilevelBddc:
     """Build the full level hierarchy from the level-1 subdomain matrices:
     k is block-diagonal over the subdomains of `partition` and keys numbers
     its rows, as `fem.subassemble_subdomain` returns them.
@@ -571,7 +571,7 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
         if depth > 0:
             prev = levels[-1]
             grid = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
-            partition = partition_elements(grid, count, method=partition_method)
+            partition = partition_elements(grid, count, method="auto")
             k, keys = subassemble_coarse([sub.coarse_matrix for sub in prev.subs],
                                          [sub.coarse_dofs for sub in prev.subs],
                                          partition, grid.n_dofs)

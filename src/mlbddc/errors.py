@@ -13,12 +13,8 @@ class NumericalError(MlbddcError):
     """Numerical failure outside plain non-convergence (CLI exit code 3)."""
 
 
-class SingularMatrixError(NumericalError):
-    """Factorization hit an exactly singular pivot."""
-
-
 class NotPositiveDefiniteError(NumericalError):
-    """SPD factorization found a non-positive pivot."""
+    """SPD factorization found a non-positive or exactly singular pivot."""
 
 
 # CLI exit codes. 1 (non-convergence) carries no exception: the Krylov

@@ -105,10 +105,7 @@ class RunConfig:
     workers: int = 1              # accepted for compatibility; no effect
 
     def validate(self) -> "RunConfig":
-        if self.problem not in ("poisson", "elasticity"):
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.dim not in (2, 3):
-            raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
+        self.problem_spec()
         if self.krylov not in ("pcg", "bicgstab"):
             raise ConfigError(f"unknown Krylov method {self.krylov!r}")
         if self.constraint_policy not in CONSTRAINT_POLICIES:

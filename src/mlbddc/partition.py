@@ -1,9 +1,9 @@
 """Element partitioning and pseudo-mesh construction.
 
 Level-1 box meshes get regular block partitions; pseudo-meshes (and
-non-factorable counts) go through greedy graph growing with a balance cap
-and a connectivity repair pass. Everything here is deterministic: ties
-break on lowest index.
+non-factorable counts) go through greedy graph growing, which makes
+connected subdomains, and a balance pass that keeps them connected.
+Everything here is deterministic: ties break on lowest index.
 """
 
 from __future__ import annotations
@@ -137,6 +137,13 @@ def _components(elems, adjacency):
 
 
 def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
+    """Greedy graph growing (Farhat 1988; Karypis & Kumar 1998), then the
+    balance pass. On a connected grid each subdomain is connected when it is
+    made: it grows breadth first from one seed and takes an element only
+    after a neighbour of it is in; each element is queued at most once, and
+    only while unassigned; a straggler joins a subdomain it shares a node
+    with. On a disconnected grid, components that no growth reached go to
+    subdomain 0, and no reassignment could make that subdomain connected."""
     n = grid.n_elems
     adjacency = element_adjacency(grid)
     shared = _shared_node_counter(grid)
@@ -157,8 +164,6 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
         size = 0
         while queue and size < target:
             e = queue.popleft()
-            if assignment[e] >= 0:
-                continue
             assignment[e] = s
             size += 1
             unassigned -= 1
@@ -186,7 +191,6 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
 
     part = Partition(n_subdomains=n_subdomains, assignment=assignment,
                      method="greedy-graph-growing")
-    _repair_connectivity(part, adjacency, shared)
     _repair_balance(part, adjacency, shared)
     part.validate()
     return part
@@ -206,33 +210,6 @@ def _shared_node_counter(grid: LevelGrid):
         c = np.bincount(subs[(others != e) & (subs >= 0) & (subs != exclude)])
         return dict(zip(np.nonzero(c)[0].tolist(), c[c > 0].tolist()))
     return counts
-
-
-def _repair_connectivity(part: Partition, adjacency, shared) -> None:
-    """Reassign non-principal fragments to the neighbor subdomain with the
-    most shared nodes until every subdomain is connected."""
-    for _ in range(part.assignment.size):
-        changed = False
-        for s in range(part.n_subdomains):
-            elems = part.elements_of(s)
-            if elems.size == 0:
-                continue
-            comps = _components(elems, adjacency)
-            if len(comps) == 1:
-                continue
-            comps.sort(key=lambda c: (-len(c), c[0]))
-            for frag in comps[1:]:
-                counts: dict = {}
-                for e in frag:
-                    for other, cnt in shared(e, part.assignment, exclude=s).items():
-                        counts[other] = counts.get(other, 0) + cnt
-                if not counts:
-                    continue
-                best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-                part.assignment[np.asarray(frag, dtype=np.int64)] = best
-                changed = True
-        if not changed:
-            return
 
 
 def _repair_balance(part: Partition, adjacency, shared) -> None:

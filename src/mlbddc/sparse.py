@@ -28,7 +28,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalError
 
 # A factor is LAPACK band Cholesky while its band storage, (kd + 1) * n
 # entries for half-bandwidth kd, is at most DENSE_THRESHOLD**2 (so every
@@ -213,11 +213,11 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     With half-bandwidth kd (the largest i - j of a stored entry), `a` goes
     to LAPACK's band Cholesky dpbtrf when (kd + 1) * n <= DENSE_THRESHOLD**2,
     its band storage ab[i - j, j] = a_ij taken from the lower triangle of
-    the CSR; otherwise to SuperLU. A non-positive pivot raises
-    NotPositiveDefiniteError on both paths, and an exactly singular SuperLU
-    pivot raises SingularMatrixError. `offsets` bounds the blocks of a
-    block-diagonal `a` (default: one block); the blocks are factorized as
-    one matrix, and they scope the setup check and the error messages. The
+    the CSR; otherwise to SuperLU. A non-positive pivot, or an exactly
+    singular SuperLU pivot, raises NotPositiveDefiniteError. `offsets`
+    bounds the blocks of a block-diagonal `a` (default: one block); the
+    blocks are factorized as one matrix, and they scope the setup check and
+    the error messages. The
     new factor solves probe_rhs(n) and passes the solution to
     `Factorization.check`, which raises NumericalError naming an inaccurate
     block.
@@ -267,7 +267,7 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
                                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
-            raise SingularMatrixError(str(exc)) from exc
+            raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
         raise NumericalError(str(exc)) from exc
     row_of = np.argsort(lu.perm_c)      # original row of each pivot
     bad = np.nonzero((lu.perm_r[row_of] != lu.perm_c[row_of]) | (lu.U.diagonal() <= 0))[0]

@@ -88,13 +88,14 @@ def subdomain_keys(subdomain, dofs, n_dofs: int) -> np.ndarray:
     return np.where(dofs >= 0, subdomain * n_dofs + dofs, -1)
 
 
-def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
+def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int, n_subs: int):
     """Split a level's block-diagonal matrix by the interface dof set and
     factorize its interior part.
 
     k has one diagonal block per subdomain, in subdomain order, and row j
     is level dof keys[j] of `subdomain_keys` (ascending, as the subassembly
-    routines return them). Returns (LevelSplits, InterfaceMap).
+    routines return them). A subdomain that owns no dof, which a coarse
+    level can have, gets an empty block. Returns (LevelSplits, InterfaceMap).
     """
     iface_dofs = np.asarray(iface_dofs, dtype=np.int64)
     if np.any(np.diff(iface_dofs) <= 0):
@@ -103,7 +104,6 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int):
     if k.shape != (keys.size, keys.size):
         raise ValueError(f"matrix shape {k.shape} != key count {keys.size}")
     sub_of, ltg_all = np.divmod(keys, n_dofs)
-    n_subs = int(sub_of[-1]) + 1 if keys.size else 0
 
     # stacked local vectors: all subdomains' local dofs in subdomain order
     on_iface = np.isin(ltg_all, iface_dofs)

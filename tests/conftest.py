@@ -78,7 +78,7 @@ def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
     k, keys = subassemble_subdomain(spec, mesh, dofmap, part)
     globset = classify_interface(grid, part)
     ifdofs = interface_dofs(globset, spec.dofs_per_node)
-    splits, imap = build_splits(k, keys, ifdofs, dofmap.n_free)
+    splits, imap = build_splits(k, keys, ifdofs, dofmap.n_free, part.n_subdomains)
     return Level1(spec=spec, mesh=mesh, dofmap=dofmap, grid=grid, part=part,
                   k_global=k_global, f_global=f_global, k=k, keys=keys,
                   globset=globset, splits=splits, imap=imap)

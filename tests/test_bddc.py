@@ -29,7 +29,8 @@ from mlbddc.bddc import (
     setup_bddc,
     subassemble_coarse,
 )
-from mlbddc.errors import NotPositiveDefiniteError, NumericalError
+from mlbddc.cli import main
+from mlbddc.errors import EXIT_NUMERICAL, NotPositiveDefiniteError, NumericalError
 from mlbddc.fem import ProblemSpec, node_dofs
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
@@ -224,7 +225,7 @@ def test_basis_without_interior_matches_full_solve():
     k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     blocks = SparseMatrix.from_scipy(scipy.sparse.block_diag([np.diag([4.0, 5.0]), k]),
                                      symmetric=True)
-    splits, _ = build_splits(blocks, np.array([0, 1, 8 + 3, 8 + 4, 8 + 7]), [3, 4, 7], 8)
+    splits, _ = build_splits(blocks, np.array([0, 1, 8 + 3, 8 + 4, 8 + 7]), [3, 4, 7], 8, 2)
     c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     cons, iface_offsets = hand_constraints([np.zeros((0, 0)), c], [[], ["corner", "edge"]])
     assert np.array_equal(iface_offsets, splits.iface_offsets)
@@ -251,7 +252,7 @@ def test_local_schur_reads_members_of_different_sizes():
     # subdomain 0: dofs 0, 1, 2 (interior 1); subdomain 1: dofs 1, 2, 3, 4
     # (interior 3, 4); interface dofs 1 and 2
     keys = np.concatenate([[0, 1, 2], 10 + np.array([1, 2, 3, 4])])
-    splits, _ = build_splits(blocks, keys, [1, 2], 10)
+    splits, _ = build_splits(blocks, keys, [1, 2], 10, 2)
     c = np.array([[0.0, 1.0]])
     cons, iface_offsets = hand_constraints([c, c], [["corner"], ["corner"]])
     g, = _shape_groups(cons, iface_offsets)
@@ -910,9 +911,16 @@ def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges)
     assert np.array_equal(dofs, np.concatenate([ltg for _, ltg in per_sub]))
 
 
-def test_setup_rejects_weak_coarse_space():
-    # a singular final coarse matrix is reported as a numerical failure
-    with pytest.raises(NumericalError):
-        k = assemble_coarse([np.zeros((1, 1))], [np.array([0])])
-        from mlbddc.sparse import factorize
-        factorize(k)
+def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):
+    # a final coarse matrix that is not positive definite (here -K) stops
+    # the setup with exit code 3
+    def negated(k_elems, dof_lists):
+        k = assemble_coarse(k_elems, dof_lists)
+        return replace(k, csr=-k.csr)
+    monkeypatch.setattr(bddc, "assemble_coarse", negated)
+    lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4)
+    with pytest.raises(NumericalError, match=r"final coarse matrix \(13 dofs\) is not positive "
+                                             r"definite .* too weak"):
+        setup_bddc(lv.grid, lv.part, lv.k, lv.keys)
+    assert main(["solve", "--set", "elements=8", "--hierarchy", "4"]) == EXIT_NUMERICAL
+    assert "numerical failure: final coarse matrix" in capsys.readouterr().err

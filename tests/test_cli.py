@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlbddc import cli, harness
 from mlbddc.cli import main
 from mlbddc.errors import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK
+from mlbddc.fem import assemble_global
 from mlbddc.harness import load_config, run_experiment
 
 
@@ -87,6 +89,15 @@ def test_sweep_bad_hierarchy_fails_fast(capsys):
                              "--hierarchies", "4,4/8")
     assert code == EXIT_CONFIG
     assert out == ""
+
+
+@pytest.mark.parametrize("setting", ["rhs=bogus", "dirichlet_faces=q-", "poisson_ratio=0.5",
+                                     "young=0"])
+def test_sweep_bad_problem_fails_fast(capsys, setting):
+    code, out, err = run_cli(capsys, "sweep", "--set", "problem=elasticity",
+                             "--set", setting, "--hierarchies", "4,16")
+    assert code == EXIT_CONFIG
+    assert out == "" and "error:" in err
 
 
 def test_sweep_config_list(capsys, tmp_path):
@@ -244,6 +255,22 @@ def test_solve_weak_coarse_space_names_the_subdomain_3d(capsys):
     assert code == EXIT_NUMERICAL
     assert "level 1, subdomain 1" in err
     assert "constraint set is too weak" in err
+
+
+@pytest.mark.parametrize("elements,hierarchy", [("16,4", "4/2"), ("8", "8/3/2"),
+                                               ("16,4", "12/4/2")])
+def test_coarse_subdomain_without_dofs(capsys, elements, hierarchy):
+    # with vertex corners only, a coarse level can hold a subdomain that owns
+    # no coarse dof; the level still splits into one block per subdomain
+    overrides = ["dim=2", f"elements={elements}", f"hierarchy={hierarchy}",
+                 "corner_strategy=vertices-only", "constraint_policy=corners-only",
+                 "tolerance=1e-10"]
+    code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
+    assert code == EXIT_OK and out.strip().endswith(",true")
+    res = run_experiment(load_config(overrides=overrides))
+    k, f = assemble_global(res.spec, res.mesh)
+    x_ref = np.linalg.solve(k.scipy_csr().toarray(), f)
+    assert np.linalg.norm(res.solution - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -97,11 +97,13 @@ def test_load_config_bad_override():
     ("weight_scheme", "mass"), ("partition", "metis"),
     ("tolerance", -1.0), ("max_iterations", 0), ("workers", 0),
     ("elements", (0,)), ("elements", (4, 4, 4)), ("length", (-1.0,)),
-    ("length", (1.0, 2.0, 3.0)),
+    ("length", (1.0, 2.0, 3.0)), ("rhs", "bogus"), ("dirichlet_faces", ("q-",)),
+    ("poisson_ratio", 0.5), ("young", 0.0),
 ])
 def test_validate_rejects(field, value):
+    # on elasticity, so that the moduli are checked too
     with pytest.raises(ConfigError):
-        RunConfig(**{field: value}).validate()
+        RunConfig(**{"problem": "elasticity", field: value}).validate()
 
 
 def test_axis_expansion():

@@ -9,6 +9,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from conftest import elements_of, grid_from_lists, level2_pseudomesh
+from mlbddc import partition
 from mlbddc.errors import ConfigError
 from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh
 from mlbddc.grid import level_grid_from_mesh
@@ -121,6 +122,30 @@ def test_greedy_deterministic():
     a = partition_greedy(grid, 5).assignment
     b = partition_greedy(grid, 5).assignment
     assert np.array_equal(a, b)
+
+
+def test_balance_pass_moves_elements_and_keeps_them_connected(monkeypatch):
+    # 25 elements in 13 parts: growth alone leaves a subdomain of 3 above the
+    # cap ceil(25 / 13) * 1.25 = 2.5, and the balance pass moves it down
+    grid = raw_grid(2, 5)
+    part = partition_greedy(grid, 13)
+    assert_connected(part, grid)
+    assert part.sizes().max() <= math.ceil(25 / 13) * BALANCE_FACTOR
+    monkeypatch.setattr(partition, "_repair_balance", lambda *args: None)
+    assert partition_greedy(grid, 13).sizes().max() == 3
+
+
+@pytest.mark.parametrize("dim,largest", [(2, 12), (3, 5)])
+def test_greedy_growth_alone_is_connected(monkeypatch, dim, largest):
+    # each subdomain grows from one seed through neighbours only, and a
+    # straggler joins a subdomain it shares a node with, so every part is
+    # connected before the balance pass (which keeps donors connected) runs
+    monkeypatch.setattr(partition, "_repair_balance", lambda *args: None)
+    for n in range(1, largest + 1):
+        grid = raw_grid(dim, n)
+        for count in range(1, min(40, grid.n_elems) + 1):
+            part = partition_greedy(grid, count)
+            assert_connected(part, grid)
 
 
 def test_greedy_all_singletons():

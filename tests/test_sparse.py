@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 
 from mlbddc import sparse
-from mlbddc.errors import NotPositiveDefiniteError, NumericalError, SingularMatrixError
+from mlbddc.errors import NotPositiveDefiniteError, NumericalError
 from mlbddc.sparse import (
     REFINE_TOL,
     Factorization,
@@ -198,12 +198,12 @@ def test_block_offsets_must_span_the_matrix():
 def test_singular_matrix_raises(monkeypatch):
     # a singular PSD matrix is not positive definite: band Cholesky says
     # so, and SuperLU (a budget of 0 band entries) hits an exactly singular
-    # pivot
+    # pivot, which proves the same
     a = SparseMatrix.from_scipy([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="diagonal block 0"):
         factorize(a)
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 0)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite: .*singular"):
         factorize(a)
 
 

@@ -32,7 +32,7 @@ def stacked(blocks, dof_lists, n_dofs):
 def chain_splits():
     k, keys = stacked([[[2.0, -1.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 2.0]]],
                       [[0, 1], [1, 2]], 3)
-    return build_splits(k, keys, np.array([1]), 3)
+    return build_splits(k, keys, np.array([1]), 3, 2)
 
 
 def test_chain_schur():
@@ -129,12 +129,12 @@ def test_workers_key_starts_no_threads(monkeypatch):
 def test_split_errors():
     k, keys = stacked([[[1.0]]], [[0]], 3)
     with pytest.raises(ValueError, match="sorted"):
-        build_splits(k, keys, np.array([2, 1]), 3)
+        build_splits(k, keys, np.array([2, 1]), 3, 1)
     with pytest.raises(ValueError, match="key count"):
-        build_splits(k, np.array([0, 1]), np.zeros(0, dtype=int), 3)
+        build_splits(k, np.array([0, 1]), np.zeros(0, dtype=int), 3, 1)
     k, keys = stacked([[[1.0]], [[1.0]]], [[0], [0]], 3)
     with pytest.raises(ValueError, match="more than one"):
-        build_splits(k, keys, np.zeros(0, dtype=int), 3)
+        build_splits(k, keys, np.zeros(0, dtype=int), 3, 2)
     splits, imap = chain_splits()
     with pytest.raises(ValueError, match="length"):
         schur_apply(splits, imap, np.zeros(3))
