@@ -294,11 +294,12 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     symmetrized. Returns each member's record of A: method "cholesky"
     ("empty" at order 0), order and A as a CSR, without the factor.
 
-    The setup check applies A to A^-1 b for the check probe b, so it covers
-    the inverse that the preconditioner applies. A member whose inverse is
-    inaccurate raises NumericalError and one whose A meets a non-positive
-    pivot NotPositiveDefiniteError; each names the member's subdomain index
-    (also set as the exception's `subdomain`).
+    Each member's setup check, run as soon as its inverse is made, applies
+    A to A^-1 b for the check probe b, so it covers the inverse that the
+    preconditioner applies. A member whose inverse is inaccurate raises
+    NumericalError and one whose A meets a non-positive pivot
+    NotPositiveDefiniteError; each names the member's subdomain index (also
+    set as the exception's `subdomain`).
     """
     m, nb, nc = g.psi.shape
     nf = g.z.shape[1]
@@ -316,10 +317,9 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     gk = np.zeros((m, na, nk))
     gk[mem[e], own[e] - nk, pos[e]] = -val[e] / c[mem[e], row[e]]
     b = probe_rhs(nk)
-    ax = np.empty((m, nk))                                  # A times the probe's solution
     cols = np.broadcast_to(np.arange(nk, dtype=np.int32), (nk, nk))
     lower = np.tri(nk, dtype=bool)
-    records, stop = [], None
+    records = []
     for j, s in enumerate(schur):
         sx = s[:, nk:] @ x[j]                               # S X
         a, v = s[:nk, :nk], sx[:nk]                         # A and V, when G is empty
@@ -337,13 +337,17 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
         if nk:
             low, info = dpotrf(a, lower=1)
             if info:
-                stop = NotPositiveDefiniteError(f"non-positive pivot at row {info - 1} of A")
-                break
+                _member_failed(g, j, NotPositiveDefiniteError,
+                               f"non-positive pivot at row {info - 1} of A")
             inv = dpotri(low, lower=1, overwrite_c=1)[0]    # cannot fail after potrf
             inv = np.where(lower, inv, inv.T)
+            r = b - a @ (inv @ b)
+            rel = np.sqrt(r @ r / (b @ b))
+            if not rel <= REFINE_TOL:                       # a NaN fails too
+                _member_failed(g, j, NumericalError, f"inverse is inaccurate: relative residual "
+                               f"{rel:.1e} on the check probe, above {REFINE_TOL:.0e}")
         records.append(Factorization(n=nk, method="cholesky" if nk else "empty",
                                      matrix=matrix, offsets=np.array([0, nk]), _payload=None))
-        ax[j] = a @ (inv @ b)
         u = inv @ v
         psi = np.vstack([-u, x[j]])                         # in S's order
         psi[nk:nf] -= gk[j] @ u
@@ -357,24 +361,18 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
             z[nk:, :nk], z[:nk, nk:] = w, w.T
             w = w @ gk[j].T
             z[nk:, nk:] = (w + w.T) / 2.0
-    # the setup check of every inverse made, then the failure that stopped
-    # the loop: the first failing member either way
-    done = len(records)
-    r = b - ax[:done]
-    rel = np.sqrt(np.sum(r * r, axis=1) / (b @ b)) if nk else np.zeros(done)
-    bad = np.flatnonzero(~(rel <= REFINE_TOL))             # a NaN fails too
-    if bad.size or stop is not None:
-        j = int(bad[0]) if bad.size else done
-        if bad.size:
-            stop = NumericalError(f"inverse is inaccurate: relative residual {rel[j]:.1e} "
-                                  f"on the check probe, above {REFINE_TOL:.0e}")
-        what = ("not positive definite" if isinstance(stop, NotPositiveDefiniteError)
-                else "too ill-conditioned to solve accurately")
-        err = type(stop)(f"subdomain {g.subs[j]}: constrained local problem is {what} "
-                         f"({nc} constraints on {nb} interface dofs)")
-        err.subdomain = int(g.subs[j])
-        raise err from stop
     return records
+
+
+def _member_failed(g: ShapeGroup, j: int, kind: type, detail: str):
+    """Raise `kind` for member j of g, naming the member's subdomain (also
+    set as the exception's `subdomain`), from kind(detail)."""
+    what = ("not positive definite" if kind is NotPositiveDefiniteError
+            else "too ill-conditioned to solve accurately")
+    err = kind(f"subdomain {g.subs[j]}: constrained local problem is {what} "
+               f"({g.psi.shape[2]} constraints on {g.psi.shape[1]} interface dofs)")
+    err.subdomain = int(g.subs[j])
+    raise err from kind(detail)
 
 
 @dataclass
@@ -483,11 +481,11 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup):
     interface order. Its K_II block is never made dense: S = K_BB - W^T W
     with W = L^-1 K_IB by a band triangular solve with its own columns of
     the level's band Cholesky factor, W^T W by one rank-k update of S's
-    lower triangle, then mirrored, so S is exactly symmetric. Where the
-    level's factor is SuperLU, each member factorizes its own K_II block
-    with `factorize` (band Cholesky while it fits the budget), and a member
-    whose own factor is SuperLU too takes S = K_BB - K_IB^T K_II^-1 K_IB by
-    a solve for the n_B columns of K_IB.
+    lower triangle, then mirrored, so S is exactly symmetric. The level's
+    factor is SuperLU only when some K_II block is beyond the band budget
+    (see `factorize`), and then each member factorizes its own K_II block
+    and takes S = K_BB - K_IB^T K_II^-1 K_IB by a solve for the n_B
+    columns of K_IB, symmetrized.
     """
     nb = g.iface.shape[1]
     fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
@@ -508,15 +506,12 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup):
         w = np.zeros((hi - lo, nb), order="F")
         w[np.repeat(np.arange(hi - lo), np.diff(ptr)), col[k_ib.indices[entries]]] = \
             k_ib.data[entries]
-        own, block = fact, i
         if fact.method == "splu":
-            own, block = factorize(SparseMatrix(fact.matrix.scipy_csr()[lo:hi, lo:hi],
-                                                symmetric=True)), 0
-        if own.method == "splu":
+            own = factorize(SparseMatrix(fact.matrix.scipy_csr()[lo:hi, lo:hi], symmetric=True))
             s -= w.T @ own.solve(w)
             yield (s + s.T) * 0.5
             continue
-        s = dsyrk(-1.0, own.lower_solve(block, w), beta=1.0, c=s, trans=1, lower=1,
+        s = dsyrk(-1.0, fact.lower_solve(i, w), beta=1.0, c=s, trans=1, lower=1,
                   overwrite_c=1)
         yield np.where(lower, s, s.T)
 
@@ -564,12 +559,16 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
     two-level method); the final coarse problem is always factorized
     directly. A count of 1 makes that level's coarse solve exact, which
-    collapses it to the hierarchy without the level.
+    collapses it to the hierarchy without the level. A level whose coarse
+    space is empty ends the hierarchy: its coarse problem, of order 0, is
+    the final one, so `levels` and `coarse_sizes` report the levels built.
     """
     levels = []
     for depth, count in enumerate([None, *coarse_counts]):
         if depth > 0:
             prev = levels[-1]
+            if prev.n_coarse_dofs == 0:
+                break
             grid = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
             partition = partition_elements(grid, count, method="auto")
             k, keys = subassemble_coarse([sub.coarse_matrix for sub in prev.subs],

@@ -142,12 +142,9 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
             return EXIT_OK
 
-        if args.command == "export-vtk":
-            result = export_solution_vtk(_config_from(args), args.output)
-            sys.stdout.write(write_report([result]))
-            return EXIT_OK if result.report.converged else EXIT_NO_CONVERGENCE
-
-        raise ConfigError(f"unknown command {args.command!r}")
+        result = export_solution_vtk(_config_from(args), args.output)     # export-vtk
+        sys.stdout.write(write_report([result]))
+        return EXIT_OK if result.report.converged else EXIT_NO_CONVERGENCE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

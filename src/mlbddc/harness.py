@@ -72,12 +72,10 @@ def parse_hierarchy(text: str) -> list:
 
 
 def _parse_list(cast):
-    """Parser of a comma-separated string (blank items skipped), or a list or
-    tuple, into a tuple of cast values."""
-    def parse(v) -> tuple:
-        if isinstance(v, (list, tuple)):
-            return tuple(cast(x) for x in v)
-        return tuple(cast(p.strip()) for p in str(v).split(",") if p.strip())
+    """Parser of a comma-separated string (blank items skipped) into a tuple
+    of cast values."""
+    def parse(v: str) -> tuple:
+        return tuple(cast(p.strip()) for p in v.split(",") if p.strip())
     return parse
 
 

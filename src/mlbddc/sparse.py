@@ -9,14 +9,15 @@ sum is linear in the element entries (two stable CSR/CSC transposes, then
 one pass over sorted duplicates) and adds each entry's contributions in
 element order, so it is bitwise symmetric with no symmetrization pass.
 Factorizations are of SPD matrices only: LAPACK's band Cholesky while
-the band storage fits a fixed budget, and SuperLU in symmetric mode above
-it; both paths reject a non-positive pivot. A block-diagonal matrix, such
-as the stacked interior blocks of all subdomains of a level, is factorized
-once as a whole; its blocks are small and in mesh order, so its band is
-narrow. Each factor's accuracy is checked once, right after it is made, by
-solving a fixed probe right-hand side and checking the residual of every
-diagonal block; its later solves are plain factor solves with no residual
-check.
+the band storage of every diagonal block fits a fixed budget, and SuperLU
+in symmetric mode above it; both paths reject a non-positive pivot. A
+block-diagonal matrix, such as the stacked interior blocks of all
+subdomains of a level, is factorized once as a whole: it fills in only
+inside its blocks, so its band factor is its blocks' band factors side by
+side, and the budget bounds each block's share. Each factor's accuracy is
+checked once, right after it is made, by solving a fixed probe right-hand
+side and checking the residual of every diagonal block; its later solves
+are plain factor solves with no residual check.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import NotPositiveDefiniteError, NumericalError
 
-# A factor is LAPACK band Cholesky while its band storage, (kd + 1) * n
-# entries for half-bandwidth kd, is at most DENSE_THRESHOLD**2 (so every
-# dense matrix up to this order qualifies), and SuperLU above.
+# A factor is LAPACK band Cholesky while the band storage of each diagonal
+# block, (kd + 1) * n_j entries for half-bandwidth kd and block order n_j,
+# is at most DENSE_THRESHOLD**2 (so every dense matrix up to this order
+# qualifies, and so does a stack of them), and SuperLU above.
 DENSE_THRESHOLD = 2000
 
 # A factor passes its setup check when its solve of probe_rhs(n) leaves a
@@ -210,17 +212,18 @@ class Factorization:
 def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     """Factorize a symmetric positive definite matrix for repeated solves.
 
-    With half-bandwidth kd (the largest i - j of a stored entry), `a` goes
-    to LAPACK's band Cholesky dpbtrf when (kd + 1) * n <= DENSE_THRESHOLD**2,
-    its band storage ab[i - j, j] = a_ij taken from the lower triangle of
-    the CSR; otherwise to SuperLU. A non-positive pivot, or an exactly
-    singular SuperLU pivot, raises NotPositiveDefiniteError. `offsets`
-    bounds the blocks of a block-diagonal `a` (default: one block); the
-    blocks are factorized as one matrix, and they scope the setup check and
-    the error messages. The
-    new factor solves probe_rhs(n) and passes the solution to
-    `Factorization.check`, which raises NumericalError naming an inaccurate
-    block.
+    `offsets` bounds the blocks of a block-diagonal `a` (default: one
+    block). With half-bandwidth kd (the largest i - j of a stored entry)
+    and largest block order n_max, `a` goes to LAPACK's band Cholesky
+    dpbtrf when (kd + 1) * n_max <= DENSE_THRESHOLD**2, its band storage
+    ab[i - j, j] = a_ij taken from the lower triangle of the CSR; otherwise
+    to SuperLU. The blocks are factorized as one matrix: the band factor is
+    the blocks' own band factors side by side (see `lower_solve`), so the
+    budget bounds each block's. The blocks also scope the setup check and
+    the error messages. A non-positive pivot, or an exactly singular
+    SuperLU pivot, raises NotPositiveDefiniteError. The new factor solves
+    probe_rhs(n) and passes the solution to `Factorization.check`, which
+    raises NumericalError naming an inaccurate block.
     """
     n, n_cols = a.shape
     if n != n_cols:
@@ -250,7 +253,7 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
         return made("empty", None)
     below = np.repeat(np.arange(n), np.diff(s.indptr)) - s.indices
     kd = int(below.max(initial=0))
-    if (kd + 1) * n <= DENSE_THRESHOLD ** 2:
+    if (kd + 1) * int(np.diff(offsets).max()) <= DENSE_THRESHOLD ** 2:
         low = below >= 0
         ab = np.zeros((kd + 1, n), order="F")
         ab[below[low], s.indices[low]] = s.data[low]

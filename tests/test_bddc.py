@@ -816,28 +816,32 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
     assert calls == {"factorize": 0, "lower_solve": len(level.splits)}
 
 
-def test_superlu_level_factor_falls_back_to_member_band_factors(dirichlet_x2d, monkeypatch):
-    # a budget that every subdomain fits but the level's stacked K_II does
-    # not: the level factor is SuperLU, each member factorizes its own K_II
-    # block as a band Cholesky, and S_i, psi and the coarse matrices equal
-    # the dense oracle's
+@pytest.mark.parametrize("fits", [True, False], ids=["blocks-fit", "largest-block-over"])
+def test_band_budget_bounds_each_k_ii_block(dirichlet_x2d, fits, monkeypatch):
+    # the budget bounds each K_II block's band storage, never the level's
+    # stack: with a budget that every block fits but the stack does not, the
+    # level factor is a band Cholesky and _local_schur factorizes nothing;
+    # with one below the largest block it is SuperLU, and each member
+    # factorizes its own block. S_i, psi and the coarse matrices equal the
+    # dense oracle's either way
     lv = dirichlet_x2d
-    threshold = max(split.local_dofs.size for split in lv.splits)
     k_ii = lv.splits.k_ii_fact.matrix.scipy_csr()
-    assert (half_bandwidth(k_ii) + 1) * k_ii.shape[0] > threshold ** 2
+    kd, blocks = half_bandwidth(k_ii), np.diff(lv.splits.interior_offsets)
+    threshold = int(np.ceil(np.sqrt((kd + 1) * blocks.max()))) - (0 if fits else 1)
+    assert ((kd + 1) * blocks.max() <= threshold ** 2) == fits
+    assert (kd + 1) * k_ii.shape[0] > threshold ** 2
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
     level = make_bddc(lv).levels[0]
-    assert level.splits.k_ii_fact.method == "splu"
-    methods = []
+    assert level.splits.k_ii_fact.method == ("cholesky" if fits else "splu")
+    orders = []
 
-    def recorded(*args, **kwargs):
-        fact = sparse.factorize(*args, **kwargs)
-        methods.append(fact.method)
-        return fact
+    def recorded(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return sparse.factorize(a, *args, **kwargs)
 
     monkeypatch.setattr(bddc, "factorize", recorded)
     check_against_full_local_problems(lv, level)
-    assert methods == ["cholesky"] * len(level.splits)
+    assert orders == ([] if fits else [blocks[i] for g in level.groups for i in g.subs])
 
 
 @pytest.mark.parametrize("name,coarse_counts", [("cross2d", (2,)), ("elasticity3d_edges", ())])
@@ -924,3 +928,11 @@ def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):
         setup_bddc(lv.grid, lv.part, lv.k, lv.keys)
     assert main(["solve", "--set", "elements=8", "--hierarchy", "4"]) == EXIT_NUMERICAL
     assert "numerical failure: final coarse matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(12,), (14,), (13, 1)])
+def test_apply_rejects_residual_of_wrong_shape(cross2d, shape):
+    m = make_bddc(cross2d)
+    assert cross2d.imap.n == 13
+    with pytest.raises(ValueError, match="residual has shape"):
+        m.apply(np.ones(shape))

@@ -257,17 +257,21 @@ def test_solve_weak_coarse_space_names_the_subdomain_3d(capsys):
     assert "constraint set is too weak" in err
 
 
-@pytest.mark.parametrize("elements,hierarchy", [("16,4", "4/2"), ("8", "8/3/2"),
-                                               ("16,4", "12/4/2")])
-def test_coarse_subdomain_without_dofs(capsys, elements, hierarchy):
+@pytest.mark.parametrize("elements,hierarchy,levels,coarse_sizes", [
+    ("16,4", "4/2", 2, [0]), ("8", "8/3/2", 3, [3, 0]), ("16,4", "12/4/2", 4, [9, 1, 0])],
+    ids=["16,4-4/2", "8-8/3/2", "16,4-12/4/2"])
+def test_coarse_subdomain_without_dofs(capsys, elements, hierarchy, levels, coarse_sizes):
     # with vertex corners only, a coarse level can hold a subdomain that owns
-    # no coarse dof; the level still splits into one block per subdomain
+    # no coarse dof; the level still splits into one block per subdomain. A
+    # level with no coarse dof at all ends the hierarchy, so no level is
+    # built below it
     overrides = ["dim=2", f"elements={elements}", f"hierarchy={hierarchy}",
                  "corner_strategy=vertices-only", "constraint_policy=corners-only",
                  "tolerance=1e-10"]
     code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
     assert code == EXIT_OK and out.strip().endswith(",true")
     res = run_experiment(load_config(overrides=overrides))
+    assert (res.levels, res.coarse_sizes) == (levels, coarse_sizes)
     k, f = assemble_global(res.spec, res.mesh)
     x_ref = np.linalg.solve(k.scipy_csr().toarray(), f)
     assert np.linalg.norm(res.solution - x_ref) <= 1e-10 * np.linalg.norm(x_ref)

@@ -9,6 +9,7 @@ from mlbddc.fem import (
     ProblemSpec,
     assemble_global,
     build_dof_map,
+    dirichlet_dofs,
     element_matrix,
     export_vtk,
     generate_box_mesh,
@@ -372,3 +373,12 @@ def test_vtk_rejects_bad_data_size(tmp_path):
     mesh = generate_box_mesh(2, 1)
     with pytest.raises(ValueError):
         export_vtk(mesh, {"x": np.zeros(5)}, tmp_path / "bad.vtk")
+
+
+@pytest.mark.parametrize("fn,spec,match", [
+    (element_matrix, poisson(dim=3), "problem dim 3 != mesh dim 2"),
+    (dirichlet_dofs, poisson(dim=3, dirichlet_faces=("z-",)), "face 'z-' invalid for 2D mesh"),
+], ids=["element_matrix", "dirichlet_dofs"])
+def test_3d_spec_on_a_2d_mesh_is_rejected(fn, spec, match):
+    with pytest.raises(ValueError, match=match):
+        fn(spec, generate_box_mesh(2, 2))

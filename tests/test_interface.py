@@ -390,6 +390,13 @@ def test_coarse_space_rejects_off_interface_corner(cross2d):
                            cross2d.part)
 
 
+@pytest.mark.parametrize("policy", ["corners", "edges+faces", ""])
+def test_coarse_space_rejects_unknown_policy(cross2d, policy):
+    with pytest.raises(ValueError, match="unknown constraint policy"):
+        build_coarse_space(cross2d.globset, cross2d.corners(), cross2d.grid,
+                           cross2d.part, policy)
+
+
 def test_coarse_space_3d(box3d):
     cs = box3d.coarse_space()
     # 37 corners; every face keeps 4-3 members, every edge keeps its 2

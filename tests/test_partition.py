@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from conftest import elements_of, grid_from_lists, level2_pseudomesh
+from conftest import build_level1, elements_of, grid_from_lists, level2_pseudomesh
 from mlbddc import partition
 from mlbddc.errors import ConfigError
 from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh
@@ -245,3 +245,17 @@ def test_greedy_on_pseudomesh_is_connected_and_balanced():
     part = partition_greedy(grid, 4)
     assert_connected(part, grid)
     assert part.sizes().max() <= math.ceil(grid.n_elems / 4) * BALANCE_FACTOR
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda cs: partition.Partition(2, np.array([0, 1, 2, 1]), "test").validate(),
+     "assignment out of range"),
+    (lambda cs: partition.Partition(2, np.array([0, -1, 1, 1]), "test").validate(),
+     "assignment out of range"),
+    (lambda cs: partition.build_pseudomesh(cs, partition.Partition(
+        3, np.array([0, 1, 2, 2]), "test"), 2), "subdomain count disagrees"),
+], ids=["above", "below", "pseudomesh-count"])
+def test_partition_inputs_are_checked(make, match):
+    coarse = build_level1(ProblemSpec(kind="poisson", dim=2), 4, 4).coarse_space()
+    with pytest.raises(ValueError, match=match):
+        make(coarse)

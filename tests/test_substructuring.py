@@ -54,6 +54,13 @@ def test_chain_condensed_rhs_and_recovery():
     assert x == pytest.approx([1.5, 2.0, 1.5], abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_recovery_rejects_interface_vector_of_wrong_length(n):
+    splits, imap = chain_splits()
+    with pytest.raises(ValueError, match="interface vector has length"):
+        recover_interior(splits, imap, np.ones(n), np.ones(3), n_dofs=3)
+
+
 def dense_schur_parts(lv):
     """Block elimination of the assembled operator: the reference S and g."""
     kd = lv.k_global.scipy_csr().toarray()
