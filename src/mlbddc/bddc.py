@@ -50,13 +50,15 @@ all of its members; only the dense kernels (a band triangular solve with the
 subdomain's own columns of the level's K_II factor and a rank-k update for
 S_i, then potrf and potri for A_i) and the products with their results run
 once per subdomain, writing z_i, psi_i and the coarse matrices into the
-group's stacks. All reductions accumulate in a fixed order
-(shape groups, then subdomains), so results are bitwise reproducible.
+group's stacks. All reductions accumulate in a fixed order (shape groups,
+then subdomains), so results are bitwise reproducible at a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse
@@ -516,11 +518,13 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup):
         yield np.where(lower, s, s.T)
 
 
-def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, keys,
+def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
+    """One level from `subassemble`, a zero-argument callable returning its
+    (K, keys); K lives only through the `build_splits` call that splits it."""
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(k, keys, iface, grid.n_dofs, part.n_subdomains)
+    splits, imap = build_splits(*subassemble(), iface, grid.n_dofs, part.n_subdomains)
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
@@ -548,13 +552,14 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, k: SparseMatrix, 
                      imap=imap, weights=weights, coarse=coarse, subs=subs, groups=groups)
 
 
-def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
+def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
                coarse_counts=(), *, constraint_policy: str = "corners+edges+faces",
                corner_strategy: str = "default",
                weight_scheme: str = "cardinality") -> MultilevelBddc:
-    """Build the full level hierarchy from the level-1 subdomain matrices:
-    k is block-diagonal over the subdomains of `partition` and keys numbers
-    its rows, as `fem.subassemble_subdomain` returns them.
+    """Build the full level hierarchy. subassemble is a zero-argument callable
+    returning level 1's (K, keys) as `fem.subassemble_subdomain` does: K is
+    block-diagonal over the subdomains of `partition`, keys numbers its rows.
+    Every level's K, coarse ones from `subassemble_coarse`, is freed once split.
 
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
     two-level method); the final coarse problem is always factorized
@@ -571,10 +576,9 @@ def setup_bddc(grid: LevelGrid, partition: Partition, k: SparseMatrix, keys,
                 break
             grid = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
             partition = partition_elements(grid, count, method="auto")
-            k, keys = subassemble_coarse([sub.coarse_matrix for sub in prev.subs],
-                                         [sub.coarse_dofs for sub in prev.subs],
-                                         partition, grid.n_dofs)
-        levels.append(_build_level(depth + 1, grid, partition, k, keys,
+            subassemble = partial(subassemble_coarse, [s.coarse_matrix for s in prev.subs],
+                                  [s.coarse_dofs for s in prev.subs], partition, grid.n_dofs)
+        levels.append(_build_level(depth + 1, grid, partition, subassemble,
                                    constraint_policy, corner_strategy,
                                    weight_scheme))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -250,7 +251,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     counts, spec, mesh, dofmap, grid, part = _partitioned_mesh(config)
     f = assemble_global(spec, mesh)[1]
-    prec = setup_bddc(grid, part, *subassemble_subdomain(spec, mesh, dofmap, part),
+    prec = setup_bddc(grid, part, partial(subassemble_subdomain, spec, mesh, dofmap, part),
                       counts[1:], constraint_policy=config.constraint_policy,
                       corner_strategy=config.corner_strategy,
                       weight_scheme=config.weight_scheme)
@@ -281,8 +282,8 @@ def run_experiment(config: RunConfig) -> RunResult:
     t2 = time.perf_counter()
 
     return RunResult(config=config, levels=prec.n_levels,
-                     subdomain_counts=counts, n_dofs=dofmap.n_free,
-                     coarse_sizes=prec.coarse_sizes(), report=report,
+                     subdomain_counts=[lv.partition.n_subdomains for lv in prec.levels],
+                     n_dofs=dofmap.n_free, coarse_sizes=prec.coarse_sizes(), report=report,
                      setup_seconds=t1 - t0, krylov_seconds=t2 - t1,
                      solution=x, mesh=mesh, spec=spec, dofmap=dofmap,
                      preconditioner=prec)

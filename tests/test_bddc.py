@@ -8,6 +8,7 @@ dense bordered system [K_i C_i^T; C_i 0] with the constraint rows
 zero-padded over the interior.
 """
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from conftest import build_level1
-from mlbddc import bddc, sparse
+from mlbddc import bddc, load_config, run_experiment, sparse
 from mlbddc.bddc import (
     LevelConstraints,
     MultilevelBddc,
@@ -40,7 +41,7 @@ from test_substructuring import dense_schur_parts
 
 
 def make_bddc(lv, coarse_counts=(), **kw):
-    return setup_bddc(lv.grid, lv.part, lv.k, lv.keys,
+    return setup_bddc(lv.grid, lv.part, lambda: (lv.k, lv.keys),
                       coarse_counts, **kw)
 
 
@@ -531,6 +532,28 @@ def test_setup_runs_one_coarse_basis_per_shape_group(dirichlet_x2d, monkeypatch)
     assert sum(calls) == sum(len(level.subs) for level in m.levels) > len(calls)
 
 
+def test_each_level_matrix_is_freed_once_split(monkeypatch):
+    # no frame (the harness, setup_bddc, _build_level) holds a level's
+    # block-diagonal K past build_splits: at every coarse_basis call, each K
+    # split so far is already freed by reference counting, with no gc pass
+    refs, seen = [], []
+
+    def recorded_build_splits(k, *args):
+        refs.append((weakref.ref(k), weakref.ref(k.scipy_csr())))
+        return build_splits(k, *args)
+
+    def checked_coarse_basis(g, schur):
+        seen.append((len(refs), [r() is not None for pair in refs for r in pair]))
+        return coarse_basis(g, schur)
+
+    monkeypatch.setattr(bddc, "build_splits", recorded_build_splits)
+    monkeypatch.setattr(bddc, "coarse_basis", checked_coarse_basis)
+    overrides = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
+    assert run_experiment(load_config(overrides=overrides)).levels == 3
+    assert {level for level, _ in seen} == {1, 2} and len(refs) == 2
+    assert not any(any(alive) for _, alive in seen)
+
+
 @pytest.mark.parametrize("coarse_counts", [(), (4,)])
 def test_condition_number_follows_the_log_bound(coarse_counts):
     # 2D Poisson, corners only, 16 subdomains: from H/h = 4 to H/h = 32 the
@@ -925,7 +948,7 @@ def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4)
     with pytest.raises(NumericalError, match=r"final coarse matrix \(13 dofs\) is not positive "
                                              r"definite .* too weak"):
-        setup_bddc(lv.grid, lv.part, lv.k, lv.keys)
+        setup_bddc(lv.grid, lv.part, lambda: (lv.k, lv.keys))
     assert main(["solve", "--set", "elements=8", "--hierarchy", "4"]) == EXIT_NUMERICAL
     assert "numerical failure: final coarse matrix" in capsys.readouterr().err
 

@@ -257,21 +257,25 @@ def test_solve_weak_coarse_space_names_the_subdomain_3d(capsys):
     assert "constraint set is too weak" in err
 
 
-@pytest.mark.parametrize("elements,hierarchy,levels,coarse_sizes", [
-    ("16,4", "4/2", 2, [0]), ("8", "8/3/2", 3, [3, 0]), ("16,4", "12/4/2", 4, [9, 1, 0])],
+@pytest.mark.parametrize("elements,hierarchy,levels,subdomains,coarse_sizes", [
+    ("16,4", "4/2", 2, "4", [0]), ("8", "8/3/2", 3, "8/3", [3, 0]),
+    ("16,4", "12/4/2", 4, "12/4/2", [9, 1, 0])],
     ids=["16,4-4/2", "8-8/3/2", "16,4-12/4/2"])
-def test_coarse_subdomain_without_dofs(capsys, elements, hierarchy, levels, coarse_sizes):
+def test_coarse_subdomain_without_dofs(capsys, elements, hierarchy, levels, subdomains,
+                                       coarse_sizes):
     # with vertex corners only, a coarse level can hold a subdomain that owns
     # no coarse dof; the level still splits into one block per subdomain. A
     # level with no coarse dof at all ends the hierarchy, so no level is
-    # built below it
+    # built below it, and the report's subdomain counts are the levels built
     overrides = ["dim=2", f"elements={elements}", f"hierarchy={hierarchy}",
                  "corner_strategy=vertices-only", "constraint_policy=corners-only",
                  "tolerance=1e-10"]
     code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
     assert code == EXIT_OK and out.strip().endswith(",true")
+    assert out.splitlines()[-1].split(",")[1] == subdomains
     res = run_experiment(load_config(overrides=overrides))
     assert (res.levels, res.coarse_sizes) == (levels, coarse_sizes)
+    assert res.csv_row()["subdomains"] == subdomains
     k, f = assemble_global(res.spec, res.mesh)
     x_ref = np.linalg.solve(k.scipy_csr().toarray(), f)
     assert np.linalg.norm(res.solution - x_ref) <= 1e-10 * np.linalg.norm(x_ref)

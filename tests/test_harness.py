@@ -1,6 +1,10 @@
 """Configuration parsing, the experiment runner, and report formatting."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,3 +270,33 @@ def test_export_vtk(tmp_path):
     path2 = tmp_path / "scalar.vtk"
     export_solution_vtk(RunConfig(elements=(6,), hierarchy="4"), path2)
     assert "SCALARS solution double 1" in path2.read_text()
+
+
+SOLVE_AND_SAVE = """
+import sys
+import numpy as np
+from mlbddc import load_config, run_experiment
+res = run_experiment(load_config(overrides=sys.argv[2:]))
+np.save(sys.argv[1], np.r_[res.report.iterations, res.report.condition_estimate, res.solution])
+"""
+
+
+def test_blas_thread_count_moves_results_only_by_roundoff(tmp_path):
+    # runs are bitwise reproducible at a fixed BLAS thread count only: a
+    # threaded BLAS may sum in another order. Across 1 and 2 threads the
+    # iterations agree and the solution and kappa agree to round-off
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    overrides = ["problem=elasticity", "dim=3", "elements=8", "hierarchy=8", "tolerance=1e-10"]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        path = tmp_path / f"threads{threads}.npy"
+        done = subprocess.run([sys.executable, "-c", SOLVE_AND_SAVE, str(path), *overrides],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(np.load(path))
+    (it1, kappa1, *x1), (it2, kappa2, *x2) = runs
+    assert it1 == it2
+    assert abs(kappa1 - kappa2) <= 1e-10 * abs(kappa1)
+    assert np.linalg.norm(np.subtract(x1, x2)) <= 1e-12 * np.linalg.norm(x1)
