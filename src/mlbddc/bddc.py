@@ -109,25 +109,21 @@ class LevelConstraints:
 def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
                       imap: InterfaceMap) -> LevelConstraints:
     """Constraint rows of all subdomains of a level at once: each subdomain's
-    coarse nodes expand into their members (a corner into itself, a glob
-    node into the glob's remaining members, each weighted 1/size), and one
-    search against the sorted (subdomain, interface dof) keys of the stacked
-    interface places every member dof."""
+    coarse nodes (sub_ptr/sub_node) expand into their members (member_ptr/
+    members: a corner itself, a glob node the glob's remaining members, each
+    weighted 1/size), and one search against the sorted (subdomain,
+    interface dof) keys of the stacked interface places every member dof."""
     dpn = coarse.dofs_per_node
     kinds = np.concatenate([np.full(coarse.n_corners, "corner"),
                             globset.kinds[coarse.glob_ids]])
-    size = np.concatenate([np.ones(coarse.n_corners, dtype=np.int64),
-                           np.array([m.size for m in coarse.glob_members], dtype=np.int64)])
-    members = np.concatenate([coarse.corner_nodes, *coarse.glob_members])
-    per_sub = np.array([nodes.size for nodes in coarse.sub_nodes], dtype=np.int64)
-    node = np.concatenate([np.zeros(0, np.int64), *coarse.sub_nodes])  # per (subdomain, node)
+    size = np.diff(coarse.member_ptr)
+    node, per_sub = coarse.sub_node, np.diff(coarse.sub_ptr)   # a node per (subdomain, node)
     sub = np.repeat(np.arange(per_sub.size), per_sub)
     # one entry per (subdomain, node, member), then per component
     pair = np.repeat(np.arange(node.size), size[node])
-    start = np.cumsum(size) - size
     within = np.arange(pair.size) - np.repeat(np.cumsum(size[node]) - size[node], size[node])
     comp = np.arange(dpn)
-    dof = members[start[node][pair] + within][:, None] * dpn + comp
+    dof = coarse.members[coarse.member_ptr[node][pair] + within][:, None] * dpn + comp
     iface_dof = imap.dofs[splits.iface_index]
     span = int(max(dof.max(initial=-1), iface_dof.max(initial=-1))) + 1
     keys = np.repeat(np.arange(per_sub.size), np.diff(splits.iface_offsets)) * span + iface_dof
@@ -139,7 +135,7 @@ def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
         raise ValueError(f"subdomain {sub[pair][np.nonzero(~found)[0][0]]}: constraint "
                          f"node outside the subdomain's interface")
     return LevelConstraints(
-        starts=np.concatenate([[0], np.cumsum(per_sub * dpn)]),
+        starts=coarse.sub_ptr * dpn,
         tags=np.repeat(kinds[node], dpn), dofs=(node[:, None] * dpn + comp).ravel(),
         row=(pair[:, None] * dpn + comp).ravel(), col=col.ravel(),
         val=np.repeat(1.0 / size[node][pair], dpn))
@@ -153,7 +149,8 @@ class ShapeGroup:
     them all.
 
     Member j's constraint rows are rows j * n_constraints onwards of `rows`,
-    with columns ordered like its `split.interface_pos`. The rows have
+    with columns ordered like its stacked interface (its interface dofs
+    ascending, `LevelSplits.iface_offsets`). The rows have
     disjoint supports, so every row owns one interface dof of its own: a
     point row the dof it fixes, an average row its master, its entry with
     the largest |c| (lowest position on ties). The member's interface order
@@ -233,7 +230,7 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
 class SubdomainConstraints:
     """One subdomain's constraint rows by origin (the rows themselves are
     its ShapeGroup's `rows`) and its free dofs (those no point constraint
-    fixes) as positions in `split.interface_pos`, in the order of z: the
+    fixes) as positions in its stacked interface, in the order of z: the
     kept dofs ascending, then the average rows' masters in row order."""
 
     tags: list                    # "corner" | "edge" | "face" per row
@@ -245,14 +242,13 @@ class SubdomainCoarse:
     """One subdomain's coarse machinery on its interface: `bordered`, the
     record of its factorized constrained problem A = N^T S_ff N (see
     `coarse_basis`; the factor itself is not kept), the constrained-solve
-    operator z, the basis psi and its coarse element matrix (views into its
-    level's ShapeGroup), and where it assembles."""
+    operator z and the basis psi (views into its level's ShapeGroup, which
+    also holds its coarse element matrix), and where it assembles."""
 
     constraints: SubdomainConstraints
     bordered: Factorization
     z: np.ndarray                 # (n_free, n_free)
     psi: np.ndarray               # (n_interface, n_constraints)
-    coarse_matrix: np.ndarray     # (n_constraints, n_constraints)
     coarse_dofs: np.ndarray       # global coarse dof ids
 
     def constrained_solve(self, r_b: np.ndarray):
@@ -290,10 +286,10 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     Fills the group's stacks: z = N A^-1 N^T (kept dofs, then masters), by
     blocks and exactly symmetric, is the constrained-solve operator (the
     free dofs of the solution of [S C^T; C 0][z; mu] = [r; 0] are z r_f).
-    With V = N^T (S X)_f and U = A^-1 V, psi = X - N U (in interface_pos
-    order) holds the constrained energy minimizers with unit constraint
-    values, and the coarse matrix is psi^T S psi = X^T S X - V^T U,
-    symmetrized. Returns each member's record of A: method "cholesky"
+    With V = N^T (S X)_f and U = A^-1 V, psi = X - N U (in stacked
+    interface order) holds the constrained energy minimizers with unit
+    constraint values, and the coarse matrix is psi^T S psi = X^T S X - V^T
+    U, symmetrized. Returns each member's record of A: method "cholesky"
     ("empty" at order 0), order and A as a CSR, without the factor.
 
     Each member's setup check, run as soon as its inverse is made, applies
@@ -457,18 +453,21 @@ interior_precorrection = condensed_rhs
 interior_postcorrection = recover_interior
 
 
-def assemble_coarse(k_elems, dof_lists) -> SparseMatrix:
-    """Assemble dense coarse element matrices into one sparse operator over
-    all coarse dofs (every coarse dof belongs to some subdomain)."""
-    return sum_elements([(kc, np.asarray(d)[None]) for kc, d in zip(k_elems, dof_lists)])[0]
+def assemble_coarse(groups) -> SparseMatrix:
+    """Assemble a level's coarse element matrices into one sparse operator
+    over all its coarse dofs (every coarse dof belongs to some subdomain):
+    one (kc, dofs) block per shape group, as level 1 passes one (ke, dofs)."""
+    return sum_elements([(g.kc, g.dofs) for g in groups])[0]
 
 
-def subassemble_coarse(k_elems, dof_lists, partition: Partition, n_dofs: int):
-    """Assemble every subdomain of the pseudo-mesh from its coarse element
-    matrices in one call, over `subdomain_keys` of the coarse dofs. Returns
-    (K, keys), laid out like `fem.subassemble_subdomain`'s."""
-    return sum_elements([(kc, subdomain_keys(s, d, n_dofs)[None])
-                         for kc, d, s in zip(k_elems, dof_lists, partition.assignment)])
+def subassemble_coarse(groups, partition: Partition, n_dofs: int):
+    """Assemble every subdomain of the pseudo-mesh in one call from the
+    previous level's shape groups (their members are its elements): one
+    block per group, over `subdomain_keys` of the coarse dofs, so entries
+    sum group by group, then member by member. Returns (K, keys), laid out
+    like `fem.subassemble_subdomain`'s."""
+    return sum_elements([(g.kc, subdomain_keys(partition.assignment[g.subs][:, None],
+                                               g.dofs, n_dofs)) for g in groups])
 
 
 def _local_schur(splits: LevelSplits, g: ShapeGroup):
@@ -543,7 +542,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         for j, (i, fact) in enumerate(zip(g.subs.tolist(), records)):
             cons = SubdomainConstraints(tags=g.tags[j].tolist(), free_dofs=g.order[j, :nf])
             subs[i] = SubdomainCoarse(constraints=cons, bordered=fact, z=g.z[j], psi=g.psi[j],
-                                      coarse_matrix=g.kc[j], coarse_dofs=g.dofs[j])
+                                      coarse_dofs=g.dofs[j])
     if failed:
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
@@ -559,7 +558,9 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
     """Build the full level hierarchy. subassemble is a zero-argument callable
     returning level 1's (K, keys) as `fem.subassemble_subdomain` does: K is
     block-diagonal over the subdomains of `partition`, keys numbers its rows.
-    Every level's K, coarse ones from `subassemble_coarse`, is freed once split.
+    Coarser levels, and the top matrix, are assembled from the previous
+    level's shape-group stacks (`subassemble_coarse`, `assemble_coarse`).
+    Every level's K is freed once split.
 
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
     two-level method); the final coarse problem is always factorized
@@ -574,17 +575,14 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
             prev = levels[-1]
             if prev.n_coarse_dofs == 0:
                 break
-            grid = build_pseudomesh(prev.coarse, prev.partition, grid.dim)
+            grid = build_pseudomesh(prev.coarse, prev.partition)
             partition = partition_elements(grid, count, method="auto")
-            subassemble = partial(subassemble_coarse, [s.coarse_matrix for s in prev.subs],
-                                  [s.coarse_dofs for s in prev.subs], partition, grid.n_dofs)
+            subassemble = partial(subassemble_coarse, prev.groups, partition, grid.n_dofs)
         levels.append(_build_level(depth + 1, grid, partition, subassemble,
                                    constraint_policy, corner_strategy,
                                    weight_scheme))
 
-    last = levels[-1]
-    k_top = assemble_coarse([sub.coarse_matrix for sub in last.subs],
-                            [sub.coarse_dofs for sub in last.subs])
+    k_top = assemble_coarse(levels[-1].groups)
     try:
         top = factorize(k_top)
     except NumericalError as exc:

@@ -71,6 +71,8 @@ def _check_output(path: str) -> None:
     """Raise OSError unless path can be written, without creating or
     truncating it: the run writes its output only once it is done, so a
     failed run leaves an existing file as it was."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "empty path")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, f"no directory {parent}")
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
 
         if args.command == "analyze-globs":
             text = analyze_globs(_config_from(args))
-            if args.output:
+            if args.output is not None:
                 with open(args.output, "w") as fh:
                     fh.write(text)
             sys.stdout.write(text)

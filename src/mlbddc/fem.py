@@ -11,7 +11,7 @@ block-diagonal matrix whose rows are keyed by (subdomain, free dof).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class Mesh:
     dofs_per_node: int = 1
     boundary_dofs: np.ndarray | None = None
     boundary_values: np.ndarray | None = None
-    _kmat_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -292,11 +291,7 @@ def _strain_matrix(dim: int, g: np.ndarray) -> np.ndarray:
 
 def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Element stiffness by 2-point Gauss per axis. All elements of a box
-    mesh are congruent, so the result is cached per (mesh, problem)."""
-    key = (spec.kind, spec.dim, spec.young, spec.poisson_ratio)
-    cached = mesh._kmat_cache.get(key)
-    if cached is not None:
-        return cached
+    mesh are congruent, so one matrix, from the first element, serves all."""
     dim = mesh.dim
     if spec.dim != dim:
         raise ValueError(f"problem dim {spec.dim} != mesh dim {dim}")
@@ -319,9 +314,7 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
         else:
             b = _strain_matrix(dim, g)
             ke += det * (b.T @ d_mat @ b)
-    ke = (ke + ke.T) / 2.0
-    mesh._kmat_cache[key] = ke
-    return ke
+    return (ke + ke.T) / 2.0
 
 
 # -- assembly -----------------------------------------------------------------

@@ -153,14 +153,21 @@ def _policy_kinds(policy: str, dim: int):
 @dataclass
 class CoarseSpace:
     """Global coarse-node ordering (corners first, then globs) plus the
-    per-subdomain restriction maps the levels are glued with."""
+    per-subdomain restriction maps the levels are glued with, both as
+    offsets into one flat array: coarse node c has members
+    members[member_ptr[c]:member_ptr[c + 1]] (a corner itself, a glob its
+    non-corner members, ascending), and subdomain i has coarse nodes
+    sub_node[sub_ptr[i]:sub_ptr[i + 1]], ascending. The latter is the next
+    level's element -> node incidence (`partition.build_pseudomesh`)."""
 
     dofs_per_node: int
     corner_nodes: np.ndarray       # sorted previous-level node ids
     glob_ids: np.ndarray           # included glob indices, classify order
-    glob_members: list             # remaining (non-corner) members per glob
-    node_coords: np.ndarray        # (n_coarse_nodes, dim)
-    sub_nodes: list                # per subdomain: local coarse node ids
+    member_ptr: np.ndarray         # (n_nodes + 1,)
+    members: np.ndarray            # previous-level node ids
+    node_coords: np.ndarray        # (n_nodes, dim)
+    sub_ptr: np.ndarray            # (n_subdomains + 1,)
+    sub_node: np.ndarray           # coarse node ids
 
     @property
     def n_corners(self) -> int:
@@ -177,6 +184,9 @@ class CoarseSpace:
 
 def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
                        partition, policy: str = "corners+edges+faces") -> CoarseSpace:
+    """One coarse node per corner and per glob of the policy's kinds that
+    keeps a non-corner member; each subdomain takes the coarse nodes whose
+    sharing set holds it. Both CSR pairs come from one sort each."""
     if policy not in CONSTRAINT_POLICIES:
         raise ValueError(f"unknown constraint policy {policy!r}")
     kinds = _policy_kinds(policy, grid.dim)
@@ -190,26 +200,24 @@ def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
     members, glob = members[rest], glob[rest]
     size = np.bincount(glob, minlength=globset.kinds.size)
     glob_ids = np.nonzero(size)[0]
-    ends = np.cumsum(size[glob_ids])
-    glob_members = np.split(members, ends)[:-1]
-
-    coords = np.zeros((len(corners) + len(glob_ids), grid.dim))
-    coords[: len(corners)] = grid.node_coords[corners]
-    # glob centroids, summed member by member in order, as mean() does
-    rows = np.repeat(np.arange(len(corners), coords.shape[0]), size[glob_ids])
-    np.add.at(coords, rows, grid.node_coords[members])
-    coords[len(corners):] /= size[glob_ids][:, None]
+    # coarse nodes: the corners, each its own one member, then the globs
+    members = np.concatenate([corners, members])
+    size = np.concatenate([np.ones(corners.size, dtype=np.int64), size[glob_ids]])
+    n = size.size
+    # centroids, summed member by member in order, as mean() does
+    coords = np.zeros((n, grid.dim))
+    np.add.at(coords, np.repeat(np.arange(n), size), grid.node_coords[members])
+    coords /= size[:, None]
 
     # subdomain membership follows the sharing sets: each corner takes its
     # glob's, each included glob its own
     sharers = globset.sharers[np.concatenate([globset.node_glob[corners], glob_ids])]
-    n_coarse = sharers.shape[0]
-    pairs = sharers * n_coarse + np.arange(n_coarse)[:, None]
-    sub, node = np.divmod(np.sort(pairs[sharers >= 0]), n_coarse)
-    sub_nodes = np.split(node, np.cumsum(np.bincount(sub, minlength=partition.n_subdomains)))
+    sub, node = np.divmod(np.sort((sharers * n + np.arange(n)[:, None])[sharers >= 0]), n)
+    per_sub = np.bincount(sub, minlength=partition.n_subdomains)
     return CoarseSpace(dofs_per_node=grid.dofs_per_node, corner_nodes=corners,
-                       glob_ids=glob_ids, glob_members=glob_members,
-                       node_coords=coords, sub_nodes=sub_nodes[:-1])
+                       glob_ids=glob_ids, member_ptr=np.concatenate([[0], np.cumsum(size)]),
+                       members=members, node_coords=coords,
+                       sub_ptr=np.concatenate([[0], np.cumsum(per_sub)]), sub_node=node)
 
 
 def format_glob_table(globset: GlobSet) -> str:

@@ -261,17 +261,17 @@ def partition_elements(grid: LevelGrid, n_subdomains: int,
     return part
 
 
-def build_pseudomesh(coarse_space, partition: Partition, dim: int) -> LevelGrid:
+def build_pseudomesh(coarse_space, partition: Partition) -> LevelGrid:
     """Next-level grid: subdomains become elements, coarse nodes become
-    nodes. Ordering and coordinates come from the coarse space."""
-    sub_nodes = coarse_space.sub_nodes
-    if len(sub_nodes) != partition.n_subdomains:
+    nodes. The coarse space's subdomain -> coarse node offsets are the
+    element -> node incidence, and its coordinates are the nodes'."""
+    if coarse_space.sub_ptr.size != partition.n_subdomains + 1:
         raise ValueError("coarse space subdomain count disagrees with partition")
     return LevelGrid(
         n_nodes=coarse_space.n_nodes,
-        node_coords=coarse_space.node_coords.reshape(-1, dim),
-        elem_ptr=np.cumsum([0] + [nodes.size for nodes in sub_nodes]),
-        elem_nodes=np.concatenate(sub_nodes).astype(np.int64),
+        node_coords=coarse_space.node_coords,
+        elem_ptr=coarse_space.sub_ptr,
+        elem_nodes=coarse_space.sub_node,
         dofs_per_node=coarse_space.dofs_per_node,
         structured_shape=None,
     )

@@ -38,12 +38,11 @@ class InterfaceMap:
 
 @dataclass
 class SubdomainSplit:
-    """One subdomain's interior/interface splitting of its diagonal block."""
+    """One subdomain of a level's splitting: its index and the level's K_II
+    factor. Its interior and interface are slices of the level's stacks
+    (`LevelSplits` offsets)."""
 
     index: int
-    local_dofs: np.ndarray          # global level-dof ids, ascending
-    interior_pos: np.ndarray        # positions within local_dofs
-    interface_pos: np.ndarray
     stacked_ii: Factorization = field(repr=False)   # the level's K_II factor
 
     @property
@@ -64,7 +63,8 @@ class LevelSplits(list):
     interface (both scipy CSR); interior_dofs maps stacked interior to level
     dofs and iface_index stacked interface to global interface positions.
     Subdomain i owns stacked interior interior_offsets[i]:interior_offsets[i+1]
-    and stacked interface iface_offsets[i]:iface_offsets[i+1]."""
+    and stacked interface iface_offsets[i]:iface_offsets[i+1], dofs
+    ascending; no other per-subdomain positions are kept."""
 
     def __init__(self, subs, k_ii_fact: Factorization, k_ib, k_bb,
                  interior_dofs, iface_index, interior_offsets, iface_offsets):
@@ -123,11 +123,8 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int, n_subs: int):
     fact = factorize(k_ii, offsets=cut_i)
 
     iface_index = np.searchsorted(iface_dofs, ltg_all[interface])
-    subs = [SubdomainSplit(i, ltg_all[ends[i]:ends[i + 1]],
-                           interior[cut_i[i]:cut_i[i + 1]] - ends[i],
-                           interface[cut_b[i]:cut_b[i + 1]] - ends[i], fact)
-            for i in range(n_subs)]
-    splits = LevelSplits(subs, fact, k_ib, k_bb, interior_dofs, iface_index, cut_i, cut_b)
+    splits = LevelSplits([SubdomainSplit(i, fact) for i in range(n_subs)], fact, k_ib, k_bb,
+                         interior_dofs, iface_index, cut_i, cut_b)
     return splits, InterfaceMap(dofs=iface_dofs)
 
 

@@ -63,9 +63,25 @@ def grid_from_lists(coords, elements, **fields) -> LevelGrid:
                      **fields)
 
 
+def segments(ptr, values) -> list:
+    """values[ptr[i]:ptr[i + 1]] for each i: the per-item arrays of an
+    offsets + flat array pair (a coarse space's sub_ptr/sub_node, say)."""
+    return [values[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def split_positions(splits, imap, i) -> tuple:
+    """Subdomain i's level dofs, ascending, and the positions of its interior
+    and of its interface dofs among them, from the level's LevelSplits
+    offsets: (local dofs, interior positions, interface positions)."""
+    interior = splits.interior_dofs[splits.interior_offsets[i]:splits.interior_offsets[i + 1]]
+    iface = imap.dofs[splits.iface_index[splits.iface_offsets[i]:splits.iface_offsets[i + 1]]]
+    local = np.union1d(interior, iface)
+    return local, np.searchsorted(local, interior), np.searchsorted(local, iface)
+
+
 def elements_of(grid: LevelGrid) -> list:
     """The grid's element node lists, one Python list per element."""
-    return [grid.elem_nodes[a:b].tolist() for a, b in zip(grid.elem_ptr[:-1], grid.elem_ptr[1:])]
+    return [nodes.tolist() for nodes in segments(grid.elem_ptr, grid.elem_nodes)]
 
 
 def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
@@ -87,7 +103,7 @@ def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
 def level2_pseudomesh() -> LevelGrid:
     """Level-2 grid of a 3D hierarchy: the pseudo-mesh of 27 subdomains."""
     lv = build_level1(ProblemSpec(kind="poisson", dim=3), 6, 27, method="regular-blocks")
-    return build_pseudomesh(lv.coarse_space(), lv.part, dim=3)
+    return build_pseudomesh(lv.coarse_space(), lv.part)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -10,13 +10,14 @@ zero-padded over the interior.
 
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import build_level1
+from conftest import build_level1, segments, split_positions
 from mlbddc import bddc, load_config, run_experiment, sparse
 from mlbddc.bddc import (
     LevelConstraints,
@@ -50,8 +51,8 @@ def full_local_problem(lv, split, rows_b):
     [K C^T; C 0] (constraint rows over the interface zero-padded to all
     local dofs) and the interface Schur complement S by dense elimination."""
     kd = lv.k_local(split.index)
-    i, b = split.interior_pos, split.interface_pos
-    c = np.zeros((rows_b.shape[0], split.local_dofs.size))
+    local, i, b = split_positions(lv.splits, lv.imap, split.index)
+    c = np.zeros((rows_b.shape[0], local.size))
     c[:, b] = rows_b
     bordered = np.block([[kd, c.T], [c, np.zeros((c.shape[0], c.shape[0]))]])
     kib = kd[np.ix_(i, b)]
@@ -79,7 +80,7 @@ def hand_constraints(rows_list, tags_list):
 
 def hand_basis(s, c, tags):
     """coarse_basis of one subdomain, as a one-member shape group: S over
-    its interface (interface_pos order) and constraint rows c. Returns the
+    its interface (stacked interface order) and constraint rows c. Returns the
     group and the member's (record, z, psi, coarse matrix)."""
     g, = _shape_groups(*hand_constraints([c], [tags]))
     order = g.order[0]
@@ -87,15 +88,27 @@ def hand_basis(s, c, tags):
     return g, (fact, g.z[0], g.psi[0], g.kc[0])
 
 
-def constraint_rows(level, i):
-    """Subdomain i's constraint rows over its interface, dense, from its
-    shape group."""
+def group_member(level, i):
+    """(shape group, slot) of subdomain i of level."""
     for g in level.groups:
         j = np.flatnonzero(g.subs == i)
         if j.size:
-            nc = g.tags.shape[1]
-            return g.rows[j[0] * nc:(j[0] + 1) * nc].toarray()
+            return g, int(j[0])
     raise KeyError(i)
+
+
+def constraint_rows(level, i):
+    """Subdomain i's constraint rows over its interface, dense, from its
+    shape group."""
+    g, j = group_member(level, i)
+    nc = g.tags.shape[1]
+    return g.rows[j * nc:(j + 1) * nc].toarray()
+
+
+def coarse_matrix(level, i):
+    """Subdomain i's coarse element matrix, from its shape group's stack."""
+    g, j = group_member(level, i)
+    return g.kc[j]
 
 
 def dense_rows(cons, iface_offsets, i):
@@ -318,7 +331,7 @@ def test_point_constraints_inside_averages_match_full_solve():
     assert rel_err(t_inv.T @ kc @ t_inv, -ref[7:]) <= 1e-12
     cons = bddc.SubdomainConstraints(tags=tags, free_dofs=free)
     sub = bddc.SubdomainCoarse(constraints=cons, bordered=fact, z=z, psi=psi,
-                               coarse_matrix=kc, coarse_dofs=np.arange(4))
+                               coarse_dofs=np.arange(4))
     r_b = rng.standard_normal(7)
     z_b, mu = sub.constrained_solve(r_b)
     ref = np.linalg.solve(bordered, np.concatenate([r_b, np.zeros(4)]))
@@ -382,14 +395,15 @@ def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
     for sub, split in zip(level.subs, level.splits):
         assert sub.bordered.method == "empty" and sub.bordered.n == 0
         assert sub.constraints.free_dofs.size == 0
-        n, nc = split.local_dofs.size, len(sub.constraints.tags)
+        local, _, b = split_positions(lv.splits, lv.imap, split.index)
+        n, nc = local.size, len(sub.constraints.tags)
         bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
         ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
-        assert rel_err(sub.psi, ref[split.interface_pos]) <= 1e-12
-        assert rel_err(sub.coarse_matrix, -ref[n:]) <= 1e-12
-        r_b = rng.standard_normal(split.interface_pos.size)
+        assert rel_err(sub.psi, ref[b]) <= 1e-12
+        assert rel_err(coarse_matrix(level, split.index), -ref[n:]) <= 1e-12
+        r_b = rng.standard_normal(b.size)
         rhs = np.zeros(bordered.shape[0])
-        rhs[split.interface_pos] = r_b
+        rhs[b] = r_b
         ref = np.linalg.solve(bordered, rhs)
         z_b, mu = sub.constrained_solve(r_b)
         assert not z_b.any()
@@ -425,7 +439,8 @@ def test_constraint_rows(cross2d):
     rows = dense_rows(cons, lv.splits.iface_offsets, 0)
     assert rows.shape[0] == 7
     assert cons.tags[:7].tolist() == ["corner"] * 5 + ["face"] * 2
-    assert np.array_equal(cons.dofs[:7], node_dofs(cs.sub_nodes[0], cs.dofs_per_node))
+    assert np.array_equal(cons.dofs[:7], node_dofs(segments(cs.sub_ptr, cs.sub_node)[0],
+                                                    cs.dofs_per_node))
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-15)
     # corner rows are unit vectors
     for row in rows[:5]:
@@ -443,21 +458,23 @@ def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
                              ("corners+edges+faces", "all-interface")]:
         cs = lv.coarse_space(policy, strategy)
         cons = build_constraints(cs, lv.globset, lv.splits, lv.imap)
-        for i, split in enumerate(lv.splits):
+        glob_members = segments(cs.member_ptr, cs.members)
+        for i, nodes in enumerate(segments(cs.sub_ptr, cs.sub_node)):
+            local, interior_pos, interface_pos = split_positions(lv.splits, lv.imap, i)
             local_of = np.full(lv.grid.n_dofs, -1)
-            local_of[split.local_dofs] = np.arange(split.local_dofs.size)
+            local_of[local] = np.arange(local.size)
             ref = []
-            for cn in cs.sub_nodes[i]:
-                members = (cs.glob_members[cn - cs.n_corners] if cn >= cs.n_corners
+            for cn in nodes:
+                members = (glob_members[cn] if cn >= cs.n_corners
                            else cs.corner_nodes[cn:cn + 1])
                 for comp in range(cs.dofs_per_node):
-                    row = np.zeros(split.local_dofs.size)
+                    row = np.zeros(local.size)
                     row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
                     ref.append(row)
             ref = np.array(ref)
-            assert not ref[:, split.interior_pos].any()
+            assert not ref[:, interior_pos].any()
             rows = dense_rows(cons, lv.splits.iface_offsets, i)
-            assert np.array_equal(rows, ref[:, split.interface_pos])
+            assert np.array_equal(rows, ref[:, interface_pos])
             # no two rows of any kind share a column, and every row has an
             # entry: each can eliminate a dof of its own
             assert np.count_nonzero(rows, axis=0).max() <= 1
@@ -467,7 +484,10 @@ def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
 def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
     # subdomain 0 given subdomain 3's coarse nodes
     cs = cross2d.coarse_space()
-    cs = replace(cs, sub_nodes=[cs.sub_nodes[3], *cs.sub_nodes[1:]])
+    nodes = segments(cs.sub_ptr, cs.sub_node)
+    nodes[0] = nodes[3]
+    cs = replace(cs, sub_ptr=np.cumsum([0] + [n.size for n in nodes]),
+                 sub_node=np.concatenate(nodes))
     with pytest.raises(ValueError, match="subdomain 0: constraint node outside the subdomain"):
         build_constraints(cs, cross2d.globset, cross2d.splits, cross2d.imap)
 
@@ -482,13 +502,15 @@ def test_basis_properties_on_fixture(cross2d):
         rows = constraint_rows(level, split.index)
         psi = sub.psi
         bordered, s = full_local_problem(lv, split, rows)
-        n, nc = split.local_dofs.size, len(sub.constraints.tags)
+        local, _, b = split_positions(lv.splits, lv.imap, split.index)
+        n, nc = local.size, len(sub.constraints.tags)
         ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
-        assert rel_err(psi, ref[split.interface_pos]) <= 1e-12
+        assert rel_err(psi, ref[b]) <= 1e-12
         assert np.allclose(rows @ psi, np.eye(nc), atol=1e-11)
-        assert np.allclose(sub.coarse_matrix, psi.T @ s @ psi, atol=1e-10)
-        assert np.allclose(sub.coarse_matrix, sub.coarse_matrix.T, atol=1e-14)
-        assert np.linalg.eigvalsh(sub.coarse_matrix).min() > 0
+        kc = coarse_matrix(level, split.index)
+        assert np.allclose(kc, psi.T @ s @ psi, atol=1e-10)
+        assert np.allclose(kc, kc.T, atol=1e-14)
+        assert np.linalg.eigvalsh(kc).min() > 0
 
 
 def test_group_setup_matches_full_local_problems(dirichlet_x2d):
@@ -498,22 +520,24 @@ def test_group_setup_matches_full_local_problems(dirichlet_x2d):
     # sides zero on the interior and on the fixed dofs)
     lv = dirichlet_x2d
     level = make_bddc(lv).levels[0]
-    assert len({split.local_dofs.size for split in lv.splits}) > 1
+    sizes = np.diff(lv.splits.interior_offsets) + np.diff(lv.splits.iface_offsets)
+    assert len(set(sizes.tolist())) > 1
     assert len(level.groups) > 1 and max(g.subs.size for g in level.groups) > 1
     for sub, split in zip(level.subs, level.splits):
         rows = constraint_rows(level, split.index)
         bordered, _ = full_local_problem(lv, split, rows)
         inv = np.linalg.inv(bordered)
-        n, nc = split.local_dofs.size, rows.shape[0]
-        free = split.interface_pos[sub.constraints.free_dofs]
+        local, _, b = split_positions(lv.splits, lv.imap, split.index)
+        n, nc = local.size, rows.shape[0]
+        free = b[sub.constraints.free_dofs]
         # measured against the whole inverse: a z fully fixed by averages is 0
         tol = 1e-12 * np.abs(inv).max()
         assert np.abs(sub.z - inv[np.ix_(free, free)]).max(initial=0.0) <= tol
-        assert np.abs(sub.psi - inv[split.interface_pos, n:]).max() <= tol
-        assert np.abs(sub.coarse_matrix + inv[n:, n:]).max() <= tol
+        assert np.abs(sub.psi - inv[b, n:]).max() <= tol
+        assert np.abs(coarse_matrix(level, split.index) + inv[n:, n:]).max() <= tol
         cs = level.coarse
-        assert np.array_equal(sub.coarse_dofs,
-                              node_dofs(cs.sub_nodes[split.index], cs.dofs_per_node))
+        assert np.array_equal(sub.coarse_dofs, node_dofs(
+            segments(cs.sub_ptr, cs.sub_node)[split.index], cs.dofs_per_node))
         assert sub.bordered.n == rows.shape[1] - nc
 
 
@@ -678,13 +702,13 @@ def test_apply_runs_plain_factor_solves(cross2d, monkeypatch):
 
 
 def level_schur_blocks(level):
-    """Each subdomain's interface Schur complement (interface_pos order), by
+    """Each subdomain's interface Schur complement (stacked interface order), by
     dense elimination of the level's stacked K_II, K_IB and K_BB."""
     sp = level.splits
     k_ib = sp.k_ib.toarray()
     s = sp.k_bb.toarray() - k_ib.T @ np.linalg.solve(
         sp.k_ii_fact.matrix.scipy_csr().toarray(), k_ib)
-    ends = np.cumsum([0] + [split.interface_pos.size for split in sp])
+    ends = sp.iface_offsets
     return [s[a:b, a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
@@ -706,7 +730,7 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
         z_c = rng.standard_normal(level.n_coarse_dofs)
         r_hat = rng.standard_normal(level.imap.n)
         r_b = level.weights * r_hat[level.splits.iface_index]
-        ends = np.cumsum([0] + [split.interface_pos.size for split in level.splits])
+        ends = level.splits.iface_offsets
         r_c, v_b = np.zeros(level.n_coarse_dofs), []
         for i, (sub, s, a, b) in enumerate(zip(level.subs, level_schur_blocks(level),
                                                ends[:-1], ends[1:])):
@@ -768,16 +792,17 @@ def test_constrained_solve_multipliers_are_coarse_residuals(name, dense_threshol
     assert level.splits.k_ii_fact.method == ("splu" if dense_threshold == 0 else "cholesky")
     rng = np.random.default_rng(17)
     for sub, split in zip(level.subs, level.splits):
-        r_b = rng.standard_normal(split.interface_pos.size)
+        local, _, b = split_positions(lv.splits, lv.imap, split.index)
+        r_b = rng.standard_normal(b.size)
         z_b, mu = sub.constrained_solve(r_b)
         rows = constraint_rows(level, split.index)
         bordered, _ = full_local_problem(lv, split, rows)
         rhs = np.zeros(bordered.shape[0])
-        rhs[split.interface_pos] = r_b
+        rhs[b] = r_b
         ref = np.linalg.solve(bordered, rhs)
         # the pair (z_b, mu) is measured as one vector: with as many
         # constraints as interface dofs (cross2d), z_b alone is zero
-        pair = np.concatenate([ref[split.interface_pos], ref[split.local_dofs.size:]])
+        pair = np.concatenate([ref[b], ref[local.size:]])
         assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
         assert rel_err(mu, sub.psi.T @ r_b) <= 1e-12
         # A never reaches SuperLU, whatever the threshold
@@ -802,10 +827,11 @@ def check_against_full_local_problems(lv, level):
             assert rel_err(s, s_ref[np.ix_(g.order[j], g.order[j])]) <= 1e-12
     for sub, split in zip(level.subs, level.splits):
         bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
-        n, nc = split.local_dofs.size, len(sub.constraints.tags)
+        local, _, b = split_positions(lv.splits, lv.imap, split.index)
+        n, nc = local.size, len(sub.constraints.tags)
         ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
-        assert rel_err(sub.psi, ref[split.interface_pos]) <= 1e-12
-        assert rel_err(sub.coarse_matrix, -ref[n:]) <= 1e-12
+        assert rel_err(sub.psi, ref[b]) <= 1e-12
+        assert rel_err(coarse_matrix(level, split.index), -ref[n:]) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["cross2d", "elasticity3d"])
@@ -818,7 +844,7 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
     lv = request.getfixturevalue(name)
     k_ii = lv.splits.k_ii_fact.matrix.scipy_csr()
     threshold = int(np.ceil(np.sqrt((half_bandwidth(k_ii) + 1) * k_ii.shape[0])))
-    assert threshold < min(split.local_dofs.size for split in lv.splits)
+    assert threshold < min(np.diff(lv.splits.interior_offsets) + np.diff(lv.splits.iface_offsets))
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
     level = make_bddc(lv).levels[0]
     assert level.splits.k_ii_fact.method == "cholesky"
@@ -876,8 +902,8 @@ def test_bordered_factors_are_interface_sized(name, coarse_counts, request):
     assert m.n_levels == len(coarse_counts) + 2
     for level in m.levels:
         assert any(set(sub.constraints.tags) - {"corner"} for sub in level.subs)
-        for sub, split in zip(level.subs, level.splits):
-            n_b, n_c = split.interface_pos.size, len(sub.constraints.tags)
+        for sub, split, n_b in zip(level.subs, level.splits, np.diff(level.splits.iface_offsets)):
+            n_c = len(sub.constraints.tags)
             assert sub.bordered.n == n_b - n_c
             assert sub.psi.shape == constraint_rows(level, split.index).shape[::-1] == (n_b, n_c)
 
@@ -900,35 +926,48 @@ def test_interior_corrections_are_consistent(cross2d):
     z = interior_postcorrection(lv.splits, lv.imap, np.zeros(lv.imap.n), r,
                                 lv.k_global.shape[0])
     for s in lv.splits:
-        idofs = s.local_dofs[s.interior_pos]
-        kii = lv.k_local(s.index)[np.ix_(s.interior_pos, s.interior_pos)]
+        local, interior_pos, _ = split_positions(lv.splits, lv.imap, s.index)
+        idofs = local[interior_pos]
+        kii = lv.k_local(s.index)[np.ix_(interior_pos, interior_pos)]
         assert np.allclose(kii @ z[idofs], r[idofs], atol=1e-12)
     assert np.max(np.abs(z[lv.imap.dofs])) == 0.0
 
 
 def test_assembly_helpers_agree():
+    # two one-member shape groups, pseudo-mesh elements 0 and 1
     k1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     k2 = np.array([[1.0, 0.5], [0.5, 1.0]])
-    full = assemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])])
+    groups = [SimpleNamespace(subs=np.array([0]), kc=k1[None], dofs=np.array([[0, 1]])),
+              SimpleNamespace(subs=np.array([1]), kc=k2[None], dofs=np.array([[1, 2]]))]
+    full = assemble_coarse(groups)
     one = Partition(1, np.array([0, 0]), "test")
-    sub, keys = subassemble_coarse([k1, k2], [np.array([0, 1]), np.array([1, 2])], one, 3)
+    sub, keys = subassemble_coarse(groups, one, 3)
     assert np.array_equal(keys, [0, 1, 2])
     assert np.allclose(full.scipy_csr().toarray(), sub.scipy_csr().toarray(), atol=1e-16)
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
     assert np.allclose(full.scipy_csr().toarray(), expected, atol=1e-15)
 
 
+def group_major_sums(groups, part):
+    """Per next-level subdomain j: sum_elements of its elements' coarse
+    matrices, group by group and member by member, as one call sums them."""
+    out = []
+    for j in range(part.n_subdomains):
+        blocks = [(g.kc[mine], g.dofs[mine]) for g in groups
+                  for mine in [part.assignment[g.subs] == j] if mine.any()]
+        out.append(sum_elements(blocks))
+    return out
+
+
 def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges):
     # level 2 of a 2x2x2 split: one call equals scipy's block_diag of
-    # per-subdomain sums entry for entry; keys are (subdomain, coarse dof)
+    # per-subdomain sums entry for entry, each summed in the same group-major
+    # element order; keys are (subdomain, coarse dof)
     level = make_bddc(elasticity3d_edges).levels[0]
-    grid = build_pseudomesh(level.coarse, level.partition, 3)
+    grid = build_pseudomesh(level.coarse, level.partition)
     part = partition_elements(grid, 2, method="auto")
-    k_elems = [sub.coarse_matrix for sub in level.subs]
-    dof_lists = [sub.coarse_dofs for sub in level.subs]
-    k, keys = subassemble_coarse(k_elems, dof_lists, part, grid.n_dofs)
-    per_sub = [sum_elements([(k_elems[e], dof_lists[e][None]) for e in part.elements_of(j)])
-               for j in range(2)]
+    k, keys = subassemble_coarse(level.groups, part, grid.n_dofs)
+    per_sub = group_major_sums(level.groups, part)
     ref = scipy.sparse.block_diag([k_j.scipy_csr() for k_j, _ in per_sub], format="csr")
     csr = k.scipy_csr()
     for attr in ("indptr", "indices", "data"):
@@ -938,11 +977,33 @@ def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges)
     assert np.array_equal(dofs, np.concatenate([ltg for _, ltg in per_sub]))
 
 
+def test_coarse_assembly_from_interleaved_shape_groups():
+    # 2D Poisson 12^2 on 16/4: the level-1 shape groups interleave in
+    # subdomain order, so each level-2 subdomain takes elements from several
+    # groups; one call over the group stacks keeps subdomain order and
+    # equals per-subdomain sums in element order up to roundoff
+    level = make_bddc(build_level1(ProblemSpec(kind="poisson", dim=2), 12, 16)).levels[0]
+    grid = build_pseudomesh(level.coarse, level.partition)
+    part, n = partition_elements(grid, 4, method="auto"), grid.n_dofs
+    assert [g.subs.tolist() for g in level.groups] == \
+        [[0, 3, 12, 15], [1, 2, 4, 7, 8, 11, 13, 14], [5, 6, 9, 10]]
+    k, keys = subassemble_coarse(level.groups, part, n)
+    per_sub = [sum_elements([(coarse_matrix(level, e), level.subs[e].coarse_dofs[None])
+                             for e in part.elements_of(j)]) for j in range(4)]
+    ref_keys = np.concatenate([j * n + ltg for j, (_, ltg) in enumerate(per_sub)])
+    assert np.array_equal(keys, ref_keys)
+    assert np.all(np.diff(keys) > 0)
+    ref = scipy.sparse.block_diag([k_j.scipy_csr() for k_j, _ in per_sub], format="csr")
+    csr = k.scipy_csr()
+    assert np.array_equal(csr.indptr, ref.indptr) and np.array_equal(csr.indices, ref.indices)
+    assert np.abs(csr.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
 def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):
     # a final coarse matrix that is not positive definite (here -K) stops
     # the setup with exit code 3
-    def negated(k_elems, dof_lists):
-        k = assemble_coarse(k_elems, dof_lists)
+    def negated(groups):
+        k = assemble_coarse(groups)
         return replace(k, csr=-k.csr)
     monkeypatch.setattr(bddc, "assemble_coarse", negated)
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4)

@@ -184,6 +184,26 @@ def test_unwritable_output_is_config_error(capsys, tmp_path, monkeypatch, argv):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [["solve", "--hierarchy", "4"],
+                                  ["sweep", "--hierarchies", "4"],
+                                  ["analyze-globs", "--hierarchy", "4"],
+                                  ["export-vtk", "--hierarchy", "4"]],
+                         ids=lambda argv: argv[0])
+def test_empty_output_path_is_config_error(capsys, monkeypatch, argv):
+    # an empty --output names no file: it fails the check before any run
+    def not_run(*args, **kwargs):
+        raise AssertionError("ran before checking --output")
+
+    for name in ("run_experiment", "run_sweep", "analyze_globs", "export_solution_vtk"):
+        monkeypatch.setattr(cli, name, not_run)
+    monkeypatch.setattr(harness, "run_experiment", not_run)
+    monkeypatch.setattr(harness, "_partitioned_mesh", not_run)
+    code, out, err = run_cli(capsys, *argv, "--set", "elements=4", "--output", "")
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: cannot write : ")
+    assert out == "" and "Traceback" not in err
+
+
 def test_failed_solve_leaves_the_output_file_as_it_was(capsys, tmp_path):
     # a run that fails (here exit 3, a weak coarse space) writes nothing
     path = tmp_path / "out.csv"

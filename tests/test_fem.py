@@ -304,8 +304,8 @@ def test_stacked_subassembly_is_block_diag_of_subdomains(spec, n, n_subs):
 
 
 def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
-    # one (ke, dofs[None]) block per element, the way assemble_coarse sums
-    # subdomains, gives the operator of assemble_global bitwise, stored
+    # one (ke, dofs[None]) block per element, in place of one block shared
+    # by all elements, gives the operator of assemble_global bitwise, stored
     # pattern included
     for spec, n in ((poisson(2), 4), (elasticity(3), 2)):
         mesh = generate_box_mesh(spec.dim, n)

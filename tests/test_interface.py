@@ -9,7 +9,7 @@ plus the center give 4 face globs and 1 vertex glob.
 import numpy as np
 import pytest
 
-from conftest import build_level1, elements_of, grid_from_lists, level2_pseudomesh
+from conftest import build_level1, elements_of, grid_from_lists, level2_pseudomesh, segments
 from mlbddc.fem import ProblemSpec, build_dof_map, generate_box_mesh, node_dofs
 from mlbddc.grid import level_grid_from_mesh
 from mlbddc.interface import (
@@ -150,7 +150,7 @@ def test_classification_matches_loop_reference(dim, n, n_subs):
         assert gs.kinds.size == 0 and gs.interface_nodes().size == 0
         assert select_corners(gs, grid).size == 0
         cs = build_coarse_space(gs, select_corners(gs, grid), grid, part)
-        assert cs.n_nodes == 0 and [s.tolist() for s in cs.sub_nodes] == [[]]
+        assert cs.n_nodes == 0 and cs.sub_ptr.tolist() == [0, 0] and cs.sub_node.size == 0
 
 
 def test_glob_table(cross2d):
@@ -317,25 +317,28 @@ def test_coarse_space_default(cross2d):
     assert cs.n_nodes == 13
     assert cs.n_dofs == 13
     assert cs.glob_ids.tolist() == [0, 1, 3, 4]
-    assert [m.tolist() for m in cs.glob_members] == [[10], [22], [26], [38]]
-    assert [len(s) for s in cs.sub_nodes] == [7, 7, 7, 7]
-    assert cs.sub_nodes[0].tolist() == [0, 1, 2, 3, 4, 9, 10]
-    assert cs.sub_nodes[3].tolist() == [4, 5, 6, 7, 8, 11, 12]
+    # a corner is its own one member; a glob has its non-corner members
+    assert [m.tolist() for m in segments(cs.member_ptr, cs.members)] == \
+        [[c] for c in cs.corner_nodes.tolist()] + [[10], [22], [26], [38]]
+    assert cs.sub_ptr.tolist() == [0, 7, 14, 21, 28]
+    sub_nodes = segments(cs.sub_ptr, cs.sub_node)
+    assert sub_nodes[0].tolist() == [0, 1, 2, 3, 4, 9, 10]
+    assert sub_nodes[3].tolist() == [4, 5, 6, 7, 8, 11, 12]
 
 
 def test_coarse_space_vertices_only(cross2d):
     cs = cross2d.coarse_space(strategy="vertices-only")
     assert cs.n_corners == 1
     assert cs.n_nodes == 5
-    assert [len(s) for s in cs.sub_nodes] == [3, 3, 3, 3]
-    assert cs.sub_nodes[0].tolist() == [0, 1, 2]
+    assert cs.sub_ptr.tolist() == [0, 3, 6, 9, 12]
+    assert cs.sub_node[:3].tolist() == [0, 1, 2]
 
 
 def test_coarse_space_corners_only_policy(cross2d):
     cs = cross2d.coarse_space(policy="corners-only")
     assert cs.n_nodes == cs.n_corners == 9
     assert cs.glob_ids.size == 0
-    assert cs.sub_nodes[0].tolist() == [0, 1, 2, 3, 4]
+    assert cs.sub_node[cs.sub_ptr[0]:cs.sub_ptr[1]].tolist() == [0, 1, 2, 3, 4]
 
 
 def test_coarse_space_policy_dim_aware(box3d):
@@ -381,7 +384,8 @@ def test_coarse_space_dofs_per_node():
     cs = lv.coarse_space(strategy="vertices-only")
     assert cs.dofs_per_node == 2
     assert cs.n_dofs == 10
-    assert node_dofs(cs.sub_nodes[0], cs.dofs_per_node).tolist() == [0, 1, 2, 3, 4, 5]
+    assert node_dofs(cs.sub_node[cs.sub_ptr[0]:cs.sub_ptr[1]],
+                     cs.dofs_per_node).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_coarse_space_rejects_off_interface_corner(cross2d):
@@ -402,18 +406,20 @@ def test_coarse_space_3d(box3d):
     # 37 corners; every face keeps 4-3 members, every edge keeps its 2
     assert cs.n_corners == 37
     assert cs.n_nodes == 37 + 12 + 6
-    lens = sorted(len(m) for m in cs.glob_members)
+    assert np.array_equal(cs.members[:37], cs.corner_nodes)
+    lens = sorted(np.diff(cs.member_ptr)[37:].tolist())
     assert lens == [1] * 12 + [2] * 6
 
 
 def test_pseudomesh(cross2d):
     cs = cross2d.coarse_space()
-    pm = build_pseudomesh(cs, cross2d.part, dim=2)
+    pm = build_pseudomesh(cs, cross2d.part)
     assert pm.n_nodes == 13
     assert pm.n_elems == 4
     assert pm.dofs_per_node == 1
     assert pm.structured_shape is None
-    assert elements_of(pm) == [nodes.tolist() for nodes in cs.sub_nodes]
+    assert elements_of(pm) == [nodes.tolist() for nodes in segments(cs.sub_ptr, cs.sub_node)]
+    assert pm.dim == 2 and np.array_equal(pm.node_coords, cs.node_coords)
     # the pseudo-mesh classifies again: all four pseudo-elements share the
     # vertex-derived coarse node
     part2 = Partition(n_subdomains=2, assignment=np.array([0, 0, 1, 1]),

@@ -253,7 +253,7 @@ def test_greedy_on_pseudomesh_is_connected_and_balanced():
     (lambda cs: partition.Partition(2, np.array([0, -1, 1, 1]), "test").validate(),
      "assignment out of range"),
     (lambda cs: partition.build_pseudomesh(cs, partition.Partition(
-        3, np.array([0, 1, 2, 2]), "test"), 2), "subdomain count disagrees"),
+        3, np.array([0, 1, 2, 2]), "test")), "subdomain count disagrees"),
 ], ids=["above", "below", "pseudomesh-count"])
 def test_partition_inputs_are_checked(make, match):
     coarse = build_level1(ProblemSpec(kind="poisson", dim=2), 4, 4).coarse_space()
