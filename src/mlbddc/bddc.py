@@ -453,21 +453,23 @@ interior_precorrection = condensed_rhs
 interior_postcorrection = recover_interior
 
 
-def assemble_coarse(groups) -> SparseMatrix:
+def assemble_coarse(groups, dofs_per_node: int) -> SparseMatrix:
     """Assemble a level's coarse element matrices into one sparse operator
     over all its coarse dofs (every coarse dof belongs to some subdomain):
-    one (kc, dofs) block per shape group, as level 1 passes one (ke, dofs)."""
-    return sum_elements([(g.kc, g.dofs) for g in groups])[0]
+    one (kc, dofs) block per shape group, as level 1 passes one (ke, dofs).
+    Coarse dof node * dofs_per_node + c is component c of a coarse node."""
+    return sum_elements([(g.kc, g.dofs) for g in groups], dofs_per_node)[0]
 
 
-def subassemble_coarse(groups, partition: Partition, n_dofs: int):
+def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node: int):
     """Assemble every subdomain of the pseudo-mesh in one call from the
     previous level's shape groups (their members are its elements): one
     block per group, over `subdomain_keys` of the coarse dofs, so entries
     sum group by group, then member by member. Returns (K, keys), laid out
     like `fem.subassemble_subdomain`'s."""
     return sum_elements([(g.kc, subdomain_keys(partition.assignment[g.subs][:, None],
-                                               g.dofs, n_dofs)) for g in groups])
+                                               g.dofs, n_dofs)) for g in groups],
+                        dofs_per_node)
 
 
 def _local_schur(splits: LevelSplits, g: ShapeGroup):
@@ -577,12 +579,13 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
                 break
             grid = build_pseudomesh(prev.coarse, prev.partition)
             partition = partition_elements(grid, count, method="auto")
-            subassemble = partial(subassemble_coarse, prev.groups, partition, grid.n_dofs)
+            subassemble = partial(subassemble_coarse, prev.groups, partition, grid.n_dofs,
+                                  grid.dofs_per_node)
         levels.append(_build_level(depth + 1, grid, partition, subassemble,
                                    constraint_policy, corner_strategy,
                                    weight_scheme))
 
-    k_top = assemble_coarse(levels[-1].groups)
+    k_top = assemble_coarse(levels[-1].groups, levels[-1].coarse.dofs_per_node)
     try:
         top = factorize(k_top)
     except NumericalError as exc:

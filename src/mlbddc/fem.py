@@ -331,7 +331,7 @@ def assemble_global(spec: ProblemSpec, mesh: Mesh):
     ke = element_matrix(spec, mesh)
     ed = _element_dofs(spec, mesh, np.arange(mesh.n_elems))
     free = dofmap.full_to_free[ed]
-    k, _ = sum_elements([(ke, free)])
+    k, _ = sum_elements([(ke, free)], spec.dofs_per_node)
 
     if spec.rhs_kind == "constant":
         f = np.ones(dofmap.n_free)
@@ -357,7 +357,7 @@ def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partiti
     partition.validate()
     free = dofmap.full_to_free[_element_dofs(spec, mesh, np.arange(mesh.n_elems))]
     keys = subdomain_keys(partition.assignment[:, None], free, dofmap.n_free)
-    return sum_elements([(element_matrix(spec, mesh), keys)])
+    return sum_elements([(element_matrix(spec, mesh), keys)], spec.dofs_per_node)
 
 
 # -- VTK export ---------------------------------------------------------------

@@ -10,6 +10,8 @@ decrease strictly until they reach 1.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -41,7 +43,7 @@ from .substructuring import condensed_rhs, recover_interior, schur_apply
 
 CSV_COLUMNS = ("levels", "subdomains", "n_dofs", "coarse_sizes",
                "condition_estimate", "iterations", "setup_seconds",
-               "krylov_seconds", "converged")
+               "krylov_seconds", "converged", "error")
 
 # columns that may differ between byte-identical reruns
 TIMING_COLUMNS = ("setup_seconds", "krylov_seconds")
@@ -209,6 +211,7 @@ class RunResult:
     spec: object = field(repr=False, default=None)
     dofmap: object = field(repr=False, default=None)
     preconditioner: MultilevelBddc | None = field(repr=False, default=None)
+    error: str = ""               # why the run failed, "" if it ran
 
     def csv_row(self) -> dict:
         rep = self.report
@@ -223,6 +226,7 @@ class RunResult:
             "setup_seconds": f"{self.setup_seconds:.3f}",
             "krylov_seconds": f"{self.krylov_seconds:.3f}",
             "converged": "true" if rep.converged else "false",
+            "error": self.error,
         }
 
 
@@ -291,8 +295,8 @@ def run_experiment(config: RunConfig) -> RunResult:
 
 def run_configs(configs) -> list:
     """Run each configuration in order, one report row each. All configs
-    are validated up front; runtime failures mark their row converged=false
-    and the sweep continues."""
+    are validated up front; a runtime failure marks its row converged=false,
+    names the error in its error column, and the sweep continues."""
     configs = list(configs)
     if not configs:
         raise ConfigError("sweep needs at least one configuration")
@@ -302,13 +306,14 @@ def run_configs(configs) -> list:
     for cfg in configs:
         try:
             results.append(run_experiment(cfg))
-        except MlbddcError:
+        except MlbddcError as exc:
             counts = parse_hierarchy(cfg.hierarchy)
             results.append(RunResult(
                 config=cfg, levels=len(counts) + 1, subdomain_counts=counts,
                 n_dofs=0, coarse_sizes=[],
                 report=SolveReport(converged=False, iterations=0),
-                setup_seconds=0.0, krylov_seconds=0.0, solution=np.zeros(0)))
+                setup_seconds=0.0, krylov_seconds=0.0, solution=np.zeros(0),
+                error=f"{type(exc).__name__}: {exc}"))
     return results
 
 
@@ -321,12 +326,12 @@ def run_sweep(config: RunConfig, hierarchies) -> list:
 
 
 def format_report(results) -> str:
-    """CSV text: header plus one row per experiment."""
-    lines = [",".join(CSV_COLUMNS)]
-    for res in results:
-        row = res.csv_row()
-        lines.append(",".join(row[c] for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """CSV text: header plus one row per experiment, quoted where needed."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(res.csv_row() for res in results)
+    return out.getvalue()
 
 
 def write_report(results, path=None) -> str:

@@ -4,10 +4,10 @@
 that `factorize` reads; products use the scipy matrix directly. Every
 level sums its element matrices here (Q1 elements, or subdomains as
 coarse elements), all subdomains of a level in one call: keying each
-element's dofs by subdomain makes the sum one block-diagonal matrix. The
-sum is linear in the element entries (two stable CSR/CSC transposes, then
-one pass over sorted duplicates) and adds each entry's contributions in
-element order, so it is bitwise symmetric with no symmetrization pass.
+element's dofs by subdomain makes the sum one block-diagonal matrix.
+The sum sorts node pairs (two stable CSR/CSC transposes), then sums each
+of the dofs_per_node^2 components' duplicates left to right, in element
+order, so it is bitwise symmetric with no symmetrization pass.
 Factorizations are of SPD matrices only: LAPACK's band Cholesky while
 the band storage of every diagonal block fits a fixed budget, and SuperLU
 in symmetric mode above it; both paths reject a non-positive pivot. A
@@ -84,68 +84,111 @@ def sorted_unique(a) -> np.ndarray:
 
 # -- element assembly ---------------------------------------------------------
 
-def sum_elements(blocks):
+def _element_nodes(dofs: np.ndarray, b: int) -> np.ndarray:
+    """(n_e, m / b) nodes, each named by its first dof id b * i (negative for
+    a dropped node), of (n_e, m) element dof ids that are node-major runs of
+    b; ValueError if they are not."""
+    n_e, m = dofs.shape
+    if m % b == 0:
+        runs = dofs.reshape(n_e, m // b, b)
+        first = runs[..., 0]
+        # with b = 1 every id is a run of its own
+        if b == 1 or np.array_equal(np.maximum(runs, -1),
+                                    np.maximum(first[..., None] // b * b + np.arange(b), -1)):
+            return first
+    raise ValueError(f"element dof ids are not node-major runs of dofs_per_node={b}: "
+                     f"ids b * node + c for c = 0..{b - 1}, or {b} negative ids")
+
+
+def sum_elements(blocks, dofs_per_node: int):
     """Sum dense element matrices into one symmetric sparse matrix; Q1
     elements and coarse elements (subdomains) of every level go through here.
 
     blocks lists (k, dofs) pairs: dofs is an (n_e, m) array of element dof
     ids, and k is one (m, m) matrix shared by the n_e elements or an
-    (n_e, m, m) stack. Each element matrix enters as its symmetric part
-    (k + k^T)/2, which is k itself for a symmetric k. Entries in a row or
-    column with a negative id are dropped. Returns (K, local_to_global): K
-    is numbered over the ids the kept entries touch, ascending, and
-    local_to_global lists those ids.
+    (n_e, m, m) stack. The ids are node-major runs: with b = dofs_per_node,
+    ids b * i + c for c = 0..b-1 are node i's, and a dropped node has all b
+    ids negative (anything else raises ValueError). Each element matrix
+    enters as its symmetric part (k + k^T)/2, which is k itself for a
+    symmetric k. Entries in a row or column with a negative id are dropped.
+    Returns (K, local_to_global): K is numbered over the ids the kept
+    entries touch, ascending, and local_to_global lists those ids.
 
     K_ij is the left-to-right sum of its contributions in block order, then
     element order, so K is bitwise symmetric whenever no element repeats an
-    id. Entries that sum to exactly zero are not stored, and K owns compact,
+    id, and bitwise equal to the sum of the same blocks with dofs_per_node
+    1. Entries that sum to exactly zero are not stored, and K owns compact,
     canonical CSR arrays.
 
-    Every pass over the entries is a linear, stable counting sort: one CSR
-    row per (element, local row) holds that row of the element matrix at
-    the element's local column ids; converting it to CSC groups the entries
-    by column, in element order; relabelling its rows by dof id and
-    converting back to CSR leaves each row's columns ascending with
-    duplicates adjacent, in element order, for an O(nnz) sum. Dropped ids
-    are relabelled n, which sorts last and is cut off the index pointers.
+    Two linear, stable counting sorts order the node pairs (b^2 times fewer
+    than dof pairs), each carrying the int32 index of its b x b block in a
+    table of the symmetrized element matrices: a CSR row per (element, local
+    node) goes to CSC, then, rows relabelled by node, back to CSR, leaving
+    duplicates adjacent in element order (dropped nodes, relabelled n, sort
+    last and are cut off). Each component gathers its values in that order
+    and sums duplicates sequentially; the blocks then expand to dof rows.
     """
-    blocks = [(np.asarray(k, dtype=np.float64), np.asarray(d, dtype=np.int64))
+    b = dofs_per_node
+    blocks = [(np.asarray(k, dtype=np.float64), _element_nodes(np.asarray(d, dtype=np.int64), b))
               for k, d in blocks]
-    ltg = sorted_unique(np.concatenate([d[d >= 0] for _, d in blocks]))
-    n = ltg.shape[0]
-    # element rows, block by block: row_dof[r] is the local id of row r
-    row_len = np.concatenate([np.full(d.size, d.shape[1]) for _, d in blocks])
+    nodes = sorted_unique(np.concatenate([nd[nd >= 0] for _, nd in blocks]))   # first ids
+    n = nodes.shape[0]
+    table = np.empty(sum(k.size for k, _ in blocks))
+    # element rows, block by block: row_node[r] is the local node of row r
+    row_len = np.concatenate([np.full(nd.size, nd.shape[1]) for _, nd in blocks])
     n_rows, nnz = row_len.size, int(row_len.sum())
-    idx = np.int32 if max(nnz, n_rows, n + 1) <= np.iinfo(np.int32).max else np.int64
+    idx = np.int32 if max(nnz, n_rows, n + 1, table.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n_rows + 1, dtype=idx)
     np.cumsum(row_len, out=indptr[1:])
-    row_dof = np.empty(n_rows, dtype=idx)
+    row_node = np.empty(n_rows, dtype=idx)
     cols = np.empty(nnz, dtype=idx)
-    vals = np.empty(nnz)
-    r = 0
-    for k, dofs in blocks:
-        n_e, m = dofs.shape
-        lo, hi = indptr[r], indptr[r + n_e * m]
-        local = np.where(dofs >= 0, np.searchsorted(ltg, dofs), n)
-        row_dof[r:r + n_e * m] = local.ravel()
-        cols[lo:hi].reshape(n_e, m, m)[...] = local[:, None, :]
-        vals[lo:hi].reshape(n_e, m, m)[...] = (k + np.swapaxes(k, -1, -2)) * 0.5
-        r += n_e * m
-    by_col = scipy.sparse.csr_matrix((vals, cols, indptr), shape=(n_rows, n + 1)).tocsc()
-    del vals, cols
+    src = np.empty(nnz, dtype=idx)
+    r = base = 0
+    for k, nd in blocks:
+        n_e, p = nd.shape
+        lo, hi = indptr[r], indptr[r + n_e * p]
+        local = np.where(nd >= 0, np.searchsorted(nodes, nd), n)
+        row_node[r:r + n_e * p] = local.ravel()
+        cols[lo:hi].reshape(n_e, p, p)[...] = local[:, None, :]
+        # the symmetrized element matrices, node-pair blocks contiguous: [e,] A, B, c, d
+        kp = k.reshape(k.shape[:-2] + (p, b, p, b)).swapaxes(-3, -2)
+        np.add(kp, kp.swapaxes(-4, -3).swapaxes(-2, -1),
+               out=table[base:base + k.size].reshape(kp.shape))
+        table[base:base + k.size] *= 0.5
+        starts = base + b * b * np.arange(k.size // (b * b), dtype=idx)
+        src[lo:hi].reshape(n_e, p * p)[...] = starts.reshape(k.shape[:-2] + (p * p,))
+        r, base = r + n_e * p, base + k.size
+    del blocks, row_len
+    by_col = scipy.sparse.csr_matrix((src, cols, indptr), shape=(n_rows, n + 1)).tocsc()
+    del src, cols
     end = by_col.indptr[n]
     by_col = scipy.sparse.csc_matrix(
-        (by_col.data[:end], row_dof[by_col.indices[:end]], by_col.indptr[:n + 1]),
+        (by_col.data[:end], row_node[by_col.indices[:end]], by_col.indptr[:n + 1]),
         shape=(n + 1, n))
     by_row = by_col.tocsr()
-    del by_col
+    del by_col, row_node
     end = by_row.indptr[n]
-    s = scipy.sparse.csr_matrix(
-        (by_row.data[:end], by_row.indices[:end], by_row.indptr[:n + 1]), shape=(n, n))
+    src, indices, indptr = by_row.data[:end], by_row.indices[:end], by_row.indptr[:n + 1]
     del by_row
-    s.sum_duplicates()
+    for c in range(b * b):
+        # values table[src + c]; scipy sums duplicates as a left fold (np.add.reduceat
+        # does not) and compacts the index arrays in place: all but the last get copies
+        last = c == b * b - 1
+        part = scipy.sparse.csr_matrix((table[c:][src], indices if last else indices.copy(),
+                                        indptr if last else indptr.copy()), shape=(n, n))
+        part.sum_duplicates()
+        if b > 1:
+            if c == 0:
+                values = np.empty((part.nnz, b, b))
+            values.reshape(-1, b * b)[:, c] = part.data
+    del src, indices, indptr, table
+    s = part
+    if b > 1:   # expand the b x b blocks to dof rows (with b = 1 the sum is K)
+        s = scipy.sparse.bsr_matrix((values, part.indices, part.indptr), shape=(n * b, n * b))
+        del part, values
+        s = s.tocsr()
     s.eliminate_zeros()
-    return SparseMatrix(s.copy(), symmetric=True), ltg
+    return SparseMatrix(s.copy(), symmetric=True), (nodes[:, None] + np.arange(b)).ravel()
 
 
 # -- factorization ----------------------------------------------------------

@@ -33,11 +33,11 @@ from mlbddc.bddc import (
 )
 from mlbddc.cli import main
 from mlbddc.errors import EXIT_NUMERICAL, NotPositiveDefiniteError, NumericalError
-from mlbddc.fem import ProblemSpec, node_dofs
+from mlbddc.fem import ProblemSpec, element_matrix, node_dofs, subassemble_subdomain
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
 from mlbddc.sparse import Factorization, SparseMatrix, sum_elements
-from mlbddc.substructuring import build_splits, schur_apply
+from mlbddc.substructuring import build_splits, schur_apply, subdomain_keys
 from test_substructuring import dense_schur_parts
 
 
@@ -939,23 +939,23 @@ def test_assembly_helpers_agree():
     k2 = np.array([[1.0, 0.5], [0.5, 1.0]])
     groups = [SimpleNamespace(subs=np.array([0]), kc=k1[None], dofs=np.array([[0, 1]])),
               SimpleNamespace(subs=np.array([1]), kc=k2[None], dofs=np.array([[1, 2]]))]
-    full = assemble_coarse(groups)
+    full = assemble_coarse(groups, 1)
     one = Partition(1, np.array([0, 0]), "test")
-    sub, keys = subassemble_coarse(groups, one, 3)
+    sub, keys = subassemble_coarse(groups, one, 3, 1)
     assert np.array_equal(keys, [0, 1, 2])
     assert np.allclose(full.scipy_csr().toarray(), sub.scipy_csr().toarray(), atol=1e-16)
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
     assert np.allclose(full.scipy_csr().toarray(), expected, atol=1e-15)
 
 
-def group_major_sums(groups, part):
+def group_major_sums(groups, part, dofs_per_node):
     """Per next-level subdomain j: sum_elements of its elements' coarse
     matrices, group by group and member by member, as one call sums them."""
     out = []
     for j in range(part.n_subdomains):
         blocks = [(g.kc[mine], g.dofs[mine]) for g in groups
                   for mine in [part.assignment[g.subs] == j] if mine.any()]
-        out.append(sum_elements(blocks))
+        out.append(sum_elements(blocks, dofs_per_node))
     return out
 
 
@@ -966,8 +966,8 @@ def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges)
     level = make_bddc(elasticity3d_edges).levels[0]
     grid = build_pseudomesh(level.coarse, level.partition)
     part = partition_elements(grid, 2, method="auto")
-    k, keys = subassemble_coarse(level.groups, part, grid.n_dofs)
-    per_sub = group_major_sums(level.groups, part)
+    k, keys = subassemble_coarse(level.groups, part, grid.n_dofs, grid.dofs_per_node)
+    per_sub = group_major_sums(level.groups, part, grid.dofs_per_node)
     ref = scipy.sparse.block_diag([k_j.scipy_csr() for k_j, _ in per_sub], format="csr")
     csr = k.scipy_csr()
     for attr in ("indptr", "indices", "data"):
@@ -987,9 +987,9 @@ def test_coarse_assembly_from_interleaved_shape_groups():
     part, n = partition_elements(grid, 4, method="auto"), grid.n_dofs
     assert [g.subs.tolist() for g in level.groups] == \
         [[0, 3, 12, 15], [1, 2, 4, 7, 8, 11, 13, 14], [5, 6, 9, 10]]
-    k, keys = subassemble_coarse(level.groups, part, n)
+    k, keys = subassemble_coarse(level.groups, part, n, 1)
     per_sub = [sum_elements([(coarse_matrix(level, e), level.subs[e].coarse_dofs[None])
-                             for e in part.elements_of(j)]) for j in range(4)]
+                             for e in part.elements_of(j)], 1) for j in range(4)]
     ref_keys = np.concatenate([j * n + ltg for j, (_, ltg) in enumerate(per_sub)])
     assert np.array_equal(keys, ref_keys)
     assert np.all(np.diff(keys) > 0)
@@ -999,11 +999,42 @@ def test_coarse_assembly_from_interleaved_shape_groups():
     assert np.abs(csr.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"],
+    ["problem=elasticity", "dim=2", "elements=12", "hierarchy=16/4"]],
+    ids=["elasticity3d-27/8", "elasticity2d-16/4"])
+def test_node_pair_assembly_equals_the_dof_pair_sum_on_every_level(overrides):
+    # every level's (K, keys) and the top matrix, summed over node pairs of
+    # dofs_per_node components, equal the sum of the same blocks with one
+    # component per node (every dof its own node) bitwise, pattern included
+    res = run_experiment(load_config(overrides=overrides))
+    spec, mesh, dofmap, levels = res.spec, res.mesh, res.dofmap, res.preconditioner.levels
+    assert spec.dofs_per_node == levels[0].coarse.dofs_per_node > 1
+    part = levels[0].partition
+    free = dofmap.full_to_free[node_dofs(mesh.elem_nodes, spec.dofs_per_node)]
+    pairs = [(subassemble_subdomain(spec, mesh, dofmap, part),
+              sum_elements([(element_matrix(spec, mesh),
+                             subdomain_keys(part.assignment[:, None], free, dofmap.n_free))], 1))]
+    for prev, lv in zip(levels, levels[1:]):
+        n, part = lv.grid.n_dofs, lv.partition
+        pairs.append((subassemble_coarse(prev.groups, part, n, lv.grid.dofs_per_node),
+                      sum_elements([(g.kc, subdomain_keys(part.assignment[g.subs][:, None],
+                                                          g.dofs, n)) for g in prev.groups], 1)))
+    top = levels[-1]
+    k_top = assemble_coarse(top.groups, top.coarse.dofs_per_node)
+    pairs.append(((k_top, None), (sum_elements([(g.kc, g.dofs) for g in top.groups], 1)[0], None)))
+    assert len(pairs) == 3
+    for (k, keys), (k_ref, keys_ref) in pairs:
+        assert k.shape[0] > 0 and np.array_equal(keys, keys_ref)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(k.scipy_csr(), attr), getattr(k_ref.scipy_csr(), attr))
+
+
 def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):
     # a final coarse matrix that is not positive definite (here -K) stops
     # the setup with exit code 3
-    def negated(groups):
-        k = assemble_coarse(groups)
+    def negated(groups, dofs_per_node):
+        k = assemble_coarse(groups, dofs_per_node)
         return replace(k, csr=-k.csr)
     monkeypatch.setattr(bddc, "assemble_coarse", negated)
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4)

@@ -13,9 +13,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import scipy.sparse
 from scipy.linalg.lapack import dpotrf
 
 from mlbddc import bddc, load_config, run_experiment
+from mlbddc.fem import ProblemSpec, assemble_global, generate_box_mesh
 from mlbddc.sparse import factorize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -103,3 +105,20 @@ def test_setup_takes_the_level_factor_and_reduced_cholesky(monkeypatch):
     shapes = [g.psi.shape[1:] for lv in prec.levels for g in lv.groups for _ in g.subs]
     assert potrf == [nb - nc for nb, nc in shapes if nb > nc] and potrf
     assert not [name for name in vars(bddc) if name.startswith("dsytr")]
+
+
+def test_elasticity_element_sort_runs_over_node_pairs(monkeypatch):
+    # a Q1 hexahedron couples 8 nodes of 3 dofs: the element sum's counting
+    # sorts see 8 * 8 node pairs per element, not 24 * 24 dof pairs, so a
+    # return to sorting dof pairs fails here and not only in the benchmark
+    sorted_entries = []
+    real = scipy.sparse.csr_matrix.tocsc
+
+    def counted_tocsc(self, *args, **kwargs):
+        sorted_entries.append(self.nnz)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "tocsc", counted_tocsc)
+    mesh = generate_box_mesh(3, 4)
+    assemble_global(ProblemSpec(kind="elasticity", dim=3), mesh)
+    assert sorted_entries == [mesh.n_elems * 8 * 8]

@@ -63,7 +63,7 @@ def test_solve_underflowed_residual_is_not_converged(capsys):
     assert not report.converged
     code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
     assert code == EXIT_NO_CONVERGENCE
-    assert out.strip().endswith(",false")
+    assert out.strip().endswith(",false,")
 
 
 def test_solve_config_file(capsys, tmp_path):
@@ -244,8 +244,9 @@ def test_mesh_without_free_dofs_is_config_error(capsys, dim):
     code, out, _ = run_cli(capsys, "sweep", "--set", f"dim={dim}", "--set", "elements=1",
                            "--hierarchies", "4,1")
     assert code == EXIT_NO_CONVERGENCE
-    assert out.strip().split("\n")[1:] == ["2,4,0,,,0,0.000,0.000,false",
-                                           "2,1,0,,,0,0.000,0.000,false"]
+    no_free = "ConfigError: no free dofs: every dof is a Dirichlet dof"
+    assert out.strip().split("\n")[1:] == [f"2,4,0,,,0,0.000,0.000,false,{no_free}",
+                                           f"2,1,0,,,0,0.000,0.000,false,{no_free}"]
 
 
 @pytest.mark.parametrize("elements", [8, 16])
@@ -291,7 +292,7 @@ def test_coarse_subdomain_without_dofs(capsys, elements, hierarchy, levels, subd
                  "corner_strategy=vertices-only", "constraint_policy=corners-only",
                  "tolerance=1e-10"]
     code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
-    assert code == EXIT_OK and out.strip().endswith(",true")
+    assert code == EXIT_OK and out.strip().endswith(",true,")
     assert out.splitlines()[-1].split(",")[1] == subdomains
     res = run_experiment(load_config(overrides=overrides))
     assert (res.levels, res.coarse_sizes) == (levels, coarse_sizes)

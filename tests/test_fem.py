@@ -290,7 +290,7 @@ def test_stacked_subassembly_is_block_diag_of_subdomains(spec, n, n_subs):
     k, keys = subassemble_subdomain(spec, mesh, dm, part)
     ke = element_matrix(spec, mesh)
     ed = node_dofs(mesh.elem_nodes, spec.dofs_per_node)
-    per_sub = [sum_elements([(ke, dm.full_to_free[ed[part.elements_of(s)]])])
+    per_sub = [sum_elements([(ke, dm.full_to_free[ed[part.elements_of(s)]])], spec.dofs_per_node)
                for s in range(n_subs)]
     ref = scipy.sparse.block_diag([k_s.scipy_csr() for k_s, _ in per_sub], format="csr")
     csr = k.scipy_csr()
@@ -313,7 +313,7 @@ def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
         ke = element_matrix(spec, mesh)
         dpn = spec.dofs_per_node
         ed = (mesh.elem_nodes[:, :, None] * dpn + np.arange(dpn)).reshape(mesh.n_elems, -1)
-        k, ltg = sum_elements([(ke, d[None]) for d in dm.full_to_free[ed]])
+        k, ltg = sum_elements([(ke, d[None]) for d in dm.full_to_free[ed]], dpn)
         assert np.array_equal(ltg, np.arange(dm.n_free))
         k_global = assemble_global(spec, mesh)[0]
         for attr in ("indptr", "indices", "data"):

@@ -1,5 +1,7 @@
 """Configuration parsing, the experiment runner, and report formatting."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from mlbddc.harness import (
     load_config,
     parse_config_text,
     parse_hierarchy,
+    run_configs,
     run_experiment,
     run_sweep,
     write_report,
@@ -244,6 +247,27 @@ def test_sweep_partial_failure(monkeypatch):
     row = results[1].csv_row()
     assert row["converged"] == "false"
     assert row["iterations"] == "0"
+    assert row["error"] == "NumericalError: synthetic failure"
+    assert results[0].csv_row()["error"] == ""
+
+
+def test_sweep_rows_name_their_failure():
+    # the weak-coarse-space reproducer (vertex corners only, 2D elasticity
+    # clamped on one face) fails next to a healthy run: its row names the
+    # error class and message, quoted since the message has commas, and the
+    # healthy row's error column is empty
+    weak = load_config(overrides=["problem=elasticity", "dim=2", "dirichlet_faces=x-",
+                                  "constraint_policy=corners-only",
+                                  "corner_strategy=vertices-only",
+                                  "hierarchy=16", "elements=8"])
+    healthy = replace(weak, constraint_policy="corners+edges+faces", corner_strategy="default")
+    text = format_report(run_configs([weak, healthy]))
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [list(r) for r in rows] == [list(CSV_COLUMNS)] * 2
+    assert rows[0]["converged"] == "false" and rows[0]["n_dofs"] == "0"
+    assert rows[0]["error"].startswith("NumericalError: level 1, subdomain 3: ")
+    assert rows[0]["error"].endswith("; the constraint set is too weak")
+    assert rows[1]["converged"] == "true" and rows[1]["error"] == ""
 
 
 def test_write_report(tmp_path):

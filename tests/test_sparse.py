@@ -294,7 +294,7 @@ def test_solve_residual_contract():
 def test_sum_elements_drops_negative_ids_and_numbers_ascending():
     ke = random_spd(np.random.default_rng(5), 3)
     dofs = np.array([[9, -1, 4], [4, 7, -1], [-1, 9, 12]])
-    k, ltg = sum_elements([(ke, dofs)])
+    k, ltg = sum_elements([(ke, dofs)], 1)
     assert np.array_equal(ltg, [4, 7, 9, 12])
     dense = np.zeros((13, 13))
     for d in dofs:
@@ -303,7 +303,7 @@ def test_sum_elements_drops_negative_ids_and_numbers_ascending():
     assert k.symmetric
     assert np.allclose(k.scipy_csr().toarray(), dense[np.ix_(ltg, ltg)], rtol=0, atol=1e-13)
     # one shared (m, m) matrix sums bitwise like its (n_e, m, m) stack
-    stacked, ltg_s = sum_elements([(np.repeat(ke[None], 3, axis=0), dofs)])
+    stacked, ltg_s = sum_elements([(np.repeat(ke[None], 3, axis=0), dofs)], 1)
     assert np.array_equal(ltg_s, ltg)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(stacked.scipy_csr(), attr), getattr(k.scipy_csr(), attr))
@@ -353,7 +353,7 @@ def test_sum_elements_is_the_ordered_fold_of_symmetric_parts(seed):
     # bitwise: every K_ij sums its contributions left to right, in block
     # then element order, and nothing else is stored
     blocks = random_element_blocks(np.random.default_rng(seed))
-    k, ltg = sum_elements(blocks)
+    k, ltg = sum_elements(blocks, 1)
     ref = fold_sum(blocks)
     assert np.array_equal(ltg, sorted({i for i, _ in ref}))
     assert stored_entries(k, ltg) == {ij: v for ij, v in ref.items() if v != 0.0}
@@ -365,8 +365,8 @@ def test_sum_elements_returns_a_compact_canonical_symmetric_csr():
     # an element and its negative cancel exactly: their entries are not stored
     k_cancel = rng.standard_normal((4, 4))
     cancel = np.array([[500, 501, -1, 502]])
-    k, ltg = sum_elements(blocks + [(k_cancel, cancel), (-k_cancel, cancel)])
-    assert np.array_equal(ltg, sum_elements(blocks)[1].tolist() + [500, 501, 502])
+    k, ltg = sum_elements(blocks + [(k_cancel, cancel), (-k_cancel, cancel)], 1)
+    assert np.array_equal(ltg, sum_elements(blocks, 1)[1].tolist() + [500, 501, 502])
     csr = k.scipy_csr()
     assert k.symmetric and (csr != csr.T).nnz == 0
     assert csr.has_canonical_format
@@ -380,9 +380,9 @@ def test_sum_elements_returns_a_compact_canonical_symmetric_csr():
 def test_sum_elements_sums_symmetric_parts_of_nonsymmetric_blocks():
     rng = np.random.default_rng(6)
     (k4, d4), (k7, d7) = random_element_blocks(rng)
-    k, ltg = sum_elements([(k4, d4), (k7, d7)])
+    k, ltg = sum_elements([(k4, d4), (k7, d7)], 1)
     sym, ltg_s = sum_elements([((k4 + k4.T) / 2, d4),
-                               ((k7 + k7.transpose(0, 2, 1)) / 2, d7)])
+                               ((k7 + k7.transpose(0, 2, 1)) / 2, d7)], 1)
     assert np.array_equal(ltg, ltg_s)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(k.scipy_csr(), attr), getattr(sym.scipy_csr(), attr))
@@ -392,3 +392,81 @@ def test_sum_elements_sums_symmetric_parts_of_nonsymmetric_blocks():
         dense[np.ix_(d[keep], d[keep])] += ke[np.ix_(keep, keep)]
     dense = (dense + dense.T) / 2
     assert np.allclose(k.scipy_csr().toarray(), dense[np.ix_(ltg, ltg)], rtol=0, atol=1e-13)
+
+
+def node_major_blocks(rng, b):
+    """Blocks of three orders over node-major ids (node i owns ids b*i..b*i+b-1)
+    of overlapping, non-contiguous nodes: a shared non-symmetric (2b, 2b)
+    matrix, and stacks of (4b, 4b) and (3b, 3b) ones. About one node in six
+    is dropped, each of its ids some negative number."""
+    pool = np.arange(30) * 3 + 2
+
+    def ids(n_e, p):
+        nodes = np.array([rng.choice(pool, p, replace=False) for _ in range(n_e)])
+        d = nodes[..., None] * b + np.arange(b)
+        dropped = rng.random(nodes.shape) < 0.15
+        d[dropped] = -rng.integers(1, 9, (dropped.sum(), b))
+        return d.reshape(n_e, p * b)
+
+    return [(rng.standard_normal((2 * b, 2 * b)), ids(30, 2)),
+            (rng.standard_normal((20, 4 * b, 4 * b)), ids(20, 4)),
+            (rng.standard_normal((10, 3 * b, 3 * b)), ids(10, 3))]
+
+
+@pytest.mark.parametrize("b", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sum_elements_over_node_pairs_is_the_ordered_fold(b, seed):
+    # the sort runs over node pairs carrying b x b blocks, and every K_ij is
+    # still the left fold of its contributions in block, then element order
+    blocks = node_major_blocks(np.random.default_rng(seed), b)
+    k, ltg = sum_elements(blocks, b)
+    ref = fold_sum(blocks)
+    assert np.array_equal(ltg, sorted({i for i, _ in ref}))
+    assert stored_entries(k, ltg) == {ij: v for ij, v in ref.items() if v != 0.0}
+
+
+def test_sum_elements_of_empty_blocks():
+    # no elements, and elements of order 0 (the coarse matrices of a shape
+    # group without constraints), add nothing
+    blocks = node_major_blocks(np.random.default_rng(3), 3)
+    k, ltg = sum_elements(blocks, 3)
+    empty = [(np.zeros((0, 6, 6)), np.zeros((0, 6), dtype=int)),
+             (np.zeros((4, 0, 0)), np.zeros((4, 0), dtype=int)),
+             (np.zeros((0, 0)), np.zeros((2, 0), dtype=int))]
+    with_empty, ltg_e = sum_elements(empty[:2] + blocks + empty[2:], 3)
+    assert np.array_equal(ltg_e, ltg)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(with_empty.scipy_csr(), attr), getattr(k.scipy_csr(), attr))
+    nothing, ltg_0 = sum_elements(empty, 3)
+    assert nothing.shape == (0, 0) and ltg_0.size == 0
+
+
+def test_sum_elements_returns_a_compact_canonical_csr_over_node_pairs():
+    rng = np.random.default_rng(4)
+    blocks = node_major_blocks(rng, 3)
+    # an element and its negative cancel exactly: their entries are not stored
+    k_cancel = rng.standard_normal((9, 9))
+    cancel = np.array([[300, 301, 302, -1, -2, -3, 333, 334, 335]])
+    k, ltg = sum_elements(blocks + [(k_cancel, cancel), (-k_cancel, cancel)], 3)
+    assert np.array_equal(ltg, sum_elements(blocks, 3)[1].tolist()
+                          + [300, 301, 302, 333, 334, 335])
+    csr = k.scipy_csr()
+    assert k.symmetric and (csr != csr.T).nnz == 0
+    assert csr.has_canonical_format
+    assert np.all(csr.data != 0.0)
+    assert csr[-6:].nnz == 0
+    assert csr.data.size == csr.indices.size == csr.nnz
+    assert buffer_size(csr.data) == buffer_size(csr.indices) == csr.nnz
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("dofs", [[[4, 6, 6, 7]], [[2, 3, 6, -1]], [[-1, 3, 6, 7]],
+                                  [[5, 6, 2, 3]], [[2, 3, 4]]],
+                         ids=["broken-run", "partly-dropped", "partly-kept",
+                              "first-not-multiple", "order-not-multiple"])
+def test_sum_elements_rejects_ids_that_are_not_node_runs(dofs):
+    # with b = 2, every element's ids must be pairs (2i, 2i + 1) or negative pairs
+    dofs = np.array(dofs)
+    ke = np.eye(dofs.shape[1])
+    with pytest.raises(ValueError, match="not node-major runs of dofs_per_node=2"):
+        sum_elements([(ke, dofs)], 2)
