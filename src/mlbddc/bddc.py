@@ -9,36 +9,37 @@ with S_i = K_BB,i - K_IB,i^T K_II,i^-1 K_IB,i the subdomain's dense Schur
 complement and C_i its constraint rows over the interface dofs. It is the
 full problem [K_i C_i^T; C_i 0] with the interior eliminated: every apply
 hands a subdomain a residual that is zero on its interior and reads back
-only interface values and multipliers. The constraint rows have disjoint
-supports (a corner is one node, a glob averages only its non-corner
-members, and globs are disjoint), so every constraint eliminates an
-interface dof of its own and no multiplier is ever formed: a corner fixes
-its dof outright (Dohrmann, SIAM J. Sci. Comput. 25, 2003), and an average
-gives one of its dofs, its master, in terms of the others. This is the
-null-space method (Benzi, Golub & Liesen, Acta Numerica 14, 2005, sec. 6),
-in BDDC terms a change of basis (Li & Widlund, IJNME 66, 2006). What is
-factorized is the SPD matrix A_i = N_i^T S_ff,i N_i of order n_interface -
-n_constraints, with N_i a basis of the average rows' null space over the
-free dofs f; it is invertible exactly when the full matrix is. The basis
-columns (unit constraint values) span the coarse space, and their energy
-psi_i^T S_i psi_i is the subdomain's coarse element matrix; assembling
-those over the coarse dofs yields the next level's problem, which is either
-factorized directly (top level) or split again into subdomains over a
-pseudo-mesh. Applications at levels past the first condense the full
-residual onto the interface before the cycle and recover the interiors
-after it, with the condensation and recovery of the level-1 solve
-(substructuring), so the recursion only ever sees interface residuals; each
-is one block-diagonal interior solve per level. The constrained local
-problems are solved once, at setup: each A_i is factorized by LAPACK's
-Cholesky potrf and inverted in the factor's storage by potri, always
-densely (its order is below that of the interface). z_i = N_i A_i^-1 N_i^T
-over the free dofs is the subdomain's constrained-solve operator, and the
-basis psi_i comes from products with A_i^-1. A level stacks z_i and psi_i
-over the subdomains that share a shape (free dofs, interface dofs,
-constraints; a few shapes per level), so one preconditioner cycle is a few
-batched products per level: z_i r_i and psi_i^T r_i (the multipliers, i.e.
-the restricted coarse residuals), then psi_i z_c + z_i r_i after the coarse
-correction. No factor of a subdomain is kept past setup.
+only interface values and multipliers. Each constraint is a corner value or
+the plain mean of a glob's non-corner members, and globs are disjoint, so a
+level labels each interface dof with the one row that covers it, if any.
+Every constraint then eliminates an interface dof of its own and no
+multiplier is ever formed: a corner fixes its dof outright (Dohrmann, SIAM
+J. Sci. Comput. 25, 2003), and an average gives its lowest dof, its master,
+in terms of the others. This is the null-space method (Benzi, Golub &
+Liesen, Acta Numerica 14, 2005, sec. 6), in BDDC terms a change of basis
+(Li & Widlund, IJNME 66, 2006). What is factorized is the SPD matrix A_i =
+N_i^T S_ff,i N_i of order n_interface - n_constraints, with N_i a basis of
+the average rows' null space over the free dofs f; it is invertible exactly
+when the full matrix is. The basis columns (unit constraint values) span
+the coarse space, and their energy psi_i^T S_i psi_i is the subdomain's
+coarse element matrix; assembling those over the coarse dofs yields the
+next level's problem, which is either factorized directly (top level) or
+split again into subdomains over a pseudo-mesh. Applications at levels past
+the first condense the full residual onto the interface before the cycle
+and recover the interiors after it, with the condensation and recovery of
+the level-1 solve (substructuring), so the recursion only ever sees
+interface residuals; each is one block-diagonal interior solve per level.
+The constrained local problems are solved once, at setup: each A_i is
+factorized by LAPACK's Cholesky potrf and inverted in the factor's storage
+by potri, always densely (its order is below that of the interface). z_i =
+N_i A_i^-1 N_i^T over the free dofs is the subdomain's constrained-solve
+operator, and the basis psi_i comes from products with A_i^-1. A level
+stacks z_i and psi_i over the subdomains that share a shape (free dofs,
+interface dofs, constraints; a few shapes per level), so one preconditioner
+cycle is a few batched products per level: z_i r_i and psi_i^T r_i (the
+multipliers, i.e. the restricted coarse residuals), then psi_i z_c + z_i
+r_i after the coarse correction. No factor of a subdomain is kept past
+setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
@@ -87,32 +88,31 @@ class LevelConstraints:
     """The constraint rows of every subdomain of a level, stacked in
     subdomain order: subdomain i owns rows starts[i]:starts[i+1], one per
     local coarse dof (corner value or glob average), ordered like its coarse
-    dofs (coarse nodes ascending, components fastest). The rows are sparse:
-    entry e puts val[e] in row row[e] at col[e], a position in the level's
-    stacked interface (`LevelSplits.iface_index` order).
+    dofs (coarse nodes ascending, components fastest). Row row_of[p] covers
+    position p of the level's stacked interface (`LevelSplits.iface_index`
+    order), -1 if none does, and a row is the mean of the positions it
+    covers, each weighted 1/size.
 
-    No stacked interface position is in two rows, and every row has an
-    entry: a corner is one node, a glob node averages only the glob's
-    non-corner members, and globs are disjoint (`_shape_groups` checks it).
-    A point constraint, a row tagged "corner" with exactly one entry, fixes
-    one interface dof; every other row (an average, even one over a single
-    node) eliminates its master dof (see ShapeGroup)."""
+    Every row covers a position (`build_constraints` checks it). A point
+    constraint, a row tagged "corner" that covers one position, fixes that
+    dof; every other row (an average, even one over a single node)
+    eliminates its master dof (see ShapeGroup)."""
 
     starts: np.ndarray            # (n_subdomains + 1,)
     tags: np.ndarray              # (n_rows,) "corner" | "edge" | "face"
     dofs: np.ndarray              # (n_rows,) global coarse dof of each row
-    row: np.ndarray               # (n_entries,)
-    col: np.ndarray
-    val: np.ndarray
+    row_of: np.ndarray            # (n_stacked_interface,) covering row, or -1
 
 
 def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
                       imap: InterfaceMap) -> LevelConstraints:
     """Constraint rows of all subdomains of a level at once: each subdomain's
     coarse nodes (sub_ptr/sub_node) expand into their members (member_ptr/
-    members: a corner itself, a glob node the glob's remaining members, each
-    weighted 1/size), and one search against the sorted (subdomain,
-    interface dof) keys of the stacked interface places every member dof."""
+    members: a corner itself, a glob node the glob's remaining members), and
+    one search against the sorted (subdomain, interface dof) keys of the
+    stacked interface places every member dof. A member outside its
+    subdomain's interface, a position in two rows (a corner inside a glob,
+    a dof in two globs) and a row without members raise ValueError."""
     dpn = coarse.dofs_per_node
     kinds = np.concatenate([np.full(coarse.n_corners, "corner"),
                             globset.kinds[coarse.glob_ids]])
@@ -134,11 +134,15 @@ def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
     if not found.all():
         raise ValueError(f"subdomain {sub[pair][np.nonzero(~found)[0][0]]}: constraint "
                          f"node outside the subdomain's interface")
+    if size[node].min(initial=1) == 0 or np.bincount(col.ravel()).max(initial=0) > 1:
+        raise ValueError("constraint rows of a subdomain must have disjoint, "
+                         "nonempty supports")
+    row_of = np.full(keys.size, -1)
+    row_of[col] = pair[:, None] * dpn + comp
     return LevelConstraints(
         starts=coarse.sub_ptr * dpn,
         tags=np.repeat(kinds[node], dpn), dofs=(node[:, None] * dpn + comp).ravel(),
-        row=(pair[:, None] * dpn + comp).ravel(), col=col.ravel(),
-        val=np.repeat(1.0 / size[node][pair], dpn))
+        row_of=row_of)
 
 
 @dataclass
@@ -148,22 +152,19 @@ class ShapeGroup:
     it stacks for the preconditioner, so that one batched product applies
     them all.
 
-    Member j's constraint rows are rows j * n_constraints onwards of `rows`,
-    with columns ordered like its stacked interface (its interface dofs
-    ascending, `LevelSplits.iface_offsets`). The rows have
-    disjoint supports, so every row owns one interface dof of its own: a
-    point row the dof it fixes, an average row its master, its entry with
-    the largest |c| (lowest position on ties). The member's interface order
-    lists the other free dofs ascending, then the masters in row order, then
-    the fixed dofs ascending; its Schur complement is taken in that order."""
+    Every row owns one interface dof of its own (the rows have disjoint
+    supports): a point row the dof it fixes, an average row its master, its
+    lowest position. The member's interface order lists the other free dofs
+    ascending, then the masters in row order, then the fixed dofs ascending,
+    so a row's own dof is its last place; its Schur complement is taken in
+    that order. row[j, q] is the local row (0 to n_constraints - 1) that
+    covers place q of member j's order, or -1."""
 
     subs: np.ndarray              # (m,) the members' subdomain indices
     iface: np.ndarray             # (m, n_interface) positions in the stacked interface
     order: np.ndarray             # (m, n_interface) interface order, local positions
-    rank: np.ndarray              # (m, n_interface) each local position's place in it
     free: np.ndarray              # (m, n_free) stacked interface positions of the free dofs
-    rows: scipy.sparse.csr_matrix  # (m * n_constraints, n_interface) constraint rows
-    own: np.ndarray               # (m, n_constraints) each row's own dof, place in the order
+    row: np.ndarray               # (m, n_interface) covering row of each place, or -1
     tags: np.ndarray              # (m, n_constraints)
     dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
     z: np.ndarray                 # (m, n_free, n_free)
@@ -175,19 +176,12 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
     """Group a level's subdomains by shape (n_free, n_interface,
     n_constraints), in order of first appearance, with room for their
     operators. Subdomain i's interface is stacked interface
-    iface_offsets[i]:iface_offsets[i+1]. The rows must have disjoint,
-    nonempty supports (the coarse space builds them so); rows that share an
-    interface dof, or a row without entries, raise ValueError."""
+    iface_offsets[i]:iface_offsets[i+1]; every row covers a position."""
     n_b, n_c = np.diff(iface_offsets), np.diff(cons.starts)
     n_rows, n_iface = cons.tags.size, int(iface_offsets[-1])
-    count = np.bincount(cons.row, minlength=n_rows)
-    if count.min(initial=1) == 0 or np.bincount(cons.col).max(initial=0) > 1:
-        raise ValueError("constraint rows of a subdomain must have disjoint, "
-                         "nonempty supports")
-    # each row's own dof: its first entry by |c| descending, then position (a
-    # point row's only entry, an average row's master)
-    e = np.lexsort((cons.col, -np.abs(cons.val), cons.row))
-    own = cons.col[e[np.diff(cons.row[e], prepend=-1) != 0]]
+    # each row's own dof is its lowest position (label -1 sorts first)
+    label, own, count = np.unique(cons.row_of, return_index=True, return_counts=True)
+    own, count = own[label >= 0], count[label >= 0]
     point = (cons.tags == "corner") & (count == 1)
     fixed = np.zeros(n_iface, dtype=bool)
     fixed[own[point]] = True
@@ -199,37 +193,28 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
     shapes = np.column_stack([n_b - n_fixed, n_b, n_c])
     _, first, which = np.unique(shapes, axis=0, return_index=True, return_inverse=True)
     which = which.ravel()
-    sub_of = np.repeat(np.arange(n_c.size), n_c)[cons.row]     # subdomain of each entry
-    place = np.empty(n_iface, dtype=np.int64)      # each position's place in its member's order
     groups = []
     for g in np.argsort(first):
         subs = np.flatnonzero(which == g)
         m, (nf, nb, nc) = subs.size, shapes[subs[0]]
         iface = iface_offsets[subs][:, None] + np.arange(nb)
         order = np.argsort(key[iface], axis=1)
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(nb), axis=1)
-        place[iface] = rank
-        slot = np.full(n_c.size, -1)
-        slot[subs] = np.arange(m)
-        mine = np.flatnonzero(slot[sub_of] >= 0)
-        s = sub_of[mine]
-        rows = scipy.sparse.csr_matrix(
-            (cons.val[mine], (slot[s] * nc + cons.row[mine] - cons.starts[s],
-                              cons.col[mine] - iface_offsets[s])), shape=(m * nc, nb))
-        row_ids = cons.starts[subs][:, None] + np.arange(nc)
+        placed = np.take_along_axis(iface, order, axis=1)
+        start, row = cons.starts[subs][:, None], cons.row_of[placed]
+        row_ids = start + np.arange(nc)
+        # free is copied to be contiguous: every apply gathers with it
         groups.append(ShapeGroup(
-            subs=subs, iface=iface, order=order, rank=rank,
-            free=np.take_along_axis(iface, order[:, :nf], axis=1), rows=rows,
-            own=place[own[row_ids]], tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
+            subs=subs, iface=iface, order=order, free=placed[:, :nf].copy(),
+            row=np.where(row >= 0, row - start, -1),
+            tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
             z=np.empty((m, nf, nf)), psi=np.empty((m, nb, nc)), kc=np.empty((m, nc, nc))))
     return groups
 
 
 @dataclass
 class SubdomainConstraints:
-    """One subdomain's constraint rows by origin (the rows themselves are
-    its ShapeGroup's `rows`) and its free dofs (those no point constraint
+    """One subdomain's constraint rows by origin (its ShapeGroup's `row`
+    labels give their supports) and its free dofs (those no point constraint
     fixes) as positions in its stacked interface, in the order of z: the
     kept dofs ascending, then the average rows' masters in row order."""
 
@@ -271,17 +256,18 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     in the member's interface order g.order (kept free dofs k, masters m,
     fixed dofs).
 
-    Every constraint row eliminates the dof it owns (see ShapeGroup): a
-    point row fixes it, and an average row's master is x_m = -sum_k (c_k /
-    c_m) x_k over the row's kept dofs. So N = [I; G], with G (n_masters x
-    n_kept) built once for the group, spans the null space of the average
-    rows over the free dofs f, and A = N^T S_ff N is SPD of order
-    n_interface - n_constraints: formed as S_f N = S_fk + S_fm G, A = (S_f
-    N)_k + G^T (S_f N)_m, mirrored from its lower triangle, factorized by
-    LAPACK's potrf and inverted in the factor's storage by potri. X puts 1/c
-    on each row's own dof, which no other row covers, so C X = I; it is
-    built once for the group too, and only the kernels and their products
-    run per member.
+    Every constraint row is the mean of the dofs it covers and eliminates
+    the one it owns, its last place (see ShapeGroup): a point row fixes it,
+    and where an average row vanishes its master is x_m = -sum_k x_k over its
+    kept dofs. So N = [I; G], G (n_masters x n_kept) -1 at (master, kept dof
+    of its row), spans the null space of the average rows over the free dofs
+    f, and A = N^T S_ff N is SPD of order n_interface - n_constraints: formed
+    as S_f N = S_fk + S_fm G, A = (S_f N)_k + G^T (S_f N)_m, mirrored from
+    its lower triangle, factorized by LAPACK's potrf and inverted in the
+    factor's storage by potri. X puts 1 / (1 / size), the inverse of the
+    row's weight, on each row's own dof, which no other row covers, so C X =
+    I. G and X are built once for the group; only the kernels and their
+    products run per member.
 
     Fills the group's stacks: z = N A^-1 N^T (kept dofs, then masters), by
     blocks and exactly symmetric, is the constrained-solve operator (the
@@ -300,20 +286,13 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     set as the exception's `subdomain`).
     """
     m, nb, nc = g.psi.shape
-    nf = g.z.shape[1]
-    nk = nb - nc                                            # the order of A
+    nf, nk = g.z.shape[1], nb - nc                          # nk: the order of A
     na = nf - nk
-    entries = g.rows.tocoo()
-    mem, row = np.divmod(entries.row, max(nc, 1))         # member and row of each entry
-    pos, own, val = g.rank[mem, entries.col], g.own[mem, row], entries.data
-    at_own = pos == own
-    c = np.empty((m, nc))
-    c[mem[at_own], row[at_own]] = val[at_own]
-    x = np.zeros((m, nc, nc))                               # X below the kept dofs
-    x[mem[at_own], pos[at_own] - nk, row[at_own]] = 1.0 / val[at_own]
-    e = pos < nk                                            # an average row on a kept dof
-    gk = np.zeros((m, na, nk))
-    gk[mem[e], own[e] - nk, pos[e]] = -val[e] / c[mem[e], row[e]]
+    own = g.row[:, nk:]                                     # the row of each own dof
+    mem, place = np.nonzero(g.row >= 0)
+    size = np.bincount(mem * nc + g.row[mem, place], minlength=m * nc).reshape(m, nc)
+    x = (own[:, :, None] == np.arange(nc)) * (1.0 / (1.0 / size))[:, None, :]  # X below nk
+    gk = np.where(g.row[:, None, :nk] == own[:, :na, None], -1.0, 0.0)
     b = probe_rhs(nk)
     cols = np.broadcast_to(np.arange(nk, dtype=np.int32), (nk, nk))
     lower = np.tri(nk, dtype=bool)
@@ -493,14 +472,15 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup):
     nb = g.iface.shape[1]
     fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
     col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
-    col[g.iface] = g.rank
+    col[np.take_along_axis(g.iface, g.order, axis=1)] = np.arange(nb)
     lower = np.tri(nb, dtype=bool)
-    for j, i in enumerate(g.subs.tolist()):
+    for i in g.subs.tolist():
         lo, hi = splits.interior_offsets[i:i + 2]
-        ptr = k_bb.indptr[splits.iface_offsets[i]:splits.iface_offsets[i + 1] + 1]
+        b0, b1 = splits.iface_offsets[i:i + 2]
+        ptr = k_bb.indptr[b0:b1 + 1]
         entries = slice(ptr[0], ptr[-1])
         s = np.zeros((nb, nb), order="F")
-        s[np.repeat(g.rank[j], np.diff(ptr)), col[k_bb.indices[entries]]] = k_bb.data[entries]
+        s[np.repeat(col[b0:b1], np.diff(ptr)), col[k_bb.indices[entries]]] = k_bb.data[entries]
         if lo == hi or nb == 0:
             yield s
             continue

@@ -319,9 +319,9 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 # -- assembly -----------------------------------------------------------------
 
-def _element_dofs(spec: ProblemSpec, mesh: Mesh, elements: np.ndarray) -> np.ndarray:
+def _element_dofs(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """(n_elems, ndof_per_elem) full-dof indices, node-major per element."""
-    return node_dofs(mesh.elem_nodes[elements], spec.dofs_per_node)
+    return node_dofs(mesh.elem_nodes, spec.dofs_per_node)
 
 
 def assemble_global(spec: ProblemSpec, mesh: Mesh):
@@ -329,7 +329,7 @@ def assemble_global(spec: ProblemSpec, mesh: Mesh):
     free dofs. Returns (K, f)."""
     dofmap = build_dof_map(spec, mesh)
     ke = element_matrix(spec, mesh)
-    ed = _element_dofs(spec, mesh, np.arange(mesh.n_elems))
+    ed = _element_dofs(spec, mesh)
     free = dofmap.full_to_free[ed]
     k, _ = sum_elements([(ke, free)], spec.dofs_per_node)
 
@@ -355,7 +355,7 @@ def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partiti
     keys[j] % n_free of subdomain keys[j] // n_free, and keys ascend.
     """
     partition.validate()
-    free = dofmap.full_to_free[_element_dofs(spec, mesh, np.arange(mesh.n_elems))]
+    free = dofmap.full_to_free[_element_dofs(spec, mesh)]
     keys = subdomain_keys(partition.assignment[:, None], free, dofmap.n_free)
     return sum_elements([(element_matrix(spec, mesh), keys)], spec.dofs_per_node)
 

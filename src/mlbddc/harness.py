@@ -42,7 +42,7 @@ from .partition import partition_elements
 from .substructuring import condensed_rhs, recover_interior, schur_apply
 
 CSV_COLUMNS = ("levels", "subdomains", "n_dofs", "coarse_sizes",
-               "condition_estimate", "iterations", "setup_seconds",
+               "condition_estimate", "iterations", "true_residual", "setup_seconds",
                "krylov_seconds", "converged", "error")
 
 # columns that may differ between byte-identical reruns
@@ -215,7 +215,7 @@ class RunResult:
 
     def csv_row(self) -> dict:
         rep = self.report
-        kappa = rep.condition_estimate
+        kappa, true = rep.condition_estimate, rep.true_residual
         return {
             "levels": str(self.levels),
             "subdomains": "/".join(str(c) for c in self.subdomain_counts),
@@ -223,6 +223,7 @@ class RunResult:
             "coarse_sizes": "/".join(str(s) for s in self.coarse_sizes),
             "condition_estimate": "" if kappa is None else f"{kappa:.6e}",
             "iterations": str(rep.iterations),
+            "true_residual": "" if true is None else f"{true:.6e}",
             "setup_seconds": f"{self.setup_seconds:.3f}",
             "krylov_seconds": f"{self.krylov_seconds:.3f}",
             "converged": "true" if rep.converged else "false",
@@ -268,8 +269,8 @@ def run_experiment(config: RunConfig) -> RunResult:
         # one subdomain: the interior solve already is the direct solution;
         # reported as a single unit-condition iteration
         u_hat = np.zeros(0)
-        report = SolveReport(converged=True, iterations=1,
-                             relative_residuals=[0.0], condition_estimate=1.0)
+        report = SolveReport(converged=True, iterations=1, relative_residuals=[0.0],
+                             condition_estimate=1.0, true_residual=0.0)
     else:
         def apply_s(x):
             return schur_apply(splits, imap, x)

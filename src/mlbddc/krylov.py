@@ -8,7 +8,8 @@ condition estimate, cost one small eigenvalue solve after the iteration.
 Both drivers declare convergence on the unpreconditioned relative
 residual: once the recursive residual (for BiCGstab, the preconditioned
 one) meets the tolerance, the true residual b - A x is computed and must
-meet it too. In CG, every TRUE_RESIDUAL_EVERY steps the recursive
+meet it too; its relative norm is reported as `true_residual`, computed
+once more on an exit that has not converged. In CG, every TRUE_RESIDUAL_EVERY steps the recursive
 residual is replaced by the exact one to stop drift.
 """
 
@@ -33,6 +34,7 @@ class SolveReport:
     condition_estimate: float | None = None
     breakdown_reason: str | None = None
     eigenvalue_bounds: tuple | None = None    # CG's extreme Ritz values (min, max)
+    true_residual: float | None = None        # ||b - A x|| / ||b|| of the returned x
 
 
 def _identity(r: np.ndarray) -> np.ndarray:
@@ -55,8 +57,8 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return x, SolveReport(converged=True, iterations=0,
-                              relative_residuals=[0.0], condition_estimate=None)
+        return x, SolveReport(converged=True, iterations=0, relative_residuals=[0.0],
+                              condition_estimate=None, true_residual=0.0)
     r = b.copy()
     z = apply_m(r)
     p = z.copy()
@@ -64,7 +66,7 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     history = [1.0]
     alphas: list = []
     betas: list = []
-    converged = False
+    converged, true = False, None
     k = 0
     while k < max_iterations:
         q = apply_a(p)
@@ -84,7 +86,8 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
         rel = float(np.linalg.norm(r)) / bnorm
         history.append(rel)
         if rel < tol:
-            converged = float(np.linalg.norm(b - apply_a(x))) / bnorm < tol
+            true = float(np.linalg.norm(b - apply_a(x))) / bnorm
+            converged = true < tol
             break
         z = apply_m(r)
         rz_new = _preconditioned_energy(r, z, k)
@@ -92,12 +95,14 @@ def pcg(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
         betas.append(beta)
         rz = rz_new
         p = z + beta * p
+    if true is None:
+        true = float(np.linalg.norm(b - apply_a(x))) / bnorm
     bounds = _lanczos_extremes(alphas, betas)
     kappa = None if bounds is None else (
         float("inf") if bounds[0] <= 0.0 else bounds[1] / bounds[0])
     return x, SolveReport(converged=converged, iterations=k,
-                          relative_residuals=history,
-                          condition_estimate=kappa, eigenvalue_bounds=bounds)
+                          relative_residuals=history, condition_estimate=kappa,
+                          eigenvalue_bounds=bounds, true_residual=true)
 
 
 def _preconditioned_energy(r: np.ndarray, z: np.ndarray, k: int) -> float:
@@ -144,11 +149,14 @@ def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
         return x, SolveReport(converged=True, iterations=0,
-                              relative_residuals=[0.0])
+                              relative_residuals=[0.0], true_residual=0.0)
     b_true = float(np.linalg.norm(b))
+    true = None
 
     def meets_tol(y):
-        return float(np.linalg.norm(b - apply_a(y))) / b_true < tol
+        nonlocal true
+        true = float(np.linalg.norm(b - apply_a(y))) / b_true
+        return true < tol
 
     r_shadow = r.copy()
     rho = alpha = omega = 1.0
@@ -197,6 +205,8 @@ def bicgstab(apply_a, b: np.ndarray, apply_m=None, tol: float = 1e-6,
         if abs(omega) < BREAKDOWN_EPS:
             reason = "omega breakdown"
             break
+    if not converged:
+        meets_tol(x)
     return x, SolveReport(converged=converged, iterations=k,
                           relative_residuals=history,
-                          breakdown_reason=reason)
+                          breakdown_reason=reason, true_residual=true)

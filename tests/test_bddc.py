@@ -64,28 +64,46 @@ def rel_err(a, ref):
     return np.linalg.norm(a - ref) / np.linalg.norm(ref)
 
 
-def hand_constraints(rows_list, tags_list):
-    """LevelConstraints of hand-written dense constraint rows, one (rows,
-    tags) pair per subdomain, columns over each one's interface; returns it
-    with the stacked interface offsets."""
-    nb = [rows.shape[1] for rows in rows_list]
-    iface_offsets = np.concatenate([[0], np.cumsum(nb)])
-    starts = np.concatenate([[0], np.cumsum([rows.shape[0] for rows in rows_list])])
-    stacked = scipy.linalg.block_diag(*rows_list)
-    row, col = np.nonzero(stacked)
+def mean_rows(labels, n_rows):
+    """Dense constraint rows (n_rows, len(labels)) of one subdomain's labels:
+    row r is the mean of the positions p with labels[p] == r."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rows = np.zeros((n_rows, labels.size))
+    on = labels >= 0
+    rows[labels[on], np.flatnonzero(on)] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def hand_constraints(labels_list, tags_list):
+    """LevelConstraints of hand-written constraint labels, one (labels, tags)
+    pair per subdomain: labels[p] is the local row that covers interface
+    position p, -1 if none. Returns it with the stacked interface offsets."""
+    labels_list = [np.asarray(labels, dtype=np.int64) for labels in labels_list]
+    iface_offsets = np.concatenate([[0], np.cumsum([labels.size for labels in labels_list])])
+    starts = np.concatenate([[0], np.cumsum([len(tags) for tags in tags_list])])
+    row_of = np.concatenate([np.where(labels >= 0, labels + start, -1)
+                             for labels, start in zip(labels_list, starts)])
     cons = LevelConstraints(starts=starts, tags=np.array(sum(tags_list, []), dtype=str),
-                            dofs=np.arange(starts[-1]), row=row, col=col, val=stacked[row, col])
+                            dofs=np.arange(starts[-1]), row_of=row_of)
     return cons, iface_offsets
 
 
-def hand_basis(s, c, tags):
+def hand_basis(s, labels, tags):
     """coarse_basis of one subdomain, as a one-member shape group: S over
-    its interface (stacked interface order) and constraint rows c. Returns the
-    group and the member's (record, z, psi, coarse matrix)."""
-    g, = _shape_groups(*hand_constraints([c], [tags]))
+    its interface (stacked interface order) and constraint labels. Returns
+    the group and the member's (record, z, psi, coarse matrix)."""
+    g, = _shape_groups(*hand_constraints([labels], [tags]))
     order = g.order[0]
     fact, = coarse_basis(g, [s[np.ix_(order, order)]])
     return g, (fact, g.z[0], g.psi[0], g.kc[0])
+
+
+def with_members(cs, node, members):
+    """Coarse space cs with coarse node `node`'s members replaced."""
+    lists = segments(cs.member_ptr, cs.members)
+    lists[node] = np.asarray(members, dtype=cs.members.dtype)
+    return replace(cs, member_ptr=np.cumsum([0] + [m.size for m in lists]),
+                   members=np.concatenate(lists))
 
 
 def group_member(level, i):
@@ -99,10 +117,11 @@ def group_member(level, i):
 
 def constraint_rows(level, i):
     """Subdomain i's constraint rows over its interface, dense, from its
-    shape group."""
+    shape group's labels (which are in interface order)."""
     g, j = group_member(level, i)
-    nc = g.tags.shape[1]
-    return g.rows[j * nc:(j + 1) * nc].toarray()
+    labels = np.empty_like(g.row[j])
+    labels[g.order[j]] = g.row[j]
+    return mean_rows(labels, g.tags.shape[1])
 
 
 def coarse_matrix(level, i):
@@ -113,11 +132,9 @@ def coarse_matrix(level, i):
 
 def dense_rows(cons, iface_offsets, i):
     """Subdomain i's rows of level constraints cons, dense over its interface."""
-    lo, hi = cons.starts[i], cons.starts[i + 1]
-    rows = np.zeros((hi - lo, iface_offsets[i + 1] - iface_offsets[i]))
-    mine = (cons.row >= lo) & (cons.row < hi)
-    rows[cons.row[mine] - lo, cons.col[mine] - iface_offsets[i]] = cons.val[mine]
-    return rows
+    labels = cons.row_of[iface_offsets[i]:iface_offsets[i + 1]]
+    return mean_rows(np.where(labels >= 0, labels - cons.starts[i], -1),
+                     cons.starts[i + 1] - cons.starts[i])
 
 
 @pytest.fixture(scope="module")
@@ -154,24 +171,25 @@ def corners2d():
 # -- coarse basis -------------------------------------------------------------
 
 def test_basis_identity_matrix():
-    _, (_, _, psi, kc) = hand_basis(np.eye(2), np.array([[1.0, 0.0]]), ["corner"])
+    _, (_, _, psi, kc) = hand_basis(np.eye(2), [0, -1], ["corner"])
     assert np.allclose(psi, [[1.0], [0.0]], atol=1e-14)
     assert np.allclose(kc, [[1.0]], atol=1e-14)
 
 
 def test_basis_square_constraints_invert():
-    # an average over one node (weight 2) and a corner: no dof is left free
+    # an average over one node and a corner: no dof is left free
     k = np.diag([2.0, 3.0])
-    c = np.array([[0.0, 2.0], [1.0, 0.0]])
-    _, (fact, _, psi, kc) = hand_basis(k, c, ["edge", "corner"])
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
+    _, (fact, _, psi, kc) = hand_basis(k, [1, 0], ["edge", "corner"])
     assert fact.n == 0
+    assert np.array_equal(mean_rows([1, 0], 2), c)
     assert np.allclose(psi, np.linalg.inv(c), atol=1e-14)
-    assert np.allclose(kc, [[0.75, 0.0], [0.0, 2.0]], atol=1e-14)
+    assert np.allclose(kc, [[3.0, 0.0], [0.0, 2.0]], atol=1e-14)
 
 
 def test_basis_no_constraints():
     k = np.diag([2.0, 3.0])
-    _, (_, z, psi, kc) = hand_basis(k, np.zeros((0, 2)), [])
+    _, (_, z, psi, kc) = hand_basis(k, [-1, -1], [])
     assert psi.shape == (2, 0)
     assert kc.shape == (0, 0)
     assert np.allclose(z @ np.array([2.0, 3.0]), [1.0, 1.0])
@@ -183,51 +201,79 @@ def test_basis_detects_singular_unconstrained():
     k = np.array([[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(NotPositiveDefiniteError, match="subdomain 0: constrained local "
                                                        "problem is not positive definite"):
-        hand_basis(k, np.zeros((0, 2)), [])
+        hand_basis(k, [-1, -1], [])
 
 
-def test_average_row_eliminates_its_largest_weight():
-    # an average with unequal weights: its master is the member with the
-    # largest |c|, and psi and the coarse matrix equal the full bordered solve
+def test_average_row_eliminates_its_lowest_dof():
+    # an average over positions 1, 3 and 4: its master is its lowest dof,
+    # last in the interface order, and psi and the coarse matrix equal the
+    # full bordered solve
     rng = np.random.default_rng(31)
-    q = rng.standard_normal((4, 4))
-    s = q @ q.T + 4.0 * np.eye(4)
-    c = np.array([[0.2, 0.0, 0.5, 0.3]])
-    g, (fact, _, psi, kc) = hand_basis(s, c, ["face"])
-    assert np.array_equal(g.order[0], [0, 1, 3, 2]) and fact.n == 3
-    ref = np.linalg.solve(np.block([[s, c.T], [c, np.zeros((1, 1))]]), np.eye(5)[:, 4])
-    assert rel_err(psi[:, 0], ref[:4]) <= 1e-12
-    assert rel_err(kc[0], -ref[4:]) <= 1e-12
+    q = rng.standard_normal((5, 5))
+    s = q @ q.T + 5.0 * np.eye(5)
+    labels = [-1, 0, -1, 0, 0]
+    g, (fact, _, psi, kc) = hand_basis(s, labels, ["face"])
+    assert np.array_equal(g.order[0], [0, 2, 3, 4, 1]) and fact.n == 4
+    assert np.array_equal(g.row[0], [-1, -1, 0, 0, 0])
+    c = mean_rows(labels, 1)
+    ref = np.linalg.solve(np.block([[s, c.T], [c, np.zeros((1, 1))]]), np.eye(6)[:, 5])
+    assert rel_err(psi[:, 0], ref[:5]) <= 1e-12
+    assert rel_err(kc[0], -ref[5:]) <= 1e-12
 
 
-def test_average_row_without_a_free_dof_is_singular():
-    # the edge row covers only the dof the corner fixes, so it owns no dof
-    # and [S C^T; C 0] is singular; the rows overlap, so the setup refuses
-    # them before any factorization
+def coarse_nodes_sharing(cs, node):
+    """The subdomains whose coarse nodes include `node`."""
+    return {i for i, nodes in enumerate(segments(cs.sub_ptr, cs.sub_node)) if node in nodes}
+
+
+def test_average_row_without_a_free_dof_is_singular(elasticity3d_edges):
+    # a glob whose only member is a corner: its average covers only the dof
+    # the corner fixes, so it owns no dof and [S C^T; C 0] is singular; the
+    # rows overlap, so build_constraints refuses them before any
+    # factorization
     c = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     bordered = np.block([[np.eye(3), c.T], [c, np.zeros((2, 2))]])
     assert np.linalg.matrix_rank(bordered) < 5
+    lv = elasticity3d_edges
+    cs = lv.coarse_space()
+    center = int(np.argmax(np.bincount(cs.sub_node)[:cs.n_corners]))   # on all 8 subdomains
+    faulty = with_members(cs, cs.n_corners, cs.corner_nodes[center:center + 1])
     with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
-        hand_basis(np.eye(3), c, ["corner", "edge"])
+        build_constraints(faulty, lv.globset, lv.splits, lv.imap)
 
 
-@pytest.mark.parametrize("c,tags", [
-    ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], ["edge", "edge"]),        # averages sharing a dof
-    ([[1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]], ["face", "corner"]),  # a corner inside an average
-    ([[1.0, 0.0], [2.0, 0.0]], ["corner", "corner"]),              # two corners on one dof
-    ([[0.0, 1.0], [0.0, 0.0]], ["corner", "edge"]),                # a row without entries
-], ids=["shared-average-dof", "corner-in-average", "corners-on-one-dof", "empty-row"])
-def test_overlapping_constraint_rows_are_rejected(c, tags):
+@pytest.mark.parametrize("case", ["shared-average-dof", "corner-in-average",
+                                  "corners-on-one-dof", "empty-row"])
+def test_overlapping_constraint_rows_are_rejected(elasticity3d_edges, case):
     # every row eliminates a dof of its own, so supports must be disjoint
+    # and nonempty: a coarse space with a dof in two globs, a corner that is
+    # also a glob member, two corners on one node, or a glob without members
+    # is refused where the rows are made. Each added member lies on the
+    # interface of every subdomain of the node it joins
+    lv = elasticity3d_edges
+    cs = lv.coarse_space()
+    members = segments(cs.member_ptr, cs.members)
+    center = int(np.argmax(np.bincount(cs.sub_node)[:cs.n_corners]))   # on all 8 subdomains
+    face = next(n for n in range(cs.n_corners, cs.n_nodes)
+                if lv.globset.kinds[cs.glob_ids[n - cs.n_corners]] == "face")
+    edge = next(n for n in range(cs.n_corners, cs.n_nodes)
+                if lv.globset.kinds[cs.glob_ids[n - cs.n_corners]] == "edge"
+                and coarse_nodes_sharing(cs, face) <= coarse_nodes_sharing(cs, n))
+    node, new = {
+        "shared-average-dof": (face, np.append(members[face], members[edge][0])),
+        "corner-in-average": (face, np.append(members[face], members[center])),
+        "corners-on-one-dof": (int(center == 0), members[center]),   # another corner
+        "empty-row": (face, []),
+    }[case]
     with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
-        _shape_groups(*hand_constraints([np.array(c)], [tags]))
+        build_constraints(with_members(cs, node, new), lv.globset, lv.splits, lv.imap)
 
 
 def test_basis_caps_floating_kernel():
     # the same singular matrix becomes solvable with one point constraint;
     # the constant mode then carries zero energy
     k = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    _, (_, _, psi, kc) = hand_basis(k, np.array([[1.0, 0.0]]), ["corner"])
+    _, (_, _, psi, kc) = hand_basis(k, [0, -1], ["corner"])
     assert np.allclose(psi[:, 0], [1.0, 1.0], atol=1e-14)
     assert abs(kc[0, 0]) < 1e-14
 
@@ -241,7 +287,8 @@ def test_basis_without_interior_matches_full_solve():
                                      symmetric=True)
     splits, _ = build_splits(blocks, np.array([0, 1, 8 + 3, 8 + 4, 8 + 7]), [3, 4, 7], 8, 2)
     c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-    cons, iface_offsets = hand_constraints([np.zeros((0, 0)), c], [[], ["corner", "edge"]])
+    assert np.array_equal(mean_rows([0, 1, 1], 2), c)
+    cons, iface_offsets = hand_constraints([[], [0, 1, 1]], [[], ["corner", "edge"]])
     assert np.array_equal(iface_offsets, splits.iface_offsets)
     g = [g for g in _shape_groups(cons, iface_offsets) if 1 in g.subs][0]
     order = g.order[0]
@@ -267,8 +314,7 @@ def test_local_schur_reads_members_of_different_sizes():
     # (interior 3, 4); interface dofs 1 and 2
     keys = np.concatenate([[0, 1, 2], 10 + np.array([1, 2, 3, 4])])
     splits, _ = build_splits(blocks, keys, [1, 2], 10, 2)
-    c = np.array([[0.0, 1.0]])
-    cons, iface_offsets = hand_constraints([c, c], [["corner"], ["corner"]])
+    cons, iface_offsets = hand_constraints([[-1, 0], [-1, 0]], [["corner"], ["corner"]])
     g, = _shape_groups(cons, iface_offsets)
     assert np.array_equal(g.subs, [0, 1])
     for kd, s, interior in zip(mats, _local_schur(splits, g),
@@ -280,31 +326,29 @@ def test_local_schur_reads_members_of_different_sizes():
 
 
 def test_point_constraints_inside_averages_match_full_solve():
-    # corners fix dofs 5 (row value 2) and 2, both also in an average's
-    # support. Overlapping rows are refused, but folding each corner out of
-    # its average, C = T C_d with C_d's supports disjoint, spans the same
-    # constraints: z and the constrained solve equal the full bordered solve
-    # of [S C^T; C 0], and psi T^-1, T^-T kc T^-1 and T^-T mu equal its basis,
-    # coarse matrix and multipliers. Each average eliminates its first free
-    # dof, so A has order 7 - 4
+    # corners fix dofs 5 and 2, both also in an average's support. Labels
+    # cannot express overlapping rows, but folding each corner out of its
+    # average, C = T C_d with C_d the means of disjoint supports, spans the
+    # same constraints: z and the constrained solve equal the full bordered
+    # solve of [S C^T; C 0], and psi T^-1, T^-T kc T^-1 and T^-T mu equal its
+    # basis, coarse matrix and multipliers. Each average eliminates its
+    # lowest dof, so A has order 7 - 4
     rng = np.random.default_rng(23)
     q = rng.standard_normal((7, 7))
     s = q @ q.T + 7.0 * np.eye(7)
     c = np.zeros((4, 7))
     c[0, [1, 2, 3]] = 1.0 / 3.0       # edge average over the corner dof 2
-    c[1, 5] = 2.0                     # corner
+    c[1, 5] = 1.0                     # corner
     c[2, 2] = 1.0                     # corner
     c[3, [4, 5, 6]] = 1.0 / 3.0       # face average over the corner dof 5
     tags = ["edge", "corner", "corner", "face"]
-    with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
-        hand_basis(s, c, tags)
-    c_d = c.copy()
-    c_d[0, 2] = c_d[3, 5] = 0.0
+    labels = [-1, 0, 2, 0, 3, 1, 3]
+    c_d = mean_rows(labels, 4)
     t = np.eye(4)
-    t[0, 2], t[3, 1] = 1.0 / 3.0, 1.0 / 6.0
+    t[0, 0], t[0, 2], t[3, 3], t[3, 1] = 2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
     assert np.array_equal(t @ c_d, c)
     t_inv = np.linalg.inv(t)
-    g, (fact, z, psi, kc) = hand_basis(s, c_d, tags)
+    g, (fact, z, psi, kc) = hand_basis(s, labels, tags)
     # kept dofs, then the masters of rows 0 and 3, then the fixed dofs
     assert np.array_equal(g.order[0], [0, 3, 6, 1, 4, 2, 5])
     free = g.order[0, :5]
@@ -349,11 +393,12 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     rng = np.random.default_rng(nb)
     q = rng.standard_normal((nb, nb))
     s = q @ q.T + nb * np.eye(nb)
-    c = np.zeros((7, nb))
-    c[[0, 1, 2], [0, nb // 2, nb - 1]] = 1.0                      # corners
+    labels = np.full(nb, -1)
+    labels[[0, nb // 2, nb - 1]] = [0, 1, 2]                      # corners
     rest = np.setdiff1d(np.arange(1, nb - 1), nb // 2)
     for r, part in enumerate(np.array_split(rest, 4)):
-        c[3 + r, part] = 1.0 / part.size                          # averages
+        labels[part] = 3 + r                                      # averages
+    c = mean_rows(labels, 7)
     orders = []
 
     def recorded(a, **kwargs):
@@ -361,7 +406,7 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
         return scipy.linalg.lapack.dpotrf(a, **kwargs)
 
     monkeypatch.setattr(bddc, "dpotrf", recorded)
-    g, (fact, z, psi, kc) = hand_basis(s, c, ["corner"] * 3 + ["edge"] * 4)
+    g, (fact, z, psi, kc) = hand_basis(s, labels, ["corner"] * 3 + ["edge"] * 4)
     n = nb - 7
     assert fact.n == n and orders == [n] and fact.method == "cholesky"
     assert (n > 64) == (nb > 64)
@@ -523,6 +568,8 @@ def test_group_setup_matches_full_local_problems(dirichlet_x2d):
     sizes = np.diff(lv.splits.interior_offsets) + np.diff(lv.splits.iface_offsets)
     assert len(set(sizes.tolist())) > 1
     assert len(level.groups) > 1 and max(g.subs.size for g in level.groups) > 1
+    # every apply gathers through these index stacks; a strided one is slower
+    assert all(g.free.flags.c_contiguous and g.iface.flags.c_contiguous for g in level.groups)
     for sub, split in zip(level.subs, level.splits):
         rows = constraint_rows(level, split.index)
         bordered, _ = full_local_problem(lv, split, rows)

@@ -59,6 +59,7 @@ def test_solve_underflowed_residual_is_not_converged(capsys):
                  "max_iterations=200"]
     report = run_experiment(load_config(overrides=overrides)).report
     assert report.relative_residuals[-1] < 1e-300
+    assert report.true_residual > 1e-300
     assert report.iterations < 200
     assert not report.converged
     code, out, _ = run_cli(capsys, "solve", *(a for o in overrides for a in ("--set", o)))
@@ -245,8 +246,8 @@ def test_mesh_without_free_dofs_is_config_error(capsys, dim):
                            "--hierarchies", "4,1")
     assert code == EXIT_NO_CONVERGENCE
     no_free = "ConfigError: no free dofs: every dof is a Dirichlet dof"
-    assert out.strip().split("\n")[1:] == [f"2,4,0,,,0,0.000,0.000,false,{no_free}",
-                                           f"2,1,0,,,0,0.000,0.000,false,{no_free}"]
+    assert out.strip().split("\n")[1:] == [f"2,4,0,,,0,,0.000,0.000,false,{no_free}",
+                                           f"2,1,0,,,0,,0.000,0.000,false,{no_free}"]
 
 
 @pytest.mark.parametrize("elements", [8, 16])

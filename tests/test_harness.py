@@ -130,6 +130,9 @@ def test_run_experiment_row():
     assert row["coarse_sizes"] == "13"
     assert row["converged"] == "true"
     assert res.report.converged
+    # the interface residual |g - S u| / |g| of the converged solve
+    assert row["true_residual"] == f"{res.report.true_residual:.6e}"
+    assert 0.0 < res.report.true_residual < res.config.tolerance
 
 
 def test_run_experiment_matches_dense_solve():
@@ -157,6 +160,7 @@ def test_run_experiment_single_subdomain():
     res = run_experiment(RunConfig(elements=(6,), hierarchy="1"))
     assert res.report.iterations == 1
     assert res.report.condition_estimate == 1.0
+    assert res.report.true_residual == 0.0
     from mlbddc.fem import assemble_global
     k, f = assemble_global(res.spec, res.mesh)
     assert np.max(np.abs(res.solution - np.linalg.solve(k.scipy_csr().toarray(), f))) < 1e-12
@@ -247,6 +251,7 @@ def test_sweep_partial_failure(monkeypatch):
     row = results[1].csv_row()
     assert row["converged"] == "false"
     assert row["iterations"] == "0"
+    assert row["true_residual"] == ""
     assert row["error"] == "NumericalError: synthetic failure"
     assert results[0].csv_row()["error"] == ""
 

@@ -57,6 +57,7 @@ def test_pcg_matches_dense_solve():
     x, rep = pcg(dense_op(a), b, tol=1e-12)
     assert rep.converged
     assert np.max(np.abs(x - np.linalg.solve(a, b))) < 1e-9
+    assert rep.true_residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b) < 1e-12
     assert rep.relative_residuals[0] == 1.0
     assert rep.relative_residuals[-1] < 1e-12
 
@@ -106,16 +107,20 @@ def test_indefinite_preconditioner_raises_mid_iteration():
 
 def test_non_convergence_reported():
     diag = np.logspace(0, 6, 40)
-    _, rep = pcg(lambda v: diag * v, np.ones(40), tol=1e-14, max_iterations=5)
+    x, rep = pcg(lambda v: diag * v, np.ones(40), tol=1e-14, max_iterations=5)
     assert not rep.converged
     assert rep.iterations == 5
     assert rep.condition_estimate is not None
+    # the true residual of the returned x, computed once more on this exit
+    assert rep.true_residual == np.linalg.norm(1.0 - diag * x) / np.linalg.norm(np.ones(40))
+    assert rep.true_residual > 1e-14
 
 
 def test_zero_rhs():
     x, rep = pcg(dense_op(np.eye(2)), np.zeros(2))
     assert rep.converged
     assert rep.iterations == 0
+    assert rep.true_residual == 0.0
     assert np.all(x == 0.0)
 
 
@@ -154,12 +159,12 @@ def test_bicgstab_converged_means_true_residual():
 
     x, rep = bicgstab(dense_op(a), b, apply_m=lambda r: scale * r, tol=1e-6)
     assert rep.converged
-    assert true_residual(x) < 1e-6
+    assert rep.true_residual == true_residual(x) < 1e-6
     # cut off before the true residual gets there: not converged
     x, rep = bicgstab(dense_op(a), b, apply_m=lambda r: scale * r, tol=1e-6,
                       max_iterations=30)
     assert not rep.converged
-    assert true_residual(x) >= 1e-6
+    assert rep.true_residual == true_residual(x) >= 1e-6
 
 
 def test_bicgstab_breakdown():
@@ -167,9 +172,12 @@ def test_bicgstab_breakdown():
     x, rep = bicgstab(dense_op(a), np.array([1.0, 0.0]))
     assert not rep.converged
     assert rep.breakdown_reason is not None
+    # computed for the returned x on this exit too
+    assert rep.true_residual == np.linalg.norm(np.array([1.0, 0.0]) - a @ x)
 
 
 def test_bicgstab_zero_rhs():
     x, rep = bicgstab(dense_op(np.eye(3)), np.zeros(3))
     assert rep.converged
     assert rep.iterations == 0
+    assert rep.true_residual == 0.0
