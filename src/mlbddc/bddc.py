@@ -31,27 +31,31 @@ the level-1 solve (substructuring), so the recursion only ever sees
 interface residuals; each is one block-diagonal interior solve per level.
 The constrained local problems are solved once, at setup: each A_i is
 factorized by LAPACK's Cholesky potrf and inverted in the factor's storage
-by potri, always densely (its order is below that of the interface). z_i =
-N_i A_i^-1 N_i^T over the free dofs is the subdomain's constrained-solve
-operator, and the basis psi_i comes from products with A_i^-1. A level
-stacks z_i and psi_i over the subdomains that share a shape (free dofs,
-interface dofs, constraints; a few shapes per level), so one preconditioner
-cycle is a few batched products per level: z_i r_i and psi_i^T r_i (the
-multipliers, i.e. the restricted coarse residuals), then psi_i z_c + z_i
-r_i after the coarse correction. No factor of a subdomain is kept past
-setup.
+by potri, always densely (its order is below that of the interface). With
+X_i the basis of unit constraint values (each row's inverse weight on its
+own dof), V_i = N_i^T (S_i X_i)_f and U_i = A_i^-1 V_i, the subdomain's
+constrained solve is N_i A_i^-1 N_i^T over the free dofs and its basis is
+psi_i = X_i - N_i U_i. N_i and X_i have one nonzero per column, so they
+are index maps, and a subdomain stores only A_i^-1 and U_i. A level stacks
+them over the subdomains that share a shape (free dofs, interface dofs,
+constraints; a few shapes per level), so one preconditioner cycle is a few
+batched products and gathers per level: t_i = N_i^T r_i, y_i = A_i^-1 t_i
+and the multipliers mu_i = X_i^T r_i - U_i^T t_i (the restricted coarse
+residuals), then after the coarse correction z_c the local correction
+X_i z_c + N_i (y_i - U_i z_c), which is psi_i z_c plus the constrained
+solve. No factor of a subdomain is kept past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
 (`build_constraints`), which also decides each group's shape. For each
 group, whatever does not depend on the Schur complements (dense positions of
-its matrix rows, interface orders with each row's own dof, the null-space
-bases N_i and particular solutions of the constraints) is indexed once for
-all of its members; only the dense kernels (a band triangular solve with the
-subdomain's own columns of the level's K_II factor and a rank-k update for
-S_i, then potrf and potri for A_i) and the products with their results run
-once per subdomain, writing z_i, psi_i and the coarse matrices into the
-group's stacks. All reductions accumulate in a fixed order (shape groups,
+its matrix rows, interface orders with each row's own dof, and the index
+maps of N_i and X_i) is indexed once for all of its members; only the dense
+kernels (a band triangular solve with the subdomain's own columns of the
+level's K_II factor and a rank-k update for S_i, then potrf and potri for
+A_i), the gathers of S_i's rows and columns and the products with A_i^-1
+run once per subdomain, writing A_i^-1, U_i and the coarse matrices into
+the group's stacks. All reductions accumulate in a fixed order (shape groups,
 then subdomains), so results are bitwise reproducible at a fixed BLAS
 thread count.
 """
@@ -158,17 +162,30 @@ class ShapeGroup:
     ascending, then the masters in row order, then the fixed dofs ascending,
     so a row's own dof is its last place; its Schur complement is taken in
     that order. row[j, q] is the local row (0 to n_constraints - 1) that
-    covers place q of member j's order, or -1."""
+    covers place q of member j's order, or -1. The other free dofs are the
+    kept dofs, n_kept = n_interface - n_constraints of them.
+
+    The null-space basis N = [I; G] and the basis X of unit constraint
+    values have one nonzero per column (see `coarse_basis`), so they are
+    kept as index stacks over the level's stacked interface (`_index_maps`):
+    the kept dofs, each kept dof's master (that of the average row covering
+    it, or the sentinel slot n_stacked_interface, which the apply pads with
+    zero; None where that would be the sentinel throughout, as with corners
+    only, so the apply skips the masters), each row's own dof and X's weight
+    on it. The only operators stored per member are A^-1, U = A^-1 V and the
+    coarse matrix."""
 
     subs: np.ndarray              # (m,) the members' subdomain indices
-    iface: np.ndarray             # (m, n_interface) positions in the stacked interface
     order: np.ndarray             # (m, n_interface) interface order, local positions
-    free: np.ndarray              # (m, n_free) stacked interface positions of the free dofs
     row: np.ndarray               # (m, n_interface) covering row of each place, or -1
     tags: np.ndarray              # (m, n_constraints)
     dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
-    z: np.ndarray                 # (m, n_free, n_free)
-    psi: np.ndarray               # (m, n_interface, n_constraints)
+    kept: np.ndarray              # (m, n_kept) stacked interface positions
+    master: np.ndarray | None     # (m, n_kept) stacked interface positions, or the sentinel
+    own: np.ndarray               # (m, n_constraints) stacked interface positions
+    w: np.ndarray                 # (m, n_constraints) 1 / (1 / size) of each row
+    ainv: np.ndarray              # (m, n_kept, n_kept) A^-1
+    u: np.ndarray                 # (m, n_kept, n_constraints) U = A^-1 V
     kc: np.ndarray                # (m, n_constraints, n_constraints)
 
 
@@ -182,6 +199,7 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
     # each row's own dof is its lowest position (label -1 sorts first)
     label, own, count = np.unique(cons.row_of, return_index=True, return_counts=True)
     own, count = own[label >= 0], count[label >= 0]
+    weight = 1.0 / (1.0 / count)
     point = (cons.tags == "corner") & (count == 1)
     fixed = np.zeros(n_iface, dtype=bool)
     fixed[own[point]] = True
@@ -196,87 +214,139 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
     groups = []
     for g in np.argsort(first):
         subs = np.flatnonzero(which == g)
-        m, (nf, nb, nc) = subs.size, shapes[subs[0]]
+        m, (_, nb, nc) = subs.size, shapes[subs[0]]
+        nk = nb - nc
         iface = iface_offsets[subs][:, None] + np.arange(nb)
         order = np.argsort(key[iface], axis=1)
         placed = np.take_along_axis(iface, order, axis=1)
         start, row = cons.starts[subs][:, None], cons.row_of[placed]
+        row = np.where(row >= 0, row - start, -1)
         row_ids = start + np.arange(nc)
-        # free is copied to be contiguous: every apply gathers with it
+        kept, own_g, master = _index_maps(row, nk, placed, n_iface)
         groups.append(ShapeGroup(
-            subs=subs, iface=iface, order=order, free=placed[:, :nf].copy(),
-            row=np.where(row >= 0, row - start, -1),
+            subs=subs, order=order, row=row,
             tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
-            z=np.empty((m, nf, nf)), psi=np.empty((m, nb, nc)), kc=np.empty((m, nc, nc))))
+            kept=kept, master=master if (row[:, :nk] >= 0).any() else None,
+            own=own_g, w=weight[row_ids],
+            ainv=np.empty((m, nk, nk)), u=np.empty((m, nk, nc)), kc=np.empty((m, nc, nc))))
     return groups
+
+
+def _index_maps(row: np.ndarray, nk: int, at: np.ndarray, sentinel: int):
+    """N's and X's index maps for a shape group's row labels `row` (see
+    ShapeGroup), read through `at` (m, n_interface), each member's places in
+    some numbering: (kept, own, master), the kept dofs at[:, :nk], each
+    row's own dof, its last place, and each kept dof's master, the own dof
+    of the average row covering it or `sentinel` where none does. Every
+    gather is a fresh C-contiguous array, which the apply's gathers need."""
+    nb = row.shape[1]
+    own = nk + np.argsort(row[:, nk:], axis=1)
+    # a label of -1 (no row) picks the pad, the place nb read as `sentinel`
+    master = np.take_along_axis(np.pad(own, ((0, 0), (0, 1)), constant_values=nb),
+                                row[:, :nk], axis=1)
+    at = np.pad(at, ((0, 0), (0, 1)), constant_values=sentinel)
+    return at[:, :nk].copy(), np.take_along_axis(at, own, axis=1), \
+        np.take_along_axis(at, master, axis=1)
 
 
 @dataclass
 class SubdomainConstraints:
     """One subdomain's constraint rows by origin (its ShapeGroup's `row`
-    labels give their supports) and its free dofs (those no point constraint
-    fixes) as positions in its stacked interface, in the order of z: the
-    kept dofs ascending, then the average rows' masters in row order."""
+    labels give their supports) and its N and X as index maps over its
+    interface, in local positions: the kept dofs, each kept dof's master
+    (n_interface, a slot read as zero, where no average row covers it), each
+    row's own dof and X's weight on it (see `coarse_basis`)."""
 
     tags: list                    # "corner" | "edge" | "face" per row
-    free_dofs: np.ndarray
+    kept: np.ndarray              # (n_kept,)
+    master: np.ndarray            # (n_kept,)
+    own: np.ndarray               # (n_constraints,)
+    weights: np.ndarray           # (n_constraints,)
 
 
 @dataclass
 class SubdomainCoarse:
     """One subdomain's coarse machinery on its interface: `bordered`, the
     record of its factorized constrained problem A = N^T S_ff N (see
-    `coarse_basis`; the factor itself is not kept), the constrained-solve
-    operator z and the basis psi (views into its level's ShapeGroup, which
-    also holds its coarse element matrix), and where it assembles."""
+    `coarse_basis`; the factor itself is not kept), A^-1 and U = A^-1 V
+    (views into its level's ShapeGroup, which also holds its coarse element
+    matrix), and where it assembles."""
 
     constraints: SubdomainConstraints
     bordered: Factorization
-    z: np.ndarray                 # (n_free, n_free)
-    psi: np.ndarray               # (n_interface, n_constraints)
+    ainv: np.ndarray              # (n_kept, n_kept)
+    u: np.ndarray                 # (n_kept, n_constraints)
     coarse_dofs: np.ndarray       # global coarse dof ids
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The basis X - N U (n_interface, n_constraints), the constrained
+        energy minimizers with unit constraint values, formed on each call:
+        the preconditioner never stores it."""
+        c = self.constraints
+        nc = c.own.size
+        psi = np.zeros((c.kept.size + nc + 1, nc))
+        psi[c.own, np.arange(nc)] = c.weights
+        psi[c.kept] -= self.u
+        np.add.at(psi, c.master, self.u)
+        return psi[:-1]
 
     def constrained_solve(self, r_b: np.ndarray):
         """Solve [S C^T; C 0][z_b; mu] = [r_b; 0]: the full local problem for
         a residual that is zero on the interior, read back on the interface.
-        z_b is zero on the dofs the point constraints fix, and z r_b on the
-        free dofs. Returns (z_b, mu); [S C^T; C 0] is symmetric, so the
-        multipliers mu equal psi^T r_b, the subdomain's coarse residual. The
-        preconditioner applies the same operators to all subdomains of a
-        shape at once (`MultilevelBddc._interface_apply`)."""
-        free = self.constraints.free_dofs
-        z_b = np.zeros(r_b.shape[0])
-        z_b[free] = self.z @ r_b[free]
-        return z_b, self.psi.T @ r_b
+        With t = N^T r_b, z_b = N A^-1 t, zero on the dofs the point
+        constraints fix. Returns (z_b, mu); [S C^T; C 0] is symmetric, so
+        the multipliers mu = X^T r_b - U^T t equal psi^T r_b, the
+        subdomain's coarse residual. The preconditioner applies the same
+        operators to all subdomains of a shape at once
+        (`MultilevelBddc._interface_apply`)."""
+        c = self.constraints
+        t = r_b[c.kept] - np.append(r_b, 0.0)[c.master]
+        y = self.ainv @ t
+        z_b = -np.bincount(c.master, y, r_b.shape[0] + 1)[:-1]
+        z_b[c.kept] = y
+        return z_b, c.weights * r_b[c.own] - self.u.T @ t
+
+
+def _subdomains(g: ShapeGroup, records: list) -> list:
+    """Each member's SubdomainCoarse: its views of g's stacks, g's index
+    maps in its own interface positions (the sentinel n_interface), and its
+    record of A."""
+    nb = g.order.shape[1]
+    kept, own, master = _index_maps(g.row, nb - g.tags.shape[1], g.order, nb)
+    return [SubdomainCoarse(
+        constraints=SubdomainConstraints(tags=g.tags[j].tolist(), kept=kept[j],
+                                         master=master[j], own=own[j], weights=g.w[j]),
+        bordered=fact, ainv=g.ainv[j], u=g.u[j], coarse_dofs=g.dofs[j])
+        for j, fact in enumerate(records)]
 
 
 def coarse_basis(g: ShapeGroup, schur) -> list:
     """Solve the constrained local problems of a shape group once for all;
     schur yields each member's dense interface Schur complement S in turn,
-    in the member's interface order g.order (kept free dofs k, masters m,
-    fixed dofs).
+    in the member's interface order g.order (kept dofs k, masters m, fixed
+    dofs).
 
     Every constraint row is the mean of the dofs it covers and eliminates
     the one it owns, its last place (see ShapeGroup): a point row fixes it,
     and where an average row vanishes its master is x_m = -sum_k x_k over its
     kept dofs. So N = [I; G], G (n_masters x n_kept) -1 at (master, kept dof
     of its row), spans the null space of the average rows over the free dofs
-    f, and A = N^T S_ff N is SPD of order n_interface - n_constraints: formed
-    as S_f N = S_fk + S_fm G, A = (S_f N)_k + G^T (S_f N)_m, mirrored from
-    its lower triangle, factorized by LAPACK's potrf and inverted in the
-    factor's storage by potri. X puts 1 / (1 / size), the inverse of the
-    row's weight, on each row's own dof, which no other row covers, so C X =
-    I. G and X are built once for the group; only the kernels and their
-    products run per member.
+    f, and A = N^T S_ff N is SPD of order n_interface - n_constraints. X
+    puts 1 / (1 / size), the inverse of the row's weight, on each row's own
+    dof, which no other row covers, so C X = I. N and X have one nonzero per
+    column, so each product with them is a gather: S X scales S's own-dof
+    columns, S N subtracts from each kept column its master's, and A = N^T
+    (S N) does the same with rows, mirrored from its lower triangle. A is
+    factorized by LAPACK's potrf and inverted in the factor's storage by
+    potri; A^-1 is exactly symmetric.
 
-    Fills the group's stacks: z = N A^-1 N^T (kept dofs, then masters), by
-    blocks and exactly symmetric, is the constrained-solve operator (the
-    free dofs of the solution of [S C^T; C 0][z; mu] = [r; 0] are z r_f).
-    With V = N^T (S X)_f and U = A^-1 V, psi = X - N U (in stacked
-    interface order) holds the constrained energy minimizers with unit
-    constraint values, and the coarse matrix is psi^T S psi = X^T S X - V^T
-    U, symmetrized. Returns each member's record of A: method "cholesky"
-    ("empty" at order 0), order and A as a CSR, without the factor.
+    Fills the group's stacks with A^-1 and U = A^-1 V, V = N^T (S X)_f: the
+    constrained solve is z_f = N A^-1 N^T r_f, the basis is psi = X - N U
+    (the constrained energy minimizers with unit constraint values), and
+    the coarse matrix is psi^T S psi = X^T S X - V^T U, symmetrized.
+    Returns each member's record of A: method "cholesky" ("empty" at order
+    0), order and A as a CSR, without the factor.
 
     Each member's setup check, run as soon as its inverse is made, applies
     A to A^-1 b for the check probe b, so it covers the inverse that the
@@ -285,26 +355,27 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     NotPositiveDefiniteError; each names the member's subdomain index (also
     set as the exception's `subdomain`).
     """
-    m, nb, nc = g.psi.shape
-    nf, nk = g.z.shape[1], nb - nc                          # nk: the order of A
-    na = nf - nk
-    own = g.row[:, nk:]                                     # the row of each own dof
-    mem, place = np.nonzero(g.row >= 0)
-    size = np.bincount(mem * nc + g.row[mem, place], minlength=m * nc).reshape(m, nc)
-    x = (own[:, :, None] == np.arange(nc)) * (1.0 / (1.0 / size))[:, None, :]  # X below nk
-    gk = np.where(g.row[:, None, :nk] == own[:, :na, None], -1.0, 0.0)
+    nk, nc = g.u.shape[1:]                                  # nk: the order of A
+    nb = nk + nc
+    # each row's own place and each kept dof's master place, nb if it has none
+    _, own, master = _index_maps(g.row, nk, np.broadcast_to(np.arange(nb), g.row.shape), nb)
     b = probe_rhs(nk)
     cols = np.broadcast_to(np.arange(nk, dtype=np.int32), (nk, nk))
     lower = np.tri(nk, dtype=bool)
     records = []
     for j, s in enumerate(schur):
-        sx = s[:, nk:] @ x[j]                               # S X
+        sx = np.take(s, own[j], axis=1) * g.w[j]            # S X, in C order, as is V
+        k = np.flatnonzero(master[j] < nb)                  # the kept dofs under an average
         a, v = s[:nk, :nk], sx[:nk]                         # A and V, when G is empty
-        if na:
-            sn = s[:nf, :nk] + s[:nf, nk:nf] @ gk[j]
-            a = sn[:nk] + gk[j].T @ sn[nk:]
+        if k.size:
+            mk = master[j, k]
+            sn = s[:, :nk].copy()
+            sn[:, k] -= s[:, mk]                            # S N
+            a = sn[:nk]
+            a[k] -= sn[mk]
             a = np.where(lower, a, a.T)
-            v = v + gk[j].T @ sx[nk:nf]
+            v = sx[:nk].copy()
+            v[k] -= sx[mk]
         nz = a != 0
         ptr = np.zeros(nk + 1, dtype=np.int32)
         ptr[1:] = np.cumsum(np.count_nonzero(nz, axis=1))
@@ -326,18 +397,9 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
         records.append(Factorization(n=nk, method="cholesky" if nk else "empty",
                                      matrix=matrix, offsets=np.array([0, nk]), _payload=None))
         u = inv @ v
-        psi = np.vstack([-u, x[j]])                         # in S's order
-        psi[nk:nf] -= gk[j] @ u
-        kc = x[j].T @ sx[nk:] - v.T @ u
+        kc = g.w[j][:, None] * sx[own[j]] - v.T @ u        # X^T S X - V^T U
         g.kc[j] = (kc + kc.T) / 2.0
-        g.psi[j][g.order[j]] = psi
-        z = g.z[j]
-        z[:nk, :nk] = inv
-        if na:
-            w = gk[j] @ inv
-            z[nk:, :nk], z[:nk, nk:] = w, w.T
-            w = w @ gk[j].T
-            z[nk:, nk:] = (w + w.T) / 2.0
+        g.ainv[j], g.u[j] = inv, u
     return records
 
 
@@ -347,7 +409,7 @@ def _member_failed(g: ShapeGroup, j: int, kind: type, detail: str):
     what = ("not positive definite" if kind is NotPositiveDefiniteError
             else "too ill-conditioned to solve accurately")
     err = kind(f"subdomain {g.subs[j]}: constrained local problem is {what} "
-               f"({g.psi.shape[2]} constraints on {g.psi.shape[1]} interface dofs)")
+               f"({g.u.shape[2]} constraints on {g.order.shape[1]} interface dofs)")
     err.subdomain = int(g.subs[j])
     raise err from kind(detail)
 
@@ -363,6 +425,8 @@ class BddcLevel:
     coarse: CoarseSpace
     subs: list                    # SubdomainCoarse per subdomain
     groups: list                  # ShapeGroup per distinct subdomain shape
+    coarse_dofs: np.ndarray       # the groups' dofs, raveled and concatenated
+    masters: np.ndarray           # the masters of the groups that have them, likewise
 
     @property
     def n_coarse_dofs(self) -> int:
@@ -399,20 +463,34 @@ class MultilevelBddc:
     def _interface_apply(self, li: int, r_hat: np.ndarray) -> np.ndarray:
         """One BDDC cycle on interface residual r_hat: weighted restriction,
         constrained local solves and coarse residuals, coarse correction,
-        weighted prolongation. Each step is one batched product per shape
-        group, over all of its subdomains at once."""
+        weighted prolongation. Each step is one batched product or gather
+        per shape group, over all of its subdomains at once: t = N^T r_f,
+        y = A^-1 t and mu = X^T r - U^T t, then after the coarse correction
+        z_c, v = X z_c + N e with e = y - U z_c. A kept dof without a master
+        reads and writes the sentinel slot n, which stays zero on the way in
+        and is dropped on the way out; groups without masters skip them."""
         level = self.levels[li]
-        groups = level.groups
-        r_b = level.weights * r_hat[level.splits.iface_index]
-        z_f = [np.matmul(g.z, r_b[g.free][..., None])[..., 0] for g in groups]
-        mu = [np.matmul(r_b[g.iface][:, None], g.psi) for g in groups]
-        r_c = np.bincount(np.concatenate([g.dofs.ravel() for g in groups]),
-                          np.concatenate([m.ravel() for m in mu]), level.n_coarse_dofs)
+        n = level.splits.iface_index.size
+        r_b = np.zeros(n + 1)                               # the sentinel slot n stays 0
+        r_b[:n] = level.weights * r_hat[level.splits.iface_index]
+        y, mu = [], []
+        for g in level.groups:
+            t = r_b[g.kept] if g.master is None else r_b[g.kept] - r_b[g.master]
+            y.append(np.matmul(g.ainv, t[..., None])[..., 0])
+            mu.append(g.w * r_b[g.own] - np.matmul(t[:, None], g.u)[:, 0])
+        r_c = np.bincount(level.coarse_dofs, np.concatenate([m.ravel() for m in mu]),
+                          level.n_coarse_dofs)
         z_c = self._full_apply(li + 1, r_c)
-        v_b = np.empty(r_b.size)
-        for g, z in zip(groups, z_f):
-            v_b[g.iface] = np.matmul(g.psi, z_c[g.dofs][..., None])[..., 0]
-            v_b[g.free] += z
+        v_b, e_av = np.empty(n), []
+        for g, y_g in zip(level.groups, y):
+            z_g = z_c[g.dofs]
+            e = y_g - np.matmul(g.u, z_g[..., None])[..., 0]
+            v_b[g.own] = g.w * z_g
+            v_b[g.kept] = e
+            if g.master is not None:
+                e_av.append(e.ravel())
+        if e_av:
+            v_b -= np.bincount(level.masters, np.concatenate(e_av), n + 1)[:n]
         return level.splits.gather(level.weights * v_b, level.imap.n)
 
     def _full_apply(self, li: int, r: np.ndarray) -> np.ndarray:
@@ -469,10 +547,10 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup):
     and takes S = K_BB - K_IB^T K_II^-1 K_IB by a solve for the n_B
     columns of K_IB, symmetrized.
     """
-    nb = g.iface.shape[1]
+    nb = g.order.shape[1]
     fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
     col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
-    col[np.take_along_axis(g.iface, g.order, axis=1)] = np.arange(nb)
+    col[splits.iface_offsets[g.subs][:, None] + g.order] = np.arange(nb)
     lower = np.tri(nb, dtype=bool)
     for i in g.subs.tolist():
         lo, hi = splits.interior_offsets[i:i + 2]
@@ -520,17 +598,17 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
                 raise
             failed.append(exc)
             continue
-        nf = g.z.shape[1]
-        for j, (i, fact) in enumerate(zip(g.subs.tolist(), records)):
-            cons = SubdomainConstraints(tags=g.tags[j].tolist(), free_dofs=g.order[j, :nf])
-            subs[i] = SubdomainCoarse(constraints=cons, bordered=fact, z=g.z[j], psi=g.psi[j],
-                                      coarse_dofs=g.dofs[j])
+        for i, sub in zip(g.subs.tolist(), _subdomains(g, records)):
+            subs[i] = sub
     if failed:
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
+    masters = [g.master.ravel() for g in groups if g.master is not None]
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
-                     imap=imap, weights=weights, coarse=coarse, subs=subs, groups=groups)
+                     imap=imap, weights=weights, coarse=coarse, subs=subs, groups=groups,
+                     coarse_dofs=np.concatenate([g.dofs.ravel() for g in groups]),
+                     masters=np.concatenate([np.empty(0, dtype=np.intp), *masters]))
 
 
 def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,

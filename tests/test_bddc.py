@@ -91,11 +91,13 @@ def hand_constraints(labels_list, tags_list):
 def hand_basis(s, labels, tags):
     """coarse_basis of one subdomain, as a one-member shape group: S over
     its interface (stacked interface order) and constraint labels. Returns
-    the group and the member's (record, z, psi, coarse matrix)."""
-    g, = _shape_groups(*hand_constraints([labels], [tags]))
+    the group and the member's (record, SubdomainCoarse, coarse matrix)."""
+    cons, iface_offsets = hand_constraints([labels], [tags])
+    g, = _shape_groups(cons, iface_offsets)
     order = g.order[0]
-    fact, = coarse_basis(g, [s[np.ix_(order, order)]])
-    return g, (fact, g.z[0], g.psi[0], g.kc[0])
+    records = coarse_basis(g, [s[np.ix_(order, order)]])
+    sub, = bddc._subdomains(g, records)
+    return g, (records[0], sub, g.kc[0])
 
 
 def with_members(cs, node, members):
@@ -171,8 +173,8 @@ def corners2d():
 # -- coarse basis -------------------------------------------------------------
 
 def test_basis_identity_matrix():
-    _, (_, _, psi, kc) = hand_basis(np.eye(2), [0, -1], ["corner"])
-    assert np.allclose(psi, [[1.0], [0.0]], atol=1e-14)
+    _, (_, sub, kc) = hand_basis(np.eye(2), [0, -1], ["corner"])
+    assert np.allclose(sub.psi, [[1.0], [0.0]], atol=1e-14)
     assert np.allclose(kc, [[1.0]], atol=1e-14)
 
 
@@ -180,19 +182,20 @@ def test_basis_square_constraints_invert():
     # an average over one node and a corner: no dof is left free
     k = np.diag([2.0, 3.0])
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
-    _, (fact, _, psi, kc) = hand_basis(k, [1, 0], ["edge", "corner"])
+    _, (fact, sub, kc) = hand_basis(k, [1, 0], ["edge", "corner"])
     assert fact.n == 0
     assert np.array_equal(mean_rows([1, 0], 2), c)
-    assert np.allclose(psi, np.linalg.inv(c), atol=1e-14)
+    assert np.allclose(sub.psi, np.linalg.inv(c), atol=1e-14)
     assert np.allclose(kc, [[3.0, 0.0], [0.0, 2.0]], atol=1e-14)
 
 
 def test_basis_no_constraints():
     k = np.diag([2.0, 3.0])
-    _, (_, z, psi, kc) = hand_basis(k, [-1, -1], [])
-    assert psi.shape == (2, 0)
+    _, (_, sub, kc) = hand_basis(k, [-1, -1], [])
+    assert sub.psi.shape == (2, 0)
     assert kc.shape == (0, 0)
-    assert np.allclose(z @ np.array([2.0, 3.0]), [1.0, 1.0])
+    z_b, mu = sub.constrained_solve(np.array([2.0, 3.0]))
+    assert np.allclose(z_b, [1.0, 1.0]) and mu.shape == (0,)
 
 
 def test_basis_detects_singular_unconstrained():
@@ -212,12 +215,15 @@ def test_average_row_eliminates_its_lowest_dof():
     q = rng.standard_normal((5, 5))
     s = q @ q.T + 5.0 * np.eye(5)
     labels = [-1, 0, -1, 0, 0]
-    g, (fact, _, psi, kc) = hand_basis(s, labels, ["face"])
+    g, (fact, sub, kc) = hand_basis(s, labels, ["face"])
     assert np.array_equal(g.order[0], [0, 2, 3, 4, 1]) and fact.n == 4
     assert np.array_equal(g.row[0], [-1, -1, 0, 0, 0])
+    # N and X as index maps: positions 3 and 4 are kept under master 1
+    assert np.array_equal(g.kept[0], [0, 2, 3, 4]) and np.array_equal(g.own[0], [1])
+    assert np.array_equal(g.master[0], [5, 5, 1, 1]) and np.array_equal(g.w[0], [3.0])
     c = mean_rows(labels, 1)
     ref = np.linalg.solve(np.block([[s, c.T], [c, np.zeros((1, 1))]]), np.eye(6)[:, 5])
-    assert rel_err(psi[:, 0], ref[:5]) <= 1e-12
+    assert rel_err(sub.psi[:, 0], ref[:5]) <= 1e-12
     assert rel_err(kc[0], -ref[5:]) <= 1e-12
 
 
@@ -273,8 +279,8 @@ def test_basis_caps_floating_kernel():
     # the same singular matrix becomes solvable with one point constraint;
     # the constant mode then carries zero energy
     k = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    _, (_, _, psi, kc) = hand_basis(k, [0, -1], ["corner"])
-    assert np.allclose(psi[:, 0], [1.0, 1.0], atol=1e-14)
+    _, (_, sub, kc) = hand_basis(k, [0, -1], ["corner"])
+    assert np.allclose(sub.psi[:, 0], [1.0, 1.0], atol=1e-14)
     assert abs(kc[0, 0]) < 1e-14
 
 
@@ -294,10 +300,10 @@ def test_basis_without_interior_matches_full_solve():
     order = g.order[0]
     s, = _local_schur(splits, g)
     assert np.array_equal(s, k[np.ix_(order, order)])
-    coarse_basis(g, [s])
+    sub, = bddc._subdomains(g, coarse_basis(g, [s]))
     bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((3, 2)), np.eye(2)]))
-    assert rel_err(g.psi[0], ref[:3]) <= 1e-12
+    assert rel_err(sub.psi, ref[:3]) <= 1e-12
     assert rel_err(g.kc[0], -ref[3:]) <= 1e-12
 
 
@@ -329,7 +335,7 @@ def test_point_constraints_inside_averages_match_full_solve():
     # corners fix dofs 5 and 2, both also in an average's support. Labels
     # cannot express overlapping rows, but folding each corner out of its
     # average, C = T C_d with C_d the means of disjoint supports, spans the
-    # same constraints: z and the constrained solve equal the full bordered
+    # same constraints: N A^-1 N^T and the constrained solve equal the full bordered
     # solve of [S C^T; C 0], and psi T^-1, T^-T kc T^-1 and T^-T mu equal its
     # basis, coarse matrix and multipliers. Each average eliminates its
     # lowest dof, so A has order 7 - 4
@@ -348,7 +354,7 @@ def test_point_constraints_inside_averages_match_full_solve():
     t[0, 0], t[0, 2], t[3, 3], t[3, 1] = 2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0
     assert np.array_equal(t @ c_d, c)
     t_inv = np.linalg.inv(t)
-    g, (fact, z, psi, kc) = hand_basis(s, labels, tags)
+    g, (fact, sub, kc) = hand_basis(s, labels, tags)
     # kept dofs, then the masters of rows 0 and 3, then the fixed dofs
     assert np.array_equal(g.order[0], [0, 3, 6, 1, 4, 2, 5])
     free = g.order[0, :5]
@@ -363,19 +369,16 @@ def test_point_constraints_inside_averages_match_full_solve():
     assert record.has_canonical_format and fact.matrix.symmetric
     assert np.array_equal(record.toarray(), record.toarray().T)
     assert rel_err(record.toarray(), a) <= 1e-14
-    # z = N A^-1 N^T, exactly symmetric, is the free-dof block of the
-    # reduced bordered matrix's inverse; the record keeps no factor
+    # A^-1 is exactly symmetric, and N A^-1 N^T is the free-dof block of
+    # the reduced bordered matrix's inverse; the record keeps no factor
     assert (fact.method, fact._payload) == ("cholesky", None)
-    assert np.array_equal(z, z.T)
+    assert np.array_equal(sub.ainv, sub.ainv.T)
     reduced = np.block([[s[np.ix_(free, free)], c_af.T], [c_af, np.zeros((2, 2))]])
-    assert rel_err(z, np.linalg.inv(reduced)[:5, :5]) <= 1e-12
+    assert rel_err(n @ sub.ainv @ n.T, np.linalg.inv(reduced)[:5, :5]) <= 1e-12
     bordered = np.block([[s, c.T], [c, np.zeros((4, 4))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((7, 4)), np.eye(4)]))
-    assert rel_err(psi @ t_inv, ref[:7]) <= 1e-12
+    assert rel_err(sub.psi @ t_inv, ref[:7]) <= 1e-12
     assert rel_err(t_inv.T @ kc @ t_inv, -ref[7:]) <= 1e-12
-    cons = bddc.SubdomainConstraints(tags=tags, free_dofs=free)
-    sub = bddc.SubdomainCoarse(constraints=cons, bordered=fact, z=z, psi=psi,
-                               coarse_dofs=np.arange(4))
     r_b = rng.standard_normal(7)
     z_b, mu = sub.constrained_solve(r_b)
     ref = np.linalg.solve(bordered, np.concatenate([r_b, np.zeros(4)]))
@@ -388,8 +391,8 @@ def test_point_constraints_inside_averages_match_full_solve():
 def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     # A of order nb - 7, below and above LAPACK's potrf block size (64), so
     # both its unblocked and its blocked path run; psi, the coarse matrix
-    # and z equal the dense solve of [S C^T; C 0], and the record keeps A =
-    # N^T S_ff N with N = [I; G] spanning the averages' null space
+    # and N A^-1 N^T equal the dense solve of [S C^T; C 0], and the record
+    # keeps A = N^T S_ff N with N = [I; G] spanning the averages' null space
     rng = np.random.default_rng(nb)
     q = rng.standard_normal((nb, nb))
     s = q @ q.T + nb * np.eye(nb)
@@ -406,7 +409,7 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
         return scipy.linalg.lapack.dpotrf(a, **kwargs)
 
     monkeypatch.setattr(bddc, "dpotrf", recorded)
-    g, (fact, z, psi, kc) = hand_basis(s, labels, ["corner"] * 3 + ["edge"] * 4)
+    g, (fact, sub, kc) = hand_basis(s, labels, ["corner"] * 3 + ["edge"] * 4)
     n = nb - 7
     assert fact.n == n and orders == [n] and fact.method == "cholesky"
     assert (n > 64) == (nb > 64)
@@ -416,14 +419,14 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     rhs[nb:, :7] = np.eye(7)
     rhs[free, 7 + np.arange(free.size)] = 1.0
     ref = np.linalg.solve(bordered, rhs)
-    assert rel_err(psi, ref[:nb, :7]) <= 1e-12
+    assert rel_err(sub.psi, ref[:nb, :7]) <= 1e-12
     assert rel_err(kc, -ref[nb:, :7]) <= 1e-12
-    assert rel_err(z, ref[free, 7:]) <= 1e-12
-    assert np.array_equal(z, z.T) and fact._payload is None
+    assert np.array_equal(sub.ainv, sub.ainv.T) and fact._payload is None
     c_af = c[3:, free]
     gk = -c_af[:, :n] / c_af[np.arange(4), n + np.arange(4)][:, None]
     null = np.vstack([np.eye(n), gk])
     assert np.abs(c_af @ null).max() <= 1e-15
+    assert rel_err(null @ sub.ainv @ null.T, ref[free, 7:]) <= 1e-12
     record = fact.matrix.scipy_csr()
     assert record.has_canonical_format and fact.matrix.symmetric
     assert np.array_equal(record.toarray(), record.toarray().T)
@@ -432,14 +435,15 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
 
 def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
     # 2D Poisson with one element per subdomain: every interface dof is a
-    # corner, so each reduced factor has order 0, z_b = 0, and psi and the
+    # corner, so each reduced factor has order 0 and no dof is kept, z_b = 0,
+    # and psi and the
     # coarse matrix still equal the full bordered solve
     lv = corners2d
     level = make_bddc(lv).levels[0]
     rng = np.random.default_rng(29)
     for sub, split in zip(level.subs, level.splits):
         assert sub.bordered.method == "empty" and sub.bordered.n == 0
-        assert sub.constraints.free_dofs.size == 0
+        assert sub.constraints.kept.size == 0 and set(sub.constraints.tags) == {"corner"}
         local, _, b = split_positions(lv.splits, lv.imap, split.index)
         n, nc = local.size, len(sub.constraints.tags)
         bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
@@ -455,6 +459,39 @@ def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
         assert rel_err(mu, ref[n:]) <= 1e-12
 
 
+def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges):
+    # N = [I; G] and X have one nonzero per column, so coarse_basis forms
+    # S N, A = N^T S_ff N and V by gathering and subtracting rows and
+    # columns of S: each member's record of A equals, bit for bit, the
+    # mirrored lower triangle of the dense products with _local_schur's S,
+    # and its coarse matrix is X^T S X - V^T A^-1 V with V = N^T (S X)_f
+    level = make_bddc(elasticity3d_edges).levels[0]
+    averaged = 0
+    for g in level.groups:
+        nb, (nk, nc) = g.order.shape[1], g.u.shape[1:]
+        lower = np.tri(nk, dtype=bool)
+        for j, s in enumerate(_local_schur(level.splits, g)):
+            # dense rows over S's places: a row's own dof is its last place
+            c = mean_rows(g.row[j], nc)
+            own = np.array([np.flatnonzero(g.row[j] == r).max() for r in range(nc)])
+            point = (g.tags[j] == "corner") & (np.count_nonzero(c, axis=1) == 1)
+            nf = nb - np.count_nonzero(point)
+            c_af = c[~point, :nf]
+            null = np.vstack([np.eye(nk), -c_af[:, :nk] / c_af[:, nk:].diagonal()[:, None]])
+            assert not (c_af @ null).any()
+            a = null.T @ (s[:nf, :nf] @ null)
+            a = np.where(lower, a, a.T)
+            sub = level.subs[g.subs[j]]
+            assert np.array_equal(sub.bordered.matrix.scipy_csr().toarray(), a)
+            x = np.zeros((nb, nc))
+            x[own, np.arange(nc)] = 1.0 / c[np.arange(nc), own]
+            v = null.T @ (s @ x)[:nf]
+            kc = x.T @ s @ x - v.T @ np.linalg.solve(a, v)
+            assert rel_err(g.kc[j], kc) <= 1e-13
+            averaged += nf > nk
+    assert averaged
+
+
 def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypatch):
     # the setup names the level and the subdomain (exit 3), not its slot in
     # its shape group: the last member of a group of several (so neither
@@ -463,7 +500,7 @@ def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypat
     lv = dirichlet_x2d
     level = make_bddc(lv, corner_strategy="vertices-only").levels[0]
     group = max(level.groups, key=lambda g: g.subs.size)
-    assert group.subs.size >= 2 and group.psi.shape[1] > group.psi.shape[2]
+    assert group.subs.size >= 2 and group.ainv.shape[1] > 0
     victim = int(group.subs[-1])
     schur = bddc._local_schur
 
@@ -560,26 +597,28 @@ def test_basis_properties_on_fixture(cross2d):
 
 def test_group_setup_matches_full_local_problems(dirichlet_x2d):
     # subdomains of different local sizes, set up shape group by shape
-    # group: each one's z, psi and coarse matrix equal the dense full
-    # bordered solve of [K C^T; C 0] (z: its free-dof block for right-hand
-    # sides zero on the interior and on the fixed dofs)
+    # group: each one's constrained solve (its interface block for
+    # right-hand sides zero on the interior, with its multipliers), psi and
+    # coarse matrix equal the dense full bordered solve of [K C^T; C 0]
     lv = dirichlet_x2d
     level = make_bddc(lv).levels[0]
     sizes = np.diff(lv.splits.interior_offsets) + np.diff(lv.splits.iface_offsets)
     assert len(set(sizes.tolist())) > 1
     assert len(level.groups) > 1 and max(g.subs.size for g in level.groups) > 1
     # every apply gathers through these index stacks; a strided one is slower
-    assert all(g.free.flags.c_contiguous and g.iface.flags.c_contiguous for g in level.groups)
+    assert all(a.flags.c_contiguous for g in level.groups
+               for a in (g.kept, g.own, *([] if g.master is None else [g.master])))
     for sub, split in zip(level.subs, level.splits):
         rows = constraint_rows(level, split.index)
         bordered, _ = full_local_problem(lv, split, rows)
         inv = np.linalg.inv(bordered)
         local, _, b = split_positions(lv.splits, lv.imap, split.index)
         n, nc = local.size, rows.shape[0]
-        free = b[sub.constraints.free_dofs]
-        # measured against the whole inverse: a z fully fixed by averages is 0
+        # measured against the whole inverse: a solve fully fixed by averages is 0
         tol = 1e-12 * np.abs(inv).max()
-        assert np.abs(sub.z - inv[np.ix_(free, free)]).max(initial=0.0) <= tol
+        solves = [sub.constrained_solve(e) for e in np.eye(b.size)]
+        assert np.abs(np.column_stack([z for z, _ in solves]) - inv[np.ix_(b, b)]).max() <= tol
+        assert np.abs(np.column_stack([mu for _, mu in solves]) - inv[n:, b]).max() <= tol
         assert np.abs(sub.psi - inv[b, n:]).max() <= tol
         assert np.abs(coarse_matrix(level, split.index) + inv[n:, n:]).max() <= tol
         cs = level.coarse
@@ -773,7 +812,7 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
     assert m.n_levels == len(coarse_counts) + 2
     rng = np.random.default_rng(37)
     for li, level in enumerate(m.levels):
-        assert sum(g.z.shape[0] for g in level.groups) == len(level.subs)
+        assert sum(g.ainv.shape[0] for g in level.groups) == len(level.subs)
         z_c = rng.standard_normal(level.n_coarse_dofs)
         r_hat = rng.standard_normal(level.imap.n)
         r_b = level.weights * r_hat[level.splits.iface_index]
@@ -782,11 +821,11 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
         for i, (sub, s, a, b) in enumerate(zip(level.subs, level_schur_blocks(level),
                                                ends[:-1], ends[1:])):
             assert sub.bordered._payload is None
-            # z and the record of A are exactly symmetric
+            # A^-1 and the record of A are exactly symmetric
             record = sub.bordered.matrix.scipy_csr()
-            assert np.array_equal(sub.z, sub.z.T) and (record != record.T).nnz == 0
+            assert np.array_equal(sub.ainv, sub.ainv.T) and (record != record.T).nnz == 0
             # views into the stacks, not copies
-            assert any(sub.psi.base is g.psi and sub.z.base is g.z for g in level.groups)
+            assert any(sub.ainv.base is g.ainv and sub.u.base is g.u for g in level.groups)
             c = constraint_rows(level, i)
             nb, nc = b - a, c.shape[0]
             bordered = np.block([[s, c.T], [c, np.zeros((nc, nc))]])
