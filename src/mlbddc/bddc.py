@@ -43,7 +43,7 @@ batched products and gathers per level: t_i = N_i^T r_i, y_i = A_i^-1 t_i
 and the multipliers mu_i = X_i^T r_i - U_i^T t_i (the restricted coarse
 residuals), then after the coarse correction z_c the local correction
 X_i z_c + N_i (y_i - U_i z_c), which is psi_i z_c plus the constrained
-solve. No factor of a subdomain is kept past setup.
+solve. No subdomain keeps a factor, a record of A_i or an object past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one construction over the coarse nodes and their members
@@ -62,7 +62,7 @@ thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -266,17 +266,30 @@ class SubdomainConstraints:
 
 @dataclass
 class SubdomainCoarse:
-    """One subdomain's coarse machinery on its interface: `bordered`, the
-    record of its factorized constrained problem A = N^T S_ff N (see
-    `coarse_basis`; the factor itself is not kept), A^-1 and U = A^-1 V
-    (views into its level's ShapeGroup, which also holds its coarse element
-    matrix), and where it assembles."""
+    """One subdomain's coarse machinery on its interface, formed on request
+    (`BddcLevel.subs`): A^-1 and U = A^-1 V (views into member `slot` of its
+    ShapeGroup, which also holds its coarse matrix), where it assembles, and
+    on each call the basis psi and the record of A = N^T S_ff N."""
 
     constraints: SubdomainConstraints
-    bordered: Factorization
     ainv: np.ndarray              # (n_kept, n_kept)
     u: np.ndarray                 # (n_kept, n_constraints)
     coarse_dofs: np.ndarray       # global coarse dof ids
+    group: ShapeGroup = field(repr=False)     # where it sits: member `slot`
+    slot: int
+    splits: LevelSplits = field(repr=False)
+
+    @property
+    def bordered(self) -> Factorization:
+        """The record of A, formed on each call by setup's own steps (S by
+        `_local_schur`, A by `_reduced`), so bitwise the A that setup factorized:
+        method "cholesky" ("empty" at order 0), order and A as a CSR, no factor."""
+        g, j, nk, nb = self.group, self.slot, self.ainv.shape[0], self.group.order.shape[1]
+        _, own, master = _index_maps(g.row[j:j + 1], nk, np.arange(nb)[None], nb)
+        s, = _local_schur(self.splits, g, [j])
+        a = _reduced(s, own[0], master[0], g.w[j], np.tri(nk, dtype=bool))[0]
+        return Factorization(nk, "cholesky" if nk else "empty", SparseMatrix(
+            scipy.sparse.csr_matrix(a), symmetric=True), np.array([0, nk]), None)
 
     @property
     def psi(self) -> np.ndarray:
@@ -308,20 +321,37 @@ class SubdomainCoarse:
         return z_b, c.weights * r_b[c.own] - self.u.T @ t
 
 
-def _subdomains(g: ShapeGroup, records: list) -> list:
-    """Each member's SubdomainCoarse: its views of g's stacks, g's index
-    maps in its own interface positions (the sentinel n_interface), and its
-    record of A."""
+def _subdomains(g: ShapeGroup, splits: LevelSplits) -> list:
+    """Each member's SubdomainCoarse: its views of g's stacks and g's index
+    maps in its own interface positions (the sentinel n_interface)."""
     nb = g.order.shape[1]
     kept, own, master = _index_maps(g.row, nb - g.tags.shape[1], g.order, nb)
     return [SubdomainCoarse(
         constraints=SubdomainConstraints(tags=g.tags[j].tolist(), kept=kept[j],
                                          master=master[j], own=own[j], weights=g.w[j]),
-        bordered=fact, ainv=g.ainv[j], u=g.u[j], coarse_dofs=g.dofs[j])
-        for j, fact in enumerate(records)]
+        ainv=g.ainv[j], u=g.u[j], coarse_dofs=g.dofs[j], group=g, slot=j, splits=splits)
+        for j in range(g.subs.size)]
 
 
-def coarse_basis(g: ShapeGroup, schur) -> list:
+def _reduced(s: np.ndarray, own: np.ndarray, master: np.ndarray, w: np.ndarray, lower):
+    """(A, V, S X) of a member of a shape group by `coarse_basis`'s gathers, from
+    its S and rows of the index maps there; `lower` is np.tri of A's order."""
+    nk, nb = lower.shape[0], s.shape[0]
+    sx = np.take(s, own, axis=1) * w                        # S X, in C order, as is V
+    k = np.flatnonzero(master < nb)                         # the kept dofs under an average
+    if not k.size:
+        return s[:nk, :nk], sx[:nk], sx
+    mk = master[k]
+    sn = s[:, :nk].copy()
+    sn[:, k] -= s[:, mk]                                    # S N
+    a = sn[:nk]
+    a[k] -= sn[mk]
+    v = sx[:nk].copy()
+    v[k] -= sx[mk]
+    return np.where(lower, a, a.T), v, sx
+
+
+def coarse_basis(g: ShapeGroup, schur) -> None:
     """Solve the constrained local problems of a shape group once for all;
     schur yields each member's dense interface Schur complement S in turn,
     in the member's interface order g.order (kept dofs k, masters m, fixed
@@ -345,8 +375,7 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     constrained solve is z_f = N A^-1 N^T r_f, the basis is psi = X - N U
     (the constrained energy minimizers with unit constraint values), and
     the coarse matrix is psi^T S psi = X^T S X - V^T U, symmetrized.
-    Returns each member's record of A: method "cholesky" ("empty" at order
-    0), order and A as a CSR, without the factor.
+    Returns nothing: no record of A is kept (see `SubdomainCoarse.bordered`).
 
     Each member's setup check, run as soon as its inverse is made, applies
     A to A^-1 b for the check probe b, so it covers the inverse that the
@@ -360,27 +389,9 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
     # each row's own place and each kept dof's master place, nb if it has none
     _, own, master = _index_maps(g.row, nk, np.broadcast_to(np.arange(nb), g.row.shape), nb)
     b = probe_rhs(nk)
-    cols = np.broadcast_to(np.arange(nk, dtype=np.int32), (nk, nk))
     lower = np.tri(nk, dtype=bool)
-    records = []
     for j, s in enumerate(schur):
-        sx = np.take(s, own[j], axis=1) * g.w[j]            # S X, in C order, as is V
-        k = np.flatnonzero(master[j] < nb)                  # the kept dofs under an average
-        a, v = s[:nk, :nk], sx[:nk]                         # A and V, when G is empty
-        if k.size:
-            mk = master[j, k]
-            sn = s[:, :nk].copy()
-            sn[:, k] -= s[:, mk]                            # S N
-            a = sn[:nk]
-            a[k] -= sn[mk]
-            a = np.where(lower, a, a.T)
-            v = sx[:nk].copy()
-            v[k] -= sx[mk]
-        nz = a != 0
-        ptr = np.zeros(nk + 1, dtype=np.int32)
-        ptr[1:] = np.cumsum(np.count_nonzero(nz, axis=1))
-        matrix = SparseMatrix(scipy.sparse.csr_matrix((a[nz], cols[nz], ptr), shape=(nk, nk)),
-                              symmetric=True)
+        a, v, sx = _reduced(s, own[j], master[j], g.w[j], lower)
         inv = a                                             # order 0: nothing to invert
         if nk:
             low, info = dpotrf(a, lower=1)
@@ -394,13 +405,10 @@ def coarse_basis(g: ShapeGroup, schur) -> list:
             if not rel <= REFINE_TOL:                       # a NaN fails too
                 _member_failed(g, j, NumericalError, f"inverse is inaccurate: relative residual "
                                f"{rel:.1e} on the check probe, above {REFINE_TOL:.0e}")
-        records.append(Factorization(n=nk, method="cholesky" if nk else "empty",
-                                     matrix=matrix, offsets=np.array([0, nk]), _payload=None))
         u = inv @ v
         kc = g.w[j][:, None] * sx[own[j]] - v.T @ u        # X^T S X - V^T U
         g.kc[j] = (kc + kc.T) / 2.0
         g.ainv[j], g.u[j] = inv, u
-    return records
 
 
 def _member_failed(g: ShapeGroup, j: int, kind: type, detail: str):
@@ -423,7 +431,6 @@ class BddcLevel:
     imap: InterfaceMap
     weights: np.ndarray           # over the stacked interface (splits.iface_index)
     coarse: CoarseSpace
-    subs: list                    # SubdomainCoarse per subdomain
     groups: list                  # ShapeGroup per distinct subdomain shape
     coarse_dofs: np.ndarray       # the groups' dofs, raveled and concatenated
     masters: np.ndarray           # the masters of the groups that have them, likewise
@@ -431,6 +438,12 @@ class BddcLevel:
     @property
     def n_coarse_dofs(self) -> int:
         return self.coarse.n_dofs
+
+    @property
+    def subs(self) -> list:
+        """SubdomainCoarse per subdomain, formed anew on each call (setup keeps none)."""
+        subs = [sub for g in self.groups for sub in _subdomains(g, self.splits)]
+        return [subs[k] for k in np.argsort(np.concatenate([g.subs for g in self.groups]))]
 
 
 @dataclass
@@ -529,12 +542,12 @@ def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node:
                         dofs_per_node)
 
 
-def _local_schur(splits: LevelSplits, g: ShapeGroup):
+def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
     """Yield the dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB
-    of each member of shape group g in turn, from the level's stacked K_IB,
-    K_BB and K_II factor, with rows and columns in the member's interface
-    order (g.order). K_II is SPD: the level's stacked K_II factor passed its
-    setup check.
+    of each member of shape group g (or of those at `slots`) in turn, from
+    the level's stacked K_IB, K_BB and K_II factor, with rows and columns in
+    the member's interface order (g.order). K_II is SPD: the level's stacked
+    K_II factor passed its setup check.
 
     A member's K_IB and K_BB are read straight from the stacked CSR arrays
     (a member has no entries outside its own columns) into dense arrays in
@@ -547,12 +560,12 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup):
     and takes S = K_BB - K_IB^T K_II^-1 K_IB by a solve for the n_B
     columns of K_IB, symmetrized.
     """
-    nb = g.order.shape[1]
+    nb, subs = g.order.shape[1], g.subs[slots]
     fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
     col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
-    col[splits.iface_offsets[g.subs][:, None] + g.order] = np.arange(nb)
+    col[splits.iface_offsets[subs][:, None] + g.order[slots]] = np.arange(nb)
     lower = np.tri(nb, dtype=bool)
-    for i in g.subs.tolist():
+    for i in subs.tolist():
         lo, hi = splits.interior_offsets[i:i + 2]
         b0, b1 = splits.iface_offsets[i:i + 2]
         ptr = k_bb.indptr[b0:b1 + 1]
@@ -589,24 +602,21 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
     coarse = build_coarse_space(globset, corners, grid, part, policy)
     groups = _shape_groups(build_constraints(coarse, globset, splits, imap),
                            splits.iface_offsets)
-    subs, failed = [None] * len(splits), []
+    failed = []
     for g in groups:
         try:
-            records = coarse_basis(g, _local_schur(splits, g))
+            coarse_basis(g, _local_schur(splits, g))
         except NumericalError as exc:
             if getattr(exc, "subdomain", None) is None:
                 raise
             failed.append(exc)
-            continue
-        for i, sub in zip(g.subs.tolist(), _subdomains(g, records)):
-            subs[i] = sub
     if failed:
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
     masters = [g.master.ravel() for g in groups if g.master is not None]
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
-                     imap=imap, weights=weights, coarse=coarse, subs=subs, groups=groups,
+                     imap=imap, weights=weights, coarse=coarse, groups=groups,
                      coarse_dofs=np.concatenate([g.dofs.ravel() for g in groups]),
                      masters=np.concatenate([np.empty(0, dtype=np.intp), *masters]))
 

@@ -89,15 +89,19 @@ def hand_constraints(labels_list, tags_list):
 
 
 def hand_basis(s, labels, tags):
-    """coarse_basis of one subdomain, as a one-member shape group: S over
-    its interface (stacked interface order) and constraint labels. Returns
-    the group and the member's (record, SubdomainCoarse, coarse matrix)."""
+    """coarse_basis of one subdomain without interior, as a one-member shape
+    group: S = K_BB over its interface (stacked interface order) and
+    constraint labels, read by _local_schur from a one-subdomain split.
+    Returns the group and the member's (record, SubdomainCoarse, coarse
+    matrix)."""
     cons, iface_offsets = hand_constraints([labels], [tags])
     g, = _shape_groups(cons, iface_offsets)
-    order = g.order[0]
-    records = coarse_basis(g, [s[np.ix_(order, order)]])
-    sub, = bddc._subdomains(g, records)
-    return g, (records[0], sub, g.kc[0])
+    n = len(labels)
+    splits, _ = build_splits(SparseMatrix.from_scipy(s, symmetric=True), np.arange(n),
+                             np.arange(n), n, 1)
+    coarse_basis(g, _local_schur(splits, g))
+    sub, = bddc._subdomains(g, splits)
+    return g, (sub.bordered, sub, g.kc[0])
 
 
 def with_members(cs, node, members):
@@ -300,7 +304,8 @@ def test_basis_without_interior_matches_full_solve():
     order = g.order[0]
     s, = _local_schur(splits, g)
     assert np.array_equal(s, k[np.ix_(order, order)])
-    sub, = bddc._subdomains(g, coarse_basis(g, [s]))
+    coarse_basis(g, [s])
+    sub, = bddc._subdomains(g, splits)
     bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
     ref = np.linalg.solve(bordered, np.vstack([np.zeros((3, 2)), np.eye(2)]))
     assert rel_err(sub.psi, ref[:3]) <= 1e-12
@@ -466,7 +471,7 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges):
     # mirrored lower triangle of the dense products with _local_schur's S,
     # and its coarse matrix is X^T S X - V^T A^-1 V with V = N^T (S X)_f
     level = make_bddc(elasticity3d_edges).levels[0]
-    averaged = 0
+    subs, averaged = level.subs, 0
     for g in level.groups:
         nb, (nk, nc) = g.order.shape[1], g.u.shape[1:]
         lower = np.tri(nk, dtype=bool)
@@ -481,8 +486,7 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges):
             assert not (c_af @ null).any()
             a = null.T @ (s[:nf, :nf] @ null)
             a = np.where(lower, a, a.T)
-            sub = level.subs[g.subs[j]]
-            assert np.array_equal(sub.bordered.matrix.scipy_csr().toarray(), a)
+            assert np.array_equal(subs[g.subs[j]].bordered.matrix.scipy_csr().toarray(), a)
             x = np.zeros((nb, nc))
             x[own, np.arange(nc)] = 1.0 / c[np.arange(nc), own]
             v = null.T @ (s @ x)[:nf]
@@ -490,6 +494,62 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges):
             assert rel_err(g.kc[j], kc) <= 1e-13
             averaged += nf > nk
     assert averaged
+
+
+@pytest.mark.parametrize("overrides", [
+    ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"],
+    ["problem=poisson", "dim=2", "elements=4", "hierarchy=16/4", "constraint_policy=corners-only"],
+], ids=["elasticity3d", "poisson2d-corners"])
+def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
+    # setup makes no SubdomainCoarse and keeps no record of A: a level's
+    # `subs` forms them when read, and each member's `bordered` redoes S and
+    # A by setup's own steps, so it holds, bit for bit, the A that setup
+    # handed to potrf ("empty", of order 0, where A has no order); reading
+    # `subs` again gives equal records and changes no stored operator
+    factorized, made = [], []
+    potrf, init = bddc.dpotrf, bddc.SubdomainCoarse.__init__
+
+    def recorded(a, **kwargs):
+        factorized.append(np.array(a))
+        return potrf(a, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bddc, "dpotrf", recorded)
+    monkeypatch.setattr(bddc.SubdomainCoarse, "__init__", counted_init)
+    prec = run_experiment(load_config(overrides=overrides)).preconditioner
+    assert prec.n_levels == 3 and made == []
+    stacks = [(g.ainv, g.u, g.kc) for lv in prec.levels for g in lv.groups]
+    stored = [[a.copy() for a in stack] for stack in stacks]
+    formed, orders = iter(factorized[:]), set()
+    for lv in prec.levels:
+        subs = lv.subs
+        assert len(made) == len(subs) == lv.partition.n_subdomains
+        first = [sub.bordered for sub in subs]
+        second = [sub.bordered for sub in lv.subs]
+        for g in lv.groups:
+            nk = g.ainv.shape[1]
+            orders.add(nk > 0)
+            for i in g.subs.tolist():
+                record, csr = first[i], first[i].matrix.scipy_csr()
+                assert (record.n, record.method, record._payload) == \
+                    (nk, "cholesky" if nk else "empty", None)
+                assert csr.shape == (nk, nk) and csr.has_canonical_format
+                if nk:
+                    a = next(formed)
+                    assert csr.data.tobytes() == a[a != 0].tobytes()
+                    assert np.array_equal(csr.toarray(), a)
+                again = second[i].matrix.scipy_csr()
+                assert (second[i].n, second[i].method) == (record.n, record.method)
+                assert all(np.array_equal(getattr(again, k), getattr(csr, k))
+                           for k in ("data", "indices", "indptr"))
+        made.clear()
+    assert next(formed, None) is None
+    assert all(np.array_equal(a, b) for stack, copies in zip(stacks, stored)
+               for a, b in zip(stack, copies))
+    assert orders == {False, True}          # members with and without an A
 
 
 def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypatch):
@@ -812,17 +872,19 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
     assert m.n_levels == len(coarse_counts) + 2
     rng = np.random.default_rng(37)
     for li, level in enumerate(m.levels):
-        assert sum(g.ainv.shape[0] for g in level.groups) == len(level.subs)
+        subs = level.subs
+        assert sum(g.ainv.shape[0] for g in level.groups) == len(subs)
         z_c = rng.standard_normal(level.n_coarse_dofs)
         r_hat = rng.standard_normal(level.imap.n)
         r_b = level.weights * r_hat[level.splits.iface_index]
         ends = level.splits.iface_offsets
         r_c, v_b = np.zeros(level.n_coarse_dofs), []
-        for i, (sub, s, a, b) in enumerate(zip(level.subs, level_schur_blocks(level),
+        for i, (sub, s, a, b) in enumerate(zip(subs, level_schur_blocks(level),
                                                ends[:-1], ends[1:])):
-            assert sub.bordered._payload is None
+            fact = sub.bordered
+            assert fact._payload is None
             # A^-1 and the record of A are exactly symmetric
-            record = sub.bordered.matrix.scipy_csr()
+            record = fact.matrix.scipy_csr()
             assert np.array_equal(sub.ainv, sub.ainv.T) and (record != record.T).nnz == 0
             # views into the stacks, not copies
             assert any(sub.ainv.base is g.ainv and sub.u.base is g.u for g in level.groups)
@@ -987,8 +1049,9 @@ def test_bordered_factors_are_interface_sized(name, coarse_counts, request):
     m = make_bddc(request.getfixturevalue(name), coarse_counts=coarse_counts)
     assert m.n_levels == len(coarse_counts) + 2
     for level in m.levels:
-        assert any(set(sub.constraints.tags) - {"corner"} for sub in level.subs)
-        for sub, split, n_b in zip(level.subs, level.splits, np.diff(level.splits.iface_offsets)):
+        subs = level.subs
+        assert any(set(sub.constraints.tags) - {"corner"} for sub in subs)
+        for sub, split, n_b in zip(subs, level.splits, np.diff(level.splits.iface_offsets)):
             n_c = len(sub.constraints.tags)
             assert sub.bordered.n == n_b - n_c
             assert sub.psi.shape == constraint_rows(level, split.index).shape[::-1] == (n_b, n_c)
@@ -1074,7 +1137,8 @@ def test_coarse_assembly_from_interleaved_shape_groups():
     assert [g.subs.tolist() for g in level.groups] == \
         [[0, 3, 12, 15], [1, 2, 4, 7, 8, 11, 13, 14], [5, 6, 9, 10]]
     k, keys = subassemble_coarse(level.groups, part, n, 1)
-    per_sub = [sum_elements([(coarse_matrix(level, e), level.subs[e].coarse_dofs[None])
+    subs = level.subs
+    per_sub = [sum_elements([(coarse_matrix(level, e), subs[e].coarse_dofs[None])
                              for e in part.elements_of(j)], 1) for j in range(4)]
     ref_keys = np.concatenate([j * n + ltg for j, (_, ltg) in enumerate(per_sub)])
     assert np.array_equal(keys, ref_keys)

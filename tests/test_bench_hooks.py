@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse
 from scipy.linalg.lapack import dpotrf
 
@@ -23,6 +24,8 @@ from mlbddc.sparse import factorize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 THREE_LEVEL = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
+CORNERS_2D = ["problem=poisson", "dim=2", "elements=32", "hierarchy=16/4",
+              "constraint_policy=corners-only"]
 
 
 def load_bench(name):
@@ -142,6 +145,61 @@ def test_groups_store_only_the_reduced_operators():
             assert nk == 0 or nc == 0 or (m, nb, nc) not in shapes
             averaged += nf > nk
     assert averaged
+
+
+def reachable_bytes(*roots) -> int:
+    """Bytes of the arrays reachable from roots through instance fields and
+    containers (scipy matrices are walked as their fields), never through
+    properties, so nothing is formed on the way; each base buffer once."""
+    seen, bases, todo = set(), {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+            continue
+        if isinstance(obj, dict):
+            todo += obj.values()
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        if hasattr(obj, "__dict__"):            # a list subclass has fields too
+            todo += vars(obj).values()
+    return sum(bases.values())
+
+
+def csr_arrays(m) -> list:
+    return [m.data, m.indices, m.indptr]
+
+
+@pytest.mark.parametrize("overrides", [THREE_LEVEL, CORNERS_2D], ids=["elasticity3d", "poisson2d"])
+def test_preconditioner_holds_only_what_it_keeps(overrides):
+    # the bytes reachable from a built preconditioner are those of what it
+    # keeps, named here: per level the shape groups' stacks and index maps,
+    # the splits (K_IB, K_BB, the band K_II factor and its CSR, the stacked
+    # index arrays), the level's arrays (weights, coarse dofs, masters,
+    # interface map, coarse space, partition) and its grid; then the top
+    # factor and its CSR. The margin, 1% of that, is for arrays not named
+    # here. State that setup keeps per member fails here and not only in the
+    # benchmark's peak memory: the records of A with one object per member
+    # came to 2.8% and 14.9% of the kept bytes of these two configs
+    prec = run_experiment(load_config(overrides=overrides)).preconditioner
+    top = prec.top
+    kept = [top._payload, top.offsets, *csr_arrays(top.matrix.scipy_csr())]
+    for lv in prec.levels:
+        sp, fact, cs, grid = lv.splits, lv.splits.k_ii_fact, lv.coarse, lv.grid
+        kept += [a for g in lv.groups for a in vars(g).values() if isinstance(a, np.ndarray)]
+        kept += csr_arrays(sp.k_ib) + csr_arrays(sp.k_bb) + csr_arrays(fact.matrix.scipy_csr())
+        kept += [fact._payload, fact.offsets, sp.interior_dofs, sp.iface_index,
+                 sp.interior_offsets, sp.iface_offsets, lv.weights, lv.coarse_dofs, lv.masters,
+                 lv.imap.dofs, lv.partition.assignment, cs.corner_nodes, cs.glob_ids,
+                 cs.member_ptr, cs.members, cs.node_coords, cs.sub_ptr, cs.sub_node,
+                 grid.node_coords, grid.elem_ptr, grid.elem_nodes, grid.conn_nodes]
+    kept, total = reachable_bytes(kept), reachable_bytes(prec)
+    assert kept <= total <= 1.01 * kept, (total, kept)
 
 
 def test_elasticity_element_sort_runs_over_node_pairs(monkeypatch):

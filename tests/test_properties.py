@@ -35,9 +35,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mlbddc import load_config, run_experiment
+from mlbddc.bddc import MultilevelBddc, assemble_coarse
 from mlbddc.errors import NumericalError
 from mlbddc.fem import assemble_global
 from mlbddc.krylov import pcg
+from mlbddc.sparse import factorize
 from mlbddc.substructuring import schur_apply
 
 # level-1 size per dimension, and its two- and three-level hierarchies
@@ -92,17 +94,47 @@ def test_runs_solve_or_exit_3(overrides):
     assert result.report.condition_estimate <= lam_max / lam_min * (1 + 1e-8), overrides
 
 
-def extreme_eigenvalues_ms(prec) -> tuple:
-    """(lambda_min, lambda_max) of M S for the level-1 interface operator S
-    and preconditioner M, both built densely from identity columns: the
+def extreme_eigenvalues_ms(prec, li=0) -> tuple:
+    """(lambda_min, lambda_max) of M S for the interface operator S of
+    level li + 1 and the cycle M from that level down (at li = 0, the
+    preconditioner), both built densely from identity columns: the
     eigenvalues of M S are those of L^T S L for M = L L^T."""
-    level = prec.levels[0]
+    level = prec.levels[li]
     eye = np.eye(level.imap.n)
     s = np.column_stack([schur_apply(level.splits, level.imap, e) for e in eye])
-    m = np.column_stack([prec.apply(e) for e in eye])
+    m = np.column_stack([prec._interface_apply(li, e) for e in eye])
     low = np.linalg.cholesky((m + m.T) / 2)
     lam = np.linalg.eigvalsh(low.T @ ((s + s.T) / 2) @ low)
     return lam[0], lam[-1]
+
+
+def test_each_level_meets_the_multilevel_bound():
+    # at every level k of each solving three-level configuration, with S_k
+    # the level's interface operator and M_k the cycle from level k down:
+    # lambda_min(M_k S_k) >= 1, and lambda_max(M_k S_k) is at most the
+    # level's two-level lambda_max (the same level with an exact coarse
+    # solve) times lambda_max(M_{k+1} S_{k+1}), which is 1 below the last
+    # level, whose coarse solve is the exact top solve (Tu, SIAM J. Sci.
+    # Comput. 29, 2007; Mandel, Sousedik & Dohrmann, Computing 83, 2008)
+    checked = 0
+    for config in grid():
+        if "/" not in config[2]:
+            continue
+        try:
+            prec = run_experiment(load_config(overrides=config)).preconditioner
+        except NumericalError:
+            continue
+        lam_below = 1.0
+        for li in reversed(range(len(prec.levels))):
+            lv = prec.levels[li]
+            two_level = MultilevelBddc(levels=[lv], top=factorize(
+                assemble_coarse(lv.groups, lv.coarse.dofs_per_node)))
+            lam_min, lam_max = extreme_eigenvalues_ms(prec, li)
+            assert lam_min >= 1.0 - 1e-10, (config, li + 1)
+            assert lam_max <= extreme_eigenvalues_ms(two_level)[1] * lam_below * (1 + 1e-10), \
+                (config, li + 1)
+            lam_below, checked = lam_max, checked + 1
+    assert checked == 2 * 46                # two levels of 46 solving configurations
 
 
 def pin(config) -> tuple:
