@@ -531,14 +531,17 @@ def assemble_coarse(groups, dofs_per_node: int) -> SparseMatrix:
     return sum_elements([(g.kc, g.dofs) for g in groups], dofs_per_node)[0]
 
 
-def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node: int):
+def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node: int,
+                       iface_dofs):
     """Assemble every subdomain of the pseudo-mesh in one call from the
     previous level's shape groups (their members are its elements): one
-    block per group, over `subdomain_keys` of the coarse dofs, so entries
-    sum group by group, then member by member. Returns (K, keys), laid out
-    like `fem.subassemble_subdomain`'s."""
-    return sum_elements([(g.kc, subdomain_keys(partition.assignment[g.subs][:, None],
-                                               g.dofs, n_dofs)) for g in groups],
+    block per group, over `subdomain_keys` of the coarse dofs with the
+    level's interface dofs iface_dofs, so entries sum group by group, then
+    member by member. Returns (K, keys), laid out in split order like
+    `fem.subassemble_subdomain`'s."""
+    n_subs = partition.n_subdomains
+    return sum_elements([(g.kc, subdomain_keys(partition.assignment[g.subs][:, None], g.dofs,
+                                               n_dofs, n_subs, iface_dofs)) for g in groups],
                         dofs_per_node)
 
 
@@ -592,11 +595,12 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
-    """One level from `subassemble`, a zero-argument callable returning its
-    (K, keys); K lives only through the `build_splits` call that splits it."""
+    """One level from `subassemble`, a callable taking the level's interface
+    dofs and returning its (K, keys) in split order; K lives only through
+    the `build_splits` call that splits it."""
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(*subassemble(), iface, grid.n_dofs, part.n_subdomains)
+    splits, imap = build_splits(*subassemble(iface), iface, grid.n_dofs, part.n_subdomains)
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
@@ -625,12 +629,14 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
                coarse_counts=(), *, constraint_policy: str = "corners+edges+faces",
                corner_strategy: str = "default",
                weight_scheme: str = "cardinality") -> MultilevelBddc:
-    """Build the full level hierarchy. subassemble is a zero-argument callable
-    returning level 1's (K, keys) as `fem.subassemble_subdomain` does: K is
-    block-diagonal over the subdomains of `partition`, keys numbers its rows.
-    Coarser levels, and the top matrix, are assembled from the previous
-    level's shape-group stacks (`subassemble_coarse`, `assemble_coarse`).
-    Every level's K is freed once split.
+    """Build the full level hierarchy. subassemble is a callable that takes
+    level 1's sorted interface dofs and returns its (K, keys) as
+    `fem.subassemble_subdomain` does: K is block-diagonal over the
+    subdomains of `partition`, and keys (`subdomain_keys`) number its rows
+    in split order, interior dofs before interface dofs. Coarser levels, and
+    the top matrix, are assembled from the previous level's shape-group
+    stacks (`subassemble_coarse`, `assemble_coarse`). Every level's K is
+    freed once split.
 
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
     two-level method); the final coarse problem is always factorized

@@ -346,17 +346,21 @@ def assemble_global(spec: ProblemSpec, mesh: Mesh):
     return k, f
 
 
-def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partition):
+def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partition, iface_dofs):
     """Assemble every subdomain's stiffness over its free dofs in one call.
 
-    Element dofs are keyed by `substructuring.subdomain_keys`, so K is
-    block-diagonal with one block per subdomain of the element partition,
-    in subdomain order. Returns (K, keys): row j of K is free dof
-    keys[j] % n_free of subdomain keys[j] // n_free, and keys ascend.
+    Element dofs are keyed by `substructuring.subdomain_keys` with the
+    level's sorted interface free dofs iface_dofs, so K is block-diagonal
+    with one block per subdomain of the element partition, rows in split
+    order: all interior dofs, by subdomain, then all interface dofs, by
+    subdomain. Returns (K, keys): row j of K is free dof keys[j] % n_free
+    of subdomain keys[j] // n_free % n_subdomains, on the interface when
+    keys[j] // n_free >= n_subdomains, and keys ascend.
     """
     partition.validate()
     free = dofmap.full_to_free[_element_dofs(spec, mesh)]
-    keys = subdomain_keys(partition.assignment[:, None], free, dofmap.n_free)
+    keys = subdomain_keys(partition.assignment[:, None], free, dofmap.n_free,
+                          partition.n_subdomains, iface_dofs)
     return sum_elements([(element_matrix(spec, mesh), keys)], spec.dofs_per_node)
 
 

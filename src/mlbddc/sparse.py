@@ -259,14 +259,15 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     block). With half-bandwidth kd (the largest i - j of a stored entry)
     and largest block order n_max, `a` goes to LAPACK's band Cholesky
     dpbtrf when (kd + 1) * n_max <= DENSE_THRESHOLD**2, its band storage
-    ab[i - j, j] = a_ij taken from the lower triangle of the CSR; otherwise
-    to SuperLU. The blocks are factorized as one matrix: the band factor is
-    the blocks' own band factors side by side (see `lower_solve`), so the
-    budget bounds each block's. The blocks also scope the setup check and
-    the error messages. A non-positive pivot, or an exactly singular
-    SuperLU pivot, raises NotPositiveDefiniteError. The new factor solves
-    probe_rhs(n) and passes the solution to `Factorization.check`, which
-    raises NumericalError naming an inaccurate block.
+    ab[i - j, j] = a_ij written in place from the lower triangle of the CSR
+    (at F-order flat index j * kd + i, by int32 indices when they fit);
+    otherwise to SuperLU. The blocks are factorized as one matrix: the band
+    factor is the blocks' own band factors side by side (see `lower_solve`),
+    so the budget bounds each block's. The blocks also scope the setup
+    check and the error messages. A non-positive pivot, or an exactly
+    singular SuperLU pivot, raises NotPositiveDefiniteError. The new factor
+    solves probe_rhs(n) and passes the solution to `Factorization.check`,
+    which raises NumericalError naming an inaccurate block.
     """
     n, n_cols = a.shape
     if n != n_cols:
@@ -294,12 +295,19 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
 
     if n == 0:
         return made("empty", None)
-    below = np.repeat(np.arange(n), np.diff(s.indptr)) - s.indices
-    kd = int(below.max(initial=0))
+    counts = np.diff(s.indptr)
+    filled = np.nonzero(counts)[0]
+    kd = int(np.max(filled - np.minimum.reduceat(s.indices, s.indptr[filled]), initial=0))
     if (kd + 1) * int(np.diff(offsets).max()) <= DENSE_THRESHOLD ** 2:
-        low = below >= 0
+        idx = np.int32 if (kd + 1) * n <= np.iinfo(np.int32).max else np.int64
+        row = np.repeat(np.arange(n, dtype=idx), counts)
+        low = row >= s.indices
+        flat = s.indices[low].astype(idx, copy=False)
+        flat *= kd
+        flat += row[low]
+        del row
         ab = np.zeros((kd + 1, n), order="F")
-        ab[below[low], s.indices[low]] = s.data[low]
+        ab.reshape(-1, order="F")[flat] = s.data[low]
         band, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info > 0:       # the leading minor of order info is not PD
             raise not_positive_definite(info - 1)

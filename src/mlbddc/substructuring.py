@@ -3,8 +3,10 @@ operator, condensed right-hand sides, and interior recovery.
 
 The reduced interface problem S u = g is never assembled. A level's
 subdomain matrices arrive as one block-diagonal matrix (one block per
-subdomain, from one assembly call). It is split by rows and columns into
-block-diagonal K_II, K_IB and K_BB, and K_II is factorized once, so
+subdomain, from one assembly call) whose rows are keyed interface-last:
+all interior dofs, by subdomain, then all interface dofs, by subdomain.
+K_II, K_IB and K_BB, block-diagonal over the subdomains, are then its
+contiguous corner and off-diagonal blocks, and K_II is factorized once, so
 applying S = R^T (K_BB - K_IB^T K_II^-1 K_IB) R is a few sparse products
 and one block-diagonal interior solve per level. The blocks of K_II are
 small subdomain interiors in mesh order, so the stacked matrix has a
@@ -79,23 +81,32 @@ class LevelSplits(list):
         return np.bincount(self.iface_index, weights=v, minlength=n_iface)
 
 
-def subdomain_keys(subdomain, dofs, n_dofs: int) -> np.ndarray:
-    """Key subdomain * n_dofs + dof of each level dof (subdomain broadcasts
-    against dofs); negative dofs stay negative. Summing element matrices
-    over these keys (`sparse.sum_elements`) gives a level's block-diagonal
-    matrix in subdomain order, whose rows `build_splits` decodes."""
+def subdomain_keys(subdomain, dofs, n_dofs: int, n_subs: int, iface_dofs) -> np.ndarray:
+    """Key (is_interface * n_subs + subdomain) * n_dofs + dof of each level
+    dof (subdomain broadcasts against dofs), is_interface 1 for the dofs in
+    iface_dofs; negative dofs stay negative. Summing element matrices over
+    these keys (`sparse.sum_elements`) gives a level's block-diagonal matrix
+    in split order: every subdomain's interior dofs, by subdomain, then every
+    subdomain's interface dofs, by subdomain, each run ascending by dof. So
+    `build_splits` cuts K_II, K_IB and K_BB as contiguous blocks."""
     dofs = np.asarray(dofs, dtype=np.int64)
-    return np.where(dofs >= 0, subdomain * n_dofs + dofs, -1)
+    on_iface = np.isin(dofs, iface_dofs)
+    return np.where(dofs >= 0, (on_iface * n_subs + subdomain) * n_dofs + dofs, -1)
 
 
 def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int, n_subs: int):
-    """Split a level's block-diagonal matrix by the interface dof set and
-    factorize its interior part.
+    """Split a level's block-diagonal matrix at its interface and factorize
+    its interior part.
 
-    k has one diagonal block per subdomain, in subdomain order, and row j
-    is level dof keys[j] of `subdomain_keys` (ascending, as the subassembly
-    routines return them). A subdomain that owns no dof, which a coarse
-    level can have, gets an empty block. Returns (LevelSplits, InterfaceMap).
+    k has one diagonal block per subdomain, and row j is level dof keys[j]
+    of `subdomain_keys` (ascending, as the subassembly routines return
+    them), so its rows are interface-last: the n_I interior rows of all
+    subdomains come first, then the interface rows, each part in subdomain
+    order. K_II = k[:n_I, :n_I], K_IB = k[:n_I, n_I:] and K_BB = k[n_I:, n_I:]
+    are then contiguous slices, one scipy pass each. Keys that do not ascend
+    or whose interface flag disagrees with iface_dofs raise ValueError. A
+    subdomain that owns no dof, or no interior dof, which a coarse level can
+    have, gets empty blocks. Returns (LevelSplits, InterfaceMap).
     """
     iface_dofs = np.asarray(iface_dofs, dtype=np.int64)
     if np.any(np.diff(iface_dofs) <= 0):
@@ -103,26 +114,26 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int, n_subs: int):
     keys = np.asarray(keys, dtype=np.int64)
     if k.shape != (keys.size, keys.size):
         raise ValueError(f"matrix shape {k.shape} != key count {keys.size}")
-    sub_of, ltg_all = np.divmod(keys, n_dofs)
-
-    # stacked local vectors: all subdomains' local dofs in subdomain order
-    on_iface = np.isin(ltg_all, iface_dofs)
-    interior, interface = np.nonzero(~on_iface)[0], np.nonzero(on_iface)[0]
-    interior_dofs = ltg_all[interior]
-    if sorted_unique(interior_dofs).shape[0] != interior_dofs.shape[0]:
+    block, ltg_all = np.divmod(keys, n_dofs)
+    on_iface = np.zeros(n_dofs, dtype=bool)
+    on_iface[iface_dofs] = True
+    if (np.any(np.diff(keys) <= 0) or np.any(block >= 2 * n_subs)
+            or not np.array_equal(on_iface[ltg_all], block >= n_subs)):
+        raise ValueError("keys are not interface-last: they must ascend and flag exactly "
+                         "the interface dofs, (is_interface * n_subs + subdomain) * n_dofs "
+                         "+ dof as subdomain_keys makes them")
+    n_i = int(np.searchsorted(block, n_subs))
+    interior_dofs = ltg_all[:n_i].copy()
+    if sorted_unique(interior_dofs).shape[0] != n_i:
         raise ValueError("an interior dof belongs to more than one subdomain")
-    ends = np.searchsorted(sub_of, np.arange(n_subs + 1))
-    cut_i, cut_b = np.searchsorted(interior, ends), np.searchsorted(interface, ends)
+    cut_i = np.searchsorted(block[:n_i], np.arange(n_subs + 1))
+    cut_b = np.searchsorted(block[n_i:], np.arange(n_subs, 2 * n_subs + 1))
 
     k_all = k.scipy_csr()
-    k_rows_i = k_all[interior]
-    k_ii = SparseMatrix.from_scipy(k_rows_i[:, interior], symmetric=k.symmetric)
-    k_ib = k_rows_i[:, interface]
-    k_bb = k_all[interface][:, interface]
-    del k_rows_i
-    fact = factorize(k_ii, offsets=cut_i)
-
-    iface_index = np.searchsorted(iface_dofs, ltg_all[interface])
+    k_ib, k_bb = k_all[:n_i, n_i:], k_all[n_i:, n_i:]
+    fact = factorize(SparseMatrix.from_scipy(k_all[:n_i, :n_i], symmetric=k.symmetric),
+                     offsets=cut_i)
+    iface_index = np.searchsorted(iface_dofs, ltg_all[n_i:])
     splits = LevelSplits([SubdomainSplit(i, fact) for i in range(n_subs)], fact, k_ib, k_bb,
                          interior_dofs, iface_index, cut_i, cut_b)
     return splits, InterfaceMap(dofs=iface_dofs)

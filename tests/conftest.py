@@ -33,15 +33,17 @@ class Level1:
     k_global: object
     f_global: np.ndarray
     k: object                   # block-diagonal subdomain matrices
-    keys: np.ndarray            # subdomain * n_free + free dof, per row of k
+    keys: np.ndarray            # subdomain_keys of each row of k, interface-last
     globset: object
     splits: list
     imap: object
 
     def k_local(self, i):
-        """Subdomain i's diagonal block of k, dense."""
-        lo, hi = np.searchsorted(self.keys // self.dofmap.n_free, [i, i + 1])
-        return self.k.scipy_csr()[lo:hi, lo:hi].toarray()
+        """Subdomain i's diagonal block of k, dense, rows ascending by free dof."""
+        block, dofs = np.divmod(self.keys, self.dofmap.n_free)
+        rows = np.nonzero(block % self.part.n_subdomains == i)[0]
+        rows = rows[np.argsort(dofs[rows])]
+        return self.k.scipy_csr()[rows][:, rows].toarray()
 
     def weights(self, scheme="cardinality"):
         return build_weights(self.splits, scheme)
@@ -91,9 +93,9 @@ def build_level1(spec: ProblemSpec, n_elems, n_subs, method="auto",
     grid = level_grid_from_mesh(mesh, spec, dofmap)
     part = partition_elements(grid, n_subs, method=method)
     k_global, f_global = assemble_global(spec, mesh)
-    k, keys = subassemble_subdomain(spec, mesh, dofmap, part)
     globset = classify_interface(grid, part)
     ifdofs = interface_dofs(globset, spec.dofs_per_node)
+    k, keys = subassemble_subdomain(spec, mesh, dofmap, part, ifdofs)
     splits, imap = build_splits(k, keys, ifdofs, dofmap.n_free, part.n_subdomains)
     return Level1(spec=spec, mesh=mesh, dofmap=dofmap, grid=grid, part=part,
                   k_global=k_global, f_global=f_global, k=k, keys=keys,

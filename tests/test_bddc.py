@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from conftest import build_level1, segments, split_positions
 from mlbddc import bddc, load_config, run_experiment, sparse
@@ -34,15 +33,16 @@ from mlbddc.bddc import (
 from mlbddc.cli import main
 from mlbddc.errors import EXIT_NUMERICAL, NotPositiveDefiniteError, NumericalError
 from mlbddc.fem import ProblemSpec, element_matrix, node_dofs, subassemble_subdomain
+from mlbddc.interface import classify_interface, interface_dofs
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
 from mlbddc.sparse import Factorization, SparseMatrix, sum_elements
 from mlbddc.substructuring import build_splits, schur_apply, subdomain_keys
-from test_substructuring import dense_schur_parts
+from test_substructuring import dense_schur_parts, stacked
 
 
 def make_bddc(lv, coarse_counts=(), **kw):
-    return setup_bddc(lv.grid, lv.part, lambda: (lv.k, lv.keys),
+    return setup_bddc(lv.grid, lv.part, lambda iface: (lv.k, lv.keys),
                       coarse_counts, **kw)
 
 
@@ -97,8 +97,7 @@ def hand_basis(s, labels, tags):
     cons, iface_offsets = hand_constraints([labels], [tags])
     g, = _shape_groups(cons, iface_offsets)
     n = len(labels)
-    splits, _ = build_splits(SparseMatrix.from_scipy(s, symmetric=True), np.arange(n),
-                             np.arange(n), n, 1)
+    splits, _ = build_splits(*stacked([s], [np.arange(n)], n, np.arange(n)), np.arange(n), n, 1)
     coarse_basis(g, _local_schur(splits, g))
     sub, = bddc._subdomains(g, splits)
     return g, (sub.bordered, sub, g.kc[0])
@@ -293,9 +292,8 @@ def test_basis_without_interior_matches_full_solve():
     # has interface dofs only, so its S = K_BB = K, and psi and the coarse
     # matrix are those of the full bordered solve
     k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    blocks = SparseMatrix.from_scipy(scipy.sparse.block_diag([np.diag([4.0, 5.0]), k]),
-                                     symmetric=True)
-    splits, _ = build_splits(blocks, np.array([0, 1, 8 + 3, 8 + 4, 8 + 7]), [3, 4, 7], 8, 2)
+    blocks, keys = stacked([np.diag([4.0, 5.0]), k], [[0, 1], [3, 4, 7]], 8, [3, 4, 7])
+    splits, _ = build_splits(blocks, keys, [3, 4, 7], 8, 2)
     c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     assert np.array_equal(mean_rows([0, 1, 1], 2), c)
     cons, iface_offsets = hand_constraints([[], [0, 1, 1]], [[], ["corner", "edge"]])
@@ -320,10 +318,9 @@ def test_local_schur_reads_members_of_different_sizes():
     for n in (3, 4):
         q = rng.standard_normal((n, n))
         mats.append(q @ q.T + n * np.eye(n))
-    blocks = SparseMatrix.from_scipy(scipy.sparse.block_diag(mats), symmetric=True)
-    # subdomain 0: dofs 0, 1, 2 (interior 1); subdomain 1: dofs 1, 2, 3, 4
+    # subdomain 0: dofs 0, 1, 2 (interior 0); subdomain 1: dofs 1, 2, 3, 4
     # (interior 3, 4); interface dofs 1 and 2
-    keys = np.concatenate([[0, 1, 2], 10 + np.array([1, 2, 3, 4])])
+    blocks, keys = stacked(mats, [[0, 1, 2], [1, 2, 3, 4]], 10, [1, 2])
     splits, _ = build_splits(blocks, keys, [1, 2], 10, 2)
     cons, iface_offsets = hand_constraints([[-1, 0], [-1, 0]], [["corner"], ["corner"]])
     g, = _shape_groups(cons, iface_offsets)
@@ -1090,7 +1087,7 @@ def test_assembly_helpers_agree():
               SimpleNamespace(subs=np.array([1]), kc=k2[None], dofs=np.array([[1, 2]]))]
     full = assemble_coarse(groups, 1)
     one = Partition(1, np.array([0, 0]), "test")
-    sub, keys = subassemble_coarse(groups, one, 3, 1)
+    sub, keys = subassemble_coarse(groups, one, 3, 1, np.zeros(0, dtype=np.int64))
     assert np.array_equal(keys, [0, 1, 2])
     assert np.allclose(full.scipy_csr().toarray(), sub.scipy_csr().toarray(), atol=1e-16)
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
@@ -1111,19 +1108,20 @@ def group_major_sums(groups, part, dofs_per_node):
 def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges):
     # level 2 of a 2x2x2 split: one call equals scipy's block_diag of
     # per-subdomain sums entry for entry, each summed in the same group-major
-    # element order; keys are (subdomain, coarse dof)
+    # element order, rows and columns permuted to split order; keys are
+    # (is interface, subdomain, coarse dof)
     level = make_bddc(elasticity3d_edges).levels[0]
     grid = build_pseudomesh(level.coarse, level.partition)
     part = partition_elements(grid, 2, method="auto")
-    k, keys = subassemble_coarse(level.groups, part, grid.n_dofs, grid.dofs_per_node)
+    iface = interface_dofs(classify_interface(grid, part), grid.dofs_per_node)
+    k, keys = subassemble_coarse(level.groups, part, grid.n_dofs, grid.dofs_per_node, iface)
     per_sub = group_major_sums(level.groups, part, grid.dofs_per_node)
-    ref = scipy.sparse.block_diag([k_j.scipy_csr() for k_j, _ in per_sub], format="csr")
-    csr = k.scipy_csr()
+    ref, ref_keys = stacked([k_j.scipy_csr() for k_j, _ in per_sub],
+                            [ltg for _, ltg in per_sub], grid.n_dofs, iface)
+    csr, ref = k.scipy_csr(), ref.scipy_csr()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(csr, attr), getattr(ref, attr))
-    sub, dofs = np.divmod(keys, grid.n_dofs)
-    assert np.array_equal(sub, np.repeat([0, 1], [ltg.size for _, ltg in per_sub]))
-    assert np.array_equal(dofs, np.concatenate([ltg for _, ltg in per_sub]))
+    assert np.array_equal(keys, ref_keys) and iface.size
 
 
 def test_coarse_assembly_from_interleaved_shape_groups():
@@ -1136,15 +1134,16 @@ def test_coarse_assembly_from_interleaved_shape_groups():
     part, n = partition_elements(grid, 4, method="auto"), grid.n_dofs
     assert [g.subs.tolist() for g in level.groups] == \
         [[0, 3, 12, 15], [1, 2, 4, 7, 8, 11, 13, 14], [5, 6, 9, 10]]
-    k, keys = subassemble_coarse(level.groups, part, n, 1)
+    iface = interface_dofs(classify_interface(grid, part), 1)
+    k, keys = subassemble_coarse(level.groups, part, n, 1, iface)
     subs = level.subs
     per_sub = [sum_elements([(coarse_matrix(level, e), subs[e].coarse_dofs[None])
                              for e in part.elements_of(j)], 1) for j in range(4)]
-    ref_keys = np.concatenate([j * n + ltg for j, (_, ltg) in enumerate(per_sub)])
+    ref, ref_keys = stacked([k_j.scipy_csr() for k_j, _ in per_sub],
+                            [ltg for _, ltg in per_sub], n, iface)
     assert np.array_equal(keys, ref_keys)
     assert np.all(np.diff(keys) > 0)
-    ref = scipy.sparse.block_diag([k_j.scipy_csr() for k_j, _ in per_sub], format="csr")
-    csr = k.scipy_csr()
+    csr, ref = k.scipy_csr(), ref.scipy_csr()
     assert np.array_equal(csr.indptr, ref.indptr) and np.array_equal(csr.indices, ref.indices)
     assert np.abs(csr.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
@@ -1162,14 +1161,17 @@ def test_node_pair_assembly_equals_the_dof_pair_sum_on_every_level(overrides):
     assert spec.dofs_per_node == levels[0].coarse.dofs_per_node > 1
     part = levels[0].partition
     free = dofmap.full_to_free[node_dofs(mesh.elem_nodes, spec.dofs_per_node)]
-    pairs = [(subassemble_subdomain(spec, mesh, dofmap, part),
+    iface, n_subs = levels[0].imap.dofs, part.n_subdomains
+    pairs = [(subassemble_subdomain(spec, mesh, dofmap, part, iface),
               sum_elements([(element_matrix(spec, mesh),
-                             subdomain_keys(part.assignment[:, None], free, dofmap.n_free))], 1))]
+                             subdomain_keys(part.assignment[:, None], free, dofmap.n_free,
+                                            n_subs, iface))], 1))]
     for prev, lv in zip(levels, levels[1:]):
-        n, part = lv.grid.n_dofs, lv.partition
-        pairs.append((subassemble_coarse(prev.groups, part, n, lv.grid.dofs_per_node),
-                      sum_elements([(g.kc, subdomain_keys(part.assignment[g.subs][:, None],
-                                                          g.dofs, n)) for g in prev.groups], 1)))
+        n, part, iface = lv.grid.n_dofs, lv.partition, lv.imap.dofs
+        keys = [subdomain_keys(part.assignment[g.subs][:, None], g.dofs, n, part.n_subdomains,
+                               iface) for g in prev.groups]
+        pairs.append((subassemble_coarse(prev.groups, part, n, lv.grid.dofs_per_node, iface),
+                      sum_elements([(g.kc, k) for g, k in zip(prev.groups, keys)], 1)))
     top = levels[-1]
     k_top = assemble_coarse(top.groups, top.coarse.dofs_per_node)
     pairs.append(((k_top, None), (sum_elements([(g.kc, g.dofs) for g in top.groups], 1)[0], None)))
@@ -1190,7 +1192,7 @@ def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):
     lv = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 4)
     with pytest.raises(NumericalError, match=r"final coarse matrix \(13 dofs\) is not positive "
                                              r"definite .* too weak"):
-        setup_bddc(lv.grid, lv.part, lambda: (lv.k, lv.keys))
+        setup_bddc(lv.grid, lv.part, lambda iface: (lv.k, lv.keys))
     assert main(["solve", "--set", "elements=8", "--hierarchy", "4"]) == EXIT_NUMERICAL
     assert "numerical failure: final coarse matrix" in capsys.readouterr().err
 

@@ -11,6 +11,7 @@ fails tier-1 as well.
 import importlib
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,13 @@ from scipy.linalg.lapack import dpotrf
 from mlbddc import bddc, load_config, run_experiment
 from mlbddc.fem import ProblemSpec, assemble_global, generate_box_mesh
 from mlbddc.sparse import factorize
+from mlbddc.substructuring import build_splits
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 THREE_LEVEL = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
 CORNERS_2D = ["problem=poisson", "dim=2", "elements=32", "hierarchy=16/4",
+              "constraint_policy=corners-only"]
+CORNERS_3D = ["problem=poisson", "dim=3", "elements=8", "hierarchy=64/8",
               "constraint_policy=corners-only"]
 
 
@@ -217,3 +221,33 @@ def test_elasticity_element_sort_runs_over_node_pairs(monkeypatch):
     mesh = generate_box_mesh(3, 4)
     assemble_global(ProblemSpec(kind="elasticity", dim=3), mesh)
     assert sorted_entries == [mesh.n_elems * 8 * 8]
+
+
+@pytest.mark.parametrize("overrides", [THREE_LEVEL, CORNERS_3D],
+                         ids=["elasticity3d", "poisson3d-corners"])
+def test_split_holds_no_level_sized_temporaries(monkeypatch, overrides):
+    # each level's K arrives in split order, so build_splits cuts K_II, K_IB
+    # and K_BB as contiguous slices and writes the band factor in place: the
+    # peak of what it allocates stays within 1.5x of what it returns (the
+    # three CSR blocks and the band factor). Copying a K-sized row block
+    # before selecting columns, or building the band from nnz-length int64
+    # index arrays, came to 2.1-2.5x on these configs, so a return to either
+    # fails here and not only in the benchmark's peak memory
+    ratios = []
+
+    def traced_build_splits(*args):
+        tracemalloc.start()
+        try:
+            splits, imap = build_splits(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fact = splits.k_ii_fact
+        out = sum(a.nbytes for m in (splits.k_ib, splits.k_bb, fact.matrix.scipy_csr())
+                  for a in csr_arrays(m)) + fact._payload.nbytes
+        ratios.append(peak / out)
+        return splits, imap
+
+    monkeypatch.setattr(bddc, "build_splits", traced_build_splits)
+    assert run_experiment(load_config(overrides=overrides)).levels == 3
+    assert len(ratios) == 2 and max(ratios) <= 1.5, ratios

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from mlbddc.fem import (
     Mesh,
@@ -18,8 +17,10 @@ from mlbddc.fem import (
     subassemble_subdomain,
 )
 from mlbddc.grid import level_grid_from_mesh
+from mlbddc.interface import classify_interface, interface_dofs
 from mlbddc.partition import Partition, partition_elements
 from mlbddc.sparse import factorize, sum_elements
+from test_substructuring import stacked
 
 
 def poisson(dim=2, **kw):
@@ -259,6 +260,12 @@ def test_poisson_patch_test_linear_field():
     assert np.allclose(x, vals[dm.free_dofs], rtol=0, atol=1e-12)
 
 
+def interface_of(spec, mesh, dm, part):
+    """The sorted interface free dofs of the element partition part."""
+    grid = level_grid_from_mesh(mesh, spec, dm)
+    return interface_dofs(classify_interface(grid, part), spec.dofs_per_node)
+
+
 def test_subassembly_identity():
     # sum of prolongated subdomain matrices equals the global operator
     rng = np.random.default_rng(41)
@@ -267,8 +274,11 @@ def test_subassembly_identity():
         k, _ = assemble_global(spec, mesh)
         dm = build_dof_map(spec, mesh)
         part = Partition(3, rng.integers(0, 3, size=mesh.n_elems), "random")
-        k_sub, keys = subassemble_subdomain(spec, mesh, dm, part)
-        sub, dofs = np.divmod(keys, dm.n_free)
+        iface = interface_of(spec, mesh, dm, part)
+        k_sub, keys = subassemble_subdomain(spec, mesh, dm, part, iface)
+        block, dofs = np.divmod(keys, dm.n_free)
+        assert np.array_equal(block >= 3, np.isin(dofs, iface)) and iface.size
+        sub = block % 3
         blocks = k_sub.scipy_csr().toarray()
         total = np.zeros(k.shape)
         for s in range(3):
@@ -283,24 +293,26 @@ STACKED_CASES = [(poisson(2), 8, 4), (elasticity(3), 4, 8)]
 @pytest.mark.parametrize("spec,n,n_subs", STACKED_CASES, ids=["poisson2d", "elasticity3d"])
 def test_stacked_subassembly_is_block_diag_of_subdomains(spec, n, n_subs):
     # one call equals scipy's block_diag of per-subdomain sums entry for
-    # entry, and its keys are (subdomain, free dof) in subdomain order
+    # entry, rows and columns permuted to split order: keys are (is
+    # interface, subdomain, free dof), interior dofs before interface dofs
     mesh = generate_box_mesh(spec.dim, n)
     dm = build_dof_map(spec, mesh)
     part = partition_elements(level_grid_from_mesh(mesh, spec, dm), n_subs)
-    k, keys = subassemble_subdomain(spec, mesh, dm, part)
+    iface = interface_of(spec, mesh, dm, part)
+    k, keys = subassemble_subdomain(spec, mesh, dm, part, iface)
     ke = element_matrix(spec, mesh)
     ed = node_dofs(mesh.elem_nodes, spec.dofs_per_node)
     per_sub = [sum_elements([(ke, dm.full_to_free[ed[part.elements_of(s)]])], spec.dofs_per_node)
                for s in range(n_subs)]
-    ref = scipy.sparse.block_diag([k_s.scipy_csr() for k_s, _ in per_sub], format="csr")
-    csr = k.scipy_csr()
+    ref, ref_keys = stacked([k_s.scipy_csr() for k_s, _ in per_sub],
+                            [ltg for _, ltg in per_sub], dm.n_free, iface)
+    csr, ref = k.scipy_csr(), ref.scipy_csr()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(csr, attr), getattr(ref, attr))
     assert k.symmetric
-    sub, dofs = np.divmod(keys, dm.n_free)
-    assert np.array_equal(sub, np.repeat(np.arange(n_subs), [ltg.size for _, ltg in per_sub]))
-    assert np.array_equal(dofs, np.concatenate([ltg for _, ltg in per_sub]))
-    assert np.array_equal(keys, sub * dm.n_free + dofs)
+    assert np.array_equal(keys, ref_keys)
+    block, dofs = np.divmod(keys, dm.n_free)
+    assert np.all(np.diff(block) >= 0) and np.array_equal(block >= n_subs, np.isin(dofs, iface))
 
 
 def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
@@ -324,7 +336,9 @@ def test_q1_elements_as_coarse_style_blocks_match_global_assembly():
 def test_subassembly_local_map_sorted():
     mesh = generate_box_mesh(2, 4)
     part = Partition(2, np.isin(np.arange(16), [0, 1, 4, 5]).astype(np.int64), "test")
-    k, keys = subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), part)
+    dm = build_dof_map(poisson(), mesh)
+    k, keys = subassemble_subdomain(poisson(), mesh, dm, part,
+                                    interface_of(poisson(), mesh, dm, part))
     assert np.all(np.diff(keys) > 0)
     assert k.shape == (keys.size, keys.size)
     assert k.scipy_csr().has_canonical_format
@@ -334,7 +348,8 @@ def test_subassembly_rejects_empty():
     mesh = generate_box_mesh(2, 2)
     part = Partition(3, np.array([0, 0, 2, 2]), "test")
     with pytest.raises(ValueError):
-        subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), part)
+        subassemble_subdomain(poisson(), mesh, build_dof_map(poisson(), mesh), part,
+                              np.zeros(0, dtype=np.int64))
 
 
 def test_dofmap_expand():

@@ -19,19 +19,25 @@ from mlbddc.substructuring import (
     condensed_rhs,
     recover_interior,
     schur_apply,
+    subdomain_keys,
 )
 
 
-def stacked(blocks, dof_lists, n_dofs):
-    """Block-diagonal matrix and keys of the given subdomain matrices."""
-    k = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
-    keys = np.concatenate([i * n_dofs + np.asarray(d) for i, d in enumerate(dof_lists)])
-    return k, keys
+def stacked(blocks, dof_lists, n_dofs, iface_dofs):
+    """Block-diagonal matrix of the given subdomain matrices (subdomain i
+    over level dofs dof_lists[i]) and its keys from subdomain_keys, rows
+    and columns permuted to ascending keys: the split order of a level's
+    subassembly, interior dofs before interface dofs."""
+    keys = np.concatenate([subdomain_keys(i, d, n_dofs, len(dof_lists), iface_dofs)
+                           for i, d in enumerate(dof_lists)])
+    order = np.argsort(keys)
+    k = scipy.sparse.block_diag(blocks, format="csr")[order][:, order]
+    return SparseMatrix.from_scipy(k, symmetric=True), keys[order]
 
 
 def chain_splits():
     k, keys = stacked([[[2.0, -1.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 2.0]]],
-                      [[0, 1], [1, 2]], 3)
+                      [[0, 1], [1, 2]], 3, [1])
     return build_splits(k, keys, np.array([1]), 3, 2)
 
 
@@ -134,14 +140,66 @@ def test_workers_key_starts_no_threads(monkeypatch):
 
 
 def test_split_errors():
-    k, keys = stacked([[[1.0]]], [[0]], 3)
+    k, keys = stacked([[[1.0]]], [[0]], 3, [])
     with pytest.raises(ValueError, match="sorted"):
         build_splits(k, keys, np.array([2, 1]), 3, 1)
     with pytest.raises(ValueError, match="key count"):
         build_splits(k, np.array([0, 1]), np.zeros(0, dtype=int), 3, 1)
-    k, keys = stacked([[[1.0]], [[1.0]]], [[0], [0]], 3)
+    k, keys = stacked([[[1.0]], [[1.0]]], [[0], [0]], 3, [])
     with pytest.raises(ValueError, match="more than one"):
         build_splits(k, keys, np.zeros(0, dtype=int), 3, 2)
     splits, imap = chain_splits()
     with pytest.raises(ValueError, match="length"):
         schur_apply(splits, imap, np.zeros(3))
+
+
+def test_split_rejects_keys_that_are_not_interface_last():
+    # the chain's keys in subdomain-major order (subdomain * n_dofs + dof),
+    # with an interface flag that disagrees with the interface dofs, out of
+    # order, and past the last block: each is refused with the layout named
+    k, keys = stacked([[[2.0, -1.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 2.0]]],
+                      [[0, 1], [1, 2]], 3, [1])
+    assert keys.tolist() == [0, 5, 3 * 2 + 1, 3 * 3 + 1]
+    for bad, iface in (([0, 1, 3 + 1, 3 + 2], [1]), (keys, [2]), (keys[::-1], [1]),
+                       (keys + 3 * 4, [1])):
+        with pytest.raises(ValueError, match="not interface-last"):
+            build_splits(k, np.array(bad), np.array(iface), 3, 2)
+
+
+# level dofs 0..6 over four subdomains, some owning interface dofs only and
+# some no dof at all, as coarse levels can have
+EDGE_LEVELS = {"no-interior": [[0, 1, 2, 3], [2, 4], [], [4, 5, 6]],
+               "no-dof": [[0, 1, 2, 3], [], [2, 4, 5, 6], [6]]}
+
+
+@pytest.mark.parametrize("dof_lists", EDGE_LEVELS.values(), ids=EDGE_LEVELS.keys())
+def test_split_matches_dense_oracle_with_empty_subdomain_parts(dof_lists):
+    dof_lists = [np.asarray(d, dtype=np.int64) for d in dof_lists]
+    rng = np.random.default_rng(5)
+    blocks = []
+    for d in dof_lists:
+        q = rng.standard_normal((len(d), len(d)))
+        blocks.append(q @ q.T + len(d) * np.eye(len(d)))
+    n = 7
+    count = np.bincount(np.concatenate(dof_lists), minlength=n)
+    iface = np.nonzero(count > 1)[0]
+    k, keys = stacked(blocks, dof_lists, n, iface)
+    splits, imap = build_splits(k, keys, iface, n, len(dof_lists))
+    interior = [np.setdiff1d(d, iface) for d in dof_lists]
+    assert np.array_equal(np.diff(splits.interior_offsets), [a.size for a in interior])
+    assert np.array_equal(np.diff(splits.iface_offsets),
+                          [len(d) - a.size for d, a in zip(dof_lists, interior)])
+    assert 0 in np.diff(splits.interior_offsets)
+    # the dense oracle: assemble sum_i R_i^T K_i R_i and eliminate its interior
+    kd = np.zeros((n, n))
+    for d, b in zip(dof_lists, blocks):
+        kd[np.ix_(d, d)] += b
+    inner = np.setdiff1d(np.arange(n), iface)
+    kii, kib, kbb = kd[np.ix_(inner, inner)], kd[np.ix_(inner, iface)], kd[np.ix_(iface, iface)]
+    s_dense = kbb - kib.T @ np.linalg.solve(kii, kib)
+    x, f = rng.standard_normal(iface.size), rng.standard_normal(n)
+    assert np.allclose(schur_apply(splits, imap, x), s_dense @ x, rtol=0, atol=1e-12)
+    g = condensed_rhs(splits, imap, f)
+    assert np.allclose(g, f[iface] - kib.T @ np.linalg.solve(kii, f[inner]), rtol=0, atol=1e-12)
+    u = recover_interior(splits, imap, np.linalg.solve(s_dense, g), f, n_dofs=n)
+    assert np.allclose(u, np.linalg.solve(kd, f), rtol=0, atol=1e-12)
