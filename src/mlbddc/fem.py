@@ -291,7 +291,21 @@ def _strain_matrix(dim: int, g: np.ndarray) -> np.ndarray:
 
 def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Element stiffness by 2-point Gauss per axis. All elements of a box
-    mesh are congruent, so one matrix, from the first element, serves all."""
+    mesh are congruent, so one matrix, from the first element, serves all.
+
+    Entries that are zero up to rounding are stored as exact zeros. Each
+    entry sums terms t over the n_q quadrature points: det g_i g_j over the
+    dim gradient components for Poisson, det B_ki D_kl B_lj over the s^2
+    pairs of the s Voigt strains for elasticity. Any one term passes
+    through at most m = (terms per entry) + (factors per term) roundings
+    (its products, the additions that sum it, the symmetrization), so the
+    computed entry is within gamma_m Sigma|t|, gamma_m = m u / (1 - m u)
+    for unit roundoff u, of the exact sum of its terms (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, §3.1 and §4.2).
+    An entry with |Sigma t| <= gamma_m Sigma|t| is set to 0: on a cube,
+    exactly the 24 edge couplings of 3D Poisson, whose exact value is 0.
+    2D Poisson, stretched boxes and elasticity keep every entry.
+    """
     dim = mesh.dim
     if spec.dim != dim:
         raise ValueError(f"problem dim {spec.dim} != mesh dim {dim}")
@@ -301,7 +315,9 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
         np.meshgrid(*([pts] * dim), indexing="ij"), axis=-1).reshape(-1, dim)]
     ndof = x.shape[0] * spec.dofs_per_node
     ke = np.zeros((ndof, ndof))
+    abs_sum = np.zeros((ndof, ndof))    # Sigma|t|
     d_mat = _elastic_d(spec) if spec.kind == "elasticity" else None
+    m = len(quad) * dim + 3 if d_mat is None else len(quad) * d_mat.shape[0] ** 2 + 4
     for xi in quad:
         dn = _shape_gradients(dim, xi)
         jac = x.T @ dn
@@ -311,10 +327,15 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
         g = dn @ np.linalg.inv(jac)
         if spec.kind == "poisson":
             ke += det * (g @ g.T)
+            abs_sum += det * (np.abs(g) @ np.abs(g).T)
         else:
             b = _strain_matrix(dim, g)
             ke += det * (b.T @ d_mat @ b)
-    return (ke + ke.T) / 2.0
+            abs_sum += det * (np.abs(b).T @ np.abs(d_mat) @ np.abs(b))
+    ke = (ke + ke.T) / 2.0
+    u = np.finfo(np.float64).eps / 2
+    ke[np.abs(ke) <= m * u / (1 - m * u) * (abs_sum + abs_sum.T) / 2.0] = 0.0
+    return ke
 
 
 # -- assembly -----------------------------------------------------------------

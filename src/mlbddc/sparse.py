@@ -5,8 +5,9 @@ that `factorize` reads; products use the scipy matrix directly. Every
 level sums its element matrices here (Q1 elements, or subdomains as
 coarse elements), all subdomains of a level in one call: keying each
 element's dofs by subdomain makes the sum one block-diagonal matrix.
-The sum sorts node pairs (two stable CSR/CSC transposes), then sums each
-of the dofs_per_node^2 components' duplicates left to right, in element
+The sum sorts the node pairs that couple, skipping any pair whose block is
+zero in every element (two stable CSR/CSC transposes), then sums each of
+the dofs_per_node^2 components' duplicates left to right, in element
 order, so it is bitwise symmetric with no symmetrization pass.
 Factorizations are of SPD matrices only: LAPACK's band Cholesky while
 the band storage of every diagonal block fits a fixed budget, and SuperLU
@@ -114,19 +115,24 @@ def sum_elements(blocks, dofs_per_node: int):
     Returns (K, local_to_global): K is numbered over the ids the kept
     entries touch, ascending, and local_to_global lists those ids.
 
-    K_ij is the left-to-right sum of its contributions in block order, then
-    element order, so K is bitwise symmetric whenever no element repeats an
-    id, and bitwise equal to the sum of the same blocks with dofs_per_node
-    1. Entries that sum to exactly zero are not stored, and K owns compact,
-    canonical CSR arrays.
+    K_ij is the left-to-right sum of its contributions from nonzero blocks,
+    in block order, then element order: a local node pair whose b x b block
+    is zero in every element of its block (the shared matrix, or every
+    member of a stack) is not summed at all. Adding +-0.0 changes no
+    nonzero sum, so this is bitwise the sum of all contributions. K is
+    bitwise symmetric whenever no element repeats an id, and bitwise equal
+    to the sum of the same blocks with dofs_per_node 1. Entries that sum to
+    exactly zero are not stored, and K owns compact, canonical CSR arrays.
 
-    Two linear, stable counting sorts order the node pairs (b^2 times fewer
-    than dof pairs), each carrying the int32 index of its b x b block in a
-    table of the symmetrized element matrices: a CSR row per (element, local
-    node) goes to CSC, then, rows relabelled by node, back to CSR, leaving
-    duplicates adjacent in element order (dropped nodes, relabelled n, sort
-    last and are cut off). Each component gathers its values in that order
-    and sums duplicates sequentially; the blocks then expand to dof rows.
+    Two linear, stable counting sorts order the summed node pairs (b^2
+    times fewer than dof pairs), each carrying the int32 index of its b x b
+    block in a table of the symmetrized element matrices: a CSR row per
+    (element, local node) goes to CSC, then, rows relabelled by node, back
+    to CSR, leaving duplicates adjacent in element order (dropped nodes,
+    relabelled n, sort last and are cut off). Each component gathers its
+    values in that order and sums duplicates sequentially into one row of
+    a (b^2, pairs) array, which is transposed once as the blocks expand to
+    dof rows.
     """
     b = dofs_per_node
     blocks = [(np.asarray(k, dtype=np.float64), _element_nodes(np.asarray(d, dtype=np.int64), b))
@@ -134,8 +140,23 @@ def sum_elements(blocks, dofs_per_node: int):
     nodes = sorted_unique(np.concatenate([nd[nd >= 0] for _, nd in blocks]))   # first ids
     n = nodes.shape[0]
     table = np.empty(sum(k.size for k, _ in blocks))
+    pairs, row_len = [], []
+    base = 0
+    for k, nd in blocks:
+        n_e, p = nd.shape
+        # the symmetrized element matrices, node-pair blocks contiguous: [e,] A, B, c, d
+        t = table[base:base + k.size]
+        kp = k.reshape(k.shape[:-2] + (p, b, p, b)).swapaxes(-3, -2)
+        np.add(kp, kp.swapaxes(-4, -3).swapaxes(-2, -1), out=t.reshape(kp.shape))
+        t *= 0.5
+        # the local node pairs a * p + c summed: those nonzero in some element
+        nonzero = t.reshape(k.shape[:-2] + (p * p, b * b)) != 0
+        q = np.flatnonzero(nonzero.any(axis=(0, 2) if k.ndim == 3 else 1))
+        pairs.append(q)
+        row_len.append(np.tile(np.bincount(q // p, minlength=p), n_e))
+        base += k.size
     # element rows, block by block: row_node[r] is the local node of row r
-    row_len = np.concatenate([np.full(nd.size, nd.shape[1]) for _, nd in blocks])
+    row_len = np.concatenate(row_len)
     n_rows, nnz = row_len.size, int(row_len.sum())
     idx = np.int32 if max(nnz, n_rows, n + 1, table.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n_rows + 1, dtype=idx)
@@ -144,21 +165,20 @@ def sum_elements(blocks, dofs_per_node: int):
     cols = np.empty(nnz, dtype=idx)
     src = np.empty(nnz, dtype=idx)
     r = base = 0
-    for k, nd in blocks:
+    for (k, nd), q in zip(blocks, pairs):
         n_e, p = nd.shape
         lo, hi = indptr[r], indptr[r + n_e * p]
-        local = np.where(nd >= 0, np.searchsorted(nodes, nd), n)
+        local = np.where(nd >= 0, np.searchsorted(nodes, nd), n).astype(idx)
         row_node[r:r + n_e * p] = local.ravel()
-        cols[lo:hi].reshape(n_e, p, p)[...] = local[:, None, :]
-        # the symmetrized element matrices, node-pair blocks contiguous: [e,] A, B, c, d
-        kp = k.reshape(k.shape[:-2] + (p, b, p, b)).swapaxes(-3, -2)
-        np.add(kp, kp.swapaxes(-4, -3).swapaxes(-2, -1),
-               out=table[base:base + k.size].reshape(kp.shape))
-        table[base:base + k.size] *= 0.5
-        starts = base + b * b * np.arange(k.size // (b * b), dtype=idx)
-        src[lo:hi].reshape(n_e, p * p)[...] = starts.reshape(k.shape[:-2] + (p * p,))
+        # (in-range indices: mode="clip" only spares take a buffered copy of out)
+        np.take(local, q % p, axis=1, out=cols[lo:hi].reshape(n_e, q.size), mode="clip")
+        # the table index of each summed block: element 0's, then a stack's later members
+        first = src[lo:hi].reshape(n_e, q.size)
+        first[...] = base + b * b * q
+        if k.ndim == 3:
+            first += idx(p * p * b * b) * np.arange(n_e, dtype=idx)[:, None]
         r, base = r + n_e * p, base + k.size
-    del blocks, row_len
+    del blocks, pairs, row_len, nonzero, t, first   # t and first view table and src
     by_col = scipy.sparse.csr_matrix((src, cols, indptr), shape=(n_rows, n + 1)).tocsc()
     del src, cols
     end = by_col.indptr[n]
@@ -170,6 +190,8 @@ def sum_elements(blocks, dofs_per_node: int):
     end = by_row.indptr[n]
     src, indices, indptr = by_row.data[:end], by_row.indices[:end], by_row.indptr[:n + 1]
     del by_row
+    if b > 1:   # b^2 gathers repay one cast of the index to intp
+        src = src.astype(np.intp)
     for c in range(b * b):
         # values table[src + c]; scipy sums duplicates as a left fold (np.add.reduceat
         # does not) and compacts the index arrays in place: all but the last get copies
@@ -179,11 +201,12 @@ def sum_elements(blocks, dofs_per_node: int):
         part.sum_duplicates()
         if b > 1:
             if c == 0:
-                values = np.empty((part.nnz, b, b))
-            values.reshape(-1, b * b)[:, c] = part.data
+                values = np.empty((b * b, part.nnz))
+            values[c] = part.data
     del src, indices, indptr, table
     s = part
     if b > 1:   # expand the b x b blocks to dof rows (with b = 1 the sum is K)
+        values = np.ascontiguousarray(values.T).reshape(-1, b, b)
         s = scipy.sparse.bsr_matrix((values, part.indices, part.indptr), shape=(n * b, n * b))
         del part, values
         s = s.tocsr()

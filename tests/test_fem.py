@@ -134,6 +134,45 @@ def test_poisson_element_row_sums_vanish():
         assert np.max(np.abs(ke.sum(axis=1))) < 1e-13
 
 
+def test_poisson_3d_cube_element_stores_its_edge_couplings_as_exact_zeros():
+    # the trilinear Laplacian on a cube of side h: h/3 on the diagonal, -h/12
+    # across a face or the body diagonal, and exactly 0 along an edge, which
+    # quadrature leaves at ~1e-17 and the rounding rule stores as 0
+    h = 0.25
+    mesh = generate_box_mesh(3, 4)
+    ke = element_matrix(poisson(3), mesh)
+    x = mesh.coords[mesh.elem_nodes[0]]
+    differ = np.sum(~np.isclose(x[:, None, :], x[None, :, :]), axis=2)   # axes apart
+    assert np.count_nonzero(ke == 0) == 24
+    assert np.array_equal(ke == 0, differ == 1)
+    other = differ != 1
+    assert np.allclose(ke[other], np.where(differ == 0, h / 3, -h / 12)[other],
+                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("spec,length", [
+    (poisson(3), (1.0, 2.0, 3.0)), (poisson(2), 1.0), (elasticity(2), 1.0),
+    (elasticity(3), 1.0), (elasticity(3), (1.0, 2.0, 3.0))],
+    ids=["poisson3d-stretched", "poisson2d", "elasticity2d", "elasticity3d",
+         "elasticity3d-stretched"])
+def test_element_matrix_has_no_zero_where_nothing_cancels(spec, length):
+    ke = element_matrix(spec, generate_box_mesh(spec.dim, 3, length))
+    assert np.all(ke != 0)
+
+
+def test_poisson_3d_level_matrix_stores_no_round_off():
+    # an interior row couples to the 27-point stencil less its 6 edge
+    # neighbours, and no stored entry is round-off
+    spec = poisson(3)
+    mesh = generate_box_mesh(3, 8)
+    dm = build_dof_map(spec, mesh)
+    part = partition_elements(level_grid_from_mesh(mesh, spec, dm), 8)
+    k, _ = subassemble_subdomain(spec, mesh, dm, part, interface_of(spec, mesh, dm, part))
+    csr = k.scipy_csr()
+    assert np.diff(csr.indptr).max() == 21
+    assert np.all(np.abs(csr.data) > 1e-14 * np.abs(csr.data).max())
+
+
 def rigid_modes(dim, coords):
     modes = []
     n = coords.shape[0]

@@ -460,6 +460,71 @@ def test_sum_elements_returns_a_compact_canonical_csr_over_node_pairs():
     assert csr.indices.dtype == csr.indptr.dtype == np.int32
 
 
+def pair_entries(k, ltg, b, node_i, node_j):
+    """The stored entries of K between the dofs of two nodes."""
+    return {ij: v for ij, v in stored_entries(k, ltg).items()
+            if ij[0] // b == node_i and ij[1] // b == node_j}
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_sum_elements_skips_node_pairs_zero_in_a_shared_matrix(b):
+    # a chain of elements over nodes 2e..2e+3: local pairs (0, 2) and (1, 3)
+    # couple nodes no other element couples, and their blocks are zero (the
+    # second only in its symmetric part), so K stores nothing for them; all
+    # other entries are the fold bitwise
+    rng = np.random.default_rng(30 + b)
+    k = rng.standard_normal((4 * b, 4 * b))
+    kb = k.reshape(4, b, 4, b)
+    kb[0, :, 2] = kb[2, :, 0] = 0.0
+    kb[3, :, 1] = -kb[1, :, 3].T
+    nodes = 2 * np.arange(6)[:, None] + np.arange(4)
+    blocks = [(k, (nodes[..., None] * b + np.arange(b)).reshape(6, 4 * b))]
+    out, ltg = sum_elements(blocks, b)
+    assert stored_entries(out, ltg) == {ij: v for ij, v in fold_sum(blocks).items() if v != 0.0}
+    for e in range(6):
+        for i, j in ((2 * e, 2 * e + 2), (2 * e + 1, 2 * e + 3)):
+            assert pair_entries(out, ltg, b, i, j) == pair_entries(out, ltg, b, j, i) == {}
+    csr = out.scipy_csr()
+    assert buffer_size(csr.data) == buffer_size(csr.indices) == csr.nnz
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_sum_elements_skips_only_node_pairs_zero_in_every_member(b):
+    # a stack whose members all sit on nodes 3, 5, 8, 9: pair (3, 8) is zero
+    # in every member and is not stored; pair (5, 9) is zero in members 0, 2
+    # and 4 only and is summed from the others, bitwise the fold
+    rng = np.random.default_rng(40 + b)
+    k = rng.standard_normal((5, 4 * b, 4 * b))
+    kb = k.reshape(5, 4, b, 4, b)
+    kb[:, 0, :, 2] = kb[:, 2, :, 0] = 0.0
+    kb[::2, 1, :, 3] = kb[::2, 3, :, 1] = 0.0
+    dofs = np.repeat((np.array([3, 5, 8, 9])[:, None] * b + np.arange(b)).reshape(1, -1), 5, axis=0)
+    # a second block over overlapping nodes, so pairs also sum across blocks
+    blocks = [(k, dofs)] + node_major_blocks(rng, b)[1:]
+    out, ltg = sum_elements(blocks, b)
+    ref = fold_sum(blocks)
+    assert stored_entries(out, ltg) == {ij: v for ij, v in ref.items() if v != 0.0}
+    assert pair_entries(out, ltg, b, 3, 8) == pair_entries(out, ltg, b, 8, 3) == {}
+    assert len(pair_entries(out, ltg, b, 5, 9)) == b * b
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_sum_elements_keeps_a_block_with_some_zero_components(b):
+    # pair (0, 2)'s block has a zero first row (and its mirror a zero first
+    # column), but the rest is nonzero: the pair is summed, and only its
+    # zero components are left unstored
+    rng = np.random.default_rng(50 + b)
+    k = rng.standard_normal((4 * b, 4 * b))
+    kb = k.reshape(4, b, 4, b)
+    kb[0, 0, 2] = kb[2, :, 0, 0] = 0.0
+    blocks = [(k, np.arange(4 * b)[None])]
+    out, ltg = sum_elements(blocks, b)
+    assert stored_entries(out, ltg) == {ij: v for ij, v in fold_sum(blocks).items() if v != 0.0}
+    stored = pair_entries(out, ltg, b, 0, 2)
+    assert len(stored) == b * b - b and all(i != 0 for i, _ in stored)
+
+
 @pytest.mark.parametrize("dofs", [[[4, 6, 6, 7]], [[2, 3, 6, -1]], [[-1, 3, 6, 7]],
                                   [[5, 6, 2, 3]], [[2, 3, 4]]],
                          ids=["broken-run", "partly-dropped", "partly-kept",
