@@ -51,13 +51,14 @@ level come from one construction over the coarse nodes and their members
 group, whatever does not depend on the Schur complements (dense positions of
 its matrix rows, interface orders with each row's own dof, and the index
 maps of N_i and X_i) is indexed once for all of its members; only the dense
-kernels (a band triangular solve with the subdomain's own columns of the
-level's K_II factor and a rank-k update for S_i, then potrf and potri for
+kernels (a triangular solve with the subdomain's own columns of the level's
+band K_II factor and a rank-k update for S_i, then potrf and potri for
 A_i), the gathers of S_i's rows and columns and the products with A_i^-1
 run once per subdomain, writing A_i^-1, U_i and the coarse matrices into
-the group's stacks. All reductions accumulate in a fixed order (shape groups,
-then subdomains), so results are bitwise reproducible at a fixed BLAS
-thread count.
+the group's stacks; the next level's assembly, the coarse matrices' only
+reader, takes them out of the groups. All reductions accumulate in a fixed
+order (shape groups, then subdomains), so results are bitwise reproducible
+at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -172,8 +173,11 @@ class ShapeGroup:
     it, or the sentinel slot n_stacked_interface, which the apply pads with
     zero; None where that would be the sentinel throughout, as with corners
     only, so the apply skips the masters), each row's own dof and X's weight
-    on it. The only operators stored per member are A^-1, U = A^-1 V and the
-    coarse matrix."""
+    on it. The only operators stored per member are A^-1 and U = A^-1 V. The
+    coarse matrices kc are written by `coarse_basis` and read once, by the
+    next level's assembly (`subassemble_coarse`, or `assemble_coarse` for the
+    top matrix), which takes them out of the group: a built preconditioner
+    holds none."""
 
     subs: np.ndarray              # (m,) the members' subdomain indices
     order: np.ndarray             # (m, n_interface) interface order, local positions
@@ -186,7 +190,7 @@ class ShapeGroup:
     w: np.ndarray                 # (m, n_constraints) 1 / (1 / size) of each row
     ainv: np.ndarray              # (m, n_kept, n_kept) A^-1
     u: np.ndarray                 # (m, n_kept, n_constraints) U = A^-1 V
-    kc: np.ndarray                # (m, n_constraints, n_constraints)
+    kc: np.ndarray | None         # (m, n_constraints, n_constraints), until assembled
 
 
 def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
@@ -268,8 +272,9 @@ class SubdomainConstraints:
 class SubdomainCoarse:
     """One subdomain's coarse machinery on its interface, formed on request
     (`BddcLevel.subs`): A^-1 and U = A^-1 V (views into member `slot` of its
-    ShapeGroup, which also holds its coarse matrix), where it assembles, and
-    on each call the basis psi and the record of A = N^T S_ff N."""
+    ShapeGroup), where it assembles, and on each call the basis psi and the
+    record of A = N^T S_ff N. Its coarse matrix is not kept: the next level's
+    assembly took it."""
 
     constraints: SubdomainConstraints
     ainv: np.ndarray              # (n_kept, n_kept)
@@ -374,7 +379,8 @@ def coarse_basis(g: ShapeGroup, schur) -> None:
     Fills the group's stacks with A^-1 and U = A^-1 V, V = N^T (S X)_f: the
     constrained solve is z_f = N A^-1 N^T r_f, the basis is psi = X - N U
     (the constrained energy minimizers with unit constraint values), and
-    the coarse matrix is psi^T S psi = X^T S X - V^T U, symmetrized.
+    the coarse matrix, stacked in kc until the next level's assembly takes
+    it, is psi^T S psi = X^T S X - V^T U, symmetrized.
     Returns nothing: no record of A is kept (see `SubdomainCoarse.bordered`).
 
     Each member's setup check, run as soon as its inverse is made, applies
@@ -523,12 +529,20 @@ interior_precorrection = condensed_rhs
 interior_postcorrection = recover_interior
 
 
+def _take_kc(g: ShapeGroup) -> np.ndarray:
+    """Take g's coarse element matrices out of it: the assembly that reads
+    them is their last reader, and frees them once it has copied them."""
+    kc, g.kc = g.kc, None
+    return kc
+
+
 def assemble_coarse(groups, dofs_per_node: int) -> SparseMatrix:
     """Assemble a level's coarse element matrices into one sparse operator
     over all its coarse dofs (every coarse dof belongs to some subdomain):
     one (kc, dofs) block per shape group, as level 1 passes one (ke, dofs).
-    Coarse dof node * dofs_per_node + c is component c of a coarse node."""
-    return sum_elements([(g.kc, g.dofs) for g in groups], dofs_per_node)[0]
+    Coarse dof node * dofs_per_node + c is component c of a coarse node.
+    The sum takes each group's kc (`_take_kc`)."""
+    return sum_elements(((_take_kc(g), g.dofs) for g in groups), dofs_per_node)[0]
 
 
 def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node: int,
@@ -538,11 +552,11 @@ def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node:
     block per group, over `subdomain_keys` of the coarse dofs with the
     level's interface dofs iface_dofs, so entries sum group by group, then
     member by member. Returns (K, keys), laid out in split order like
-    `fem.subassemble_subdomain`'s."""
+    `fem.subassemble_subdomain`'s. The sum takes each group's kc (`_take_kc`)."""
     n_subs = partition.n_subdomains
-    return sum_elements([(g.kc, subdomain_keys(partition.assignment[g.subs][:, None], g.dofs,
-                                               n_dofs, n_subs, iface_dofs)) for g in groups],
-                        dofs_per_node)
+    return sum_elements(((_take_kc(g), subdomain_keys(partition.assignment[g.subs][:, None],
+                                                      g.dofs, n_dofs, n_subs, iface_dofs))
+                         for g in groups), dofs_per_node)
 
 
 def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
@@ -555,13 +569,13 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
     A member's K_IB and K_BB are read straight from the stacked CSR arrays
     (a member has no entries outside its own columns) into dense arrays in
     interface order. Its K_II block is never made dense: S = K_BB - W^T W
-    with W = L^-1 K_IB by a band triangular solve with its own columns of
-    the level's band Cholesky factor, W^T W by one rank-k update of S's
-    lower triangle, then mirrored, so S is exactly symmetric. The level's
-    factor is SuperLU only when some K_II block is beyond the band budget
-    (see `factorize`), and then each member factorizes its own K_II block
-    and takes S = K_BB - K_IB^T K_II^-1 K_IB by a solve for the n_B
-    columns of K_IB, symmetrized.
+    with W = L^-1 K_IB by a triangular solve with its own columns of the
+    level's band Cholesky factor (`Factorization.lower_solve`), W^T W by one
+    rank-k update of S's lower triangle, then mirrored, so S is exactly
+    symmetric. The level's factor is SuperLU only when some K_II block is
+    beyond the band budget (see `factorize`), and then each member
+    factorizes its own K_II block and takes S = K_BB - K_IB^T K_II^-1 K_IB
+    by a solve for the n_B columns of K_IB, symmetrized.
     """
     nb, subs = g.order.shape[1], g.subs[slots]
     fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
@@ -636,7 +650,8 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
     in split order, interior dofs before interface dofs. Coarser levels, and
     the top matrix, are assembled from the previous level's shape-group
     stacks (`subassemble_coarse`, `assemble_coarse`). Every level's K is
-    freed once split.
+    freed once split, and its coarse element matrices once summed into the
+    next level's K.
 
     coarse_counts lists the subdomain counts of levels 2..L-1 (empty for the
     two-level method); the final coarse problem is always factorized

@@ -11,11 +11,14 @@ the dofs_per_node^2 components' duplicates left to right, in element
 order, so it is bitwise symmetric with no symmetrization pass.
 Factorizations are of SPD matrices only: LAPACK's band Cholesky while
 the band storage of every diagonal block fits a fixed budget, and SuperLU
-in symmetric mode above it; both paths reject a non-positive pivot. A
+in symmetric mode above it (scipy.sparse.linalg is imported only then);
+both paths reject a non-positive pivot. A
 block-diagonal matrix, such as the stacked interior blocks of all
 subdomains of a level, is factorized once as a whole: it fills in only
 inside its blocks, so its band factor is its blocks' band factors side by
-side, and the budget bounds each block's share. Each factor's accuracy is
+side, and the budget bounds each block's share; a triangular solve with
+one block's factor runs on the band, or on a dense copy of the block's
+triangle where the band stores at least as much. Each factor's accuracy is
 checked once, right after it is made, by solving a fixed probe right-hand
 side and checking the residual of every diagonal block; its later solves
 are plain factor solves with no residual check.
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import NotPositiveDefiniteError, NumericalError
@@ -155,6 +158,10 @@ def sum_elements(blocks, dofs_per_node: int):
         pairs.append(q)
         row_len.append(np.tile(np.bincount(q // p, minlength=p), n_e))
         base += k.size
+    # the element matrices live on in the table only: a caller that hands its
+    # blocks over (a generator) has them freed here
+    blocks = [(nd, k.ndim == 3, k.size) for k, nd in blocks]
+    del k, kp, t, nonzero
     # element rows, block by block: row_node[r] is the local node of row r
     row_len = np.concatenate(row_len)
     n_rows, nnz = row_len.size, int(row_len.sum())
@@ -165,7 +172,7 @@ def sum_elements(blocks, dofs_per_node: int):
     cols = np.empty(nnz, dtype=idx)
     src = np.empty(nnz, dtype=idx)
     r = base = 0
-    for (k, nd), q in zip(blocks, pairs):
+    for (nd, stack, size), q in zip(blocks, pairs):
         n_e, p = nd.shape
         lo, hi = indptr[r], indptr[r + n_e * p]
         local = np.where(nd >= 0, np.searchsorted(nodes, nd), n).astype(idx)
@@ -175,10 +182,10 @@ def sum_elements(blocks, dofs_per_node: int):
         # the table index of each summed block: element 0's, then a stack's later members
         first = src[lo:hi].reshape(n_e, q.size)
         first[...] = base + b * b * q
-        if k.ndim == 3:
+        if stack:
             first += idx(p * p * b * b) * np.arange(n_e, dtype=idx)[:, None]
-        r, base = r + n_e * p, base + k.size
-    del blocks, pairs, row_len, nonzero, t, first   # t and first view table and src
+        r, base = r + n_e * p, base + size
+    del blocks, pairs, row_len, first               # first views src
     by_col = scipy.sparse.csr_matrix((src, cols, indptr), shape=(n_rows, n + 1)).tocsc()
     del src, cols
     end = by_col.indptr[n]
@@ -265,9 +272,24 @@ class Factorization:
         a block of rhs columns over that block's rows (overwritten when it
         is F-ordered). Block j's columns of the band storage are its own
         band factor L_j, since a block-diagonal matrix fills in only inside
-        its blocks."""
+        its blocks.
+
+        Where the band stores at least as many entries as L_j's dense
+        triangle, (kd + 1) n_j >= n_j (n_j + 1) / 2, that is 2 kd + 1 >= n_j,
+        L_j is copied into a dense lower triangle and solved by BLAS dtrsm
+        (level 3); a narrower band keeps LAPACK's dtbtrs, which touches
+        only the band."""
         lo, hi = self.offsets[j], self.offsets[j + 1]
-        return dtbtrs(self._payload[:, lo:hi], b, uplo="L", overwrite_b=1)[0]
+        band, n = self._payload[:, lo:hi], hi - lo
+        if 2 * band.shape[0] - 1 < n:
+            return dtbtrs(band, b, uplo="L", overwrite_b=1)[0]
+        # column c's band entries L[c + d, c] go to F-order flat index
+        # c * (n + 1) + d: those past row n land in the strict upper triangle
+        # (or past its end), which dtrsm does not read
+        rows = min(band.shape[0], n)
+        dense = np.zeros(n * (n + 1))
+        dense.reshape(n, n + 1)[:, :rows] = band[:rows].T
+        return dtrsm(1.0, dense[:n * n].reshape(n, n, order="F"), b, lower=1, overwrite_b=1)
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":
@@ -338,8 +360,10 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     # symmetric mode with diagonal pivots only: an SPD matrix needs no
     # other, so an off-diagonal or non-positive pivot proves the matrix is
     # not positive definite
+    from scipy.sparse.linalg import splu     # on demand: most runs never load it
+
     try:
-        lu = scipy.sparse.linalg.splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0,
                                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:

@@ -1,9 +1,12 @@
 """Shared fixtures: the level-1 wiring used across module tests."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from mlbddc import bddc
 from mlbddc.fem import (
     ProblemSpec,
     assemble_global,
@@ -54,6 +57,29 @@ class Level1:
     def coarse_space(self, policy="corners+edges+faces", strategy="default"):
         return build_coarse_space(self.globset, self.corners(strategy),
                                   self.grid, self.part, policy)
+
+
+@pytest.fixture
+def coarse_stacks(monkeypatch):
+    """Copies of each shape group's coarse matrices as `coarse_basis` leaves
+    them, by id of the group, for every setup the test runs: setup hands the
+    stacks themselves over to the next level's assembly, which frees them,
+    so a built preconditioner keeps none."""
+    copies, basis = {}, bddc.coarse_basis
+
+    def copying(g, schur):
+        basis(g, schur)
+        copies[id(g)] = g.kc.copy()
+
+    monkeypatch.setattr(bddc, "coarse_basis", copying)
+    return copies
+
+
+def holding(groups, stacks) -> list:
+    """Stand-ins for shape groups that hold their coarse matrices again, from
+    the `coarse_stacks` copies: what the coarse assemblies read of a group.
+    Each call gives fresh ones, since an assembly takes their kc."""
+    return [SimpleNamespace(subs=g.subs, dofs=g.dofs, kc=stacks[id(g)]) for g in groups]
 
 
 def grid_from_lists(coords, elements, **fields) -> LevelGrid:

@@ -15,8 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from conftest import build_level1, segments, split_positions
+from conftest import build_level1, holding, segments, split_positions
 from mlbddc import bddc, load_config, run_experiment, sparse
 from mlbddc.bddc import (
     LevelConstraints,
@@ -129,10 +130,11 @@ def constraint_rows(level, i):
     return mean_rows(labels, g.tags.shape[1])
 
 
-def coarse_matrix(level, i):
-    """Subdomain i's coarse element matrix, from its shape group's stack."""
+def coarse_matrix(level, i, stacks):
+    """Subdomain i's coarse element matrix, from the copy of its shape
+    group's stack in `stacks` (the coarse_stacks fixture)."""
     g, j = group_member(level, i)
-    return g.kc[j]
+    return stacks[id(g)][j]
 
 
 def dense_rows(cons, iface_offsets, i):
@@ -435,7 +437,7 @@ def test_bordered_inverse_matches_dense_solve(nb, monkeypatch):
     assert rel_err(record.toarray(), null.T @ s[np.ix_(free, free)] @ null) <= 1e-13
 
 
-def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
+def test_fully_corner_determined_subdomains_match_full_solve(corners2d, coarse_stacks):
     # 2D Poisson with one element per subdomain: every interface dof is a
     # corner, so each reduced factor has order 0 and no dof is kept, z_b = 0,
     # and psi and the
@@ -451,7 +453,7 @@ def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
         bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
         ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
         assert rel_err(sub.psi, ref[b]) <= 1e-12
-        assert rel_err(coarse_matrix(level, split.index), -ref[n:]) <= 1e-12
+        assert rel_err(coarse_matrix(level, split.index, coarse_stacks), -ref[n:]) <= 1e-12
         r_b = rng.standard_normal(b.size)
         rhs = np.zeros(bordered.shape[0])
         rhs[b] = r_b
@@ -461,7 +463,7 @@ def test_fully_corner_determined_subdomains_match_full_solve(corners2d):
         assert rel_err(mu, ref[n:]) <= 1e-12
 
 
-def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges):
+def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges, coarse_stacks):
     # N = [I; G] and X have one nonzero per column, so coarse_basis forms
     # S N, A = N^T S_ff N and V by gathering and subtracting rows and
     # columns of S: each member's record of A equals, bit for bit, the
@@ -488,7 +490,7 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges):
             x[own, np.arange(nc)] = 1.0 / c[np.arange(nc), own]
             v = null.T @ (s @ x)[:nf]
             kc = x.T @ s @ x - v.T @ np.linalg.solve(a, v)
-            assert rel_err(g.kc[j], kc) <= 1e-13
+            assert rel_err(coarse_stacks[id(g)][j], kc) <= 1e-13
             averaged += nf > nk
     assert averaged
 
@@ -502,7 +504,8 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     # `subs` forms them when read, and each member's `bordered` redoes S and
     # A by setup's own steps, so it holds, bit for bit, the A that setup
     # handed to potrf ("empty", of order 0, where A has no order); reading
-    # `subs` again gives equal records and changes no stored operator
+    # `subs` again gives equal records and changes no stored operator (A^-1
+    # and U: the coarse matrices went to the next level's assembly)
     factorized, made = [], []
     potrf, init = bddc.dpotrf, bddc.SubdomainCoarse.__init__
 
@@ -518,7 +521,8 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     monkeypatch.setattr(bddc.SubdomainCoarse, "__init__", counted_init)
     prec = run_experiment(load_config(overrides=overrides)).preconditioner
     assert prec.n_levels == 3 and made == []
-    stacks = [(g.ainv, g.u, g.kc) for lv in prec.levels for g in lv.groups]
+    assert all(g.kc is None for lv in prec.levels for g in lv.groups)
+    stacks = [(g.ainv, g.u) for lv in prec.levels for g in lv.groups]
     stored = [[a.copy() for a in stack] for stack in stacks]
     formed, orders = iter(factorized[:]), set()
     for lv in prec.levels:
@@ -631,7 +635,7 @@ def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
         build_constraints(cs, cross2d.globset, cross2d.splits, cross2d.imap)
 
 
-def test_basis_properties_on_fixture(cross2d):
+def test_basis_properties_on_fixture(cross2d, coarse_stacks):
     # psi is the interface part of the full local problem's basis, and the
     # coarse matrix is its energy psi^T S psi
     lv = cross2d
@@ -646,13 +650,13 @@ def test_basis_properties_on_fixture(cross2d):
         ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
         assert rel_err(psi, ref[b]) <= 1e-12
         assert np.allclose(rows @ psi, np.eye(nc), atol=1e-11)
-        kc = coarse_matrix(level, split.index)
+        kc = coarse_matrix(level, split.index, coarse_stacks)
         assert np.allclose(kc, psi.T @ s @ psi, atol=1e-10)
         assert np.allclose(kc, kc.T, atol=1e-14)
         assert np.linalg.eigvalsh(kc).min() > 0
 
 
-def test_group_setup_matches_full_local_problems(dirichlet_x2d):
+def test_group_setup_matches_full_local_problems(dirichlet_x2d, coarse_stacks):
     # subdomains of different local sizes, set up shape group by shape
     # group: each one's constrained solve (its interface block for
     # right-hand sides zero on the interior, with its multipliers), psi and
@@ -677,7 +681,8 @@ def test_group_setup_matches_full_local_problems(dirichlet_x2d):
         assert np.abs(np.column_stack([z for z, _ in solves]) - inv[np.ix_(b, b)]).max() <= tol
         assert np.abs(np.column_stack([mu for _, mu in solves]) - inv[n:, b]).max() <= tol
         assert np.abs(sub.psi - inv[b, n:]).max() <= tol
-        assert np.abs(coarse_matrix(level, split.index) + inv[n:, n:]).max() <= tol
+        assert np.abs(coarse_matrix(level, split.index, coarse_stacks)
+                      + inv[n:, n:]).max() <= tol
         cs = level.coarse
         assert np.array_equal(sub.coarse_dofs, node_dofs(
             segments(cs.sub_ptr, cs.sub_node)[split.index], cs.dofs_per_node))
@@ -961,9 +966,10 @@ def half_bandwidth(csr) -> int:
     return int(np.max(np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)) - csr.indices))
 
 
-def check_against_full_local_problems(lv, level):
-    """Every subdomain's S (through _local_schur), psi and coarse matrix
-    equal the dense oracle's, the full bordered solve of [K C^T; C 0]."""
+def check_against_full_local_problems(lv, level, stacks):
+    """Every subdomain's S (through _local_schur), psi and coarse matrix (its
+    copy in `stacks`) equal the dense oracle's, the full bordered solve of
+    [K C^T; C 0]."""
     for g in level.groups:
         for j, s in enumerate(_local_schur(level.splits, g)):
             split = level.splits[g.subs[j]]
@@ -976,13 +982,14 @@ def check_against_full_local_problems(lv, level):
         n, nc = local.size, len(sub.constraints.tags)
         ref = np.linalg.solve(bordered, np.vstack([np.zeros((n, nc)), np.eye(nc)]))
         assert rel_err(sub.psi, ref[b]) <= 1e-12
-        assert rel_err(coarse_matrix(level, split.index), -ref[n:]) <= 1e-12
+        assert rel_err(coarse_matrix(level, split.index, stacks), -ref[n:]) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["cross2d", "elasticity3d"])
-def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeypatch):
+def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeypatch,
+                                                          coarse_stacks):
     # every subdomain above DENSE_THRESHOLD local dofs, on a level whose
-    # stacked K_II still fits the band budget: each S_i comes from a band
+    # stacked K_II still fits the band budget: each S_i comes from a
     # triangular solve with the member's own columns of the level's factor,
     # with no factor of its own and no dense K_II, and S_i, psi and the
     # coarse matrices equal the dense oracle's
@@ -1006,12 +1013,33 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
 
     monkeypatch.setattr(Factorization, "lower_solve", counted_lower_solve)
     monkeypatch.setattr(bddc, "factorize", counted_factorize)
-    check_against_full_local_problems(lv, level)
+    check_against_full_local_problems(lv, level, coarse_stacks)
     assert calls == {"factorize": 0, "lower_solve": len(level.splits)}
 
 
+def test_full_band_interiors_take_dense_triangles(elasticity3d_edges, monkeypatch,
+                                                  coarse_stacks):
+    # 3D elasticity on 2 x 2 x 2 subdomains: every K_II block's band is full,
+    # 2 kd + 1 >= n_I, so each member's W = L^-1 K_IB is a dense triangular
+    # solve (dtrsm) with a copy of its band columns, and S_i, psi and the
+    # coarse matrices equal the dense oracle's
+    lv = elasticity3d_edges
+    level = make_bddc(lv).levels[0]
+    fact, n_i = level.splits.k_ii_fact, np.diff(level.splits.interior_offsets)
+    assert fact.method == "cholesky" and np.all(2 * fact._payload.shape[0] - 1 >= n_i)
+    calls, dtrsm = [], sparse.dtrsm
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return dtrsm(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "dtrsm", counted)
+    check_against_full_local_problems(lv, level, coarse_stacks)
+    assert calls == [n_i[i] for g in level.groups for i in g.subs]
+
+
 @pytest.mark.parametrize("fits", [True, False], ids=["blocks-fit", "largest-block-over"])
-def test_band_budget_bounds_each_k_ii_block(dirichlet_x2d, fits, monkeypatch):
+def test_band_budget_bounds_each_k_ii_block(dirichlet_x2d, fits, monkeypatch, coarse_stacks):
     # the budget bounds each K_II block's band storage, never the level's
     # stack: with a budget that every block fits but the stack does not, the
     # level factor is a band Cholesky and _local_schur factorizes nothing;
@@ -1034,7 +1062,7 @@ def test_band_budget_bounds_each_k_ii_block(dirichlet_x2d, fits, monkeypatch):
         return sparse.factorize(a, *args, **kwargs)
 
     monkeypatch.setattr(bddc, "factorize", recorded)
-    check_against_full_local_problems(lv, level)
+    check_against_full_local_problems(lv, level, coarse_stacks)
     assert orders == ([] if fits else [blocks[i] for g in level.groups for i in g.subs])
 
 
@@ -1081,13 +1109,19 @@ def test_interior_corrections_are_consistent(cross2d):
 
 def test_assembly_helpers_agree():
     # two one-member shape groups, pseudo-mesh elements 0 and 1
+    # (fresh ones for each assembly, which takes their coarse matrices)
     k1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     k2 = np.array([[1.0, 0.5], [0.5, 1.0]])
-    groups = [SimpleNamespace(subs=np.array([0]), kc=k1[None], dofs=np.array([[0, 1]])),
-              SimpleNamespace(subs=np.array([1]), kc=k2[None], dofs=np.array([[1, 2]]))]
-    full = assemble_coarse(groups, 1)
+
+    def groups():
+        return [SimpleNamespace(subs=np.array([0]), kc=k1[None], dofs=np.array([[0, 1]])),
+                SimpleNamespace(subs=np.array([1]), kc=k2[None], dofs=np.array([[1, 2]]))]
+
+    taken = groups()
+    full = assemble_coarse(taken, 1)
+    assert all(g.kc is None for g in taken)
     one = Partition(1, np.array([0, 0]), "test")
-    sub, keys = subassemble_coarse(groups, one, 3, 1, np.zeros(0, dtype=np.int64))
+    sub, keys = subassemble_coarse(groups(), one, 3, 1, np.zeros(0, dtype=np.int64))
     assert np.array_equal(keys, [0, 1, 2])
     assert np.allclose(full.scipy_csr().toarray(), sub.scipy_csr().toarray(), atol=1e-16)
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
@@ -1105,7 +1139,8 @@ def group_major_sums(groups, part, dofs_per_node):
     return out
 
 
-def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges):
+def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges,
+                                                              coarse_stacks):
     # level 2 of a 2x2x2 split: one call equals scipy's block_diag of
     # per-subdomain sums entry for entry, each summed in the same group-major
     # element order, rows and columns permuted to split order; keys are
@@ -1114,8 +1149,9 @@ def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges)
     grid = build_pseudomesh(level.coarse, level.partition)
     part = partition_elements(grid, 2, method="auto")
     iface = interface_dofs(classify_interface(grid, part), grid.dofs_per_node)
-    k, keys = subassemble_coarse(level.groups, part, grid.n_dofs, grid.dofs_per_node, iface)
-    per_sub = group_major_sums(level.groups, part, grid.dofs_per_node)
+    k, keys = subassemble_coarse(holding(level.groups, coarse_stacks), part, grid.n_dofs,
+                                 grid.dofs_per_node, iface)
+    per_sub = group_major_sums(holding(level.groups, coarse_stacks), part, grid.dofs_per_node)
     ref, ref_keys = stacked([k_j.scipy_csr() for k_j, _ in per_sub],
                             [ltg for _, ltg in per_sub], grid.n_dofs, iface)
     csr, ref = k.scipy_csr(), ref.scipy_csr()
@@ -1124,7 +1160,7 @@ def test_stacked_coarse_assembly_is_block_diag_of_subdomains(elasticity3d_edges)
     assert np.array_equal(keys, ref_keys) and iface.size
 
 
-def test_coarse_assembly_from_interleaved_shape_groups():
+def test_coarse_assembly_from_interleaved_shape_groups(coarse_stacks):
     # 2D Poisson 12^2 on 16/4: the level-1 shape groups interleave in
     # subdomain order, so each level-2 subdomain takes elements from several
     # groups; one call over the group stacks keeps subdomain order and
@@ -1135,9 +1171,9 @@ def test_coarse_assembly_from_interleaved_shape_groups():
     assert [g.subs.tolist() for g in level.groups] == \
         [[0, 3, 12, 15], [1, 2, 4, 7, 8, 11, 13, 14], [5, 6, 9, 10]]
     iface = interface_dofs(classify_interface(grid, part), 1)
-    k, keys = subassemble_coarse(level.groups, part, n, 1, iface)
+    k, keys = subassemble_coarse(holding(level.groups, coarse_stacks), part, n, 1, iface)
     subs = level.subs
-    per_sub = [sum_elements([(coarse_matrix(level, e), subs[e].coarse_dofs[None])
+    per_sub = [sum_elements([(coarse_matrix(level, e, coarse_stacks), subs[e].coarse_dofs[None])
                              for e in part.elements_of(j)], 1) for j in range(4)]
     ref, ref_keys = stacked([k_j.scipy_csr() for k_j, _ in per_sub],
                             [ltg for _, ltg in per_sub], n, iface)
@@ -1152,7 +1188,7 @@ def test_coarse_assembly_from_interleaved_shape_groups():
     ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"],
     ["problem=elasticity", "dim=2", "elements=12", "hierarchy=16/4"]],
     ids=["elasticity3d-27/8", "elasticity2d-16/4"])
-def test_node_pair_assembly_equals_the_dof_pair_sum_on_every_level(overrides):
+def test_node_pair_assembly_equals_the_dof_pair_sum_on_every_level(overrides, coarse_stacks):
     # every level's (K, keys) and the top matrix, summed over node pairs of
     # dofs_per_node components, equal the sum of the same blocks with one
     # component per node (every dof its own node) bitwise, pattern included
@@ -1170,16 +1206,65 @@ def test_node_pair_assembly_equals_the_dof_pair_sum_on_every_level(overrides):
         n, part, iface = lv.grid.n_dofs, lv.partition, lv.imap.dofs
         keys = [subdomain_keys(part.assignment[g.subs][:, None], g.dofs, n, part.n_subdomains,
                                iface) for g in prev.groups]
-        pairs.append((subassemble_coarse(prev.groups, part, n, lv.grid.dofs_per_node, iface),
-                      sum_elements([(g.kc, k) for g, k in zip(prev.groups, keys)], 1)))
+        pairs.append((subassemble_coarse(holding(prev.groups, coarse_stacks), part, n,
+                                         lv.grid.dofs_per_node, iface),
+                      sum_elements([(coarse_stacks[id(g)], k)
+                                    for g, k in zip(prev.groups, keys)], 1)))
     top = levels[-1]
-    k_top = assemble_coarse(top.groups, top.coarse.dofs_per_node)
-    pairs.append(((k_top, None), (sum_elements([(g.kc, g.dofs) for g in top.groups], 1)[0], None)))
+    k_top = assemble_coarse(holding(top.groups, coarse_stacks), top.coarse.dofs_per_node)
+    pairs.append(((k_top, None), (sum_elements([(coarse_stacks[id(g)], g.dofs)
+                                                for g in top.groups], 1)[0], None)))
     assert len(pairs) == 3
     for (k, keys), (k_ref, keys_ref) in pairs:
         assert k.shape[0] > 0 and np.array_equal(keys, keys_ref)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(k.scipy_csr(), attr), getattr(k_ref.scipy_csr(), attr))
+
+
+def test_setup_hands_the_coarse_matrices_to_the_next_assembly(monkeypatch):
+    # each level's coarse matrices are read once, by the next level's
+    # assembly (the top one's for the last level), which takes them out of
+    # their groups: every level-1 stack is freed before the level-2 sum's
+    # first sort (its values live on in the sum's table only), a built
+    # preconditioner holds none, and level 2's K and the top matrix are
+    # bitwise those summed from copies of the stacks
+    refs, copies, state, level2 = [], {}, {"level1": None, "summing": False}, []
+    basis, subassemble = bddc.coarse_basis, bddc.subassemble_coarse
+    tocsc = scipy.sparse.csr_matrix.tocsc
+
+    def watched_basis(g, schur):
+        basis(g, schur)
+        refs.append(weakref.ref(g.kc))
+        copies[id(g)] = g.kc.copy()
+
+    def watched_subassemble(groups, *args):
+        assert state["level1"] is None          # one coarse level below the top
+        state["level1"], state["args"], state["summing"] = list(refs), args, True
+        k, keys = subassemble(groups, *args)
+        state["summing"] = False
+        level2.append(k.scipy_csr().copy())
+        return k, keys
+
+    def watched_tocsc(self, *args, **kwargs):
+        if state["summing"] and "dead" not in state:
+            state["dead"] = [ref() is None for ref in state["level1"]]
+        return tocsc(self, *args, **kwargs)
+
+    monkeypatch.setattr(bddc, "coarse_basis", watched_basis)
+    monkeypatch.setattr(bddc, "subassemble_coarse", watched_subassemble)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "tocsc", watched_tocsc)
+    prec = run_experiment(load_config(overrides=["problem=elasticity", "dim=3", "elements=6",
+                                                 "hierarchy=27/8"])).preconditioner
+    assert prec.n_levels == 3 and state["level1"] and all(state["dead"])
+    assert len(refs) == len(copies) > len(state["level1"])
+    assert all(ref() is None for ref in refs)
+    assert all(g.kc is None for lv in prec.levels for g in lv.groups)
+    first, top = prec.levels
+    k, _ = subassemble(holding(first.groups, copies), *state["args"])
+    k_top = assemble_coarse(holding(top.groups, copies), top.coarse.dofs_per_node)
+    for got, ref in ((level2[0], k.scipy_csr()), (prec.top.matrix.scipy_csr(), k_top.scipy_csr())):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
 
 def test_setup_rejects_weak_coarse_space(monkeypatch, capsys):

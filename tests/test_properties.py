@@ -34,6 +34,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import holding
 from mlbddc import load_config, run_experiment
 from mlbddc.bddc import MultilevelBddc, assemble_coarse
 from mlbddc.errors import NumericalError
@@ -108,7 +109,7 @@ def extreme_eigenvalues_ms(prec, li=0) -> tuple:
     return lam[0], lam[-1]
 
 
-def test_each_level_meets_the_multilevel_bound():
+def test_each_level_meets_the_multilevel_bound(coarse_stacks):
     # at every level k of each solving three-level configuration, with S_k
     # the level's interface operator and M_k the cycle from level k down:
     # lambda_min(M_k S_k) >= 1, and lambda_max(M_k S_k) is at most the
@@ -128,7 +129,7 @@ def test_each_level_meets_the_multilevel_bound():
         for li in reversed(range(len(prec.levels))):
             lv = prec.levels[li]
             two_level = MultilevelBddc(levels=[lv], top=factorize(
-                assemble_coarse(lv.groups, lv.coarse.dofs_per_node)))
+                assemble_coarse(holding(lv.groups, coarse_stacks), lv.coarse.dofs_per_node)))
             lam_min, lam_max = extreme_eigenvalues_ms(prec, li)
             assert lam_min >= 1.0 - 1e-10, (config, li + 1)
             assert lam_max <= extreme_eigenvalues_ms(two_level)[1] * lam_below * (1 + 1e-10), \

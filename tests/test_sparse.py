@@ -1,9 +1,14 @@
 """Sparse kernel tests: CSR storage, element sums and factorizations."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from mlbddc import sparse
@@ -240,6 +245,26 @@ def test_splu_path_above_threshold(monkeypatch):
     assert np.allclose(f.solve(b), np.linalg.solve(dense, b), rtol=1e-9, atol=1e-9)
 
 
+def test_superlu_is_loaded_only_on_demand():
+    # factorize imports scipy.sparse.linalg in its SuperLU branch only, so a
+    # process whose factors are all band Cholesky never loads it (about 2 MB
+    # of resident memory): here importing mlbddc and a three-level solve
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, mlbddc\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            "prec = mlbddc.run_experiment(mlbddc.load_config(overrides=sys.argv[1:]))"
+            ".preconditioner\n"
+            "methods = {lv.splits.k_ii_fact.method for lv in prec.levels} | {prec.top.method}\n"
+            "assert methods == {'cholesky'}, methods\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code, "problem=elasticity", "dim=3",
+                           "elements=6", "hierarchy=27/8"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def dense_oracle_check(a, f, rhs):
     dense = a.scipy_csr().toarray()
     x = f.solve(rhs)
@@ -277,6 +302,42 @@ def test_band_path_solves_stacked_blocks():
     assert f._payload.shape == (max(sizes), sum(sizes))
     dense_oracle_check(a, f, rng.standard_normal(sum(sizes)))
     dense_oracle_check(a, f, rng.standard_normal((sum(sizes), 4)))
+
+
+def test_lower_solve_takes_dense_triangles_where_the_band_is_full(monkeypatch):
+    # one band (kd = 3, from the dense 4 x 4 block) over blocks it fills,
+    # 2 kd + 1 >= n_j (orders 4 and 2, the latter narrower than the band),
+    # solved by dtrsm on a dense copy of their triangles, and a
+    # pentadiagonal block of order 12 > 2 kd + 1, solved on the band by
+    # dtbtrs; each matches the dense factor's triangular solve for F-ordered
+    # right-hand sides of several columns
+    rng = np.random.default_rng(31)
+    narrow = np.diag(np.full(12, 6.0))
+    for d in (1, 2):
+        off = rng.uniform(-1.0, 1.0, 12 - d)
+        narrow += np.diag(off, d) + np.diag(off, -d)
+    dense = scipy.linalg.block_diag(random_spd(rng, 4), narrow, random_spd(rng, 2))
+    offsets = [0, 4, 16, 18]
+    f = factorize(SparseMatrix.from_scipy(dense, symmetric=True), offsets=offsets)
+    assert f._payload.shape == (4, 18)
+    low, calls = np.linalg.cholesky(dense), []
+
+    def counted(name):
+        real = getattr(sparse, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("dtrsm", "dtbtrs"):
+        monkeypatch.setattr(sparse, name, counted(name))
+    for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        b = np.asfortranarray(rng.standard_normal((hi - lo, 5)))
+        ref = scipy.linalg.solve_triangular(low[lo:hi, lo:hi], b, lower=True)
+        x = f.lower_solve(j, b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert calls == ["dtrsm", "dtbtrs", "dtrsm"]
 
 
 def test_solve_residual_contract():
