@@ -174,10 +174,10 @@ class ShapeGroup:
     zero; None where that would be the sentinel throughout, as with corners
     only, so the apply skips the masters), each row's own dof and X's weight
     on it. The only operators stored per member are A^-1 and U = A^-1 V. The
-    coarse matrices kc are written by `coarse_basis` and read once, by the
-    next level's assembly (`subassemble_coarse`, or `assemble_coarse` for the
-    top matrix), which takes them out of the group: a built preconditioner
-    holds none."""
+    coarse matrices kc are written by `coarse_basis`, unsymmetrized, and read
+    once, by the next level's assembly (`subassemble_coarse`, or
+    `assemble_coarse` for the top matrix), which sums their symmetric parts
+    and takes them out of the group: a built preconditioner holds none."""
 
     subs: np.ndarray              # (m,) the members' subdomain indices
     order: np.ndarray             # (m, n_interface) interface order, local positions
@@ -380,7 +380,9 @@ def coarse_basis(g: ShapeGroup, schur) -> None:
     constrained solve is z_f = N A^-1 N^T r_f, the basis is psi = X - N U
     (the constrained energy minimizers with unit constraint values), and
     the coarse matrix, stacked in kc until the next level's assembly takes
-    it, is psi^T S psi = X^T S X - V^T U, symmetrized.
+    it, is psi^T S psi = X^T S X - V^T U. It is stored as computed, which is
+    symmetric only up to rounding: the assembly sums each block's symmetric
+    part (`sparse.sum_elements`), so it is symmetrized once, there.
     Returns nothing: no record of A is kept (see `SubdomainCoarse.bordered`).
 
     Each member's setup check, run as soon as its inverse is made, applies
@@ -412,8 +414,7 @@ def coarse_basis(g: ShapeGroup, schur) -> None:
                 _member_failed(g, j, NumericalError, f"inverse is inaccurate: relative residual "
                                f"{rel:.1e} on the check probe, above {REFINE_TOL:.0e}")
         u = inv @ v
-        kc = g.w[j][:, None] * sx[own[j]] - v.T @ u        # X^T S X - V^T U
-        g.kc[j] = (kc + kc.T) / 2.0
+        g.kc[j] = g.w[j][:, None] * sx[own[j]] - v.T @ u   # X^T S X - V^T U
         g.ainv[j], g.u[j] = inv, u
 
 

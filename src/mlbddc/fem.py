@@ -11,6 +11,7 @@ block-diagonal matrix whose rows are keyed by (subdomain, free dof).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,11 @@ from .substructuring import subdomain_keys
 BOX_FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 _GAUSS = 1.0 / np.sqrt(3.0)
+
+# an element's nodes in its local order, as offsets from its lowest corner
+_CORNERS = {2: np.array([(0, 0), (1, 0), (1, 1), (0, 1)]),
+            3: np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                         (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])}
 
 
 @dataclass
@@ -77,7 +83,6 @@ class Mesh:
     lengths: tuple
     coords: np.ndarray               # (n_nodes, dim)
     elem_nodes: np.ndarray           # (n_elems, 4 or 8)
-    dofs_per_node: int = 1
     boundary_dofs: np.ndarray | None = None
     boundary_values: np.ndarray | None = None
 
@@ -113,31 +118,12 @@ def generate_box_mesh(dim: int, n_elems_per_axis, length=1.0) -> Mesh:
         raise ValueError(f"bad box lengths {lens}")
 
     nps = tuple(n + 1 for n in nels)
-    axes = [np.linspace(0.0, lens[d], nps[d]) for d in range(dim)]
-    # lexicographic, x fastest
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-
-    def node_id(idx):
-        out = idx[0]
-        stride = nps[0]
-        for d in range(1, dim):
-            out = out + stride * idx[d]
-            stride *= nps[d]
-        return out
-
-    erng = [np.arange(n) for n in nels]
-    eidx = np.meshgrid(*erng, indexing="ij")
-    ei = [g.reshape(-1, order="F") for g in eidx]
-    if dim == 2:
-        offsets = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    else:
-        offsets = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
-                   (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
-    cols = []
-    for off in offsets:
-        cols.append(node_id([ei[d] + off[d] for d in range(dim)]))
-    elem_nodes = np.stack(cols, axis=1).astype(np.int64)
+    # nodes and elements are lexicographic, x fastest
+    node = np.unravel_index(np.arange(math.prod(nps)), nps, order="F")
+    coords = np.stack([np.linspace(0.0, lens[d], nps[d])[node[d]] for d in range(dim)], axis=1)
+    first = np.unravel_index(np.arange(math.prod(nels)), nels, order="F")   # lowest corners
+    elem_nodes = np.ravel_multi_index(
+        [first[d][:, None] + _CORNERS[dim][:, d] for d in range(dim)], nps, order="F")
     return Mesh(dim=dim, n_elems_per_axis=nels, lengths=lens,
                 coords=coords, elem_nodes=elem_nodes)
 
@@ -154,28 +140,21 @@ def dirichlet_dofs(spec: ProblemSpec, mesh: Mesh):
     """Full-dof indices and values prescribed on the problem's box faces."""
     faces = spec.resolved_faces()
     nps = mesh.nodes_per_axis
-    dpn = spec.dofs_per_node
-    idx = np.arange(mesh.n_nodes)
-    axis_index = []
-    rem = idx.copy()
-    for d in range(mesh.dim):
-        axis_index.append(rem % nps[d])
-        rem = rem // nps[d]
+    axis_index = np.unravel_index(np.arange(mesh.n_nodes), nps, order="F")
     mask = np.zeros(mesh.n_nodes, dtype=bool)
     for f in faces:
         d = "xyz".index(f[0])
         if d >= mesh.dim:
             raise ValueError(f"face {f!r} invalid for {mesh.dim}D mesh")
         mask |= axis_index[d] == (0 if f[1] == "-" else nps[d] - 1)
-    dofs = np.sort(node_dofs(idx[mask], dpn))
+    dofs = np.sort(node_dofs(np.flatnonzero(mask), spec.dofs_per_node))
     values = np.full(dofs.shape, float(spec.dirichlet_value))
     return dofs, values
 
 
 def mark_dirichlet(spec: ProblemSpec, mesh: Mesh) -> Mesh:
     dofs, values = dirichlet_dofs(spec, mesh)
-    return replace(mesh, dofs_per_node=spec.dofs_per_node,
-                   boundary_dofs=dofs, boundary_values=values)
+    return replace(mesh, boundary_dofs=dofs, boundary_values=values)
 
 
 @dataclass
@@ -234,11 +213,7 @@ def build_dof_map(spec: ProblemSpec, mesh: Mesh) -> DofMap:
 
 def _shape_gradients(dim: int, xi: np.ndarray) -> np.ndarray:
     """Local gradients dN/dxi at one quadrature point, (n_nodes, dim)."""
-    if dim == 2:
-        signs = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
-    else:
-        signs = np.array([(-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
-                          (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1)], dtype=float)
+    signs = 2.0 * _CORNERS[dim] - 1.0
     n_nodes = signs.shape[0]
     grad = np.empty((n_nodes, dim))
     for d in range(dim):
@@ -392,40 +367,29 @@ def export_vtk(mesh: Mesh, point_data: dict, path) -> None:
     written as scalars, of length n_nodes*dim as vectors."""
     n = mesh.n_nodes
     dim = mesh.dim
+    n_e, npe = mesh.elem_nodes.shape
+
+    def xyz(rows):                   # 2D rows get z = 0
+        return np.pad(rows, ((0, 0), (0, 3 - dim)))
+
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("mlbddc output\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {n} double\n")
-        for p in mesh.coords:
-            x, y = p[0], p[1]
-            z = p[2] if dim == 3 else 0.0
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        npe = mesh.elem_nodes.shape[1]
-        fh.write(f"CELLS {mesh.n_elems} {mesh.n_elems * (npe + 1)}\n")
-        for nodes in mesh.elem_nodes:
-            fh.write(str(npe) + " " + " ".join(str(v) for v in nodes) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_elems}\n")
-        cell_type = 9 if dim == 2 else 12
-        for _ in range(mesh.n_elems):
-            fh.write(f"{cell_type}\n")
+        fh.write("# vtk DataFile Version 3.0\nmlbddc output\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+        np.savetxt(fh, xyz(mesh.coords), fmt="%.17g")
+        fh.write(f"CELLS {n_e} {n_e * (npe + 1)}\n")
+        np.savetxt(fh, np.column_stack([np.full(n_e, npe), mesh.elem_nodes]), fmt="%d")
+        fh.write(f"CELL_TYPES {n_e}\n")
+        np.savetxt(fh, np.full(n_e, 9 if dim == 2 else 12), fmt="%d")
         if point_data:
             fh.write(f"POINT_DATA {n}\n")
             for name, arr in point_data.items():
-                arr = np.asarray(arr, dtype=np.float64)
+                arr = np.asarray(arr, dtype=np.float64).ravel()
                 if arr.size == n:
-                    fh.write(f"SCALARS {name} double 1\n")
-                    fh.write("LOOKUP_TABLE default\n")
-                    for v in arr:
-                        fh.write(f"{v:.17g}\n")
+                    fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                    np.savetxt(fh, arr, fmt="%.17g")
                 elif arr.size == n * dim:
-                    a = arr.reshape(n, dim)
                     fh.write(f"VECTORS {name} double\n")
-                    for row in a:
-                        x, y = row[0], row[1]
-                        z = row[2] if dim == 3 else 0.0
-                        fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+                    np.savetxt(fh, xyz(arr.reshape(n, dim)), fmt="%.17g")
                 else:
                     raise ValueError(
                         f"point data {name!r} has size {arr.size}, expected {n} or {n * dim}")

@@ -275,14 +275,9 @@ def run_experiment(config: RunConfig) -> RunResult:
         def apply_s(x):
             return schur_apply(splits, imap, x)
 
-        if config.krylov == "pcg":
-            u_hat, report = pcg(apply_s, g, apply_m=prec.apply,
-                                tol=config.tolerance,
-                                max_iterations=config.max_iterations)
-        else:
-            u_hat, report = bicgstab(apply_s, g, apply_m=prec.apply,
-                                     tol=config.tolerance,
-                                     max_iterations=config.max_iterations)
+        solver = pcg if config.krylov == "pcg" else bicgstab
+        u_hat, report = solver(apply_s, g, apply_m=prec.apply, tol=config.tolerance,
+                               max_iterations=config.max_iterations)
     x = recover_interior(splits, imap, u_hat, f, dofmap.n_free)
     t2 = time.perf_counter()
 

@@ -2,21 +2,23 @@
 
 Level-1 box meshes get regular block partitions; pseudo-meshes (and
 non-factorable counts) go through greedy graph growing, which makes
-connected subdomains, and a balance pass that keeps them connected.
+connected subdomains, and a balance pass that keeps them connected. Both
+read one graph of the elements that share a node (`element_graph`).
 Everything here is deterministic: ties break on lowest index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigError
 from .grid import LevelGrid
-from .sparse import sorted_unique
 
 BALANCE_FACTOR = 1.25
 
@@ -40,56 +42,30 @@ class Partition:
             raise ValueError("empty subdomain")
 
 
-def _ranges(lo, hi) -> np.ndarray:
-    """np.arange(lo[i], hi[i]) for every i, concatenated."""
-    size = hi - lo
-    return np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
-
-
-def _node_elements(grid: LevelGrid) -> tuple:
-    """Node -> element incidence of the adjacency nodes: (offsets, element
-    ids, ascending per node), from one stable sort of the element lists."""
+def element_graph(grid: LevelGrid) -> scipy.sparse.csr_array:
+    """Elements that share a node, as an (n_elems, n_elems) CSR matrix:
+    entry (e, o), o != e, counts the nodes e and o share, and each row's
+    columns ascend. It is the element-node incidence times its transpose,
+    off the diagonal."""
     ptr, nodes = grid.adjacency_nodes()
-    node_ptr = np.concatenate(([0], np.cumsum(np.bincount(nodes))))
-    elems = np.repeat(np.arange(grid.n_elems), np.diff(ptr))
-    return node_ptr, elems[np.argsort(nodes, kind="stable")]
-
-
-def element_adjacency(grid: LevelGrid) -> list:
-    """Shared node => adjacent. Returns one ascending list of neighbour ids
-    (Python ints) per element, for the greedy loops to walk."""
-    node_ptr, elems = _node_elements(grid)
-    # pair every (node, element) entry with each entry of its node
-    size = np.diff(node_ptr)
-    lo, hi = np.repeat(node_ptr[:-1], size), np.repeat(node_ptr[1:], size)
-    a, b = np.repeat(elems, hi - lo), elems[_ranges(lo, hi)]
-    n = grid.n_elems
-    a, b = np.divmod(sorted_unique(a[a != b] * n + b[a != b]), n)
-    ptr, b = np.cumsum(np.bincount(a, minlength=n)).tolist(), b.tolist()
-    return [b[lo:hi] for lo, hi in zip([0] + ptr[:-1], ptr)]
+    # level 1's adjacency nodes are mesh node ids, beyond grid.n_nodes
+    incidence = scipy.sparse.csr_array((np.ones(nodes.size, dtype=np.int64), nodes, ptr),
+                                       shape=(grid.n_elems, nodes.max(initial=-1) + 1))
+    graph = (incidence @ incidence.T).tocoo()
+    off = graph.row != graph.col
+    # through COO: the product's columns are unsorted, the conversion sorts them
+    return scipy.sparse.csr_array((graph.data[off], (graph.row[off], graph.col[off])),
+                                  shape=graph.shape)
 
 
 def _block_axis_counts(shape, n_subdomains):
     """Deterministic choice of per-axis block counts whose product is
     n_subdomains and which divide the element counts exactly. Prefers the
     most cube-like blocks (smallest longest side)."""
-    dim = len(shape)
-    best = None
-    def rec(prefix, remaining, d):
-        nonlocal best
-        if d == dim - 1:
-            if shape[d] % remaining == 0 and remaining <= shape[d]:
-                cand = prefix + (remaining,)
-                extents = tuple(na // ca for na, ca in zip(shape, cand))
-                key = (max(extents), cand)
-                if best is None or key < best:
-                    best = key
-            return
-        for c in range(1, remaining + 1):
-            if remaining % c == 0 and shape[d] % c == 0 and c <= shape[d]:
-                rec(prefix + (c,), remaining // c, d + 1)
-    rec((), n_subdomains, 0)
-    return None if best is None else best[1]
+    divisors = ([c for c in range(1, n + 1) if n % c == 0 and n_subdomains % c == 0]
+                for n in shape)
+    counts = [c for c in itertools.product(*divisors) if math.prod(c) == n_subdomains]
+    return min(counts, key=lambda c: (max(n // k for n, k in zip(shape, c)), c), default=None)
 
 
 def partition_regular_blocks(grid: LevelGrid, n_subdomains: int) -> Partition:
@@ -101,39 +77,12 @@ def partition_regular_blocks(grid: LevelGrid, n_subdomains: int) -> Partition:
         raise ConfigError(
             f"{n_subdomains} subdomains do not factor into per-axis counts "
             f"dividing the {shape} element grid")
-    dim = len(shape)
-    idx = np.arange(grid.n_elems)
-    assignment = np.zeros(grid.n_elems, dtype=np.int64)
-    rem = idx.copy()
-    stride = 1
-    for d in range(dim):
-        axis_i = rem % shape[d]
-        rem = rem // shape[d]
-        block = axis_i // (shape[d] // axis_counts[d])
-        assignment += stride * block
-        stride *= axis_counts[d]
+    # element and block indices are lexicographic, x fastest
+    axis_index = np.unravel_index(np.arange(grid.n_elems), shape, order="F")
+    block = [i // (n // c) for i, n, c in zip(axis_index, shape, axis_counts)]
+    assignment = np.ravel_multi_index(block, axis_counts, order="F")
     return Partition(n_subdomains=n_subdomains, assignment=assignment,
                      method="regular-blocks")
-
-
-def _components(elems, adjacency):
-    """Connected components of an element set, each sorted, ordered by
-    smallest element."""
-    elems = np.sort(np.asarray(elems, dtype=np.int64)).tolist()
-    unseen = set(elems)
-    comps = []
-    for start in elems:
-        if start not in unseen:
-            continue
-        unseen.remove(start)
-        comp = [start]
-        for e in comp:              # breadth first: comp is the queue
-            for nb in adjacency[e]:
-                if nb in unseen:
-                    unseen.remove(nb)
-                    comp.append(nb)
-        comps.append(sorted(comp))
-    return comps
 
 
 def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
@@ -145,8 +94,9 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
     with. On a disconnected grid, components that no growth reached go to
     subdomain 0, and no reassignment could make that subdomain connected."""
     n = grid.n_elems
-    adjacency = element_adjacency(grid)
-    shared = _shared_node_counter(grid)
+    graph = element_graph(grid)
+    ptr, neighbours = graph.indptr.tolist(), graph.indices.tolist()
+    adjacency = [neighbours[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
     assignment = [-1] * n
     unassigned = n
     seed = 0
@@ -177,11 +127,10 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
     # sharing the most nodes, lowest index on ties
     while np.any(assignment < 0):
         moved = False
-        for e in np.nonzero(assignment < 0)[0]:
-            counts = shared(int(e), assignment)
+        for e in np.flatnonzero(assignment < 0).tolist():
+            counts = _shared_counts(graph, e, assignment)
             if counts:
-                best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-                assignment[int(e)] = best
+                assignment[e] = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
                 moved = True
         if not moved:
             # isolated elements with no assigned neighbors: give them to
@@ -191,28 +140,22 @@ def partition_greedy(grid: LevelGrid, n_subdomains: int) -> Partition:
 
     part = Partition(n_subdomains=n_subdomains, assignment=assignment,
                      method="greedy-graph-growing")
-    _repair_balance(part, adjacency, shared)
+    _repair_balance(part, graph)
     part.validate()
     return part
 
 
-def _shared_node_counter(grid: LevelGrid):
-    """counts(e, assignment, exclude) -> {s: how many grid nodes element e
-    shares with the other elements of subdomain s}, for every s other than
-    exclude; node -> element incidence is built once."""
-    ptr, nodes = grid.adjacency_nodes()
-    node_ptr, elems = _node_elements(grid)
-
-    def counts(e, assignment, exclude=-1) -> dict:
-        on = nodes[ptr[e]:ptr[e + 1]]
-        others = elems[_ranges(node_ptr[on], node_ptr[on + 1])]
-        subs = assignment[others]
-        c = np.bincount(subs[(others != e) & (subs >= 0) & (subs != exclude)])
-        return dict(zip(np.nonzero(c)[0].tolist(), c[c > 0].tolist()))
-    return counts
+def _shared_counts(graph, e, assignment, exclude=-1) -> dict:
+    """{s: how many nodes element e shares with the other elements of
+    subdomain s}, for every assigned s other than exclude, from the rows of
+    `element_graph`."""
+    row = slice(graph.indptr[e], graph.indptr[e + 1])
+    subs = np.repeat(assignment[graph.indices[row]], graph.data[row])
+    c = np.bincount(subs[(subs >= 0) & (subs != exclude)])
+    return dict(zip(np.nonzero(c)[0].tolist(), c[c > 0].tolist()))
 
 
-def _repair_balance(part: Partition, adjacency, shared) -> None:
+def _repair_balance(part: Partition, graph) -> None:
     """Move border elements off oversized subdomains while preserving donor
     connectivity. Best effort with a hard iteration cap."""
     n = part.assignment.size
@@ -222,14 +165,17 @@ def _repair_balance(part: Partition, adjacency, shared) -> None:
         worst = int(np.argmax(sizes))
         if sizes[worst] <= cap:
             return
+        # loaded here: about 2 MB of resident memory, and most runs move nothing
+        from scipy.sparse.csgraph import connected_components
         moved = False
         for e in part.elements_of(worst).tolist():
-            counts = shared(e, part.assignment, exclude=worst)
+            counts = _shared_counts(graph, e, part.assignment, exclude=worst)
             candidates = [s for s in counts if sizes[s] + 1 < sizes[worst]]
             if not candidates:
                 continue
-            rest = [x for x in part.elements_of(worst).tolist() if x != e]
-            if rest and len(_components(rest, adjacency)) > 1:
+            rest = part.elements_of(worst)
+            rest = rest[rest != e]
+            if rest.size and connected_components(graph[rest][:, rest], directed=False)[0] > 1:
                 continue
             dest = min(candidates, key=lambda s: (sizes[s], s))
             part.assignment[e] = dest

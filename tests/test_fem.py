@@ -63,6 +63,49 @@ def test_box_mesh_element_connectivity():
     assert list(mesh.elem_nodes[3]) == [4, 5, 8, 7]
 
 
+BOX = (2, 3, 5)                  # elements per axis of an anisotropic 3D box
+
+
+def box_node(i, j, k):
+    """Node (i, j, k) of the BOX mesh, lexicographic with x fastest."""
+    return i + (BOX[0] + 1) * (j + (BOX[1] + 1) * k)
+
+
+def test_box_mesh_numbering_matches_loops():
+    # coordinates node by node, x fastest; each hex's nodes go round its
+    # bottom face counterclockwise, then round its top face
+    lens = (1.0, 2.0, 0.3)
+    mesh = generate_box_mesh(3, BOX, lens)
+    axes = [np.linspace(0.0, lens[d], BOX[d] + 1) for d in range(3)]
+    coords = [[axes[0][i], axes[1][j], axes[2][k]] for k in range(BOX[2] + 1)
+              for j in range(BOX[1] + 1) for i in range(BOX[0] + 1)]
+    elems = []
+    for k in range(BOX[2]):
+        for j in range(BOX[1]):
+            for i in range(BOX[0]):
+                face = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                elems.append([box_node(a, b, k + up) for up in (0, 1) for a, b in face])
+    assert mesh.coords.tolist() == coords
+    assert mesh.elem_nodes.tolist() == elems
+    assert mesh.elem_nodes.dtype == np.int64
+
+
+@pytest.mark.parametrize("spec,on_face", [
+    (poisson(dim=3), lambda i, j, k: i in (0, BOX[0]) or j in (0, BOX[1]) or k in (0, BOX[2])),
+    (elasticity(dim=3, dirichlet_faces=("x-", "z+"), dirichlet_value=0.25),
+     lambda i, j, k: i == 0 or k == BOX[2]),
+    (poisson(dim=3, dirichlet_faces=("y+",)), lambda i, j, k: j == BOX[1]),
+], ids=["poisson-all", "elasticity-x-z+", "poisson-y+"])
+def test_dirichlet_dofs_match_loops(spec, on_face):
+    dpn = spec.dofs_per_node
+    dofs = sorted(box_node(i, j, k) * dpn + c for k in range(BOX[2] + 1)
+                  for j in range(BOX[1] + 1) for i in range(BOX[0] + 1)
+                  if on_face(i, j, k) for c in range(dpn))
+    got, values = dirichlet_dofs(spec, generate_box_mesh(3, BOX))
+    assert got.tolist() == dofs
+    assert values.tolist() == [spec.dirichlet_value] * len(dofs)
+
+
 def test_box_mesh_rejects_bad_input():
     with pytest.raises(ValueError):
         generate_box_mesh(1, 4)
@@ -421,6 +464,75 @@ def test_vtk_export_vectors_3d(tmp_path):
     text = path.read_text()
     assert "VECTORS displacement double" in text
     assert "CELL_TYPES 1" in text
+
+
+VTK_2D_SCALARS = """# vtk DataFile Version 3.0
+mlbddc output
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 6 double
+0 0 0
+0.5 0 0
+1 0 0
+0 0.29999999999999999 0
+0.5 0.29999999999999999 0
+1 0.29999999999999999 0
+CELLS 2 10
+4 0 1 4 3
+4 1 2 5 4
+CELL_TYPES 2
+9
+9
+POINT_DATA 6
+SCALARS u double 1
+LOOKUP_TABLE default
+0.10000000000000001
+-2.5
+3
+9.9999999999999995e-21
+-0
+7
+"""
+
+VTK_3D_VECTORS = """# vtk DataFile Version 3.0
+mlbddc output
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 8 double
+0 0 0
+0.5 0 0
+0 0.5 0
+0.5 0.5 0
+0 0 0.5
+0.5 0 0.5
+0 0.5 0.5
+0.5 0.5 0.5
+CELLS 1 9
+8 0 1 3 2 4 5 7 6
+CELL_TYPES 1
+12
+POINT_DATA 8
+VECTORS d double
+-4 -3.6666666666666665 -3.3333333333333335
+-3 -2.666666666666667 -2.333333333333333
+-2 -1.6666666666666665 -1.3333333333333335
+-1 -0.66666666666666652 -0.33333333333333348
+0 0.33333333333333304 0.66666666666666696
+1 1.333333333333333 1.666666666666667
+2 2.333333333333333 2.666666666666667
+3 3.333333333333333 3.666666666666667
+"""
+
+
+@pytest.mark.parametrize("dim,n,length,data,text", [
+    (2, (2, 1), (1.0, 0.3), {"u": [0.1, -2.5, 3.0, 1e-20, -0.0, 7.0]}, VTK_2D_SCALARS),
+    (3, 1, 0.5, {"d": np.arange(24) / 3.0 - 4}, VTK_3D_VECTORS),
+], ids=["2d-scalars", "3d-vectors"])
+def test_vtk_export_exact_text(tmp_path, dim, n, length, data, text):
+    # every value round-trips (%.17g), 2D points and vectors get z = 0
+    path = tmp_path / "out.vtk"
+    export_vtk(generate_box_mesh(dim, n, length), data, path)
+    assert path.read_text() == text
 
 
 def test_vtk_rejects_bad_data_size(tmp_path):

@@ -5,8 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from conftest import build_level1, elements_of, grid_from_lists, level2_pseudomesh
 from mlbddc import partition
@@ -16,9 +14,8 @@ from mlbddc.grid import level_grid_from_mesh
 from mlbddc.partition import (
     BALANCE_FACTOR,
     _block_axis_counts,
-    _components,
-    _shared_node_counter,
-    element_adjacency,
+    _shared_counts,
+    element_graph,
     partition_elements,
     partition_greedy,
     partition_regular_blocks,
@@ -33,7 +30,8 @@ def raw_grid(dim, n):
 
 
 def assert_connected(part, grid):
-    adjacency = element_adjacency(grid)
+    graph = element_graph(grid)
+    adjacency = np.split(graph.indices, graph.indptr[1:-1])
     for s in range(part.n_subdomains):
         elems = part.elements_of(s)
         assert elems.size > 0
@@ -76,6 +74,18 @@ def test_blocks_3d():
     # element (0,0,0) and (3,3,3) land in the first and last block
     assert part.assignment[0] == 0
     assert part.assignment[-1] == 7
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 10, 15, 30])
+def test_blocks_match_loop_on_anisotropic_box(count):
+    # element (i, j, k) of the (2, 3, 5) box lies in block (i // bx, j // by,
+    # k // bz) for block sides b = shape // counts, blocks numbered x fastest
+    shape = (2, 3, 5)
+    counts = _block_axis_counts(shape, count)
+    side = [n // c for n, c in zip(shape, counts)]
+    expected = [i // side[0] + counts[0] * (j // side[1] + counts[1] * (k // side[2]))
+                for k in range(5) for j in range(3) for i in range(2)]
+    assert partition_regular_blocks(raw_grid(3, shape), count).assignment.tolist() == expected
 
 
 def test_blocks_rejects_non_dividing():
@@ -200,18 +210,22 @@ def adjacency_grids():
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_adjacency_and_shared_counts_match_loop_reference(which):
-    # plain loops over the element lists: neighbours share a node, and an
-    # element shares sum |nodes(e) & nodes(o)| nodes with o's subdomain
+    # plain loops over the element lists: row e of the graph lists, ascending,
+    # the elements o != e that share a node with e, each with the count
+    # |nodes(e) & nodes(o)|, and e shares the sum of those counts with o's
+    # subdomain
     grid = adjacency_grids()[which]
     conn = (elements_of(grid) if grid.conn_nodes is None
             else [sorted(nodes) for nodes in grid.conn_nodes.tolist()])
-    adjacency = element_adjacency(grid)
+    graph = element_graph(grid)
+    assert graph.shape == (grid.n_elems, grid.n_elems)
     for e, nodes in enumerate(conn):
-        expected = sorted(o for o, other in enumerate(conn)
-                          if o != e and set(nodes) & set(other))
-        assert adjacency[e] == expected
+        row = slice(graph.indptr[e], graph.indptr[e + 1])
+        expected = {o: len(set(nodes) & set(other)) for o, other in enumerate(conn)
+                    if o != e and set(nodes) & set(other)}
+        assert graph.indices[row].tolist() == sorted(expected)
+        assert graph.data[row].tolist() == [expected[o] for o in sorted(expected)]
     assignment = np.arange(grid.n_elems) % 3 - 1          # -1: unassigned
-    shared = _shared_node_counter(grid)
     for e, nodes in enumerate(conn):
         for exclude in (-1, 0):
             expected: dict = {}
@@ -219,25 +233,7 @@ def test_adjacency_and_shared_counts_match_loop_reference(which):
                 s = int(assignment[o])
                 if o != e and s >= 0 and s != exclude and set(nodes) & set(other):
                     expected[s] = expected.get(s, 0) + len(set(nodes) & set(other))
-            assert shared(e, assignment, exclude) == expected
-
-
-@pytest.mark.parametrize("which", [0, 1, 2])
-def test_components_match_csgraph_on_induced_subgraphs(which):
-    # scipy's connected components of the subgraph an element set induces,
-    # each sorted and ordered by smallest element
-    grid = adjacency_grids()[which]
-    adjacency = element_adjacency(grid)
-    n = grid.n_elems
-    rows = np.repeat(np.arange(n), [len(nb) for nb in adjacency])
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(rows.size), (rows, np.concatenate(adjacency))), shape=(n, n))
-    rng = np.random.default_rng(which)
-    for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
-        elems = np.nonzero(rng.random(n) < frac)[0]
-        _, labels = connected_components(graph[elems][:, elems], directed=False)
-        expected = sorted(elems[labels == c].tolist() for c in np.unique(labels))
-        assert _components(rng.permutation(elems), adjacency) == expected
+            assert _shared_counts(graph, e, assignment, exclude) == expected
 
 
 def test_greedy_on_pseudomesh_is_connected_and_balanced():

@@ -248,7 +248,10 @@ def test_splu_path_above_threshold(monkeypatch):
 def test_superlu_is_loaded_only_on_demand():
     # factorize imports scipy.sparse.linalg in its SuperLU branch only, so a
     # process whose factors are all band Cholesky never loads it (about 2 MB
-    # of resident memory): here importing mlbddc and a three-level solve
+    # of resident memory): here importing mlbddc and a three-level solve.
+    # Likewise the greedy partitioner's balance pass alone imports
+    # scipy.sparse.csgraph, and only once a subdomain is oversized, which no
+    # level of this greedy-partitioned run is
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -258,9 +261,10 @@ def test_superlu_is_loaded_only_on_demand():
             ".preconditioner\n"
             "methods = {lv.splits.k_ii_fact.method for lv in prec.levels} | {prec.top.method}\n"
             "assert methods == {'cholesky'}, methods\n"
-            "assert 'scipy.sparse.linalg' not in sys.modules\n")
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            "assert 'scipy.sparse.csgraph' not in sys.modules\n")
     done = subprocess.run([sys.executable, "-c", code, "problem=elasticity", "dim=3",
-                           "elements=6", "hierarchy=27/8"],
+                           "elements=6", "hierarchy=27/8", "partition=greedy-graph-growing"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
