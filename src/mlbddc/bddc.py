@@ -30,8 +30,8 @@ and recover the interiors after it, with the condensation and recovery of
 the level-1 solve (substructuring), so the recursion only ever sees
 interface residuals; each is one block-diagonal interior solve per level.
 The constrained local problems are solved once, at setup: each A_i is
-factorized by LAPACK's Cholesky potrf and inverted in the factor's storage
-by potri, always densely (its order is below that of the interface). With
+factorized by potrf and inverted from its factor (`sparse.spd_inverse`),
+always densely (its order is below that of the interface). With
 X_i the basis of unit constraint values (each row's inverse weight on its
 own dof), V_i = N_i^T (S_i X_i)_f and U_i = A_i^-1 V_i, the subdomain's
 constrained solve is N_i A_i^-1 N_i^T over the free dofs and its basis is
@@ -52,24 +52,25 @@ group, whatever does not depend on the Schur complements (dense positions of
 its matrix rows, interface orders with each row's own dof, and the index
 maps of N_i and X_i) is indexed once for all of its members; only the dense
 kernels (a triangular solve with the subdomain's own columns of the level's
-band K_II factor and a rank-k update for S_i, then potrf and potri for
-A_i), the gathers of S_i's rows and columns and the products with A_i^-1
-run once per subdomain, writing A_i^-1, U_i and the coarse matrices into
-the group's stacks; the next level's assembly, the coarse matrices' only
-reader, takes them out of the groups. All reductions accumulate in a fixed
-order (shape groups, then subdomains), so results are bitwise reproducible
-at a fixed BLAS thread count.
+band K_II factor and a rank-k update for S_i's lower triangle, then potrf
+and the inverse for A_i), the gathers of A_i from that triangle and the
+products with A_i^-1 run once per subdomain, writing A_i^-1, U_i and the
+coarse matrices into the group's stacks; the next level's assembly, their
+only reader, takes them out of the groups. All reductions accumulate in a
+fixed order (shape groups, then subdomains), so results are bitwise
+reproducible at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.lapack import dpotrf
 
 from .errors import NotPositiveDefiniteError, NumericalError
 from .grid import LevelGrid
@@ -83,10 +84,11 @@ from .interface import (
 )
 from .partition import Partition, build_pseudomesh, partition_elements
 from .sparse import (REFINE_TOL, Factorization, SparseMatrix, factorize, probe_rhs,
-                     sum_elements)
+                     spd_inverse, sum_elements)
 from .substructuring import (InterfaceMap, LevelSplits, build_splits, condensed_rhs,
                              recover_interior, subdomain_keys)
 
+log = logging.getLogger("mlbddc")      # setup's DEBUG records; no handler of its own
 
 @dataclass
 class LevelConstraints:
@@ -286,15 +288,16 @@ class SubdomainCoarse:
 
     @property
     def bordered(self) -> Factorization:
-        """The record of A, formed on each call by setup's own steps (S by
-        `_local_schur`, A by `_reduced`), so bitwise the A that setup factorized:
-        method "cholesky" ("empty" at order 0), order and A as a CSR, no factor."""
+        """Bitwise the A that setup factorized, formed on each call by its steps
+        (S by `_local_schur`, A's lower triangle by `_reduced`, mirrored): method
+        "cholesky" ("empty" at order 0), order and A as a CSR, no factor."""
         g, j, nk, nb = self.group, self.slot, self.ainv.shape[0], self.group.order.shape[1]
         _, own, master = _index_maps(g.row[j:j + 1], nk, np.arange(nb)[None], nb)
         s, = _local_schur(self.splits, g, [j])
-        a = _reduced(s, own[0], master[0], g.w[j], np.tri(nk, dtype=bool))[0]
-        return Factorization(nk, "cholesky" if nk else "empty", SparseMatrix(
-            scipy.sparse.csr_matrix(a), symmetric=True), np.array([0, nk]), None)
+        a = _reduced(s, own[0], master[0], g.w[j], np.tri(nb - nk, dtype=bool))[0]
+        a = scipy.sparse.csr_matrix(np.where(np.tri(nk, dtype=bool), a, a.T))
+        return Factorization(nk, "cholesky" if nk else "empty", SparseMatrix(a, symmetric=True),
+                             np.array([0, nk]), None)
 
     @property
     def psi(self) -> np.ndarray:
@@ -339,21 +342,24 @@ def _subdomains(g: ShapeGroup, splits: LevelSplits) -> list:
 
 
 def _reduced(s: np.ndarray, own: np.ndarray, master: np.ndarray, w: np.ndarray, lower):
-    """(A, V, S X) of a member of a shape group by `coarse_basis`'s gathers, from
-    its S and rows of the index maps there; `lower` is np.tri of A's order."""
-    nk, nb = lower.shape[0], s.shape[0]
-    sx = np.take(s, own, axis=1) * w                        # S X, in C order, as is V
-    k = np.flatnonzero(master < nb)                         # the kept dofs under an average
-    if not k.size:
-        return s[:nk, :nk], sx[:nk], sx
-    mk = master[k]
-    sn = s[:, :nk].copy()
-    sn[:, k] -= s[:, mk]                                    # S N
-    a = sn[:nk]
-    a[k] -= sn[mk]
-    v = sx[:nk].copy()
-    v[k] -= sx[mk]
-    return np.where(lower, a, a.T), v, sx
+    """(A, V, X^T S X) of a group member by `coarse_basis`'s gathers from its S's lower triangle
+    and its index-map rows (`lower`: np.tri of n_constraints); only A's lower triangle, F order."""
+    nk, nb = s.shape[0] - own.size, s.shape[0]
+    # S's rows at the own places nk.. (own block mirrored), a zero row, a zero column at nb
+    rows = np.zeros((own.size + 1, nb + 1))
+    rows[:-1, :nk] = s[nk:, :nk]
+    rows[:-1, nk:nb] = s[nk:, nk:].T
+    np.copyto(rows[:-1, nk:nb], s[nk:, nk:], where=lower)
+    xs = rows[own - nk]                                     # X^T S = (S X)^T
+    xs *= w[:, None]
+    xsx = xs[:, own].T * w[:, None]
+    if not (master < nb).any():                             # no kept dof under an average
+        return np.array(s[:nk, :nk], order="F"), xs[:, :nk].T, xsx
+    # S N, then N^T (S N); a kept dof without a master subtracts the zeros at nb
+    a = s[:nk, :nk] - rows[master - nk, :nk].T
+    sn = rows[:, :nk] - rows[:, master]
+    a -= np.take(sn.T.copy(), master - nk, axis=1).T
+    return a, (xs[:, :nk] - xs[:, master]).T, xsx
 
 
 def coarse_basis(g: ShapeGroup, schur) -> None:
@@ -370,11 +376,11 @@ def coarse_basis(g: ShapeGroup, schur) -> None:
     f, and A = N^T S_ff N is SPD of order n_interface - n_constraints. X
     puts 1 / (1 / size), the inverse of the row's weight, on each row's own
     dof, which no other row covers, so C X = I. N and X have one nonzero per
-    column, so each product with them is a gather: S X scales S's own-dof
-    columns, S N subtracts from each kept column its master's, and A = N^T
-    (S N) does the same with rows, mirrored from its lower triangle. A is
-    factorized by LAPACK's potrf and inverted in the factor's storage by
-    potri; A^-1 is exactly symmetric.
+    column, so each product with them is a gather from S's lower triangle (the
+    own places come last, and their own block is mirrored): X^T S scales S's
+    own-place rows, S N subtracts from each kept column its master's, and
+    N^T (S N) does the same with rows, for A's lower triangle only. potrf
+    factorizes it and `sparse.spd_inverse` inverts; A^-1 is exactly symmetric.
 
     Fills the group's stacks with A^-1 and U = A^-1 V, V = N^T (S X)_f: the
     constrained solve is z_f = N A^-1 N^T r_f, the basis is psi = X - N U
@@ -386,36 +392,31 @@ def coarse_basis(g: ShapeGroup, schur) -> None:
     Returns nothing: no record of A is kept (see `SubdomainCoarse.bordered`).
 
     Each member's setup check, run as soon as its inverse is made, applies
-    A to A^-1 b for the check probe b, so it covers the inverse that the
-    preconditioner applies. A member whose inverse is inaccurate raises
+    A (symv) to A^-1 b for the check probe b, so it covers the inverse that
+    the preconditioner applies. A member whose inverse is inaccurate raises
     NumericalError and one whose A meets a non-positive pivot
     NotPositiveDefiniteError; each names the member's subdomain index (also
     set as the exception's `subdomain`).
     """
     nk, nc = g.u.shape[1:]                                  # nk: the order of A
-    nb = nk + nc
-    # each row's own place and each kept dof's master place, nb if it has none
+    nb = g.row.shape[1]           # each row's own place, each kept dof's master's or nb
     _, own, master = _index_maps(g.row, nk, np.broadcast_to(np.arange(nb), g.row.shape), nb)
-    b = probe_rhs(nk)
-    lower = np.tri(nk, dtype=bool)
+    b, lower, lower_c = probe_rhs(nk), np.tri(nk, dtype=bool), np.tri(nc, dtype=bool)
     for j, s in enumerate(schur):
-        a, v, sx = _reduced(s, own[j], master[j], g.w[j], lower)
-        inv = a                                             # order 0: nothing to invert
+        a, v, xsx = _reduced(s, own[j], master[j], g.w[j], lower_c)
         if nk:
             low, info = dpotrf(a, lower=1)
             if info:
                 _member_failed(g, j, NotPositiveDefiniteError,
                                f"non-positive pivot at row {info - 1} of A")
-            inv = dpotri(low, lower=1, overwrite_c=1)[0]    # cannot fail after potrf
-            inv = np.where(lower, inv, inv.T)
-            r = b - a @ (inv @ b)
+            spd_inverse(low, g.ainv[j], lower)
+            r = b - dsymv(1.0, a, g.ainv[j] @ b, lower=1)
             rel = np.sqrt(r @ r / (b @ b))
             if not rel <= REFINE_TOL:                       # a NaN fails too
                 _member_failed(g, j, NumericalError, f"inverse is inaccurate: relative residual "
                                f"{rel:.1e} on the check probe, above {REFINE_TOL:.0e}")
-        u = inv @ v
-        g.kc[j] = g.w[j][:, None] * sx[own[j]] - v.T @ u   # X^T S X - V^T U
-        g.ainv[j], g.u[j] = inv, u
+        np.matmul(g.ainv[j], v, out=g.u[j])
+        np.subtract(xsx, v.T @ g.u[j], out=g.kc[j])         # X^T S X - V^T U
 
 
 def _member_failed(g: ShapeGroup, j: int, kind: type, detail: str):
@@ -569,43 +570,42 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
 
     A member's K_IB and K_BB are read straight from the stacked CSR arrays
     (a member has no entries outside its own columns) into dense arrays in
-    interface order. Its K_II block is never made dense: S = K_BB - W^T W
-    with W = L^-1 K_IB by a triangular solve with its own columns of the
-    level's band Cholesky factor (`Factorization.lower_solve`), W^T W by one
-    rank-k update of S's lower triangle, then mirrored, so S is exactly
-    symmetric. The level's factor is SuperLU only when some K_II block is
-    beyond the band budget (see `factorize`), and then each member
-    factorizes its own K_II block and takes S = K_BB - K_IB^T K_II^-1 K_IB
-    by a solve for the n_B columns of K_IB, symmetrized.
+    interface order, by one flat index. Its K_II block is never made dense:
+    S = K_BB - W^T W with W = L^-1 K_IB by a triangular solve with its own
+    columns of the level's band Cholesky factor (`Factorization.lower_solve`;
+    from the right, W^T = K_BI L^-T, where it takes a dense triangle), then
+    one rank-k update of S's lower triangle, the only part of S formed. The
+    level's factor is SuperLU only when some K_II block is beyond the band
+    budget (see `factorize`), and then each member factorizes its own K_II
+    block and takes S = K_BB - K_IB^T K_II^-1 K_IB by a solve for the n_B
+    columns of K_IB.
     """
     nb, subs = g.order.shape[1], g.subs[slots]
     fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
     col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
     col[splits.iface_offsets[subs][:, None] + g.order[slots]] = np.arange(nb)
-    lower = np.tri(nb, dtype=bool)
+
+    def dense(m, r0, r1, at, step, shape):
+        # rows r0:r1 of CSR m, entry (r, c) at F-order flat index at[r] + step * col[c]
+        ptr, out = m.indptr[r0:r1 + 1], np.zeros(shape[0] * shape[1])
+        out[np.repeat(at, np.diff(ptr)) + step * col[m.indices[ptr[0]:ptr[-1]]]] = \
+            m.data[ptr[0]:ptr[-1]]
+        return out.reshape(shape, order="F")
+
     for i in subs.tolist():
-        lo, hi = splits.interior_offsets[i:i + 2]
-        b0, b1 = splits.iface_offsets[i:i + 2]
-        ptr = k_bb.indptr[b0:b1 + 1]
-        entries = slice(ptr[0], ptr[-1])
-        s = np.zeros((nb, nb), order="F")
-        s[np.repeat(col[b0:b1], np.diff(ptr)), col[k_bb.indices[entries]]] = k_bb.data[entries]
-        if lo == hi or nb == 0:
+        (lo, hi), (b0, b1) = splits.interior_offsets[i:i + 2], splits.iface_offsets[i:i + 2]
+        n_i, right = hi - lo, fact.takes_dense(i)
+        s = dense(k_bb, b0, b1, col[b0:b1], nb, (nb, nb))
+        w = (dense(k_ib, lo, hi, nb * np.arange(n_i), 1, (nb, n_i)) if right     # K_BI
+             else dense(k_ib, lo, hi, np.arange(n_i), n_i, (n_i, nb)))
+        if n_i == 0 or nb == 0:
             yield s
-            continue
-        ptr = k_ib.indptr[lo:hi + 1]
-        entries = slice(ptr[0], ptr[-1])
-        w = np.zeros((hi - lo, nb), order="F")
-        w[np.repeat(np.arange(hi - lo), np.diff(ptr)), col[k_ib.indices[entries]]] = \
-            k_ib.data[entries]
-        if fact.method == "splu":
+        elif fact.method == "splu":
             own = factorize(SparseMatrix(fact.matrix.scipy_csr()[lo:hi, lo:hi], symmetric=True))
-            s -= w.T @ own.solve(w)
-            yield (s + s.T) * 0.5
-            continue
-        s = dsyrk(-1.0, fact.lower_solve(i, w), beta=1.0, c=s, trans=1, lower=1,
-                  overwrite_c=1)
-        yield np.where(lower, s, s.T)
+            yield s - w.T @ own.solve(w)
+        else:
+            yield dsyrk(-1.0, fact.lower_solve(i, w, right), beta=1.0, c=s,
+                        trans=int(not right), lower=1, overwrite_c=1)
 
 
 def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
@@ -633,7 +633,10 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
-    masters = [g.master.ravel() for g in groups if g.master is not None]
+    fact, masters = splits.k_ii_fact, [g.master.ravel() for g in groups if g.master is not None]
+    log.debug("level %d: %d subdomains; shape groups (m, n_B, n_c) %s; K_II factor %s n=%d kd=%s",
+              index, part.n_subdomains, [g.row.shape + g.tags.shape[1:] for g in groups],
+              fact.method, fact.n, fact.kd)
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, groups=groups,
                      coarse_dofs=np.concatenate([g.dofs.ravel() for g in groups]),
@@ -660,6 +663,7 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
     collapses it to the hierarchy without the level. A level whose coarse
     space is empty ends the hierarchy: its coarse problem, of order 0, is
     the final one, so `levels` and `coarse_sizes` report the levels built.
+    Each level and the top factor are logged at DEBUG on the "mlbddc" logger.
     """
     levels = []
     for depth, count in enumerate([None, *coarse_counts]):
@@ -683,4 +687,5 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
             f"final coarse matrix ({k_top.shape[0]} dofs) is not positive "
             f"definite or too ill-conditioned to solve accurately; the "
             f"constraint set is too weak") from exc
+    log.debug("top factor %s n=%d", top.method, top.n)
     return MultilevelBddc(levels=levels, top=top)

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dlauum, dpbtrf, dpbtrs, dtbtrs, dtrtri
 
 from .errors import NotPositiveDefiniteError, NumericalError
 
@@ -267,29 +267,41 @@ class Factorization:
                 f"factor solve is inaccurate in diagonal block {j}: relative "
                 f"residual {rel[bad[0]]:.1e} on the check probe, above {REFINE_TOL:.0e}")
 
-    def lower_solve(self, j: int, b: np.ndarray) -> np.ndarray:
-        """L_j^-1 b for diagonal block j of a band Cholesky factor L L^T, b
-        a block of rhs columns over that block's rows (overwritten when it
-        is F-ordered). Block j's columns of the band storage are its own
-        band factor L_j, since a block-diagonal matrix fills in only inside
-        its blocks.
+    @property
+    def kd(self):                 # the band factor's half-bandwidth, else None
+        return self._payload.shape[0] - 1 if self.method == "cholesky" else None
 
-        Where the band stores at least as many entries as L_j's dense
-        triangle, (kd + 1) n_j >= n_j (n_j + 1) / 2, that is 2 kd + 1 >= n_j,
-        L_j is copied into a dense lower triangle and solved by BLAS dtrsm
-        (level 3); a narrower band keeps LAPACK's dtbtrs, which touches
-        only the band."""
+    def takes_dense(self, j: int) -> bool:
+        """Whether `lower_solve` copies block j's triangle: where the band stores
+        as many entries or more, (kd + 1) n_j >= n_j (n_j + 1) / 2, 2 kd + 1 >= n_j."""
+        n_j = self.offsets[j + 1] - self.offsets[j]
+        return self.method == "cholesky" and 2 * self.kd + 1 >= n_j
+
+    def lower_solve(self, j: int, b: np.ndarray, right: bool = False) -> np.ndarray:
+        """L_j^-1 b for diagonal block j of a band Cholesky factor L L^T and b
+        columns over its rows, or with `right` b L_j^-T and b rows over its
+        columns; b is overwritten when F-ordered, and returned as it is when
+        empty (LAPACK's dtbtrs corrupts the heap on an empty b). Block j's
+        columns of the band storage are its own band factor L_j, since a
+        block-diagonal matrix fills in only inside its blocks. Where
+        `takes_dense(j)`, L_j is copied into a dense lower triangle for BLAS
+        dtrsm (level 3); a narrower band keeps LAPACK's dtbtrs, which touches
+        only the band and solves from the left (b L_j^-T = (L_j^-1 b^T)^T)."""
+        if not b.size:
+            return b
         lo, hi = self.offsets[j], self.offsets[j + 1]
         band, n = self._payload[:, lo:hi], hi - lo
-        if 2 * band.shape[0] - 1 < n:
-            return dtbtrs(band, b, uplo="L", overwrite_b=1)[0]
+        if not self.takes_dense(j):
+            x = dtbtrs(band, b.T if right else b, uplo="L", overwrite_b=1)[0]
+            return x.T if right else x
         # column c's band entries L[c + d, c] go to F-order flat index
         # c * (n + 1) + d: those past row n land in the strict upper triangle
         # (or past its end), which dtrsm does not read
         rows = min(band.shape[0], n)
         dense = np.zeros(n * (n + 1))
         dense.reshape(n, n + 1)[:, :rows] = band[:rows].T
-        return dtrsm(1.0, dense[:n * n].reshape(n, n, order="F"), b, lower=1, overwrite_b=1)
+        return dtrsm(1.0, dense[:n * n].reshape(n, n, order="F"), b, side=int(right),
+                     lower=1, trans_a=int(right), overwrite_b=1)
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
         if self.method == "cholesky":
@@ -375,3 +387,26 @@ def factorize(a: SparseMatrix, offsets=None) -> Factorization:
     if bad.size:
         raise not_positive_definite(int(row_of[bad[0]]))
     return made("splu", lu)
+
+
+def spd_inverse(low: np.ndarray, out: np.ndarray, lower: np.ndarray) -> None:
+    """Write A^-1, exactly symmetric, into `out` from the lower Cholesky factor
+    L of an SPD A of order n >= 1 (`low`, F order, overwritten; `lower` is
+    np.tri(n, dtype=bool)). L^-1 = [L11 0; L21 L22]^-1 is recursive (Elmroth,
+    Gustavson, Jonsson & Kagstrom, SIAM Review 46, 2004): halves to order 64,
+    dtrtri at the leaves and L21 <- -L22^-1 L21 L11^-1 by two dtrmm, at potrf's
+    rate where OpenBLAS's dtrtri runs at a third of it. dlauum then forms the
+    lower triangle of A^-1 = L^-T L^-1, as potri would."""
+    def tri_inverse(l):
+        if l.shape[0] <= 64:
+            return dtrtri(l, lower=1, overwrite_c=1)[0]
+        h = l.shape[0] // 2
+        l11, l22 = (tri_inverse(np.array(d, order="F")) for d in (l[:h, :h], l[h:, h:]))
+        l21 = dtrmm(1.0, l11, np.array(l[h:, :h], order="F"), side=1, lower=1, overwrite_b=1)
+        l[h:, :h] = dtrmm(-1.0, l22, l21, lower=1, overwrite_b=1)
+        l[:h, :h], l[h:, h:] = l11, l22
+        return l
+
+    inv = dlauum(tri_inverse(low), lower=1, overwrite_c=1)[0]
+    np.copyto(out, inv.T)
+    np.copyto(out, inv, where=lower)

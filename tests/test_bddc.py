@@ -8,6 +8,7 @@ dense bordered system [K_i C_i^T; C_i 0] with the constraint rows
 zero-padded over the interior.
 """
 
+import logging
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -314,7 +315,7 @@ def test_basis_without_interior_matches_full_solve():
 
 def test_local_schur_reads_members_of_different_sizes():
     # two subdomains of one shape whose interiors differ in size (1 and 2
-    # dofs): each member's S is its own dense elimination
+    # dofs): the lower triangle of each member's S is its own dense elimination's
     rng = np.random.default_rng(41)
     mats = []
     for n in (3, 4):
@@ -332,7 +333,45 @@ def test_local_schur_reads_members_of_different_sizes():
         b = [1, 2] if interior == [0] else [0, 1]
         ref = kd[np.ix_(b, b)] - kd[np.ix_(interior, b)].T @ np.linalg.solve(
             kd[np.ix_(interior, interior)], kd[np.ix_(interior, b)])
-        assert rel_err(s, ref[np.ix_(g.order[0], g.order[0])]) <= 1e-13
+        assert rel_err(np.tril(s), np.tril(ref[np.ix_(g.order[0], g.order[0])])) <= 1e-13
+
+
+def test_local_schur_forms_the_lower_triangle_on_both_interior_paths(monkeypatch):
+    # one level factor over two K_II blocks: a dense one of order 4 (kd = 3)
+    # that the band fills, 2 kd + 1 >= 4, and a pentadiagonal one of order
+    # 12 > 2 kd + 1. The first member's W^T = K_BI L^-T is a right-side dtrsm
+    # on a dense triangle, the second's W = L^-1 K_IB a dtbtrs on the band;
+    # either way S's lower triangle is K_BB - K_BI K_II^-1 K_IB's
+    rng = np.random.default_rng(43)
+    dense = rng.standard_normal((7, 7))
+    band = np.diag(np.full(15, 8.0))
+    for d in (1, 2):
+        off = rng.uniform(-1.0, 1.0, 15 - d)
+        band += np.diag(off, d) + np.diag(off, -d)
+    band[12:, :12] = rng.uniform(-0.5, 0.5, (3, 12))
+    band[:12, 12:] = band[12:, :12].T
+    mats = [dense @ dense.T + 7.0 * np.eye(7), band]
+    # subdomain 0: interior dofs 0-3, subdomain 1: interior dofs 7-18; both
+    # share the interface dofs 4, 5 and 6
+    blocks, keys = stacked([scipy.sparse.csr_matrix(k) for k in mats],
+                           [np.arange(7), np.r_[7:19, 4:7]], 19, [4, 5, 6])
+    splits, _ = build_splits(blocks, keys, [4, 5, 6], 19, 2)
+    assert splits.k_ii_fact.kd == 3
+    cons, iface_offsets = hand_constraints([[0, -1, -1], [0, -1, -1]],
+                                           [["corner"], ["corner"]])
+    g, = _shape_groups(cons, iface_offsets)
+    calls = []
+    for name in ("dtrsm", "dtbtrs"):
+        real = getattr(sparse, name)
+        monkeypatch.setattr(sparse, name, lambda *a, name=name, real=real, **kw:
+                            calls.append(name) or real(*a, **kw))
+    for k, s, interior, iface in zip(mats, _local_schur(splits, g),
+                                     (np.arange(4), np.arange(12)), (np.r_[4:7], np.r_[12:15])):
+        ref = k[np.ix_(iface, iface)] - k[np.ix_(interior, iface)].T @ np.linalg.solve(
+            k[np.ix_(interior, interior)], k[np.ix_(interior, iface)])
+        ref = ref[np.ix_(g.order[0], g.order[0])]
+        assert rel_err(np.tril(s), np.tril(ref)) <= 1e-13
+    assert calls == ["dtrsm", "dtbtrs"]
 
 
 def test_point_constraints_inside_averages_match_full_solve():
@@ -467,7 +506,8 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges, coarse
     # N = [I; G] and X have one nonzero per column, so coarse_basis forms
     # S N, A = N^T S_ff N and V by gathering and subtracting rows and
     # columns of S: each member's record of A equals, bit for bit, the
-    # mirrored lower triangle of the dense products with _local_schur's S,
+    # mirrored lower triangle of the dense products with _local_schur's S
+    # (of which only the lower triangle is formed, so it is mirrored first),
     # and its coarse matrix is X^T S X - V^T A^-1 V with V = N^T (S X)_f
     level = make_bddc(elasticity3d_edges).levels[0]
     subs, averaged = level.subs, 0
@@ -475,6 +515,7 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges, coarse
         nb, (nk, nc) = g.order.shape[1], g.u.shape[1:]
         lower = np.tri(nk, dtype=bool)
         for j, s in enumerate(_local_schur(level.splits, g)):
+            s = np.where(np.tri(nb, dtype=bool), s, s.T)
             # dense rows over S's places: a row's own dof is its last place
             c = mean_rows(g.row[j], nc)
             own = np.array([np.flatnonzero(g.row[j] == r).max() for r in range(nc)])
@@ -502,15 +543,16 @@ def test_reduced_problem_is_formed_exactly_by_gathers(elasticity3d_edges, coarse
 def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     # setup makes no SubdomainCoarse and keeps no record of A: a level's
     # `subs` forms them when read, and each member's `bordered` redoes S and
-    # A by setup's own steps, so it holds, bit for bit, the A that setup
-    # handed to potrf ("empty", of order 0, where A has no order); reading
+    # A by setup's own steps, so it holds, bit for bit, the A whose lower
+    # triangle setup handed to potrf ("empty", of order 0, where A has no
+    # order; potrf reads the lower triangle only, so it is mirrored); reading
     # `subs` again gives equal records and changes no stored operator (A^-1
     # and U: the coarse matrices went to the next level's assembly)
     factorized, made = [], []
     potrf, init = bddc.dpotrf, bddc.SubdomainCoarse.__init__
 
     def recorded(a, **kwargs):
-        factorized.append(np.array(a))
+        factorized.append(np.where(np.tri(a.shape[0], dtype=bool), a, a.T))
         return potrf(a, **kwargs)
 
     def counted_init(self, *args, **kwargs):
@@ -551,6 +593,32 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     assert all(np.array_equal(a, b) for stack, copies in zip(stacks, stored)
                for a, b in zip(stack, copies))
     assert orders == {False, True}          # members with and without an A
+
+
+def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
+    # setup_bddc's DEBUG records on the "mlbddc" logger, off by default,
+    # give each level's subdomain count, shape groups (m, n_B, n_c) and K_II
+    # factor (method, n, kd), then the top factor (method, n); a run that
+    # logs them has bitwise the solution, residual history and condition
+    # estimate of one that does not
+    overrides = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
+    quiet = run_experiment(load_config(overrides=overrides))
+    assert not [r for r in caplog.records if r.name == "mlbddc"]
+    with caplog.at_level(logging.DEBUG, logger="mlbddc"):
+        logged = run_experiment(load_config(overrides=overrides))
+    records = [r for r in caplog.records if r.name == "mlbddc"]
+    assert all(r.levelno == logging.DEBUG for r in records) and len(records) == 3
+    prec = logged.preconditioner
+    for record, level in zip(records, prec.levels):
+        fact, groups = level.splits.k_ii_fact, level.groups
+        shapes = [(g.subs.size, g.row.shape[1], g.tags.shape[1]) for g in groups]
+        assert record.getMessage() == (
+            f"level {level.index}: {level.partition.n_subdomains} subdomains; shape groups "
+            f"(m, n_B, n_c) {shapes}; K_II factor {fact.method} n={fact.n} kd={fact.kd}")
+    assert records[-1].getMessage() == f"top factor {prec.top.method} n={prec.top.n}"
+    assert quiet.solution.tobytes() == logged.solution.tobytes()
+    assert quiet.report.relative_residuals == logged.report.relative_residuals
+    assert quiet.report.condition_estimate == logged.report.condition_estimate
 
 
 def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypatch):
@@ -967,15 +1035,14 @@ def half_bandwidth(csr) -> int:
 
 
 def check_against_full_local_problems(lv, level, stacks):
-    """Every subdomain's S (through _local_schur), psi and coarse matrix (its
-    copy in `stacks`) equal the dense oracle's, the full bordered solve of
-    [K C^T; C 0]."""
+    """Every subdomain's S (the lower triangle that _local_schur forms), psi
+    and coarse matrix (its copy in `stacks`) equal the dense oracle's, the
+    full bordered solve of [K C^T; C 0]."""
     for g in level.groups:
         for j, s in enumerate(_local_schur(level.splits, g)):
             split = level.splits[g.subs[j]]
             _, s_ref = full_local_problem(lv, split, constraint_rows(level, split.index))
-            assert np.array_equal(s, s.T)
-            assert rel_err(s, s_ref[np.ix_(g.order[j], g.order[j])]) <= 1e-12
+            assert rel_err(np.tril(s), np.tril(s_ref[np.ix_(g.order[j], g.order[j])])) <= 1e-12
     for sub, split in zip(level.subs, level.splits):
         bordered, _ = full_local_problem(lv, split, constraint_rows(level, split.index))
         local, _, b = split_positions(lv.splits, lv.imap, split.index)
@@ -1003,9 +1070,9 @@ def test_large_subdomains_eliminate_the_interior_sparsely(name, request, monkeyp
     calls = {"factorize": 0, "lower_solve": 0}
     lower_solve = Factorization.lower_solve
 
-    def counted_lower_solve(self, j, b):
+    def counted_lower_solve(self, j, b, *args):
         calls["lower_solve"] += 1
-        return lower_solve(self, j, b)
+        return lower_solve(self, j, b, *args)
 
     def counted_factorize(*args, **kwargs):
         calls["factorize"] += 1

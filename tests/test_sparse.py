@@ -19,6 +19,7 @@ from mlbddc.sparse import (
     SparseMatrix,
     factorize,
     sorted_unique,
+    spd_inverse,
     sum_elements,
 )
 
@@ -314,7 +315,9 @@ def test_lower_solve_takes_dense_triangles_where_the_band_is_full(monkeypatch):
     # solved by dtrsm on a dense copy of their triangles, and a
     # pentadiagonal block of order 12 > 2 kd + 1, solved on the band by
     # dtbtrs; each matches the dense factor's triangular solve for F-ordered
-    # right-hand sides of several columns
+    # right-hand sides of several columns, and from the right, b L_j^-T, for
+    # F-ordered right-hand sides of several rows (dtrsm solves from the right
+    # itself, dtbtrs solves the transpose from the left)
     rng = np.random.default_rng(31)
     narrow = np.diag(np.full(12, 6.0))
     for d in (1, 2):
@@ -336,12 +339,54 @@ def test_lower_solve_takes_dense_triangles_where_the_band_is_full(monkeypatch):
 
     for name in ("dtrsm", "dtbtrs"):
         monkeypatch.setattr(sparse, name, counted(name))
-    for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        b = np.asfortranarray(rng.standard_normal((hi - lo, 5)))
-        ref = scipy.linalg.solve_triangular(low[lo:hi, lo:hi], b, lower=True)
-        x = f.lower_solve(j, b)
-        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert calls == ["dtrsm", "dtbtrs", "dtrsm"]
+    for right in (False, True):
+        for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            b = np.asfortranarray(rng.standard_normal((hi - lo, 5)))
+            ref = scipy.linalg.solve_triangular(low[lo:hi, lo:hi], b, lower=True)
+            x = f.lower_solve(j, np.asfortranarray(b.T) if right else b, right)
+            assert f.takes_dense(j) == (j != 1)
+            assert np.linalg.norm((x.T if right else x) - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert calls == ["dtrsm", "dtbtrs", "dtrsm"] * 2
+
+
+def test_lower_solve_returns_an_empty_rhs_as_it_is():
+    # LAPACK's dtbtrs corrupts the heap on a right-hand side with no columns
+    # (glibc aborts later, or at exit), so lower_solve hands back an empty b
+    # itself on either path and orientation; a process that calls it on
+    # empty right-hand sides and then allocates freely exits cleanly
+    code = ("import numpy as np, scipy.sparse\n"
+            "from mlbddc.sparse import SparseMatrix, factorize\n"
+            "k = scipy.sparse.diags([np.full(12, 4.0), np.full(11, -1.0), np.full(11, -1.0)],\n"
+            "                       [0, 1, -1])\n"
+            "f = factorize(SparseMatrix.from_scipy(scipy.sparse.block_diag([k, np.eye(2)]),\n"
+            "                                      symmetric=True), offsets=[0, 12, 14])\n"
+            "assert [f.takes_dense(j) for j in (0, 1)] == [False, True]\n"
+            "for j, n in ((0, 12), (1, 2)):\n"
+            "    for b, right in ((np.zeros((n, 0), order='F'), False),\n"
+            "                     (np.zeros((0, n), order='F'), True)):\n"
+            "        assert f.lower_solve(j, b, right) is b\n"
+            "for _ in range(200):\n"
+            "    np.linalg.inv(np.eye(50) + np.ones((50, 50)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+def test_spd_inverse_matches_potri(n):
+    # the recursive blocked inverse (dtrtri leaves up to order 64, so orders
+    # 65 and up split, 129 and 300 more than once) agrees with LAPACK's
+    # potri on the lower triangle, and the stored inverse is exactly symmetric
+    rng = np.random.default_rng(n)
+    low = scipy.linalg.lapack.dpotrf(random_spd(rng, n), lower=1)[0]
+    ref = scipy.linalg.lapack.dpotri(low.copy(order="F"), lower=1)[0]
+    out = np.empty((n, n))
+    spd_inverse(low, out, np.tri(n, dtype=bool))
+    assert np.array_equal(out, out.T)
+    assert np.linalg.norm(np.tril(out - ref)) <= 1e-13 * np.linalg.norm(np.tril(ref))
 
 
 def test_solve_residual_contract():
