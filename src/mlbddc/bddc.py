@@ -46,8 +46,8 @@ X_i z_c + N_i (y_i - U_i z_c), which is psi_i z_c plus the constrained
 solve. No subdomain keeps a factor, a record of A_i or an object past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
-level come from one construction over the coarse nodes and their members
-(`build_constraints`), which also decides each group's shape. For each
+level come from one search: each interface position's node names its coarse
+node (`build_constraints`), which also decides each group's shape. For each
 group, whatever does not depend on the Schur complements (dense positions of
 its matrix rows, interface orders with each row's own dof, and the index
 maps of N_i and X_i) is indexed once for all of its members; only the dense
@@ -95,10 +95,10 @@ class LevelConstraints:
     """The constraint rows of every subdomain of a level, stacked in
     subdomain order: subdomain i owns rows starts[i]:starts[i+1], one per
     local coarse dof (corner value or glob average), ordered like its coarse
-    dofs (coarse nodes ascending, components fastest). Row row_of[p] covers
+    dofs (coarse nodes ascending, components fastest). Row row_of[p], that of
+    its node's coarse node (`CoarseSpace.node_coarse`) and component, covers
     position p of the level's stacked interface (`LevelSplits.iface_index`
-    order), -1 if none does, and a row is the mean of the positions it
-    covers, each weighted 1/size.
+    order), -1 if none does; a row is the mean of the positions it covers.
 
     Every row covers a position (`build_constraints` checks it). A point
     constraint, a row tagged "corner" that covers one position, fixes that
@@ -111,45 +111,31 @@ class LevelConstraints:
     row_of: np.ndarray            # (n_stacked_interface,) covering row, or -1
 
 
-def build_constraints(coarse: CoarseSpace, globset, splits: LevelSplits,
+def build_constraints(coarse: CoarseSpace, splits: LevelSplits,
                       imap: InterfaceMap) -> LevelConstraints:
-    """Constraint rows of all subdomains of a level at once: each subdomain's
-    coarse nodes (sub_ptr/sub_node) expand into their members (member_ptr/
-    members: a corner itself, a glob node the glob's remaining members), and
-    one search against the sorted (subdomain, interface dof) keys of the
-    stacked interface places every member dof. A member outside its
-    subdomain's interface, a position in two rows (a corner inside a glob,
-    a dof in two globs) and a row without members raise ValueError."""
-    dpn = coarse.dofs_per_node
-    kinds = np.concatenate([np.full(coarse.n_corners, "corner"),
-                            globset.kinds[coarse.glob_ids]])
-    size = np.diff(coarse.member_ptr)
-    node, per_sub = coarse.sub_node, np.diff(coarse.sub_ptr)   # a node per (subdomain, node)
-    sub = np.repeat(np.arange(per_sub.size), per_sub)
-    # one entry per (subdomain, node, member), then per component
-    pair = np.repeat(np.arange(node.size), size[node])
-    within = np.arange(pair.size) - np.repeat(np.cumsum(size[node]) - size[node], size[node])
-    comp = np.arange(dpn)
-    dof = coarse.members[coarse.member_ptr[node][pair] + within][:, None] * dpn + comp
-    iface_dof = imap.dofs[splits.iface_index]
-    span = int(max(dof.max(initial=-1), iface_dof.max(initial=-1))) + 1
-    keys = np.repeat(np.arange(per_sub.size), np.diff(splits.iface_offsets)) * span + iface_dof
-    want = sub[pair][:, None] * span + dof
-    col = np.searchsorted(keys, want)
-    found = col < keys.size
-    found[found] = keys[col[found]] == want[found]
-    if not found.all():
-        raise ValueError(f"subdomain {sub[pair][np.nonzero(~found)[0][0]]}: constraint "
-                         f"node outside the subdomain's interface")
-    if size[node].min(initial=1) == 0 or np.bincount(col.ravel()).max(initial=0) > 1:
-        raise ValueError("constraint rows of a subdomain must have disjoint, "
-                         "nonempty supports")
-    row_of = np.full(keys.size, -1)
-    row_of[col] = pair[:, None] * dpn + comp
+    """Constraint rows of all subdomains of a level at once: each position of
+    the stacked interface names its node's coarse node (`node_coarse`), and
+    one search among the sorted (subdomain, coarse node) pairs finds its
+    row. A node names one coarse node, so no position is in two rows. A
+    position whose coarse node is not its subdomain's, and a row that covers
+    no position, raise ValueError naming the subdomain."""
+    dpn, n, n_subs = coarse.dofs_per_node, coarse.n_nodes, coarse.sub_ptr.size - 1
+    owner = np.repeat(np.arange(n_subs), np.diff(coarse.sub_ptr))
+    pairs = np.append(owner * n + coarse.sub_node, n * n_subs)   # ascending, then one above all
+    node, comp = np.divmod(imap.dofs[splits.iface_index], dpn)
+    on = np.flatnonzero(coarse.node_coarse[node] >= 0)
+    sub = np.repeat(np.arange(n_subs), np.diff(splits.iface_offsets))[on]
+    want = sub * n + coarse.node_coarse[node[on]]
+    col = np.searchsorted(pairs, want)
+    row_of = np.full(node.size, -1)
+    row_of[on] = col * dpn + comp[on]
+    empty = np.bincount(row_of[on], minlength=pairs.size * dpn)[:owner.size * dpn] == 0
+    bad = np.r_[sub[pairs[col] != want], owner[np.flatnonzero(empty) // dpn]]
+    if bad.size:
+        raise ValueError(f"subdomain {bad.min()}: coarse nodes do not match its interface")
     return LevelConstraints(
-        starts=coarse.sub_ptr * dpn,
-        tags=np.repeat(kinds[node], dpn), dofs=(node[:, None] * dpn + comp).ravel(),
-        row_of=row_of)
+        starts=coarse.sub_ptr * dpn, tags=np.repeat(coarse.kinds[coarse.sub_node], dpn),
+        dofs=(coarse.sub_node[:, None] * dpn + np.arange(dpn)).ravel(), row_of=row_of)
 
 
 @dataclass
@@ -619,7 +605,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
-    groups = _shape_groups(build_constraints(coarse, globset, splits, imap),
+    groups = _shape_groups(build_constraints(coarse, splits, imap),
                            splits.iface_offsets)
     failed = []
     for g in groups:
@@ -634,9 +620,11 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
     fact, masters = splits.k_ii_fact, [g.master.ravel() for g in groups if g.master is not None]
-    log.debug("level %d: %d subdomains; shape groups (m, n_B, n_c) %s; K_II factor %s n=%d kd=%s",
-              index, part.n_subdomains, [g.row.shape + g.tags.shape[1:] for g in groups],
-              fact.method, fact.n, fact.kd)
+    log.debug("level %d: %d subdomains; coarse dofs (corner, edge, face) %s; shape groups "
+              "(m, n_B, n_c) %s; K_II factor %s n=%d kd=%s", index, part.n_subdomains,
+              tuple(int(np.count_nonzero(coarse.kinds == k)) * grid.dofs_per_node
+                    for k in ("corner", "edge", "face")),
+              [g.row.shape + g.tags.shape[1:] for g in groups], fact.method, fact.n, fact.kd)
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, groups=groups,
                      coarse_dofs=np.concatenate([g.dofs.ravel() for g in groups]),

@@ -10,9 +10,9 @@ constraints; the remaining glob members carry average constraints.
 Every step is a few whole-array sorts and segment reductions: one lexsort
 of the interface nodes' padded sharer rows makes the globs, and `GlobSet`
 holds them as arrays (each node's glob, each glob's kind and sharers).
-The coarse space takes one point constraint per corner and one average per
-included glob over its non-corner members; globs are disjoint, so no
-interface dof is in two constraint rows.
+The coarse space maps each node to its one coarse node (a corner to its own
+point constraint, any other member of an included glob to the glob's
+average), so no interface dof is in two constraint rows.
 """
 
 from __future__ import annotations
@@ -152,30 +152,23 @@ def _policy_kinds(policy: str, dim: int):
 
 @dataclass
 class CoarseSpace:
-    """Global coarse-node ordering (corners first, then globs) plus the
-    per-subdomain restriction maps the levels are glued with, both as
-    offsets into one flat array: coarse node c has members
-    members[member_ptr[c]:member_ptr[c + 1]] (a corner itself, a glob its
-    non-corner members, ascending), and subdomain i has coarse nodes
-    sub_node[sub_ptr[i]:sub_ptr[i + 1]], ascending. The latter is the next
-    level's element -> node incidence (`partition.build_pseudomesh`)."""
+    """A level's coarse nodes, the corners by node id, then the included globs
+    in classify order. node_coarse names each previous-level node's coarse
+    node: a corner its own, a non-corner member of an included glob its
+    glob's, any other node -1. Subdomain i has coarse nodes
+    sub_node[sub_ptr[i]:sub_ptr[i + 1]], ascending: the next level's
+    element -> node incidence (`partition.build_pseudomesh`)."""
 
     dofs_per_node: int
-    corner_nodes: np.ndarray       # sorted previous-level node ids
-    glob_ids: np.ndarray           # included glob indices, classify order
-    member_ptr: np.ndarray         # (n_nodes + 1,)
-    members: np.ndarray            # previous-level node ids
-    node_coords: np.ndarray        # (n_nodes, dim)
+    node_coarse: np.ndarray        # (previous-level n_nodes,) coarse node, or -1
+    kinds: np.ndarray              # (n_nodes,) "corner" | "edge" | "face"
+    node_coords: np.ndarray        # (n_nodes, dim) the members' centroids
     sub_ptr: np.ndarray            # (n_subdomains + 1,)
     sub_node: np.ndarray           # coarse node ids
 
     @property
-    def n_corners(self) -> int:
-        return self.corner_nodes.shape[0]
-
-    @property
     def n_nodes(self) -> int:
-        return self.n_corners + len(self.glob_ids)
+        return self.kinds.shape[0]
 
     @property
     def n_dofs(self) -> int:
@@ -186,37 +179,35 @@ def build_coarse_space(globset: GlobSet, corners: np.ndarray, grid: LevelGrid,
                        partition, policy: str = "corners+edges+faces") -> CoarseSpace:
     """One coarse node per corner and per glob of the policy's kinds that
     keeps a non-corner member; each subdomain takes the coarse nodes whose
-    sharing set holds it. Both CSR pairs come from one sort each."""
+    sharing set holds it, from one sort."""
     if policy not in CONSTRAINT_POLICIES:
         raise ValueError(f"unknown constraint policy {policy!r}")
-    kinds = _policy_kinds(policy, grid.dim)
     corners = np.sort(np.asarray(corners, dtype=np.int64))
     off = corners[globset.node_glob[corners] < 0]
     if off.size:
         raise ValueError(f"corner node {off[0]} is not an interface node")
-    # non-corner members of the included globs, grouped by glob
-    members, glob = globset.members()
-    rest = ~np.isin(members, corners) & np.isin(globset.kinds[glob], kinds)
-    members, glob = members[rest], glob[rest]
-    size = np.bincount(glob, minlength=globset.kinds.size)
-    glob_ids = np.nonzero(size)[0]
-    # coarse nodes: the corners, each its own one member, then the globs
-    members = np.concatenate([corners, members])
-    size = np.concatenate([np.ones(corners.size, dtype=np.int64), size[glob_ids]])
-    n = size.size
-    # centroids, summed member by member in order, as mean() does
+    # non-corner members of included globs (off the interface: the appended False)
+    glob = globset.node_glob
+    member = np.append(np.isin(globset.kinds, _policy_kinds(policy, grid.dim)), False)[glob]
+    member[corners] = False
+    globs = np.flatnonzero(np.bincount(glob[member], minlength=globset.kinds.size))
+    node_coarse = np.full(glob.size, -1, dtype=np.int64)
+    node_coarse[corners] = np.arange(corners.size)
+    node_coarse[member] = corners.size + np.searchsorted(globs, glob[member])
+    kinds = np.concatenate([np.full(corners.size, "corner"), globset.kinds[globs]])
+    n = kinds.size
+    # centroids, summed member by member in node order, as mean() does
+    nodes = np.flatnonzero(node_coarse >= 0)
     coords = np.zeros((n, grid.dim))
-    np.add.at(coords, np.repeat(np.arange(n), size), grid.node_coords[members])
-    coords /= size[:, None]
-
+    np.add.at(coords, node_coarse[nodes], grid.node_coords[nodes])
+    coords /= np.bincount(node_coarse[nodes], minlength=n)[:, None]
     # subdomain membership follows the sharing sets: each corner takes its
     # glob's, each included glob its own
-    sharers = globset.sharers[np.concatenate([globset.node_glob[corners], glob_ids])]
+    sharers = globset.sharers[np.concatenate([glob[corners], globs])]
     sub, node = np.divmod(np.sort((sharers * n + np.arange(n)[:, None])[sharers >= 0]), n)
     per_sub = np.bincount(sub, minlength=partition.n_subdomains)
-    return CoarseSpace(dofs_per_node=grid.dofs_per_node, corner_nodes=corners,
-                       glob_ids=glob_ids, member_ptr=np.concatenate([[0], np.cumsum(size)]),
-                       members=members, node_coords=coords,
+    return CoarseSpace(dofs_per_node=grid.dofs_per_node, node_coarse=node_coarse,
+                       kinds=kinds, node_coords=coords,
                        sub_ptr=np.concatenate([[0], np.cumsum(per_sub)]), sub_node=node)
 
 

@@ -54,9 +54,9 @@ def probe_rhs(n: int) -> np.ndarray:
 
 @dataclass
 class SparseMatrix:
-    """One canonical scipy CSR matrix (sorted indices, no duplicates).
-    Symmetric matrices store both triangles; the flag only asserts that the
-    stored entries are symmetric."""
+    """One canonical scipy CSR matrix (sorted indices, no duplicates, no
+    stored zeros). Symmetric matrices store both triangles; the flag only
+    asserts that the stored entries are symmetric."""
 
     csr: scipy.sparse.csr_matrix
     symmetric: bool = False
@@ -65,6 +65,7 @@ class SparseMatrix:
     def from_scipy(cls, mat, symmetric: bool = False) -> "SparseMatrix":
         csr = scipy.sparse.csr_matrix(mat, dtype=np.float64)
         csr.sum_duplicates()        # sorts the indices too
+        csr.eliminate_zeros()       # stored zeros would widen factorize's band
         return cls(csr, symmetric)
 
     def scipy_csr(self) -> scipy.sparse.csr_matrix:

@@ -11,12 +11,15 @@ zero-padded over the interior.
 import logging
 import weakref
 from dataclasses import replace
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_level1, holding, segments, split_positions
 from mlbddc import bddc, load_config, run_experiment, sparse
@@ -35,7 +38,8 @@ from mlbddc.bddc import (
 from mlbddc.cli import main
 from mlbddc.errors import EXIT_NUMERICAL, NotPositiveDefiniteError, NumericalError
 from mlbddc.fem import ProblemSpec, element_matrix, node_dofs, subassemble_subdomain
-from mlbddc.interface import classify_interface, interface_dofs
+from mlbddc.interface import (CONSTRAINT_POLICIES, CORNER_STRATEGIES, classify_interface,
+                              interface_dofs)
 from mlbddc.krylov import pcg
 from mlbddc.partition import Partition, build_pseudomesh, partition_elements
 from mlbddc.sparse import Factorization, SparseMatrix, sum_elements
@@ -103,14 +107,6 @@ def hand_basis(s, labels, tags):
     coarse_basis(g, _local_schur(splits, g))
     sub, = bddc._subdomains(g, splits)
     return g, (sub.bordered, sub, g.kc[0])
-
-
-def with_members(cs, node, members):
-    """Coarse space cs with coarse node `node`'s members replaced."""
-    lists = segments(cs.member_ptr, cs.members)
-    lists[node] = np.asarray(members, dtype=cs.members.dtype)
-    return replace(cs, member_ptr=np.cumsum([0] + [m.size for m in lists]),
-                   members=np.concatenate(lists))
 
 
 def group_member(level, i):
@@ -238,47 +234,35 @@ def coarse_nodes_sharing(cs, node):
     return {i for i, nodes in enumerate(segments(cs.sub_ptr, cs.sub_node)) if node in nodes}
 
 
-def test_average_row_without_a_free_dof_is_singular(elasticity3d_edges):
-    # a glob whose only member is a corner: its average covers only the dof
-    # the corner fixes, so it owns no dof and [S C^T; C 0] is singular; the
-    # rows overlap, so build_constraints refuses them before any
-    # factorization
+@pytest.mark.parametrize("case", ["empty-row", "corner-only-average"])
+def test_overlapping_constraint_rows_are_rejected(elasticity3d_edges, case):
+    # every row eliminates a dof of its own, so supports must be disjoint
+    # and nonempty. A node names one coarse node, so supports cannot
+    # overlap; a row that covers no position is refused where the rows are
+    # made, naming its lowest subdomain: a glob whose members name no coarse
+    # node, or an average added over a corner's subdomains, whose only
+    # member would be the corner. That average covers only the dof the
+    # corner fixes, so it owns no dof and [S C^T; C 0] is singular
     c = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     bordered = np.block([[np.eye(3), c.T], [c, np.zeros((2, 2))]])
     assert np.linalg.matrix_rank(bordered) < 5
     lv = elasticity3d_edges
     cs = lv.coarse_space()
-    center = int(np.argmax(np.bincount(cs.sub_node)[:cs.n_corners]))   # on all 8 subdomains
-    faulty = with_members(cs, cs.n_corners, cs.corner_nodes[center:center + 1])
-    with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
-        build_constraints(faulty, lv.globset, lv.splits, lv.imap)
-
-
-@pytest.mark.parametrize("case", ["shared-average-dof", "corner-in-average",
-                                  "corners-on-one-dof", "empty-row"])
-def test_overlapping_constraint_rows_are_rejected(elasticity3d_edges, case):
-    # every row eliminates a dof of its own, so supports must be disjoint
-    # and nonempty: a coarse space with a dof in two globs, a corner that is
-    # also a glob member, two corners on one node, or a glob without members
-    # is refused where the rows are made. Each added member lies on the
-    # interface of every subdomain of the node it joins
-    lv = elasticity3d_edges
-    cs = lv.coarse_space()
-    members = segments(cs.member_ptr, cs.members)
-    center = int(np.argmax(np.bincount(cs.sub_node)[:cs.n_corners]))   # on all 8 subdomains
-    face = next(n for n in range(cs.n_corners, cs.n_nodes)
-                if lv.globset.kinds[cs.glob_ids[n - cs.n_corners]] == "face")
-    edge = next(n for n in range(cs.n_corners, cs.n_nodes)
-                if lv.globset.kinds[cs.glob_ids[n - cs.n_corners]] == "edge"
-                and coarse_nodes_sharing(cs, face) <= coarse_nodes_sharing(cs, n))
-    node, new = {
-        "shared-average-dof": (face, np.append(members[face], members[edge][0])),
-        "corner-in-average": (face, np.append(members[face], members[center])),
-        "corners-on-one-dof": (int(center == 0), members[center]),   # another corner
-        "empty-row": (face, []),
-    }[case]
-    with pytest.raises(ValueError, match="must have disjoint, nonempty supports"):
-        build_constraints(with_members(cs, node, new), lv.globset, lv.splits, lv.imap)
+    if case == "empty-row":
+        node = int(np.flatnonzero(cs.kinds == "face")[0])
+        cs = replace(cs, node_coarse=np.where(cs.node_coarse == node, -1, cs.node_coarse))
+    else:
+        center = int(np.argmax(np.bincount(cs.sub_node) * (cs.kinds == "corner")))
+        node = cs.n_nodes
+        assert len(coarse_nodes_sharing(cs, center)) == 8
+        nodes = [np.append(ns, node) if center in ns else ns
+                 for ns in segments(cs.sub_ptr, cs.sub_node)]
+        cs = replace(cs, kinds=np.append(cs.kinds, "edge"),
+                     sub_ptr=np.cumsum([0] + [ns.size for ns in nodes]),
+                     sub_node=np.concatenate(nodes))
+    first = min(coarse_nodes_sharing(cs, node))
+    with pytest.raises(ValueError, match=f"subdomain {first}: coarse nodes do not match"):
+        build_constraints(cs, lv.splits, lv.imap)
 
 
 def test_basis_caps_floating_kernel():
@@ -597,8 +581,9 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
 
 def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
     # setup_bddc's DEBUG records on the "mlbddc" logger, off by default,
-    # give each level's subdomain count, shape groups (m, n_B, n_c) and K_II
-    # factor (method, n, kd), then the top factor (method, n); a run that
+    # give each level's subdomain count, coarse dofs by kind (corner, edge,
+    # face), shape groups (m, n_B, n_c) and K_II factor (method, n, kd),
+    # then the top factor (method, n); a run that
     # logs them has bitwise the solution, residual history and condition
     # estimate of one that does not
     overrides = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
@@ -612,9 +597,14 @@ def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
     for record, level in zip(records, prec.levels):
         fact, groups = level.splits.k_ii_fact, level.groups
         shapes = [(g.subs.size, g.row.shape[1], g.tags.shape[1]) for g in groups]
+        cs = level.coarse
+        by_kind = tuple(cs.dofs_per_node * int(np.count_nonzero(cs.kinds == k))
+                        for k in ("corner", "edge", "face"))
+        assert sum(by_kind) == level.n_coarse_dofs
         assert record.getMessage() == (
-            f"level {level.index}: {level.partition.n_subdomains} subdomains; shape groups "
-            f"(m, n_B, n_c) {shapes}; K_II factor {fact.method} n={fact.n} kd={fact.kd}")
+            f"level {level.index}: {level.partition.n_subdomains} subdomains; coarse dofs "
+            f"(corner, edge, face) {by_kind}; shape groups (m, n_B, n_c) {shapes}; "
+            f"K_II factor {fact.method} n={fact.n} kd={fact.kd}")
     assert records[-1].getMessage() == f"top factor {prec.top.method} n={prec.top.n}"
     assert quiet.solution.tobytes() == logged.solution.tobytes()
     assert quiet.report.relative_residuals == logged.report.relative_residuals
@@ -646,7 +636,7 @@ def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypat
 def test_constraint_rows(cross2d):
     lv = cross2d
     cs = lv.coarse_space()
-    cons = build_constraints(cs, lv.globset, lv.splits, lv.imap)
+    cons = build_constraints(cs, lv.splits, lv.imap)
     rows = dense_rows(cons, lv.splits.iface_offsets, 0)
     assert rows.shape[0] == 7
     assert cons.tags[:7].tolist() == ["corner"] * 5 + ["face"] * 2
@@ -660,24 +650,23 @@ def test_constraint_rows(cross2d):
 
 
 def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
-    # rows found by searching the sorted interface dofs equal rows placed
-    # through a full level-dof lookup table, which puts nothing on the
-    # interior; under every corner strategy and the corners-only policy
+    # rows found by one search through node_coarse equal rows placed over
+    # each coarse node's members through a full level-dof lookup table, which
+    # puts nothing on the interior; under every corner strategy and the
+    # corners-only policy
     lv = elasticity3d_edges
     for policy, strategy in [("corners+edges+faces", "default"), ("corners-only", "default"),
                              ("corners+edges+faces", "vertices-only"),
                              ("corners+edges+faces", "all-interface")]:
         cs = lv.coarse_space(policy, strategy)
-        cons = build_constraints(cs, lv.globset, lv.splits, lv.imap)
-        glob_members = segments(cs.member_ptr, cs.members)
+        cons = build_constraints(cs, lv.splits, lv.imap)
         for i, nodes in enumerate(segments(cs.sub_ptr, cs.sub_node)):
             local, interior_pos, interface_pos = split_positions(lv.splits, lv.imap, i)
             local_of = np.full(lv.grid.n_dofs, -1)
             local_of[local] = np.arange(local.size)
             ref = []
             for cn in nodes:
-                members = (glob_members[cn] if cn >= cs.n_corners
-                           else cs.corner_nodes[cn:cn + 1])
+                members = np.flatnonzero(cs.node_coarse == cn)
                 for comp in range(cs.dofs_per_node):
                     row = np.zeros(local.size)
                     row[local_of[members * cs.dofs_per_node + comp]] = 1.0 / members.size
@@ -692,15 +681,75 @@ def test_constraint_rows_match_dense_lookup(elasticity3d_edges):
             assert np.count_nonzero(rows, axis=1).min() >= 1
 
 
+@lru_cache(maxsize=None)
+def drawn_level(dim, kind, method, n_subs, faces):
+    n_elems = {2: 6, 3: 4}[dim]
+    return build_level1(ProblemSpec(kind=kind, dim=dim, dirichlet_faces=(faces,)), n_elems,
+                        n_subs, method=method)
+
+
+@st.composite
+def coarse_space_cases(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    level = (dim, draw(st.sampled_from(["poisson", "elasticity"])),
+             draw(st.sampled_from(["regular-blocks", "greedy-graph-growing"])),
+             draw(st.sampled_from({2: [2, 3, 4, 6, 9], 3: [2, 4, 8]}[dim])),
+             draw(st.sampled_from(["all", "x-"])))
+    return level, draw(st.sampled_from(CONSTRAINT_POLICIES)), \
+        draw(st.sampled_from(CORNER_STRATEGIES))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(coarse_space_cases())
+def test_every_node_names_at_most_one_coarse_node_and_every_row_covers_one(case):
+    # the invariant build_constraints relies on, over the coarse spaces that
+    # build_coarse_space makes: node_coarse is set exactly on the corners and
+    # on the non-corner members of the policy's globs, the rows are made
+    # without an error, each position is labelled by its node's coarse node
+    # and component, and each row covers its coarse node's members once
+    # each, so every row covers a position and no position is in two rows
+    level, policy, strategy = case
+    lv = drawn_level(*level)
+    gs, dpn = lv.globset, lv.spec.dofs_per_node
+    corners = lv.corners(strategy)
+    cs = lv.coarse_space(policy, strategy)
+    averaged = {"corners-only": (), "corners+edges+faces": ("edge", "face"),
+                "corners+edges": ("edge",) if lv.grid.dim == 3 else ("edge", "face")}[policy]
+    expected = np.isin(np.arange(lv.grid.n_nodes), corners)
+    expected |= (gs.node_glob >= 0) & np.isin(np.append(gs.kinds, "")[gs.node_glob], averaged)
+    assert np.array_equal(cs.node_coarse >= 0, expected)
+    assert cs.kinds[cs.node_coarse[corners]].tolist() == ["corner"] * corners.size
+    members = np.bincount(cs.node_coarse[expected], minlength=cs.n_nodes)
+    assert members.min(initial=1) >= 1
+    cons = build_constraints(cs, lv.splits, lv.imap)
+    labelled = cons.row_of >= 0
+    dof = lv.imap.dofs[lv.splits.iface_index]
+    assert np.array_equal(labelled, cs.node_coarse[dof // dpn] >= 0)
+    assert np.array_equal(cons.dofs[cons.row_of[labelled]],
+                          cs.node_coarse[dof[labelled] // dpn] * dpn + dof[labelled] % dpn)
+    covered = np.bincount(cons.row_of[labelled], minlength=cons.tags.size)
+    assert np.array_equal(covered, np.repeat(members[cs.sub_node], dpn))
+    assert covered.min(initial=1) >= 1
+
+
 def test_constraint_rows_reject_nodes_outside_the_subdomain(cross2d):
-    # subdomain 0 given subdomain 3's coarse nodes
+    # a position whose node names a coarse node its subdomain lacks: subdomain
+    # 0 given subdomain 3's coarse nodes, or a node of subdomain 0 that names
+    # one of subdomain 3's that subdomain 0 lacks
     cs = cross2d.coarse_space()
     nodes = segments(cs.sub_ptr, cs.sub_node)
-    nodes[0] = nodes[3]
-    cs = replace(cs, sub_ptr=np.cumsum([0] + [n.size for n in nodes]),
-                 sub_node=np.concatenate(nodes))
-    with pytest.raises(ValueError, match="subdomain 0: constraint node outside the subdomain"):
-        build_constraints(cs, cross2d.globset, cross2d.splits, cross2d.imap)
+    swapped = [nodes[3], *nodes[1:]]
+    theirs = replace(cs, sub_ptr=np.cumsum([0] + [n.size for n in swapped]),
+                     sub_node=np.concatenate(swapped))
+    node_coarse = cs.node_coarse.copy()
+    node_coarse[cross2d.imap.dofs[cross2d.splits.iface_index[0]]] = \
+        np.setdiff1d(nodes[3], nodes[0])[0]        # one dof per node: the dof is the node
+    named = replace(cs, node_coarse=node_coarse)
+    for faulty in (theirs, named):
+        with pytest.raises(ValueError, match="subdomain 0: coarse nodes do not match its "
+                                             "interface"):
+            build_constraints(faulty, cross2d.splits, cross2d.imap)
 
 
 def test_basis_properties_on_fixture(cross2d, coarse_stacks):

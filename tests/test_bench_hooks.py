@@ -10,6 +10,8 @@ fails tier-1 as well.
 
 import importlib
 import importlib.util
+import logging
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -65,6 +67,25 @@ def test_interior_corrections_are_traced_under_apply():
     assert {"bddc.interior_precorrection", "bddc.interior_postcorrection"} <= names
     metrics = tracing.layer_metrics(spans)
     assert metrics["bddc.apply.interior_correction_s"] > 0.0
+
+
+def test_setup_log_counts_coarse_dofs_as_the_census_does(caplog):
+    # each level's DEBUG record gives its coarse dofs by kind, taken from
+    # the coarse space; the census counts the same from the subdomains'
+    # constraint tags
+    census = load_bench("census")
+    with caplog.at_level(logging.DEBUG, logger="mlbddc"):
+        prec = run_experiment(load_config(overrides=THREE_LEVEL)).preconditioner
+    records = [r.getMessage() for r in caplog.records if r.name == "mlbddc"]
+    counts = census.census(prec)
+    assert len(records) == prec.n_levels == 3
+    for n, message in enumerate(records[:-1], start=1):
+        logged = re.search(r"coarse dofs \(corner, edge, face\) \((\d+), (\d+), (\d+)\)",
+                           message).groups()
+        assert [int(c) for c in logged] == [
+            counts[f"interface.L{n}.constraints.{kind}"] for kind in census.CONSTRAINT_KINDS]
+    # every kind is counted somewhere
+    assert counts["interface.L1.constraints.edge"] > 0 < counts["interface.L2.constraints.face"]
 
 
 def test_census_runs_on_three_levels():
@@ -199,8 +220,8 @@ def test_preconditioner_holds_only_what_it_keeps(overrides):
         kept += csr_arrays(sp.k_ib) + csr_arrays(sp.k_bb) + csr_arrays(fact.matrix.scipy_csr())
         kept += [fact._payload, fact.offsets, sp.interior_dofs, sp.iface_index,
                  sp.interior_offsets, sp.iface_offsets, lv.weights, lv.coarse_dofs, lv.masters,
-                 lv.imap.dofs, lv.partition.assignment, cs.corner_nodes, cs.glob_ids,
-                 cs.member_ptr, cs.members, cs.node_coords, cs.sub_ptr, cs.sub_node,
+                 lv.imap.dofs, lv.partition.assignment, cs.node_coarse, cs.kinds,
+                 cs.node_coords, cs.sub_ptr, cs.sub_node,
                  grid.node_coords, grid.elem_ptr, grid.elem_nodes, grid.conn_nodes]
     kept, total = reachable_bytes(kept), reachable_bytes(prec)
     assert kept <= total <= 1.01 * kept, (total, kept)

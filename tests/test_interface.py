@@ -311,15 +311,25 @@ def test_interface_dofs_order(cross2d):
 
 # -- coarse space -------------------------------------------------------------
 
+def n_corners(cs) -> int:
+    return int(np.count_nonzero(cs.kinds == "corner"))
+
+
+def members(cs) -> list:
+    """Each coarse node's members: the nodes that name it, ascending."""
+    return [np.flatnonzero(cs.node_coarse == c).tolist() for c in range(cs.n_nodes)]
+
+
 def test_coarse_space_default(cross2d):
     cs = cross2d.coarse_space()
-    assert cs.n_corners == 9
+    assert cs.kinds.tolist() == ["corner"] * 9 + ["face"] * 4
     assert cs.n_nodes == 13
     assert cs.n_dofs == 13
-    assert cs.glob_ids.tolist() == [0, 1, 3, 4]
-    # a corner is its own one member; a glob has its non-corner members
-    assert [m.tolist() for m in segments(cs.member_ptr, cs.members)] == \
-        [[c] for c in cs.corner_nodes.tolist()] + [[10], [22], [26], [38]]
+    # a corner is its own one member; a glob has its non-corner members,
+    # globs in classify order; every other node names no coarse node
+    assert members(cs) == [[c] for c in cross2d.corners().tolist()] + [[10], [22], [26], [38]]
+    assert cross2d.globset.node_glob[[10, 22, 26, 38]].tolist() == [0, 1, 3, 4]
+    assert np.count_nonzero(cs.node_coarse >= 0) == 13
     assert cs.sub_ptr.tolist() == [0, 7, 14, 21, 28]
     sub_nodes = segments(cs.sub_ptr, cs.sub_node)
     assert sub_nodes[0].tolist() == [0, 1, 2, 3, 4, 9, 10]
@@ -328,7 +338,7 @@ def test_coarse_space_default(cross2d):
 
 def test_coarse_space_vertices_only(cross2d):
     cs = cross2d.coarse_space(strategy="vertices-only")
-    assert cs.n_corners == 1
+    assert n_corners(cs) == 1
     assert cs.n_nodes == 5
     assert cs.sub_ptr.tolist() == [0, 3, 6, 9, 12]
     assert cs.sub_node[:3].tolist() == [0, 1, 2]
@@ -336,8 +346,7 @@ def test_coarse_space_vertices_only(cross2d):
 
 def test_coarse_space_corners_only_policy(cross2d):
     cs = cross2d.coarse_space(policy="corners-only")
-    assert cs.n_nodes == cs.n_corners == 9
-    assert cs.glob_ids.size == 0
+    assert cs.n_nodes == n_corners(cs) == 9
     assert cs.sub_node[cs.sub_ptr[0]:cs.sub_ptr[1]].tolist() == [0, 1, 2, 3, 4]
 
 
@@ -345,7 +354,8 @@ def test_coarse_space_policy_dim_aware(box3d):
     # 3D: corners+edges keeps edge globs but not face globs.
     ce = box3d.coarse_space(policy="corners+edges")
     full = box3d.coarse_space(policy="corners+edges+faces")
-    assert set(box3d.globset.kinds[ce.glob_ids].tolist()) == {"edge"}
+    assert set(ce.kinds.tolist()) == {"corner", "edge"}
+    assert set(full.kinds.tolist()) == {"corner", "edge", "face"}
     assert ce.n_nodes < full.n_nodes
 
 
@@ -356,9 +366,9 @@ def test_coarse_space_two_subdomain_strip_policies():
     lv = build_level1(ProblemSpec(), n_elems=4, n_subs=2)
     assert lv.globset.kinds.tolist() == ["face"]
     only = lv.coarse_space(policy="corners-only")
-    assert only.n_nodes == only.n_corners == 2
+    assert only.n_nodes == n_corners(only) == 2
     ce = lv.coarse_space(policy="corners+edges")
-    assert ce.n_corners == 2
+    assert n_corners(ce) == 2
     assert ce.n_nodes == 3
     full = lv.coarse_space(policy="corners+edges+faces")
     assert full.n_nodes == 3
@@ -366,15 +376,14 @@ def test_coarse_space_two_subdomain_strip_policies():
 
 def test_coarse_space_all_corners_drops_globs(cross2d):
     cs = cross2d.coarse_space(strategy="all-interface")
-    assert cs.n_corners == 13
+    assert n_corners(cs) == 13
     assert cs.n_nodes == 13
-    assert cs.glob_ids.size == 0
 
 
 def test_coarse_space_coords(cross2d):
     cs = cross2d.coarse_space()
     grid = cross2d.grid
-    assert np.array_equal(cs.node_coords[:9], grid.node_coords[cs.corner_nodes])
+    assert np.array_equal(cs.node_coords[:9], grid.node_coords[cross2d.corners()])
     # single-member remainder: centroid is the node itself
     assert np.allclose(cs.node_coords[9], grid.node_coords[10])
 
@@ -404,10 +413,10 @@ def test_coarse_space_rejects_unknown_policy(cross2d, policy):
 def test_coarse_space_3d(box3d):
     cs = box3d.coarse_space()
     # 37 corners; every face keeps 4-3 members, every edge keeps its 2
-    assert cs.n_corners == 37
+    assert n_corners(cs) == 37
     assert cs.n_nodes == 37 + 12 + 6
-    assert np.array_equal(cs.members[:37], cs.corner_nodes)
-    lens = sorted(np.diff(cs.member_ptr)[37:].tolist())
+    assert members(cs)[:37] == [[c] for c in box3d.corners().tolist()]
+    lens = sorted(len(m) for m in members(cs)[37:])
     assert lens == [1] * 12 + [2] * 6
 
 

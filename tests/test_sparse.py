@@ -67,6 +67,23 @@ def test_from_scipy_stores_one_canonical_csr():
     assert all(isinstance(v, (bool, scipy.sparse.csr_matrix)) for v in vars(t).values())
 
 
+def test_from_scipy_drops_stored_zeros_so_the_band_follows_the_nonzeros():
+    # scipy.sparse.block_diag of dense blocks stores their zeros: two dense
+    # order-12 pentadiagonal blocks come as 288 entries for 108 nonzeros.
+    # Kept, the zeros would give factorize a half-bandwidth of 11 and put
+    # each block on the dense-triangle path; dropped, the band is kd = 2
+    penta = sum(np.diag(np.full(12 - abs(k), v), k)
+                for k, v in [(-2, -1.0), (-1, -2.0), (0, 8.0), (1, -2.0), (2, -1.0)])
+    stacked = scipy.sparse.block_diag([penta, penta])
+    assert stacked.nnz == 288
+    a = SparseMatrix.from_scipy(stacked, symmetric=True)
+    assert a.nnz == 108 and a.scipy_csr().has_canonical_format
+    assert np.array_equal(a.scipy_csr().toarray(), stacked.toarray())
+    f = factorize(a, offsets=[0, 12, 24])
+    assert f.method == "cholesky" and f.kd == 2
+    assert not f.takes_dense(0) and not f.takes_dense(1)
+
+
 def test_matvec_tridiagonal_example():
     a = tridiag_matrix(3)
     y = a.scipy_csr() @ np.array([1.0, 2.0, 3.0])
