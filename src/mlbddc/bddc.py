@@ -620,10 +620,12 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
     fact, masters = splits.k_ii_fact, [g.master.ravel() for g in groups if g.master is not None]
-    log.debug("level %d: %d subdomains; coarse dofs (corner, edge, face) %s; shape groups "
-              "(m, n_B, n_c) %s; K_II factor %s n=%d kd=%s", index, part.n_subdomains,
+    sizes, per_sub = part.sizes(), np.diff(coarse.sub_ptr) * grid.dofs_per_node
+    log.debug("level %d: %d subdomains of %d to %d elements; coarse dofs (corner, edge, face) "
+              "%s, %d to %d per subdomain; shape groups (m, n_B, n_c) %s; K_II factor %s "
+              "n=%d kd=%s", index, part.n_subdomains, sizes.min(), sizes.max(),
               tuple(int(np.count_nonzero(coarse.kinds == k)) * grid.dofs_per_node
-                    for k in ("corner", "edge", "face")),
+                    for k in ("corner", "edge", "face")), per_sub.min(), per_sub.max(),
               [g.row.shape + g.tags.shape[1:] for g in groups], fact.method, fact.n, fact.kd)
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, groups=groups,

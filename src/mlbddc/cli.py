@@ -23,6 +23,7 @@ from .errors import (
 )
 from .harness import (
     analyze_globs,
+    config_lines,
     export_solution_vtk,
     load_config,
     run_configs,
@@ -61,10 +62,8 @@ def _config_list_from(args) -> list:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config list {args.config_list!r}: {exc}")
-    paths = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    paths = [p for p in paths if p]
     overrides = _flag_overrides(args)
-    return [load_config(p, overrides) for p in paths]
+    return [load_config(p, overrides) for _, p in config_lines(text)]
 
 
 def _check_output(path: str) -> None:

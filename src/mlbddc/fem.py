@@ -12,7 +12,7 @@ block-diagonal matrix whose rows are keyed by (subdomain, free dof).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +75,13 @@ class ProblemSpec:
 
 @dataclass
 class Mesh:
-    """Structured box mesh. boundary_dofs/values are filled by
-    mark_dirichlet and index full (pre-elimination) dofs."""
+    """Structured box mesh."""
 
     dim: int
     n_elems_per_axis: tuple
     lengths: tuple
     coords: np.ndarray               # (n_nodes, dim)
     elem_nodes: np.ndarray           # (n_elems, 4 or 8)
-    boundary_dofs: np.ndarray | None = None
-    boundary_values: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -152,14 +149,10 @@ def dirichlet_dofs(spec: ProblemSpec, mesh: Mesh):
     return dofs, values
 
 
-def mark_dirichlet(spec: ProblemSpec, mesh: Mesh) -> Mesh:
-    dofs, values = dirichlet_dofs(spec, mesh)
-    return replace(mesh, boundary_dofs=dofs, boundary_values=values)
-
-
 @dataclass
 class DofMap:
-    """Free/fixed dof bookkeeping after symmetric Dirichlet elimination."""
+    """Free/fixed dof bookkeeping after symmetric Dirichlet elimination, and
+    the Dirichlet data: value fixed_values[i] at full dof fixed_dofs[i]."""
 
     n_full: int
     dofs_per_node: int
@@ -182,10 +175,7 @@ class DofMap:
 
 
 def build_dof_map(spec: ProblemSpec, mesh: Mesh) -> DofMap:
-    if mesh.boundary_dofs is None:
-        fixed, values = dirichlet_dofs(spec, mesh)
-    else:
-        fixed, values = mesh.boundary_dofs, mesh.boundary_values
+    fixed, values = dirichlet_dofs(spec, mesh)
     dpn = spec.dofs_per_node
     n_full = mesh.n_nodes * dpn
     if len(fixed) == 0:
@@ -205,8 +195,8 @@ def build_dof_map(spec: ProblemSpec, mesh: Mesh) -> DofMap:
         raise ValueError("partially fixed nodes are not supported")
     free_nodes = np.nonzero(node_free.all(axis=1))[0]
     return DofMap(n_full=n_full, dofs_per_node=dpn, free_dofs=free,
-                  full_to_free=full_to_free, fixed_dofs=np.asarray(fixed),
-                  fixed_values=np.asarray(values), free_nodes=free_nodes)
+                  full_to_free=full_to_free, fixed_dofs=fixed, fixed_values=values,
+                  free_nodes=free_nodes)
 
 
 # -- element matrices ---------------------------------------------------------
@@ -315,31 +305,26 @@ def element_matrix(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
 
 # -- assembly -----------------------------------------------------------------
 
-def _element_dofs(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
-    """(n_elems, ndof_per_elem) full-dof indices, node-major per element."""
-    return node_dofs(mesh.elem_nodes, spec.dofs_per_node)
-
-
 def assemble_global(spec: ProblemSpec, mesh: Mesh):
     """Assemble the Dirichlet-eliminated operator and load vector over the
     free dofs. Returns (K, f)."""
     dofmap = build_dof_map(spec, mesh)
-    ke = element_matrix(spec, mesh)
-    ed = _element_dofs(spec, mesh)
-    free = dofmap.full_to_free[ed]
-    k, _ = sum_elements([(ke, free)], spec.dofs_per_node)
+    free = dofmap.full_to_free[node_dofs(mesh.elem_nodes, spec.dofs_per_node)]
+    k, _ = sum_elements([(element_matrix(spec, mesh), free)], spec.dofs_per_node)
+    return k, load_vector(spec, mesh, dofmap)
 
-    if spec.rhs_kind == "constant":
-        f = np.ones(dofmap.n_free)
-    else:
-        f = np.zeros(dofmap.n_free)
+
+def load_vector(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """The load over the free dofs: the constant (or zero) body load minus
+    the lift of the Dirichlet data dofmap.fixed_values."""
+    f = np.full(dofmap.n_free, 1.0 if spec.rhs_kind == "constant" else 0.0)
     if np.any(dofmap.fixed_values != 0.0):
-        # lift: each element's rows of ke times its prescribed values
-        vals_full = np.zeros(dofmap.n_full)
-        vals_full[dofmap.fixed_dofs] = dofmap.fixed_values
-        lift = vals_full[ed] @ ke
+        # lift: each element's prescribed values times the element matrix
+        ed = node_dofs(mesh.elem_nodes, spec.dofs_per_node)
+        free = dofmap.full_to_free[ed]
+        lift = dofmap.expand(np.zeros(dofmap.n_free))[ed] @ element_matrix(spec, mesh)
         f -= np.bincount(free[free >= 0], lift[free >= 0], dofmap.n_free)
-    return k, f
+    return f
 
 
 def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partition, iface_dofs):
@@ -354,7 +339,7 @@ def subassemble_subdomain(spec: ProblemSpec, mesh: Mesh, dofmap: DofMap, partiti
     keys[j] // n_free >= n_subdomains, and keys ascend.
     """
     partition.validate()
-    free = dofmap.full_to_free[_element_dofs(spec, mesh)]
+    free = dofmap.full_to_free[node_dofs(mesh.elem_nodes, spec.dofs_per_node)]
     keys = subdomain_keys(partition.assignment[:, None], free, dofmap.n_free,
                           partition.n_subdomains, iface_dofs)
     return sum_elements([(element_matrix(spec, mesh), keys)], spec.dofs_per_node)

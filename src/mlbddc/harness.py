@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -38,7 +38,7 @@ from .interface import (
     select_corners,
 )
 from .krylov import SolveReport, bicgstab, pcg
-from .partition import partition_elements
+from .partition import PARTITION_METHODS, partition_elements
 from .substructuring import condensed_rhs, recover_interior, schur_apply
 
 CSV_COLUMNS = ("levels", "subdomains", "n_dofs", "coarse_sizes",
@@ -74,14 +74,6 @@ def parse_hierarchy(text: str) -> list:
     return counts if counts else [1]
 
 
-def _parse_list(cast):
-    """Parser of a comma-separated string (blank items skipped) into a tuple
-    of cast values."""
-    def parse(v: str) -> tuple:
-        return tuple(cast(p.strip()) for p in v.split(",") if p.strip())
-    return parse
-
-
 @dataclass
 class RunConfig:
     """Everything one experiment needs. Field names double as config keys."""
@@ -107,16 +99,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.problem_spec()
-        if self.krylov not in ("pcg", "bicgstab"):
-            raise ConfigError(f"unknown Krylov method {self.krylov!r}")
-        if self.constraint_policy not in CONSTRAINT_POLICIES:
-            raise ConfigError(f"unknown constraint policy {self.constraint_policy!r}")
-        if self.corner_strategy not in CORNER_STRATEGIES:
-            raise ConfigError(f"unknown corner strategy {self.corner_strategy!r}")
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ConfigError(f"unknown weight scheme {self.weight_scheme!r}")
-        if self.partition not in ("regular-blocks", "greedy-graph-growing", "auto"):
-            raise ConfigError(f"unknown partition method {self.partition!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not self.tolerance > 0:
             raise ConfigError("tolerance must be positive")
         if self.max_iterations < 1:
@@ -149,14 +134,21 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-_PARSERS = {
-    "problem": str, "dim": int, "elements": _parse_list(int),
-    "length": _parse_list(float), "young": float, "poisson_ratio": float,
-    "rhs": str, "dirichlet_faces": _parse_list(str), "dirichlet_value": float,
-    "hierarchy": str, "partition": str, "constraint_policy": str,
-    "corner_strategy": str, "weight_scheme": str, "krylov": str,
-    "tolerance": float, "max_iterations": int, "workers": int,
-}
+_CHOICES = {"krylov": ("pcg", "bicgstab"), "constraint_policy": CONSTRAINT_POLICIES,
+            "corner_strategy": CORNER_STRATEGIES, "weight_scheme": WEIGHT_SCHEMES,
+            "partition": PARTITION_METHODS}
+
+
+def _parser(default):
+    """Parser of an option's text: its default's type, item by item in a comma list
+    (blank items skipped) for a tuple default."""
+    if isinstance(default, tuple):
+        cast = type(default[0])
+        return lambda v: tuple(cast(p.strip()) for p in v.split(",") if p.strip())
+    return type(default)
+
+
+_PARSERS = {f.name: _parser(f.default) for f in fields(RunConfig)}
 
 
 def _parse_option(item: str, where: str = "") -> tuple:
@@ -172,11 +164,15 @@ def _parse_option(item: str, where: str = "") -> tuple:
         raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 
 
+def config_lines(text: str) -> list:
+    """(line number, content) of each line that holds more than a # comment."""
+    lines = ((ln, raw.split("#", 1)[0].strip()) for ln, raw in enumerate(text.splitlines(), 1))
+    return [(ln, line) for ln, line in lines if line]
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
     """key = value lines; # comments; unknown keys are errors."""
-    lines = ((ln, raw.split("#", 1)[0].strip())
-             for ln, raw in enumerate(text.splitlines(), start=1))
-    return dict(_parse_option(line, f"{origin}:{ln}: ") for ln, line in lines if line)
+    return dict(_parse_option(line, f"{origin}:{ln}: ") for ln, line in config_lines(text))
 
 
 def load_config(path=None, overrides=()) -> RunConfig:

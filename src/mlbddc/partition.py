@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .grid import LevelGrid
 
 BALANCE_FACTOR = 1.25
+PARTITION_METHODS = ("regular-blocks", "greedy-graph-growing", "auto")
 
 
 @dataclass
@@ -188,21 +189,19 @@ def _repair_balance(part: Partition, graph) -> None:
 def partition_elements(grid: LevelGrid, n_subdomains: int,
                        method: str = "regular-blocks") -> Partition:
     """Split the grid's elements into connected, balanced subdomains."""
+    if method not in PARTITION_METHODS:
+        raise ConfigError(f"unknown partition method {method!r}")
     if n_subdomains < 1 or n_subdomains > grid.n_elems:
         raise ConfigError(
             f"n_subdomains must lie in [1, {grid.n_elems}], got {n_subdomains}")
+    if method == "auto":
+        shape = grid.structured_shape
+        blocks = shape is not None and _block_axis_counts(shape, n_subdomains) is not None
+        method = "regular-blocks" if blocks else "greedy-graph-growing"
     if method == "regular-blocks":
         part = partition_regular_blocks(grid, n_subdomains)
-    elif method == "greedy-graph-growing":
-        part = partition_greedy(grid, n_subdomains)
-    elif method == "auto":
-        if grid.structured_shape is not None and \
-                _block_axis_counts(grid.structured_shape, n_subdomains) is not None:
-            part = partition_regular_blocks(grid, n_subdomains)
-        else:
-            part = partition_greedy(grid, n_subdomains)
     else:
-        raise ConfigError(f"unknown partition method {method!r}")
+        part = partition_greedy(grid, n_subdomains)
     part.validate()
     return part
 

@@ -131,8 +131,8 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int, n_subs: int):
 
     k_all = k.scipy_csr()
     k_ib, k_bb = k_all[:n_i, n_i:], k_all[n_i:, n_i:]
-    fact = factorize(SparseMatrix.from_scipy(k_all[:n_i, :n_i], symmetric=k.symmetric),
-                     offsets=cut_i)
+    # a slice of the canonical, zero-free level matrix is canonical and zero-free too
+    fact = factorize(SparseMatrix(k_all[:n_i, :n_i], symmetric=k.symmetric), offsets=cut_i)
     iface_index = np.searchsorted(iface_dofs, ltg_all[n_i:])
     splits = LevelSplits([SubdomainSplit(i, fact) for i in range(n_subs)], fact, k_ib, k_bb,
                          interior_dofs, iface_index, cut_i, cut_b)

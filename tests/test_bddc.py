@@ -581,8 +581,9 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
 
 def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
     # setup_bddc's DEBUG records on the "mlbddc" logger, off by default,
-    # give each level's subdomain count, coarse dofs by kind (corner, edge,
-    # face), shape groups (m, n_B, n_c) and K_II factor (method, n, kd),
+    # give each level's subdomain count, subdomain sizes in elements (min,
+    # max), coarse dofs by kind (corner, edge, face) and per subdomain (min,
+    # max), shape groups (m, n_B, n_c) and K_II factor (method, n, kd),
     # then the top factor (method, n); a run that
     # logs them has bitwise the solution, residual history and condition
     # estimate of one that does not
@@ -601,9 +602,13 @@ def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
         by_kind = tuple(cs.dofs_per_node * int(np.count_nonzero(cs.kinds == k))
                         for k in ("corner", "edge", "face"))
         assert sum(by_kind) == level.n_coarse_dofs
+        sizes = level.partition.sizes()
+        per_sub = np.diff(cs.sub_ptr) * cs.dofs_per_node
         assert record.getMessage() == (
-            f"level {level.index}: {level.partition.n_subdomains} subdomains; coarse dofs "
-            f"(corner, edge, face) {by_kind}; shape groups (m, n_B, n_c) {shapes}; "
+            f"level {level.index}: {level.partition.n_subdomains} subdomains of "
+            f"{sizes.min()} to {sizes.max()} elements; coarse dofs (corner, edge, face) "
+            f"{by_kind}, {per_sub.min()} to {per_sub.max()} per subdomain; "
+            f"shape groups (m, n_B, n_c) {shapes}; "
             f"K_II factor {fact.method} n={fact.n} kd={fact.kd}")
     assert records[-1].getMessage() == f"top factor {prec.top.method} n={prec.top.n}"
     assert quiet.solution.tobytes() == logged.solution.tobytes()

@@ -1,5 +1,7 @@
 """Mesh generation, element matrices, assembly, and VTK export tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from mlbddc.fem import (
     element_matrix,
     export_vtk,
     generate_box_mesh,
-    mark_dirichlet,
+    load_vector,
     node_dofs,
     subassemble_subdomain,
 )
@@ -320,26 +322,55 @@ def test_elasticity_patch_test_linear_field():
     # must reproduce it exactly (zero body force)
     spec = elasticity(2, young=3.0, poisson_ratio=0.25, rhs_kind="zero")
     mesh = generate_box_mesh(2, 3)
-    mesh = mark_dirichlet(spec, mesh)
     grad = np.array([[0.3, -0.1], [0.2, 0.4]])
     disp = (mesh.coords @ grad.T).reshape(-1)
-    mesh.boundary_values = disp[mesh.boundary_dofs]
-    k, f = assemble_global(spec, mesh)
     dm = build_dof_map(spec, mesh)
-    x = factorize(k).solve(f)
+    dm = replace(dm, fixed_values=disp[dm.fixed_dofs])
+    k = assemble_global(spec, mesh)[0]
+    x = factorize(k).solve(load_vector(spec, mesh, dm))
     assert np.allclose(x, disp[dm.free_dofs], rtol=0, atol=1e-10)
 
 
 def test_poisson_patch_test_linear_field():
     spec = poisson(rhs_kind="zero")
     mesh = generate_box_mesh(2, 3)
-    mesh = mark_dirichlet(spec, mesh)
     vals = 1.0 + 0.5 * mesh.coords[:, 0] - 0.25 * mesh.coords[:, 1]
-    mesh.boundary_values = vals[mesh.boundary_dofs]
-    k, f = assemble_global(spec, mesh)
     dm = build_dof_map(spec, mesh)
-    x = factorize(k).solve(f)
+    dm = replace(dm, fixed_values=vals[dm.fixed_dofs])
+    k = assemble_global(spec, mesh)[0]
+    x = factorize(k).solve(load_vector(spec, mesh, dm))
     assert np.allclose(x, vals[dm.free_dofs], rtol=0, atol=1e-12)
+
+
+LOAD_SPECS = [poisson(2), poisson(3), elasticity(2), elasticity(3, poisson_ratio=0.2)]
+
+
+@pytest.mark.parametrize("values", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("rhs_kind", ["constant", "zero"])
+@pytest.mark.parametrize("base", LOAD_SPECS, ids=["p2d", "p3d", "e2d", "e3d"])
+def test_load_vector_matches_dense_oracle(base, rhs_kind, values):
+    # f = load - K_fF u_F over the free dofs f, with K_fF the free rows and
+    # fixed columns of the full (not eliminated) operator, summed by loops
+    spec = replace(base, rhs_kind=rhs_kind, dirichlet_value=1.5 if values == "uniform" else 0.0)
+    mesh = generate_box_mesh(spec.dim, (3, 2, 2)[:spec.dim], length=(1.0, 0.5, 2.0)[:spec.dim])
+    dm = build_dof_map(spec, mesh)
+    if values == "nonuniform":
+        rng = np.random.default_rng(7)
+        dm = replace(dm, fixed_values=rng.standard_normal(dm.fixed_dofs.size))
+    ke = element_matrix(spec, mesh)
+    ed = node_dofs(mesh.elem_nodes, spec.dofs_per_node)
+    full = np.zeros((dm.n_full, dm.n_full))
+    for e in range(mesh.n_elems):
+        for a in range(ed.shape[1]):
+            for b in range(ed.shape[1]):
+                full[ed[e, a], ed[e, b]] += ke[a, b]
+    load = np.full(dm.n_free, 1.0 if rhs_kind == "constant" else 0.0)
+    expected = load - full[np.ix_(dm.free_dofs, dm.fixed_dofs)] @ dm.fixed_values
+    f = load_vector(spec, mesh, dm)
+    assert np.allclose(f, expected, rtol=0, atol=1e-12 * max(1.0, np.abs(expected).max()))
+    if values == "uniform":
+        # the harness's load, from the assembly with the spec's own dof map
+        assert np.array_equal(assemble_global(spec, mesh)[1], f)
 
 
 def interface_of(spec, mesh, dm, part):

@@ -5,7 +5,7 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,35 @@ def test_parse_config_rejects_bad_value():
         parse_config_text("dim = two")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words")
+
+
+def _option_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+def test_every_option_round_trips_and_rejects_a_bad_value(f):
+    # each RunConfig field is a config key whose default, written out,
+    # parses back to itself, type included; a text option rejects a value
+    # that is none of its choices, a numeric one a value that is no number
+    values = parse_config_text(f"{f.name} = {_option_text(f.default)}")
+    assert values == {f.name: f.default}
+    items = values[f.name] if isinstance(f.default, tuple) else (values[f.name],)
+    defaults = f.default if isinstance(f.default, tuple) else (f.default,)
+    assert [type(v) for v in items] == [type(v) for v in defaults]
+    if isinstance(defaults[0], str):
+        with pytest.raises(ConfigError):
+            load_config(overrides=[f"{f.name}=bogus"])
+    else:
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config_text(f"{f.name} = bogus")
+
+
+@pytest.mark.parametrize("name", ["krylov", "constraint_policy", "corner_strategy",
+                                  "weight_scheme", "partition"])
+def test_a_bad_choice_names_its_option(name):
+    with pytest.raises(ConfigError, match=f"unknown {name} 'bogus'"):
+        load_config(overrides=[f"{name}=bogus"])
 
 
 def test_load_config_precedence(tmp_path):

@@ -67,6 +67,21 @@ def test_from_scipy_stores_one_canonical_csr():
     assert all(isinstance(v, (bool, scipy.sparse.csr_matrix)) for v in vars(t).values())
 
 
+def test_from_scipy_leaves_the_callers_csr_as_it_was():
+    # a float64 CSR with a duplicate, unsorted indices and a stored zero:
+    # the result is canonical, and the input's arrays are byte for byte
+    # what they were
+    csr = scipy.sparse.csr_matrix((np.array([1.0, 1.0, 0.0, 4.0]), np.array([1, 1, 1, 0]),
+                                   np.array([0, 2, 4])), shape=(2, 2))
+    before = [getattr(csr, attr).tobytes() for attr in ("data", "indices", "indptr")]
+    a = SparseMatrix.from_scipy(csr)
+    assert [getattr(csr, attr).tobytes() for attr in ("data", "indices", "indptr")] == before
+    out = a.scipy_csr()
+    assert out.has_canonical_format
+    assert out.data.tolist() == [2.0, 4.0] and out.indices.tolist() == [1, 0]
+    assert out.indptr.tolist() == [0, 1, 2]
+
+
 def test_from_scipy_drops_stored_zeros_so_the_band_follows_the_nonzeros():
     # scipy.sparse.block_diag of dense blocks stores their zeros: two dense
     # order-12 pentadiagonal blocks come as 288 entries for 108 nonzeros.
