@@ -28,7 +28,9 @@ split again into subdomains over a pseudo-mesh. Applications at levels past
 the first condense the full residual onto the interface before the cycle
 and recover the interiors after it, with the condensation and recovery of
 the level-1 solve (substructuring), so the recursion only ever sees
-interface residuals; each is one block-diagonal interior solve per level.
+interface residuals; each is one block-diagonal interior solve per level,
+by the inverse stacks that setup gives a level's K_II factor last, where its
+band is as wide as its blocks (`Factorization.stack_inverses`).
 The constrained local problems are solved once, at setup: each A_i is
 factorized by potrf and inverted from its factor (`sparse.spd_inverse`),
 always densely (its order is below that of the interface). With
@@ -619,14 +621,7 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
-    fact, masters = splits.k_ii_fact, [g.master.ravel() for g in groups if g.master is not None]
-    sizes, per_sub = part.sizes(), np.diff(coarse.sub_ptr) * grid.dofs_per_node
-    log.debug("level %d: %d subdomains of %d to %d elements; coarse dofs (corner, edge, face) "
-              "%s, %d to %d per subdomain; shape groups (m, n_B, n_c) %s; K_II factor %s "
-              "n=%d kd=%s", index, part.n_subdomains, sizes.min(), sizes.max(),
-              tuple(int(np.count_nonzero(coarse.kinds == k)) * grid.dofs_per_node
-                    for k in ("corner", "edge", "face")), per_sub.min(), per_sub.max(),
-              [g.row.shape + g.tags.shape[1:] for g in groups], fact.method, fact.n, fact.kd)
+    masters = [g.master.ravel() for g in groups if g.master is not None]
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, groups=groups,
                      coarse_dofs=np.concatenate([g.dofs.ravel() for g in groups]),
@@ -653,7 +648,11 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
     collapses it to the hierarchy without the level. A level whose coarse
     space is empty ends the hierarchy: its coarse problem, of order 0, is
     the final one, so `levels` and `coarse_sizes` report the levels built.
-    Each level and the top factor are logged at DEBUG on the "mlbddc" logger.
+    Once the top factor is made, each level's K_II factor gets its inverse
+    stacks where they apply (`Factorization.stack_inverses`; built last, they
+    reuse pages the level sums freed), and each level, with what its
+    interior solves read, and the top factor are logged at DEBUG on the
+    "mlbddc" logger.
     """
     levels = []
     for depth, count in enumerate([None, *coarse_counts]):
@@ -677,5 +676,21 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
             f"final coarse matrix ({k_top.shape[0]} dofs) is not positive "
             f"definite or too ill-conditioned to solve accurately; the "
             f"constraint set is too weak") from exc
+    for lv in levels:
+        fact = lv.splits.k_ii_fact
+        try:
+            fact.stack_inverses()
+        except NumericalError as exc:
+            raise NumericalError(f"level {lv.index}, interior solves: {exc}") from exc
+        dpn, sizes = lv.grid.dofs_per_node, lv.partition.sizes()
+        per_sub = np.diff(lv.coarse.sub_ptr) * dpn
+        log.debug("level %d: %d subdomains of %d to %d elements; coarse dofs (corner, edge, "
+                  "face) %s, %d to %d per subdomain; shape groups (m, n_B, n_c) %s; K_II "
+                  "factor %s n=%d kd=%s, solves by %s", lv.index, lv.partition.n_subdomains,
+                  sizes.min(), sizes.max(),
+                  tuple(int(np.count_nonzero(lv.coarse.kinds == k)) * dpn
+                        for k in ("corner", "edge", "face")), per_sub.min(), per_sub.max(),
+                  [g.row.shape + g.tags.shape[1:] for g in lv.groups], fact.method, fact.n,
+                  fact.kd, fact.storage)
     log.debug("top factor %s n=%d", top.method, top.n)
     return MultilevelBddc(levels=levels, top=top)

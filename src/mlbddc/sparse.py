@@ -18,10 +18,14 @@ subdomains of a level, is factorized once as a whole: it fills in only
 inside its blocks, so its band factor is its blocks' band factors side by
 side, and the budget bounds each block's share; a triangular solve with
 one block's factor runs on the band, or on a dense copy of the block's
-triangle where the band stores at least as much. Each factor's accuracy is
-checked once, right after it is made, by solving a fixed probe right-hand
-side and checking the residual of every diagonal block; its later solves
-are plain factor solves with no residual check.
+triangle where the band stores at least as much. Where every block is that
+short, the factor can also take its blocks' explicit inverses, one stack
+per block order (`Factorization.stack_inverses`): its solves are then one
+batched product per order, and the band serves the triangular solves. Each
+factor's accuracy is checked right after it is made, and again when it
+takes inverse stacks, by solving a fixed probe right-hand side and
+checking the residual of every diagonal block; its later solves, by band,
+stacks or SuperLU, are plain solves with no residual check.
 """
 
 from __future__ import annotations
@@ -231,6 +235,9 @@ class Factorization:
 
     `offsets` bounds the diagonal blocks of a block-diagonal matrix (block
     j is rows offsets[j]:offsets[j+1]); an unblocked matrix is one block.
+    A band factor solves by LAPACK's dpbtrs until `stack_inverses` gives it
+    inverse stacks: then each solve is one batched product per block order,
+    and the band serves `lower_solve` only.
     """
 
     n: int
@@ -238,6 +245,9 @@ class Factorization:
     matrix: SparseMatrix
     offsets: np.ndarray
     _payload: object = field(repr=False)
+    # (rows, inverses) per block order, from `stack_inverses`; a copy made
+    # by dataclasses.replace starts without them
+    _stacks: list | None = field(default=None, init=False, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for one rhs vector or a block of rhs columns.
@@ -272,6 +282,18 @@ class Factorization:
     def kd(self):                 # the band factor's half-bandwidth, else None
         return self._payload.shape[0] - 1 if self.method == "cholesky" else None
 
+    @property
+    def storage(self) -> str:
+        """What the solves read, for the setup log: the band (kd, bytes) or
+        the inverse stacks ((order, count) per stack, bytes)."""
+        if self._stacks is not None:
+            return (f"inverse stacks (order, count) "
+                    f"{[(inv.shape[1], inv.shape[0]) for _, inv in self._stacks]}, "
+                    f"{sum(inv.nbytes for _, inv in self._stacks)} bytes")
+        if self.method == "cholesky":
+            return f"band kd={self.kd}, {self._payload.nbytes} bytes"
+        return self.method
+
     def takes_dense(self, j: int) -> bool:
         """Whether `lower_solve` copies block j's triangle: where the band stores
         as many entries or more, (kd + 1) n_j >= n_j (n_j + 1) / 2, 2 kd + 1 >= n_j."""
@@ -290,21 +312,61 @@ class Factorization:
         only the band and solves from the left (b L_j^-T = (L_j^-1 b^T)^T)."""
         if not b.size:
             return b
-        lo, hi = self.offsets[j], self.offsets[j + 1]
-        band, n = self._payload[:, lo:hi], hi - lo
         if not self.takes_dense(j):
+            band = self._payload[:, self.offsets[j]:self.offsets[j + 1]]
             x = dtbtrs(band, b.T if right else b, uplo="L", overwrite_b=1)[0]
             return x.T if right else x
-        # column c's band entries L[c + d, c] go to F-order flat index
-        # c * (n + 1) + d: those past row n land in the strict upper triangle
-        # (or past its end), which dtrsm does not read
+        return dtrsm(1.0, self._dense_lower(j), b, side=int(right),
+                     lower=1, trans_a=int(right), overwrite_b=1)
+
+    def _dense_lower(self, j: int) -> np.ndarray:
+        """Block j's band factor L_j copied into a fresh F-order lower triangle.
+        Column c's band entries L[c + d, c] go to F-order flat index
+        c * (n + 1) + d: those past row n land in the strict upper triangle
+        (or past its end), which no lower-triangle routine reads."""
+        lo, hi = self.offsets[j], self.offsets[j + 1]
+        band, n = self._payload[:, lo:hi], hi - lo
         rows = min(band.shape[0], n)
         dense = np.zeros(n * (n + 1))
         dense.reshape(n, n + 1)[:, :rows] = band[:rows].T
-        return dtrsm(1.0, dense[:n * n].reshape(n, n, order="F"), b, side=int(right),
-                     lower=1, trans_a=int(right), overwrite_b=1)
+        return dense[:n * n].reshape(n, n, order="F")
+
+    def stack_inverses(self) -> None:
+        """Make this band factor solve by its blocks' explicit inverses, if it
+        has two nonempty blocks or more and every block `takes_dense`; leave
+        any other factor as it is. Each block's inverse, exactly symmetric, is
+        made by `spd_inverse` from the block's own band factor and stored in
+        one (count, n_j, n_j) stack per block order n_j, so a solve is one
+        batched product per order. dpbtrs runs one column of the band at a
+        time, so on bands this short it is bound by latency, not by the bytes
+        it reads. The band is kept for `lower_solve`. The stacked path runs
+        the setup check again (`check`), which raises NumericalError naming
+        an inaccurate block."""
+        sizes = np.diff(self.offsets)
+        if (self.method != "cholesky" or np.count_nonzero(sizes) < 2
+                or 2 * self.kd + 1 < sizes.max()):       # some block not takes_dense
+            return
+        stacks = []
+        for n_j in np.unique(sizes[sizes > 0]).tolist():
+            blocks = np.flatnonzero(sizes == n_j)
+            inv, lower = np.empty((blocks.size, n_j, n_j)), np.tri(n_j, dtype=bool)
+            for k, j in enumerate(blocks.tolist()):
+                spd_inverse(self._dense_lower(j), inv[k], lower)
+            rows = (self.offsets[blocks][:, None] + np.arange(n_j)).ravel()
+            if rows[-1] - rows[0] == rows.size - 1:          # adjacent blocks: a view
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            stacks.append((rows, inv))
+        self._stacks = stacks
+        self.check(self.solve(probe_rhs(self.n)))
 
     def _raw_solve(self, bb: np.ndarray) -> np.ndarray:
+        if self._stacks is not None:
+            b = bb.reshape(self.n, -1)
+            x = np.empty_like(b)
+            for rows, inv in self._stacks:
+                m, n_j = inv.shape[:2]
+                x[rows] = np.matmul(inv, b[rows].reshape(m, n_j, -1)).reshape(m * n_j, -1)
+            return x.reshape(bb.shape)
         if self.method == "cholesky":
             return dpbtrs(self._payload, bb, lower=1)[0]
         return self._payload.solve(bb)

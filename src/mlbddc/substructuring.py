@@ -11,6 +11,10 @@ applying S = R^T (K_BB - K_IB^T K_II^-1 K_IB) R is a few sparse products
 and one block-diagonal interior solve per level. The blocks of K_II are
 small subdomain interiors in mesh order, so the stacked matrix has a
 narrow band and `factorize` gives it one LAPACK band Cholesky factor.
+Where that band is as wide as every block, the end of the preconditioner's
+setup switches the factor's solves to the blocks' explicit inverses
+(`Factorization.stack_inverses`): an interior solve is then one batched
+product per block order, not a band solve one column at a time.
 Condensation and recovery serve every level: the level-1 solve, and the
 preconditioner's interior corrections on the coarser levels. Interface
 sums are ordered scatters in subdomain order, so results are bitwise

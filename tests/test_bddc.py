@@ -583,37 +583,50 @@ def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
     # setup_bddc's DEBUG records on the "mlbddc" logger, off by default,
     # give each level's subdomain count, subdomain sizes in elements (min,
     # max), coarse dofs by kind (corner, edge, face) and per subdomain (min,
-    # max), shape groups (m, n_B, n_c) and K_II factor (method, n, kd),
-    # then the top factor (method, n); a run that
-    # logs them has bitwise the solution, residual history and condition
-    # estimate of one that does not
-    overrides = ["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"]
-    quiet = run_experiment(load_config(overrides=overrides))
-    assert not [r for r in caplog.records if r.name == "mlbddc"]
-    with caplog.at_level(logging.DEBUG, logger="mlbddc"):
-        logged = run_experiment(load_config(overrides=overrides))
-    records = [r for r in caplog.records if r.name == "mlbddc"]
-    assert all(r.levelno == logging.DEBUG for r in records) and len(records) == 3
-    prec = logged.preconditioner
-    for record, level in zip(records, prec.levels):
-        fact, groups = level.splits.k_ii_fact, level.groups
-        shapes = [(g.subs.size, g.row.shape[1], g.tags.shape[1]) for g in groups]
-        cs = level.coarse
-        by_kind = tuple(cs.dofs_per_node * int(np.count_nonzero(cs.kinds == k))
-                        for k in ("corner", "edge", "face"))
-        assert sum(by_kind) == level.n_coarse_dofs
-        sizes = level.partition.sizes()
-        per_sub = np.diff(cs.sub_ptr) * cs.dofs_per_node
-        assert record.getMessage() == (
-            f"level {level.index}: {level.partition.n_subdomains} subdomains of "
-            f"{sizes.min()} to {sizes.max()} elements; coarse dofs (corner, edge, face) "
-            f"{by_kind}, {per_sub.min()} to {per_sub.max()} per subdomain; "
-            f"shape groups (m, n_B, n_c) {shapes}; "
-            f"K_II factor {fact.method} n={fact.n} kd={fact.kd}")
-    assert records[-1].getMessage() == f"top factor {prec.top.method} n={prec.top.n}"
-    assert quiet.solution.tobytes() == logged.solution.tobytes()
-    assert quiet.report.relative_residuals == logged.report.relative_residuals
-    assert quiet.report.condition_estimate == logged.report.condition_estimate
+    # max), shape groups (m, n_B, n_c), K_II factor (method, n, kd) and what
+    # its solves read: inverse stacks (order, count per block order, bytes)
+    # where the band is as wide as every interior block, else the band (kd,
+    # bytes); then the top factor (method, n). The three-level elasticity run
+    # stacks both levels' inverses, the 2D run with 7 x 7 interiors keeps its
+    # band (2 kd + 1 < 49). A run that logs them has bitwise the solution,
+    # residual history and condition estimate of one that does not
+    runs = [(["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"], [True, True]),
+            (["dim=2", "elements=16", "hierarchy=4"], [False])]
+    for overrides, stacked in runs:
+        caplog.clear()
+        quiet = run_experiment(load_config(overrides=overrides))
+        assert not [r for r in caplog.records if r.name == "mlbddc"]
+        with caplog.at_level(logging.DEBUG, logger="mlbddc"):
+            logged = run_experiment(load_config(overrides=overrides))
+        records = [r for r in caplog.records if r.name == "mlbddc"]
+        prec = logged.preconditioner
+        assert all(r.levelno == logging.DEBUG for r in records)
+        assert len(records) == len(prec.levels) + 1 == len(stacked) + 1
+        for record, level, inverses in zip(records, prec.levels, stacked):
+            fact, groups = level.splits.k_ii_fact, level.groups
+            shapes = [(g.subs.size, g.row.shape[1], g.tags.shape[1]) for g in groups]
+            cs = level.coarse
+            by_kind = tuple(cs.dofs_per_node * int(np.count_nonzero(cs.kinds == k))
+                            for k in ("corner", "edge", "face"))
+            assert sum(by_kind) == level.n_coarse_dofs
+            sizes = level.partition.sizes()
+            per_sub = np.diff(cs.sub_ptr) * cs.dofs_per_node
+            n_i = np.diff(level.splits.interior_offsets)
+            orders, counts = np.unique(n_i[n_i > 0], return_counts=True)
+            assert (2 * fact.kd + 1 >= orders.max()) == inverses
+            solves = (f"inverse stacks (order, count) {list(zip(orders.tolist(), counts.tolist()))}"
+                      f", {8 * int(np.sum(counts * orders ** 2))} bytes" if inverses
+                      else f"band kd={fact.kd}, {8 * (fact.kd + 1) * fact.n} bytes")
+            assert record.getMessage() == (
+                f"level {level.index}: {level.partition.n_subdomains} subdomains of "
+                f"{sizes.min()} to {sizes.max()} elements; coarse dofs (corner, edge, face) "
+                f"{by_kind}, {per_sub.min()} to {per_sub.max()} per subdomain; "
+                f"shape groups (m, n_B, n_c) {shapes}; "
+                f"K_II factor {fact.method} n={fact.n} kd={fact.kd}, solves by {solves}")
+        assert records[-1].getMessage() == f"top factor {prec.top.method} n={prec.top.n}"
+        assert quiet.solution.tobytes() == logged.solution.tobytes()
+        assert quiet.report.relative_residuals == logged.report.relative_residuals
+        assert quiet.report.condition_estimate == logged.report.condition_estimate
 
 
 def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypatch):
@@ -636,6 +649,32 @@ def test_setup_names_the_failing_subdomain_not_its_slot(dirichlet_x2d, monkeypat
     with pytest.raises(NumericalError, match=f"level 1, subdomain {victim}: constrained "
                                              f"local problem is not positive definite"):
         make_bddc(lv, corner_strategy="vertices-only")
+
+
+def test_setup_names_the_interior_block_whose_inverse_is_inaccurate(dirichlet_x2d,
+                                                                     monkeypatch):
+    # setup ends by stacking each level's K_II block inverses, one stack per
+    # block order, and checks the stacked solve: an inverse off by 1e-9
+    # relative in block 7 (order 6, blocks interleaved with orders 4 and 9,
+    # so not the first of its stack) fails setup with NumericalError naming
+    # the level and that block
+    lv = dirichlet_x2d
+    n_i = np.diff(lv.splits.interior_offsets)
+    victim, made = 7, []
+    call = int(np.flatnonzero(np.lexsort((np.arange(n_i.size), n_i)) == victim)[0])
+    assert n_i[victim] == 6 and n_i[:victim].tolist().count(6) == 3 and call == 9
+    real = sparse.spd_inverse
+
+    def skewed(low, out, lower):
+        real(low, out, lower)
+        if len(made) == call:
+            out *= 1.0 + 1e-9
+        made.append(out)
+
+    monkeypatch.setattr(sparse, "spd_inverse", skewed)
+    with pytest.raises(NumericalError, match=f"level 1, interior solves: factor solve is "
+                                             f"inaccurate in diagonal block {victim}:"):
+        make_bddc(lv)
 
 
 def test_constraint_rows(cross2d):

@@ -204,13 +204,14 @@ def csr_arrays(m) -> list:
 def test_preconditioner_holds_only_what_it_keeps(overrides):
     # the bytes reachable from a built preconditioner are those of what it
     # keeps, named here: per level the shape groups' stacks and index maps,
-    # the splits (K_IB, K_BB, the band K_II factor and its CSR, the stacked
-    # index arrays), the level's arrays (weights, coarse dofs, masters,
-    # interface map, coarse space, partition) and its grid; then the top
-    # factor and its CSR. The margin, 1% of that, is for arrays not named
-    # here. State that setup keeps per member fails here and not only in the
-    # benchmark's peak memory: the records of A with one object per member
-    # came to 2.8% and 14.9% of the kept bytes of these two configs
+    # the splits (K_IB, K_BB, the band K_II factor, its inverse stacks and
+    # its CSR, the stacked index arrays), the level's arrays (weights,
+    # coarse dofs, masters, interface map, coarse space, partition) and its
+    # grid; then the top factor and its CSR. The margin, 1% of that, is for
+    # arrays not named here. State that setup keeps per member fails here
+    # and not only in the benchmark's peak memory: the records of A with one
+    # object per member came to 2.8% and 14.9% of the kept bytes of these
+    # two configs
     prec = run_experiment(load_config(overrides=overrides)).preconditioner
     top = prec.top
     kept = [top._payload, top.offsets, *csr_arrays(top.matrix.scipy_csr())]
@@ -218,6 +219,7 @@ def test_preconditioner_holds_only_what_it_keeps(overrides):
         sp, fact, cs, grid = lv.splits, lv.splits.k_ii_fact, lv.coarse, lv.grid
         kept += [a for g in lv.groups for a in vars(g).values() if isinstance(a, np.ndarray)]
         kept += csr_arrays(sp.k_ib) + csr_arrays(sp.k_bb) + csr_arrays(fact.matrix.scipy_csr())
+        kept += [a for stack in fact._stacks or () for a in stack if isinstance(a, np.ndarray)]
         kept += [fact._payload, fact.offsets, sp.interior_dofs, sp.iface_index,
                  sp.interior_offsets, sp.iface_offsets, lv.weights, lv.coarse_dofs, lv.masters,
                  lv.imap.dofs, lv.partition.assignment, cs.node_coarse, cs.kinds,

@@ -421,6 +421,57 @@ def test_spd_inverse_matches_potri(n):
     assert np.linalg.norm(np.tril(out - ref)) <= 1e-13 * np.linalg.norm(np.tril(ref))
 
 
+def test_stacked_inverses_solve_like_dpbtrs():
+    # dense blocks of orders 5, 0, 3, 5, 8, 3 under one band (kd = 7, so
+    # 2 kd + 1 >= n_j for each): the inverse stacks, one per order, solve
+    # 1-D and 2-D right-hand sides (one with no columns too) as dpbtrs does,
+    # to 1e-13 relative; blocks of one order that are not adjacent are
+    # gathered by index, adjacent ones read as a view
+    rng = np.random.default_rng(47)
+    sizes = [5, 0, 3, 5, 8, 3]
+    a, offsets = stacked_blocks(rng, sizes)
+    f = factorize(a, offsets=offsets)
+    assert f.kd == 7 and f._stacks is None and f.storage == f"band kd=7, {8 * 8 * 24} bytes"
+    rhs = [rng.standard_normal(24), rng.standard_normal((24, 3)), np.zeros((24, 0))]
+    band = [f.solve(b) for b in rhs]
+    f.stack_inverses()
+    assert [(inv.shape, isinstance(rows, slice)) for rows, inv in f._stacks] == \
+        [((2, 3, 3), False), ((2, 5, 5), False), ((1, 8, 8), True)]
+    assert all(np.array_equal(inv, inv.swapaxes(1, 2)) for _, inv in f._stacks)
+    assert f.storage == f"inverse stacks (order, count) [(3, 2), (5, 2), (8, 1)], " \
+                        f"{8 * (2 * 9 + 2 * 25 + 64)} bytes"
+    for b, ref in zip(rhs, band):
+        x = f.solve(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_narrow_band_and_single_block_factors_keep_dpbtrs(monkeypatch):
+    # stack_inverses leaves a factor that has a block wider than 2 kd + 1
+    # (a pentadiagonal block of order 12 beside dense ones), one of a single
+    # block (and empty ones) and a SuperLU factor as they were: their solves
+    # still run dpbtrs, or SuperLU
+    rng = np.random.default_rng(53)
+    narrow = np.diag(np.full(12, 6.0)) + sum(np.diag(np.full(12 - d, -1.0), d) +
+                                             np.diag(np.full(12 - d, -1.0), -d) for d in (1, 2))
+    dense = scipy.linalg.block_diag(random_spd(rng, 4), narrow, random_spd(rng, 2))
+    single, _ = stacked_blocks(rng, [6])
+    facts = [factorize(SparseMatrix.from_scipy(dense, symmetric=True), offsets=[0, 4, 16, 18]),
+             factorize(single), factorize(single, offsets=[0, 0, 6, 6])]
+    monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 2)
+    facts.append(factorize(single, offsets=[0, 3, 6]))
+    assert [f.method for f in facts] == ["cholesky"] * 3 + ["splu"]
+    calls = []
+    real = sparse.dpbtrs
+    monkeypatch.setattr(sparse, "dpbtrs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for f in facts:
+        f.stack_inverses()
+        assert f._stacks is None
+        b = rng.standard_normal(f.n)
+        dense_oracle_check(f.matrix, f, b)
+    assert len(calls) == 3
+
+
 def test_solve_residual_contract():
     # a factor that passed its setup check solves other right-hand sides to
     # the same relative residual, with no per-solve check or refinement
