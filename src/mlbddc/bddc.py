@@ -27,10 +27,11 @@ next level's problem, which is either factorized directly (top level) or
 split again into subdomains over a pseudo-mesh. Applications at levels past
 the first condense the full residual onto the interface before the cycle
 and recover the interiors after it, with the condensation and recovery of
-the level-1 solve (substructuring), so the recursion only ever sees
-interface residuals; each is one block-diagonal interior solve per level,
-by the inverse stacks that setup gives a level's K_II factor last, where its
-band is as wide as its blocks (`Factorization.stack_inverses`).
+the level-1 solve (substructuring, through K_IB with global interface
+columns), so the recursion only ever sees interface residuals; each is one
+block-diagonal interior solve per level, by the inverse stacks that setup
+gives a level's K_II factor last, where its band is as wide as its blocks
+(`Factorization.stack_inverses`).
 The constrained local problems are solved once, at setup: each A_i is
 factorized by potrf and inverted from its factor (`sparse.spd_inverse`),
 always densely (its order is below that of the interface). With
@@ -45,7 +46,12 @@ batched products and gathers per level: t_i = N_i^T r_i, y_i = A_i^-1 t_i
 and the multipliers mu_i = X_i^T r_i - U_i^T t_i (the restricted coarse
 residuals), then after the coarse correction z_c the local correction
 X_i z_c + N_i (y_i - U_i z_c), which is psi_i z_c plus the constrained
-solve. No subdomain keeps a factor, a record of A_i or an object past setup.
+solve. The index maps of N_i and X_i are composed at setup with the level's
+R_i (its interface positions in global interface numbering) and weights
+D_i, so the cycle reads r_i = D_i R_i r straight from the global interface
+residual and sums every R_i^T D_i (local correction) into the global
+interface by one bincount per level: no stacked interface vector is formed.
+No subdomain keeps a factor, a record of A_i or an object past setup.
 
 Setup works by shape group too. The constraint rows of all subdomains of a
 level come from one search: each interface position's node names its coarse
@@ -54,7 +60,8 @@ group, whatever does not depend on the Schur complements (dense positions of
 its matrix rows, interface orders with each row's own dof, and the index
 maps of N_i and X_i) is indexed once for all of its members; only the dense
 kernels (a triangular solve with the subdomain's own columns of the level's
-band K_II factor and a rank-k update for S_i's lower triangle, then potrf
+band K_II factor and a rank-k update for S_i's lower triangle, read from the
+lower triangle of K_BB, the only part of it a level keeps, then potrf
 and the inverse for A_i), the gathers of A_i from that triangle and the
 products with A_i^-1 run once per subdomain, writing A_i^-1, U_i and the
 coarse matrices into the group's stacks; the next level's assembly, their
@@ -158,12 +165,17 @@ class ShapeGroup:
 
     The null-space basis N = [I; G] and the basis X of unit constraint
     values have one nonzero per column (see `coarse_basis`), so they are
-    kept as index stacks over the level's stacked interface (`_index_maps`):
-    the kept dofs, each kept dof's master (that of the average row covering
-    it, or the sentinel slot n_stacked_interface, which the apply pads with
-    zero; None where that would be the sentinel throughout, as with corners
-    only, so the apply skips the masters), each row's own dof and X's weight
-    on it. The only operators stored per member are A^-1 and U = A^-1 V. The
+    kept as index stacks (`_index_maps`), composed at setup with the level's
+    R (stacked to global interface positions) and weights D, so that the
+    apply reads and writes global interface vectors: the global positions of
+    the kept dofs, of each kept dof's master (that of the average row
+    covering it, or the sentinel slot n_interface, which the apply pads
+    with zero; None where that would be the sentinel throughout, as with
+    corners only, so the apply skips the masters) and of each row's own dof,
+    with the nonzeros of D N (kept_w, the kept copy's weight; master_w, minus
+    the master copy's, 0 at the sentinel) and of D X (own_w, the own copy's
+    weight times X's weight w). The only operators stored per member are
+    A^-1 and U = A^-1 V. The
     coarse matrices kc are written by `coarse_basis`, unsymmetrized, and read
     once, by the next level's assembly (`subassemble_coarse`, or
     `assemble_coarse` for the top matrix), which sums their symmetric parts
@@ -174,20 +186,27 @@ class ShapeGroup:
     row: np.ndarray               # (m, n_interface) covering row of each place, or -1
     tags: np.ndarray              # (m, n_constraints)
     dofs: np.ndarray              # (m, n_constraints) global coarse dof ids
-    kept: np.ndarray              # (m, n_kept) stacked interface positions
-    master: np.ndarray | None     # (m, n_kept) stacked interface positions, or the sentinel
-    own: np.ndarray               # (m, n_constraints) stacked interface positions
+    kept: np.ndarray              # (m, n_kept) global interface positions
+    master: np.ndarray | None     # (m, n_kept) global interface positions, or the sentinel
+    own: np.ndarray               # (m, n_constraints) global interface positions
     w: np.ndarray                 # (m, n_constraints) 1 / (1 / size) of each row
+    kept_w: np.ndarray            # (m, n_kept) D N at the kept dofs
+    master_w: np.ndarray | None   # (m, n_kept) D N at the masters
+    own_w: np.ndarray             # (m, n_constraints) D X at the own dofs
     ainv: np.ndarray              # (m, n_kept, n_kept) A^-1
     u: np.ndarray                 # (m, n_kept, n_constraints) U = A^-1 V
     kc: np.ndarray | None         # (m, n_constraints, n_constraints), until assembled
 
 
-def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
+def _shape_groups(cons: LevelConstraints, splits: LevelSplits, imap: InterfaceMap,
+                  weights: np.ndarray) -> list:
     """Group a level's subdomains by shape (n_free, n_interface,
     n_constraints), in order of first appearance, with room for their
-    operators. Subdomain i's interface is stacked interface
-    iface_offsets[i]:iface_offsets[i+1]; every row covers a position."""
+    operators and their index maps in global interface positions, weighted
+    by the level's weights (over the stacked interface). Subdomain i's
+    interface is stacked interface iface_offsets[i]:iface_offsets[i+1];
+    every row covers a position."""
+    iface_offsets = splits.iface_offsets
     n_b, n_c = np.diff(iface_offsets), np.diff(cons.starts)
     n_rows, n_iface = cons.tags.size, int(iface_offsets[-1])
     # each row's own dof is its lowest position (label -1 sorts first)
@@ -216,12 +235,15 @@ def _shape_groups(cons: LevelConstraints, iface_offsets: np.ndarray) -> list:
         start, row = cons.starts[subs][:, None], cons.row_of[placed]
         row = np.where(row >= 0, row - start, -1)
         row_ids = start + np.arange(nc)
-        kept, own_g, master = _index_maps(row, nk, placed, n_iface)
+        kept, own_g, master = _index_maps(row, nk, splits.iface_index[placed], imap.n)
+        kept_w, own_w, master_w = _index_maps(row, nk, weights[placed], 0.0)
+        averaged = (row[:, :nk] >= 0).any()
         groups.append(ShapeGroup(
             subs=subs, order=order, row=row,
             tags=cons.tags[row_ids], dofs=cons.dofs[row_ids],
-            kept=kept, master=master if (row[:, :nk] >= 0).any() else None,
-            own=own_g, w=weight[row_ids],
+            kept=kept, master=master if averaged else None, own=own_g, w=weight[row_ids],
+            kept_w=kept_w, master_w=np.negative(master_w) if averaged else None,
+            own_w=own_w * weight[row_ids],
             ainv=np.empty((m, nk, nk)), u=np.empty((m, nk, nc)), kc=np.empty((m, nc, nc))))
     return groups
 
@@ -429,7 +451,7 @@ class BddcLevel:
     coarse: CoarseSpace
     groups: list                  # ShapeGroup per distinct subdomain shape
     coarse_dofs: np.ndarray       # the groups' dofs, raveled and concatenated
-    masters: np.ndarray           # the masters of the groups that have them, likewise
+    scatter: np.ndarray           # the groups' own, kept and master positions, likewise
 
     @property
     def n_coarse_dofs(self) -> int:
@@ -473,34 +495,35 @@ class MultilevelBddc:
         """One BDDC cycle on interface residual r_hat: weighted restriction,
         constrained local solves and coarse residuals, coarse correction,
         weighted prolongation. Each step is one batched product or gather
-        per shape group, over all of its subdomains at once: t = N^T r_f,
-        y = A^-1 t and mu = X^T r - U^T t, then after the coarse correction
-        z_c, v = X z_c + N e with e = y - U z_c. A kept dof without a master
-        reads and writes the sentinel slot n, which stays zero on the way in
-        and is dropped on the way out; groups without masters skip them."""
+        per shape group, over all of its subdomains at once, through the
+        group's index maps composed with R and the weights D (see
+        ShapeGroup): t = (D N)^T r, y = A^-1 t and mu = (D X)^T r - U^T t,
+        then after the coarse correction z_c, R^T D (X z_c + N e) with
+        e = y - U z_c, summed into the global interface by one bincount in
+        group order. A kept dof without a master reads and writes the
+        sentinel slot n, which stays zero on the way in and is dropped on
+        the way out; groups without masters skip them."""
         level = self.levels[li]
-        n = level.splits.iface_index.size
-        r_b = np.zeros(n + 1)                               # the sentinel slot n stays 0
-        r_b[:n] = level.weights * r_hat[level.splits.iface_index]
+        n = level.imap.n
+        r = np.append(r_hat, 0.0)                           # the sentinel slot n stays 0
         y, mu = [], []
         for g in level.groups:
-            t = r_b[g.kept] if g.master is None else r_b[g.kept] - r_b[g.master]
+            t = g.kept_w * r[g.kept]
+            if g.master is not None:
+                t += g.master_w * r[g.master]
             y.append(np.matmul(g.ainv, t[..., None])[..., 0])
-            mu.append(g.w * r_b[g.own] - np.matmul(t[:, None], g.u)[:, 0])
+            mu.append(g.own_w * r[g.own] - np.matmul(t[:, None], g.u)[:, 0])
         r_c = np.bincount(level.coarse_dofs, np.concatenate([m.ravel() for m in mu]),
                           level.n_coarse_dofs)
         z_c = self._full_apply(li + 1, r_c)
-        v_b, e_av = np.empty(n), []
+        v = []
         for g, y_g in zip(level.groups, y):
             z_g = z_c[g.dofs]
             e = y_g - np.matmul(g.u, z_g[..., None])[..., 0]
-            v_b[g.own] = g.w * z_g
-            v_b[g.kept] = e
+            v += [(g.own_w * z_g).ravel(), (g.kept_w * e).ravel()]
             if g.master is not None:
-                e_av.append(e.ravel())
-        if e_av:
-            v_b -= np.bincount(level.masters, np.concatenate(e_av), n + 1)[:n]
-        return level.splits.gather(level.weights * v_b, level.imap.n)
+                v.append((g.master_w * e).ravel())
+        return np.bincount(level.scatter, np.concatenate(v), n + 1)[:n]
 
     def _full_apply(self, li: int, r: np.ndarray) -> np.ndarray:
         """Apply at a level that owns every dof (levels past the first):
@@ -550,42 +573,52 @@ def subassemble_coarse(groups, partition: Partition, n_dofs: int, dofs_per_node:
 
 
 def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
-    """Yield the dense interface Schur complement S = K_BB - K_IB^T K_II^-1 K_IB
-    of each member of shape group g (or of those at `slots`) in turn, from
-    the level's stacked K_IB, K_BB and K_II factor, with rows and columns in
-    the member's interface order (g.order). K_II is SPD: the level's stacked
-    K_II factor passed its setup check.
+    """Yield the lower triangle of the dense interface Schur complement
+    S = K_BB - K_IB^T K_II^-1 K_IB of each member of shape group g (or of
+    those at `slots`) in turn, from the level's K_IG, K_BB's lower triangle
+    and K_II factor, with rows and columns in the member's interface order
+    (g.order); only its lower triangle is S's. K_II is SPD: the
+    level's stacked K_II factor passed its setup check.
 
-    A member's K_IB and K_BB are read straight from the stacked CSR arrays
-    (a member has no entries outside its own columns) into dense arrays in
-    interface order, by one flat index. Its K_II block is never made dense:
-    S = K_BB - W^T W with W = L^-1 K_IB by a triangular solve with its own
-    columns of the level's band Cholesky factor (`Factorization.lower_solve`;
-    from the right, W^T = K_BI L^-T, where it takes a dense triangle), then
-    one rank-k update of S's lower triangle, the only part of S formed. The
-    level's factor is SuperLU only when some K_II block is beyond the band
-    budget (see `factorize`), and then each member factorizes its own K_II
-    block and takes S = K_BB - K_IB^T K_II^-1 K_IB by a solve for the n_B
-    columns of K_IB.
+    A member's K_IB and K_BB are read straight from the CSR arrays (a
+    member has no entries outside its own columns) into dense arrays in
+    interface order, by one flat index: K_IG's global columns are found
+    among the member's ascending global positions, and each stored entry of
+    K_BB's lower triangle goes to the lower of its two places in S's order.
+    Its K_II block is never made dense: S = K_BB - W^T W with W = L^-1 K_IB
+    by a triangular solve with its own columns of the level's band Cholesky
+    factor (`Factorization.lower_solve`; from the right, W^T = K_BI L^-T,
+    where it takes a dense triangle), then one rank-k update of S's lower
+    triangle. The level's factor is SuperLU only when some K_II block is
+    beyond the band budget (see `factorize`), and then each member
+    factorizes its own K_II block and takes S = K_BB - K_IB^T K_II^-1 K_IB
+    by a solve for the n_B columns of K_IB.
     """
     nb, subs = g.order.shape[1], g.subs[slots]
-    fact, k_ib, k_bb = splits.k_ii_fact, splits.k_ib, splits.k_bb
+    fact, k_ig, k_bb, index = splits.k_ii_fact, splits.k_ig, splits.k_bb, splits.iface_index
     col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
     col[splits.iface_offsets[subs][:, None] + g.order[slots]] = np.arange(nb)
 
-    def dense(m, r0, r1, at, step, shape):
-        # rows r0:r1 of CSR m, entry (r, c) at F-order flat index at[r] + step * col[c]
-        ptr, out = m.indptr[r0:r1 + 1], np.zeros(shape[0] * shape[1])
-        out[np.repeat(at, np.diff(ptr)) + step * col[m.indices[ptr[0]:ptr[-1]]]] = \
-            m.data[ptr[0]:ptr[-1]]
+    def entries(m, r0, r1):
+        # rows r0:r1 of CSR m: each entry's row (from 0), column and value
+        ptr = m.indptr[r0:r1 + 1]
+        return (np.repeat(np.arange(r1 - r0), np.diff(ptr)), m.indices[ptr[0]:ptr[-1]],
+                m.data[ptr[0]:ptr[-1]])
+
+    def dense(flat, values, shape):
+        out = np.zeros(shape[0] * shape[1])
+        out[flat] = values
         return out.reshape(shape, order="F")
 
     for i in subs.tolist():
         (lo, hi), (b0, b1) = splits.interior_offsets[i:i + 2], splits.iface_offsets[i:i + 2]
         n_i, right = hi - lo, fact.takes_dense(i)
-        s = dense(k_bb, b0, b1, col[b0:b1], nb, (nb, nb))
-        w = (dense(k_ib, lo, hi, nb * np.arange(n_i), 1, (nb, n_i)) if right     # K_BI
-             else dense(k_ib, lo, hi, np.arange(n_i), n_i, (n_i, nb)))
+        r, c, v = entries(k_bb, b0, b1)
+        p, q = col[b0 + r], col[c]
+        s = dense(np.maximum(p, q) + nb * np.minimum(p, q), v, (nb, nb))
+        r, c, v = entries(k_ig, lo, hi)
+        q = col[b0 + np.searchsorted(index[b0:b1], c)]
+        w = dense(q + nb * r, v, (nb, n_i)) if right else dense(r + n_i * q, v, (n_i, nb))
         if n_i == 0 or nb == 0:
             yield s
         elif fact.method == "splu":
@@ -603,12 +636,12 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
     the `build_splits` call that splits it."""
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
-    splits, imap = build_splits(*subassemble(iface), iface, grid.n_dofs, part.n_subdomains)
+    splits, imap = build_splits(*subassemble(iface), iface, grid.n_dofs, part.n_subdomains,
+                                interface_matrix=index == 1)
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
-    groups = _shape_groups(build_constraints(coarse, splits, imap),
-                           splits.iface_offsets)
+    groups = _shape_groups(build_constraints(coarse, splits, imap), splits, imap, weights)
     failed = []
     for g in groups:
         try:
@@ -621,11 +654,31 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
-    masters = [g.master.ravel() for g in groups if g.master is not None]
+    scatter = [a.ravel() for g in groups
+               for a in (g.own, g.kept, *(() if g.master is None else (g.master,)))]
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
                      imap=imap, weights=weights, coarse=coarse, groups=groups,
                      coarse_dofs=np.concatenate([g.dofs.ravel() for g in groups]),
-                     masters=np.concatenate([np.empty(0, dtype=np.intp), *masters]))
+                     scatter=np.concatenate([np.empty(0, dtype=np.intp), *scatter]))
+
+
+def _log_level(lv: BddcLevel) -> None:
+    """The level's DEBUG record: sizes, coarse dofs by kind, shape groups, the
+    K_II factor and what its solves read, and K_GG's entries and bytes where
+    the level holds it."""
+    fact, k_gg = lv.splits.k_ii_fact, lv.splits.k_gg
+    dpn, sizes = lv.grid.dofs_per_node, lv.partition.sizes()
+    per_sub = np.diff(lv.coarse.sub_ptr) * dpn
+    log.debug("level %d: %d subdomains of %d to %d elements; coarse dofs (corner, edge, "
+              "face) %s, %d to %d per subdomain; shape groups (m, n_B, n_c) %s; K_II "
+              "factor %s n=%d kd=%s, solves by %s%s", lv.index, lv.partition.n_subdomains,
+              sizes.min(), sizes.max(),
+              tuple(int(np.count_nonzero(lv.coarse.kinds == k)) * dpn
+                    for k in ("corner", "edge", "face")), per_sub.min(), per_sub.max(),
+              [g.row.shape + g.tags.shape[1:] for g in lv.groups], fact.method, fact.n,
+              fact.kd, fact.storage, "" if k_gg is None else
+              f"; K_GG {k_gg.nnz} entries, "
+              f"{k_gg.data.nbytes + k_gg.indices.nbytes + k_gg.indptr.nbytes} bytes")
 
 
 def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
@@ -682,15 +735,7 @@ def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,
             fact.stack_inverses()
         except NumericalError as exc:
             raise NumericalError(f"level {lv.index}, interior solves: {exc}") from exc
-        dpn, sizes = lv.grid.dofs_per_node, lv.partition.sizes()
-        per_sub = np.diff(lv.coarse.sub_ptr) * dpn
-        log.debug("level %d: %d subdomains of %d to %d elements; coarse dofs (corner, edge, "
-                  "face) %s, %d to %d per subdomain; shape groups (m, n_B, n_c) %s; K_II "
-                  "factor %s n=%d kd=%s, solves by %s", lv.index, lv.partition.n_subdomains,
-                  sizes.min(), sizes.max(),
-                  tuple(int(np.count_nonzero(lv.coarse.kinds == k)) * dpn
-                        for k in ("corner", "edge", "face")), per_sub.min(), per_sub.max(),
-                  [g.row.shape + g.tags.shape[1:] for g in lv.groups], fact.method, fact.n,
-                  fact.kd, fact.storage)
+        if log.isEnabledFor(logging.DEBUG):
+            _log_level(lv)
     log.debug("top factor %s n=%d", top.method, top.n)
     return MultilevelBddc(levels=levels, top=top)

@@ -65,13 +65,6 @@ class SparseMatrix:
     csr: scipy.sparse.csr_matrix
     symmetric: bool = False
 
-    @classmethod
-    def from_scipy(cls, mat, symmetric: bool = False) -> "SparseMatrix":
-        csr = scipy.sparse.csr_matrix(mat, dtype=np.float64, copy=True)   # not the caller's
-        csr.sum_duplicates()        # sorts the indices too
-        csr.eliminate_zeros()       # stored zeros would widen factorize's band
-        return cls(csr, symmetric)
-
     def scipy_csr(self) -> scipy.sparse.csr_matrix:
         return self.csr
 

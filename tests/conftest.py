@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mlbddc import bddc
 from mlbddc.fem import (
@@ -23,7 +24,28 @@ from mlbddc.interface import (
     select_corners,
 )
 from mlbddc.partition import build_pseudomesh, partition_elements
+from mlbddc.sparse import SparseMatrix
 from mlbddc.substructuring import build_splits
+
+
+def canonical(mat, symmetric: bool = False) -> SparseMatrix:
+    """A SparseMatrix of a dense or scipy matrix: a float64 CSR copy with
+    duplicates summed, indices sorted and stored zeros dropped, the
+    canonical form every SparseMatrix holds."""
+    csr = scipy.sparse.csr_matrix(mat, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return SparseMatrix(csr, symmetric)
+
+
+def dense_schur(splits, n_iface: int) -> np.ndarray:
+    """A level's interface Schur complement R^T K_BB R - K_IG^T K_II^-1 K_IG,
+    dense, from its splits (K_BB stored as its lower triangle, mirrored
+    here), at any level, with or without K_GG."""
+    low = splits.k_bb.toarray()
+    r = np.eye(n_iface)[splits.iface_index]
+    k_ig = splits.k_ig.toarray()
+    return r.T @ (low + low.T - np.diag(low.diagonal())) @ r - k_ig.T @ splits.k_ii_fact.solve(k_ig)
 
 
 @dataclass

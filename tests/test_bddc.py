@@ -100,10 +100,10 @@ def hand_basis(s, labels, tags):
     constraint labels, read by _local_schur from a one-subdomain split.
     Returns the group and the member's (record, SubdomainCoarse, coarse
     matrix)."""
-    cons, iface_offsets = hand_constraints([labels], [tags])
-    g, = _shape_groups(cons, iface_offsets)
+    cons, _ = hand_constraints([labels], [tags])
     n = len(labels)
-    splits, _ = build_splits(*stacked([s], [np.arange(n)], n, np.arange(n)), np.arange(n), n, 1)
+    splits, imap = build_splits(*stacked([s], [np.arange(n)], n, np.arange(n)), np.arange(n), n, 1)
+    g, = _shape_groups(cons, splits, imap, np.ones(n))
     coarse_basis(g, _local_schur(splits, g))
     sub, = bddc._subdomains(g, splits)
     return g, (sub.bordered, sub, g.kc[0])
@@ -280,15 +280,15 @@ def test_basis_without_interior_matches_full_solve():
     # matrix are those of the full bordered solve
     k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     blocks, keys = stacked([np.diag([4.0, 5.0]), k], [[0, 1], [3, 4, 7]], 8, [3, 4, 7])
-    splits, _ = build_splits(blocks, keys, [3, 4, 7], 8, 2)
+    splits, imap = build_splits(blocks, keys, [3, 4, 7], 8, 2)
     c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     assert np.array_equal(mean_rows([0, 1, 1], 2), c)
     cons, iface_offsets = hand_constraints([[], [0, 1, 1]], [[], ["corner", "edge"]])
     assert np.array_equal(iface_offsets, splits.iface_offsets)
-    g = [g for g in _shape_groups(cons, iface_offsets) if 1 in g.subs][0]
+    g = [g for g in _shape_groups(cons, splits, imap, np.ones(3)) if 1 in g.subs][0]
     order = g.order[0]
     s, = _local_schur(splits, g)
-    assert np.array_equal(s, k[np.ix_(order, order)])
+    assert np.array_equal(np.tril(s), np.tril(k[np.ix_(order, order)]))
     coarse_basis(g, [s])
     sub, = bddc._subdomains(g, splits)
     bordered = np.block([[k, c.T], [c, np.zeros((2, 2))]])
@@ -308,9 +308,9 @@ def test_local_schur_reads_members_of_different_sizes():
     # subdomain 0: dofs 0, 1, 2 (interior 0); subdomain 1: dofs 1, 2, 3, 4
     # (interior 3, 4); interface dofs 1 and 2
     blocks, keys = stacked(mats, [[0, 1, 2], [1, 2, 3, 4]], 10, [1, 2])
-    splits, _ = build_splits(blocks, keys, [1, 2], 10, 2)
-    cons, iface_offsets = hand_constraints([[-1, 0], [-1, 0]], [["corner"], ["corner"]])
-    g, = _shape_groups(cons, iface_offsets)
+    splits, imap = build_splits(blocks, keys, [1, 2], 10, 2)
+    cons, _ = hand_constraints([[-1, 0], [-1, 0]], [["corner"], ["corner"]])
+    g, = _shape_groups(cons, splits, imap, np.ones(4))
     assert np.array_equal(g.subs, [0, 1])
     for kd, s, interior in zip(mats, _local_schur(splits, g),
                                ([0], [2, 3])):
@@ -339,11 +339,10 @@ def test_local_schur_forms_the_lower_triangle_on_both_interior_paths(monkeypatch
     # share the interface dofs 4, 5 and 6
     blocks, keys = stacked([scipy.sparse.csr_matrix(k) for k in mats],
                            [np.arange(7), np.r_[7:19, 4:7]], 19, [4, 5, 6])
-    splits, _ = build_splits(blocks, keys, [4, 5, 6], 19, 2)
+    splits, imap = build_splits(blocks, keys, [4, 5, 6], 19, 2)
     assert splits.k_ii_fact.kd == 3
-    cons, iface_offsets = hand_constraints([[0, -1, -1], [0, -1, -1]],
-                                           [["corner"], ["corner"]])
-    g, = _shape_groups(cons, iface_offsets)
+    cons, _ = hand_constraints([[0, -1, -1], [0, -1, -1]], [["corner"], ["corner"]])
+    g, = _shape_groups(cons, splits, imap, np.ones(6))
     calls = []
     for name in ("dtrsm", "dtbtrs"):
         real = getattr(sparse, name)
@@ -531,7 +530,8 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     # triangle setup handed to potrf ("empty", of order 0, where A has no
     # order; potrf reads the lower triangle only, so it is mirrored); reading
     # `subs` again gives equal records and changes no stored operator (A^-1
-    # and U: the coarse matrices went to the next level's assembly)
+    # and U: the coarse matrices went to the next level's assembly). Each
+    # level holds K_BB as its lower triangle, all that S's lower triangle reads
     factorized, made = [], []
     potrf, init = bddc.dpotrf, bddc.SubdomainCoarse.__init__
 
@@ -552,6 +552,7 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     stored = [[a.copy() for a in stack] for stack in stacks]
     formed, orders = iter(factorized[:]), set()
     for lv in prec.levels:
+        assert scipy.sparse.triu(lv.splits.k_bb, 1).nnz == 0
         subs = lv.subs
         assert len(made) == len(subs) == lv.partition.n_subdomains
         first = [sub.bordered for sub in subs]
@@ -579,23 +580,30 @@ def test_records_of_a_are_formed_on_demand(overrides, monkeypatch):
     assert orders == {False, True}          # members with and without an A
 
 
-def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
+def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog, monkeypatch):
     # setup_bddc's DEBUG records on the "mlbddc" logger, off by default,
     # give each level's subdomain count, subdomain sizes in elements (min,
     # max), coarse dofs by kind (corner, edge, face) and per subdomain (min,
     # max), shape groups (m, n_B, n_c), K_II factor (method, n, kd) and what
     # its solves read: inverse stacks (order, count per block order, bytes)
     # where the band is as wide as every interior block, else the band (kd,
-    # bytes); then the top factor (method, n). The three-level elasticity run
-    # stacks both levels' inverses, the 2D run with 7 x 7 interiors keeps its
-    # band (2 kd + 1 < 49). A run that logs them has bitwise the solution,
-    # residual history and condition estimate of one that does not
+    # bytes), and at level 1 the assembled K_GG (entries, bytes); then the
+    # top factor (method, n). The three-level elasticity run stacks both
+    # levels' inverses, the 2D run with 7 x 7 interiors keeps its band
+    # (2 kd + 1 < 49). With DEBUG off no record's arguments are evaluated
+    # (`Factorization.storage` is never read), and a run that logs them has
+    # bitwise the solution, residual history and condition estimate of one
+    # that does not
     runs = [(["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"], [True, True]),
             (["dim=2", "elements=16", "hierarchy=4"], [False])]
+    evaluated, storage = [], Factorization.storage
+    monkeypatch.setattr(Factorization, "storage",
+                        property(lambda self: evaluated.append(self) or storage.fget(self)))
     for overrides, stacked in runs:
         caplog.clear()
+        evaluated.clear()
         quiet = run_experiment(load_config(overrides=overrides))
-        assert not [r for r in caplog.records if r.name == "mlbddc"]
+        assert not [r for r in caplog.records if r.name == "mlbddc"] and evaluated == []
         with caplog.at_level(logging.DEBUG, logger="mlbddc"):
             logged = run_experiment(load_config(overrides=overrides))
         records = [r for r in caplog.records if r.name == "mlbddc"]
@@ -617,12 +625,17 @@ def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog):
             solves = (f"inverse stacks (order, count) {list(zip(orders.tolist(), counts.tolist()))}"
                       f", {8 * int(np.sum(counts * orders ** 2))} bytes" if inverses
                       else f"band kd={fact.kd}, {8 * (fact.kd + 1) * fact.n} bytes")
+            k_gg = level.splits.k_gg
+            assert (k_gg is not None) == (level.index == 1)
+            interface = ("" if k_gg is None else f"; K_GG {k_gg.nnz} entries, "
+                         f"{12 * k_gg.nnz + 4 * (k_gg.shape[0] + 1)} bytes")
             assert record.getMessage() == (
                 f"level {level.index}: {level.partition.n_subdomains} subdomains of "
                 f"{sizes.min()} to {sizes.max()} elements; coarse dofs (corner, edge, face) "
                 f"{by_kind}, {per_sub.min()} to {per_sub.max()} per subdomain; "
                 f"shape groups (m, n_B, n_c) {shapes}; "
-                f"K_II factor {fact.method} n={fact.n} kd={fact.kd}, solves by {solves}")
+                f"K_II factor {fact.method} n={fact.n} kd={fact.kd}, solves by {solves}"
+                f"{interface}")
         assert records[-1].getMessage() == f"top factor {prec.top.method} n={prec.top.n}"
         assert quiet.solution.tobytes() == logged.solution.tobytes()
         assert quiet.report.relative_residuals == logged.report.relative_residuals
@@ -871,9 +884,9 @@ def test_each_level_matrix_is_freed_once_split(monkeypatch):
     # split so far is already freed by reference counting, with no gc pass
     refs, seen = [], []
 
-    def recorded_build_splits(k, *args):
+    def recorded_build_splits(k, *args, **kwargs):
         refs.append((weakref.ref(k), weakref.ref(k.scipy_csr())))
-        return build_splits(k, *args)
+        return build_splits(k, *args, **kwargs)
 
     def checked_coarse_basis(g, schur):
         seen.append((len(refs), [r() is not None for pair in refs for r in pair]))
@@ -1012,13 +1025,64 @@ def test_apply_runs_plain_factor_solves(cross2d, monkeypatch):
 
 def level_schur_blocks(level):
     """Each subdomain's interface Schur complement (stacked interface order), by
-    dense elimination of the level's stacked K_II, K_IB and K_BB."""
+    dense elimination of its blocks of the level's K_II, K_IG (K_IB's columns
+    at the subdomain's global positions) and K_BB (its lower triangle, mirrored)."""
     sp = level.splits
-    k_ib = sp.k_ib.toarray()
-    s = sp.k_bb.toarray() - k_ib.T @ np.linalg.solve(
-        sp.k_ii_fact.matrix.scipy_csr().toarray(), k_ib)
-    ends = sp.iface_offsets
-    return [s[a:b, a:b] for a, b in zip(ends[:-1], ends[1:])]
+    low, k_ig = sp.k_bb.toarray(), sp.k_ig.toarray()
+    k_bb, k_ii = low + np.tril(low, -1).T, sp.k_ii_fact.matrix.scipy_csr().toarray()
+    out = []
+    for i in range(len(sp)):
+        (lo, hi), (a, b) = sp.interior_offsets[i:i + 2], sp.iface_offsets[i:i + 2]
+        k_ib = k_ig[lo:hi, sp.iface_index[a:b]]
+        out.append(k_bb[a:b, a:b] - (k_ib.T @ np.linalg.solve(k_ii[lo:hi, lo:hi], k_ib)
+                                     if hi > lo else 0.0))
+    return out
+
+
+def dense_cycle(m, li, r_hat, check=lambda *args: None, coarse=None):
+    """One BDDC cycle at level li + 1 on interface residual r_hat, densely
+    over the stacked interface: weighted restriction, a dense solve of
+    [S_i C_i^T; C_i 0] per subdomain (for the unit constraint values and for
+    its residual), the coarse correction coarse(r_c) (by default
+    `dense_full_apply` of the next level), weighted prolongation.
+    check(sub, r_b, psi, pair) sees each subdomain's solves. Returns the
+    cycle's output and the coarse residual r_c."""
+    level = m.levels[li]
+    index, ends = level.splits.iface_index, level.splits.iface_offsets
+    r_b = level.weights * r_hat[index]
+    r_c, parts = np.zeros(level.n_coarse_dofs), []
+    for i, (sub, s, a, b) in enumerate(zip(level.subs, level_schur_blocks(level),
+                                           ends[:-1], ends[1:])):
+        c = constraint_rows(level, i)
+        nb, nc = b - a, c.shape[0]
+        bordered = np.block([[s, c.T], [c, np.zeros((nc, nc))]])
+        ref = np.linalg.solve(bordered, np.column_stack([
+            np.vstack([np.zeros((nb, nc)), np.eye(nc)]),
+            np.concatenate([r_b[a:b], np.zeros(nc)])]))
+        psi, pair = ref[:nb, :nc], ref[:, nc]
+        check(sub, r_b[a:b], psi, pair)
+        np.add.at(r_c, sub.coarse_dofs, pair[nb:])
+        parts.append((pair[:nb], psi, sub.coarse_dofs))
+    z_c = coarse(r_c) if coarse else dense_full_apply(m, li + 1, r_c)
+    v_b = np.concatenate([z + psi @ z_c[dofs] for z, psi, dofs in parts])
+    return np.bincount(index, level.weights * v_b, level.imap.n), r_c
+
+
+def dense_full_apply(m, li, r):
+    """The preconditioner at level li + 1 on a full residual, densely: the
+    top solve past the last level, else condensation, `dense_cycle` and
+    interior recovery by dense K_II solves with K_IG."""
+    if li == len(m.levels):
+        return np.linalg.solve(m.top.matrix.scipy_csr().toarray(), r)
+    level = m.levels[li]
+    sp, dofs = level.splits, level.imap.dofs
+    k_ii, k_ig = sp.k_ii_fact.matrix.scipy_csr().toarray(), sp.k_ig.toarray()
+    r_i = r[sp.interior_dofs]
+    z_hat = dense_cycle(m, li, r[dofs] - k_ig.T @ np.linalg.solve(k_ii, r_i))[0]
+    z = np.zeros(r.size)
+    z[dofs] = z_hat
+    z[sp.interior_dofs] = np.linalg.solve(k_ii, r_i - k_ig @ z_hat)
+    return z
 
 
 @pytest.mark.parametrize("name,coarse_counts", [
@@ -1039,11 +1103,8 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
         assert sum(g.ainv.shape[0] for g in level.groups) == len(subs)
         z_c = rng.standard_normal(level.n_coarse_dofs)
         r_hat = rng.standard_normal(level.imap.n)
-        r_b = level.weights * r_hat[level.splits.iface_index]
-        ends = level.splits.iface_offsets
-        r_c, v_b = np.zeros(level.n_coarse_dofs), []
-        for i, (sub, s, a, b) in enumerate(zip(subs, level_schur_blocks(level),
-                                               ends[:-1], ends[1:])):
+
+        def check(sub, r_b, psi, pair):
             fact = sub.bordered
             assert fact._payload is None
             # A^-1 and the record of A are exactly symmetric
@@ -1051,19 +1112,11 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
             assert np.array_equal(sub.ainv, sub.ainv.T) and (record != record.T).nnz == 0
             # views into the stacks, not copies
             assert any(sub.ainv.base is g.ainv and sub.u.base is g.u for g in level.groups)
-            c = constraint_rows(level, i)
-            nb, nc = b - a, c.shape[0]
-            bordered = np.block([[s, c.T], [c, np.zeros((nc, nc))]])
-            ref = np.linalg.solve(bordered, np.column_stack([
-                np.vstack([np.zeros((nb, nc)), np.eye(nc)]),
-                np.concatenate([r_b[a:b], np.zeros(nc)])]))
-            psi, pair = ref[:nb, :nc], ref[:, nc]
             assert rel_err(sub.psi, psi) <= 1e-12
-            z_b, mu = sub.constrained_solve(r_b[a:b])
+            z_b, mu = sub.constrained_solve(r_b)
             assert rel_err(np.concatenate([z_b, mu]), pair) <= 1e-12
-            np.add.at(r_c, sub.coarse_dofs, pair[nb:])
-            v_b.append(pair[:nb] + psi @ z_c[sub.coarse_dofs])
-        ref_out = level.splits.gather(level.weights * np.concatenate(v_b), level.imap.n)
+
+        ref_out, r_c = dense_cycle(m, li, r_hat, check, coarse=lambda r, z_c=z_c: z_c)
         seen = []
 
         def fixed_coarse_correction(lj, r, seen=seen, z_c=z_c):
@@ -1075,6 +1128,36 @@ def test_batched_cycle_matches_per_subdomain_dense_solves(name, coarse_counts, r
         monkeypatch.undo()
         assert rel_err(seen[0], r_c) <= 1e-12
         assert rel_err(out, ref_out) <= 1e-12
+
+
+def test_apply_matches_a_dense_stacked_cycle(request):
+    # the apply gathers through index maps composed with R and the weights
+    # and returns through one bincount per level; the oracle is the stacked
+    # cycle, dense at every level (weighted restriction over the stacked
+    # interface, a dense bordered solve per subdomain, condensation and
+    # recovery by dense K_II solves, the dense top solve), on groups with
+    # and without masters, two and three levels, and both weight schemes,
+    # the stiffness diagonal giving a dof's copies different weights
+    rng = np.random.default_rng(47)
+    masters, per_copy = set(), False
+    # an irregular partition (5 subdomains of an 8 x 8 mesh), where a dof's
+    # subdomains touch it with different numbers of elements
+    irregular = build_level1(ProblemSpec(kind="poisson", dim=2), 8, 5)
+    for lv1, coarse_counts in [(request.getfixturevalue("corners2d"), ()),
+                               (request.getfixturevalue("cross2d"), (2,)),
+                               (request.getfixturevalue("elasticity3d_edges"), (2,)),
+                               (request.getfixturevalue("dirichlet_x2d"), (4,)),
+                               (irregular, ()), (irregular, (2,))]:
+        for scheme in ("cardinality", "stiffness-diagonal"):
+            m = make_bddc(lv1, coarse_counts, weight_scheme=scheme)
+            for lv in m.levels:
+                masters |= {g.master is not None for g in lv.groups}
+                count = np.bincount(lv.splits.iface_index)[lv.splits.iface_index]
+                per_copy |= not np.allclose(lv.weights, 1.0 / count, rtol=1e-3)
+            r_hat = rng.standard_normal(m.levels[0].imap.n)
+            assert rel_err(m.apply(r_hat), dense_cycle(m, 0, r_hat)[0]) <= 1e-12, \
+                (coarse_counts, scheme)
+    assert masters == {False, True} and per_copy
 
 
 def test_degenerate_middle_level_collapses(cross2d):

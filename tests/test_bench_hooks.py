@@ -157,15 +157,15 @@ def test_groups_store_only_the_reduced_operators():
             stacks = {name: a.shape for name, a in arrays.items()
                       if a.dtype.kind == "f" and a.ndim == 3}
             assert stacks == {"ainv": (m, nk, nk), "u": (m, nk, nc)} and g.kc is None
-            assert [name for name, a in arrays.items()
-                    if a.dtype.kind == "f" and a.ndim < 3] == ["w"]
+            # X's weights, and N's and X's nonzeros times the level weights
+            assert [name for name, a in arrays.items() if a.dtype.kind == "f" and a.ndim < 3] \
+                == ["w", "kept_w", *([] if g.master is None else ["master_w"]), "own_w"]
             shapes = {a.shape for a in arrays.values()}
             # a kept dof has a master, not the sentinel, exactly where a row
             # covers it; a group where none does keeps no master stack
             covered = g.row[:, :nk] >= 0
-            assert (g.master is None) == (not covered.any())
-            assert g.master is None or np.array_equal(
-                g.master < lv.splits.iface_index.size, covered)
+            assert (g.master is None) == (g.master_w is None) == (not covered.any())
+            assert g.master is None or np.array_equal(g.master < lv.imap.n, covered)
             assert nf == nk or (m, nf, nf) not in shapes
             assert nk == 0 or nc == 0 or (m, nb, nc) not in shapes
             averaged += nf > nk
@@ -204,10 +204,11 @@ def csr_arrays(m) -> list:
 def test_preconditioner_holds_only_what_it_keeps(overrides):
     # the bytes reachable from a built preconditioner are those of what it
     # keeps, named here: per level the shape groups' stacks and index maps,
-    # the splits (K_IB, K_BB, the band K_II factor, its inverse stacks and
-    # its CSR, the stacked index arrays), the level's arrays (weights,
-    # coarse dofs, masters, interface map, coarse space, partition) and its
-    # grid; then the top factor and its CSR. The margin, 1% of that, is for
+    # the splits (K_IG, K_BB's lower triangle, level 1's K_GG, the band K_II
+    # factor, its inverse stacks and its CSR, the stacked index arrays), the
+    # level's arrays (weights, coarse dofs, scatter positions, interface map,
+    # coarse space, partition) and its grid; then the top factor and its
+    # CSR. The margin, 1% of that, is for
     # arrays not named here. State that setup keeps per member fails here
     # and not only in the benchmark's peak memory: the records of A with one
     # object per member came to 2.8% and 14.9% of the kept bytes of these
@@ -218,10 +219,11 @@ def test_preconditioner_holds_only_what_it_keeps(overrides):
     for lv in prec.levels:
         sp, fact, cs, grid = lv.splits, lv.splits.k_ii_fact, lv.coarse, lv.grid
         kept += [a for g in lv.groups for a in vars(g).values() if isinstance(a, np.ndarray)]
-        kept += csr_arrays(sp.k_ib) + csr_arrays(sp.k_bb) + csr_arrays(fact.matrix.scipy_csr())
+        kept += csr_arrays(sp.k_ig) + csr_arrays(sp.k_bb) + csr_arrays(fact.matrix.scipy_csr())
+        kept += [] if sp.k_gg is None else csr_arrays(sp.k_gg)
         kept += [a for stack in fact._stacks or () for a in stack if isinstance(a, np.ndarray)]
         kept += [fact._payload, fact.offsets, sp.interior_dofs, sp.iface_index,
-                 sp.interior_offsets, sp.iface_offsets, lv.weights, lv.coarse_dofs, lv.masters,
+                 sp.interior_offsets, sp.iface_offsets, lv.weights, lv.coarse_dofs, lv.scatter,
                  lv.imap.dofs, lv.partition.assignment, cs.node_coarse, cs.kinds,
                  cs.node_coords, cs.sub_ptr, cs.sub_node,
                  grid.node_coords, grid.elem_ptr, grid.elem_nodes, grid.conn_nodes]
@@ -258,15 +260,16 @@ def test_split_holds_no_level_sized_temporaries(monkeypatch, overrides):
     # fails here and not only in the benchmark's peak memory
     ratios = []
 
-    def traced_build_splits(*args):
+    def traced_build_splits(*args, **kwargs):
         tracemalloc.start()
         try:
-            splits, imap = build_splits(*args)
+            splits, imap = build_splits(*args, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         fact = splits.k_ii_fact
-        out = sum(a.nbytes for m in (splits.k_ib, splits.k_bb, fact.matrix.scipy_csr())
+        out = sum(a.nbytes for m in (splits.k_ig, splits.k_bb, splits.k_gg,
+                                     fact.matrix.scipy_csr()) if m is not None
                   for a in csr_arrays(m)) + fact._payload.nbytes
         ratios.append(peak / out)
         return splits, imap

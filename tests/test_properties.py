@@ -34,7 +34,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import holding
+from conftest import dense_schur, holding
 from mlbddc import load_config, run_experiment
 from mlbddc.bddc import MultilevelBddc, assemble_coarse
 from mlbddc.errors import NumericalError
@@ -97,12 +97,13 @@ def test_runs_solve_or_exit_3(overrides):
 
 def extreme_eigenvalues_ms(prec, li=0) -> tuple:
     """(lambda_min, lambda_max) of M S for the interface operator S of
-    level li + 1 and the cycle M from that level down (at li = 0, the
-    preconditioner), both built densely from identity columns: the
-    eigenvalues of M S are those of L^T S L for M = L L^T."""
+    level li + 1, formed densely from its blocks (`dense_schur`: only level
+    1 holds the K_GG that `schur_apply` reads), and the cycle M from that
+    level down (at li = 0, the preconditioner), built from identity
+    columns: the eigenvalues of M S are those of L^T S L for M = L L^T."""
     level = prec.levels[li]
     eye = np.eye(level.imap.n)
-    s = np.column_stack([schur_apply(level.splits, level.imap, e) for e in eye])
+    s = dense_schur(level.splits, level.imap.n)
     m = np.column_stack([prec._interface_apply(li, e) for e in eye])
     low = np.linalg.cholesky((m + m.T) / 2)
     lam = np.linalg.eigvalsh(low.T @ ((s + s.T) / 2) @ low)

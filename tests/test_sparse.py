@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from conftest import canonical
 from mlbddc import sparse
 from mlbddc.errors import NotPositiveDefiniteError, NumericalError
 from mlbddc.sparse import (
@@ -31,7 +32,7 @@ def tridiag_matrix(n):
         if i + 1 < n:
             a[i, i + 1] = -1.0
             a[i + 1, i] = -1.0
-    return SparseMatrix.from_scipy(a, symmetric=True)
+    return canonical(a, symmetric=True)
 
 
 def random_spd(rng, n):
@@ -51,47 +52,19 @@ def test_sorted_unique_matches_np_unique(size, low, high):
                           np.unique(a))
 
 
-def test_from_scipy_stores_one_canonical_csr():
-    # duplicates summed, indices sorted, and no copy of the index arrays
-    # beside the CSR it wraps
-    coo = scipy.sparse.coo_matrix(([1.0, 2.0, 3.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
-    a = SparseMatrix.from_scipy(coo)
-    assert a.scipy_csr().has_canonical_format
-    assert a.scipy_csr().toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
-    assert a.shape == (2, 2)
-    assert a.nnz == 2 and type(a.nnz) is int
-    assert not a.symmetric
-    t = tridiag_matrix(4)
-    assert t.nnz == 10
-    assert t.symmetric
-    assert all(isinstance(v, (bool, scipy.sparse.csr_matrix)) for v in vars(t).values())
-
-
-def test_from_scipy_leaves_the_callers_csr_as_it_was():
-    # a float64 CSR with a duplicate, unsorted indices and a stored zero:
-    # the result is canonical, and the input's arrays are byte for byte
-    # what they were
-    csr = scipy.sparse.csr_matrix((np.array([1.0, 1.0, 0.0, 4.0]), np.array([1, 1, 1, 0]),
-                                   np.array([0, 2, 4])), shape=(2, 2))
-    before = [getattr(csr, attr).tobytes() for attr in ("data", "indices", "indptr")]
-    a = SparseMatrix.from_scipy(csr)
-    assert [getattr(csr, attr).tobytes() for attr in ("data", "indices", "indptr")] == before
-    out = a.scipy_csr()
-    assert out.has_canonical_format
-    assert out.data.tolist() == [2.0, 4.0] and out.indices.tolist() == [1, 0]
-    assert out.indptr.tolist() == [0, 1, 2]
-
-
-def test_from_scipy_drops_stored_zeros_so_the_band_follows_the_nonzeros():
+def test_the_band_follows_the_stored_entries():
     # scipy.sparse.block_diag of dense blocks stores their zeros: two dense
     # order-12 pentadiagonal blocks come as 288 entries for 108 nonzeros.
-    # Kept, the zeros would give factorize a half-bandwidth of 11 and put
-    # each block on the dense-triangle path; dropped, the band is kd = 2
+    # factorize reads the band from the stored entries: with the zeros it is
+    # kd = 11 and each block takes the dense-triangle path; in canonical
+    # form, zeros dropped, the band is kd = 2
     penta = sum(np.diag(np.full(12 - abs(k), v), k)
                 for k, v in [(-2, -1.0), (-1, -2.0), (0, 8.0), (1, -2.0), (2, -1.0)])
-    stacked = scipy.sparse.block_diag([penta, penta])
+    stacked = scipy.sparse.block_diag([penta, penta], format="csr")
     assert stacked.nnz == 288
-    a = SparseMatrix.from_scipy(stacked, symmetric=True)
+    wide = factorize(SparseMatrix(stacked, symmetric=True), offsets=[0, 12, 24])
+    assert wide.kd == 11 and wide.takes_dense(0)
+    a = canonical(stacked, symmetric=True)
     assert a.nnz == 108 and a.scipy_csr().has_canonical_format
     assert np.array_equal(a.scipy_csr().toarray(), stacked.toarray())
     f = factorize(a, offsets=[0, 12, 24])
@@ -110,7 +83,7 @@ def test_matvec_matches_dense_oracle():
     for n in (1, 5, 20):
         dense = rng.standard_normal((n, n))
         dense[np.abs(dense) < 0.8] = 0.0
-        a = SparseMatrix.from_scipy(dense)
+        a = canonical(dense)
         x = rng.standard_normal(n)
         assert np.allclose(a.scipy_csr() @ x, dense @ x, rtol=0, atol=1e-13)
 
@@ -124,7 +97,7 @@ def test_matvec_dimension_mismatch():
 def test_matvec_is_deterministic():
     rng = np.random.default_rng(11)
     dense = rng.standard_normal((40, 40))
-    a = SparseMatrix.from_scipy(dense)
+    a = canonical(dense)
     x = rng.standard_normal(40)
     y1 = a.scipy_csr() @ x
     y2 = a.scipy_csr() @ x
@@ -142,7 +115,7 @@ def test_spd_solve_random_oracle():
     rng = np.random.default_rng(3)
     for n in (2, 10, 50):
         dense = random_spd(rng, n)
-        a = SparseMatrix.from_scipy(dense, symmetric=True)
+        a = canonical(dense, symmetric=True)
         b = rng.standard_normal(n)
         x = factorize(a).solve(b)
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-10)
@@ -151,7 +124,7 @@ def test_spd_solve_random_oracle():
 def test_multi_rhs_solve():
     rng = np.random.default_rng(5)
     dense = random_spd(rng, 8)
-    a = SparseMatrix.from_scipy(dense, symmetric=True)
+    a = canonical(dense, symmetric=True)
     b = rng.standard_normal((8, 3))
     x = factorize(a).solve(b)
     assert x.shape == (8, 3)
@@ -159,7 +132,7 @@ def test_multi_rhs_solve():
 
 
 def test_spd_rejects_indefinite():
-    a = SparseMatrix.from_scipy([[1.0, 0.0], [0.0, -1.0]], symmetric=True)
+    a = canonical([[1.0, 0.0], [0.0, -1.0]], symmetric=True)
     with pytest.raises(NotPositiveDefiniteError):
         factorize(a)
 
@@ -170,14 +143,14 @@ def test_sparse_spd_path_rejects_indefinite(threshold, monkeypatch):
     # both name the first diagonal block with a bad pivot
     if threshold is not None:
         monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
-    pair = SparseMatrix.from_scipy(
+    pair = canonical(
         scipy.sparse.block_diag([[[1.0, 2.0], [2.0, 1.0]]] * 3), symmetric=True)
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block"):
         factorize(pair, offsets=[0, 2, 4, 6])
     rng = np.random.default_rng(37)
     blocks = [random_spd(rng, 3 + j) for j in range(6)]
     blocks[3] = -blocks[3]
-    a = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
+    a = canonical(scipy.sparse.block_diag(blocks), symmetric=True)
     offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in blocks])])
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block 3$"):
         factorize(a, offsets=offsets)
@@ -188,7 +161,7 @@ def stacked_blocks(rng, sizes, perturbed=None, by=0.0):
     blocks = [random_spd(rng, m) for m in sizes]
     if perturbed is not None:
         blocks[perturbed] = blocks[perturbed] * (1.0 + by)
-    a = SparseMatrix.from_scipy(scipy.sparse.block_diag(blocks), symmetric=True)
+    a = canonical(scipy.sparse.block_diag(blocks), symmetric=True)
     return a, np.concatenate([[0], np.cumsum(sizes)])
 
 
@@ -237,7 +210,7 @@ def test_singular_matrix_raises(monkeypatch):
     # a singular PSD matrix is not positive definite: band Cholesky says
     # so, and SuperLU (a budget of 0 band entries) hits an exactly singular
     # pivot, which proves the same
-    a = SparseMatrix.from_scipy([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
+    a = canonical([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
     with pytest.raises(NotPositiveDefiniteError, match="diagonal block 0"):
         factorize(a)
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 0)
@@ -247,9 +220,9 @@ def test_singular_matrix_raises(monkeypatch):
 
 def test_factorize_rejects_nonsquare_and_nonsymmetric():
     with pytest.raises(ValueError):
-        factorize(SparseMatrix.from_scipy(np.ones((2, 3))))
+        factorize(canonical(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        factorize(SparseMatrix.from_scipy([[1.0, 2.0], [0.0, 1.0]]))
+        factorize(canonical([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_solve_dimension_mismatch():
@@ -259,7 +232,7 @@ def test_solve_dimension_mismatch():
 
 
 def test_empty_matrix_factorization():
-    a = SparseMatrix.from_scipy(np.zeros((0, 0)), symmetric=True)
+    a = canonical(np.zeros((0, 0)), symmetric=True)
     f = factorize(a)
     x = f.solve(np.zeros(0))
     assert x.shape == (0,)
@@ -271,7 +244,7 @@ def test_splu_path_above_threshold(monkeypatch):
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 4)
     rng = np.random.default_rng(17)
     dense = random_spd(rng, 30)
-    a = SparseMatrix.from_scipy(dense, symmetric=True)
+    a = canonical(dense, symmetric=True)
     f = factorize(a)
     assert f.method == "splu"
     b = rng.standard_normal(30)
@@ -318,7 +291,7 @@ def dense_oracle_check(a, f, rhs):
 ])
 def test_band_path_up_to_the_budget(n, kd, threshold, method, monkeypatch):
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", threshold)
-    a = tridiag_matrix(n) if kd else SparseMatrix.from_scipy(
+    a = tridiag_matrix(n) if kd else canonical(
         scipy.sparse.diags(np.arange(1.0, n + 1)), symmetric=True)
     f = factorize(a)
     assert f.method == method
@@ -357,7 +330,7 @@ def test_lower_solve_takes_dense_triangles_where_the_band_is_full(monkeypatch):
         narrow += np.diag(off, d) + np.diag(off, -d)
     dense = scipy.linalg.block_diag(random_spd(rng, 4), narrow, random_spd(rng, 2))
     offsets = [0, 4, 16, 18]
-    f = factorize(SparseMatrix.from_scipy(dense, symmetric=True), offsets=offsets)
+    f = factorize(canonical(dense, symmetric=True), offsets=offsets)
     assert f._payload.shape == (4, 18)
     low, calls = np.linalg.cholesky(dense), []
 
@@ -390,8 +363,9 @@ def test_lower_solve_returns_an_empty_rhs_as_it_is():
             "from mlbddc.sparse import SparseMatrix, factorize\n"
             "k = scipy.sparse.diags([np.full(12, 4.0), np.full(11, -1.0), np.full(11, -1.0)],\n"
             "                       [0, 1, -1])\n"
-            "f = factorize(SparseMatrix.from_scipy(scipy.sparse.block_diag([k, np.eye(2)]),\n"
-            "                                      symmetric=True), offsets=[0, 12, 14])\n"
+            "m = scipy.sparse.block_diag([k, np.eye(2)], format='csr')\n"
+            "m.eliminate_zeros()\n"
+            "f = factorize(SparseMatrix(m, symmetric=True), offsets=[0, 12, 14])\n"
             "assert [f.takes_dense(j) for j in (0, 1)] == [False, True]\n"
             "for j, n in ((0, 12), (1, 2)):\n"
             "    for b, right in ((np.zeros((n, 0), order='F'), False),\n"
@@ -456,7 +430,7 @@ def test_narrow_band_and_single_block_factors_keep_dpbtrs(monkeypatch):
                                              np.diag(np.full(12 - d, -1.0), -d) for d in (1, 2))
     dense = scipy.linalg.block_diag(random_spd(rng, 4), narrow, random_spd(rng, 2))
     single, _ = stacked_blocks(rng, [6])
-    facts = [factorize(SparseMatrix.from_scipy(dense, symmetric=True), offsets=[0, 4, 16, 18]),
+    facts = [factorize(canonical(dense, symmetric=True), offsets=[0, 4, 16, 18]),
              factorize(single), factorize(single, offsets=[0, 0, 6, 6])]
     monkeypatch.setattr(sparse, "DENSE_THRESHOLD", 2)
     facts.append(factorize(single, offsets=[0, 3, 6]))
@@ -477,7 +451,7 @@ def test_solve_residual_contract():
     # the same relative residual, with no per-solve check or refinement
     rng = np.random.default_rng(23)
     dense = random_spd(rng, 40)
-    a = SparseMatrix.from_scipy(dense, symmetric=True)
+    a = canonical(dense, symmetric=True)
     f = factorize(a)
     b = rng.standard_normal(40)
     x = f.solve(b)

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import build_level1
+from conftest import build_level1, canonical
 from mlbddc.fem import ProblemSpec
 from mlbddc.partition import _block_axis_counts
-from mlbddc.sparse import SparseMatrix
 from mlbddc.substructuring import (
     build_splits,
     condensed_rhs,
@@ -32,13 +31,13 @@ def stacked(blocks, dof_lists, n_dofs, iface_dofs):
                            for i, d in enumerate(dof_lists)])
     order = np.argsort(keys)
     k = scipy.sparse.block_diag(blocks, format="csr")[order][:, order]
-    return SparseMatrix.from_scipy(k, symmetric=True), keys[order]
+    return canonical(k, symmetric=True), keys[order]
 
 
-def chain_splits():
+def chain_splits(interface_matrix=True):
     k, keys = stacked([[[2.0, -1.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 2.0]]],
                       [[0, 1], [1, 2]], 3, [1])
-    return build_splits(k, keys, np.array([1]), 3, 2)
+    return build_splits(k, keys, np.array([1]), 3, 2, interface_matrix)
 
 
 def test_chain_schur():
@@ -99,6 +98,51 @@ def test_schur_matches_block_elimination(spec, n, subs, axes):
         assert np.max(np.abs(y - s_dense @ x)) < 1e-9
     g = condensed_rhs(lv.splits, lv.imap, lv.f_global)
     assert np.max(np.abs(g - g_dense)) < 1e-9
+
+
+OPERATOR_FIXTURES = [(spec, n, subs) for spec, n, subs, _ in FIXTURES] + [
+    (ProblemSpec(kind="elasticity", dim=3), 4, 2)]
+
+
+@pytest.mark.parametrize("spec,n,subs", OPERATOR_FIXTURES)
+def test_interface_matrix_is_the_assembled_interface_block(spec, n, subs):
+    # K_GG = sum_i R_i^T K_BB,i R_i, summed from the subdomain copies, is
+    # the interface block of the assembled operator, canonical and bitwise
+    # symmetric
+    lv = build_level1(spec, n, subs, method="regular-blocks")
+    k_gg = lv.splits.k_gg
+    ref = lv.k_global.scipy_csr()[lv.imap.dofs][:, lv.imap.dofs].toarray()
+    assert k_gg.has_canonical_format and (k_gg != k_gg.T).nnz == 0
+    assert np.abs(k_gg.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec,n,subs", OPERATOR_FIXTURES)
+def test_schur_apply_matches_the_stacked_blocks(spec, n, subs):
+    # the oracle is formed densely from the level's block-diagonal matrix in
+    # split order: S = R^T (K_BB - K_IB^T K_II^-1 K_IB) R. The splits hold
+    # K_IG = K_IB R and K_BB's lower triangle exactly
+    lv = build_level1(spec, n, subs, method="regular-blocks")
+    sp, kd = lv.splits, lv.k.scipy_csr().toarray()
+    n_i = sp.interior_dofs.size
+    r = np.eye(lv.imap.n)[sp.iface_index]
+    k_ii, k_ib, k_bb = kd[:n_i, :n_i], kd[:n_i, n_i:], kd[n_i:, n_i:]
+    assert np.array_equal(sp.k_ig.toarray(), k_ib @ r)
+    assert np.array_equal(sp.k_bb.toarray(), np.tril(k_bb))
+    s = r.T @ (k_bb - k_ib.T @ np.linalg.solve(k_ii, k_ib)) @ r
+    x = np.random.default_rng(9).standard_normal((lv.imap.n, 3))
+    for col in x.T:
+        y = schur_apply(sp, lv.imap, col)
+        assert np.linalg.norm(y - s @ col) <= 1e-12 * np.linalg.norm(s @ col)
+
+
+def test_coarse_level_splits_hold_no_interface_matrix():
+    # only the level whose Schur operator is applied assembles K_GG
+    splits, imap = chain_splits(interface_matrix=False)
+    assert splits.k_gg is None
+    # its condensation and recovery still read K_IG
+    assert condensed_rhs(splits, imap, np.ones(3)) == pytest.approx([2.0], abs=1e-15)
+    with pytest.raises(ValueError, match="no assembled interface matrix"):
+        schur_apply(splits, imap, np.array([1.0]))
 
 
 def test_recovery_matches_full_solve():
