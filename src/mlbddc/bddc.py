@@ -68,6 +68,15 @@ coarse matrices into the group's stacks; the next level's assembly, their
 only reader, takes them out of the groups. All reductions accumulate in a
 fixed order (shape groups, then subdomains), so results are bitwise
 reproducible at a fixed BLAS thread count.
+
+Level 1 is split with K_GG, the sparse form of its Schur operator. Setup
+switches it to the dense form where sum_i n_B,i^2 is at most the entries
+one sparse product reads (the full K_BB, K_IG twice and one K_II solve's;
+see `schur_form`, the one place the rule is applied): it keeps each
+member's S_i, mirrored into a full symmetric copy as the coarse basis
+reads it, in one (m, n_B, n_B) stack per shape group with the members'
+global interface positions, which `schur_apply` multiplies by, and drops
+K_GG.
 """
 
 from __future__ import annotations
@@ -582,14 +591,15 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
 
     A member's K_IB and K_BB are read straight from the CSR arrays (a
     member has no entries outside its own columns) into dense arrays in
-    interface order, by one flat index: K_IG's global columns are found
-    among the member's ascending global positions, and each stored entry of
-    K_BB's lower triangle goes to the lower of its two places in S's order.
-    Its K_II block is never made dense: S = K_BB - W^T W with W = L^-1 K_IB
-    by a triangular solve with its own columns of the level's band Cholesky
-    factor (`Factorization.lower_solve`; from the right, W^T = K_BI L^-T,
-    where it takes a dense triangle), then one rank-k update of S's lower
-    triangle. The level's factor is SuperLU only when some K_II block is
+    interface order, by one flat index: each stored entry of K_BB's lower
+    triangle goes to the lower of its two places in S's order (a map from
+    stacked interface position to place, written once for the group), and
+    K_IG's global columns to theirs (a map from global interface position
+    to place, written per member). Its K_II block is never made dense:
+    S = K_BB - W^T W with W = L^-1 K_IB by a triangular solve with its own
+    columns of the level's band Cholesky factor (`Factorization.lower_solve`;
+    from the right, W^T = K_BI L^-T, where it takes a dense triangle), then
+    one rank-k update of S's lower triangle. The level's factor is SuperLU only when some K_II block is
     beyond the band budget (see `factorize`), and then each member
     factorizes its own K_II block and takes S = K_BB - K_IB^T K_II^-1 K_IB
     by a solve for the n_B columns of K_IB.
@@ -598,6 +608,7 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
     fact, k_ig, k_bb, index = splits.k_ii_fact, splits.k_ig, splits.k_bb, splits.iface_index
     col = np.empty(splits.iface_offsets[-1], dtype=np.int64)     # place in S's order
     col[splits.iface_offsets[subs][:, None] + g.order[slots]] = np.arange(nb)
+    place = np.empty(k_ig.shape[1], dtype=np.int64)              # likewise, by global position
 
     def entries(m, r0, r1):
         # rows r0:r1 of CSR m: each entry's row (from 0), column and value
@@ -617,7 +628,8 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
         p, q = col[b0 + r], col[c]
         s = dense(np.maximum(p, q) + nb * np.minimum(p, q), v, (nb, nb))
         r, c, v = entries(k_ig, lo, hi)
-        q = col[b0 + np.searchsorted(index[b0:b1], c)]
+        place[index[b0:b1]] = col[b0:b1]
+        q = place[c]
         w = dense(q + nb * r, v, (nb, n_i)) if right else dense(r + n_i * q, v, (n_i, nb))
         if n_i == 0 or nb == 0:
             yield s
@@ -629,23 +641,62 @@ def _local_schur(splits: LevelSplits, g: ShapeGroup, slots=slice(None)):
                         trans=int(not right), lower=1, overwrite_c=1)
 
 
+def _keeping(schur, stack: np.ndarray):
+    """Pass on each S that `schur` yields (`_local_schur`), first writing the
+    full symmetric S, mirrored from its lower triangle, into the next slot
+    of `stack` (m, n_B, n_B): the dense Schur form's copy."""
+    lower = np.tri(stack.shape[1], dtype=bool)
+    for kept, s in zip(stack, schur):
+        np.copyto(kept, s.T)
+        np.copyto(kept, s, where=lower)
+        yield s
+
+
+def schur_form(splits: LevelSplits) -> tuple[str, tuple[int, int]]:
+    """The Schur form the level whose S is applied takes, with the rule's two
+    counts (sum_i n_B,i^2, the entries one sparse product reads): "dense"
+    when the first is at most the second, else "sparse". A sparse product
+    reads the full K_BB (its stored lower triangle mirrored; every diagonal
+    entry is stored), K_IG twice (K_IG x and K_IG^T t) and what one K_II
+    solve reads (`Factorization.solve_entries`).
+
+    The threshold is a model of entries read, not of time, and no run near
+    a ratio of 1 has checked it. Measured dense/sparse times of one product
+    (one BLAS thread) were 0.22 on p2d-256 at an entry ratio of 0.445, 1.8
+    on p3d-32-deep at 3.7 and 3.1 on e3d-24 at 2.9."""
+    n_b, k_bb = np.diff(splits.iface_offsets), splits.k_bb
+    entries = (int(n_b @ n_b), 2 * k_bb.nnz - k_bb.shape[0] + 2 * splits.k_ig.nnz
+               + splits.k_ii_fact.solve_entries)
+    return "dense" if entries[0] <= entries[1] else "sparse", entries
+
+
 def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
                  policy: str, strategy: str, scheme: str) -> BddcLevel:
     """One level from `subassemble`, a callable taking the level's interface
     dofs and returning its (K, keys) in split order; K lives only through
-    the `build_splits` call that splits it."""
+    the `build_splits` call that splits it. Level 1 is split with K_GG, the
+    sparse Schur form; where `schur_form` gives the dense one, each member's
+    S_i is kept as the coarse basis reads it, and the level holds those
+    stacks in place of K_GG."""
     globset = classify_interface(grid, part)
     iface = interface_dofs(globset, grid.dofs_per_node)
     splits, imap = build_splits(*subassemble(iface), iface, grid.n_dofs, part.n_subdomains,
                                 interface_matrix=index == 1)
+    dense = index == 1 and schur_form(splits)[0] == "dense"
     weights = build_weights(splits, scheme)
     corners = select_corners(globset, grid, strategy)
     coarse = build_coarse_space(globset, corners, grid, part, policy)
     groups = _shape_groups(build_constraints(coarse, splits, imap), splits, imap, weights)
-    failed = []
+    failed, stacks = [], []
     for g in groups:
+        schur = _local_schur(splits, g)
+        if dense:
+            nb = g.order.shape[1]
+            stacks.append((splits.iface_index[splits.iface_offsets[g.subs][:, None] + g.order],
+                           np.empty((g.subs.size, nb, nb))))
+            schur = _keeping(schur, stacks[-1][1])
         try:
-            coarse_basis(g, _local_schur(splits, g))
+            coarse_basis(g, schur)
         except NumericalError as exc:
             if getattr(exc, "subdomain", None) is None:
                 raise
@@ -654,6 +705,8 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
         # the first failing subdomain in index order, whichever group it is in
         exc = min(failed, key=lambda e: e.subdomain)
         raise NumericalError(f"level {index}, {exc}; the constraint set is too weak") from exc
+    if dense:
+        splits.keep_dense(stacks)
     scatter = [a.ravel() for g in groups
                for a in (g.own, g.kept, *(() if g.master is None else (g.master,)))]
     return BddcLevel(index=index, grid=grid, partition=part, splits=splits,
@@ -664,11 +717,25 @@ def _build_level(index: int, grid: LevelGrid, part: Partition, subassemble,
 
 def _log_level(lv: BddcLevel) -> None:
     """The level's DEBUG record: sizes, coarse dofs by kind, shape groups, the
-    K_II factor and what its solves read, and K_GG's entries and bytes where
-    the level holds it."""
-    fact, k_gg = lv.splits.k_ii_fact, lv.splits.k_gg
+    K_II factor and what its solves read, and where the level applies S its
+    Schur form with the rule's two entry counts (`schur_form`, the form's
+    own first), then what the form holds: the S stacks ((count, n_B) per
+    group, bytes) or K_GG (entries, bytes)."""
+    splits, fact, k_gg = lv.splits, lv.splits.k_ii_fact, lv.splits.k_gg
     dpn, sizes = lv.grid.dofs_per_node, lv.partition.sizes()
     per_sub = np.diff(lv.coarse.sub_ptr) * dpn
+    schur = ""
+    if splits.form is not None:
+        dense, sparse = schur_form(splits)[1]
+        if splits.form == "dense":
+            counts = (dense, sparse)
+            held = (f"S stacks (count, n_B) {[s.shape[:2] for _, s in splits.s_stacks]}, "
+                    f"{sum(s.nbytes + pos.nbytes for pos, s in splits.s_stacks)} bytes")
+        else:
+            counts = (sparse, dense)
+            held = (f"K_GG {k_gg.nnz} entries, "
+                    f"{k_gg.data.nbytes + k_gg.indices.nbytes + k_gg.indptr.nbytes} bytes")
+        schur = f"; Schur form {splits.form}, {counts[0]} entries against {counts[1]}: {held}"
     log.debug("level %d: %d subdomains of %d to %d elements; coarse dofs (corner, edge, "
               "face) %s, %d to %d per subdomain; shape groups (m, n_B, n_c) %s; K_II "
               "factor %s n=%d kd=%s, solves by %s%s", lv.index, lv.partition.n_subdomains,
@@ -676,9 +743,7 @@ def _log_level(lv: BddcLevel) -> None:
               tuple(int(np.count_nonzero(lv.coarse.kinds == k)) * dpn
                     for k in ("corner", "edge", "face")), per_sub.min(), per_sub.max(),
               [g.row.shape + g.tags.shape[1:] for g in lv.groups], fact.method, fact.n,
-              fact.kd, fact.storage, "" if k_gg is None else
-              f"; K_GG {k_gg.nnz} entries, "
-              f"{k_gg.data.nbytes + k_gg.indices.nbytes + k_gg.indptr.nbytes} bytes")
+              fact.kd, fact.storage, schur)
 
 
 def setup_bddc(grid: LevelGrid, partition: Partition, subassemble,

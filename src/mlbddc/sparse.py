@@ -287,6 +287,27 @@ class Factorization:
             return f"band kd={self.kd}, {self._payload.nbytes} bytes"
         return self.method
 
+    @property
+    def stackable(self) -> bool:
+        """Whether `stack_inverses` gives this factor inverse stacks: a band
+        factor with two nonempty blocks or more, each of which `takes_dense`."""
+        sizes = np.diff(self.offsets)
+        return (self.method == "cholesky" and np.count_nonzero(sizes) >= 2
+                and 2 * self.kd + 1 >= sizes.max())
+
+    @property
+    def solve_entries(self) -> int:
+        """The factor entries one solve reads once `stack_inverses` has run:
+        each inverse stack once, the band twice (dpbtrs's two sweeps), or
+        SuperLU's L and U twice."""
+        if self.stackable:
+            return int(np.sum(np.diff(self.offsets) ** 2))
+        if self.method == "cholesky":
+            return 2 * self._payload.size
+        if self.method == "splu":
+            return 2 * (self._payload.L.nnz + self._payload.U.nnz)
+        return 0
+
     def takes_dense(self, j: int) -> bool:
         """Whether `lower_solve` copies block j's triangle: where the band stores
         as many entries or more, (kd + 1) n_j >= n_j (n_j + 1) / 2, 2 kd + 1 >= n_j."""
@@ -335,10 +356,9 @@ class Factorization:
         it reads. The band is kept for `lower_solve`. The stacked path runs
         the setup check again (`check`), which raises NumericalError naming
         an inaccurate block."""
-        sizes = np.diff(self.offsets)
-        if (self.method != "cholesky" or np.count_nonzero(sizes) < 2
-                or 2 * self.kd + 1 < sizes.max()):       # some block not takes_dense
+        if not self.stackable:
             return
+        sizes = np.diff(self.offsets)
         stacks = []
         for n_j in np.unique(sizes[sizes > 0]).tolist():
             blocks = np.flatnonzero(sizes == n_j)

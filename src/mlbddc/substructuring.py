@@ -9,12 +9,19 @@ K_II, K_IB and K_BB, block-diagonal over the subdomains, are then its
 contiguous corner and off-diagonal blocks. K_II is factorized once. K_IB is
 kept with its columns in global interface numbering, K_IG = K_IB R (R maps
 the stacked interface onto the global one), so condensation and recovery
-read and write global interface vectors with no gather or scatter. Level 1,
-the only level whose S is applied, also holds the assembled interface
-block K_GG = R^T K_BB R = sum_i R_i^T K_BB,i R_i, built once by one sparse
-product, so applying S = K_GG - K_IG^T K_II^-1 K_IG is two sparse products,
-one transposed product and one block-diagonal interior solve, all in
-global numbering. The stacked K_BB is then read only by the
+read and write global interface vectors with no gather or scatter.
+
+Level 1, the only level whose S is applied, holds S in one of two forms.
+`build_splits` gives it the sparse form: the assembled interface block
+K_GG = R^T K_BB R = sum_i R_i^T K_BB,i R_i, one sparse product, so that
+S = K_GG - K_IG^T K_II^-1 K_IG is two sparse products, one transposed
+product and one block-diagonal interior solve. The preconditioner's setup
+switches the level to the dense form where that reads fewer entries (the
+rule is `bddc.schur_form`'s): the subdomains' S_i = K_BB,i - K_IB,i^T
+K_II,i^-1 K_IB,i, which it forms anyway, kept stacked by shape group with
+their global interface positions, so that a product is a gather, one
+batched product per group and one bincount. It then drops K_GG: a level
+holds one form. The stacked K_BB is read only by the
 preconditioner's setup, which forms the lower triangle of each subdomain's
 Schur complement, so it keeps only its lower triangle. The blocks of K_II
 are small subdomain interiors in mesh order, so the stacked matrix has a
@@ -74,21 +81,35 @@ class LevelSplits(list):
     operators made from them (one block per subdomain, scipy CSR): k_ii_fact
     factorizes stacked interior x stacked interior; k_ig is K_IB with global
     interface columns (stacked interior x global interface); k_bb is the
-    lower triangle of the stacked interface x stacked interface block; k_gg,
-    level 1's only, is the assembled global interface x global interface
-    block R^T K_BB R (None on coarser levels). interior_dofs maps stacked
-    interior to level dofs and iface_index stacked interface to global
-    interface positions (R). Subdomain i owns stacked interior
-    interior_offsets[i]:interior_offsets[i+1] and stacked interface
+    lower triangle of the stacked interface x stacked interface block.
+    interior_dofs maps stacked interior to level dofs and iface_index stacked
+    interface to global interface positions (R). Subdomain i owns stacked
+    interior interior_offsets[i]:interior_offsets[i+1] and stacked interface
     iface_offsets[i]:iface_offsets[i+1], dofs ascending; no other
-    per-subdomain positions are kept."""
+    per-subdomain positions are kept.
+
+    The level whose S is applied holds it in one form (`form`): k_gg, the
+    assembled global interface block R^T K_BB R, or s_stacks, one
+    (positions (m, n_B), S (m, n_B, n_B)) pair per shape group, the members'
+    full symmetric S_i and their global interface positions (`keep_dense`).
+    Other levels hold neither."""
 
     def __init__(self, subs, k_ii_fact: Factorization, k_ig, k_bb, k_gg,
                  interior_dofs, iface_index, interior_offsets, iface_offsets):
         super().__init__(subs)
         self.k_ii_fact, self.k_ig, self.k_bb, self.k_gg = k_ii_fact, k_ig, k_bb, k_gg
+        self.s_stacks = None
         self.interior_dofs, self.iface_index = interior_dofs, iface_index
         self.interior_offsets, self.iface_offsets = interior_offsets, iface_offsets
+
+    @property
+    def form(self):
+        """The Schur form held: "dense" (s_stacks), "sparse" (k_gg) or None."""
+        return "dense" if self.s_stacks is not None else "sparse" if self.k_gg is not None else None
+
+    def keep_dense(self, s_stacks) -> None:
+        """Hold S in the dense form, s_stacks, in place of K_GG."""
+        self.s_stacks, self.k_gg = s_stacks, None
 
 
 def subdomain_keys(subdomain, dofs, n_dofs: int, n_subs: int, iface_dofs) -> np.ndarray:
@@ -121,11 +142,11 @@ def build_splits(k: SparseMatrix, keys, iface_dofs, n_dofs: int, n_subs: int,
     so relabelling K_IB's columns by R gives K_IG in canonical order. With
     `interface_matrix` (the level whose Schur operator is applied) K_GG =
     R^T (K_BB R) is one sparse product, which sums each entry's subdomain
-    copies in subdomain order. K_BB keeps its lower triangle. Keys that do not
-    ascend or whose interface flag disagrees with iface_dofs raise
-    ValueError. A subdomain that owns no dof, or no interior dof, which a
-    coarse level can have, gets empty blocks. Returns (LevelSplits,
-    InterfaceMap).
+    copies in subdomain order: the sparse Schur form. K_BB keeps its lower
+    triangle. Keys that do not ascend or whose interface flag disagrees with
+    iface_dofs raise ValueError. A subdomain that owns no dof, or no interior
+    dof, which a coarse level can have, gets empty blocks. Returns
+    (LevelSplits, InterfaceMap).
     """
     iface_dofs = np.asarray(iface_dofs, dtype=np.int64)
     if np.any(np.diff(iface_dofs) <= 0):
@@ -218,17 +239,25 @@ def _row_search(lo, hi, indices, target) -> np.ndarray:
 
 
 def schur_apply(splits: LevelSplits, imap: InterfaceMap, x: np.ndarray) -> np.ndarray:
-    """y = S x with S = K_GG - K_IG^T K_II^-1 K_IG in global interface
-    numbering, which is R^T (K_BB - K_IB^T K_II^-1 K_IB) R over the stacked
-    blocks, i.e. sum_i R_i^T (K_bb,i - K_ib,i^T K_ii,i^-1 K_ib,i) R_i. Only a
-    level whose splits hold K_GG (`build_splits`' interface_matrix) has it."""
+    """y = S x in global interface numbering, S = sum_i R_i^T S_i R_i with
+    S_i = K_bb,i - K_ib,i^T K_ii,i^-1 K_ib,i, in the form the level holds
+    (`LevelSplits.form`). The dense form gathers each member's x from its
+    global positions, multiplies by its S_i (one batched product per shape
+    group) and sums the products into y by one bincount, in group order. The
+    sparse form is K_GG x - K_IG^T K_II^-1 K_IG x: two sparse products, one
+    transposed product and one block-diagonal interior solve."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (imap.n,):
         raise ValueError(f"interface vector has length {x.shape}, expected {imap.n}")
-    if splits.k_gg is None:
-        raise ValueError("these splits hold no assembled interface matrix K_GG")
-    t = splits.k_ii_fact.solve(splits.k_ig @ x)
-    return splits.k_gg @ x - splits.k_ig.T @ t
+    if splits.form is None:
+        raise ValueError("these splits hold no Schur operator: only the level whose S is "
+                         "applied holds one (K_GG or the S stacks)")
+    if splits.form == "sparse":
+        t = splits.k_ii_fact.solve(splits.k_ig @ x)
+        return splits.k_gg @ x - splits.k_ig.T @ t
+    y = [np.matmul(s, x[pos][..., None]) for pos, s in splits.s_stacks]
+    return np.bincount(np.concatenate([pos.ravel() for pos, _ in splits.s_stacks]),
+                       np.concatenate([v.ravel() for v in y]), imap.n)
 
 
 def condensed_rhs(splits: LevelSplits, imap: InterfaceMap, f: np.ndarray) -> np.ndarray:

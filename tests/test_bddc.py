@@ -587,19 +587,22 @@ def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog, monkeypatch):
     # max), shape groups (m, n_B, n_c), K_II factor (method, n, kd) and what
     # its solves read: inverse stacks (order, count per block order, bytes)
     # where the band is as wide as every interior block, else the band (kd,
-    # bytes), and at level 1 the assembled K_GG (entries, bytes); then the
-    # top factor (method, n). The three-level elasticity run stacks both
-    # levels' inverses, the 2D run with 7 x 7 interiors keeps its band
-    # (2 kd + 1 < 49). With DEBUG off no record's arguments are evaluated
-    # (`Factorization.storage` is never read), and a run that logs them has
-    # bitwise the solution, residual history and condition estimate of one
-    # that does not
-    runs = [(["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"], [True, True]),
-            (["dim=2", "elements=16", "hierarchy=4"], [False])]
+    # bytes), and at level 1 its Schur form with the rule's two entry counts,
+    # the form's own first, and what the form holds; then the top factor
+    # (method, n). The three-level elasticity run stacks both levels'
+    # inverses and keeps K_GG (entries, bytes); the 2D run with 7 x 7
+    # interiors keeps its band (2 kd + 1 < 49) and the S stacks ((count,
+    # n_B) per shape group, bytes). With DEBUG off no record's arguments are
+    # evaluated (`Factorization.storage` is never read), and a run that logs
+    # them has bitwise the solution, residual history and condition estimate
+    # of one that does not
+    runs = [(["problem=elasticity", "dim=3", "elements=6", "hierarchy=27/8"], [True, True],
+             "sparse"),
+            (["dim=2", "elements=16", "hierarchy=4"], [False], "dense")]
     evaluated, storage = [], Factorization.storage
     monkeypatch.setattr(Factorization, "storage",
                         property(lambda self: evaluated.append(self) or storage.fget(self)))
-    for overrides, stacked in runs:
+    for overrides, stacked, form in runs:
         caplog.clear()
         evaluated.clear()
         quiet = run_experiment(load_config(overrides=overrides))
@@ -625,10 +628,21 @@ def test_setup_logs_each_level_at_debug_and_changes_no_bit(caplog, monkeypatch):
             solves = (f"inverse stacks (order, count) {list(zip(orders.tolist(), counts.tolist()))}"
                       f", {8 * int(np.sum(counts * orders ** 2))} bytes" if inverses
                       else f"band kd={fact.kd}, {8 * (fact.kd + 1) * fact.n} bytes")
-            k_gg = level.splits.k_gg
-            assert (k_gg is not None) == (level.index == 1)
-            interface = ("" if k_gg is None else f"; K_GG {k_gg.nnz} entries, "
-                         f"{12 * k_gg.nnz + 4 * (k_gg.shape[0] + 1)} bytes")
+            sp, k_gg = level.splits, level.splits.k_gg
+            assert sp.form == (form if level.index == 1 else None)
+            assert (k_gg is not None) == (sp.form == "sparse")
+            interface = ""
+            if sp.form is not None:
+                dense, sparse = bddc.schur_form(sp)[1]
+            if sp.form == "sparse":
+                interface = (f"; Schur form sparse, {sparse} entries against {dense}: "
+                             f"K_GG {k_gg.nnz} entries, "
+                             f"{12 * k_gg.nnz + 4 * (k_gg.shape[0] + 1)} bytes")
+            elif sp.form == "dense":
+                counts = [(g.subs.size, g.order.shape[1]) for g in groups]
+                interface = (f"; Schur form dense, {dense} entries against {sparse}: "
+                             f"S stacks (count, n_B) {counts}, "
+                             f"{sum(8 * m * n_b * (n_b + 1) for m, n_b in counts)} bytes")
             assert record.getMessage() == (
                 f"level {level.index}: {level.partition.n_subdomains} subdomains of "
                 f"{sizes.min()} to {sizes.max()} elements; coarse dofs (corner, edge, face) "

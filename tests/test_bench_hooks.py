@@ -204,8 +204,10 @@ def csr_arrays(m) -> list:
 def test_preconditioner_holds_only_what_it_keeps(overrides):
     # the bytes reachable from a built preconditioner are those of what it
     # keeps, named here: per level the shape groups' stacks and index maps,
-    # the splits (K_IG, K_BB's lower triangle, level 1's K_GG, the band K_II
-    # factor, its inverse stacks and its CSR, the stacked index arrays), the
+    # the splits (K_IG, K_BB's lower triangle, level 1's Schur form: K_GG, or
+    # the S stacks and their positions, which the 2D run holds and no K_GG;
+    # the band K_II factor, its inverse stacks and its CSR, the stacked
+    # index arrays), the
     # level's arrays (weights, coarse dofs, scatter positions, interface map,
     # coarse space, partition) and its grid; then the top factor and its
     # CSR. The margin, 1% of that, is for
@@ -221,6 +223,8 @@ def test_preconditioner_holds_only_what_it_keeps(overrides):
         kept += [a for g in lv.groups for a in vars(g).values() if isinstance(a, np.ndarray)]
         kept += csr_arrays(sp.k_ig) + csr_arrays(sp.k_bb) + csr_arrays(fact.matrix.scipy_csr())
         kept += [] if sp.k_gg is None else csr_arrays(sp.k_gg)
+        kept += [a for pair in sp.s_stacks or () for a in pair]
+        assert (sp.s_stacks is not None) == (lv.index == 1 and overrides == CORNERS_2D)
         kept += [a for stack in fact._stacks or () for a in stack if isinstance(a, np.ndarray)]
         kept += [fact._payload, fact.offsets, sp.interior_dofs, sp.iface_index,
                  sp.interior_offsets, sp.iface_offsets, lv.weights, lv.coarse_dofs, lv.scatter,

@@ -98,7 +98,7 @@ def test_runs_solve_or_exit_3(overrides):
 def extreme_eigenvalues_ms(prec, li=0) -> tuple:
     """(lambda_min, lambda_max) of M S for the interface operator S of
     level li + 1, formed densely from its blocks (`dense_schur`: only level
-    1 holds the K_GG that `schur_apply` reads), and the cycle M from that
+    1 holds a Schur form that `schur_apply` reads), and the cycle M from that
     level down (at li = 0, the preconditioner), built from identity
     columns: the eigenvalues of M S are those of L^T S L for M = L L^T."""
     level = prec.levels[li]
